@@ -1,18 +1,27 @@
 """hklat: even-lattice invariants and the classification of prime-order
 non-symplectic automorphisms on K3^[2]-type hyperkaehler fourfolds."""
 
-from .exact import (
+from .errors import (
+    AmbiguousGaussSum,
+    BudgetExceeded,
     DegenerateForm,
+    GroupTooLarge,
+    HklatError,
+    InvalidParameter,
+    NonIntegerResult,
+    NotEvenLattice,
+    NotPElementary,
+    UnsupportedPrime,
+    UnsupportedRegime,
+)
+from .exact import (
     det_exact,
     signature_of_symmetric,
     smith_normal_form,
 )
 from .fqf import (
-    AmbiguousGaussSum,
     FiniteQuadraticForm,
     FormInvariants,
-    GroupTooLarge,
-    UnsupportedRegime,
     delta_invariant,
     even_lattice_exists,
     even_lattice_exists_report,
@@ -22,7 +31,6 @@ from .fqf import (
 )
 from .lattices import (
     DiscriminantData,
-    InvalidParameter,
     Lattice,
     LatticeExpr,
     ambient_lattice,
@@ -39,7 +47,6 @@ from .lattices import (
 from .classify import (
     EmbeddingReport,
     LatticeInvariants,
-    NotPElementary,
     embed_in_L,
     genus_unique,
     hyperbolic_p_elementary_exists,
@@ -50,8 +57,6 @@ from .classify import (
 )
 from .tables import (
     AdmissibleTriple,
-    NonIntegerResult,
-    UnsupportedPrime,
     enumerate_triples,
     h4_trace,
     h_star,

@@ -9,13 +9,15 @@ lattice existence conditions, which is also what rules candidate triples out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BudgetExceeded, InvalidParameter, NotPElementary, UnsupportedRegime
+from .exact import det_exact, is_prime
 from .fqf import (
     FiniteQuadraticForm,
     THREE_HALF,
-    UnsupportedRegime,
     cyclic_form,
     even_lattice_exists_report,
     forms_isomorphic,
@@ -24,16 +26,13 @@ from .fqf import (
     trivial_form,
 )
 from .lattices import (
+    AMBIENT_SIGNATURE,
     Lattice,
     LatticeExpr,
     discriminant_data,
     parse_expr,
     realize_atom,
 )
-
-
-class NotPElementary(ValueError):
-    """Operation requires a p-elementary lattice for a single odd prime."""
 
 
 @dataclass(frozen=True)
@@ -61,22 +60,11 @@ def invariants_of(lattice: Lattice) -> LatticeInvariants:
     factors = data.invariant_factors
     if not factors:
         p, a = 0, 0
-    elif all(f == factors[0] for f in factors) and _is_prime(factors[0]):
+    elif all(f == factors[0] for f in factors) and is_prime(factors[0]):
         p, a = factors[0], len(factors)
     else:
         p, a = None, len(factors)
     return LatticeInvariants(s_plus, s_minus, p, a, data.form)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- existence ------------------------------------------------------------------
@@ -84,8 +72,8 @@ def _is_prime(n: int) -> bool:
 def hyperbolic_p_elementary_exists(p: int, r: int, a: int) -> bool:
     """Existence of an even hyperbolic p-elementary lattice (p odd) of rank r,
     discriminant group (Z/p)^a."""
-    if p == 2 or not _is_prime(p):
-        raise ValueError("p must be an odd prime")
+    if p == 2 or not is_prime(p):
+        raise InvalidParameter("p must be an odd prime")
     if r < 2 or a < 0 or a > r or r % 2:
         return False
     if a % 2 == 0:
@@ -102,7 +90,7 @@ def hyperbolic_p_elementary_exists(p: int, r: int, a: int) -> bool:
 def split_off_U(s_plus: int, s_minus: int, a: int) -> bool:
     """Whether a hyperbolic-plane summand splits off: rank >= 3 + length."""
     if s_plus <= 0 or s_minus <= 0:
-        raise ValueError("splitting requires an indefinite lattice")
+        raise InvalidParameter("splitting requires an indefinite lattice")
     return s_plus + s_minus >= 3 + a
 
 
@@ -180,31 +168,19 @@ def genus_unique(rank: int, det: int) -> bool:
     |determinant| d: true when no nonsquare k = 0,1 mod 4 has k^C(n,2) dividing
     4^floor(n/2) * d."""
     if rank < 2:
-        raise ValueError("test applies to indefinite lattices (rank >= 2)")
+        raise InvalidParameter("test applies to indefinite lattices (rank >= 2)")
     d = abs(det)
     bound = 4 ** (rank // 2) * d
     exponent = rank * (rank - 1) // 2
     k = 2
     while k**exponent <= bound:
-        if k % 4 in (0, 1) and not _is_square(k) and bound % (k**exponent) == 0:
+        if k % 4 in (0, 1) and math.isqrt(k) ** 2 != k and bound % (k**exponent) == 0:
             return False
         k += 1
     return True
 
 
-def _is_square(n: int) -> bool:
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
-
-
 # -- primitive embeddings into the ambient lattice ---------------------------------
-
-AMBIENT_SIGNATURE = (3, 20)
-
 
 @dataclass(frozen=True)
 class EmbeddingReport:
@@ -225,8 +201,8 @@ def embed_in_L(s: LatticeInvariants, recognize_orthogonal: bool = False) -> Embe
     The orthogonal complement T has signature (3 - s+, 20 - s-) and
     discriminant form (-q_S) + Z/2 (3/2).  The embedding is unique when
     s+ < 3, s- < 20 and a <= 21 - rank(S); outside that range the rank-one
-    complement case is checked directly and the remaining exceptions get
-    a one-class-per-genus certificate for T instead (exception_flag).
+    complement case is checked directly, and an indefinite T may still get a
+    one-class-per-genus certificate instead (exception_flag).
     """
     if s.p is None or (s.p == 2 and s.a > 0):
         raise NotPElementary("embedding analysis requires odd p (or trivial group)")
@@ -246,7 +222,7 @@ def embed_in_L(s: LatticeInvariants, recognize_orthogonal: bool = False) -> Embe
     if not unique:
         if t_rank == 1:
             unique = _rank_one_orthogonal_group_surjects(q_t)
-        elif t_rank >= 2:
+        elif t_plus > 0 and t_minus > 0:
             exception = genus_unique(t_rank, 2 * (s.p**s.a if s.p else 1))
 
     t_unique = s.rank >= s.a + 2 or (s.rank == 2 and s.a == 1 and s.p == 3)
@@ -269,22 +245,12 @@ def _rank_one_orthogonal_group_surjects(q_t: FiniteQuadraticForm) -> bool:
         if not forms_isomorphic(form, q_t):
             return False
     for u in range(2, n - 1):
-        if _gcd(u, n) == 1 and (u * u * value - value) % 2 == 0:
+        if math.gcd(u, n) == 1 and (u * u * value - value) % 2 == 0:
             return False
     return True
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # -- recognition --------------------------------------------------------------------
-
-class BudgetExceeded(ValueError):
-    """Recognition search budget must allow at least one summand."""
-
 
 def _search_pool(target: LatticeInvariants) -> list[str]:
     """Catalog terms eligible for a recognition search, in canonical order."""
@@ -329,8 +295,6 @@ def _term_data(term: str):
     expr = parse_expr(term)
     gram = realize_atom(*expr.summands[0][:2])
     lat = Lattice(gram)
-    from .exact import det_exact
-
     return {
         "term": expr.summands[0][:2],
         "rank": len(gram),

@@ -1,34 +1,26 @@
 """Command-line front end.
 
 Subcommands: invariants, tables, figures, embed, involution, census,
-local-actions.  Exit code 1 flags malformed input, 2 a mathematical rejection
-(e.g. a Gram matrix that is not an even lattice).  Output is deterministic.
+local-actions.  Each subcommand computes its whole answer before printing, so
+a failure leaves stdout empty.  Exit codes: 1 malformed input (bad parameters,
+unparsable expressions or JSON, unreadable files), 2 a mathematical rejection
+(e.g. a Gram matrix that is not an even lattice, a failed cross-check), 3 valid
+input beyond the implemented range.  Output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import fixedlocus, involutions, tables
-from .classify import NotPElementary, embed_in_L, invariants_of
-from .fqf import delta_invariant, form_invariants
+from .classify import embed_in_L, invariants_of
+from .errors import HklatError, InvalidParameter
+from .fqf import form_invariants
 from .involutions import TwoElemInvariants
-from .lattices import (
-    InvalidParameter,
-    Lattice,
-    NotEvenLattice,
-    discriminant_data,
-    lattice_from_json,
-    realize,
-)
-
-
-class MathRejection(Exception):
-    pass
+from .lattices import Lattice, lattice_from_json, realize
 
 
 def _load_lattice(source: str) -> Lattice:
@@ -40,42 +32,28 @@ def _load_lattice(source: str) -> Lattice:
 
 def _cmd_invariants(args) -> int:
     lat = _load_lattice(args.lattice)
-    data = discriminant_data(lat)
-    s_plus, s_minus = lat.signature()
-    print(f"lattice: {lat.name()}")
-    print(f"rank: {lat.rank}")
-    print(f"signature: ({s_plus}, {s_minus})")
-    print(f"det: {lat.det()}")
-    if data.invariant_factors:
-        group = " x ".join(f"Z/{d}" for d in data.invariant_factors)
+    inv = invariants_of(lat)
+    form_inv = form_invariants(inv.form)
+    if inv.p == 0:
+        elementary = "true for every p (unimodular, a = 0)"
+    elif inv.p is None:
+        elementary = "false"
     else:
-        group = "trivial"
-    print(f"discriminant group: {group}")
-    values = ", ".join(str(v) for v in data.form.q) or "-"
-    print(f"q on generators (mod 2Z): {values}")
-    factors = set(data.invariant_factors)
-    if not factors:
-        print("p-elementary: true for every p (unimodular, a = 0)")
-    elif len(factors) == 1 and _is_prime(next(iter(factors))):
-        p = next(iter(factors))
-        print(f"p-elementary: true (p={p}, a={len(data.invariant_factors)})")
-    else:
-        print("p-elementary: false")
-    print(f"delta (2-part): {delta_invariant(data.form)}")
-    inv = form_invariants(data.form)
-    print(f"gauss signature (mod 8): {inv.signature_mod_8}")
+        elementary = f"true (p={inv.p}, a={inv.a})"
+    group = " x ".join(f"Z/{d}" for d in inv.form.orders) or "trivial"
+    values = ", ".join(str(v) for v in inv.form.q) or "-"
+    print("\n".join((
+        f"lattice: {lat.name()}",
+        f"rank: {lat.rank}",
+        f"signature: ({inv.s_plus}, {inv.s_minus})",
+        f"det: {lat.det()}",
+        f"discriminant group: {group}",
+        f"q on generators (mod 2Z): {values}",
+        f"p-elementary: {elementary}",
+        f"delta (2-part): {form_inv.delta}",
+        f"gauss signature (mod 8): {form_inv.signature_mod_8}",
+    )))
     return 0
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -160,13 +138,18 @@ def _cmd_involution(args) -> int:
 def _cmd_census(args) -> int:
     locus = fixedlocus.k3_fixed_locus_from_json(Path(args.file).read_text())
     census = fixedlocus.hilb2_census(locus)
-    print(json.dumps(census.as_dict(), indent=2))
+    lines = [json.dumps(census.as_dict(), indent=2)]
+    code = 0
     if args.check:
-        p, m, a = (int(x) for x in args.check.split(","))
+        try:
+            p, m, a = (int(x) for x in args.check.split(","))
+        except ValueError as exc:
+            raise InvalidParameter(f"--check needs p,m,a: {exc}") from exc
         ok = fixedlocus.cross_check_totals(census.chi, census.h_star, p, m, a)
-        print(f"cross-check against ({p},{m},{a}): {'MATCH' if ok else 'MISMATCH'}")
-        return 0 if ok else 2
-    return 0
+        lines.append(f"cross-check against ({p},{m},{a}): {'MATCH' if ok else 'MISMATCH'}")
+        code = 0 if ok else 2
+    print("\n".join(lines))
+    return code
 
 
 def _cmd_local_actions(args) -> int:
@@ -227,15 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("HKLAT_THREADS", "1")  # parallelism cap; execution is serial
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotEvenLattice, NotPElementary, MathRejection) as exc:
+    except HklatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameter, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,0 +1,80 @@
+"""The exception hierarchy of hklat.
+
+Every error the package raises is an ``HklatError`` carrying the exit code the
+command line reports for it:
+
+* 1 -- malformed input (bad parameters, unparsable expressions or JSON);
+* 2 -- mathematical rejection (odd or degenerate forms, impossible invariants);
+* 3 -- valid input beyond the implemented range.
+
+Each class also keeps a built-in base, so ``except ValueError`` and the like
+still catch it.
+"""
+
+from __future__ import annotations
+
+
+class HklatError(Exception):
+    """Base class of every hklat error."""
+
+    exit_code = 1
+
+
+# -- 1: malformed input ----------------------------------------------------------
+
+class InvalidParameter(HklatError, ValueError):
+    """Parameters out of range, unparsable input, or a non-realizable twist."""
+
+
+class UnsupportedPrime(HklatError, ValueError):
+    """enumerate_triples handles the odd primes 3..19 only."""
+
+
+class BudgetExceeded(HklatError, ValueError):
+    """Recognition search budget must allow at least one summand."""
+
+
+# -- 2: mathematical rejection ---------------------------------------------------
+
+class NotEvenLattice(HklatError, ValueError):
+    """Gram matrix is not that of an even nondegenerate lattice."""
+
+    exit_code = 2
+
+
+class NotPElementary(HklatError, ValueError):
+    """Operation requires a p-elementary lattice for a single odd prime."""
+
+    exit_code = 2
+
+
+class DegenerateForm(HklatError, ValueError):
+    """A nondegenerate symmetric or finite quadratic form was expected."""
+
+    exit_code = 2
+
+
+class NonIntegerResult(HklatError, ArithmeticError):
+    """A closed-form invariant failed to be an integer (invalid input)."""
+
+    exit_code = 2
+
+
+# -- 3: beyond the implemented range ---------------------------------------------
+
+class GroupTooLarge(HklatError, ValueError):
+    """An enumeration refused a group above its size cap."""
+
+    exit_code = 3
+
+
+class UnsupportedRegime(HklatError, NotImplementedError):
+    """Existence test hit a case outside the implemented conditions."""
+
+    exit_code = 3
+
+
+class AmbiguousGaussSum(HklatError, ArithmeticError):
+    """No signature candidate matched the Gauss sum within tolerance."""
+
+    exit_code = 3

@@ -7,29 +7,32 @@ immutable tuples of tuples of ints.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .errors import DegenerateForm, InvalidParameter
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-class DegenerateForm(ValueError):
-    """Raised when a nondegenerate symmetric form was expected."""
+def is_prime(n: int) -> bool:
+    """Primality by trial division."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def as_matrix(rows) -> IntMatrix:
     """Normalize a nested sequence of ints into an IntMatrix, validating shape."""
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    try:
+        out = tuple(tuple(int(x) for x in row) for row in rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"not an integer matrix: {exc}") from exc
     if out and any(len(row) != len(out[0]) for row in out):
-        raise ValueError("ragged matrix")
+        raise InvalidParameter("ragged matrix")
     return out
 
 
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zeros(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
 
 
 def dims(m: IntMatrix) -> tuple[int, int]:
@@ -46,10 +49,6 @@ def mat_mul(a, b):
         return ()
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 def scale(m: IntMatrix, t: int) -> IntMatrix:
@@ -79,7 +78,7 @@ def det_exact(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     n, c = dims(m)
     if n != c:
-        raise ValueError("determinant of non-square matrix")
+        raise InvalidParameter("determinant of non-square matrix")
     if n == 0:
         return 1
     a = [list(row) for row in m]
@@ -207,7 +206,7 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
     """
     n, c = dims(m)
     if n != c or not is_symmetric(m):
-        raise ValueError("signature requires a symmetric square matrix")
+        raise InvalidParameter("signature requires a symmetric square matrix")
     if det_exact(m) == 0:
         raise DegenerateForm("matrix is singular")
     a = [[Fraction(x) for x in row] for row in m]

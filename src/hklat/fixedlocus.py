@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import InvalidParameter
+from .exact import is_prime
 from .tables import h_star, lefschetz_chi
 
 
@@ -30,14 +32,14 @@ class K3FixedLocus:
 
     def __post_init__(self):
         object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        if self.p < 3 or self.p % 2 == 0:
-            raise ValueError("p must be an odd prime")
+        if self.p == 2 or not is_prime(self.p):
+            raise InvalidParameter("p must be an odd prime")
         if len(self.n) != self.p - 1:
-            raise ValueError(f"n must list p-1 = {self.p - 1} local-type counts")
+            raise InvalidParameter(f"n must list p-1 = {self.p - 1} local-type counts")
         if self.k < 0 or any(x < 0 for x in self.n):
-            raise ValueError("counts must be nonnegative")
+            raise InvalidParameter("counts must be nonnegative")
         if self.genus_curve is not None and self.genus_curve < 0:
-            raise ValueError("genus must be nonnegative")
+            raise InvalidParameter("genus must be nonnegative")
 
     @property
     def N(self) -> int:
@@ -107,12 +109,10 @@ def hilb2_census(f: K3FixedLocus) -> Hilb2FixedLocus:
 
 def census_chi_closed_form(g: int, N: int, k: int) -> tuple[int, int]:
     """Closed forms for (chi, h_star) when a genus-g curve is present."""
+    # Both halvings are exact: the factors of chi2 differ by 3, and every term
+    # of hs2 is even except N^2 + 7N = N(N + 7).
     chi2 = (2 * g - 2 - N - 2 * k) * (2 * g - 5 - N - 2 * k)
-    if chi2 % 2:
-        raise ArithmeticError("closed form did not produce an integer")
     hs2 = N * N + 7 * N + 4 * N * k + 14 * k + 4 * N * g + 10 + 10 * g + 4 * k * k + 8 * k * g + 4 * g * g
-    if hs2 % 2:
-        raise ArithmeticError("closed form did not produce an integer")
     return chi2 // 2, hs2 // 2
 
 
@@ -139,8 +139,8 @@ def enumerate_local_actions(p: int) -> list[dict]:
     multiplicities (a, a, b, b), a + b = 2.  The fixed-component dimension at
     the point equals the multiplicity of eigenvalue 1.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd prime")
+    if p == 2 or not is_prime(p):
+        raise InvalidParameter("p must be an odd prime")
     out = []
     half = (p + 1) // 2
     for a in range(0, 3):
@@ -204,7 +204,7 @@ class FixedLocusFixture:
                 chi += count * c
                 hs += count * h
             else:
-                raise ValueError(f"unknown component kind {kind!r}")
+                raise InvalidParameter(f"unknown component kind {kind!r}")
         return chi, hs
 
 
@@ -240,10 +240,14 @@ HILB2_NATURAL_355 = K3FixedLocus(p=3, k=2, n=(0, 5))
 # -- JSON interface -----------------------------------------------------------------
 
 def k3_fixed_locus_from_json(text: str) -> K3FixedLocus:
-    data = json.loads(text)
-    return K3FixedLocus(
-        p=data["p"],
-        k=data.get("k", 0),
-        n=tuple(data.get("n", [0] * (data["p"] - 1))),
-        genus_curve=data.get("genus_curve"),
-    )
+    try:
+        data = json.loads(text)
+        p = int(data["p"])
+        k = int(data.get("k", 0))
+        n = data.get("n")
+        n = (0,) * (p - 1) if n is None else tuple(int(x) for x in n)
+        genus = data.get("genus_curve")
+        genus = None if genus is None else int(genus)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"malformed fixed-locus JSON: {exc!r}") from exc
+    return K3FixedLocus(p=p, k=k, n=n, genus_curve=genus)

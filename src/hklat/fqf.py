@@ -19,28 +19,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import (
+    AmbiguousGaussSum,
+    DegenerateForm,
+    GroupTooLarge,
+    InvalidParameter,
+    UnsupportedRegime,
+)
+from .exact import det_exact, signature_of_symmetric, smith_normal_form
+
 HALF = Fraction(1, 2)
 THREE_HALF = Fraction(3, 2)
 
 GAUSS_TOL = 1e-6
 BRUTE_FORCE_CAP = 10_000
 ENUM_CAP = 1_000_000
-
-
-class DegenerateForm(ValueError):
-    """The bilinear form has a nontrivial radical."""
-
-
-class AmbiguousGaussSum(ArithmeticError):
-    """No signature candidate matched the Gauss sum within tolerance."""
-
-
-class GroupTooLarge(ValueError):
-    """Brute-force isomorphism search refused a group above the size cap."""
-
-
-class UnsupportedRegime(NotImplementedError):
-    """Existence test hit a case outside the implemented conditions."""
 
 
 def _mod2(x: Fraction) -> Fraction:
@@ -62,21 +55,21 @@ class FiniteQuadraticForm:
     def __post_init__(self):
         k = len(self.orders)
         if len(self.q) != k or len(self.b) != k or any(len(r) != k for r in self.b):
-            raise ValueError("inconsistent generator data")
+            raise InvalidParameter("inconsistent generator data")
         if any(d < 2 for d in self.orders):
-            raise ValueError("generator orders must be > 1")
+            raise InvalidParameter("generator orders must be > 1")
         for i, d in enumerate(self.orders):
             if _mod2(self.q[i]) != self.q[i]:
-                raise ValueError("q values must be reduced into [0, 2)")
+                raise InvalidParameter("q values must be reduced into [0, 2)")
             if _mod2(d * d * self.q[i]) != 0:
-                raise ValueError("q value incompatible with generator order")
+                raise InvalidParameter("q value incompatible with generator order")
             if _mod1(self.b[i][i] - self.q[i]) != 0:
-                raise ValueError("b(g,g) must equal q(g) mod Z")
+                raise InvalidParameter("b(g,g) must equal q(g) mod Z")
             for j in range(k):
                 if self.b[i][j] != self.b[j][i]:
-                    raise ValueError("b must be symmetric")
+                    raise InvalidParameter("b must be symmetric")
                 if _mod1(d * self.b[i][j]) != 0:
-                    raise ValueError("b value incompatible with generator order")
+                    raise InvalidParameter("b value incompatible with generator order")
 
     # -- basic structure ---------------------------------------------------
 
@@ -231,27 +224,19 @@ class FiniteQuadraticForm:
     def radical_rank_is_zero(self) -> bool:
         """True iff the bilinear form has trivial radical.
 
-        The radical splits over prime parts and over b-orthogonal components,
-        so only components are enumerated.
+        With N the exponent of A, x = sum c_i g_i lies in the radical iff
+        c·(N b) = 0 mod N, so the map A -> Hom(A, Q/Z) has image of order
+        [Z^k : rows of (N b ; N I)] = N^k / (e_1 ... e_k), the e_i being the
+        Smith invariants of that stacked matrix; b is nondegenerate iff the
+        image is all of A.
         """
-        for p in self.lengths_per_prime():
-            part = self.prime_part(p)
-            for idxs in part.orthogonal_components():
-                comp = part.subform(idxs)
-                if comp.order > BRUTE_FORCE_CAP:
-                    raise GroupTooLarge("radical check too large")
-                k = comp.length()
-                units = [_unit(k, j) for j in range(k)]
-                for x in comp.elements():
-                    if all(c == 0 for c in x):
-                        continue
-                    if all(comp.pairing(x, e) == 0 for e in units):
-                        return False
-        return True
-
-
-def _unit(k: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if i == j else 0 for i in range(k))
+        k = self.length()
+        n = math.lcm(*self.orders)
+        stacked = tuple(tuple(int(n * x) for x in row) for row in self.b) + tuple(
+            tuple(n if i == j else 0 for j in range(k)) for i in range(k)
+        )
+        _, d, _ = smith_normal_form(stacked)
+        return n**k == self.order * math.prod(d[i][i] for i in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -368,11 +353,7 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
     """Signature mod 8 via the Gauss sum: (1/sqrt|A|) sum exp(pi i q(x)) = exp(2 pi i s/8)."""
     if form.is_trivial():
         return 0
-    try:
-        nondegenerate = form.radical_rank_is_zero()
-    except GroupTooLarge:
-        nondegenerate = True  # components too large to scan; caller's responsibility
-    if not nondegenerate:
+    if not form.radical_rank_is_zero():
         raise DegenerateForm("degenerate form has no Gauss signature")
     counts = form.value_counts()
     total = 0j
@@ -616,8 +597,6 @@ def _witness_search(s_plus: int, s_minus: int, form: FiniteQuadraticForm) -> boo
                 for b in range(0, bound + 1):
                     candidates.append(((a, b), (b, c)))
     for gram in candidates:
-        from .exact import det_exact, signature_of_symmetric
-
         d = det_exact(gram)
         if d == 0 or abs(d) != n:
             continue

@@ -14,11 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .fqf import (
-    FiniteQuadraticForm,
-    THREE_HALF,
-    two_elementary_form,
-)
+from .errors import InvalidParameter
+from .fqf import FiniteQuadraticForm, trivial_form, two_elementary_form
+from .lattices import AMBIENT_SIGNATURE
 
 CASE_I = "I"
 CASE_II = "II"
@@ -88,8 +86,6 @@ def form_of(inv: TwoElemInvariants) -> FiniteQuadraticForm | None:
     if not two_elementary_exists(inv):
         return None
     if inv.a == 0:
-        from .fqf import trivial_form
-
         return trivial_form()
     return two_elementary_form(inv.a, inv.delta, (inv.s_plus - inv.s_minus) % 8)
 
@@ -97,19 +93,11 @@ def form_of(inv: TwoElemInvariants) -> FiniteQuadraticForm | None:
 def has_value_three_halves(inv: TwoElemInvariants) -> bool:
     """Whether the discriminant form contains an element of q-value 3/2.
 
-    Small forms are scanned directly; long ones use the invariant criterion
-    (delta must be 1; at lengths 1 and 2 only the classes built from a <3/2>
-    block qualify, from length 3 on every delta = 1 class does).  The two
-    routes agree wherever both apply, which the test suite checks.
+    Invariant criterion: delta must be 1; at lengths 1 and 2 only the classes
+    built from a <3/2> block qualify, from length 3 on every delta = 1 class
+    does.  The test suite checks it against a scan of the form's values.
     """
-    if not two_elementary_exists(inv):
-        return False
-    if inv.a == 0:
-        return False
-    if inv.a <= 12:
-        form = form_of(inv)
-        return THREE_HALF in form.value_counts()
-    if inv.delta == 0:
+    if not two_elementary_exists(inv) or inv.a == 0 or inv.delta == 0:
         return False
     sigma = (inv.s_plus - inv.s_minus) % 8
     if inv.a == 1:
@@ -118,8 +106,6 @@ def has_value_three_halves(inv: TwoElemInvariants) -> bool:
         return sigma in (0, 6)
     return True
 
-
-AMBIENT_SIGNATURE = (3, 20)
 
 # Chart adjustment: the published chart 1 carries no delta_T = 0 marker at
 # (r, a) = (14, 8) although the arithmetic conditions admit that class.
@@ -130,7 +116,7 @@ def classify_involution_embeddings(t: TwoElemInvariants) -> list[InvolutionEmbed
     """All embedding classes of a hyperbolic 2-elementary T = (1, r-1, a, delta)
     in the ambient lattice, listed by the invariants of the orthogonal S."""
     if t.s_plus != 1:
-        raise ValueError("T must be hyperbolic of signature (1, r-1)")
+        raise InvalidParameter("T must be hyperbolic of signature (1, r-1)")
     if not two_elementary_exists(t):
         return []
     s_minus = AMBIENT_SIGNATURE[1] - (t.r - 1)  # rank S = 2 + s_minus = 23 - r
@@ -154,7 +140,7 @@ def natural_involution_shift(k3_inv: TwoElemInvariants) -> TwoElemInvariants:
     """Invariants of the induced involution on the Hilbert square: a K3 invariant
     lattice (r, a, delta) becomes (r+1, a+1, 1)."""
     if k3_inv.s_plus != 1 or k3_inv.r > 20:
-        raise ValueError("expected K3 invariants: signature (1, r-1) with r <= 20")
+        raise InvalidParameter("expected K3 invariants: signature (1, r-1) with r <= 20")
     return TwoElemInvariants(1, k3_inv.s_minus + 1, k3_inv.a + 1, 1)
 
 
@@ -177,7 +163,7 @@ def figure_points(which: int) -> set[tuple[int, int, int]]:
     adjusted to the published charts (see CHART1_PUBLISHED_EXCLUDES).
     """
     if which not in (1, 2):
-        raise ValueError("chart index must be 1 or 2")
+        raise InvalidParameter("chart index must be 1 or 2")
     points: set[tuple[int, int, int]] = set()
     for r in range(1, 22):
         for a in range(0, r + 1):

@@ -21,25 +21,19 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvalidParameter, NotEvenLattice
 from .exact import (
     IntMatrix,
     as_matrix,
     block_diag,
     det_exact,
+    is_prime,
     is_symmetric,
     scale,
     signature_of_symmetric,
     smith_normal_form,
 )
 from .fqf import FiniteQuadraticForm, _mod1, _mod2, trivial_form
-
-
-class InvalidParameter(ValueError):
-    """Catalog atom parameters out of range, or a non-realizable twist."""
-
-
-class NotEvenLattice(ValueError):
-    """Gram matrix is not that of an even nondegenerate lattice."""
 
 
 # -- expressions ---------------------------------------------------------------
@@ -169,12 +163,12 @@ def _atom_base_gram(atom: str):
         return scale(_cartan_E(int(atom[1])), -1)
     if atom[0] == "K" and atom[1:].isdigit():
         p = int(atom[1:])
-        if p % 4 != 3 or not _is_prime(p):
+        if p % 4 != 3 or not is_prime(p):
             raise InvalidParameter(f"K_p needs a prime p = 3 mod 4, got {p}")
         return ((-(p + 1) // 2, 1), (1, -2))
     if atom[0] == "H" and atom[1:].isdigit():
         p = int(atom[1:])
-        if p % 4 != 1 or not _is_prime(p):
+        if p % 4 != 1 or not is_prime(p):
             raise InvalidParameter(f"H_p needs a prime p = 1 mod 4, got {p}")
         return (((p - 1) // 2, 1), (1, -2))
     if atom == "L17":
@@ -319,12 +313,14 @@ def twist(lattice: Lattice, t: int) -> Lattice:
     return Lattice(scale(lattice.gram, t), expr=expr)
 
 
+AMBIENT_SIGNATURE = (3, 20)
+
+
 def ambient_lattice() -> Lattice:
     """The rank-23 lattice U^3 + E8^2 + <-2> (second cohomology of a K3^[2] fourfold)."""
     return realize("U^3 + E8^2 + <-2>")
 
 
-AMBIENT_FORM_VALUE = Fraction(3, 2)  # discriminant form of the ambient lattice: Z/2 (3/2)
 
 
 # -- discriminant data ------------------------------------------------------------
@@ -384,26 +380,17 @@ def is_p_elementary(lattice: Lattice, p: int) -> tuple[bool, int | None]:
     return False, None
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # -- JSON interface ----------------------------------------------------------------
 
 def lattice_from_json(text: str) -> Lattice:
     """Read {"gram": [[...], ...], "name": "optional expr string"}."""
-    data = json.loads(text)
-    if "gram" not in data:
-        raise InvalidParameter("lattice JSON needs a 'gram' field")
-    expr = parse_expr(data["name"]) if data.get("name") else None
-    return Lattice(as_matrix(data["gram"]), expr=expr)
+    try:
+        data = json.loads(text)
+        gram = data["gram"]
+        expr = parse_expr(data["name"]) if data.get("name") else None
+    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
+        raise InvalidParameter(f"malformed lattice JSON: {exc!r}") from exc
+    return Lattice(as_matrix(gram), expr=expr)
 
 
 def lattice_to_json(lattice: Lattice) -> str:

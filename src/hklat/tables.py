@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvalidParameter, NonIntegerResult, UnsupportedPrime
 from .classify import (
     LatticeInvariants,
     embed_in_L,
@@ -28,14 +29,6 @@ from .classify import (
 )
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
-
-
-class UnsupportedPrime(ValueError):
-    """enumerate_triples handles the odd primes 3..19 only."""
-
-
-class NonIntegerResult(ArithmeticError):
-    """A closed-form invariant failed to be an integer (invalid input)."""
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -70,7 +63,7 @@ def h4_trace(m: int, r: int) -> int:
 def moduli_dimension(p: int, m: int) -> int:
     """Dimension of the deformation family: m-1 for odd p, m-2 for p = 2."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InvalidParameter("m must be positive")
     return m - 2 if p == 2 else m - 1
 
 
@@ -160,10 +153,6 @@ REALIZATIONS: dict[tuple[int, int, int], tuple[str, ...]] = {
     (3, 5, 5): (FANO, NATURAL),
     (13, 1, 0): (),
 }
-
-# Triples whose embedding S -> L is not covered by the uniqueness clause;
-# the complement T is still unique in its genus (one-class certificate).
-EMBEDDING_EXCEPTIONS = frozenset({(3, 10, 2), (3, 8, 6), (11, 2, 2)})
 
 # The p = 5 rows realized by natural automorphisms (the only ones for which
 # the fixed-locus formulas are known to apply).

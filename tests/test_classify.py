@@ -98,6 +98,16 @@ def test_embed_signature_overflow():
     assert not embed_in_L(s).embeds
 
 
+def test_definite_complement_gets_no_genus_certificate():
+    # genus_unique is a criterion for indefinite lattices only; here T is
+    # negative definite of signature (0, 17)
+    report = embed_in_L(_invariants("U(5)^2 + U"))
+    t = report.orthogonal_invariants
+    assert (t.s_plus, t.s_minus) == (0, 17)
+    assert not report.unique_embedding
+    assert not report.exception_flag
+
+
 def test_genus_unique_examples():
     assert genus_unique(3, 18)
     assert genus_unique(3, 1)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hklat
 from hklat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,10 +140,14 @@ def test_parser_rejects_missing_subcommand():
 
 
 def test_console_entry_point():
+    # the child interpreter imports the same hklat as the tests do
+    src = str(Path(hklat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "hklat.cli", "tables", "--prime", "13", "--format", "csv"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "no-known-realization" in proc.stdout or "True" in proc.stdout
@@ -157,6 +163,41 @@ def test_tables_json_roundtrip(capsys):
 def test_embed_rejects_mixed_group(capsys):
     code, _, err = run_cli(capsys, "embed", "--expr", "<6> + E8")
     assert code == 2
+
+
+INPUT_FILES = {
+    "ragged.json": '{"gram": [[0, 1], [1]]}',
+    "infinite.json": '{"gram": [[Infinity]]}',
+    "truncated.json": '{"gram": [[0, 1],',
+    "odd.json": '{"gram": [[1]]}',
+    "empty.json": "{}",
+    "locus.json": '{"p": 3, "k": 2, "n": [0, 5]}',
+}
+
+
+FAILURES = [
+    (("invariants", "Q17"), 1),
+    (("invariants", "ragged.json"), 1),
+    (("invariants", "infinite.json"), 1),
+    (("invariants", "truncated.json"), 1),
+    (("census", "empty.json"), 1),
+    (("local-actions", "--prime", "4"), 1),
+    (("census", "locus.json", "--check", "3,5"), 1),
+    (("invariants", "odd.json"), 2),
+    (("invariants", "<1000002>"), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code", FAILURES, ids=[" ".join(argv) for argv, _ in FAILURES]
+)
+def test_failures_exit_typed_with_empty_stdout(tmp_path, monkeypatch, capsys, argv, expected_code):
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (expected_code, "")
+    assert err.startswith("error: ")
 
 
 def test_determinism(capsys):

@@ -1,9 +1,11 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import hklat
 from hklat.fqf import (
     DegenerateForm,
     FiniteQuadraticForm,
@@ -72,6 +74,48 @@ def test_gauss_rejects_degenerate():
     degenerate = FiniteQuadraticForm((2,), (F(1),), ((F(0),),))
     with pytest.raises(DegenerateForm):
         gauss_signature(degenerate)
+    with pytest.raises(hklat.DegenerateForm):
+        gauss_signature(degenerate)
+
+
+def _radical_is_trivial_by_enumeration(form):
+    """Oracle: scan every nonzero element for one orthogonal to all generators."""
+    k = form.length()
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    return not any(
+        any(x) and all(form.pairing(x, e) == 0 for e in units)
+        for x in form.elements()
+    )
+
+
+def _random_form(rng):
+    """A valid finite quadratic form on up to three small cyclic factors; b is
+    drawn freely, so a good share of the forms are degenerate."""
+    orders = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 3))]
+    k = len(orders)
+    b = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = F(rng.randrange(g), g)
+    q = []
+    for i, d in enumerate(orders):
+        v = (b[i][i] + rng.randrange(2)) % 2
+        if d * d * v % 2:  # odd order: q(g) must have an even numerator
+            v = (v + 1) % 2
+        q.append(v)
+    return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, b)))
+
+
+def test_radical_check_agrees_with_enumeration():
+    rng = random.Random(2024)
+    degenerate = 0
+    for _ in range(600):
+        form = _random_form(rng)
+        expected = _radical_is_trivial_by_enumeration(form)
+        assert form.radical_rank_is_zero() == expected, form
+        degenerate += not expected
+    assert 100 < degenerate < 500  # both outcomes are exercised
 
 
 def test_delta_invariant():

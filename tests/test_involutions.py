@@ -68,22 +68,18 @@ def test_form_of_matches_invariants():
 
 
 def test_three_halves_scan_agrees_with_criterion():
-    # dual route: direct value scan vs the invariant criterion
+    # oracle: scan the values of a concrete form; both deltas, lengths up to 12
+    checked = 0
     for r in range(1, 22):
-        for a in range(1, min(r, 11) + 1):
-            inv = TwoElemInvariants(1, r - 1, a, 1)
-            if not two_elementary_exists(inv):
-                continue
-            scan = THREE_HALF in form_of(inv).value_counts()
-            sigma = (2 - r) % 8
-            if a == 1:
-                criterion = sigma == 7
-            elif a == 2:
-                criterion = sigma in (0, 6)
-            else:
-                criterion = True
-            assert scan == criterion, (r, a)
-            assert has_value_three_halves(inv) == scan
+        for a in range(1, min(r, 12) + 1):
+            for delta in (0, 1):
+                inv = TwoElemInvariants(1, r - 1, a, delta)
+                if not two_elementary_exists(inv):
+                    continue
+                scan = THREE_HALF in form_of(inv).value_counts()
+                assert has_value_three_halves(inv) == scan, (r, a, delta)
+                checked += 1
+    assert checked > 100
 
 
 def test_classify_example_rank_one():
