@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvalidParameter, NotPElementary, UnsupportedRegime
-from .exact import det_exact, is_prime
+from .exact import is_prime
 from .fqf import (
     FiniteQuadraticForm,
     THREE_HALF,
@@ -238,14 +240,12 @@ def _rank_one_orthogonal_group_surjects(q_t: FiniteQuadraticForm) -> bool:
     every q-preserving unit of Z/2d is +-1."""
     n = q_t.order
     value = Fraction(1, n)  # q on the generator of <n> is 1/n mod 2Z
-    form = cyclic_form(n, value)
-    if not forms_isomorphic(form, q_t):
+    if not forms_isomorphic(cyclic_form(n, value), q_t):
         # positive generator norm does not match; try the negative lattice <-n>
-        form = cyclic_form(n, (-value) % 2)
-        if not forms_isomorphic(form, q_t):
+        if not forms_isomorphic(cyclic_form(n, -value), q_t):
             return False
     for u in range(2, n - 1):
-        if math.gcd(u, n) == 1 and (u * u * value - value) % 2 == 0:
+        if math.gcd(u, n) == 1 and (u * u - 1) % (2 * n) == 0:
             return False
     return True
 
@@ -291,17 +291,23 @@ def _search_pool(target: LatticeInvariants) -> list[str]:
     return pool
 
 
-def _term_data(term: str):
-    expr = parse_expr(term)
-    gram = realize_atom(*expr.summands[0][:2])
-    lat = Lattice(gram)
-    return {
-        "term": expr.summands[0][:2],
-        "rank": len(gram),
-        "sig": lat.signature(),
-        "det": abs(det_exact(gram)),
-        "form": discriminant_data(lat).form,
-    }
+class _Term(NamedTuple):
+    """Invariants of one catalog term of the recognition pool."""
+
+    term: tuple[str, int]
+    rank: int
+    sig: tuple[int, int]
+    det: int
+    form: FiniteQuadraticForm
+
+
+@cache
+def _term_data(term: str) -> _Term:
+    atom_twist = parse_expr(term).summands[0][:2]
+    lat = Lattice(realize_atom(*atom_twist))
+    return _Term(
+        atom_twist, lat.rank, lat.signature(), abs(lat.det()), discriminant_data(lat).form
+    )
 
 
 def recognize(
@@ -325,14 +331,11 @@ def recognize(
 
     for count in range(1, budget + 1):
         for combo in _signature_combos(pool, count, want_rank, want_sig):
-            det = 1
-            for t in combo:
-                det *= t["det"]
-            if det != want_det:
+            if math.prod(t.det for t in combo) != want_det:
                 continue
             form = trivial_form()
             for t in combo:
-                form = form.dsum(t["form"])
+                form = form.dsum(t.form)
             if forms_isomorphic(form, target.form):
                 return _combo_to_expr(combo)
     return None
@@ -344,8 +347,8 @@ def _signature_combos(pool, count, want_rank, want_sig):
     suffix_min = [0] * (n + 1)
     suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_min[i] = min(pool[i]["rank"], suffix_min[i + 1] or pool[i]["rank"])
-        suffix_max[i] = max(pool[i]["rank"], suffix_max[i + 1])
+        suffix_min[i] = min(pool[i].rank, suffix_min[i + 1] or pool[i].rank)
+        suffix_max[i] = max(pool[i].rank, suffix_max[i + 1])
 
     def rec(start, left, rank_left, plus_left, minus_left, acc):
         if left == 0:
@@ -354,12 +357,12 @@ def _signature_combos(pool, count, want_rank, want_sig):
             return
         for i in range(start, n):
             t = pool[i]
-            r = t["rank"]
+            r = t.rank
             if r + (left - 1) * suffix_min[i] > rank_left:
                 continue
             if r + (left - 1) * suffix_max[i] < rank_left:
                 continue
-            sp, sm = t["sig"]
+            sp, sm = t.sig
             if sp > plus_left or sm > minus_left:
                 continue
             acc.append(t)
@@ -373,7 +376,7 @@ def _combo_to_expr(combo) -> LatticeExpr:
     counts: dict[tuple[str, int], int] = {}
     order: list[tuple[str, int]] = []
     for t in combo:
-        key = t["term"]
+        key = t.term
         if key not in counts:
             order.append(key)
         counts[key] = counts.get(key, 0) + 1

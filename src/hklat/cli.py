@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import fixedlocus, involutions, tables
@@ -41,7 +42,7 @@ def _cmd_invariants(args) -> int:
     else:
         elementary = f"true (p={inv.p}, a={inv.a})"
     group = " x ".join(f"Z/{d}" for d in inv.form.orders) or "trivial"
-    values = ", ".join(str(v) for v in inv.form.q) or "-"
+    values = ", ".join(str(Fraction(v, inv.form.level)) for v in inv.form.q) or "-"
     print("\n".join((
         f"lattice: {lat.name()}",
         f"rank: {lat.rank}",

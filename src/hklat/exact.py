@@ -1,14 +1,13 @@
-"""Exact integer and rational matrix arithmetic.
+"""Exact integer matrix arithmetic.
 
-Everything here works on plain Python integers (arbitrary precision) or
-``fractions.Fraction``; no floating point is used anywhere.  Matrices are
-immutable tuples of tuples of ints.
+Everything here works on plain Python integers (arbitrary precision); no
+floating point and no fractions are used anywhere.  Matrices are immutable
+tuples of tuples of ints.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DegenerateForm, InvalidParameter
 
@@ -44,7 +43,7 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 
 def mat_mul(a, b):
-    """Matrix product; works for int or Fraction entries."""
+    """Matrix product."""
     if not a or not b:
         return ()
     bt = list(zip(*b))
@@ -199,8 +198,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
     """Signature (s_plus, s_minus) of a nondegenerate symmetric integer matrix.
 
-    Computed by exact congruence diagonalization over the rationals.  When all
-    remaining diagonal entries vanish (as happens for even lattices such as the
+    Computed by fraction-free symmetric elimination.  The pivot p = a_00 is
+    counted by its sign, and the trailing block becomes the Schur complement
+    scaled by |p|, sign(p)·(p·a_ij - a_i0·a_0j), divided by its content; both
+    scalings are positive, so the inertia is preserved.  When all remaining
+    diagonal entries vanish (as happens for even lattices such as the
     hyperbolic plane) a row/column of an off-diagonal entry is added in first,
     which splits the 2x2 hyperbolic block exactly.
     """
@@ -209,33 +211,27 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
         raise InvalidParameter("signature requires a symmetric square matrix")
     if det_exact(m) == 0:
         raise DegenerateForm("matrix is singular")
-    a = [[Fraction(x) for x in row] for row in m]
-
-    def sym_add(i, j, q):  # row_i += q*row_j and col_i += q*col_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        for r in range(n):
-            a[r][i] += q * a[r][j]
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-
+    a = [list(row) for row in m]
     plus = minus = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if pivot_row is not None:
-                sym_swap(k, pivot_row)
-            else:
-                j = next(j for j in range(k + 1, n) if a[k][j] != 0)
-                sym_add(k, j, Fraction(1))
-        p = a[k][k]
+    while a:
+        if a[0][0] == 0:
+            i = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
+            if i is not None:  # symmetric swap of indices 0 and i
+                a[0], a[i] = a[i], a[0]
+                for row in a:
+                    row[0], row[i] = row[i], row[0]
+            else:  # row_0 += row_j and col_0 += col_j
+                j = next(j for j in range(1, len(a)) if a[0][j] != 0)
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+        p = a[0][0]
         if p > 0:
             plus += 1
         else:
             minus += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                sym_add(i, k, -a[i][k] / p)
+        s = 1 if p > 0 else -1
+        rest = [[s * (p * x - r[0] * y) for x, y in zip(r[1:], a[0][1:])] for r in a[1:]]
+        g = math.gcd(*(x for row in rest for x in row))
+        a = [[x // g for x in row] for row in rest] if g > 1 else rest
     return plus, minus

@@ -6,7 +6,9 @@ Q/Z.  Values on arbitrary elements follow from
 
     q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j)  (mod 2Z)
 
-All arithmetic is exact (Fractions); the only floating point is the final
+Every value is stored as an integer at the level N = lcm(d1, ..., dk):
+q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
+(1/d_i)Z.  All arithmetic is on integers; the only floating point is the final
 Gauss-sum phase summation, snapped to one of eight candidates.
 """
 
@@ -28,7 +30,6 @@ from .errors import (
 )
 from .exact import det_exact, signature_of_symmetric, smith_normal_form
 
-HALF = Fraction(1, 2)
 THREE_HALF = Fraction(3, 2)
 
 GAUSS_TOL = 1e-6
@@ -36,39 +37,38 @@ BRUTE_FORCE_CAP = 10_000
 ENUM_CAP = 1_000_000
 
 
-def _mod2(x: Fraction) -> Fraction:
-    return x % 2
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """Quadratic form q: A -> Q/2Z with associated bilinear form b: A x A -> Q/Z."""
+    """Quadratic form q: A -> Q/2Z with associated bilinear form b: A x A -> Q/Z,
+    scaled to the level N: q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N."""
 
     orders: tuple[int, ...]
-    q: tuple[Fraction, ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    q: tuple[int, ...]
+    b: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         k = len(self.orders)
         if len(self.q) != k or len(self.b) != k or any(len(r) != k for r in self.b):
             raise InvalidParameter("inconsistent generator data")
+        entries = (*self.orders, *self.q, *(x for row in self.b for x in row))
+        if not all(type(x) is int for x in entries):
+            raise InvalidParameter("form data must be integers at the form's level")
         if any(d < 2 for d in self.orders):
             raise InvalidParameter("generator orders must be > 1")
+        n = self.level
         for i, d in enumerate(self.orders):
-            if _mod2(self.q[i]) != self.q[i]:
-                raise InvalidParameter("q values must be reduced into [0, 2)")
-            if _mod2(d * d * self.q[i]) != 0:
+            if not 0 <= self.q[i] < 2 * n:
+                raise InvalidParameter("q values must be reduced into [0, 2N)")
+            if d * d * self.q[i] % (2 * n):
                 raise InvalidParameter("q value incompatible with generator order")
-            if _mod1(self.b[i][i] - self.q[i]) != 0:
+            if (self.b[i][i] - self.q[i]) % n:
                 raise InvalidParameter("b(g,g) must equal q(g) mod Z")
             for j in range(k):
                 if self.b[i][j] != self.b[j][i]:
                     raise InvalidParameter("b must be symmetric")
-                if _mod1(d * self.b[i][j]) != 0:
+                if not 0 <= self.b[i][j] < n:
+                    raise InvalidParameter("b values must be reduced into [0, N)")
+                if d * self.b[i][j] % n:
                     raise InvalidParameter("b value incompatible with generator order")
 
     # -- basic structure ---------------------------------------------------
@@ -76,6 +76,11 @@ class FiniteQuadraticForm:
     @property
     def order(self) -> int:
         return math.prod(self.orders)
+
+    @property
+    def level(self) -> int:
+        """The exponent N of A, the scale of the stored values (1 when trivial)."""
+        return math.lcm(*self.orders)
 
     def length(self) -> int:
         return len(self.orders)
@@ -93,54 +98,59 @@ class FiniteQuadraticForm:
     # -- constructions -----------------------------------------------------
 
     def dsum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        k1, k2 = self.length(), other.length()
-        orders = self.orders + other.orders
-        q = self.q + other.q
-        b = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                b[i][j] = self.b[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                b[k1 + i][k1 + j] = other.b[i][j]
-        return FiniteQuadraticForm(orders, q, tuple(tuple(r) for r in b))
+        n = math.lcm(self.level, other.level)
+        s, t = n // self.level, n // other.level
+        pad1, pad2 = (0,) * other.length(), (0,) * self.length()
+        q = tuple(s * x for x in self.q) + tuple(t * x for x in other.q)
+        b = tuple(tuple(s * x for x in row) + pad1 for row in self.b) + tuple(
+            pad2 + tuple(t * x for x in row) for row in other.b
+        )
+        return FiniteQuadraticForm(self.orders + other.orders, q, b)
 
     def neg(self) -> "FiniteQuadraticForm":
-        q = tuple(_mod2(-x) for x in self.q)
-        b = tuple(tuple(_mod1(-x) for x in row) for row in self.b)
+        n = self.level
+        q = tuple(-x % (2 * n) for x in self.q)
+        b = tuple(tuple(-x % n for x in row) for row in self.b)
         return FiniteQuadraticForm(self.orders, q, b)
 
     def prime_part(self, p: int) -> "FiniteQuadraticForm":
-        """Restriction to the p-Sylow subgroup (cross terms with other primes vanish)."""
+        """Restriction to the p-Sylow subgroup (cross terms with other primes vanish).
+
+        The p-part of g_i is c_i·g_i with c_i = d_i / p^k; its values, read at
+        the level N, are multiples of N / N_p (N_p the p-part's level)."""
+        n = self.level
         keep = []
         for i, d in enumerate(self.orders):
             pk = _p_power(d, p)
             if pk > 1:
                 keep.append((i, d // pk, pk))
         orders = tuple(pk for _, _, pk in keep)
-        q = tuple(_mod2(c * c * self.q[i]) for i, c, _ in keep)
+        shrink = n // math.lcm(*orders)
+        q = tuple(c * c * self.q[i] % (2 * n) // shrink for i, c, _ in keep)
         b = tuple(
-            tuple(_mod1(ci * cj * self.b[i][j]) for j, cj, _ in keep)
+            tuple(ci * cj * self.b[i][j] % n // shrink for j, cj, _ in keep)
             for i, ci, _ in keep
         )
         return FiniteQuadraticForm(orders, q, b)
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, coords) -> Fraction:
-        total = Fraction(0)
+    def value(self, coords) -> int:
+        """q(x)·N mod 2N."""
+        total = 0
         for i, c in enumerate(coords):
             total += c * c * self.q[i]
             for j in range(i + 1, len(coords)):
                 total += 2 * c * coords[j] * self.b[i][j]
-        return _mod2(total)
+        return total % (2 * self.level)
 
-    def pairing(self, x, y) -> Fraction:
-        total = Fraction(0)
+    def pairing(self, x, y) -> int:
+        """b(x, y)·N mod N."""
+        total = 0
         for i, ci in enumerate(x):
             for j, cj in enumerate(y):
                 total += ci * cj * self.b[i][j]
-        return _mod1(total)
+        return total % self.level
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
@@ -165,58 +175,47 @@ class FiniteQuadraticForm:
             groups.setdefault(find(i), []).append(i)
         return [tuple(g) for g in sorted(groups.values())]
 
-    def subform(self, idxs) -> "FiniteQuadraticForm":
-        return FiniteQuadraticForm(
-            tuple(self.orders[i] for i in idxs),
-            tuple(self.q[i] for i in idxs),
-            tuple(tuple(self.b[i][j] for j in idxs) for i in idxs),
-        )
-
-    def _component_value_counts(self) -> dict[Fraction, int]:
-        if self.order > ENUM_CAP:
-            raise GroupTooLarge(f"group of order {self.order} too large to enumerate")
-        den = 1
-        for x in self.q:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        for row in self.b:
-            for x in row:
-                d2 = (2 * x).denominator
-                den = den * d2 // math.gcd(den, d2)
-        qn = [int(x * den) for x in self.q]
-        bn = [[int(2 * x * den) for x in row] for row in self.b]
-        mod = 2 * den
+    def _component_value_counts(self, idxs) -> dict[int, int]:
+        """Values q(x)·N mod 2N over the subgroup spanned by the index block."""
+        size = math.prod(self.orders[i] for i in idxs)
+        if size > ENUM_CAP:
+            raise GroupTooLarge(f"group of order {size} too large to enumerate")
+        orders = [self.orders[i] for i in idxs]
+        qn = [self.q[i] for i in idxs]
+        bn = [[2 * self.b[i][j] for j in idxs] for i in idxs]
+        mod = 2 * self.level
         counts: dict[int, int] = {}
-        coords = [0] * self.length()
+        coords = [0] * len(idxs)
 
         def rec(i, acc):
-            # acc = q(prefix)*den mod 2*den
-            if i == len(self.orders):
+            # acc = q(prefix)·N mod 2N
+            if i == len(orders):
                 counts[acc] = counts.get(acc, 0) + 1
                 return
             row = bn[i]
-            for c in range(self.orders[i]):
+            for c in range(orders[i]):
                 coords[i] = c
                 cross = sum(c * coords[j] * row[j] for j in range(i))
                 rec(i + 1, (acc + c * c * qn[i] + cross) % mod)
 
         rec(0, 0)
-        return {Fraction(num, den): cnt for num, cnt in counts.items()}
+        return counts
 
-    def value_counts(self) -> dict[Fraction, int]:
-        """Multiset of q-values over the whole group.
+    def value_counts(self) -> dict[int, int]:
+        """Multiset of values q(x)·N mod 2N over the whole group.
 
         Values add across b-orthogonal components, so each component is
-        enumerated separately (integer phase arithmetic) and the value
-        distributions are convolved; only a component itself may not exceed
-        the enumeration cap.
+        enumerated separately and the value distributions are convolved; only
+        a component itself may not exceed the enumeration cap.
         """
-        total: dict[Fraction, int] = {Fraction(0): 1}
+        mod = 2 * self.level
+        total: dict[int, int] = {0: 1}
         for idxs in self.orthogonal_components():
-            part = self.subform(idxs)._component_value_counts()
-            merged: dict[Fraction, int] = {}
+            part = self._component_value_counts(idxs)
+            merged: dict[int, int] = {}
             for v1, c1 in total.items():
                 for v2, c2 in part.items():
-                    key = _mod2(v1 + v2)
+                    key = (v1 + v2) % mod
                     merged[key] = merged.get(key, 0) + c1 * c2
             total = merged
         return total
@@ -224,15 +223,15 @@ class FiniteQuadraticForm:
     def radical_rank_is_zero(self) -> bool:
         """True iff the bilinear form has trivial radical.
 
-        With N the exponent of A, x = sum c_i g_i lies in the radical iff
-        c·(N b) = 0 mod N, so the map A -> Hom(A, Q/Z) has image of order
-        [Z^k : rows of (N b ; N I)] = N^k / (e_1 ... e_k), the e_i being the
+        With N the level, x = sum c_i g_i lies in the radical iff
+        c·b = 0 mod N, so the map A -> Hom(A, Q/Z) has image of order
+        [Z^k : rows of (b ; N I)] = N^k / (e_1 ... e_k), the e_i being the
         Smith invariants of that stacked matrix; b is nondegenerate iff the
         image is all of A.
         """
         k = self.length()
-        n = math.lcm(*self.orders)
-        stacked = tuple(tuple(int(n * x) for x in row) for row in self.b) + tuple(
+        n = self.level
+        stacked = self.b + tuple(
             tuple(n if i == j else 0 for j in range(k)) for i in range(k)
         )
         _, d, _ = smith_normal_form(stacked)
@@ -278,25 +277,22 @@ def trivial_form() -> FiniteQuadraticForm:
 
 
 def cyclic_form(n: int, value: Fraction) -> FiniteQuadraticForm:
-    """Z/n with q(generator) = value; b(g,g) = value mod Z."""
-    v = _mod2(Fraction(value))
-    return FiniteQuadraticForm((n,), (v,), ((_mod1(v),),))
+    """Z/n with the rational q(generator) = value; b(g,g) = value mod Z."""
+    scaled = Fraction(value) % 2 * n
+    if scaled.denominator != 1:
+        raise InvalidParameter(f"q value {value} is not in (1/{n})Z")
+    v = scaled.numerator
+    return FiniteQuadraticForm((n,), (v,), ((v % n,),))
 
 
 def u_block(n: int = 2) -> FiniteQuadraticForm:
     """Hyperbolic block on (Z/n)^2: q = 0 on generators, b(x,y) = 1/n."""
-    z = Fraction(0)
-    return FiniteQuadraticForm(
-        (n, n), (z, z), ((z, Fraction(1, n)), (Fraction(1, n), z))
-    )
+    return FiniteQuadraticForm((n, n), (0, 0), ((0, 1), (1, 0)))
 
 
 def v_block() -> FiniteQuadraticForm:
     """(Z/2)^2 with q = 1 on all three nonzero elements (discriminant form of D4)."""
-    one = Fraction(1)
-    return FiniteQuadraticForm(
-        (2, 2), (one, one), ((one, HALF), (HALF, one))
-    )
+    return FiniteQuadraticForm((2, 2), (2, 2), ((0, 1), (1, 0)))
 
 
 def p_elementary_form(p: int, a: int, nonresidue: bool = False) -> FiniteQuadraticForm:
@@ -336,7 +332,7 @@ def two_elementary_form(a: int, delta: int, sigma: int) -> FiniteQuadraticForm |
                     continue
                 form = trivial_form()
                 for _ in range(n1):
-                    form = form.dsum(cyclic_form(2, HALF))
+                    form = form.dsum(cyclic_form(2, Fraction(1, 2)))
                 for _ in range(n2):
                     form = form.dsum(cyclic_form(2, THREE_HALF))
                 for _ in range(n_uv - j):
@@ -355,10 +351,10 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
         return 0
     if not form.radical_rank_is_zero():
         raise DegenerateForm("degenerate form has no Gauss signature")
-    counts = form.value_counts()
+    n = form.level
     total = 0j
-    for val, cnt in counts.items():
-        total += cnt * cmath.exp(1j * math.pi * float(val))
+    for val, cnt in form.value_counts().items():
+        total += cnt * cmath.exp(1j * math.pi * val / n)
     total /= math.sqrt(form.order)
     for s in range(8):
         if abs(total - cmath.exp(2j * math.pi * s / 8)) < GAUSS_TOL:
@@ -367,40 +363,23 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
 
 
 def delta_invariant(form: FiniteQuadraticForm) -> int:
-    """0 if the 2-part takes only integer values mod 2Z, else 1."""
+    """0 if the 2-part takes only integer values mod 2Z, else 1.
+
+    q(sum c_i g_i) is integral for every choice of c iff every q(g_i) and
+    every 2 b(g_i, g_j) is, i.e. iff the level N_2 divides q[i] and 2 b[i][j].
+    """
     part = form.prime_part(2)
-    if part.is_trivial():
-        return 0
-    return 0 if all(v.denominator == 1 for v in part.value_counts()) else 1
+    n = part.level
+    integral = all(x % n == 0 for x in part.q) and all(
+        2 * x % n == 0 for row in part.b for x in row
+    )
+    return 0 if integral else 1
 
 
 def odd_disc_class(part: FiniteQuadraticForm, p: int) -> int:
-    """Square class (Legendre symbol) of det of the scaled bilinear form of a p-elementary part."""
-    k = part.length()
-    if k == 0:
-        return 1
-    mat = [[int(p * part.b[i][j]) % p for j in range(k)] for i in range(k)]
-    det = _det_mod_p(mat, p)
-    return legendre(det, p)
-
-
-def _det_mod_p(mat, p: int) -> int:
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            f = a[i][k] * inv % p
-            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p
+    """Square class (Legendre symbol) of det of the scaled bilinear form of a
+    p-elementary part (stored at level p, so b is the scaled form itself)."""
+    return legendre(det_exact(part.b), p)
 
 
 @dataclass(frozen=True)
@@ -485,7 +464,7 @@ def _brute_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     if sorted(f1.value_counts().items()) != sorted(f2.value_counts().items()):
         return False
     elements = [tuple(x) for x in f2.elements()]
-    by_order_value: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
+    by_order_value: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for x in elements:
         o = _element_order(x, f2.orders)
         by_order_value.setdefault((o, f2.value(x)), []).append(x)

@@ -17,6 +17,7 @@ twists clearing their denominators (multiples of 3 resp. 5).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +28,15 @@ from .exact import (
     as_matrix,
     block_diag,
     det_exact,
+    dims,
     is_prime,
     is_symmetric,
+    mat_mul,
     scale,
     signature_of_symmetric,
     smith_normal_form,
 )
-from .fqf import FiniteQuadraticForm, _mod1, _mod2, trivial_form
+from .fqf import FiniteQuadraticForm, trivial_form
 
 
 # -- expressions ---------------------------------------------------------------
@@ -125,23 +128,20 @@ def _cartan_E(l: int) -> IntMatrix:
     return as_matrix(m)
 
 
-def _inverse_rational(m: IntMatrix):
+def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """(e·m^-1, e) for e the largest Smith invariant of m.
+
+    With U m V = D, m^-1 = V D^-1 U, so e·m^-1 = V diag(e/d_i) U is integral.
+    """
+    u, d, v = smith_normal_form(m)
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        p = a[k][k]
-        a[k] = [x / p for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+    e = d[n - 1][n - 1]
+    vd = tuple(tuple(v[r][i] * (e // d[i][i]) for i in range(n)) for r in range(n))
+    return mat_mul(vd, u), e
 
 
-def _atom_base_gram(atom: str):
-    """Gram matrix of the untwisted atom; dual atoms return rational matrices."""
+def _atom_base_gram(atom: str) -> IntMatrix:
+    """Gram matrix of the untwisted atom (the duals E6* and A4* excepted)."""
     if atom == "U":
         return ((0, 1), (1, 0))
     if atom.startswith("<") and atom.endswith(">"):
@@ -173,10 +173,6 @@ def _atom_base_gram(atom: str):
         return (((p - 1) // 2, 1), (1, -2))
     if atom == "L17":
         return ((-2, 1, 0, 1), (1, -2, 0, 0), (0, 0, -2, 1), (1, 0, 1, -4))
-    if atom == "E6*":
-        return _inverse_rational(scale(_cartan_E(6), -1))
-    if atom == "A4*":
-        return _inverse_rational(scale(_cartan_A(4), -1))
     raise InvalidParameter(f"unknown atom {atom!r}")
 
 
@@ -200,21 +196,13 @@ def _atom_rank(atom: str) -> int:
 
 
 def realize_atom(atom: str, twist: int = 1) -> IntMatrix:
-    base = _atom_base_gram(atom)
-    gram = tuple(tuple(twist * x for x in row) for row in base)
-    out = []
-    for row in gram:
-        ints = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise InvalidParameter(
-                        f"{atom}({twist}) is not an integral lattice"
-                    )
-                x = x.numerator
-            ints.append(x)
-        out.append(ints)
-    m = as_matrix(out)
+    if atom in ("E6*", "A4*"):  # Gram e·G^-1 of E6 resp. A4, over e
+        base, den = _scaled_inverse(_atom_base_gram(atom[:-1]))
+    else:
+        base, den = _atom_base_gram(atom), 1
+    if any(twist * x % den for row in base for x in row):
+        raise InvalidParameter(f"{atom}({twist}) is not an integral lattice")
+    m = as_matrix([[twist * x // den for x in row] for row in base])
     if any(m[i][i] % 2 for i in range(len(m))):
         raise InvalidParameter(f"{atom}({twist}) is not even")
     return m
@@ -232,6 +220,8 @@ class Lattice:
     def __post_init__(self):
         g = as_matrix(self.gram)
         object.__setattr__(self, "gram", g)
+        if dims(g)[1] != len(g):
+            raise InvalidParameter("Gram matrix must be square")
         if not is_symmetric(g):
             raise NotEvenLattice("Gram matrix must be symmetric")
         if any(g[i][i] % 2 for i in range(len(g))):
@@ -335,37 +325,40 @@ class DiscriminantData:
     form: FiniteQuadraticForm
 
 
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
     """Discriminant group and form, via the Smith normal form of the Gram matrix.
 
     With U G V = D, the class group Z^n / G Z^n is generated by the dual vectors
-    (column i of V) / d_i; values are read off the Gram matrix exactly.
+    x_i = v_i / d_i (v_i column i of V).  G v_i = d_i U^-1 e_i, so w_i = G v_i / d_i
+    is integral, and at the level N the values are the integers
+    q(x_i)·N = (v_i·w_i)·(N/d_i) and b(x_i, x_j)·N = (v_j·w_i)·(N/d_j).
     """
     g = lattice.gram
     n = lattice.rank
     if n == 0:
         return DiscriminantData((), (), trivial_form())
     _, d, v = smith_normal_form(g)
-    factors = []
-    gens = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            factors.append(di)
-            gens.append(tuple(Fraction(v[r][i], di) for r in range(n)))
-    q_vals = []
-    b_rows = []
-    for x in gens:
-        gx = tuple(sum(g[r][c] * x[c] for c in range(n)) for r in range(n))
-        q_vals.append(_mod2(sum(xi * gi for xi, gi in zip(x, gx))))
-        b_rows.append(
-            tuple(
-                _mod1(sum(yi * gi for yi, gi in zip(y, gx)))
-                for y in gens
-            )
-        )
-    form = FiniteQuadraticForm(tuple(factors), tuple(q_vals), tuple(b_rows))
-    return DiscriminantData(tuple(factors), tuple(gens), form)
+    idx = [i for i in range(n) if d[i][i] > 1]
+    factors = tuple(d[i][i] for i in idx)
+    level = math.lcm(*factors)
+    cols = [tuple(v[r][i] for r in range(n)) for i in idx]
+    ws = [
+        tuple(_dot(row, vi) // di for row in g) for vi, di in zip(cols, factors)
+    ]
+    q_vals = tuple(
+        _dot(vi, wi) * (level // di) % (2 * level)
+        for vi, wi, di in zip(cols, ws, factors)
+    )
+    b_rows = tuple(
+        tuple(_dot(vj, wi) * (level // dj) % level for vj, dj in zip(cols, factors))
+        for wi in ws
+    )
+    gens = tuple(tuple(Fraction(x, di) for x in vi) for vi, di in zip(cols, factors))
+    return DiscriminantData(factors, gens, FiniteQuadraticForm(factors, q_vals, b_rows))
 
 
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
@@ -390,7 +383,10 @@ def lattice_from_json(text: str) -> Lattice:
         expr = parse_expr(data["name"]) if data.get("name") else None
     except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise InvalidParameter(f"malformed lattice JSON: {exc!r}") from exc
-    return Lattice(as_matrix(gram), expr=expr)
+    lattice = Lattice(as_matrix(gram), expr=expr)
+    if expr is not None and realize(expr).gram != lattice.gram:
+        raise InvalidParameter(f"name {render_expr(expr)!r} does not match the Gram matrix")
+    return lattice
 
 
 def lattice_to_json(lattice: Lattice) -> str:

@@ -136,6 +136,16 @@ def test_recognize_examples():
     assert str(recognize(inv)) == "<6>"
 
 
+def test_pool_terms_are_built_once():
+    from hklat.classify import _term_data
+
+    first = _term_data("E6*(3)")
+    assert _term_data("E6*(3)") is first
+    assert (first.term, first.rank, first.sig, first.det) == (("E6*", 3), 6, (0, 6), 3**5)
+    with pytest.raises(AttributeError):
+        first.rank = 7
+
+
 def test_recognize_soundness_on_all_table_names():
     for _, _, _, _, _, s_name, t_name in TABLE_ROWS:
         for name in (s_name, t_name):

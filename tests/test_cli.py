@@ -170,6 +170,8 @@ INPUT_FILES = {
     "infinite.json": '{"gram": [[Infinity]]}',
     "truncated.json": '{"gram": [[0, 1],',
     "odd.json": '{"gram": [[1]]}',
+    "wide.json": '{"gram": [[0, 1]]}',
+    "misnamed.json": '{"gram": [[0, 1], [1, 0]], "name": "A2"}',
     "empty.json": "{}",
     "locus.json": '{"p": 3, "k": 2, "n": [0, 5]}',
 }
@@ -180,6 +182,9 @@ FAILURES = [
     (("invariants", "ragged.json"), 1),
     (("invariants", "infinite.json"), 1),
     (("invariants", "truncated.json"), 1),
+    (("invariants", "wide.json"), 1),
+    (("invariants", "misnamed.json"), 1),
+    (("embed", "--expr", "misnamed.json"), 1),
     (("census", "empty.json"), 1),
     (("local-actions", "--prime", "4"), 1),
     (("census", "locus.json", "--check", "3,5"), 1),

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hklat.exact import (
@@ -117,3 +118,43 @@ def test_snf_properties(rows):
     for x in diag:
         prod *= x
     assert prod == abs(det_exact(m))
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _signature_by_descartes(m):
+    """Oracle: a real symmetric matrix has only real eigenvalues, so Descartes'
+    rule counts the positive roots of its characteristic polynomial p(x)
+    exactly, and those of p(-x) give the negative ones."""
+    coeffs = sympy.Matrix(m).charpoly().all_coeffs()
+    n = len(coeffs) - 1
+    mirrored = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+    return _sign_changes(coeffs), _sign_changes(mirrored)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of rank up to 6; some with zero diagonal
+    (hyperbolic-type), some conjugated by a random unimodular matrix."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    zero_diagonal = draw(st.booleans())
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                m[i][j] = m[j][i] = draw(st.integers(min_value=-6, max_value=6))
+    m = as_matrix(m)
+    if draw(st.booleans()):
+        p = _random_unimodular(n, random.Random(draw(st.integers(0, 2**32))))
+        m = mat_mul(mat_mul(transpose(p), m), p)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_signature_agrees_with_descartes_count(m):
+    assume(det_exact(m) != 0)
+    assert signature_of_symmetric(m) == _signature_by_descartes(m)

@@ -33,7 +33,7 @@ def _gauss_sum_direct(form):
     """Independent oracle: direct summation of exp(pi i q(x)) over all elements."""
     total = 0j
     for x in form.elements():
-        total += cmath.exp(1j * math.pi * float(form.value(x)))
+        total += cmath.exp(1j * math.pi * form.value(x) / form.level)
     return total / math.sqrt(form.order)
 
 
@@ -71,7 +71,7 @@ def test_gauss_additive():
 
 
 def test_gauss_rejects_degenerate():
-    degenerate = FiniteQuadraticForm((2,), (F(1),), ((F(0),),))
+    degenerate = FiniteQuadraticForm((2,), (2,), ((0,),))  # q = 1, b = 0 at level 2
     with pytest.raises(DegenerateForm):
         gauss_signature(degenerate)
     with pytest.raises(hklat.DegenerateForm):
@@ -93,16 +93,17 @@ def _random_form(rng):
     drawn freely, so a good share of the forms are degenerate."""
     orders = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 3))]
     k = len(orders)
-    b = [[F(0)] * k for _ in range(k)]
+    n = math.lcm(*orders)
+    b = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             g = math.gcd(orders[i], orders[j])
-            b[i][j] = b[j][i] = F(rng.randrange(g), g)
+            b[i][j] = b[j][i] = rng.randrange(g) * (n // g)
     q = []
     for i, d in enumerate(orders):
-        v = (b[i][i] + rng.randrange(2)) % 2
-        if d * d * v % 2:  # odd order: q(g) must have an even numerator
-            v = (v + 1) % 2
+        v = (b[i][i] + rng.randrange(2) * n) % (2 * n)
+        if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
+            v = (v + n) % (2 * n)
         q.append(v)
     return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, b)))
 
@@ -124,6 +125,44 @@ def test_delta_invariant():
     assert delta_invariant(trivial_form()) == 0
     assert delta_invariant(v_block()) == 0
     assert delta_invariant(discriminant_form(realize("<6>"))) == 1
+
+
+def _delta_by_value_scan(form):
+    """Oracle: 0 iff every value of the 2-part is an integer mod 2Z."""
+    part = form.prime_part(2)
+    return 0 if all(v % part.level == 0 for v in part.value_counts()) else 1
+
+
+def test_delta_invariant_agrees_with_value_scan():
+    rng = random.Random(2025)
+    seen = set()
+    for _ in range(1500):
+        form = _random_form(rng)
+        delta = delta_invariant(form)
+        assert delta == _delta_by_value_scan(form), form
+        seen.add((delta, form.radical_rank_is_zero()))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_form_data_are_integers_at_the_level():
+    forms = [
+        discriminant_form(realize(name)) for name in ("A2", "U(3) + <-2>", "D4", "E6*(3)", "<12>")
+    ] + [u_block(4), v_block(), p_elementary_form(5, 3, True), cyclic_form(8, F(3, 8))]
+    for form in forms:
+        assert form.level == math.lcm(*form.orders)
+        assert all(type(x) is int for x in form.q)
+        assert all(type(x) is int for row in form.b for x in row)
+    assert cyclic_form(8, F(3, 8)).q == (3,) and cyclic_form(3, F(-2, 3)).q == (4,)
+    assert u_block(4).dsum(cyclic_form(2, F(1, 2))).q == (0, 0, 2)  # 1/2 at level 4
+
+
+def test_form_rejects_rational_entries():
+    with pytest.raises(hklat.InvalidParameter):
+        FiniteQuadraticForm((2,), (F(3, 2),), ((F(1, 2),),))
+    with pytest.raises(hklat.InvalidParameter):
+        FiniteQuadraticForm((3,), (4,), ((2,),))  # b(g,g) != q(g) mod Z
+    with pytest.raises(hklat.InvalidParameter):
+        cyclic_form(3, F(1, 2))  # 1/2 is not in (1/3)Z
 
 
 def test_milgram_catalog_sweep():

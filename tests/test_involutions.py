@@ -1,7 +1,7 @@
 import pytest
 
 from golden_data import figure_marker_set
-from hklat.fqf import THREE_HALF, delta_invariant, gauss_signature
+from hklat.fqf import delta_invariant, gauss_signature
 from hklat.involutions import (
     CASE_I,
     CASE_II,
@@ -76,7 +76,9 @@ def test_three_halves_scan_agrees_with_criterion():
                 inv = TwoElemInvariants(1, r - 1, a, delta)
                 if not two_elementary_exists(inv):
                     continue
-                scan = THREE_HALF in form_of(inv).value_counts()
+                form = form_of(inv)
+                assert form.level == 2
+                scan = 3 in form.value_counts()  # q = 3/2 at level 2
                 assert has_value_three_halves(inv) == scan, (r, a, delta)
                 checked += 1
     assert checked > 100

@@ -117,13 +117,13 @@ def test_discriminant_data_a2():
     gram = realize("A2").gram
     norm = sum(g[i] * gram[i][j] * g[j] for i in range(2) for j in range(2))
     assert norm == Fraction(-2, 3)
-    assert data.form.q == (Fraction(4, 3),)
+    assert data.form.q == (4,)  # 4/3 at level 3
 
 
 def test_discriminant_data_minus_two():
     data = discriminant_data(realize("<-2>"))
     assert data.invariant_factors == (2,)
-    assert data.form.q == (Fraction(3, 2),)
+    assert data.form.q == (3,)  # 3/2 at level 2
 
 
 def test_discriminant_generators_are_dual_vectors():
@@ -227,3 +227,66 @@ def test_catalog_dets_match_invariant_factors():
         for f in factors:
             prod *= f
         assert prod == abs(det_exact(lat.gram))
+
+
+CATALOG_ATOMS = (
+    "U", "U(3)", "A1", "A2", "A4", "A6", "A10", "D4", "D5", "D7", "E6", "E7", "E8(2)",
+    "K7", "K19(-1)", "H5", "H13", "L17", "E6*(3)", "E6*(-6)", "A4*(5)", "<6>", "<-8>",
+)
+
+
+def test_integer_form_matches_dual_generators():
+    # oracle: q(x) = x^T G x mod 2 and b(x, y) = x^T G y mod 1 on the rational generators
+    for name in CATALOG_ATOMS:
+        lat = realize(name)
+        data = discriminant_data(lat)
+        form, gram, n = data.form, lat.gram, lat.rank
+        for i, x in enumerate(data.generators):
+            for j, y in enumerate(data.generators):
+                pair = sum(x[r] * gram[r][c] * y[c] for r in range(n) for c in range(n))
+                assert Fraction(form.b[i][j], form.level) == pair % 1, name
+                if i == j:
+                    assert Fraction(form.q[i], form.level) == pair % 2, name
+
+
+def _fraction_inverse(m):
+    """Oracle: Gauss-Jordan inverse over the rationals."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def test_dual_atoms_match_rational_inverse():
+    for atom, base, t in (("E6*", "E6", 3), ("A4*", "A4", 5)):
+        inverse = _fraction_inverse(realize(base).gram)
+        expected = tuple(tuple(int(t * x) for x in row) for row in inverse)
+        assert all((t * x).denominator == 1 for row in inverse for x in row)
+        assert realize(f"{atom}({t})").gram == expected
+        assert realize(f"{atom}({-2 * t})").gram == tuple(
+            tuple(-2 * x for x in row) for row in expected
+        )
+    for text in ("E6*(1)", "E6*(2)", "A4*(3)"):
+        with pytest.raises(InvalidParameter):
+            realize(text)
+
+
+def test_non_square_gram_is_malformed():
+    with pytest.raises(InvalidParameter):
+        Lattice(((0, 1),))
+    with pytest.raises(InvalidParameter):
+        lattice_from_json(json.dumps({"gram": [[0, 1]]}))
+
+
+def test_json_name_must_match_gram():
+    with pytest.raises(InvalidParameter):
+        lattice_from_json(json.dumps({"gram": [[0, 1], [1, 0]], "name": "A2"}))
+    named = lattice_from_json(json.dumps({"gram": [[-2, 1], [1, -2]], "name": "A2"}))
+    assert named.name() == "A2"
