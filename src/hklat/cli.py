@@ -11,6 +11,7 @@ input beyond the implemented range.  Output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .lattices import Lattice, lattice_from_json, realize
 
 def _load_lattice(source: str) -> Lattice:
     path = Path(source)
-    if path.suffix == ".json" and path.exists():
+    if path.suffix == ".json":
         return lattice_from_json(path.read_text())
     return realize(source)
 
@@ -162,7 +163,9 @@ def _cmd_local_actions(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hklat",
         description="Even-lattice invariants and the prime-order "

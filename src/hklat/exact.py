@@ -205,15 +205,20 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
     diagonal entries vanish (as happens for even lattices such as the
     hyperbolic plane) a row/column of an off-diagonal entry is added in first,
     which splits the 2x2 hyperbolic block exactly.
+
+    Swaps, row/column additions and content divisions keep the rank of the
+    remaining block, and a Schur step on a nonzero pivot lowers it by exactly
+    one.  So a singular matrix reaches a block whose leading row is zero, and
+    only a singular one does; that is where `DegenerateForm` is raised.
     """
     n, c = dims(m)
     if n != c or not is_symmetric(m):
         raise InvalidParameter("signature requires a symmetric square matrix")
-    if det_exact(m) == 0:
-        raise DegenerateForm("matrix is singular")
     a = [list(row) for row in m]
     plus = minus = 0
     while a:
+        if not any(a[0]):
+            raise DegenerateForm("matrix is singular")
         if a[0][0] == 0:
             i = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
             if i is not None:  # symmetric swap of indices 0 and i

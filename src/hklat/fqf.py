@@ -567,14 +567,14 @@ def _witness_search(s_plus: int, s_minus: int, form: FiniteQuadraticForm) -> boo
     rank = s_plus + s_minus
     n = form.order
     bound = E4_SEARCH_FACTOR * n
-    candidates = []
     if rank == 1:
-        candidates = [((2 * k,),) for k in range(-bound // 2, bound // 2 + 1) if k]
-    elif rank == 2:
-        for a in range(-bound, bound + 1, 2):
-            for c in range(-bound, bound + 1, 2):
-                for b in range(0, bound + 1):
-                    candidates.append(((a, b), (b, c)))
+        candidates = (((2 * k,),) for k in range(-bound // 2, bound // 2 + 1) if k)
+    else:
+        diagonal = range(-bound, bound + 1, 2)
+        candidates = (
+            ((a, b), (b, c))
+            for a, c, b in itertools.product(diagonal, diagonal, range(bound + 1))
+        )
     for gram in candidates:
         d = det_exact(gram)
         if d == 0 or abs(d) != n:

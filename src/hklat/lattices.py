@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidParameter, NotEvenLattice
@@ -216,6 +216,7 @@ class Lattice:
 
     gram: IntMatrix
     expr: LatticeExpr | None = None
+    _det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = as_matrix(self.gram)
@@ -226,7 +227,8 @@ class Lattice:
             raise NotEvenLattice("Gram matrix must be symmetric")
         if any(g[i][i] % 2 for i in range(len(g))):
             raise NotEvenLattice("lattice is not even: odd diagonal entry")
-        if len(g) and det_exact(g) == 0:
+        object.__setattr__(self, "_det", det_exact(g))
+        if self._det == 0:
             raise NotEvenLattice("lattice is degenerate")
 
     @property
@@ -234,7 +236,7 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> int:
-        return det_exact(self.gram)
+        return self._det
 
     def signature(self) -> tuple[int, int]:
         if self.rank == 0:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import hklat
+from hklat import exact, fqf, lattices
 from hklat.cli import build_parser, main
+from hklat.lattices import realize
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,6 +187,8 @@ FAILURES = [
     (("invariants", "wide.json"), 1),
     (("invariants", "misnamed.json"), 1),
     (("embed", "--expr", "misnamed.json"), 1),
+    (("invariants", "missing.json"), 1),
+    (("embed", "--expr", "nothere.json"), 1),
     (("census", "empty.json"), 1),
     (("local-actions", "--prime", "4"), 1),
     (("census", "locus.json", "--check", "3,5"), 1),
@@ -211,3 +215,60 @@ def test_determinism(capsys):
         _, out, _ = run_cli(capsys, "tables", "--all", "--format", "json")
         outs.add(out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv", [("invariants", "missing.json"), ("embed", "--expr", "missing.json")])
+def test_missing_json_file_is_an_os_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as exc:
+        Path("missing.json").read_text()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+
+
+def _fresh_process(*argv):
+    src = str(Path(hklat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hklat.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    return proc.stdout
+
+
+def test_one_parser_serves_a_session(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "tables", "--all", "--format", "csv")
+    assert (code, out) == (0, (GOLDEN / "tables_all.csv").read_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # --all from the first call must not carry over
+    code, out, _ = run_cli(capsys, "tables", "--prime", "19", "--format", "csv")
+    assert (code, out) == (0, (GOLDEN / "table_p19.csv").read_text())
+    code, out, _ = run_cli(capsys, "figures", "--which", "2", "--format", "json")
+    assert (code, out) == (0, (GOLDEN / "figure2.json").read_text())
+    fresh = _fresh_process("invariants", "U(3)")
+    for _ in range(2):
+        assert run_cli(capsys, "invariants", "U(3)")[:2] == (0, fresh)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("invariants", "U(3)"), "U(3)"), (("embed", "--expr", "U^2 + E8^2 + A2"), "U^2 + E8^2 + A2")],
+)
+def test_named_lattice_determinant_computed_once(monkeypatch, capsys, argv, name):
+    gram = realize(name).gram
+    real_det = exact.det_exact
+    grams = []
+
+    def counting_det(m):
+        grams.append(m)
+        return real_det(m)
+
+    for module in (exact, fqf, lattices):
+        monkeypatch.setattr(module, "det_exact", counting_det)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert grams.count(gram) == 1

@@ -158,3 +158,45 @@ def symmetric_matrices(draw):
 def test_signature_agrees_with_descartes_count(m):
     assume(det_exact(m) != 0)
     assert signature_of_symmetric(m) == _signature_by_descartes(m)
+
+
+@st.composite
+def singular_matrices(draw):
+    """Bᵀ·D·B with B of shape k x n, k < n (so of rank below n), conjugated by a
+    random unimodular matrix, or a zero-diagonal even block such as U + (0)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=6))
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        b = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(k)]
+        d = [draw(st.integers(-3, 3)) for _ in range(k)]
+        m = as_matrix([
+            [sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n)]
+            for i in range(n)
+        ])
+    else:
+        hyperbolic = draw(st.integers(min_value=1, max_value=2))
+        n = 2 * hyperbolic + draw(st.integers(min_value=1, max_value=2))
+        m = as_matrix([
+            [int(i // 2 == j // 2 and i != j and i < 2 * hyperbolic) for j in range(n)]
+            for i in range(n)
+        ])
+    p = _random_unimodular(n, random.Random(draw(st.integers(0, 2**32))))
+    return mat_mul(mat_mul(transpose(p), m), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(singular_matrices(), symmetric_matrices()))
+def test_signature_rejects_exactly_the_singular(m):
+    if det_exact(m) == 0:
+        with pytest.raises(DegenerateForm):
+            signature_of_symmetric(m)
+    else:
+        assert sum(signature_of_symmetric(m)) == len(m)
+
+
+def test_signature_rejects_hyperbolic_plus_zero():
+    u_plus_zero = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
+    zero_first = ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+    for m in (((0,),), u_plus_zero, zero_first):
+        with pytest.raises(DegenerateForm):
+            signature_of_symmetric(m)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -300,3 +301,16 @@ def test_form_invariants_record():
     assert inv.lengths_per_prime == {2: 1, 3: 1}
     assert inv.delta == 1
     assert 3 in inv.odd_prime_disc_class
+
+
+def test_witness_search_runs_in_constant_memory():
+    # E4 on U(4) draws from 33^3 candidate Gram matrices; building them all
+    # before the first test took about 6 MB
+    form = discriminant_form(realize("U(4)"))
+    tracemalloc.start()
+    try:
+        assert even_lattice_exists_report(1, 1, form) == (True, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

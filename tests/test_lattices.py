@@ -290,3 +290,15 @@ def test_json_name_must_match_gram():
         lattice_from_json(json.dumps({"gram": [[0, 1], [1, 0]], "name": "A2"}))
     named = lattice_from_json(json.dumps({"gram": [[-2, 1], [1, -2]], "name": "A2"}))
     assert named.name() == "A2"
+
+
+def test_det_is_computed_once_at_construction():
+    for name in CATALOG_ATOMS:
+        for t in (1, -1, 3, -10):
+            lat = twist(realize(name), t)
+            assert lat.det() == det_exact(lat.gram), (name, t)
+    # the stored determinant takes no part in equality, hashing or repr
+    u = realize("U")
+    same = Lattice(((0, 1), (1, 0)), expr=parse_expr("U"))
+    assert u == same and hash(u) == hash(same)
+    assert "_det" not in repr(u)
