@@ -10,7 +10,6 @@ lattice existence conditions, which is also what rules candidate triples out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -37,8 +36,7 @@ from .lattices import (
 )
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
+class LatticeInvariants(NamedTuple):
     """Genus data of an even lattice: signature plus discriminant form.
 
     ``p`` is the elementary prime when the discriminant group is (Z/p)^a,
@@ -184,8 +182,7 @@ def genus_unique(rank: int, det: int) -> bool:
 
 # -- primitive embeddings into the ambient lattice ---------------------------------
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Outcome of embedding a p-elementary lattice S primitively into
     L = U^3 + E8^2 + <-2>."""
 

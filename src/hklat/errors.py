@@ -72,9 +72,3 @@ class UnsupportedRegime(HklatError, NotImplementedError):
     """Existence test hit a case outside the implemented conditions."""
 
     exit_code = 3
-
-
-class AmbiguousGaussSum(HklatError, ArithmeticError):
-    """No signature candidate matched the Gauss sum within tolerance."""
-
-    exit_code = 3

@@ -10,36 +10,58 @@ characteristic and total F_p Betti number are accumulated per component.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameter
 from .exact import is_prime
 from .tables import h_star, lefschetz_chi
 
 
-@dataclass(frozen=True)
 class K3FixedLocus:
     """Fixed locus of an order-p automorphism on a K3 surface.
 
     n[t] counts isolated points with local rotation type diag(z^(t+1), z^(p-t))
-    for a primitive p-th root of unity z; n has length p-1.
+    for a primitive p-th root of unity z; n has length p-1.  Immutable;
+    equality and hashing go by (p, k, n, genus_curve).
     """
 
-    p: int
-    k: int
-    n: tuple[int, ...]
-    genus_curve: int | None = None
+    __slots__ = ("p", "k", "n", "genus_curve")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        if self.p == 2 or not is_prime(self.p):
+    def __init__(self, p: int, k: int, n: tuple[int, ...], genus_curve: int | None = None):
+        n = tuple(int(x) for x in n)
+        if p == 2 or not is_prime(p):
             raise InvalidParameter("p must be an odd prime")
-        if len(self.n) != self.p - 1:
-            raise InvalidParameter(f"n must list p-1 = {self.p - 1} local-type counts")
-        if self.k < 0 or any(x < 0 for x in self.n):
+        if len(n) != p - 1:
+            raise InvalidParameter(f"n must list p-1 = {p - 1} local-type counts")
+        if k < 0 or any(x < 0 for x in n):
             raise InvalidParameter("counts must be nonnegative")
-        if self.genus_curve is not None and self.genus_curve < 0:
+        if genus_curve is not None and genus_curve < 0:
             raise InvalidParameter("genus must be nonnegative")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "genus_curve", genus_curve)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"K3FixedLocus is immutable; cannot set {name!r}")
+
+    def _key(self):
+        return (self.p, self.k, self.n, self.genus_curve)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"K3FixedLocus(p={self.p!r}, k={self.k!r}, n={self.n!r}, "
+                f"genus_curve={self.genus_curve!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (K3FixedLocus, self._key())
 
     @property
     def N(self) -> int:
@@ -51,8 +73,7 @@ class K3FixedLocus:
         return self.n[(self.p - 1) // 2]
 
 
-@dataclass(frozen=True)
-class Hilb2FixedLocus:
+class Hilb2FixedLocus(NamedTuple):
     """Component inventory of the induced fixed locus on the Hilbert square."""
 
     isolated_points: int
@@ -178,8 +199,7 @@ def enumerate_local_actions(p: int) -> list[dict]:
 
 # -- fixtures: fixed loci on families of fourfolds ----------------------------------
 
-@dataclass(frozen=True)
-class FixedLocusFixture:
+class FixedLocusFixture(NamedTuple):
     """A directly observed fixed locus on a fourfold: components given as
     ("point", count), ("curve", genus, count) or ("surface", chi, h_star, count);
     expected to match the classification row `triple`."""

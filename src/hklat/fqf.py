@@ -8,68 +8,89 @@ Q/Z.  Values on arbitrary elements follow from
 
 Every value is stored as an integer at the level N = lcm(d1, ..., dk):
 q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
-(1/d_i)Z.  All arithmetic is on integers; the only floating point is the final
-Gauss-sum phase summation, snapped to one of eight candidates.
+(1/d_i)Z.  All arithmetic is on integers, the Gauss signature included: it is
+read off an orthogonal splitting into Jordan blocks, not summed over the group.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
-    AmbiguousGaussSum,
     DegenerateForm,
     GroupTooLarge,
     InvalidParameter,
     UnsupportedRegime,
 )
-from .exact import det_exact, signature_of_symmetric, smith_normal_form
+from .exact import det_exact, signature_of_symmetric
 
 THREE_HALF = Fraction(3, 2)
 
-GAUSS_TOL = 1e-6
 BRUTE_FORCE_CAP = 10_000
 ENUM_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
 class FiniteQuadraticForm:
     """Quadratic form q: A -> Q/2Z with associated bilinear form b: A x A -> Q/Z,
-    scaled to the level N: q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N."""
+    scaled to the level N: q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N.
 
-    orders: tuple[int, ...]
-    q: tuple[int, ...]
-    b: tuple[tuple[int, ...], ...]
+    Immutable; equality and hashing go by (orders, q, b)."""
 
-    def __post_init__(self):
-        k = len(self.orders)
-        if len(self.q) != k or len(self.b) != k or any(len(r) != k for r in self.b):
+    __slots__ = ("orders", "q", "b")
+
+    def __init__(
+        self,
+        orders: tuple[int, ...],
+        q: tuple[int, ...],
+        b: tuple[tuple[int, ...], ...],
+    ):
+        k = len(orders)
+        if len(q) != k or len(b) != k or any(len(r) != k for r in b):
             raise InvalidParameter("inconsistent generator data")
-        entries = (*self.orders, *self.q, *(x for row in self.b for x in row))
+        entries = (*orders, *q, *(x for row in b for x in row))
         if not all(type(x) is int for x in entries):
             raise InvalidParameter("form data must be integers at the form's level")
-        if any(d < 2 for d in self.orders):
+        if any(d < 2 for d in orders):
             raise InvalidParameter("generator orders must be > 1")
-        n = self.level
-        for i, d in enumerate(self.orders):
-            if not 0 <= self.q[i] < 2 * n:
+        n = math.lcm(*orders)
+        for i, d in enumerate(orders):
+            if not 0 <= q[i] < 2 * n:
                 raise InvalidParameter("q values must be reduced into [0, 2N)")
-            if d * d * self.q[i] % (2 * n):
+            if d * d * q[i] % (2 * n):
                 raise InvalidParameter("q value incompatible with generator order")
-            if (self.b[i][i] - self.q[i]) % n:
+            if (b[i][i] - q[i]) % n:
                 raise InvalidParameter("b(g,g) must equal q(g) mod Z")
             for j in range(k):
-                if self.b[i][j] != self.b[j][i]:
+                if b[i][j] != b[j][i]:
                     raise InvalidParameter("b must be symmetric")
-                if not 0 <= self.b[i][j] < n:
+                if not 0 <= b[i][j] < n:
                     raise InvalidParameter("b values must be reduced into [0, N)")
-                if d * self.b[i][j] % n:
+                if d * b[i][j] % n:
                     raise InvalidParameter("b value incompatible with generator order")
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteQuadraticForm is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.orders, self.q, self.b) == (other.orders, other.q, other.b)
+
+    def __hash__(self):
+        return hash((self.orders, self.q, self.b))
+
+    def __repr__(self):
+        return f"FiniteQuadraticForm(orders={self.orders!r}, q={self.q!r}, b={self.b!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (FiniteQuadraticForm, (self.orders, self.q, self.b))
 
     # -- basic structure ---------------------------------------------------
 
@@ -220,23 +241,6 @@ class FiniteQuadraticForm:
             total = merged
         return total
 
-    def radical_rank_is_zero(self) -> bool:
-        """True iff the bilinear form has trivial radical.
-
-        With N the level, x = sum c_i g_i lies in the radical iff
-        c·b = 0 mod N, so the map A -> Hom(A, Q/Z) has image of order
-        [Z^k : rows of (b ; N I)] = N^k / (e_1 ... e_k), the e_i being the
-        Smith invariants of that stacked matrix; b is nondegenerate iff the
-        image is all of A.
-        """
-        k = self.length()
-        n = self.level
-        stacked = self.b + tuple(
-            tuple(n if i == j else 0 for j in range(k)) for i in range(k)
-        )
-        _, d, _ = smith_normal_form(stacked)
-        return n**k == self.order * math.prod(d[i][i] for i in range(k))
-
 
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -346,20 +350,86 @@ def two_elementary_form(a: int, delta: int, sigma: int) -> FiniteQuadraticForm |
 # -- invariants ----------------------------------------------------------------
 
 def gauss_signature(form: FiniteQuadraticForm) -> int:
-    """Signature mod 8 via the Gauss sum: (1/sqrt|A|) sum exp(pi i q(x)) = exp(2 pi i s/8)."""
-    if form.is_trivial():
-        return 0
-    if not form.radical_rank_is_zero():
-        raise DegenerateForm("degenerate form has no Gauss signature")
-    n = form.level
-    total = 0j
-    for val, cnt in form.value_counts().items():
-        total += cnt * cmath.exp(1j * math.pi * val / n)
-    total /= math.sqrt(form.order)
-    for s in range(8):
-        if abs(total - cmath.exp(2j * math.pi * s / 8)) < GAUSS_TOL:
-            return s
-    raise AmbiguousGaussSum(f"Gauss sum {total!r} matched no eighth root of unity")
+    """Signature s mod 8 of a nondegenerate form: the Gauss sum
+    (1/sqrt|A|) sum_x exp(pi i q(x)) equals exp(2 pi i s/8).
+
+    Exact: each p-part is split into orthogonal Jordan blocks, whose Gauss
+    sums are known in closed form, and s is the sum of the block signatures.
+    Raises DegenerateForm when b has a nontrivial radical."""
+    return sum(
+        _p_part_signature(form.prime_part(p), p) for p in form.lengths_per_prime()
+    ) % 8
+
+
+def _p_part_signature(part: FiniteQuadraticForm, p: int) -> int:
+    """Signature mod 8 of a p-group form, by splitting off Jordan blocks.
+
+    At each step m is the largest order among the remaining generators and
+    s = N/m; an entry is a unit when entry/s is prime to p.  A generator x of
+    order m with b(x, x) a unit spans a cyclic block <a/m>, a = q(x)·m.  For
+    odd p, two generators w, v of order m with b(w, v) a unit give such an x
+    as w + v; for p = 2 they span an even rank-2 block.  If no order-m
+    generator pairs to a unit with any other, (m/p)·w lies in the radical.
+    The other generators are projected off the block, y <- y - c·x, which
+    keeps a basis (c·x has order dividing that of y) and updates q and b by
+    congruence: q(y - cx) = q(y) - 2c·b(y, x) + c^2·q(x).
+    """
+    n = part.level
+    orders = part.orders
+    q = list(part.q)
+    b = [list(row) for row in part.b]
+    live = list(range(len(orders)))
+
+    def shift(y, x, c):
+        """Replace generator y by y - c·x."""
+        bxy = b[x][y]
+        q[y] = (q[y] - 2 * c * bxy + c * c * q[x]) % (2 * n)
+        byy = (b[y][y] - 2 * c * bxy + c * c * b[x][x]) % n
+        for z in live:
+            b[y][z] = b[z][y] = (b[y][z] - c * b[x][z]) % n
+        b[y][y] = byy
+
+    total = 0
+    while live:
+        m = max(orders[i] for i in live)
+        s = n // m
+        odd_k = math.isqrt(m) ** 2 != m  # m = p^k with k odd
+        top = [i for i in live if orders[i] == m]
+        w = next((i for i in top if b[i][i] // s % p), None)
+        v = None
+        if w is None:
+            w = top[0]
+            v = next((j for j in top if b[w][j] // s % p), None)
+            if v is None:
+                raise DegenerateForm("degenerate form has no Gauss signature")
+            if p != 2:
+                shift(w, v, -1)  # b(w + v, w + v) = 2·b(w, v) + non-units
+                v = None
+        # Normalized Gauss sums of the blocks: <a/2^k> gives
+        # exp(pi i a/4)·(2/a)^k; <a/p^k>, p odd, gives 1 for k even and
+        # ε_p·((a/2)/p) for k odd, ε_p = 1 or i as p = 1 or 3 mod 4; an even
+        # 2-adic block gives 1 if hyperbolic and (-1)^k if v-type.
+        if v is None:
+            a = q[w] // s
+            if p == 2:
+                total += a + 4 * (odd_k and a % 8 in (3, 5))
+            elif odd_k:
+                total += (0 if p % 4 == 1 else 2) + 4 * (legendre(a // 2, p) == -1)
+            block, det, adj = (w,), b[w][w] // s, ((1,),)
+        else:
+            total += 4 * (odd_k and q[w] // s % 4 == 2 and q[v] // s % 4 == 2)
+            g11, g12, g22 = b[w][w] // s, b[w][v] // s, b[v][v] // s
+            block, det, adj = (w, v), g11 * g22 - g12 * g12, ((g22, -g12), (-g12, g11))
+        inv = pow(det, -1, m)
+        rest = [y for y in live if y not in block]
+        for y in rest:  # c = b(y, block)·G^-1 mod m, G the block's Gram over s
+            t = [b[y][x] // s for x in block]
+            for x, row in zip(block, adj):
+                c = inv * sum(r * ti for r, ti in zip(row, t)) % m
+                if c:
+                    shift(y, x, c)
+        live = rest
+    return total % 8
 
 
 def delta_invariant(form: FiniteQuadraticForm) -> int:
@@ -382,8 +452,7 @@ def odd_disc_class(part: FiniteQuadraticForm, p: int) -> int:
     return legendre(det_exact(part.b), p)
 
 
-@dataclass(frozen=True)
-class FormInvariants:
+class FormInvariants(NamedTuple):
     """Genus-level fingerprint of a finite quadratic form."""
 
     order: int
@@ -405,7 +474,7 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
     return FormInvariants(
         order=form.order,
         lengths_per_prime=lengths,
-        signature_mod_8=gauss_signature(form) if not form.is_trivial() else 0,
+        signature_mod_8=gauss_signature(form),
         delta=delta_invariant(form),
         odd_prime_disc_class=disc,
     )
@@ -448,7 +517,7 @@ def forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
                 return False
             if delta_invariant(p1) != delta_invariant(p2):
                 return False
-            if not p1.is_trivial() and gauss_signature(p1) != gauss_signature(p2):
+            if gauss_signature(p1) != gauss_signature(p2):
                 return False
         else:
             if not _brute_isomorphic(p1, p2):

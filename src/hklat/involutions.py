@@ -12,7 +12,7 @@ length a+1 with delta_S = 1 (case I, always available), or length a-1
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameter
 from .fqf import FiniteQuadraticForm, trivial_form, two_elementary_form
@@ -22,8 +22,7 @@ CASE_I = "I"
 CASE_II = "II"
 
 
-@dataclass(frozen=True)
-class TwoElemInvariants:
+class TwoElemInvariants(NamedTuple):
     """Isometry-class data of an even 2-elementary lattice."""
 
     s_plus: int
@@ -40,8 +39,7 @@ class TwoElemInvariants:
         return (self.s_plus, self.s_minus)
 
 
-@dataclass(frozen=True)
-class InvolutionEmbeddingClass:
+class InvolutionEmbeddingClass(NamedTuple):
     """One embedding class of T in L, described by its orthogonal complement."""
 
     case: str  # CASE_I: l(A_S) = a+1, delta_S = 1;  CASE_II: l(A_S) = a-1

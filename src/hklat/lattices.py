@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidParameter, NotEvenLattice
 from .exact import (
@@ -41,8 +41,7 @@ from .fqf import FiniteQuadraticForm, trivial_form
 
 # -- expressions ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeExpr:
+class LatticeExpr(NamedTuple):
     """Formal direct sum of catalog atoms: ((atom, twist, multiplicity), ...)."""
 
     summands: tuple[tuple[str, int, int], ...]
@@ -210,26 +209,45 @@ def realize_atom(atom: str, twist: int = 1) -> IntMatrix:
 
 # -- lattices --------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Lattice:
-    """Even nondegenerate lattice given by an exact integer Gram matrix."""
+    """Even nondegenerate lattice given by an exact integer Gram matrix.
 
-    gram: IntMatrix
-    expr: LatticeExpr | None = None
-    _det: int = field(init=False, repr=False, compare=False)
+    Immutable; equality and hashing go by (gram, expr).  The determinant,
+    computed once for the degeneracy check, is kept for det()."""
 
-    def __post_init__(self):
-        g = as_matrix(self.gram)
-        object.__setattr__(self, "gram", g)
+    __slots__ = ("gram", "expr", "_det")
+
+    def __init__(self, gram: IntMatrix, expr: LatticeExpr | None = None):
+        g = as_matrix(gram)
         if dims(g)[1] != len(g):
             raise InvalidParameter("Gram matrix must be square")
         if not is_symmetric(g):
             raise NotEvenLattice("Gram matrix must be symmetric")
         if any(g[i][i] % 2 for i in range(len(g))):
             raise NotEvenLattice("lattice is not even: odd diagonal entry")
-        object.__setattr__(self, "_det", det_exact(g))
-        if self._det == 0:
+        det = det_exact(g)
+        if det == 0:
             raise NotEvenLattice("lattice is degenerate")
+        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "_det", det)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Lattice is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gram, self.expr) == (other.gram, other.expr)
+
+    def __hash__(self):
+        return hash((self.gram, self.expr))
+
+    def __repr__(self):
+        return f"Lattice(gram={self.gram!r}, expr={self.expr!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (Lattice, (self.gram, self.expr))
 
     @property
     def rank(self) -> int:
@@ -317,8 +335,7 @@ def ambient_lattice() -> Lattice:
 
 # -- discriminant data ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(NamedTuple):
     """Discriminant group of a lattice: invariant factors, dual-vector generators
     (rational coordinates in the lattice basis), and the quadratic form."""
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidParameter, NonIntegerResult, UnsupportedPrime
 from .classify import (
@@ -67,8 +67,7 @@ def moduli_dimension(p: int, m: int) -> int:
     return m - 2 if p == 2 else m - 1
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
+class AdmissibleTriple(NamedTuple):
     """One classification row."""
 
     p: int

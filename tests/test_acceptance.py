@@ -1,8 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion report.
-All comparisons are exact (the Gauss-sum snap tolerance of 1e-6 is internal to
-the signature computation).
+All comparisons are exact, the Gauss signature included.
 """
 
 import time

@@ -193,7 +193,6 @@ FAILURES = [
     (("local-actions", "--prime", "4"), 1),
     (("census", "locus.json", "--check", "3,5"), 1),
     (("invariants", "odd.json"), 2),
-    (("invariants", "<1000002>"), 3),
 ]
 
 
@@ -226,14 +225,30 @@ def test_missing_json_file_is_an_os_error(tmp_path, monkeypatch, capsys, argv):
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
 
 
-def _fresh_process(*argv):
+@pytest.mark.parametrize("name", ["<1000002>", "E8(101)", "A10(11)"])
+def test_invariants_of_large_discriminant_groups(capsys, name):
+    # discriminant groups of order 1000002, 101^8 and 11^11
+    code, out, err = run_cli(capsys, "invariants", name)
+    assert (code, err) == (0, "")
+    s_plus, s_minus = realize(name).signature()
+    assert f"\ngauss signature (mod 8): {(s_plus - s_minus) % 8}\n" in out
+
+
+def _fresh_python(*args):
     src = str(Path(hklat.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hklat.cli", *argv], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _fresh_process(*argv):
+    return _fresh_python("-m", "hklat.cli", *argv)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_cmath():
+    probe = "import sys, hklat.cli; print(sorted({'dataclasses', 'cmath'} & set(sys.modules)))"
+    assert _fresh_python("-c", probe) == "[]\n"
 
 
 def test_one_parser_serves_a_session(capsys):

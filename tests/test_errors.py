@@ -24,7 +24,6 @@ EXIT_CODES = {
     errors.NonIntegerResult: (2, ArithmeticError),
     errors.GroupTooLarge: (3, ValueError),
     errors.UnsupportedRegime: (3, NotImplementedError),
-    errors.AmbiguousGaussSum: (3, ArithmeticError),
 }
 
 
@@ -57,7 +56,7 @@ def test_classes_stay_importable_where_they_are_raised():
 
     assert exact.DegenerateForm is fqf.DegenerateForm is hklat.DegenerateForm
     for module, names in (
-        (fqf, ("AmbiguousGaussSum", "GroupTooLarge", "UnsupportedRegime")),
+        (fqf, ("GroupTooLarge", "UnsupportedRegime")),
         (lattices, ("InvalidParameter", "NotEvenLattice")),
         (classify, ("NotPElementary", "BudgetExceeded")),
         (tables, ("UnsupportedPrime", "NonIntegerResult")),

@@ -25,7 +25,8 @@ from hklat.fqf import (
     u_block,
     v_block,
 )
-from hklat.lattices import discriminant_form, realize
+from hklat.exact import mat_mul, smith_normal_form, transpose
+from hklat.lattices import Lattice, discriminant_form, realize
 
 F = Fraction
 
@@ -109,15 +110,172 @@ def _random_form(rng):
     return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, b)))
 
 
+def _radical_is_trivial_by_smith_form(form):
+    """Oracle: with N the level, x = sum c_i g_i lies in the radical iff
+    c·b = 0 mod N, so the map A -> Hom(A, Q/Z) has image of order
+    [Z^k : rows of (b ; N I)] = N^k / (e_1 ... e_k), the e_i being the Smith
+    invariants of that stacked matrix; b is nondegenerate iff the image is A."""
+    k = form.length()
+    n = form.level
+    stacked = form.b + tuple(tuple(n if i == j else 0 for j in range(k)) for i in range(k))
+    _, d, _ = smith_normal_form(stacked)
+    return n**k == form.order * math.prod(d[i][i] for i in range(k))
+
+
+def _signature_or_none(form):
+    """gauss_signature, or None where it rejects the form as degenerate."""
+    try:
+        return gauss_signature(form)
+    except DegenerateForm:
+        return None
+
+
 def test_radical_check_agrees_with_enumeration():
     rng = random.Random(2024)
     degenerate = 0
     for _ in range(600):
         form = _random_form(rng)
         expected = _radical_is_trivial_by_enumeration(form)
-        assert form.radical_rank_is_zero() == expected, form
+        assert _radical_is_trivial_by_smith_form(form) == expected, form
+        assert (_signature_or_none(form) is None) == (not expected), form
         degenerate += not expected
     assert 100 < degenerate < 500  # both outcomes are exercised
+
+
+def _signature_by_gauss_sum(form):
+    """Oracle: the eighth root of unity that the direct Gauss sum equals."""
+    total = _gauss_sum_direct(form)
+    s = round(cmath.phase(total) / (math.pi / 4)) % 8
+    assert abs(total - cmath.exp(2j * math.pi * s / 8)) < 1e-9, (form, total)
+    return s
+
+
+def _assert_signature_matches_oracles(form):
+    """The exact signature equals the direct Gauss sum's on nondegenerate forms,
+    and DegenerateForm is raised exactly on the degenerate ones; returns
+    whether the form is nondegenerate."""
+    if _radical_is_trivial_by_enumeration(form):
+        assert gauss_signature(form) == _signature_by_gauss_sum(form), form
+        return True
+    with pytest.raises(DegenerateForm):
+        gauss_signature(form)
+    return False
+
+
+def test_gauss_signature_agrees_with_direct_sum_on_random_forms():
+    rng = random.Random(2026)
+    outcomes = [_assert_signature_matches_oracles(_random_form(rng)) for _ in range(2000)]
+    assert 500 < sum(outcomes) < 1500  # both outcomes are exercised
+
+
+def _all_cyclic_forms():
+    """Every valid form on Z/p^k: odd p <= 13 with p^k <= 125, and 2^k <= 64."""
+    orders = [p**k for p in (3, 5, 7, 11, 13) for k in range(1, 5) if p**k <= 125]
+    orders += [2**k for k in range(1, 7)]
+    for n in orders:
+        for v in range(2 * n):
+            if n * v % 2 == 0:  # q(g)·n^2 in 2Z
+                yield FiniteQuadraticForm((n,), (v,), ((v % n,),))
+
+
+def _all_rank_two_2_forms():
+    """Every valid form on (Z/2^k)^2, k <= 3."""
+    for n in (2, 4, 8):
+        for q1 in range(2 * n):
+            for q2 in range(2 * n):
+                for b12 in range(n):
+                    yield FiniteQuadraticForm((n, n), (q1, q2), ((q1 % n, b12), (b12, q2 % n)))
+
+
+def test_gauss_signature_exhaustive_on_small_groups():
+    cyclic = [_assert_signature_matches_oracles(f) for f in _all_cyclic_forms()]
+    rank_two = [_assert_signature_matches_oracles(f) for f in _all_rank_two_2_forms()]
+    assert len(cyclic) == 476 + 252 and len(rank_two) == 2336
+    for outcomes in (cyclic, rank_two):
+        assert any(outcomes) and not all(outcomes)
+
+
+def test_gauss_signature_is_invariant_under_change_of_basis():
+    """Lattices of rank <= 4 only: from rank 5 on, the Smith normal form of a
+    Gram matrix conjugated this way can run for minutes (its entries grow to
+    millions of bits), which puts their discriminant forms out of reach."""
+    from test_exact import _random_unimodular
+
+    rng = random.Random(11)
+    names = [
+        "U(3)", "A2", "A4", "D4", "K7", "K19(-1)", "H13", "L17", "A4*(5)", "<-8>",
+        "U(3) + <-2>", "<12> + A3", "U(4) + <6>", "U(2) + A2(-2)", "<-8> + <4> + <18>",
+    ]
+    for name in names:
+        gram = realize(name).gram
+        expected = gauss_signature(discriminant_form(realize(name)))
+        for _ in range(4):
+            p = _random_unimodular(len(gram), rng)
+            moved = Lattice(mat_mul(mat_mul(transpose(p), gram), p))
+            form = discriminant_form(moved)
+            assert gauss_signature(form) == expected, name
+            if form.order <= 500:
+                assert _signature_by_gauss_sum(form) == expected, name
+
+
+def _rebased(form, rng, moves=12):
+    """The same form on another basis of A, reached by random moves
+    g_i <- g_i + c·g_j with c·g_j of order dividing that of g_i."""
+    k, orders = form.length(), form.orders
+    basis = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(moves):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i != j:
+            c = orders[j] // math.gcd(orders[i], orders[j]) * rng.randrange(1, orders[j])
+            basis[i] = [(x + c * y) % d for x, y, d in zip(basis[i], basis[j], orders)]
+    q = tuple(form.value(x) for x in basis)
+    b = tuple(tuple(form.pairing(x, y) for y in basis) for x in basis)
+    return FiniteQuadraticForm(orders, q, b)
+
+
+def test_gauss_signature_is_invariant_under_change_of_group_basis():
+    # Sums of Jordan blocks of several scales, so that generators of one
+    # order pair with those of another, and 2-adic rank-2 blocks of scale
+    # >= 8 have further generators of their own order to be projected off.
+    def v(n, a):
+        return FiniteQuadraticForm((n, n), (a, a), ((a, 1), (1, a)))
+
+    def c(n, a):
+        return cyclic_form(n, F(a, n))
+
+    bases = [
+        u_block(8).dsum(u_block(8)),
+        u_block(8).dsum(v(8, 2)),
+        v(8, 2).dsum(v(8, 2)).dsum(c(2, 1)),
+        v(8, 2).dsum(c(8, 3)).dsum(u_block(4)),
+        c(8, 5).dsum(c(4, 1)).dsum(v(8, 2)),
+        u_block(16).dsum(v(16, 4)),
+        v(4, 2).dsum(c(16, 7)).dsum(c(2, 3)).dsum(u_block(2)),
+        u_block(9).dsum(c(9, 4)).dsum(c(3, 2)),
+        c(27, 2).dsum(c(27, 4)).dsum(c(9, 8)).dsum(c(3, 4)),
+        c(25, 2).dsum(u_block(5)).dsum(c(8, 3)).dsum(c(4, 1)),
+    ]
+    rng = random.Random(3)
+    for base in bases:
+        expected = _signature_by_gauss_sum(base)
+        for _ in range(10):
+            assert gauss_signature(_rebased(base, rng)) == expected, base
+
+
+def test_gauss_signature_enumerates_nothing(monkeypatch):
+    forms = [discriminant_form(realize(n)) for n in ("E8(101)", "<1000002>", "A10(11)", "U(8) + D5")]
+    rng = random.Random(5)
+    forms += [_random_form(rng) for _ in range(50)]
+    expected = [_signature_or_none(f) for f in forms]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gauss_signature must not call this")
+
+    monkeypatch.setattr(FiniteQuadraticForm, "value_counts", forbidden)
+    monkeypatch.setattr(FiniteQuadraticForm, "elements", forbidden)
+    for module in (hklat.exact, hklat.fqf):
+        monkeypatch.setattr(module, "smith_normal_form", forbidden, raising=False)
+    assert [_signature_or_none(f) for f in forms] == expected
 
 
 def test_delta_invariant():
@@ -141,7 +299,7 @@ def test_delta_invariant_agrees_with_value_scan():
         form = _random_form(rng)
         delta = delta_invariant(form)
         assert delta == _delta_by_value_scan(form), form
-        seen.add((delta, form.radical_rank_is_zero()))
+        seen.add((delta, _radical_is_trivial_by_enumeration(form)))
     assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
@@ -176,6 +334,7 @@ def test_milgram_catalog_sweep():
         "E6*(3)", "A4*(5)",
         "<2>", "<-2>", "<4>", "<6>", "<-6>", "<-8>",
         "A2(-1)", "A2(2)", "K19(-1)", "D4(3)",
+        "E8(7)", "A10(5)", "E8(101)", "<1000002>", "A10(11)",
     ]
     for name in names:
         lat = realize(name)

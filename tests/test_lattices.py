@@ -302,3 +302,20 @@ def test_det_is_computed_once_at_construction():
     same = Lattice(((0, 1), (1, 0)), expr=parse_expr("U"))
     assert u == same and hash(u) == hash(same)
     assert "_det" not in repr(u)
+
+
+def test_value_classes_are_immutable_and_rebuild_by_copy_and_pickle():
+    import copy
+    import pickle
+
+    from hklat.fixedlocus import K3FixedLocus
+
+    for obj in (
+        realize("U(3) + A2"),
+        discriminant_data(realize("U(3) + A2")).form,
+        K3FixedLocus(p=3, k=1, n=(0, 3), genus_curve=2),
+    ):
+        with pytest.raises(AttributeError):
+            obj.p = 0
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
