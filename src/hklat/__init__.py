@@ -4,7 +4,6 @@ non-symplectic automorphisms on K3^[2]-type hyperkaehler fourfolds."""
 from .errors import (
     BudgetExceeded,
     DegenerateForm,
-    GroupTooLarge,
     HklatError,
     InvalidParameter,
     NonIntegerResult,
@@ -27,6 +26,8 @@ from .fqf import (
     form_invariants,
     forms_isomorphic,
     gauss_signature,
+    jordan_blocks,
+    normal_key,
 )
 from .lattices import (
     DiscriminantData,

@@ -23,6 +23,7 @@ from .fqf import (
     even_lattice_exists_report,
     forms_isomorphic,
     gauss_signature,
+    normal_key,
     p_elementary_form,
     trivial_form,
 )
@@ -314,8 +315,8 @@ def recognize(
 
     Deterministic: fewest summands first, then lexicographic in the fixed pool
     order.  Matching is exact on rank, signature and |det|, then up to
-    isomorphism of discriminant forms.  Returns None when the budget is
-    exhausted.
+    isomorphism of discriminant forms: equal normal keys, the target's
+    computed once.  Returns None when the budget is exhausted.
     """
     if budget < 1:
         raise BudgetExceeded("budget must allow at least one summand")
@@ -326,6 +327,7 @@ def recognize(
     if want_rank == 0:
         return LatticeExpr(())
 
+    want_key = normal_key(target.form)
     for count in range(1, budget + 1):
         for combo in _signature_combos(pool, count, want_rank, want_sig):
             if math.prod(t.det for t in combo) != want_det:
@@ -333,7 +335,7 @@ def recognize(
             form = trivial_form()
             for t in combo:
                 form = form.dsum(t.form)
-            if forms_isomorphic(form, target.form):
+            if normal_key(form) == want_key:
                 return _combo_to_expr(combo)
     return None
 

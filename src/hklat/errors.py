@@ -61,12 +61,8 @@ class NonIntegerResult(HklatError, ArithmeticError):
 
 
 # -- 3: beyond the implemented range ---------------------------------------------
-
-class GroupTooLarge(HklatError, ValueError):
-    """An enumeration refused a group above its size cap."""
-
-    exit_code = 3
-
+# Only the even-lattice existence test has such a range; no part of the package
+# enumerates a finite group, so no error depends on the size of one.
 
 class UnsupportedRegime(HklatError, NotImplementedError):
     """Existence test hit a case outside the implemented conditions."""

@@ -38,10 +38,6 @@ def dims(m: IntMatrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    return tuple(zip(*m)) if m else ()
-
-
 def mat_mul(a, b):
     """Matrix product."""
     if not a or not b:

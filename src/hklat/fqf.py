@@ -8,8 +8,9 @@ Q/Z.  Values on arbitrary elements follow from
 
 Every value is stored as an integer at the level N = lcm(d1, ..., dk):
 q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
-(1/d_i)Z.  All arithmetic is on integers, the Gauss signature included: it is
-read off an orthogonal splitting into Jordan blocks, not summed over the group.
+(1/d_i)Z.  All arithmetic is on integers.  The Gauss signature and the
+isomorphism class are both read off an orthogonal splitting into Jordan
+blocks; nothing is enumerated over the group.
 """
 
 from __future__ import annotations
@@ -20,18 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateForm,
-    GroupTooLarge,
-    InvalidParameter,
-    UnsupportedRegime,
-)
+from .errors import DegenerateForm, InvalidParameter, UnsupportedRegime
 from .exact import det_exact, signature_of_symmetric
 
 THREE_HALF = Fraction(3, 2)
-
-BRUTE_FORCE_CAP = 10_000
-ENUM_CAP = 1_000_000
 
 
 class FiniteQuadraticForm:
@@ -74,6 +67,16 @@ class FiniteQuadraticForm:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _trusted(cls, orders, q, b) -> "FiniteQuadraticForm":
+        """Wrap data already known valid, without the checks of __init__; for
+        builders whose inputs are valid forms (dsum, neg, prime_part)."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "orders", orders)
+        object.__setattr__(form, "q", q)
+        object.__setattr__(form, "b", b)
+        return form
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteQuadraticForm is immutable; cannot set {name!r}")
@@ -126,13 +129,13 @@ class FiniteQuadraticForm:
         b = tuple(tuple(s * x for x in row) + pad1 for row in self.b) + tuple(
             pad2 + tuple(t * x for x in row) for row in other.b
         )
-        return FiniteQuadraticForm(self.orders + other.orders, q, b)
+        return FiniteQuadraticForm._trusted(self.orders + other.orders, q, b)
 
     def neg(self) -> "FiniteQuadraticForm":
         n = self.level
         q = tuple(-x % (2 * n) for x in self.q)
         b = tuple(tuple(-x % n for x in row) for row in self.b)
-        return FiniteQuadraticForm(self.orders, q, b)
+        return FiniteQuadraticForm._trusted(self.orders, q, b)
 
     def prime_part(self, p: int) -> "FiniteQuadraticForm":
         """Restriction to the p-Sylow subgroup (cross terms with other primes vanish).
@@ -152,7 +155,7 @@ class FiniteQuadraticForm:
             tuple(ci * cj * self.b[i][j] % n // shrink for j, cj, _ in keep)
             for i, ci, _ in keep
         )
-        return FiniteQuadraticForm(orders, q, b)
+        return FiniteQuadraticForm._trusted(orders, q, b)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -172,74 +175,6 @@ class FiniteQuadraticForm:
             for j, cj in enumerate(y):
                 total += ci * cj * self.b[i][j]
         return total % self.level
-
-    def elements(self):
-        return itertools.product(*(range(d) for d in self.orders))
-
-    def orthogonal_components(self) -> list[tuple[int, ...]]:
-        """Generator index blocks pairwise orthogonal for b (graph components)."""
-        k = self.length()
-        parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.b[i][j] != 0:
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(k):
-            groups.setdefault(find(i), []).append(i)
-        return [tuple(g) for g in sorted(groups.values())]
-
-    def _component_value_counts(self, idxs) -> dict[int, int]:
-        """Values q(x)·N mod 2N over the subgroup spanned by the index block."""
-        size = math.prod(self.orders[i] for i in idxs)
-        if size > ENUM_CAP:
-            raise GroupTooLarge(f"group of order {size} too large to enumerate")
-        orders = [self.orders[i] for i in idxs]
-        qn = [self.q[i] for i in idxs]
-        bn = [[2 * self.b[i][j] for j in idxs] for i in idxs]
-        mod = 2 * self.level
-        counts: dict[int, int] = {}
-        coords = [0] * len(idxs)
-
-        def rec(i, acc):
-            # acc = q(prefix)·N mod 2N
-            if i == len(orders):
-                counts[acc] = counts.get(acc, 0) + 1
-                return
-            row = bn[i]
-            for c in range(orders[i]):
-                coords[i] = c
-                cross = sum(c * coords[j] * row[j] for j in range(i))
-                rec(i + 1, (acc + c * c * qn[i] + cross) % mod)
-
-        rec(0, 0)
-        return counts
-
-    def value_counts(self) -> dict[int, int]:
-        """Multiset of values q(x)·N mod 2N over the whole group.
-
-        Values add across b-orthogonal components, so each component is
-        enumerated separately and the value distributions are convolved; only
-        a component itself may not exceed the enumeration cap.
-        """
-        mod = 2 * self.level
-        total: dict[int, int] = {0: 1}
-        for idxs in self.orthogonal_components():
-            part = self._component_value_counts(idxs)
-            merged: dict[int, int] = {}
-            for v1, c1 in total.items():
-                for v2, c2 in part.items():
-                    key = (v1 + v2) % mod
-                    merged[key] = merged.get(key, 0) + c1 * c2
-            total = merged
-        return total
 
 
 @lru_cache(maxsize=None)
@@ -357,19 +292,44 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
     sums are known in closed form, and s is the sum of the block signatures.
     Raises DegenerateForm when b has a nontrivial radical."""
     return sum(
-        _p_part_signature(form.prime_part(p), p) for p in form.lengths_per_prime()
+        _block_signature(p, m, a)
+        for p in form.lengths_per_prime()
+        for m, a in jordan_blocks(form.prime_part(p), p)
     ) % 8
 
 
-def _p_part_signature(part: FiniteQuadraticForm, p: int) -> int:
-    """Signature mod 8 of a p-group form, by splitting off Jordan blocks.
+def _block_signature(p: int, m: int, a: int | str) -> int:
+    """Signature of one Jordan block, read off its normalized Gauss sum:
+    <a/2^k> gives exp(pi i a/4)·(2/a)^k; <a/p^k>, p odd, gives 1 for k even
+    and ε_p·((a/2)/p) for k odd, ε_p = 1 or i as p = 1 or 3 mod 4; an even
+    2-adic block gives 1 if hyperbolic and (-1)^k if v-type."""
+    odd_k = math.isqrt(m) ** 2 != m  # m = p^k with k odd
+    if a == "u":
+        return 0
+    if a == "v":
+        return 4 * odd_k
+    if p == 2:
+        return a + 4 * (odd_k and a % 8 in (3, 5))
+    if odd_k:
+        return (0 if p % 4 == 1 else 2) + 4 * (legendre(a // 2, p) == -1)
+    return 0
+
+
+def jordan_blocks(part: FiniteQuadraticForm, p: int) -> list[tuple[int, int | str]]:
+    """Orthogonal Jordan splitting of a p-group form, as a list of blocks.
+
+    A block is (m, a), cyclic of order m = p^k with q = a/m on its generator
+    (a = q·m mod 2m, prime to p), or, for p = 2 only, (m, "u") or (m, "v"):
+    an even rank-2 block on (Z/m)^2, hyperbolic (u) or with q odd on every
+    element of order m (v).
 
     At each step m is the largest order among the remaining generators and
     s = N/m; an entry is a unit when entry/s is prime to p.  A generator x of
-    order m with b(x, x) a unit spans a cyclic block <a/m>, a = q(x)·m.  For
-    odd p, two generators w, v of order m with b(w, v) a unit give such an x
-    as w + v; for p = 2 they span an even rank-2 block.  If no order-m
-    generator pairs to a unit with any other, (m/p)·w lies in the radical.
+    order m with b(x, x) a unit spans a cyclic block.  For odd p, two
+    generators w, v of order m with b(w, v) a unit give such an x as w + v;
+    for p = 2 they span an even rank-2 block, of v-type exactly when
+    q(w)·m = q(v)·m = 2 mod 4.  If no order-m generator pairs to a unit with
+    any other, (m/p)·w lies in the radical and DegenerateForm is raised.
     The other generators are projected off the block, y <- y - c·x, which
     keeps a basis (c·x has order dividing that of y) and updates q and b by
     congruence: q(y - cx) = q(y) - 2c·b(y, x) + c^2·q(x).
@@ -389,11 +349,10 @@ def _p_part_signature(part: FiniteQuadraticForm, p: int) -> int:
             b[y][z] = b[z][y] = (b[y][z] - c * b[x][z]) % n
         b[y][y] = byy
 
-    total = 0
+    blocks: list[tuple[int, int | str]] = []
     while live:
         m = max(orders[i] for i in live)
         s = n // m
-        odd_k = math.isqrt(m) ** 2 != m  # m = p^k with k odd
         top = [i for i in live if orders[i] == m]
         w = next((i for i in top if b[i][i] // s % p), None)
         v = None
@@ -401,23 +360,16 @@ def _p_part_signature(part: FiniteQuadraticForm, p: int) -> int:
             w = top[0]
             v = next((j for j in top if b[w][j] // s % p), None)
             if v is None:
-                raise DegenerateForm("degenerate form has no Gauss signature")
+                raise DegenerateForm("degenerate form has no Jordan splitting")
             if p != 2:
                 shift(w, v, -1)  # b(w + v, w + v) = 2·b(w, v) + non-units
                 v = None
-        # Normalized Gauss sums of the blocks: <a/2^k> gives
-        # exp(pi i a/4)·(2/a)^k; <a/p^k>, p odd, gives 1 for k even and
-        # ε_p·((a/2)/p) for k odd, ε_p = 1 or i as p = 1 or 3 mod 4; an even
-        # 2-adic block gives 1 if hyperbolic and (-1)^k if v-type.
         if v is None:
-            a = q[w] // s
-            if p == 2:
-                total += a + 4 * (odd_k and a % 8 in (3, 5))
-            elif odd_k:
-                total += (0 if p % 4 == 1 else 2) + 4 * (legendre(a // 2, p) == -1)
+            blocks.append((m, q[w] // s))
             block, det, adj = (w,), b[w][w] // s, ((1,),)
         else:
-            total += 4 * (odd_k and q[w] // s % 4 == 2 and q[v] // s % 4 == 2)
+            v_type = q[w] // s % 4 == 2 and q[v] // s % 4 == 2
+            blocks.append((m, "v" if v_type else "u"))
             g11, g12, g22 = b[w][w] // s, b[w][v] // s, b[v][v] // s
             block, det, adj = (w, v), g11 * g22 - g12 * g12, ((g22, -g12), (-g12, g11))
         inv = pow(det, -1, m)
@@ -429,7 +381,7 @@ def _p_part_signature(part: FiniteQuadraticForm, p: int) -> int:
                 if c:
                     shift(y, x, c)
         live = rest
-    return total % 8
+    return blocks
 
 
 def delta_invariant(form: FiniteQuadraticForm) -> int:
@@ -482,106 +434,113 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
 
 # -- isomorphism ---------------------------------------------------------------
 
-def _group_type(form: FiniteQuadraticForm) -> tuple[tuple[int, int], ...]:
-    """Multiset of prime powers in the group decomposition, as a sorted tuple."""
-    out = []
-    for d in form.orders:
-        for p in _prime_factors(d):
-            out.append((p, _p_power(d, p)))
-    return tuple(sorted(out))
+def forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
+    """Decide isomorphism of two nondegenerate finite quadratic forms: equal
+    normal keys.  Raises DegenerateForm if either form is degenerate."""
+    return normal_key(f1) == normal_key(f2)
 
+
+def normal_key(form: FiniteQuadraticForm) -> tuple:
+    """A complete isomorphism invariant of a nondegenerate form, read off the
+    Jordan blocks of each p-part: forms are isomorphic iff their keys are
+    equal.  Raises DegenerateForm on a degenerate form.
+
+    The key holds, for each prime p of |A|, one local key; both local keys
+    record the rank at every scale, so the group type is part of the key.
+
+    Odd p: for each scale p^k, the rank and the Legendre symbol of the
+    product of the block units.  A p-group form is the discriminant form of a
+    p-adic lattice without unimodular part, and the classical theory of
+    Jordan decompositions of Z_p-forms says these data classify it.
+
+    p = 2: the set of Conway–Sloane canonical 2-adic symbols (SPLAG ch. 15
+    §7) of K' + U and K' + V, where K' realizes the blocks: <a/2^k> as
+    <2^k·a>, whose discriminant form <a^-1/2^k> is <a/2^k> rescaled by the
+    unit a^-1, and a u or v block as 2^k·U or 2^k·V.  Why this is complete:
+    an even 2-adic lattice L of rank l(A) + 2 with discriminant form q splits
+    as M + K'', M even unimodular of rank 2 (U or V) and K'' of rank l(A)
+    with discriminant form q.  By Nikulin (1979, Thm 1.9.1) K'' is K' or,
+    when q has a cyclic block of order 2 (whose unit is known mod 4 only),
+    possibly K' with that unit times 5; by Cor 1.9.3 L is fixed by q and
+    det L.  As det(K' + V) = 5·det(K' + U) up to squares, the two lattices
+    built here are all such L, whatever Jordan splitting of q they come from,
+    so the set depends on q only up to isomorphism; conversely a lattice in
+    both sets has a discriminant form isomorphic to both forms.
+    """
+    key = []
+    for p in sorted(form.lengths_per_prime()):
+        blocks = jordan_blocks(form.prime_part(p), p)
+        key.append((p, _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)))
+    return tuple(key)
+
+
+def _odd_key(blocks, p: int) -> tuple[tuple[int, int, int], ...]:
+    scales: dict[int, tuple[int, int]] = {}
+    for m, a in blocks:
+        rank, unit = scales.get(m, (0, 1))
+        scales[m] = (rank + 1, unit * a % p)
+    return tuple(sorted((m, r, legendre(u, p)) for m, (r, u) in scales.items()))
+
+
+_EVEN_DET = {"u": 7, "v": 3}  # det U = -1 and det V = 3, mod 8
+
+
+def _two_adic_key(blocks) -> frozenset:
+    """The symbols of K' + U and K' + V, K' built scale by scale as
+    2-adic Jordan constituents (rank, det mod 8, odd, oddity)."""
+    scales: dict[int, tuple[int, int, bool, int]] = {}
+    for m, a in blocks:
+        k = m.bit_length() - 1
+        rank, det, odd, oddity = scales.get(k, (0, 1, False, 0))
+        if a in _EVEN_DET:
+            scales[k] = (rank + 2, det * _EVEN_DET[a] % 8, odd, oddity)
+        else:
+            scales[k] = (rank + 1, det * a % 8, True, (oddity + a) % 8)
+    return frozenset(
+        _canonical_2_adic_symbol({0: (2, det, False, 0), **scales}) for det in _EVEN_DET.values()
+    )
+
+
+def _canonical_2_adic_symbol(scales) -> tuple[tuple[int, int, int, bool, int], ...]:
+    """Conway–Sloane canonical form of a 2-adic symbol given as scale
+    exponent -> (rank, det mod 8, odd, oddity), as (k, rank, sign, odd,
+    oddity) rows.  Signs are (2/det).  Oddity fusion: a compartment (a run of
+    odd constituents at consecutive scales) keeps only its total oddity, on
+    its first row.  Sign walking: within a train (a run in which each pair of
+    neighbouring scales has an odd constituent, an absent scale counting as
+    even) the sign of a row moves to the row before it at the cost of 4 on
+    the oddity of each compartment of the two rows, until only the first row
+    of each train may be negative."""
+    rows = [
+        [k, rank, 1 if det in (1, 7) else -1, odd, oddity]
+        for k, (rank, det, odd, oddity) in sorted(scales.items())
+    ]
+    head: list[int | None] = []  # first row of each row's compartment
+    for i, row in enumerate(rows):
+        h = None
+        if row[3]:
+            prev = rows[i - 1] if i else None
+            h = head[i - 1] if prev and prev[3] and prev[0] == row[0] - 1 else i
+            if h != i:
+                rows[h][4] = (rows[h][4] + row[4]) % 8
+                row[4] = 0
+        head.append(h)
+    for i in range(len(rows) - 1, 0, -1):
+        prev, row = rows[i - 1], rows[i]
+        gap = row[0] - prev[0]
+        same_train = (gap == 1 and (prev[3] or row[3])) or (gap == 2 and prev[3] and row[3])
+        if same_train and row[2] == -1:
+            row[2], prev[2] = 1, -prev[2]
+            for h in {head[i - 1], head[i]} - {None}:
+                rows[h][4] = (rows[h][4] + 4) % 8
+    return tuple(map(tuple, rows))
+
+
+# -- even lattice existence ------------------------------------------------------
 
 def _is_exponent(part: FiniteQuadraticForm, p: int) -> bool:
     return all(d == p for d in part.orders)
 
-
-def forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
-    """Decide isomorphism of two nondegenerate finite quadratic forms.
-
-    Fast paths: odd p-elementary parts compare by (length, discriminant square
-    class); exponent-2 parts by (length, delta, signature mod 8).  Anything
-    else falls back to a brute-force generator-matching search.
-    """
-    if _group_type(f1) != _group_type(f2):
-        return False
-    primes = sorted(set(f1.lengths_per_prime()) | set(f2.lengths_per_prime()))
-    for p in primes:
-        p1, p2 = f1.prime_part(p), f2.prime_part(p)
-        if p != 2 and _is_exponent(p1, p) and _is_exponent(p2, p):
-            if p1.length() != p2.length():
-                return False
-            if odd_disc_class(p1, p) != odd_disc_class(p2, p):
-                return False
-        elif p == 2 and _is_exponent(p1, 2) and _is_exponent(p2, 2):
-            if p1.length() != p2.length():
-                return False
-            if delta_invariant(p1) != delta_invariant(p2):
-                return False
-            if gauss_signature(p1) != gauss_signature(p2):
-                return False
-        else:
-            if not _brute_isomorphic(p1, p2):
-                return False
-    return True
-
-
-def _brute_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
-    if f1.order != f2.order:
-        return False
-    if f1.order > BRUTE_FORCE_CAP:
-        raise GroupTooLarge(f"brute-force isomorphism on group of order {f1.order}")
-    if sorted(f1.value_counts().items()) != sorted(f2.value_counts().items()):
-        return False
-    elements = [tuple(x) for x in f2.elements()]
-    by_order_value: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for x in elements:
-        o = _element_order(x, f2.orders)
-        by_order_value.setdefault((o, f2.value(x)), []).append(x)
-
-    gens = list(range(f1.length()))
-
-    def extend(idx, images):
-        if idx == len(gens):
-            return _spans(images, f2)
-        i = gens[idx]
-        want_order = f1.orders[i]
-        want_q = f1.q[i]
-        for cand in by_order_value.get((want_order, want_q), []):
-            if all(
-                f2.pairing(cand, images[j]) == f1.b[i][gens[j]]
-                for j in range(idx)
-            ):
-                if extend(idx + 1, images + [cand]):
-                    return True
-        return False
-
-    return extend(0, [])
-
-
-def _element_order(x, orders) -> int:
-    o = 1
-    for c, d in zip(x, orders):
-        if c:
-            k = d // math.gcd(c, d)
-            o = o * k // math.gcd(o, k)
-    return o
-
-
-def _spans(images, form: FiniteQuadraticForm) -> bool:
-    """Do the image vectors generate the whole group?"""
-    seen = {tuple([0] * form.length())}
-    frontier = [tuple([0] * form.length())]
-    while frontier:
-        x = frontier.pop()
-        for g in images:
-            y = tuple((a + b) % d for a, b, d in zip(x, g, form.orders))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == form.order
-
-
-# -- even lattice existence ------------------------------------------------------
 
 E4_SEARCH_FACTOR = 2
 
@@ -635,6 +594,7 @@ def _witness_search(s_plus: int, s_minus: int, form: FiniteQuadraticForm) -> boo
 
     rank = s_plus + s_minus
     n = form.order
+    target = normal_key(form)
     bound = E4_SEARCH_FACTOR * n
     if rank == 1:
         candidates = (((2 * k,),) for k in range(-bound // 2, bound // 2 + 1) if k)
@@ -651,6 +611,6 @@ def _witness_search(s_plus: int, s_minus: int, form: FiniteQuadraticForm) -> boo
         if signature_of_symmetric(gram) != (s_plus, s_minus):
             continue
         lat = lattices.Lattice(gram)
-        if forms_isomorphic(lattices.discriminant_data(lat).form, form):
+        if normal_key(lattices.discriminant_data(lat).form) == target:
             return True
     return False

@@ -15,7 +15,6 @@ import json
 from typing import NamedTuple
 
 from .errors import InvalidParameter
-from .fqf import FiniteQuadraticForm, trivial_form, two_elementary_form
 from .lattices import AMBIENT_SIGNATURE
 
 CASE_I = "I"
@@ -77,15 +76,6 @@ def two_elementary_exists(inv: TwoElemInvariants) -> bool:
     if inv.a == 2:
         return sigma in (0, 2, 6)
     return True
-
-
-def form_of(inv: TwoElemInvariants) -> FiniteQuadraticForm | None:
-    """A concrete discriminant form realizing the invariants, if the lattice exists."""
-    if not two_elementary_exists(inv):
-        return None
-    if inv.a == 0:
-        return trivial_form()
-    return two_elementary_form(inv.a, inv.delta, (inv.s_plus - inv.s_minus) % 8)
 
 
 def has_value_three_halves(inv: TwoElemInvariants) -> bool:

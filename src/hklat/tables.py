@@ -215,10 +215,6 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
     return rows
 
 
-def all_tables() -> dict[int, list[AdmissibleTriple]]:
-    return {p: enumerate_triples(p) for p in SUPPORTED_PRIMES}
-
-
 # -- emitters ------------------------------------------------------------------
 
 def _flags(row: AdmissibleTriple) -> str:

@@ -22,7 +22,6 @@ EXIT_CODES = {
     errors.NotPElementary: (2, ValueError),
     errors.DegenerateForm: (2, ValueError),
     errors.NonIntegerResult: (2, ArithmeticError),
-    errors.GroupTooLarge: (3, ValueError),
     errors.UnsupportedRegime: (3, NotImplementedError),
 }
 
@@ -56,7 +55,7 @@ def test_classes_stay_importable_where_they_are_raised():
 
     assert exact.DegenerateForm is fqf.DegenerateForm is hklat.DegenerateForm
     for module, names in (
-        (fqf, ("GroupTooLarge", "UnsupportedRegime")),
+        (fqf, ("InvalidParameter", "UnsupportedRegime")),
         (lattices, ("InvalidParameter", "NotEvenLattice")),
         (classify, ("NotPElementary", "BudgetExceeded")),
         (tables, ("UnsupportedPrime", "NonIntegerResult")),

