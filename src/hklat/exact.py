@@ -7,6 +7,7 @@ tuples of tuples of ints.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import DegenerateForm, InvalidParameter
@@ -19,12 +20,23 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def as_int(x) -> int:
+    """Validate one integer of outside input: an int, not a bool, float or str."""
+    if type(x) is not int:
+        raise InvalidParameter(f"not an integer: {x!r}")
+    return x
+
+
 def as_matrix(rows) -> IntMatrix:
-    """Normalize a nested sequence of ints into an IntMatrix, validating shape."""
+    """Validate outside input as an IntMatrix: equal-length rows of ints (a
+    bool, float or str entry raises rather than being truncated)."""
     try:
-        out = tuple(tuple(int(x) for x in row) for row in rows)
-    except (TypeError, ValueError, OverflowError) as exc:
+        out = tuple(map(tuple, rows))
+    except TypeError as exc:
         raise InvalidParameter(f"not an integer matrix: {exc}") from exc
+    bad = [x for x in itertools.chain.from_iterable(out) if type(x) is not int]
+    if bad:
+        raise InvalidParameter(f"not an integer matrix: entry {bad[0]!r}")
     if out and any(len(row) != len(out[0]) for row in out):
         raise InvalidParameter("ragged matrix")
     return out
@@ -61,7 +73,7 @@ def block_diag(blocks) -> IntMatrix:
             for j, x in enumerate(row):
                 out[off + i][off + j] = x
         off += len(b)
-    return as_matrix(out)
+    return tuple(map(tuple, out))
 
 
 def is_symmetric(m: IntMatrix) -> bool:
@@ -69,43 +81,66 @@ def is_symmetric(m: IntMatrix) -> bool:
     return r == c and all(m[i][j] == m[j][i] for i in range(r) for j in range(i))
 
 
+def orthogonal_components(m: IntMatrix) -> list[list[int]]:
+    """Index sets, each ascending, of the connected components of the graph
+    where i ~ j iff m[i][j] != 0 or m[j][i] != 0; O(n^2).  A simultaneous
+    permutation by them makes m block diagonal."""
+    rest = list(range(len(m)))
+    comps = []
+    while rest:
+        comp, rest = [rest[0]], rest[1:]
+        for i in comp:  # comp grows as its members' neighbours are met
+            row, keep = m[i], []
+            for j in rest:
+                (comp if row[j] or m[j][i] else keep).append(j)
+            rest = keep
+        comps.append(sorted(comp))
+    return comps
+
+
 def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant: the product of fraction-free Bareiss eliminations
+    over the orthogonal components of m.  Unchanged by the split: permuting m
+    to block diagonal form keeps the determinant, the product of the blocks'."""
     n, c = dims(m)
     if n != c:
         raise InvalidParameter("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
+    det = 1
+    for idx in orthogonal_components(m):
+        a = [[m[i][j] for j in idx] for i in idx]
+        n, sign, prev = len(a), 1, 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                for i in range(k + 1, n):
+                    if a[i][k] != 0:
+                        a[k], a[i] = a[i], a[k]
+                        sign = -sign
+                        break
+                else:
+                    return 0
             for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                for j in range(k + 1, n):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                a[i][k] = 0
+            prev = a[k][k]
+        det *= sign * a[n - 1][n - 1]
+    return det
 
 
 def _min_pivot(a, t, rows, cols):
-    """Nonzero entry of the trailing block minimizing (|value|, i, j); None if all zero."""
-    best = None
+    """Nonzero entry of the trailing block minimizing (|value|, i, j); None if
+    all zero.  The scan is row-major, so the first +-1 met is taken on sight."""
+    best, least = None, None
     for i in range(t, rows):
+        row = a[i]
         for j in range(t, cols):
-            if a[i][j] != 0:
-                key = (abs(a[i][j]), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    return None if best is None else (best[1], best[2])
+            x = row[j]
+            if x:
+                if x == 1 or x == -1:
+                    return i, j
+                if best is None or abs(x) < least:
+                    best, least = (i, j), abs(x)
+    return best
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -114,7 +149,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     Returns (U, D, V) with U·m·V = D, U and V unimodular, and D diagonal with
     nonnegative entries d1 | d2 | ... .  Pivot selection is deterministic
     (smallest absolute value, then position), so the transforms are
-    reproducible.
+    reproducible.  A unit pivot, taken on sight, skips the divisibility sweep;
+    the transforms are unchanged, as the full scan would pick the same entry
+    and a unit divides every entry.
     """
     rows, cols = dims(m)
     a = [list(row) for row in m]
@@ -171,14 +208,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if dirty:
                 continue
             # Enforce divisibility of the trailing block by the pivot.
-            culprit = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            p = a[t][t]
+            culprit = None if p in (1, -1) else next(
+                (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p), None
+            )
             if culprit is None:
                 break
             row_add(t, culprit, 1)
@@ -187,8 +220,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    return as_matrix(u), as_matrix(d), as_matrix(v)
+    d = tuple(tuple(a[i][j] if i == j else 0 for j in range(cols)) for i in range(rows))
+    return tuple(map(tuple, u)), d, tuple(map(tuple, v))
 
 
 def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
@@ -206,33 +239,39 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
     remaining block, and a Schur step on a nonzero pivot lowers it by exactly
     one.  So a singular matrix reaches a block whose leading row is zero, and
     only a singular one does; that is where `DegenerateForm` is raised.
+
+    The elimination runs on each orthogonal component of m and the counts
+    add up.  Unchanged by the split: permuting m to block diagonal form is a
+    congruence, and the inertia of a block diagonal matrix is the sum of its
+    blocks'; m is singular iff a block is.
     """
     n, c = dims(m)
     if n != c or not is_symmetric(m):
         raise InvalidParameter("signature requires a symmetric square matrix")
-    a = [list(row) for row in m]
     plus = minus = 0
-    while a:
-        if not any(a[0]):
-            raise DegenerateForm("matrix is singular")
-        if a[0][0] == 0:
-            i = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
-            if i is not None:  # symmetric swap of indices 0 and i
-                a[0], a[i] = a[i], a[0]
-                for row in a:
-                    row[0], row[i] = row[i], row[0]
-            else:  # row_0 += row_j and col_0 += col_j
-                j = next(j for j in range(1, len(a)) if a[0][j] != 0)
-                a[0] = [x + y for x, y in zip(a[0], a[j])]
-                for row in a:
-                    row[0] += row[j]
-        p = a[0][0]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
-        s = 1 if p > 0 else -1
-        rest = [[s * (p * x - r[0] * y) for x, y in zip(r[1:], a[0][1:])] for r in a[1:]]
-        g = math.gcd(*(x for row in rest for x in row))
-        a = [[x // g for x in row] for row in rest] if g > 1 else rest
+    for idx in orthogonal_components(m):
+        a = [[m[i][j] for j in idx] for i in idx]
+        while a:
+            if not any(a[0]):
+                raise DegenerateForm("matrix is singular")
+            if a[0][0] == 0:
+                i = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
+                if i is not None:  # symmetric swap of indices 0 and i
+                    a[0], a[i] = a[i], a[0]
+                    for row in a:
+                        row[0], row[i] = row[i], row[0]
+                else:  # row_0 += row_j and col_0 += col_j
+                    j = next(j for j in range(1, len(a)) if a[0][j] != 0)
+                    a[0] = [x + y for x, y in zip(a[0], a[j])]
+                    for row in a:
+                        row[0] += row[j]
+            p = a[0][0]
+            if p > 0:
+                plus += 1
+            else:
+                minus += 1
+            s = 1 if p > 0 else -1
+            rest = [[s * (p * x - r[0] * y) for x, y in zip(r[1:], a[0][1:])] for r in a[1:]]
+            g = math.gcd(*(x for row in rest for x in row))
+            a = [[x // g for x in row] for row in rest] if g > 1 else rest
     return plus, minus

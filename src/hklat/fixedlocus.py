@@ -13,7 +13,7 @@ import json
 from typing import NamedTuple
 
 from .errors import InvalidParameter
-from .exact import is_prime
+from .exact import as_int, is_prime
 from .tables import h_star, lefschetz_chi
 
 
@@ -262,12 +262,12 @@ HILB2_NATURAL_355 = K3FixedLocus(p=3, k=2, n=(0, 5))
 def k3_fixed_locus_from_json(text: str) -> K3FixedLocus:
     try:
         data = json.loads(text)
-        p = int(data["p"])
-        k = int(data.get("k", 0))
+        p = as_int(data["p"])
+        k = as_int(data.get("k", 0))
         n = data.get("n")
-        n = (0,) * (p - 1) if n is None else tuple(int(x) for x in n)
+        n = (0,) * (p - 1) if n is None else tuple(map(as_int, n))
         genus = data.get("genus_curve")
-        genus = None if genus is None else int(genus)
+        genus = None if genus is None else as_int(genus)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed fixed-locus JSON: {exc!r}") from exc
     return K3FixedLocus(p=p, k=k, n=n, genus_curve=genus)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidParameter, NotEvenLattice
@@ -336,11 +335,12 @@ def ambient_lattice() -> Lattice:
 # -- discriminant data ------------------------------------------------------------
 
 class DiscriminantData(NamedTuple):
-    """Discriminant group of a lattice: invariant factors, dual-vector generators
-    (rational coordinates in the lattice basis), and the quadratic form."""
+    """Discriminant group of a lattice: invariant factors d_i, generators as the
+    integer columns v_i (the dual vector x_i = v_i / d_i in the lattice basis),
+    and the quadratic form."""
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     form: FiniteQuadraticForm
 
 
@@ -376,8 +376,7 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
         tuple(_dot(vj, wi) * (level // dj) % level for vj, dj in zip(cols, factors))
         for wi in ws
     )
-    gens = tuple(tuple(Fraction(x, di) for x in vi) for vi, di in zip(cols, factors))
-    return DiscriminantData(factors, gens, FiniteQuadraticForm(factors, q_vals, b_rows))
+    return DiscriminantData(factors, tuple(cols), FiniteQuadraticForm(factors, q_vals, b_rows))
 
 
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:

@@ -1,0 +1,88 @@
+"""Full-scan Smith normal form, for tests only.
+
+This is the elimination `hklat.exact.smith_normal_form` performs, without its
+two shortcuts: every pivot search scans the whole trailing block for the
+least (|value|, i, j), and the divisibility sweep runs after every pivot,
+also a unit one.  The library must return the same (U, D, V).
+"""
+
+
+def min_pivot(a, t, rows, cols):
+    """Nonzero entry of the trailing block minimizing (|value|, i, j); None if all zero."""
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            if a[i][j] != 0:
+                key = (abs(a[i][j]), i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+    return None if best is None else (best[1], best[2])
+
+
+def smith_normal_form(m):
+    """(U, D, V) with U·m·V = D, by the library's pivot rule, scanned in full."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = [list(row) for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def col_add(i, j, q):  # col_i += q * col_j
+        for r in range(rows):
+            a[r][i] += q * a[r][j]
+        for r in range(cols):
+            v[r][i] += q * v[r][j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    t = 0
+    while t < min(rows, cols):
+        loc = min_pivot(a, t, rows, cols)
+        if loc is None:
+            break
+        i, j = loc
+        if i != t:
+            row_swap(t, i)
+        if j != t:
+            col_swap(t, j)
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    row_add(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    col_add(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            culprit = next(
+                (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % a[t][t]),
+                None,
+            )
+            if culprit is None:
+                break
+            row_add(t, culprit, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    return tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v))

@@ -176,6 +176,12 @@ INPUT_FILES = {
     "misnamed.json": '{"gram": [[0, 1], [1, 0]], "name": "A2"}',
     "empty.json": "{}",
     "locus.json": '{"p": 3, "k": 2, "n": [0, 5]}',
+    "float.json": '{"gram": [[2.9, 1], [1, 2]]}',
+    "bool.json": '{"gram": [[true]]}',
+    "string.json": '{"gram": [["2", "1"], ["1", "2"]]}',
+    "float_p.json": '{"p": 3.7, "k": 2, "n": [0, 5]}',
+    "float_n.json": '{"p": 3, "k": 2, "n": [0, 5.0]}',
+    "bool_k.json": '{"p": 3, "k": true, "n": [0, 5]}',
 }
 
 
@@ -192,6 +198,13 @@ FAILURES = [
     (("census", "empty.json"), 1),
     (("local-actions", "--prime", "4"), 1),
     (("census", "locus.json", "--check", "3,5"), 1),
+    (("invariants", "float.json"), 1),
+    (("embed", "--expr", "float.json"), 1),
+    (("invariants", "bool.json"), 1),
+    (("invariants", "string.json"), 1),
+    (("census", "float_p.json"), 1),
+    (("census", "float_n.json"), 1),
+    (("census", "bool_k.json"), 1),
     (("invariants", "odd.json"), 2),
 ]
 

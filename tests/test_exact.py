@@ -4,16 +4,23 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.utilities.iterables import connected_components
 
+import snf_oracle
 from hklat.exact import (
     DegenerateForm,
     as_matrix,
+    block_diag,
     det_exact,
     identity,
     mat_mul,
+    orthogonal_components,
     signature_of_symmetric,
     smith_normal_form,
 )
+from hklat.lattices import realize
+from hklat.tables import LATTICE_NAMES
+from test_lattices import CATALOG_ATOMS
 
 A2 = ((-2, 1), (1, -2))
 U = ((0, 1), (1, 0))
@@ -203,3 +210,103 @@ def test_signature_rejects_hyperbolic_plus_zero():
     for m in (((0,),), u_plus_zero, zero_first):
         with pytest.raises(DegenerateForm):
             signature_of_symmetric(m)
+
+
+# -- Smith form shortcuts against the full scan ----------------------------------
+
+shaped_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda rc: st.lists(
+        st.lists(st.integers(-3, 3), min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0],
+        max_size=rc[0],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(shaped_matrices, small_matrices))
+def test_snf_transforms_match_full_scan_oracle(rows):
+    m = as_matrix(rows)
+    assert smith_normal_form(m) == snf_oracle.smith_normal_form(m)
+
+
+def test_snf_transforms_match_oracle_on_catalog_and_table_lattices():
+    names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair}
+    for name in sorted(names):
+        gram = realize(name).gram
+        assert smith_normal_form(gram) == snf_oracle.smith_normal_form(gram), name
+
+
+# -- orthogonal components ---------------------------------------------------------
+
+def _components_oracle(m):
+    n = len(m)
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j and (m[i][j] or m[j][i])]
+    return sorted(sorted(c) for c in connected_components((list(range(n)), edges)))
+
+
+@st.composite
+def permuted_block_sums(draw):
+    """(m, singular): a block-diagonal symmetric matrix under a random
+    simultaneous permutation, with blocks U(k) (zero diagonal), <n> (1x1),
+    random symmetric ones, and at most one singular block."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("U", "1x1", "dense")))
+        if kind == "U":
+            k = draw(st.integers(-3, 3).filter(bool))
+            blocks.append(((0, k), (k, 0)))
+        elif kind == "1x1":
+            blocks.append(((draw(st.integers(-6, 6).filter(bool)),),))
+        else:
+            blocks.append(draw(symmetric_matrices().filter(lambda b: len(b) <= 3)))
+    if draw(st.booleans()):
+        singular = draw(singular_matrices().filter(lambda b: len(b) <= 4))
+        blocks.insert(draw(st.integers(0, len(blocks))), singular)
+    singular = any(sympy.Matrix(b).det() == 0 for b in blocks)
+    m = block_diag(blocks)
+    perm = draw(st.permutations(range(len(m))))
+    return tuple(tuple(m[i][j] for j in perm) for i in perm), singular
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_block_sums())
+def test_components_det_and_signature_match_oracles(case):
+    m, singular = case
+    assert orthogonal_components(m) == _components_oracle(m)
+    assert det_exact(m) == sympy.Matrix(m).det()
+    if singular:
+        with pytest.raises(DegenerateForm):
+            signature_of_symmetric(m)
+    else:
+        assert signature_of_symmetric(m) == _signature_by_descartes(m)
+
+
+@st.composite
+def one_sided_matrices(draw):
+    """Square matrices in which many pairs (i, j) have exactly one of m[i][j],
+    m[j][i] zero."""
+    n = draw(st.integers(2, 6))
+    m = [[draw(st.integers(-4, 4)) if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            side = draw(st.sampled_from(("none", "upper", "lower", "both")))
+            if side in ("upper", "both"):
+                m[i][j] = draw(st.integers(-4, 4).filter(bool))
+            if side in ("lower", "both"):
+                m[j][i] = draw(st.integers(-4, 4).filter(bool))
+    return as_matrix(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_sided_matrices())
+def test_components_of_one_sided_patterns(m):
+    assert orthogonal_components(m) == _components_oracle(m)
+    assert det_exact(m) == sympy.Matrix(m).det()
+
+
+def test_components_of_named_sum():
+    # U^2 + E8^2 + A2 splits into its atoms: ranks 2, 2, 8, 8, 2
+    comps = orthogonal_components(realize("U^2 + E8^2 + A2").gram)
+    assert [len(c) for c in comps] == [2, 2, 8, 8, 2]
+    assert orthogonal_components(()) == []

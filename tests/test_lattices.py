@@ -126,18 +126,26 @@ def test_discriminant_data_minus_two():
     assert data.form.q == (3,)  # 3/2 at level 2
 
 
+def _dual_generators(data):
+    """The dual vectors x_i = v_i / d_i, from the integer columns v_i."""
+    return [
+        tuple(Fraction(x, d) for x in v)
+        for v, d in zip(data.generators, data.invariant_factors)
+    ]
+
+
 def test_discriminant_generators_are_dual_vectors():
     rng = random.Random(3)
     for name in ("A2", "U(3)", "D4", "E6", "<6>", "K7"):
         lat = realize(name)
-        data = discriminant_data(lat)
+        gens = _dual_generators(discriminant_data(lat))
         n = lat.rank
-        for g in data.generators:
+        for g in gens:
             # membership in the dual lattice: integer pairing with every basis vector
             pair = [sum(g[i] * lat.gram[i][j] for i in range(n)) for j in range(n)]
             assert all(x.denominator == 1 for x in pair)
         # q is well defined modulo the lattice
-        for g in data.generators:
+        for g in gens:
             v = [rng.randint(-3, 3) for _ in range(n)]
             shifted = tuple(x + y for x, y in zip(g, v))
             norm = sum(
@@ -241,8 +249,9 @@ def test_integer_form_matches_dual_generators():
         lat = realize(name)
         data = discriminant_data(lat)
         form, gram, n = data.form, lat.gram, lat.rank
-        for i, x in enumerate(data.generators):
-            for j, y in enumerate(data.generators):
+        gens = _dual_generators(data)
+        for i, x in enumerate(gens):
+            for j, y in enumerate(gens):
                 pair = sum(x[r] * gram[r][c] * y[c] for r in range(n) for c in range(n))
                 assert Fraction(form.b[i][j], form.level) == pair % 1, name
                 if i == j:
