@@ -10,7 +10,6 @@ from .errors import (
     NotEvenLattice,
     NotPElementary,
     UnsupportedPrime,
-    UnsupportedRegime,
 )
 from .exact import (
     det_exact,
@@ -49,11 +48,8 @@ from .classify import (
     LatticeInvariants,
     embed_in_L,
     genus_unique,
-    hyperbolic_p_elementary_exists,
-    indefinite_p_elementary_exists,
     invariants_of,
     recognize,
-    split_off_U,
 )
 from .tables import (
     AdmissibleTriple,

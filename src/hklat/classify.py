@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InvalidParameter, NotPElementary, UnsupportedRegime
+from .errors import BudgetExceeded, InvalidParameter, NotPElementary
 from .exact import is_prime
 from .fqf import (
     FiniteQuadraticForm,
@@ -70,89 +70,14 @@ def invariants_of(lattice: Lattice) -> LatticeInvariants:
 
 # -- existence ------------------------------------------------------------------
 
-def hyperbolic_p_elementary_exists(p: int, r: int, a: int) -> bool:
-    """Existence of an even hyperbolic p-elementary lattice (p odd) of rank r,
-    discriminant group (Z/p)^a."""
-    if p == 2 or not is_prime(p):
-        raise InvalidParameter("p must be an odd prime")
-    if r < 2 or a < 0 or a > r or r % 2:
-        return False
-    if a % 2 == 0:
-        if r % 4 != 2:
-            return False
-    else:
-        if (p - (-1) ** (r // 2 - 1)) % 4 != 0:
-            return False
-    if r % 8 != 2 and not (r > a > 0):
-        return False
-    return True
-
-
-def split_off_U(s_plus: int, s_minus: int, a: int) -> bool:
-    """Whether a hyperbolic-plane summand splits off: rank >= 3 + length."""
-    if s_plus <= 0 or s_minus <= 0:
-        raise InvalidParameter("splitting requires an indefinite lattice")
-    return s_plus + s_minus >= 3 + a
-
-
-def _definite_binary_exists(positive: bool, p: int, a: int) -> bool:
-    """Search reduced even binary definite forms of |det| = p^a that are
-    p-elementary of length a.
-
-    Reduced positive forms [[2x, b], [b, 2z]] satisfy 0 <= b <= x <= z, so
-    3x^2 <= 4xz - b^2 = p^a bounds the search exhaustively.
-    """
-    sign = 1 if positive else -1
-    target = p**a
-    x = 1
-    while 3 * x * x <= target:
-        for b in range(0, x + 1):
-            num = target + b * b
-            if num % (4 * x) == 0:
-                z = num // (4 * x)
-                if z >= x:
-                    gram = ((sign * 2 * x, sign * b), (sign * b, sign * 2 * z))
-                    factors = discriminant_data(Lattice(gram)).invariant_factors
-                    if len(factors) == a and all(f == p for f in factors):
-                        return True
-        x += 1
-    return False
-
-
-def indefinite_p_elementary_exists(p: int, s_plus: int, s_minus: int, a: int) -> bool:
-    """Existence of an even p-elementary lattice (p odd) of signature
-    (s_plus, s_minus) and length a, for s_plus in {1, 2}."""
-    if s_plus not in (1, 2):
-        raise UnsupportedRegime("only signatures with s_plus in {1, 2} are handled")
-    rank = s_plus + s_minus
-    if a < 0 or a > rank:
-        return False
-    if s_plus == 1:
-        if s_minus == 0:
-            return False  # rank-one even lattices are never p-elementary for odd p
-        return hyperbolic_p_elementary_exists(p, rank, a)
-    if s_minus == 0:
-        if a == 0:
-            return False  # no even unimodular positive definite lattice of rank 2
-        return _definite_binary_exists(True, p, a)
-    if rank >= 3 + a:
-        return hyperbolic_p_elementary_exists(p, rank - 2, a)
-    # short lattices (a > rank - 3): decide by the general existence conditions
-    for nonresidue in (False, True):
-        q = p_elementary_form(p, a, nonresidue)
-        ok, _ = even_lattice_exists_report(s_plus, s_minus, q)
-        if ok:
-            return True
-        if a == 0:
-            break
-    return False
-
-
 def p_elementary_form_for_signature(
     p: int, s_plus: int, s_minus: int, a: int
 ) -> FiniteQuadraticForm | None:
     """The p-elementary form of length a whose Gauss signature matches the
-    signature mod 8; None when neither discriminant class matches."""
+    signature mod 8; None when neither discriminant class matches.  For
+    a >= 1 the two classes differ by 4 in Gauss signature, so at most one
+    matches, and an even lattice S with these invariants exists iff the form
+    is not None and fqf.even_lattice_exists(s_plus, s_minus, form)."""
     if a == 0:
         return trivial_form() if (s_plus - s_minus) % 8 == 0 else None
     for nonresidue in (False, True):

@@ -4,8 +4,8 @@ Subcommands: invariants, tables, figures, embed, involution, census,
 local-actions.  Each subcommand computes its whole answer before printing, so
 a failure leaves stdout empty.  Exit codes: 1 malformed input (bad parameters,
 unparsable expressions or JSON, unreadable files), 2 a mathematical rejection
-(e.g. a Gram matrix that is not an even lattice, a failed cross-check), 3 valid
-input beyond the implemented range.  Output is deterministic.
+(e.g. a Gram matrix that is not an even lattice, a failed cross-check).
+Output is deterministic.
 """
 
 from __future__ import annotations

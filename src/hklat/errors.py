@@ -4,8 +4,7 @@ Every error the package raises is an ``HklatError`` carrying the exit code the
 command line reports for it:
 
 * 1 -- malformed input (bad parameters, unparsable expressions or JSON);
-* 2 -- mathematical rejection (odd or degenerate forms, impossible invariants);
-* 3 -- valid input beyond the implemented range.
+* 2 -- mathematical rejection (odd or degenerate forms, impossible invariants).
 
 Each class also keeps a built-in base, so ``except ValueError`` and the like
 still catch it.
@@ -59,12 +58,3 @@ class NonIntegerResult(HklatError, ArithmeticError):
 
     exit_code = 2
 
-
-# -- 3: beyond the implemented range ---------------------------------------------
-# Only the even-lattice existence test has such a range; no part of the package
-# enumerates a finite group, so no error depends on the size of one.
-
-class UnsupportedRegime(HklatError, NotImplementedError):
-    """Existence test hit a case outside the implemented conditions."""
-
-    exit_code = 3

@@ -8,21 +8,20 @@ Q/Z.  Values on arbitrary elements follow from
 
 Every value is stored as an integer at the level N = lcm(d1, ..., dk):
 q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
-(1/d_i)Z.  All arithmetic is on integers.  The Gauss signature and the
-isomorphism class are both read off an orthogonal splitting into Jordan
-blocks; nothing is enumerated over the group.
+(1/d_i)Z.  All arithmetic is on integers.  The Gauss signature, the
+isomorphism class and the existence of an even lattice are read off an
+orthogonal splitting into Jordan blocks; nothing is enumerated over the group.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DegenerateForm, InvalidParameter, UnsupportedRegime
-from .exact import det_exact, signature_of_symmetric
+from .errors import DegenerateForm, InvalidParameter
+from .exact import det_exact
 
 THREE_HALF = Fraction(3, 2)
 
@@ -71,7 +70,8 @@ class FiniteQuadraticForm:
     @classmethod
     def _trusted(cls, orders, q, b) -> "FiniteQuadraticForm":
         """Wrap data already known valid, without the checks of __init__; for
-        builders whose inputs are valid forms (dsum, neg, prime_part)."""
+        builders whose inputs are valid forms (dsum, neg, prime_part) and for
+        p_elementary_form."""
         form = object.__new__(cls)
         object.__setattr__(form, "orders", orders)
         object.__setattr__(form, "q", q)
@@ -141,7 +141,10 @@ class FiniteQuadraticForm:
         """Restriction to the p-Sylow subgroup (cross terms with other primes vanish).
 
         The p-part of g_i is c_i·g_i with c_i = d_i / p^k; its values, read at
-        the level N, are multiples of N / N_p (N_p the p-part's level)."""
+        the level N, are multiples of N / N_p (N_p the p-part's level).  A
+        p-group form is its own p-part."""
+        if all(_p_power(d, p) == d for d in self.orders):
+            return self
         n = self.level
         keep = []
         for i, d in enumerate(self.orders):
@@ -235,16 +238,13 @@ def v_block() -> FiniteQuadraticForm:
 
 
 def p_elementary_form(p: int, a: int, nonresidue: bool = False) -> FiniteQuadraticForm:
-    """(Z/p)^a with generator values 2/p, the last one 2n/p for a nonresidue n if asked."""
-    if a == 0:
-        return trivial_form()
+    """(Z/p)^a, diagonal at level p, with generator values 2/p, the last one
+    2n/p for a nonresidue n if asked."""
     us = [1] * a
-    if nonresidue:
+    if nonresidue and a:
         us[-1] = _least_nonresidue(p)
-    form = trivial_form()
-    for u in us:
-        form = form.dsum(cyclic_form(p, Fraction(2 * u, p)))
-    return form
+    b = tuple(tuple(2 * u % p if i == j else 0 for j in range(a)) for i, u in enumerate(us))
+    return FiniteQuadraticForm._trusted((p,) * a, tuple(2 * u for u in us), b)
 
 
 def _least_nonresidue(p: int) -> int:
@@ -376,6 +376,8 @@ def jordan_blocks(part: FiniteQuadraticForm, p: int) -> list[tuple[int, int | st
         rest = [y for y in live if y not in block]
         for y in rest:  # c = b(y, block)·G^-1 mod m, G the block's Gram over s
             t = [b[y][x] // s for x in block]
+            if not any(t):
+                continue  # y is already orthogonal to the block
             for x, row in zip(block, adj):
                 c = inv * sum(r * ti for r, ti in zip(row, t)) % m
                 if c:
@@ -538,13 +540,6 @@ def _canonical_2_adic_symbol(scales) -> tuple[tuple[int, int, int, bool, int], .
 
 # -- even lattice existence ------------------------------------------------------
 
-def _is_exponent(part: FiniteQuadraticForm, p: int) -> bool:
-    return all(d == p for d in part.orders)
-
-
-E4_SEARCH_FACTOR = 2
-
-
 def even_lattice_exists(s_plus: int, s_minus: int, form: FiniteQuadraticForm) -> bool:
     ok, _ = even_lattice_exists_report(s_plus, s_minus, form)
     return ok
@@ -556,61 +551,42 @@ def even_lattice_exists_report(
     """Existence of an even lattice with signature (s_plus, s_minus) and this
     discriminant form, with the name of the failing condition when false.
 
-    Conditions: (E1) signature bounds and length <= rank; (E2) the Gauss/Milgram
-    signature; (E3) the p-adic determinant square-class test when an odd prime
-    part has full length; (E4) a bounded witness search when the 2-part has
-    full length (rank <= 2 only).
+    Nikulin (1979), Thm 1.10.1: such a lattice exists iff
+    (E1) s_plus, s_minus >= 0 and every p-part has length l(A_p) <= rank;
+    (E2) s_plus - s_minus is the Gauss signature mod 8;
+    and, for each p with l(A_p) = rank, the unit u = (-1)^s_minus·|A| / |A_p|
+    matches discr K(q_p), the determinant of the p-adic lattice of rank
+    l(A_p) with discriminant form q_p, up to squares of p-adic units:
+    (E3:p=<p>, p odd) u ≡ discr K(q_p);
+    (E4, p = 2) u ≡ ±discr K(q_2), unless q_2 has a cyclic block of order 2.
+
+    discr K(q_p) is read off the Jordan blocks.  A cyclic block <a/m> is the
+    discriminant form of <m·a^-1>, and a^-1 = a·(a^-1)^2 is a times a square,
+    so the block contributes m·a; a u or v block is that of m·U or m·V and
+    contributes m^2·det U = -m^2 or m^2·det V = 3m^2.  The m's multiply to
+    |A_p|, the p-part of |A|, so only the units are compared.  A cyclic block
+    of order 2 knows its a mod 4 only, which leaves the square class of the
+    2-adic unit open (a and a + 4 differ by 5, a non-square); there K(q_2)
+    is not unique and the theorem drops the test.
     """
     rank = s_plus + s_minus
-    if s_plus < 0 or s_minus < 0:
-        return False, "E1"
     lengths = form.lengths_per_prime()
-    if rank == 0:
-        return (form.is_trivial(), None if form.is_trivial() else "E1")
-    if lengths and max(lengths.values()) > rank:
+    if s_plus < 0 or s_minus < 0 or max(lengths.values(), default=0) > rank:
         return False, "E1"
     if gauss_signature(form) != (s_plus - s_minus) % 8:
         return False, "E2"
-    if lengths.get(2, 0) == rank:
-        if rank > 2:
-            raise UnsupportedRegime("full-length 2-part with rank > 2")
-        ok = _witness_search(s_plus, s_minus, form)
-        return (ok, None if ok else "E4")
     for p in sorted(lengths):
-        if p == 2 or lengths[p] != rank:
+        if lengths[p] != rank:
             continue
         part = form.prime_part(p)
-        if not _is_exponent(part, p):
-            raise UnsupportedRegime(f"full-length non-elementary {p}-part")
-        unit = ((-1) ** s_minus * form.order) // p ** lengths[p]
-        if legendre(unit, p) * odd_disc_class(part, p) != 1:
-            return False, f"E3:p={p}"
+        blocks = jordan_blocks(part, p)
+        unit = (-1) ** s_minus * form.order // part.order
+        disc = math.prod(_EVEN_DET.get(a, a) for _, a in blocks)
+        if p != 2:
+            if legendre(unit * disc, p) == -1:
+                return False, f"E3:p={p}"
+        elif unit * disc % 8 not in (1, 7) and not any(
+            m == 2 and a not in _EVEN_DET for m, a in blocks
+        ):
+            return False, "E4"
     return True, None
-
-
-def _witness_search(s_plus: int, s_minus: int, form: FiniteQuadraticForm) -> bool:
-    """Exhaustive search over small even Gram matrices of rank 1 or 2."""
-    from . import lattices  # local import; lattices depends on this module
-
-    rank = s_plus + s_minus
-    n = form.order
-    target = normal_key(form)
-    bound = E4_SEARCH_FACTOR * n
-    if rank == 1:
-        candidates = (((2 * k,),) for k in range(-bound // 2, bound // 2 + 1) if k)
-    else:
-        diagonal = range(-bound, bound + 1, 2)
-        candidates = (
-            ((a, b), (b, c))
-            for a, c, b in itertools.product(diagonal, diagonal, range(bound + 1))
-        )
-    for gram in candidates:
-        d = det_exact(gram)
-        if d == 0 or abs(d) != n:
-            continue
-        if signature_of_symmetric(gram) != (s_plus, s_minus):
-            continue
-        lat = lattices.Lattice(gram)
-        if normal_key(lattices.discriminant_data(lat).form) == target:
-            return True
-    return False

@@ -24,9 +24,9 @@ from .errors import InvalidParameter, NonIntegerResult, UnsupportedPrime
 from .classify import (
     LatticeInvariants,
     embed_in_L,
-    indefinite_p_elementary_exists,
     p_elementary_form_for_signature,
 )
+from .fqf import even_lattice_exists
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
@@ -177,10 +177,8 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
         if rank_s < 2:
             continue
         for a in range(0, min(rank_s, 23 - rank_s, m) + 1):
-            if not indefinite_p_elementary_exists(p, 2, rank_s - 2, a):
-                continue
             form = p_elementary_form_for_signature(p, 2, rank_s - 2, a)
-            if form is None:
+            if form is None or not even_lattice_exists(2, rank_s - 2, form):
                 continue
             s_inv = LatticeInvariants(2, rank_s - 2, p if a else 0, a, form)
             report = embed_in_L(s_inv)

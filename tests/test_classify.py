@@ -2,43 +2,47 @@ from fractions import Fraction
 
 import pytest
 
+from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
 from golden_data import TABLE_ROWS
 from hklat.classify import (
     LatticeInvariants,
     NotPElementary,
     embed_in_L,
     genus_unique,
-    hyperbolic_p_elementary_exists,
-    indefinite_p_elementary_exists,
     invariants_of,
     p_elementary_form_for_signature,
     recognize,
-    split_off_U,
 )
-from hklat.fqf import UnsupportedRegime, cyclic_form, forms_isomorphic, trivial_form
+from hklat.fqf import (
+    cyclic_form,
+    even_lattice_exists,
+    even_lattice_exists_report,
+    forms_isomorphic,
+    p_elementary_form,
+    trivial_form,
+)
 from hklat.lattices import discriminant_form, realize
 
 F = Fraction
 
 
+def library_p_elementary_exists(p, s_plus, s_minus, a):
+    """The library's route, as tables.enumerate_triples takes it."""
+    form = p_elementary_form_for_signature(p, s_plus, s_minus, a)
+    return form is not None and even_lattice_exists(s_plus, s_minus, form)
+
+
 def test_hyperbolic_existence_examples():
-    assert hyperbolic_p_elementary_exists(3, 16, 1)
-    assert not hyperbolic_p_elementary_exists(3, 4, 0)
-    assert hyperbolic_p_elementary_exists(3, 2, 2)  # witness U(3)
+    for p, r, a, exists in ((3, 16, 1, True), (3, 4, 0, False), (3, 2, 2, True)):  # U(3)
+        assert hyperbolic_p_elementary_exists(p, r, a) == exists
+        assert library_p_elementary_exists(p, 1, r - 1, a) == exists
 
 
 def test_hyperbolic_existence_matches_witnesses():
-    # every true case with a small rank admits a catalog witness and vice versa
-    witnesses = {
-        (2, 0): "U",
-        (2, 2): "U(3)",
-        (4, 1): None,  # parity: rank 4 with odd a needs p = 3 mod 4... p=3 qualifies
-    }
     assert hyperbolic_p_elementary_exists(3, 4, 1)
     lat = realize("U + A2")
     assert lat.signature() == (1, 3)
-    ok = indefinite_p_elementary_exists(3, 1, 3, 1)
-    assert ok
+    assert library_p_elementary_exists(3, 1, 3, 1)
 
 
 def test_split_off_U():
@@ -48,14 +52,17 @@ def test_split_off_U():
 
 
 def test_indefinite_existence_examples():
-    assert indefinite_p_elementary_exists(3, 2, 16, 1)
-    assert indefinite_p_elementary_exists(3, 2, 0, 1)  # witness A2(-1)
-    assert not indefinite_p_elementary_exists(3, 2, 16, 18)  # a > rank
-    assert not indefinite_p_elementary_exists(3, 2, 0, 0)
-    assert not indefinite_p_elementary_exists(3, 2, 0, 2)
-    assert indefinite_p_elementary_exists(3, 2, 2, 2)  # witness U + U(3)
-    with pytest.raises(UnsupportedRegime):
-        indefinite_p_elementary_exists(3, 3, 10, 1)
+    assert library_p_elementary_exists(3, 2, 16, 1)
+    assert library_p_elementary_exists(3, 2, 0, 1)  # witness A2(-1)
+    assert not library_p_elementary_exists(3, 2, 16, 18)  # a > rank
+    assert not library_p_elementary_exists(3, 2, 0, 0)
+    assert not library_p_elementary_exists(3, 2, 0, 2)
+    assert library_p_elementary_exists(3, 2, 2, 2)  # witness U + U(3)
+    # signature 3 - 10 = 1 mod 8 is no Gauss signature of a 3-elementary form
+    assert not library_p_elementary_exists(3, 3, 10, 1)
+    for nonresidue in (False, True):
+        form = p_elementary_form(3, 1, nonresidue)
+        assert even_lattice_exists_report(3, 10, form) == (False, "E2")
 
 
 def _invariants(name):
@@ -176,8 +183,6 @@ def test_round_trip_s_to_t():
 def test_hyperbolic_existence_has_catalog_witnesses():
     # whenever the closed conditions hold (small ranks), the recognizer finds
     # a catalog sum with exactly those invariants
-    from hklat.classify import p_elementary_form_for_signature
-
     for p in (3, 7):
         for r in range(2, 13, 2):
             for a in range(0, min(r, 6) + 1):
@@ -195,16 +200,12 @@ def test_hyperbolic_existence_has_catalog_witnesses():
 
 def test_hyperbolic_closed_conditions_agree_with_general_test():
     # dual route: the closed-form conditions match the general existence test
-    from hklat.fqf import even_lattice_exists
-
     for p in (3, 5, 7):
         for r in range(2, 17, 2):
             for a in range(0, min(r, 8) + 1):
                 closed = hyperbolic_p_elementary_exists(p, r, a)
                 general = False
                 for nonresidue in (False, True):
-                    from hklat.fqf import p_elementary_form
-
                     q = p_elementary_form(p, a, nonresidue)
                     if even_lattice_exists(1, r - 1, q):
                         general = True

@@ -22,7 +22,6 @@ EXIT_CODES = {
     errors.NotPElementary: (2, ValueError),
     errors.DegenerateForm: (2, ValueError),
     errors.NonIntegerResult: (2, ArithmeticError),
-    errors.UnsupportedRegime: (3, NotImplementedError),
 }
 
 
@@ -40,7 +39,7 @@ def test_every_exception_class_is_an_hklat_error():
     assert found == set(EXIT_CODES) | {errors.HklatError}
     for cls in found:
         assert issubclass(cls, errors.HklatError), cls
-        assert cls.exit_code in (1, 2, 3), cls
+        assert cls.exit_code in (1, 2), cls
 
 
 @pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
@@ -55,7 +54,7 @@ def test_classes_stay_importable_where_they_are_raised():
 
     assert exact.DegenerateForm is fqf.DegenerateForm is hklat.DegenerateForm
     for module, names in (
-        (fqf, ("InvalidParameter", "UnsupportedRegime")),
+        (fqf, ("InvalidParameter",)),
         (lattices, ("InvalidParameter", "NotEvenLattice")),
         (classify, ("NotPElementary", "BudgetExceeded")),
         (tables, ("UnsupportedPrime", "NonIntegerResult")),

@@ -581,14 +581,28 @@ def test_form_invariants_record():
     assert 3 in inv.odd_prime_disc_class
 
 
-def test_witness_search_runs_in_constant_memory():
-    # E4 on U(4) draws from 33^3 candidate Gram matrices; building them all
-    # before the first test took about 6 MB
-    form = discriminant_form(realize("U(4)"))
+def test_full_length_existence_runs_in_constant_memory():
+    # the existence test reads Jordan blocks, so memory does not grow with |A|
     tracemalloc.start()
     try:
-        assert even_lattice_exists_report(1, 1, form) == (True, None)
+        for name in ("U(4)", "U(1048576)"):
+            form = discriminant_form(realize(name))
+            assert even_lattice_exists_report(1, 1, form) == (True, None), name
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_p_elementary_form_matches_cyclic_sum():
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        nonresidue = next(n for n in range(2, p) if legendre_ref(n, p) == -1)
+        for a in range(12):
+            for last in (1, nonresidue):
+                units = [1] * (a - 1) + [last] if a else []
+                expected = trivial_form()
+                for u in units:
+                    expected = expected.dsum(cyclic_form(p, F(2 * u, p)))
+                form = p_elementary_form(p, a, last != 1)
+                assert form == expected, (p, a, last)
+                assert FiniteQuadraticForm(form.orders, form.q, form.b) == form
