@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvalidParameter, NotPElementary
@@ -31,9 +30,8 @@ from .lattices import (
     AMBIENT_SIGNATURE,
     Lattice,
     LatticeExpr,
-    discriminant_data,
-    parse_expr,
-    realize_atom,
+    atom_data,
+    discriminant_form,
 )
 
 
@@ -56,16 +54,28 @@ class LatticeInvariants(NamedTuple):
 
 
 def invariants_of(lattice: Lattice) -> LatticeInvariants:
-    s_plus, s_minus = lattice.signature()
-    data = discriminant_data(lattice)
-    factors = data.invariant_factors
-    if not factors:
-        p, a = 0, 0
-    elif all(f == factors[0] for f in factors) and is_prime(factors[0]):
-        p, a = factors[0], len(factors)
+    """Signature and discriminant form of the lattice (by the atom route for
+    a lattice `realize` built, see `lattices.discriminant_form`)."""
+    return lattice_invariants(lattice.signature(), discriminant_form(lattice))
+
+
+def lattice_invariants(
+    signature: tuple[int, int], form: FiniteQuadraticForm
+) -> LatticeInvariants:
+    """The invariants of a lattice of this signature and discriminant form.
+
+    a is max_p l(A_p), the number of invariant factors of A; the group is
+    p-elementary when every generator of the form has order p, whatever the
+    generators, since a sum of cyclic groups is (Z/p)^a iff each is Z/p."""
+    orders = form.orders
+    if not orders:
+        p = 0
+    elif all(d == orders[0] for d in orders) and is_prime(orders[0]):
+        p = orders[0]
     else:
-        p, a = None, len(factors)
-    return LatticeInvariants(s_plus, s_minus, p, a, data.form)
+        p = None
+    a = max(form.lengths_per_prime().values(), default=0)
+    return LatticeInvariants(*signature, p, a, form)
 
 
 # -- existence ------------------------------------------------------------------
@@ -175,62 +185,44 @@ def _rank_one_orthogonal_group_surjects(q_t: FiniteQuadraticForm) -> bool:
 
 # -- recognition --------------------------------------------------------------------
 
-def _search_pool(target: LatticeInvariants) -> list[str]:
-    """Catalog terms eligible for a recognition search, in canonical order."""
+def _search_pool(target: LatticeInvariants) -> list[tuple[str, int]]:
+    """Catalog terms (atom, twist) eligible for a recognition search, in
+    canonical order."""
     odd_primes = sorted(
         p for p in target.form.lengths_per_prime() if p != 2
     )
     has_two_part = 2 in target.form.lengths_per_prime()
-    pool: list[str] = ["U"]
+    pool: list[tuple[str, int]] = [("U", 1)]
     for p in odd_primes:
-        pool.append(f"U({p})")
+        pool.append(("U", p))
     for p in odd_primes:
-        pool.append(f"A{p - 1}")
+        pool.append((f"A{p - 1}", 1))
     if 3 in odd_primes:
-        pool.append("E6")
-    pool.append("E8")
+        pool.append(("E6", 1))
+    pool.append(("E8", 1))
     for p in odd_primes:
         if p == 3:
             continue  # K3 = A2, already in the pool
-        pool.append(f"K{p}" if p % 4 == 3 else f"H{p}")
+        pool.append((f"K{p}" if p % 4 == 3 else f"H{p}", 1))
         if p % 4 == 3:
-            pool.append(f"K{p}(-1)")
+            pool.append((f"K{p}", -1))
     if 17 in odd_primes:
-        pool.append("L17")
+        pool.append(("L17", 1))
     if 3 in odd_primes:
-        pool.append("E6*(3)")
-        pool.append("A2(-1)")
+        pool.append(("E6*", 3))
+        pool.append(("A2", -1))
     if 5 in odd_primes:
-        pool.append("A4*(5)")
+        pool.append(("A4*", 5))
     if has_two_part:
-        pool.append("<-2>")
-        pool.append("<2>")
+        pool.append(("<-2>", 1))
+        pool.append(("<2>", 1))
         for p in odd_primes:
-            pool.append(f"<{2 * p}>")
-            pool.append(f"<{-2 * p}>")
+            pool.append((f"<{2 * p}>", 1))
+            pool.append((f"<{-2 * p}>", 1))
     if not odd_primes and not has_two_part:
-        pool.append("<2>")
-        pool.append("<-2>")
+        pool.append(("<2>", 1))
+        pool.append(("<-2>", 1))
     return pool
-
-
-class _Term(NamedTuple):
-    """Invariants of one catalog term of the recognition pool."""
-
-    term: tuple[str, int]
-    rank: int
-    sig: tuple[int, int]
-    det: int
-    form: FiniteQuadraticForm
-
-
-@cache
-def _term_data(term: str) -> _Term:
-    atom_twist = parse_expr(term).summands[0][:2]
-    lat = Lattice(realize_atom(*atom_twist))
-    return _Term(
-        atom_twist, lat.rank, lat.signature(), abs(lat.det()), discriminant_data(lat).form
-    )
 
 
 def recognize(
@@ -245,7 +237,7 @@ def recognize(
     """
     if budget < 1:
         raise BudgetExceeded("budget must allow at least one summand")
-    pool = [_term_data(t) for t in _search_pool(target)]
+    pool = [(term, atom_data(*term)) for term in _search_pool(target)]
     want_det = target.form.order
     want_sig = (target.s_plus, target.s_minus)
     want_rank = target.rank
@@ -255,11 +247,11 @@ def recognize(
     want_key = normal_key(target.form)
     for count in range(1, budget + 1):
         for combo in _signature_combos(pool, count, want_rank, want_sig):
-            if math.prod(t.det for t in combo) != want_det:
+            if abs(math.prod(data.det for _, data in combo)) != want_det:
                 continue
             form = trivial_form()
-            for t in combo:
-                form = form.dsum(t.form)
+            for _, data in combo:
+                form = form.dsum(data.form)
             if normal_key(form) == want_key:
                 return _combo_to_expr(combo)
     return None
@@ -268,11 +260,12 @@ def recognize(
 def _signature_combos(pool, count, want_rank, want_sig):
     """Multisets of `count` pool terms with the exact total rank and signature."""
     n = len(pool)
+    ranks = [len(data.gram) for _, data in pool]
     suffix_min = [0] * (n + 1)
     suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_min[i] = min(pool[i].rank, suffix_min[i + 1] or pool[i].rank)
-        suffix_max[i] = max(pool[i].rank, suffix_max[i + 1])
+        suffix_min[i] = min(ranks[i], suffix_min[i + 1] or ranks[i])
+        suffix_max[i] = max(ranks[i], suffix_max[i + 1])
 
     def rec(start, left, rank_left, plus_left, minus_left, acc):
         if left == 0:
@@ -280,16 +273,15 @@ def _signature_combos(pool, count, want_rank, want_sig):
                 yield list(acc)
             return
         for i in range(start, n):
-            t = pool[i]
-            r = t.rank
+            r = ranks[i]
             if r + (left - 1) * suffix_min[i] > rank_left:
                 continue
             if r + (left - 1) * suffix_max[i] < rank_left:
                 continue
-            sp, sm = t.sig
+            sp, sm = pool[i][1].signature
             if sp > plus_left or sm > minus_left:
                 continue
-            acc.append(t)
+            acc.append(pool[i])
             yield from rec(i, left - 1, rank_left - r, plus_left - sp, minus_left - sm, acc)
             acc.pop()
 
@@ -298,10 +290,6 @@ def _signature_combos(pool, count, want_rank, want_sig):
 
 def _combo_to_expr(combo) -> LatticeExpr:
     counts: dict[tuple[str, int], int] = {}
-    order: list[tuple[str, int]] = []
-    for t in combo:
-        key = t.term
-        if key not in counts:
-            order.append(key)
-        counts[key] = counts.get(key, 0) + 1
-    return LatticeExpr(tuple((a, tw, counts[(a, tw)]) for a, tw in order))
+    for term, _ in combo:
+        counts[term] = counts.get(term, 0) + 1
+    return LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))

@@ -18,11 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fixedlocus, involutions, tables
-from .classify import embed_in_L, invariants_of
+from .classify import embed_in_L, invariants_of, lattice_invariants
 from .errors import HklatError, InvalidParameter
 from .fqf import form_invariants
 from .involutions import TwoElemInvariants
-from .lattices import Lattice, lattice_from_json, realize
+from .lattices import Lattice, discriminant_data, lattice_from_json, realize
 
 
 def _load_lattice(source: str) -> Lattice:
@@ -34,7 +34,9 @@ def _load_lattice(source: str) -> Lattice:
 
 def _cmd_invariants(args) -> int:
     lat = _load_lattice(args.lattice)
-    inv = invariants_of(lat)
+    # The Smith form of the full Gram matrix: its generators fix the printed
+    # group and values, so it is taken here also for a named lattice.
+    inv = lattice_invariants(lat.signature(), discriminant_data(lat).form)
     form_inv = form_invariants(inv.form)
     if inv.p == 0:
         elementary = "true for every p (unimodular, a = 0)"

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter
-from .exact import det_exact
 
 THREE_HALF = Fraction(3, 2)
 
@@ -400,12 +399,6 @@ def delta_invariant(form: FiniteQuadraticForm) -> int:
     return 0 if integral else 1
 
 
-def odd_disc_class(part: FiniteQuadraticForm, p: int) -> int:
-    """Square class (Legendre symbol) of det of the scaled bilinear form of a
-    p-elementary part (stored at level p, so b is the scaled form itself)."""
-    return legendre(det_exact(part.b), p)
-
-
 class FormInvariants(NamedTuple):
     """Genus-level fingerprint of a finite quadratic form."""
 
@@ -417,6 +410,10 @@ class FormInvariants(NamedTuple):
 
 
 def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
+    """The fingerprint; odd_prime_disc_class holds, for each odd p whose
+    part is elementary, the Legendre symbol of the discriminant of that part:
+    the product of its Jordan block units, which is det of the scaled
+    bilinear form up to the square of a change of basis."""
     lengths = form.lengths_per_prime()
     disc = {}
     for p in sorted(lengths):
@@ -424,7 +421,7 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
             continue
         part = form.prime_part(p)
         if all(d == p for d in part.orders):
-            disc[p] = odd_disc_class(part, p)
+            disc[p] = legendre(math.prod(a for _, a in jordan_blocks(part, p)), p)
     return FormInvariants(
         order=form.order,
         lengths_per_prime=lengths,

@@ -12,6 +12,20 @@ norm n.  Expressions use the ASCII grammar
 e.g. "U^2 + E8^2 + A2", "A2(-1)", "U(3) + A2^3 + <-2>", "<6> + E6*(3)".
 A leading '-' negates every summand.  The duals E6* and A4* only realize at
 twists clearing their denominators (multiples of 3 resp. 5).
+
+Two routes to a lattice's invariants.  The atom route: `atom_data` builds
+each twisted atom once per process, with every check, its det, signature
+and discriminant form; `realize` sums them (det multiplies, signatures add,
+discriminant forms add orthogonally), so a named lattice costs its block
+matrix and no elimination.  `discriminant_form`, `is_p_elementary`,
+`classify.invariants_of` and hence `embed` take it for every lattice
+`realize` built.  The Smith route: a lattice from JSON, or from
+`Lattice(gram, expr)`, `direct_sum` or `twist`, is checked, and its det,
+signature and discriminant form are eliminated from the full Gram matrix.
+The `invariants` command prints the discriminant group and the values of q
+on generators from `discriminant_data`, the Smith form of the full Gram
+matrix, for every lattice: those generators depend on the pivot order over
+the whole matrix, so they are what the command has always printed.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from functools import cache
 from typing import NamedTuple
 
 from .errors import InvalidParameter, NotEvenLattice
@@ -49,7 +64,7 @@ class LatticeExpr(NamedTuple):
         return render_expr(self)
 
     def rank(self) -> int:
-        return sum(_atom_rank(atom) * mult for atom, _, mult in self.summands)
+        return sum(len(atom_data(atom, t).gram) * mult for atom, t, mult in self.summands)
 
     def negated(self) -> "LatticeExpr":
         return LatticeExpr(tuple((a, -t, m) for a, t, m in self.summands))
@@ -174,47 +189,17 @@ def _atom_base_gram(atom: str) -> IntMatrix:
     raise InvalidParameter(f"unknown atom {atom!r}")
 
 
-def _atom_rank(atom: str) -> int:
-    if atom == "U":
-        return 2
-    if atom.startswith("<"):
-        return 1
-    if atom == "L17":
-        return 4
-    if atom in ("E6*",):
-        return 6
-    if atom in ("A4*",):
-        return 4
-    letter, num = atom[0], atom[1:]
-    if letter in "ADE":
-        return int(num)
-    if letter in "KH":
-        return 2
-    raise InvalidParameter(f"unknown atom {atom!r}")
-
-
-def realize_atom(atom: str, twist: int = 1) -> IntMatrix:
-    if atom in ("E6*", "A4*"):  # Gram e·G^-1 of E6 resp. A4, over e
-        base, den = _scaled_inverse(_atom_base_gram(atom[:-1]))
-    else:
-        base, den = _atom_base_gram(atom), 1
-    if any(twist * x % den for row in base for x in row):
-        raise InvalidParameter(f"{atom}({twist}) is not an integral lattice")
-    m = as_matrix([[twist * x // den for x in row] for row in base])
-    if any(m[i][i] % 2 for i in range(len(m))):
-        raise InvalidParameter(f"{atom}({twist}) is not even")
-    return m
-
-
 # -- lattices --------------------------------------------------------------------
 
 class Lattice:
     """Even nondegenerate lattice given by an exact integer Gram matrix.
 
     Immutable; equality and hashing go by (gram, expr).  The determinant,
-    computed once for the degeneracy check, is kept for det()."""
+    computed once for the degeneracy check, is kept for det(); the signature
+    is computed on first use and kept.  Neither takes part in equality,
+    hashing, repr or pickling."""
 
-    __slots__ = ("gram", "expr", "_det")
+    __slots__ = ("gram", "expr", "_det", "_sig", "_realized")
 
     def __init__(self, gram: IntMatrix, expr: LatticeExpr | None = None):
         g = as_matrix(gram)
@@ -227,9 +212,27 @@ class Lattice:
         det = det_exact(g)
         if det == 0:
             raise NotEvenLattice("lattice is degenerate")
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "_det", det)
+        for name, value in zip(self.__slots__, (g, expr, det, None, False)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(
+        cls, gram: IntMatrix, expr: LatticeExpr, det: int, sig: tuple[int, int]
+    ) -> "Lattice":
+        """Wrap the block sum `realize` assembles from catalog atoms, without
+        the checks of __init__, with its determinant and signature given.
+
+        Each atom passed those checks once, in `atom_data`.  A block diagonal
+        matrix of square blocks is symmetric iff each block is (its transpose
+        is the block sum of the transposes), its diagonal is the blocks'
+        diagonals, its determinant is the product of theirs and, the sum
+        being orthogonal, its signature is the sum of theirs.  So the sum of
+        even, symmetric, nondegenerate blocks is one too, with det and sig
+        as `realize` computes them."""
+        lattice = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (gram, expr, det, sig, True)):
+            object.__setattr__(lattice, name, value)
+        return lattice
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Lattice is immutable; cannot set {name!r}")
@@ -245,7 +248,9 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(gram={self.gram!r}, expr={self.expr!r})"
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __reduce__(self):  # copy and pickle rebuild the way the lattice was built
+        if self._realized:
+            return (realize, (self.expr,))
         return (Lattice, (self.gram, self.expr))
 
     @property
@@ -256,21 +261,60 @@ class Lattice:
         return self._det
 
     def signature(self) -> tuple[int, int]:
-        if self.rank == 0:
-            return (0, 0)
-        return signature_of_symmetric(self.gram)
+        if self._sig is None:
+            sig = signature_of_symmetric(self.gram) if self.rank else (0, 0)
+            object.__setattr__(self, "_sig", sig)
+        return self._sig
 
     def name(self) -> str:
         return render_expr(self.expr) if self.expr else f"rank-{self.rank} lattice"
 
 
+class AtomData(NamedTuple):
+    """One twisted catalog atom: Gram matrix, determinant, signature and
+    discriminant form (the Smith-form route's, on the atom's own Gram)."""
+
+    gram: IntMatrix
+    det: int
+    signature: tuple[int, int]
+    form: FiniteQuadraticForm
+
+
+@cache
+def atom_data(atom: str, twist: int) -> AtomData:
+    """The data of atom(twist), built once per process through the validating
+    Lattice and discriminant_data, so every check runs once per atom."""
+    if atom in ("E6*", "A4*"):  # Gram e·G^-1 of E6 resp. A4, over e
+        base, den = _scaled_inverse(_atom_base_gram(atom[:-1]))
+    else:
+        base, den = _atom_base_gram(atom), 1
+    if any(twist * x % den for row in base for x in row):
+        raise InvalidParameter(f"{atom}({twist}) is not an integral lattice")
+    gram = [[twist * x // den for x in row] for row in base]
+    if any(gram[i][i] % 2 for i in range(len(gram))):
+        raise InvalidParameter(f"{atom}({twist}) is not even")
+    lattice = Lattice(gram)
+    return AtomData(
+        lattice.gram, lattice.det(), lattice.signature(), discriminant_data(lattice).form
+    )
+
+
 def realize(expr: LatticeExpr | str) -> Lattice:
+    """The lattice of a catalog expression: the block sum of its atoms, with
+    det the product of the atoms' dets and signature the sum of theirs."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
     blocks = []
+    det, plus, minus = 1, 0, 0
     for atom, twist, mult in expr.summands:
-        blocks.extend([realize_atom(atom, twist)] * mult)
-    return Lattice(block_diag(blocks), expr=expr)
+        if mult < 1:
+            raise InvalidParameter(f"bad multiplicity {mult} of {atom}({twist})")
+        data = atom_data(atom, twist)
+        blocks.extend([data.gram] * mult)
+        det *= data.det**mult
+        plus += data.signature[0] * mult
+        minus += data.signature[1] * mult
+    return Lattice._trusted(block_diag(blocks), expr, det, (plus, minus))
 
 
 def catalog(kind: str, **params) -> Lattice:
@@ -330,8 +374,6 @@ def ambient_lattice() -> Lattice:
     return realize("U^3 + E8^2 + <-2>")
 
 
-
-
 # -- discriminant data ------------------------------------------------------------
 
 class DiscriminantData(NamedTuple):
@@ -344,8 +386,9 @@ class DiscriminantData(NamedTuple):
     form: FiniteQuadraticForm
 
 
-def _dot(x, y) -> int:
-    return sum(a * b for a, b in zip(x, y))
+def _dot(dense, support) -> int:
+    """dense·v for a vector v given by its nonzero entries (index, value)."""
+    return sum(dense[r] * x for r, x in support)
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
@@ -355,6 +398,7 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     x_i = v_i / d_i (v_i column i of V).  G v_i = d_i U^-1 e_i, so w_i = G v_i / d_i
     is integral, and at the level N the values are the integers
     q(x_i)·N = (v_i·w_i)·(N/d_i) and b(x_i, x_j)·N = (v_j·w_i)·(N/d_j).
+    The products run over the nonzero entries of the v_i only.
     """
     g = lattice.gram
     n = lattice.rank
@@ -365,29 +409,44 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     factors = tuple(d[i][i] for i in idx)
     level = math.lcm(*factors)
     cols = [tuple(v[r][i] for r in range(n)) for i in idx]
-    ws = [
-        tuple(_dot(row, vi) // di for row in g) for vi, di in zip(cols, factors)
-    ]
+    supports = [[(r, x) for r, x in enumerate(vi) if x] for vi in cols]
+    ws = [tuple(_dot(row, sv) // di for row in g) for sv, di in zip(supports, factors)]
     q_vals = tuple(
-        _dot(vi, wi) * (level // di) % (2 * level)
-        for vi, wi, di in zip(cols, ws, factors)
+        _dot(wi, sv) * (level // di) % (2 * level)
+        for sv, wi, di in zip(supports, ws, factors)
     )
     b_rows = tuple(
-        tuple(_dot(vj, wi) * (level // dj) % level for vj, dj in zip(cols, factors))
+        tuple(_dot(wi, sj) * (level // dj) % level for sj, dj in zip(supports, factors))
         for wi in ws
     )
     return DiscriminantData(factors, tuple(cols), FiniteQuadraticForm(factors, q_vals, b_rows))
 
 
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
-    return discriminant_data(lattice).form
+    """The discriminant form of the lattice.
+
+    For a lattice `realize` built, the orthogonal sum of its atoms' forms:
+    the dual of an orthogonal sum is the sum of the duals, so A_{L+M} =
+    A_L + A_M and q_{L+M} = q_L + q_M (Nikulin 1979, §1).  Any other lattice
+    takes the Smith-form route of `discriminant_data`.  The two forms are
+    isomorphic, not equal: they sit on different generators."""
+    if not lattice._realized:
+        return discriminant_data(lattice).form
+    form = trivial_form()
+    for atom, twist, mult in lattice.expr.summands:
+        atom_form = atom_data(atom, twist).form
+        if atom_form.orders:
+            for _ in range(mult):
+                form = form.dsum(atom_form)
+    return form
 
 
 def is_p_elementary(lattice: Lattice, p: int) -> tuple[bool, int | None]:
-    """Whether every invariant factor equals p; returns (verdict, length)."""
-    factors = discriminant_data(lattice).invariant_factors
-    if all(f == p for f in factors):
-        return True, len(factors)
+    """Whether the discriminant group is (Z/p)^a, i.e. every generator of
+    the discriminant form has order p; returns (verdict, a)."""
+    orders = discriminant_form(lattice).orders
+    if all(d == p for d in orders):
+        return True, len(orders)
     return False, None
 
 

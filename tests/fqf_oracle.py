@@ -7,6 +7,8 @@ decides the same questions from Jordan blocks (`hklat.fqf.jordan_blocks`).
 import itertools
 import math
 
+from hklat.exact import det_exact
+
 
 def elements(form):
     """Every element of A, as coordinate tuples in the generators."""
@@ -120,3 +122,10 @@ def brute_isomorphic(f1, f2):
         return False
 
     return extend(0, [])
+
+
+def odd_disc_class(part, p):
+    """Square class (+1 or -1) of det of the scaled bilinear form of a
+    p-elementary part, p odd: stored at level p, b is the scaled form itself."""
+    d = det_exact(part.b) % p
+    return 1 if any(x * x % p == d for x in range(1, p)) else -1

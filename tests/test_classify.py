@@ -144,13 +144,13 @@ def test_recognize_examples():
 
 
 def test_pool_terms_are_built_once():
-    from hklat.classify import _term_data
+    from hklat.lattices import atom_data
 
-    first = _term_data("E6*(3)")
-    assert _term_data("E6*(3)") is first
-    assert (first.term, first.rank, first.sig, first.det) == (("E6*", 3), 6, (0, 6), 3**5)
+    first = atom_data("E6*", 3)
+    assert atom_data("E6*", 3) is first
+    assert (len(first.gram), first.signature, first.det) == (6, (0, 6), 3**5)
     with pytest.raises(AttributeError):
-        first.rank = 7
+        first.det = 7
 
 
 def test_recognize_soundness_on_all_table_names():

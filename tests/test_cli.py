@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hklat
-from hklat import exact, fqf, lattices
+from hklat import exact, lattices
 from hklat.cli import build_parser, main
 from hklat.lattices import realize
 
@@ -287,7 +287,10 @@ def test_one_parser_serves_a_session(capsys):
     [(("invariants", "U(3)"), "U(3)"), (("embed", "--expr", "U^2 + E8^2 + A2"), "U^2 + E8^2 + A2")],
 )
 def test_named_lattice_determinant_computed_once(monkeypatch, capsys, argv, name):
+    # a realized lattice multiplies its atoms' determinants: none on its full
+    # Gram matrix (unless it is one atom), and one per atom per process
     gram = realize(name).gram
+    atoms = {lattices.atom_data(atom, t).gram for atom, t, _ in lattices.parse_expr(name).summands}
     real_det = exact.det_exact
     grams = []
 
@@ -295,8 +298,12 @@ def test_named_lattice_determinant_computed_once(monkeypatch, capsys, argv, name
         grams.append(m)
         return real_det(m)
 
-    for module in (exact, fqf, lattices):
+    for module in (exact, lattices):
         monkeypatch.setattr(module, "det_exact", counting_det)
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert grams.count(gram) == 1
+    lattices.atom_data.cache_clear()
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert all(grams.count(atom) == 1 for atom in atoms)
+    assert len(grams) == len(set(grams))
+    assert gram in atoms or gram not in grams

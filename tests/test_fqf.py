@@ -9,7 +9,7 @@ import pytest
 
 import fqf_oracle
 import hklat
-from fqf_oracle import brute_isomorphic, elements, value_counts
+from fqf_oracle import brute_isomorphic, elements, odd_disc_class, value_counts
 from hklat.fqf import (
     DegenerateForm,
     FiniteQuadraticForm,
@@ -23,14 +23,13 @@ from hklat.fqf import (
     gauss_signature,
     jordan_blocks,
     normal_key,
-    odd_disc_class,
     p_elementary_form,
     trivial_form,
     two_elementary_form,
     u_block,
     v_block,
 )
-from hklat.exact import mat_mul, smith_normal_form
+from hklat.exact import det_exact, mat_mul, smith_normal_form
 from hklat.lattices import Lattice, discriminant_form, realize
 
 F = Fraction
@@ -513,6 +512,37 @@ def test_internal_builders_yield_valid_forms():
 def test_odd_disc_class():
     assert odd_disc_class(cyclic_form(3, F(2, 3)), 3) == legendre_ref(2, 3)
     assert odd_disc_class(discriminant_form(realize("U(3)")).prime_part(3), 3) == legendre_ref(-1, 3)
+
+
+def _change_basis(form, m):
+    """The form on the generators sum_j m[i][j] g_j (m invertible mod the level)."""
+    q = tuple(form.value(row) for row in m)
+    b = tuple(tuple(form.pairing(x, y) for y in m) for x in m)
+    return FiniteQuadraticForm(form.orders, q, b)
+
+
+def test_disc_class_from_jordan_blocks_matches_det_oracle():
+    # every p-elementary form with p <= 19 and a <= 6 (both classes), diagonal
+    # and on random generators, and next to a 2-part and a non-elementary 3-part
+    rng = random.Random(9)
+    extra = cyclic_form(2, F(1, 2)).dsum(cyclic_form(9, F(2, 9)))
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        for a in range(1, 7):
+            classes = set()
+            for nonresidue in (False, True):
+                form = p_elementary_form(p, a, nonresidue)
+                while True:
+                    m = [[rng.randrange(p) for _ in range(a)] for _ in range(a)]
+                    if det_exact(m) % p:
+                        break
+                for f in (form, _change_basis(form, m)):
+                    expected = odd_disc_class(f, p)
+                    classes.add(expected)
+                    assert form_invariants(f).odd_prime_disc_class == {p: expected}
+                    if p != 3:
+                        inv = form_invariants(f.dsum(extra))
+                        assert inv.odd_prime_disc_class == {p: expected}, (p, a)
+            assert classes == {1, -1}, (p, a)
 
 
 def legendre_ref(a, p):

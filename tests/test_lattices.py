@@ -1,14 +1,27 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_decomp
 
-from hklat.exact import det_exact, smith_normal_form
-from hklat.fqf import forms_isomorphic, cyclic_form, trivial_form
+from hklat.classify import invariants_of
+from hklat.exact import det_exact, is_prime, smith_normal_form
+from hklat.fqf import (
+    FiniteQuadraticForm,
+    cyclic_form,
+    forms_isomorphic,
+    normal_key,
+    trivial_form,
+)
 from hklat.lattices import (
     InvalidParameter,
     Lattice,
+    LatticeExpr,
     NotEvenLattice,
     ambient_lattice,
     catalog,
@@ -23,6 +36,7 @@ from hklat.lattices import (
     render_expr,
     twist,
 )
+from hklat.tables import LATTICE_NAMES
 
 
 def test_catalog_k3_is_a2():
@@ -328,3 +342,112 @@ def test_value_classes_are_immutable_and_rebuild_by_copy_and_pickle():
             obj.p = 0
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+
+def _smith_oracle(gram):
+    """Invariant factors and discriminant form of a Gram matrix from sympy's
+    Smith decomposition S = U G V: generators x_i = v_i / d_i, as in
+    `discriminant_data`, on an independent implementation."""
+    n = len(gram)
+    s, _, v = smith_normal_decomp(sympy.Matrix(gram), domain=sympy.ZZ)
+    idx = [i for i in range(n) if abs(s[i, i]) > 1]
+    factors = tuple(int(abs(s[i, i])) for i in idx)
+    if not factors:
+        return (), trivial_form()
+    level = math.lcm(*factors)
+    cols = [[int(v[r, i]) for r in range(n)] for i in idx]
+    images = [[sum(g * y for g, y in zip(row, x)) for row in gram] for x in cols]
+
+    def pair(i, j):  # v_i^T G v_j
+        return sum(x * y for x, y in zip(cols[i], images[j]))
+
+    k = len(factors)
+    q = tuple(pair(i, i) * level // factors[i] ** 2 % (2 * level) for i in range(k))
+    b = tuple(
+        tuple(pair(i, j) * level // (factors[i] * factors[j]) % level for j in range(k))
+        for i in range(k)
+    )
+    return factors, FiniteQuadraticForm(factors, q, b)
+
+
+def _assert_routes_agree(expr, smith=True):
+    """The atom route (realize) against the Gram route on the same Gram
+    matrix: equal det, signature, (p, a) and form class.  The Gram route's
+    Smith form is the library's (`Lattice(gram)`, when smith) and sympy's."""
+    atoms = realize(expr)
+    gram = Lattice(atoms.gram)
+    assert expr.rank() == atoms.rank, expr
+    assert atoms.det() == gram.det() == det_exact(atoms.gram), expr
+    assert atoms.signature() == gram.signature(), expr
+    inv = invariants_of(atoms)
+    key = normal_key(inv.form)
+    assert inv.form.order == abs(atoms.det()), expr
+    factors, form = _smith_oracle(atoms.gram)
+    p = factors[0] if factors and set(factors) == {factors[0]} and is_prime(factors[0]) else None
+    assert (inv.p, inv.a) == (0 if not factors else p, len(factors)), expr
+    assert key == normal_key(form), expr
+    for q in {2, 3, inv.p or 2}:
+        expected = (True, len(factors)) if set(factors) <= {q} else (False, None)
+        assert is_p_elementary(atoms, q) == expected, (expr, q)
+    if smith:
+        inv_gram = invariants_of(gram)
+        assert (inv.p, inv.a) == (inv_gram.p, inv_gram.a), expr
+        assert key == normal_key(inv_gram.form), expr
+        for q in {2, 3, inv.p or 2}:
+            assert is_p_elementary(atoms, q) == is_p_elementary(gram, q), (expr, q)
+
+
+def _twisted(name, t):
+    return LatticeExpr(tuple((a, tw * t, m) for a, tw, m in parse_expr(name).summands))
+
+
+def test_atom_route_matches_gram_route_on_catalog_and_tables():
+    for name in CATALOG_ATOMS:
+        for t in (1, -1, 3, -3, -10):
+            _assert_routes_agree(_twisted(name, t))
+    for pair in LATTICE_NAMES.values():
+        for name in pair:
+            _assert_routes_agree(parse_expr(name))
+
+
+@st.composite
+def atom_sums(draw):
+    """Sums of up to four catalog atoms, twisted, with multiplicities."""
+    summands = draw(st.lists(
+        st.tuples(st.sampled_from(CATALOG_ATOMS), st.sampled_from((1, -1, 2, 3)),
+                  st.integers(1, 2)),
+        min_size=1, max_size=4,
+    ))
+    return LatticeExpr(tuple(
+        (atom, tw * t, mult)
+        for name, t, mult in summands
+        for atom, tw, _ in parse_expr(name).summands
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_sums())
+def test_atom_route_matches_gram_route_on_sums(expr):
+    # The library's Smith form runs away on some of these sums (e.g.
+    # "A6^2 + E6*(-6) + A2^2"; see ROADMAP item 1), so the Gram route's
+    # discriminant form here is sympy's; det and signature are the library's.
+    _assert_routes_agree(expr, smith=False)
+
+
+def test_realized_lattice_copies_keep_the_atom_route():
+    import copy
+    import pickle
+
+    lat = realize("U(3) + A2^2 + <-2>")
+    form = discriminant_form(lat)
+    for twin in (copy.copy(lat), copy.deepcopy(lat), pickle.loads(pickle.dumps(lat))):
+        assert twin == lat and hash(twin) == hash(lat) and repr(twin) == repr(lat)
+        assert (twin.det(), twin.signature()) == (lat.det(), lat.signature())
+        assert discriminant_form(twin) == form
+    # the Gram route stays the Gram route, and the kept signature takes no
+    # part in equality, hashing or repr
+    same = Lattice(lat.gram, expr=lat.expr)
+    assert same == lat and hash(same) == hash(lat) and repr(same) == repr(lat)
+    assert "_sig" not in repr(lat)
+    assert discriminant_form(same) == discriminant_data(same).form
+    assert pickle.loads(pickle.dumps(same)).signature() == lat.signature()
