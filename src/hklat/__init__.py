@@ -6,7 +6,6 @@ from .errors import (
     DegenerateForm,
     HklatError,
     InvalidParameter,
-    NonIntegerResult,
     NotEvenLattice,
     NotPElementary,
     UnsupportedPrime,

@@ -3,27 +3,24 @@
 The ambient lattice throughout is L = U^3 + E8^2 + <-2>, of signature (3,20)
 and discriminant form Z/2 (3/2).  A p-elementary lattice S (p odd) embedding
 primitively in L has orthogonal complement T with signature (3-s+, 20-s-) and
-discriminant form (-q_S) + Z/2 (3/2); existence of T is decided by the even
-lattice existence conditions, which is also what rules candidate triples out.
+discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both
+answered by fqf.even_lattice_exists_report (Nikulin's Thm 1.10.1): embed_in_L
+asks it for T, tables.enumerate_triples for S.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InvalidParameter, NotPElementary
 from .exact import is_prime
 from .fqf import (
     FiniteQuadraticForm,
-    THREE_HALF,
     cyclic_form,
     even_lattice_exists_report,
     forms_isomorphic,
-    gauss_signature,
     normal_key,
-    p_elementary_form,
     trivial_form,
 )
 from .lattices import (
@@ -78,25 +75,6 @@ def lattice_invariants(
     return LatticeInvariants(*signature, p, a, form)
 
 
-# -- existence ------------------------------------------------------------------
-
-def p_elementary_form_for_signature(
-    p: int, s_plus: int, s_minus: int, a: int
-) -> FiniteQuadraticForm | None:
-    """The p-elementary form of length a whose Gauss signature matches the
-    signature mod 8; None when neither discriminant class matches.  For
-    a >= 1 the two classes differ by 4 in Gauss signature, so at most one
-    matches, and an even lattice S with these invariants exists iff the form
-    is not None and fqf.even_lattice_exists(s_plus, s_minus, form)."""
-    if a == 0:
-        return trivial_form() if (s_plus - s_minus) % 8 == 0 else None
-    for nonresidue in (False, True):
-        q = p_elementary_form(p, a, nonresidue)
-        if gauss_signature(q) == (s_plus - s_minus) % 8:
-            return q
-    return None
-
-
 # -- genus uniqueness (indefinite) -------------------------------------------------
 
 def genus_unique(rank: int, det: int) -> bool:
@@ -145,7 +123,7 @@ def embed_in_L(s: LatticeInvariants, recognize_orthogonal: bool = False) -> Embe
     t_minus = AMBIENT_SIGNATURE[1] - s.s_minus
     if t_plus < 0 or t_minus < 0:
         return EmbeddingReport(False, False, None, None, False, False)
-    q_t = s.form.neg().dsum(cyclic_form(2, THREE_HALF))
+    q_t = s.form.neg().dsum(cyclic_form(2, 3))
     embeds, _ = even_lattice_exists_report(t_plus, t_minus, q_t)
     if not embeds:
         return EmbeddingReport(False, False, None, None, False, False)
@@ -172,11 +150,9 @@ def _rank_one_orthogonal_group_surjects(q_t: FiniteQuadraticForm) -> bool:
     """For a rank-one complement <2d>, O(T) = {+-1}; the embedding is unique iff
     every q-preserving unit of Z/2d is +-1."""
     n = q_t.order
-    value = Fraction(1, n)  # q on the generator of <n> is 1/n mod 2Z
-    if not forms_isomorphic(cyclic_form(n, value), q_t):
-        # positive generator norm does not match; try the negative lattice <-n>
-        if not forms_isomorphic(cyclic_form(n, -value), q_t):
-            return False
+    # q on the generator of <n>* / <n> is 1/n mod 2Z, and -1/n for <-n>
+    if not any(forms_isomorphic(cyclic_form(n, sign), q_t) for sign in (1, -1)):
+        return False
     for u in range(2, n - 1):
         if math.gcd(u, n) == 1 and (u * u - 1) % (2 * n) == 0:
             return False

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import fixedlocus, involutions, tables
@@ -45,7 +45,7 @@ def _cmd_invariants(args) -> int:
     else:
         elementary = f"true (p={inv.p}, a={inv.a})"
     group = " x ".join(f"Z/{d}" for d in inv.form.orders) or "trivial"
-    values = ", ".join(str(Fraction(v, inv.form.level)) for v in inv.form.q) or "-"
+    values = ", ".join(_ratio_text(v, inv.form.level) for v in inv.form.q) or "-"
     print("\n".join((
         f"lattice: {lat.name()}",
         f"rank: {lat.rank}",
@@ -58,6 +58,12 @@ def _cmd_invariants(args) -> int:
         f"gauss signature (mod 8): {form_inv.signature_mod_8}",
     )))
     return 0
+
+
+def _ratio_text(v: int, n: int) -> str:
+    """v/n in lowest terms, printed as str(fractions.Fraction(v, n)) prints it."""
+    g = math.gcd(v, n)
+    return str(v // g) if g == n else f"{v // g}/{n // g}"
 
 
 def _emit(text: str, out: str | None) -> None:

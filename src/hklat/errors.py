@@ -51,10 +51,3 @@ class DegenerateForm(HklatError, ValueError):
     """A nondegenerate symmetric or finite quadratic form was expected."""
 
     exit_code = 2
-
-
-class NonIntegerResult(HklatError, ArithmeticError):
-    """A closed-form invariant failed to be an integer (invalid input)."""
-
-    exit_code = 2
-

@@ -16,13 +16,10 @@ orthogonal splitting into Jordan blocks; nothing is enumerated over the group.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter
-
-THREE_HALF = Fraction(3, 2)
 
 
 class FiniteQuadraticForm:
@@ -115,9 +112,6 @@ class FiniteQuadraticForm:
                 out[p] = out.get(p, 0) + 1
         return out
 
-    def is_trivial(self) -> bool:
-        return not self.orders
-
     # -- constructions -----------------------------------------------------
 
     def dsum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
@@ -159,25 +153,6 @@ class FiniteQuadraticForm:
         )
         return FiniteQuadraticForm._trusted(orders, q, b)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def value(self, coords) -> int:
-        """q(x)·N mod 2N."""
-        total = 0
-        for i, c in enumerate(coords):
-            total += c * c * self.q[i]
-            for j in range(i + 1, len(coords)):
-                total += 2 * c * coords[j] * self.b[i][j]
-        return total % (2 * self.level)
-
-    def pairing(self, x, y) -> int:
-        """b(x, y)·N mod N."""
-        total = 0
-        for i, ci in enumerate(x):
-            for j, cj in enumerate(y):
-                total += ci * cj * self.b[i][j]
-        return total % self.level
-
 
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -217,23 +192,13 @@ def trivial_form() -> FiniteQuadraticForm:
     return FiniteQuadraticForm((), (), ())
 
 
-def cyclic_form(n: int, value: Fraction) -> FiniteQuadraticForm:
-    """Z/n with the rational q(generator) = value; b(g,g) = value mod Z."""
-    scaled = Fraction(value) % 2 * n
-    if scaled.denominator != 1:
-        raise InvalidParameter(f"q value {value} is not in (1/{n})Z")
-    v = scaled.numerator
+def cyclic_form(n: int, a: int) -> FiniteQuadraticForm:
+    """Z/n with q(generator) = a/n mod 2Z for an integer a; b(g,g) = a/n mod Z.
+
+    The form's __init__ rejects a non-integer a and an a with a·n odd, for
+    which a/n is no value of an element of order n."""
+    v = a % (2 * n)
     return FiniteQuadraticForm((n,), (v,), ((v % n,),))
-
-
-def u_block(n: int = 2) -> FiniteQuadraticForm:
-    """Hyperbolic block on (Z/n)^2: q = 0 on generators, b(x,y) = 1/n."""
-    return FiniteQuadraticForm((n, n), (0, 0), ((0, 1), (1, 0)))
-
-
-def v_block() -> FiniteQuadraticForm:
-    """(Z/2)^2 with q = 1 on all three nonzero elements (discriminant form of D4)."""
-    return FiniteQuadraticForm((2, 2), (2, 2), ((0, 1), (1, 0)))
 
 
 def p_elementary_form(p: int, a: int, nonresidue: bool = False) -> FiniteQuadraticForm:
@@ -250,37 +215,6 @@ def _least_nonresidue(p: int) -> int:
     return next(n for n in range(2, p) if legendre(n, p) == -1)
 
 
-def two_elementary_form(a: int, delta: int, sigma: int) -> FiniteQuadraticForm | None:
-    """A 2-elementary form with the given (length, delta, signature mod 8), if any.
-
-    Built from blocks <1/2>, <3/2>, u(2), v(2); the triple classifies such
-    forms, so any block solution represents the isomorphism class.
-    """
-    sigma %= 8
-    for n_uv in range(a // 2 + 1):
-        rest = a - 2 * n_uv
-        for n2 in range(rest + 1):
-            n1 = rest - n2
-            if delta == 1 and n1 + n2 == 0:
-                continue
-            if delta == 0 and n1 + n2 > 0:
-                continue
-            for j in range(n_uv + 1):
-                if (n1 - n2 + 4 * j) % 8 != sigma:
-                    continue
-                form = trivial_form()
-                for _ in range(n1):
-                    form = form.dsum(cyclic_form(2, Fraction(1, 2)))
-                for _ in range(n2):
-                    form = form.dsum(cyclic_form(2, THREE_HALF))
-                for _ in range(n_uv - j):
-                    form = form.dsum(u_block(2))
-                for _ in range(j):
-                    form = form.dsum(v_block())
-                return form
-    return None
-
-
 # -- invariants ----------------------------------------------------------------
 
 def gauss_signature(form: FiniteQuadraticForm) -> int:
@@ -290,10 +224,18 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
     Exact: each p-part is split into orthogonal Jordan blocks, whose Gauss
     sums are known in closed form, and s is the sum of the block signatures.
     Raises DegenerateForm when b has a nontrivial radical."""
+    return _signature(_jordan_splitting(form))
+
+
+def _jordan_splitting(form: FiniteQuadraticForm) -> dict[int, list[tuple[int, int | str]]]:
+    """The Jordan blocks of each p-part, by prime p of |A| in increasing
+    order; every invariant below is read off this one splitting."""
+    return {p: jordan_blocks(form.prime_part(p), p) for p in sorted(form.lengths_per_prime())}
+
+
+def _signature(splitting) -> int:
     return sum(
-        _block_signature(p, m, a)
-        for p in form.lengths_per_prime()
-        for m, a in jordan_blocks(form.prime_part(p), p)
+        _block_signature(p, m, a) for p, blocks in splitting.items() for m, a in blocks
     ) % 8
 
 
@@ -414,18 +356,16 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
     part is elementary, the Legendre symbol of the discriminant of that part:
     the product of its Jordan block units, which is det of the scaled
     bilinear form up to the square of a change of basis."""
-    lengths = form.lengths_per_prime()
-    disc = {}
-    for p in sorted(lengths):
-        if p == 2:
-            continue
-        part = form.prime_part(p)
-        if all(d == p for d in part.orders):
-            disc[p] = legendre(math.prod(a for _, a in jordan_blocks(part, p)), p)
+    splitting = _jordan_splitting(form)
+    disc = {
+        p: legendre(math.prod(a for _, a in blocks), p)
+        for p, blocks in splitting.items()
+        if p != 2 and all(m == p for m, _ in blocks)
+    }
     return FormInvariants(
         order=form.order,
-        lengths_per_prime=lengths,
-        signature_mod_8=gauss_signature(form),
+        lengths_per_prime=form.lengths_per_prime(),
+        signature_mod_8=_signature(splitting),
         delta=delta_invariant(form),
         odd_prime_disc_class=disc,
     )
@@ -466,11 +406,10 @@ def normal_key(form: FiniteQuadraticForm) -> tuple:
     so the set depends on q only up to isomorphism; conversely a lattice in
     both sets has a discriminant form isomorphic to both forms.
     """
-    key = []
-    for p in sorted(form.lengths_per_prime()):
-        blocks = jordan_blocks(form.prime_part(p), p)
-        key.append((p, _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)))
-    return tuple(key)
+    return tuple(
+        (p, _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p))
+        for p, blocks in _jordan_splitting(form).items()
+    )
 
 
 def _odd_key(blocks, p: int) -> tuple[tuple[int, int, int], ...]:
@@ -557,27 +496,27 @@ def even_lattice_exists_report(
     (E3:p=<p>, p odd) u ≡ discr K(q_p);
     (E4, p = 2) u ≡ ±discr K(q_2), unless q_2 has a cyclic block of order 2.
 
-    discr K(q_p) is read off the Jordan blocks.  A cyclic block <a/m> is the
-    discriminant form of <m·a^-1>, and a^-1 = a·(a^-1)^2 is a times a square,
-    so the block contributes m·a; a u or v block is that of m·U or m·V and
-    contributes m^2·det U = -m^2 or m^2·det V = 3m^2.  The m's multiply to
-    |A_p|, the p-part of |A|, so only the units are compared.  A cyclic block
-    of order 2 knows its a mod 4 only, which leaves the square class of the
-    2-adic unit open (a and a + 4 differ by 5, a non-square); there K(q_2)
-    is not unique and the theorem drops the test.
+    E2 and every discr K(q_p) are read off one Jordan splitting of q.  A
+    cyclic block <a/m> is the discriminant form of <m·a^-1>, and
+    a^-1 = a·(a^-1)^2 is a times a square, so the block contributes m·a; a u
+    or v block is that of m·U or m·V and contributes m^2·det U = -m^2 or
+    m^2·det V = 3m^2.  The m's multiply to |A_p|, the p-part of |A|, so only
+    the units are compared.  A cyclic block of order 2 knows its a mod 4
+    only, which leaves the square class of the 2-adic unit open (a and a + 4
+    differ by 5, a non-square); there K(q_2) is not unique and the theorem
+    drops the test.
     """
     rank = s_plus + s_minus
     lengths = form.lengths_per_prime()
     if s_plus < 0 or s_minus < 0 or max(lengths.values(), default=0) > rank:
         return False, "E1"
-    if gauss_signature(form) != (s_plus - s_minus) % 8:
+    splitting = _jordan_splitting(form)
+    if _signature(splitting) != (s_plus - s_minus) % 8:
         return False, "E2"
-    for p in sorted(lengths):
+    for p, blocks in splitting.items():
         if lengths[p] != rank:
             continue
-        part = form.prime_part(p)
-        blocks = jordan_blocks(part, p)
-        unit = (-1) ** s_minus * form.order // part.order
+        unit = (-1) ** s_minus * form.order // _p_power(form.order, p)
         disc = math.prod(_EVEN_DET.get(a, a) for _, a in blocks)
         if p != 2:
             if legendre(unit * disc, p) == -1:

@@ -4,8 +4,11 @@ A non-symplectic automorphism of odd prime order p on a K3^[2]-type fourfold
 determines m and a with rank S = (p-1)m; the candidate triples are filtered by
 the counting bounds, by existence of the p-elementary lattice S of signature
 (2, (p-1)m - 2), and by existence of the orthogonal complement T inside
-U^3 + E8^2 + <-2>.  Each surviving row carries h^*, the Euler characteristic
-of the fixed locus, the catalog names of S and T, and uniqueness flags.
+U^3 + E8^2 + <-2>.  S exists iff one of the two p-elementary forms of length a
+passes fqf.even_lattice_exists; for a >= 1 their Gauss signatures differ by 4,
+so at most one passes E2.  Each surviving row carries h^*, the Euler
+characteristic of the fixed locus, the catalog names of S and T, and
+uniqueness flags; h^* and chi are integer expressions.
 
 For p = 5 the fixed-locus formulas are only valid for automorphisms induced
 from K3 surfaces, so that table is restricted to the naturally realized rows
@@ -17,42 +20,36 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidParameter, NonIntegerResult, UnsupportedPrime
-from .classify import (
-    LatticeInvariants,
-    embed_in_L,
-    p_elementary_form_for_signature,
-)
-from .fqf import even_lattice_exists
+from .errors import InvalidParameter, UnsupportedPrime
+from .classify import LatticeInvariants, embed_in_L
+from .fqf import even_lattice_exists, p_elementary_form
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegerResult(f"{what} is not an integer: {x}")
-    return int(x)
-
-
 def h_star(p: int, m: int, a: int) -> int:
     """Total F_p Betti number of the fixed locus:
-    324 - 2a(25-a) - (p-2)m(25-2a) + m((p-2)^2 m - p)/2."""
-    val = (
-        Fraction(324)
+    324 - 2a(25-a) - (p-2)m(25-2a) + m((p-2)^2 m - p)/2.
+
+    The half is exact: (p-2)^2 = p mod 2, so m((p-2)^2 m - p) = p·m(m-1)
+    mod 2, which is even."""
+    return (
+        324
         - 2 * a * (25 - a)
         - (p - 2) * m * (25 - 2 * a)
-        + Fraction(m * ((p - 2) ** 2 * m - p), 2)
+        + m * ((p - 2) ** 2 * m - p) // 2
     )
-    return _as_int(val, "h_star")
 
 
 def lefschetz_chi(p: int, m: int) -> int:
-    """Euler characteristic of the fixed locus: 324 - (51/2)mp + (1/2)m^2 p^2."""
-    val = Fraction(324) - Fraction(51 * m * p, 2) + Fraction(m * m * p * p, 2)
-    return _as_int(val, "chi")
+    """Euler characteristic of the fixed locus: 324 - (51/2)mp + (1/2)m^2 p^2
+    = 324 + mp(mp - 51)/2.
+
+    The half is exact: mp and mp - 51 have opposite parity, so their
+    product is even."""
+    return 324 + m * p * (m * p - 51) // 2
 
 
 def h4_trace(m: int, r: int) -> int:
@@ -177,8 +174,9 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
         if rank_s < 2:
             continue
         for a in range(0, min(rank_s, 23 - rank_s, m) + 1):
-            form = p_elementary_form_for_signature(p, 2, rank_s - 2, a)
-            if form is None or not even_lattice_exists(2, rank_s - 2, form):
+            forms = (p_elementary_form(p, a, nonresidue) for nonresidue in (False, True))
+            form = next((q for q in forms if even_lattice_exists(2, rank_s - 2, q)), None)
+            if form is None:
                 continue
             s_inv = LatticeInvariants(2, rank_s - 2, p if a else 0, a, form)
             report = embed_in_L(s_inv)

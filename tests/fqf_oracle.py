@@ -1,6 +1,7 @@
-"""Brute-force oracles on finite quadratic forms, for tests only.
+"""Brute-force oracles and block builders for finite quadratic forms, for
+tests only.
 
-Each one enumerates the group, so it serves small forms only; the library
+Each oracle enumerates the group, so it serves small forms only; the library
 decides the same questions from Jordan blocks (`hklat.fqf.jordan_blocks`).
 """
 
@@ -8,6 +9,67 @@ import itertools
 import math
 
 from hklat.exact import det_exact
+from hklat.fqf import FiniteQuadraticForm, cyclic_form, trivial_form
+
+
+def value(form, coords):
+    """q(x)·N mod 2N."""
+    total = 0
+    for i, c in enumerate(coords):
+        total += c * c * form.q[i]
+        for j in range(i + 1, len(coords)):
+            total += 2 * c * coords[j] * form.b[i][j]
+    return total % (2 * form.level)
+
+
+def pairing(form, x, y):
+    """b(x, y)·N mod N."""
+    total = 0
+    for i, ci in enumerate(x):
+        for j, cj in enumerate(y):
+            total += ci * cj * form.b[i][j]
+    return total % form.level
+
+
+def u_block(n=2):
+    """Hyperbolic block on (Z/n)^2: q = 0 on generators, b(x,y) = 1/n."""
+    return FiniteQuadraticForm((n, n), (0, 0), ((0, 1), (1, 0)))
+
+
+def v_block():
+    """(Z/2)^2 with q = 1 on all three nonzero elements (discriminant form of D4)."""
+    return FiniteQuadraticForm((2, 2), (2, 2), ((0, 1), (1, 0)))
+
+
+def two_elementary_form(a, delta, sigma):
+    """A 2-elementary form with the given (length, delta, signature mod 8), if any.
+
+    Built from blocks <1/2>, <3/2>, u(2), v(2); the triple classifies such
+    forms, so any block solution represents the isomorphism class.
+    """
+    sigma %= 8
+    for n_uv in range(a // 2 + 1):
+        rest = a - 2 * n_uv
+        for n2 in range(rest + 1):
+            n1 = rest - n2
+            if delta == 1 and n1 + n2 == 0:
+                continue
+            if delta == 0 and n1 + n2 > 0:
+                continue
+            for j in range(n_uv + 1):
+                if (n1 - n2 + 4 * j) % 8 != sigma:
+                    continue
+                blocks = (
+                    [cyclic_form(2, 1)] * n1
+                    + [cyclic_form(2, 3)] * n2
+                    + [u_block(2)] * (n_uv - j)
+                    + [v_block()] * j
+                )
+                form = trivial_form()
+                for block in blocks:
+                    form = form.dsum(block)
+                return form
+    return None
 
 
 def elements(form):
@@ -110,13 +172,13 @@ def brute_isomorphic(f1, f2):
         return False
     by_order_value = {}
     for x in elements(f2):
-        by_order_value.setdefault((element_order(x, f2.orders), f2.value(x)), []).append(x)
+        by_order_value.setdefault((element_order(x, f2.orders), value(f2, x)), []).append(x)
 
     def extend(i, images):
         if i == f1.length():
             return spans(images, f2)
         for cand in by_order_value.get((f1.orders[i], f1.q[i]), []):
-            if all(f2.pairing(cand, images[j]) == f1.b[i][j] for j in range(i)):
+            if all(pairing(f2, cand, images[j]) == f1.b[i][j] for j in range(i)):
                 if extend(i + 1, images + [cand]):
                     return True
         return False

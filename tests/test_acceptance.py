@@ -5,7 +5,6 @@ All comparisons are exact, the Gauss signature included.
 """
 
 import time
-from fractions import Fraction
 
 from golden_data import (
     EXCEPTION_TRIPLES,
@@ -41,9 +40,6 @@ from hklat.involutions import (
 from hklat.lattices import discriminant_form, realize
 from hklat.tables import enumerate_triples, h4_trace, h_star, lefschetz_chi
 
-F = Fraction
-
-
 def report(criterion, description):
     print(f"[criterion {criterion}] PASS  {description}")
 
@@ -74,8 +70,8 @@ def test_criterion_2_exclusion_oracle():
     start = time.time()
     q = trivial_form()
     for _ in range(5):
-        q = q.dsum(cyclic_form(3, F(4, 3)))
-    q = q.dsum(cyclic_form(2, F(3, 2)))
+        q = q.dsum(cyclic_form(3, 4))
+    q = q.dsum(cyclic_form(2, 3))
     ok, reason = even_lattice_exists_report(1, 4, q)
     assert not ok
     assert reason == "E3:p=3"
@@ -106,13 +102,13 @@ def test_criterion_3_milgram_sweep():
 
 def test_criterion_4_discriminant_form_goldens():
     ambient = realize("U^3 + E8^2 + <-2>")
-    assert forms_isomorphic(discriminant_form(ambient), cyclic_form(2, F(3, 2)))
+    assert forms_isomorphic(discriminant_form(ambient), cyclic_form(2, 3))
     target = trivial_form()
     for _ in range(5):
-        target = target.dsum(cyclic_form(3, F(2, 3)))
+        target = target.dsum(cyclic_form(3, 2))
     assert forms_isomorphic(discriminant_form(realize("E6*(3)")), target)
     assert forms_isomorphic(
-        discriminant_form(realize("A2")), cyclic_form(3, F(4, 3))
+        discriminant_form(realize("A2")), cyclic_form(3, 4)
     )
     report(4, "discriminant forms of the ambient lattice, E6*(3) and A2 are as required")
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
@@ -10,7 +8,6 @@ from hklat.classify import (
     embed_in_L,
     genus_unique,
     invariants_of,
-    p_elementary_form_for_signature,
     recognize,
 )
 from hklat.fqf import (
@@ -23,13 +20,16 @@ from hklat.fqf import (
 )
 from hklat.lattices import discriminant_form, realize
 
-F = Fraction
+
+def library_p_elementary_form(p, s_plus, s_minus, a):
+    """The library's route, as tables.enumerate_triples takes it: the first
+    p-elementary class of length a that passes Nikulin's test, or None."""
+    forms = (p_elementary_form(p, a, nonresidue) for nonresidue in (False, True))
+    return next((q for q in forms if even_lattice_exists(s_plus, s_minus, q)), None)
 
 
 def library_p_elementary_exists(p, s_plus, s_minus, a):
-    """The library's route, as tables.enumerate_triples takes it."""
-    form = p_elementary_form_for_signature(p, s_plus, s_minus, a)
-    return form is not None and even_lattice_exists(s_plus, s_minus, form)
+    return library_p_elementary_form(p, s_plus, s_minus, a) is not None
 
 
 def test_hyperbolic_existence_examples():
@@ -74,7 +74,7 @@ def test_embed_row_3_11_1():
     assert report.embeds
     t = report.orthogonal_invariants
     assert (t.s_plus, t.s_minus) == (1, 0)
-    expected = cyclic_form(2, F(3, 2)).dsum(cyclic_form(3, F(2, 3)))
+    expected = cyclic_form(2, 3).dsum(cyclic_form(3, 2))
     assert forms_isomorphic(t.form, expected)
     assert forms_isomorphic(t.form, discriminant_form(realize("<6>")))
     assert str(report.orthogonal_expr) == "<6>"
@@ -92,7 +92,7 @@ def test_embed_row_3_2_0():
     assert report.embeds
     t = report.orthogonal_invariants
     assert (t.s_plus, t.s_minus) == (1, 18)
-    assert forms_isomorphic(t.form, cyclic_form(2, F(3, 2)))
+    assert forms_isomorphic(t.form, cyclic_form(2, 3))
 
 
 def test_embed_rejects_mixed_group():
@@ -188,7 +188,7 @@ def test_hyperbolic_existence_has_catalog_witnesses():
             for a in range(0, min(r, 6) + 1):
                 if not hyperbolic_p_elementary_exists(p, r, a):
                     continue
-                form = p_elementary_form_for_signature(p, 1, r - 1, a)
+                form = library_p_elementary_form(p, 1, r - 1, a)
                 assert form is not None, (p, r, a)
                 target = LatticeInvariants(1, r - 1, p if a else 0, a, form)
                 expr = recognize(target)

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hklat
 from hklat import exact, lattices
-from hklat.cli import build_parser, main
+from hklat.cli import _ratio_text, build_parser, main
 from hklat.lattices import realize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,8 +261,15 @@ def _fresh_process(*argv):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_cmath():
-    probe = "import sys, hklat.cli; print(sorted({'dataclasses', 'cmath'} & set(sys.modules)))"
+    heavy = "{'dataclasses', 'cmath', 'fractions', 'decimal'}"
+    probe = f"import sys, hklat.cli; print(sorted({heavy} & set(sys.modules)))"
     assert _fresh_python("-c", probe) == "[]\n"
+
+
+def test_invariants_prints_values_as_fractions_print_them():
+    for n in range(1, 401):
+        for v in range(2 * n):
+            assert _ratio_text(v, n) == str(Fraction(v, n)), (v, n)
 
 
 def test_one_parser_serves_a_session(capsys):

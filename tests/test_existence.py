@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-from fractions import Fraction as F
 
 import pytest
 
@@ -12,6 +11,7 @@ from existence_oracle import (
     p_elementary_exists,
     small_lattices,
 )
+from fqf_oracle import two_elementary_form
 from hklat.errors import DegenerateForm
 from hklat.fqf import (
     FiniteQuadraticForm,
@@ -19,7 +19,6 @@ from hklat.fqf import (
     even_lattice_exists,
     even_lattice_exists_report,
     normal_key,
-    two_elementary_form,
 )
 from hklat.involutions import TwoElemInvariants, two_elementary_exists
 from hklat.lattices import discriminant_form, realize
@@ -136,7 +135,7 @@ def test_two_elementary_closed_form_agrees_with_general_test():
 def test_full_length_two_part_is_decided_by_e4():
     # E4 compares u = ±|A|/|A_2| with discr K(q_2) mod 8, up to sign
     def cyclic(a, m):
-        return cyclic_form(m, F(a, m))
+        return cyclic_form(m, a)
 
     assert even_lattice_exists_report(1, 0, cyclic(1, 8)) == (True, None)  # <8>
     assert even_lattice_exists_report(0, 1, cyclic(7, 8)) == (True, None)  # <-8>

@@ -9,7 +9,17 @@ import pytest
 
 import fqf_oracle
 import hklat
-from fqf_oracle import brute_isomorphic, elements, odd_disc_class, value_counts
+from fqf_oracle import (
+    brute_isomorphic,
+    elements,
+    odd_disc_class,
+    pairing,
+    two_elementary_form,
+    u_block,
+    v_block,
+    value,
+    value_counts,
+)
 from hklat.fqf import (
     DegenerateForm,
     FiniteQuadraticForm,
@@ -25,9 +35,6 @@ from hklat.fqf import (
     normal_key,
     p_elementary_form,
     trivial_form,
-    two_elementary_form,
-    u_block,
-    v_block,
 )
 from hklat.exact import det_exact, mat_mul, smith_normal_form
 from hklat.lattices import Lattice, discriminant_form, realize
@@ -39,7 +46,7 @@ def _gauss_sum_direct(form):
     """Independent oracle: direct summation of exp(pi i q(x)) over all elements."""
     total = 0j
     for x in elements(form):
-        total += cmath.exp(1j * math.pi * form.value(x) / form.level)
+        total += cmath.exp(1j * math.pi * value(form, x) / form.level)
     return total / math.sqrt(form.order)
 
 
@@ -48,7 +55,7 @@ def test_gauss_trivial():
 
 
 def test_gauss_a2_form():
-    q = cyclic_form(3, F(4, 3))
+    q = cyclic_form(3, 4)
     # oracle: 1 + 2 exp(4 pi i / 3) = -i sqrt(3), i.e. angle -pi/2 -> signature 6
     direct = _gauss_sum_direct(q)
     assert abs(direct - cmath.exp(2j * math.pi * 6 / 8)) < 1e-12
@@ -56,7 +63,7 @@ def test_gauss_a2_form():
 
 
 def test_gauss_minus_two():
-    q = cyclic_form(2, F(3, 2))
+    q = cyclic_form(2, 3)
     direct = _gauss_sum_direct(q)
     assert abs(direct - cmath.exp(-1j * math.pi / 4)) < 1e-12
     assert gauss_signature(q) == 7
@@ -64,11 +71,11 @@ def test_gauss_minus_two():
 
 def test_gauss_additive():
     parts = [
-        cyclic_form(3, F(4, 3)),
-        cyclic_form(2, F(3, 2)),
+        cyclic_form(3, 4),
+        cyclic_form(2, 3),
         u_block(2),
         v_block(),
-        cyclic_form(5, F(2, 5)),
+        cyclic_form(5, 2),
         discriminant_form(realize("E6")),
     ]
     for a in parts:
@@ -89,7 +96,7 @@ def _radical_is_trivial_by_enumeration(form):
     k = form.length()
     units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
     return not any(
-        any(x) and all(form.pairing(x, e) == 0 for e in units)
+        any(x) and all(pairing(form, x, e) == 0 for e in units)
         for x in elements(form)
     )
 
@@ -234,8 +241,8 @@ def _rebased(form, rng, moves=12):
         if i != j:
             c = orders[j] // math.gcd(orders[i], orders[j]) * rng.randrange(1, orders[j])
             basis[i] = [(x + c * y) % d for x, y, d in zip(basis[i], basis[j], orders)]
-    q = tuple(form.value(x) for x in basis)
-    b = tuple(tuple(form.pairing(x, y) for y in basis) for x in basis)
+    q = tuple(value(form, x) for x in basis)
+    b = tuple(tuple(pairing(form, x, y) for y in basis) for x in basis)
     return FiniteQuadraticForm(orders, q, b)
 
 
@@ -247,7 +254,7 @@ def test_gauss_signature_is_invariant_under_change_of_group_basis():
         return FiniteQuadraticForm((n, n), (a, a), ((a, 1), (1, a)))
 
     def c(n, a):
-        return cyclic_form(n, F(a, n))
+        return cyclic_form(n, a)
 
     bases = [
         u_block(8).dsum(u_block(8)),
@@ -286,7 +293,7 @@ def test_gauss_signature_enumerates_nothing(monkeypatch):
 
 def test_delta_invariant():
     assert delta_invariant(discriminant_form(realize("U(2)"))) == 0
-    assert delta_invariant(cyclic_form(2, F(3, 2))) == 1
+    assert delta_invariant(cyclic_form(2, 3)) == 1
     assert delta_invariant(trivial_form()) == 0
     assert delta_invariant(v_block()) == 0
     assert delta_invariant(discriminant_form(realize("<6>"))) == 1
@@ -312,13 +319,13 @@ def test_delta_invariant_agrees_with_value_scan():
 def test_form_data_are_integers_at_the_level():
     forms = [
         discriminant_form(realize(name)) for name in ("A2", "U(3) + <-2>", "D4", "E6*(3)", "<12>")
-    ] + [u_block(4), v_block(), p_elementary_form(5, 3, True), cyclic_form(8, F(3, 8))]
+    ] + [u_block(4), v_block(), p_elementary_form(5, 3, True), cyclic_form(8, 3)]
     for form in forms:
         assert form.level == math.lcm(*form.orders)
         assert all(type(x) is int for x in form.q)
         assert all(type(x) is int for row in form.b for x in row)
-    assert cyclic_form(8, F(3, 8)).q == (3,) and cyclic_form(3, F(-2, 3)).q == (4,)
-    assert u_block(4).dsum(cyclic_form(2, F(1, 2))).q == (0, 0, 2)  # 1/2 at level 4
+    assert cyclic_form(8, 3).q == (3,) and cyclic_form(3, -2).q == (4,)
+    assert u_block(4).dsum(cyclic_form(2, 1)).q == (0, 0, 2)  # 1/2 at level 4
 
 
 def test_form_rejects_rational_entries():
@@ -326,8 +333,16 @@ def test_form_rejects_rational_entries():
         FiniteQuadraticForm((2,), (F(3, 2),), ((F(1, 2),),))
     with pytest.raises(hklat.InvalidParameter):
         FiniteQuadraticForm((3,), (4,), ((2,),))  # b(g,g) != q(g) mod Z
+
+
+def test_cyclic_form_takes_an_integer_numerator_matching_the_order():
+    assert cyclic_form(2, 3) == FiniteQuadraticForm((2,), (3,), ((1,),))
+    assert cyclic_form(6, -1) == cyclic_form(6, 11)
+    for numerator in (F(3, 2), F(3), 3.0):
+        with pytest.raises(hklat.InvalidParameter):
+            cyclic_form(2, numerator)
     with pytest.raises(hklat.InvalidParameter):
-        cyclic_form(3, F(1, 2))  # 1/2 is not in (1/3)Z
+        cyclic_form(3, 1)  # q(3g) = 9/3 = 3 would not be 0 mod 2Z
 
 
 def test_milgram_catalog_sweep():
@@ -351,22 +366,22 @@ def test_milgram_catalog_sweep():
 
 def test_forms_isomorphic_same_construction():
     a = discriminant_form(realize("A2 + A2"))
-    b = cyclic_form(3, F(4, 3)).dsum(cyclic_form(3, F(4, 3)))
+    b = cyclic_form(3, 4).dsum(cyclic_form(3, 4))
     assert forms_isomorphic(a, b)
 
 
 def test_forms_isomorphic_u3():
     a = discriminant_form(realize("U(3)"))
-    b = cyclic_form(3, F(2, 3)).dsum(cyclic_form(3, F(4, 3)))
+    b = cyclic_form(3, 2).dsum(cyclic_form(3, 4))
     assert forms_isomorphic(a, b)
-    c = cyclic_form(3, F(2, 3)).dsum(cyclic_form(3, F(2, 3)))
+    c = cyclic_form(3, 2).dsum(cyclic_form(3, 2))
     assert not forms_isomorphic(a, c)
 
 
 def test_forms_isomorphic_on_non_elementary_parts():
     a = discriminant_form(realize("<4>"))
-    assert forms_isomorphic(a, cyclic_form(4, F(1, 4)))
-    assert not forms_isomorphic(a, cyclic_form(4, F(7, 4)))
+    assert forms_isomorphic(a, cyclic_form(4, 1))
+    assert not forms_isomorphic(a, cyclic_form(4, 7))
     d5 = discriminant_form(realize("D5"))
     assert forms_isomorphic(d5, d5.neg().neg())
 
@@ -404,7 +419,7 @@ def _blocks(p, max_order):
                     for y in range(0, 2 * m, 2)
                 ]
         else:
-            out += [cyclic_form(m, F(2 * u, m)) for u in (1, _least_nonresidue(p))]
+            out += [cyclic_form(m, 2 * u) for u in (1, _least_nonresidue(p))]
         m *= p
     return out
 
@@ -462,7 +477,7 @@ def test_normal_key_is_invariant_under_change_of_group_basis(p, max_order):
 
 
 def test_jordan_blocks_of_standard_forms():
-    assert jordan_blocks(u_block(4).dsum(cyclic_form(2, F(3, 2))), 2) == [(4, "u"), (2, 3)]
+    assert jordan_blocks(u_block(4).dsum(cyclic_form(2, 3)), 2) == [(4, "u"), (2, 3)]
     assert jordan_blocks(v_block(), 2) == [(2, "v")]
     assert jordan_blocks(discriminant_form(realize("A2")), 3) == [(3, 4)]
     assert sorted(jordan_blocks(discriminant_form(realize("U(3)")), 3)) == [(3, 2), (3, 4)]
@@ -476,10 +491,10 @@ def test_forms_isomorphic_on_large_groups(monkeypatch):
         monkeypatch.setattr(fqf_oracle, name, forbidden)
     n = 16384
     big = discriminant_form(realize(f"<-{n}>"))
-    assert forms_isomorphic(big, cyclic_form(n, F(-1, n)))
-    assert forms_isomorphic(big, cyclic_form(n, F(-9, n)))  # -9 = -1·3^2
-    assert not forms_isomorphic(big, cyclic_form(n, F(1, n)))
-    assert not forms_isomorphic(big, cyclic_form(n, F(-3, n)))
+    assert forms_isomorphic(big, cyclic_form(n, -1))
+    assert forms_isomorphic(big, cyclic_form(n, -9))  # -9 = -1·3^2
+    assert not forms_isomorphic(big, cyclic_form(n, 1))
+    assert not forms_isomorphic(big, cyclic_form(n, -3))
     assert even_lattice_exists_report(0, 1, big) == (True, None)
     # E8 and U^4 are both unimodular of rank 8 and determinant 1 over Z_101
     e8 = discriminant_form(realize("E8(101)"))
@@ -494,7 +509,7 @@ def test_forms_isomorphic_rejects_degenerate():
     with pytest.raises(DegenerateForm):
         forms_isomorphic(degenerate, degenerate)
     with pytest.raises(DegenerateForm):
-        forms_isomorphic(cyclic_form(2, F(1, 2)), degenerate)
+        forms_isomorphic(cyclic_form(2, 1), degenerate)
 
 
 def test_internal_builders_yield_valid_forms():
@@ -510,14 +525,14 @@ def test_internal_builders_yield_valid_forms():
 
 
 def test_odd_disc_class():
-    assert odd_disc_class(cyclic_form(3, F(2, 3)), 3) == legendre_ref(2, 3)
+    assert odd_disc_class(cyclic_form(3, 2), 3) == legendre_ref(2, 3)
     assert odd_disc_class(discriminant_form(realize("U(3)")).prime_part(3), 3) == legendre_ref(-1, 3)
 
 
 def _change_basis(form, m):
     """The form on the generators sum_j m[i][j] g_j (m invertible mod the level)."""
-    q = tuple(form.value(row) for row in m)
-    b = tuple(tuple(form.pairing(x, y) for y in m) for x in m)
+    q = tuple(value(form, row) for row in m)
+    b = tuple(tuple(pairing(form, x, y) for y in m) for x in m)
     return FiniteQuadraticForm(form.orders, q, b)
 
 
@@ -525,7 +540,7 @@ def test_disc_class_from_jordan_blocks_matches_det_oracle():
     # every p-elementary form with p <= 19 and a <= 6 (both classes), diagonal
     # and on random generators, and next to a 2-part and a non-elementary 3-part
     rng = random.Random(9)
-    extra = cyclic_form(2, F(1, 2)).dsum(cyclic_form(9, F(2, 9)))
+    extra = cyclic_form(2, 1).dsum(cyclic_form(9, 2))
     for p in (3, 5, 7, 11, 13, 17, 19):
         for a in range(1, 7):
             classes = set()
@@ -553,21 +568,21 @@ def legendre_ref(a, p):
 def test_even_lattice_exists_excluded_case():
     q = trivial_form()
     for _ in range(5):
-        q = q.dsum(cyclic_form(3, F(4, 3)))
-    q = q.dsum(cyclic_form(2, F(3, 2)))
+        q = q.dsum(cyclic_form(3, 4))
+    q = q.dsum(cyclic_form(2, 3))
     ok, reason = even_lattice_exists_report(1, 4, q)
     assert not ok and reason == "E3:p=3"
 
 
 def test_even_lattice_exists_realizable():
-    q = cyclic_form(3, F(4, 3)).dsum(cyclic_form(2, F(3, 2)))
+    q = cyclic_form(3, 4).dsum(cyclic_form(2, 3))
     assert even_lattice_exists(1, 4, q)
 
 
 def test_even_lattice_exists_rank_one_witness():
-    assert even_lattice_exists(0, 1, cyclic_form(2, F(3, 2)))
-    assert not even_lattice_exists(1, 0, cyclic_form(2, F(3, 2)))  # needs <2>-norm 1/2
-    assert even_lattice_exists(1, 0, cyclic_form(2, F(1, 2)))
+    assert even_lattice_exists(0, 1, cyclic_form(2, 3))
+    assert not even_lattice_exists(1, 0, cyclic_form(2, 3))  # needs <2>-norm 1/2
+    assert even_lattice_exists(1, 0, cyclic_form(2, 1))
     # <6> and its impossible mirror
     span6 = discriminant_form(realize("<6>"))
     assert even_lattice_exists(1, 0, span6)
@@ -577,8 +592,23 @@ def test_even_lattice_exists_rank_one_witness():
 def test_even_lattice_exists_milgram_gate():
     ok, reason = even_lattice_exists_report(5, 0, discriminant_form(realize("A2")))
     assert not ok and reason == "E2"
-    ok, reason = even_lattice_exists_report(0, 0, cyclic_form(2, F(1, 2)))
+    ok, reason = even_lattice_exists_report(0, 0, cyclic_form(2, 1))
     assert not ok and reason == "E1"
+
+
+def test_existence_splits_each_prime_part_once(monkeypatch):
+    # <-6>: full length at 2 and at 3, so E2, E3:p=3 and E4 all read blocks
+    calls = []
+    split = hklat.fqf.jordan_blocks
+
+    def counted(part, p):
+        calls.append(p)
+        return split(part, p)
+
+    monkeypatch.setattr(hklat.fqf, "jordan_blocks", counted)
+    form = cyclic_form(2, 1).dsum(cyclic_form(3, 4))
+    assert even_lattice_exists_report(0, 1, form) == (True, None)
+    assert sorted(calls) == [2, 3]
 
 
 def test_even_lattice_exists_for_all_table_lattices():
@@ -632,7 +662,7 @@ def test_p_elementary_form_matches_cyclic_sum():
                 units = [1] * (a - 1) + [last] if a else []
                 expected = trivial_form()
                 for u in units:
-                    expected = expected.dsum(cyclic_form(p, F(2 * u, p)))
+                    expected = expected.dsum(cyclic_form(p, 2 * u))
                 form = p_elementary_form(p, a, last != 1)
                 assert form == expected, (p, a, last)
                 assert FiniteQuadraticForm(form.orders, form.q, form.b) == form

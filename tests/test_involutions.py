@@ -1,8 +1,8 @@
 import pytest
 
-from fqf_oracle import value_counts
+from fqf_oracle import two_elementary_form, value_counts
 from golden_data import figure_marker_set
-from hklat.fqf import delta_invariant, gauss_signature, trivial_form, two_elementary_form
+from hklat.fqf import delta_invariant, gauss_signature, trivial_form
 from hklat.involutions import (
     CASE_I,
     CASE_II,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from golden_data import (
@@ -15,7 +17,6 @@ from hklat.lattices import (
     realize,
 )
 from hklat.tables import (
-    NonIntegerResult,
     UnsupportedPrime,
     enumerate_triples,
     h4_trace,
@@ -40,13 +41,18 @@ def test_lefschetz_chi_examples():
 
 
 def test_closed_forms_always_integral_on_integer_input():
-    # the half-integer terms cancel for every integer (p, m, a); the
-    # NonIntegerResult guard stays purely defensive
+    # the integer formulas equal the paper's rational ones, whose half-integer
+    # terms cancel for every integer (p, m, a)
+    half = Fraction(1, 2)
     for p in range(2, 23):
         for m in range(1, 12):
-            lefschetz_chi(p, m)
+            chi = 324 - Fraction(51, 2) * m * p + half * m * m * p * p
+            assert (type(lefschetz_chi(p, m)), lefschetz_chi(p, m)) == (int, chi), (p, m)
             for a in range(0, m + 1):
-                h_star(p, m, a)
+                hs = 324 - 2 * a * (25 - a) - (p - 2) * m * (25 - 2 * a) + half * m * (
+                    (p - 2) ** 2 * m - p
+                )
+                assert (type(h_star(p, m, a)), h_star(p, m, a)) == (int, hs), (p, m, a)
 
 
 def test_h4_trace_examples():
