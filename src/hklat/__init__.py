@@ -2,7 +2,6 @@
 non-symplectic automorphisms on K3^[2]-type hyperkaehler fourfolds."""
 
 from .errors import (
-    BudgetExceeded,
     DegenerateForm,
     HklatError,
     InvalidParameter,

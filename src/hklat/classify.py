@@ -11,17 +11,19 @@ asks it for T, tables.enumerate_triples for S.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import cache
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InvalidParameter, NotPElementary
+from .errors import InvalidParameter, NotPElementary
 from .exact import is_prime
 from .fqf import (
     FiniteQuadraticForm,
     cyclic_form,
     even_lattice_exists_report,
     forms_isomorphic,
-    normal_key,
-    trivial_form,
+    jordan_splitting,
+    splitting_key,
 )
 from .lattices import (
     AMBIENT_SIGNATURE,
@@ -195,77 +197,120 @@ def _search_pool(target: LatticeInvariants) -> list[tuple[str, int]]:
         for p in odd_primes:
             pool.append((f"<{2 * p}>", 1))
             pool.append((f"<{-2 * p}>", 1))
-    if not odd_primes and not has_two_part:
-        pool.append(("<2>", 1))
-        pool.append(("<-2>", 1))
     return pool
 
 
-def recognize(
-    target: LatticeInvariants, budget: int = 9
-) -> LatticeExpr | None:
-    """Search catalog direct sums realizing the target invariants.
+def recognize(target: LatticeInvariants) -> LatticeExpr | None:
+    """The first catalog direct sum over `_search_pool(target)` with the
+    target's signature and discriminant form, or None when there is none.
 
-    Deterministic: fewest summands first, then lexicographic in the fixed pool
-    order.  Matching is exact on rank, signature and |det|, then up to
-    isomorphism of discriminant forms: equal normal keys, the target's
-    computed once.  Returns None when the budget is exhausted.
+    Order: fewest summands first, then the sorted sequence of pool indices,
+    lexicographic.  Forms match when their normal keys are equal.  A sum's
+    key is read off its atoms' Jordan blocks put together, since any Jordan
+    splitting gives the key; the target's is computed once.
+
+    The search.  The atoms are the pool terms with |det| != 1.  Each is filed
+    under the largest prime p of its |det|, and the primes are taken from
+    the largest down.  For each p, every partial sum kept so far is extended
+    by multisets of p's atoms, by nondecreasing pool index, while the |det|
+    product divides |A_T| and the signature stays within the target's.  An
+    extension is kept once its p-part is done: p does not divide the rest of
+    |A_T|, and the local key at p is the target's.  Of the extensions with
+    the same state (rest of |A_T|, signature, multiset of Jordan blocks at
+    2) only the first in the order above is kept.  After the last prime,
+    each partial sum is completed by x copies of U and y copies of E8, and
+    the first in order is the answer.  A target with a Jordan block of a
+    scale that no atom has is answered None at once: the scales, with their
+    ranks, are the elementary divisors of A_T, and those of a sum are its
+    summands' put together.
+
+    Complete.  Let M be a pool sum with sig M = sig T and q_M ~ q_T.  Its
+    summands with |det| != 1 have |det| product |A_M| = |A_T|, since |det|
+    is multiplicative over an orthogonal sum, and each partial sum of them
+    has signature <= sig T, since signatures add and are >= 0.  An atom
+    filed under p has no prime above p in its |det|, and every pool atom
+    with an odd p in its |det| is filed under p: only <2p> and <-2p> have two
+    primes.  So once M's atoms of p are placed, the p-part of M is done, and
+    q_M ~ q_T gives it the target's local key at p.  An extension dropped
+    for one with the same state can be finished by the same atoms: the
+    later primes see only the later atoms, and the 2-part, the sum of the
+    same blocks, is the same form.  So M's atoms or a sum of the same state
+    survive every prime.  Conversely the normal key is the tuple of the
+    local keys, so a partial sum that passes every prime has the target's
+    key.  Each atom has |det| >= 2, so at most Omega(|A_T|) atoms are placed
+    and the search ends.  The other summands of M are unimodular, and U and
+    E8 are the only unimodular pool terms.
+
+    Forced.  x copies of U and y of E8 have signature (x, x + 8y).  With
+    (D+, D-) = sig T - sig(atoms), x = D+ and y = (D- - D+)/8; atoms for
+    which these are not integers >= 0 have no completion.
+
+    Order.  Two extensions with the same state are finished by the same
+    atoms, U and E8.  Their summand counts then differ as their lengths do.
+    At equal length, of two sorted sequences the first is the one with more
+    copies of the smallest index whose multiplicity differs, and that index
+    is one of theirs.  So the extension kept comes first with every
+    completion, and the answer is the first of all pool sums with the
+    target's signature and key.  The budgeted search this replaces (kept as
+    the test oracle `tests/recognize_oracle.py`) met the pool multisets of
+    the target's signature in this order and took the first with
+    |det| = |A_T| and the target's key, so the two give the same answer
+    wherever that one answers.  The empty multiset answers the rank-0
+    target.
     """
-    if budget < 1:
-        raise BudgetExceeded("budget must allow at least one summand")
-    pool = [(term, atom_data(*term)) for term in _search_pool(target)]
-    want_det = target.form.order
-    want_sig = (target.s_plus, target.s_minus)
-    want_rank = target.rank
-    if want_rank == 0:
-        return LatticeExpr(())
+    terms = _search_pool(target)
+    splittings = [_atom_splitting(term) for term in terms]
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (index, |det|, s+, s-)
+    for i, term in enumerate(terms):
+        if splittings[i]:
+            atom = atom_data(*term)
+            groups.setdefault(max(splittings[i]), []).append((i, abs(atom.det), *atom.signature))
+    want_splitting = jordan_splitting(target.form)
+    scales = {m for splitting in splittings for blocks in splitting.values() for m, _ in blocks}
+    if any(m not in scales for blocks in want_splitting.values() for m, _ in blocks):
+        return None
+    want = dict(splitting_key(want_splitting))
+    want_plus, want_minus = target.s_plus, target.s_minus
 
-    want_key = normal_key(target.form)
-    for count in range(1, budget + 1):
-        for combo in _signature_combos(pool, count, want_rank, want_sig):
-            if abs(math.prod(data.det for _, data in combo)) != want_det:
-                continue
-            form = trivial_form()
-            for _, data in combo:
-                form = form.dsum(data.form)
-            if normal_key(form) == want_key:
-                return _combo_to_expr(combo)
-    return None
+    @cache
+    def local_key(p, atoms):
+        """The local key at p of the sum of these atoms, each with p in its |det|."""
+        return dict(splitting_key({p: [block for i in atoms for block in splittings[i][p]]}))[p]
 
+    def extend(p, start, left, plus, minus, acc):
+        """The extensions of acc by p's atoms from `start` on whose p-part is
+        done, as ((rest of |A_T|, plus, minus, blocks at 2), sorted acc)."""
+        if left % p and local_key(p, tuple(i for i in acc if p in splittings[i])) == want[p]:
+            twos = Counter(block for i in acc for block in splittings[i].get(2, ()))
+            yield (left, plus, minus, frozenset(twos.items())), tuple(sorted(acc))
+        for k, (i, d, sp, sm) in enumerate(groups[p][start:], start):
+            if left % d == 0 and plus + sp <= want_plus and minus + sm <= want_minus:
+                yield from extend(p, k, left // d, plus + sp, minus + sm, acc + (i,))
 
-def _signature_combos(pool, count, want_rank, want_sig):
-    """Multisets of `count` pool terms with the exact total rank and signature."""
-    n = len(pool)
-    ranks = [len(data.gram) for _, data in pool]
-    suffix_min = [0] * (n + 1)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = min(ranks[i], suffix_min[i + 1] or ranks[i])
-        suffix_max[i] = max(ranks[i], suffix_max[i + 1])
+    kept = {(target.form.order, 0, 0, None): ()}
+    for p in sorted(groups, reverse=True):
+        done: dict[tuple, tuple[int, ...]] = {}
+        for (left, plus, minus, _), acc in kept.items():
+            for state, seq in extend(p, 0, left, plus, minus, acc):
+                if state not in done or (len(seq), seq) < (len(done[state]), done[state]):
+                    done[state] = seq
+        kept = done
 
-    def rec(start, left, rank_left, plus_left, minus_left, acc):
-        if left == 0:
-            if rank_left == 0 and plus_left == 0 and minus_left == 0:
-                yield list(acc)
-            return
-        for i in range(start, n):
-            r = ranks[i]
-            if r + (left - 1) * suffix_min[i] > rank_left:
-                continue
-            if r + (left - 1) * suffix_max[i] < rank_left:
-                continue
-            sp, sm = pool[i][1].signature
-            if sp > plus_left or sm > minus_left:
-                continue
-            acc.append(pool[i])
-            yield from rec(i, left - 1, rank_left - r, plus_left - sp, minus_left - sm, acc)
-            acc.pop()
-
-    yield from rec(0, count, want_rank, want_sig[0], want_sig[1], [])
-
-
-def _combo_to_expr(combo) -> LatticeExpr:
-    counts: dict[tuple[str, int], int] = {}
-    for term, _ in combo:
-        counts[term] = counts.get(term, 0) + 1
+    u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
+    found = []
+    for (_, plus, minus, _), acc in kept.items():
+        x = want_plus - plus
+        y8 = want_minus - minus - x
+        if y8 >= 0 and y8 % 8 == 0:
+            found.append(tuple(sorted(acc + (u,) * x + (e8,) * (y8 // 8))))
+    if not found:
+        return None
+    counts = Counter(terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
     return LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
+
+
+@cache
+def _atom_splitting(term: tuple[str, int]) -> dict[int, list[tuple[int, int | str]]]:
+    """The Jordan splitting of a pool term's discriminant form, once per process."""
+    return jordan_splitting(atom_data(*term).form)
+

@@ -29,10 +29,6 @@ class UnsupportedPrime(HklatError, ValueError):
     """enumerate_triples handles the odd primes 3..19 only."""
 
 
-class BudgetExceeded(HklatError, ValueError):
-    """Recognition search budget must allow at least one summand."""
-
-
 # -- 2: mathematical rejection ---------------------------------------------------
 
 class NotEvenLattice(HklatError, ValueError):

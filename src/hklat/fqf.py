@@ -224,10 +224,10 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
     Exact: each p-part is split into orthogonal Jordan blocks, whose Gauss
     sums are known in closed form, and s is the sum of the block signatures.
     Raises DegenerateForm when b has a nontrivial radical."""
-    return _signature(_jordan_splitting(form))
+    return _signature(jordan_splitting(form))
 
 
-def _jordan_splitting(form: FiniteQuadraticForm) -> dict[int, list[tuple[int, int | str]]]:
+def jordan_splitting(form: FiniteQuadraticForm) -> dict[int, list[tuple[int, int | str]]]:
     """The Jordan blocks of each p-part, by prime p of |A| in increasing
     order; every invariant below is read off this one splitting."""
     return {p: jordan_blocks(form.prime_part(p), p) for p in sorted(form.lengths_per_prime())}
@@ -356,7 +356,7 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
     part is elementary, the Legendre symbol of the discriminant of that part:
     the product of its Jordan block units, which is det of the scaled
     bilinear form up to the square of a change of basis."""
-    splitting = _jordan_splitting(form)
+    splitting = jordan_splitting(form)
     disc = {
         p: legendre(math.prod(a for _, a in blocks), p)
         for p, blocks in splitting.items()
@@ -406,9 +406,16 @@ def normal_key(form: FiniteQuadraticForm) -> tuple:
     so the set depends on q only up to isomorphism; conversely a lattice in
     both sets has a discriminant form isomorphic to both forms.
     """
+    return splitting_key(jordan_splitting(form))
+
+
+def splitting_key(splitting: dict[int, list[tuple[int, int | str]]]) -> tuple:
+    """The normal key of the form whose p-part has the Jordan blocks
+    splitting[p].  Any Jordan splitting gives the same key, so the blocks of
+    an orthogonal sum may be those of its summands put together."""
     return tuple(
         (p, _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p))
-        for p, blocks in _jordan_splitting(form).items()
+        for p, blocks in sorted(splitting.items())
     )
 
 
@@ -510,7 +517,7 @@ def even_lattice_exists_report(
     lengths = form.lengths_per_prime()
     if s_plus < 0 or s_minus < 0 or max(lengths.values(), default=0) > rank:
         return False, "E1"
-    splitting = _jordan_splitting(form)
+    splitting = jordan_splitting(form)
     if _signature(splitting) != (s_plus - s_minus) % 8:
         return False, "E2"
     for p, blocks in splitting.items():

@@ -63,9 +63,6 @@ class LatticeExpr(NamedTuple):
     def __str__(self) -> str:
         return render_expr(self)
 
-    def rank(self) -> int:
-        return sum(len(atom_data(atom, t).gram) * mult for atom, t, mult in self.summands)
-
     def negated(self) -> "LatticeExpr":
         return LatticeExpr(tuple((a, -t, m) for a, t, m in self.summands))
 
@@ -465,9 +462,3 @@ def lattice_from_json(text: str) -> Lattice:
         raise InvalidParameter(f"name {render_expr(expr)!r} does not match the Gram matrix")
     return lattice
 
-
-def lattice_to_json(lattice: Lattice) -> str:
-    data = {"gram": [list(r) for r in lattice.gram]}
-    if lattice.expr is not None:
-        data["name"] = render_expr(lattice.expr)
-    return json.dumps(data)

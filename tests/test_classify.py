@@ -1,24 +1,36 @@
-import pytest
+import functools
+import math
 
+import pytest
+from hypothesis import given, settings
+
+import recognize_oracle
 from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
+from fqf_oracle import value
 from golden_data import TABLE_ROWS
 from hklat.classify import (
     LatticeInvariants,
     NotPElementary,
+    _rank_one_orthogonal_group_surjects,
+    _search_pool,
     embed_in_L,
     genus_unique,
     invariants_of,
     recognize,
 )
 from hklat.fqf import (
+    FiniteQuadraticForm,
     cyclic_form,
     even_lattice_exists,
     even_lattice_exists_report,
     forms_isomorphic,
+    normal_key,
     p_elementary_form,
     trivial_form,
 )
-from hklat.lattices import discriminant_form, realize
+from hklat.lattices import atom_data, discriminant_form, realize
+from hklat.tables import LATTICE_NAMES
+from test_lattices import atom_sums
 
 
 def library_p_elementary_form(p, s_plus, s_minus, a):
@@ -141,6 +153,65 @@ def test_recognize_examples():
 
     inv = _invariants("<6>")
     assert str(recognize(inv)) == "<6>"
+
+
+def _assert_recognize_agrees_with_oracle(target):
+    """The budgeted search's name where it answers; where it gives up, None
+    or a catalog sum with the target's signature and normal key."""
+    expr = recognize(target)
+    oracle = recognize_oracle.recognize(target)
+    if oracle is not None:
+        assert str(expr) == str(oracle)
+    elif expr is not None:
+        found = invariants_of(realize(expr))
+        assert (found.s_plus, found.s_minus) == (target.s_plus, target.s_minus), expr
+        assert normal_key(found.form) == normal_key(target.form), expr
+    return expr
+
+
+def test_recognize_matches_the_budgeted_search_on_table_names():
+    for pair in LATTICE_NAMES.values():
+        for name in pair:
+            assert _assert_recognize_agrees_with_oracle(invariants_of(realize(name))), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(atom_sums())
+def test_recognize_matches_the_budgeted_search_on_sums(expr):
+    _assert_recognize_agrees_with_oracle(invariants_of(realize(expr)))
+
+
+def test_recognize_has_no_summand_budget():
+    # ten summands, one more than the budgeted search tried
+    for name in ("U^10", "<-2>^10"):
+        assert str(recognize(invariants_of(realize(name)))) == name
+
+
+def test_search_pool_unimodular_terms_are_U_and_E8():
+    # the completeness of recognize rests on this: every other pool term has
+    # |det| >= 2, so a catalog sum has at most Omega(|A_T|) of them
+    odd = [cyclic_form(p, 2) for p in (3, 5, 7, 11, 13, 17, 19)]
+    forms = [trivial_form(), cyclic_form(2, 1), *odd]
+    forms += [cyclic_form(2, 1).dsum(form) for form in odd]
+    forms.append(functools.reduce(FiniteQuadraticForm.dsum, forms[1:9]))
+    for form in forms:
+        pool = _search_pool(LatticeInvariants(0, 0, None, 0, form))
+        unimodular = [term for term in pool if abs(atom_data(*term).det) == 1]
+        assert unimodular == [("U", 1), ("E8", 1)], form
+
+
+def test_rank_one_orthogonal_group_surjects_matches_a_unit_scan():
+    # O(<n>) = {+-1}; it maps onto O(q) iff every unit u of Z/n with
+    # q(u) = q(1) is +-1
+    for n in range(2, 81, 2):
+        for sign in (1, -1):
+            form = cyclic_form(n, sign)
+            preserving = [
+                u for u in range(1, n)
+                if math.gcd(u, n) == 1 and value(form, (u,)) == value(form, (1,))
+            ]
+            expected = all(u in (1, n - 1) for u in preserving)
+            assert _rank_one_orthogonal_group_surjects(form) == expected, (n, sign)
 
 
 def test_pool_terms_are_built_once():
