@@ -12,7 +12,6 @@ from .errors import (
 from .exact import (
     det_exact,
     signature_of_symmetric,
-    smith_normal_form,
 )
 from .fqf import (
     FiniteQuadraticForm,

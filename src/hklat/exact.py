@@ -50,14 +50,6 @@ def dims(m: IntMatrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
-def mat_mul(a, b):
-    """Matrix product."""
-    if not a or not b:
-        return ()
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def scale(m: IntMatrix, t: int) -> IntMatrix:
     return tuple(tuple(t * x for x in row) for row in m)
 
@@ -127,13 +119,13 @@ def det_exact(m: IntMatrix) -> int:
     return det
 
 
-def _min_pivot(a, t, rows, cols):
+def _min_pivot(a, t):
     """Nonzero entry of the trailing block minimizing (|value|, i, j); None if
     all zero.  The scan is row-major, so the first +-1 met is taken on sight."""
     best, least = None, None
-    for i in range(t, rows):
+    for i in range(t, len(a)):
         row = a[i]
-        for j in range(t, cols):
+        for j in range(t, len(a)):
             x = row[j]
             if x:
                 if x == 1 or x == -1:
@@ -143,65 +135,71 @@ def _min_pivot(a, t, rows, cols):
     return best
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatrix]:
+    """Invariant factors of a nonsingular square m with |det m| = |det|, and
+    a right transform, by elimination modulo R = det^2 (Cohen, GTM 138, §2.4).
 
-    Returns (U, D, V) with U·m·V = D, U and V unimodular, and D diagonal with
-    nonnegative entries d1 | d2 | ... .  Pivot selection is deterministic
-    (smallest absolute value, then position), so the transforms are
-    reproducible.  A unit pivot, taken on sight, skips the divisibility sweep;
-    the transforms are unchanged, as the full scan would pick the same entry
-    and a unit divides every entry.
+    Returns (factors, V): factors g_1 | g_2 | ... | g_n with product |det|,
+    and V unimodular with m·v_t = 0 mod g_t for each column v_t of V.  The
+    pivot is the least (|value|, i, j) of the trailing block, a unit taken on
+    sight; rows and columns are cleared by division with remainder, and a
+    row holding an entry the pivot does not divide is added to the pivot
+    row.  An entry leaving [-R, R] is replaced by its centered residue mod R.
+
+    Why this is the Smith form of m.  Row operations U and column operations
+    V keep U·m·V = A mod R for the working matrix A, the replacements too.
+    R·Z^n lies in m·Z^n, since d·m^-1 = ±adj m is integral for d = |det|; so
+    U·m·Z^n = A·Z^n + R·Z^n, i.e. each replacement is a column operation
+    against R·I and SNF([m | R·I]) = SNF(m).  At the end A is diagonal and
+    A·Z^n + R·Z^n is the sum of the g_t·Z for g_t = gcd(a_tt, R).  Once a_tt
+    divides the trailing block, g_t divides every later entry (the later
+    operations and residues mod R keep the block in g_t·Z), so the g_t form
+    a divisor chain.  Column t gives U·m·v_t = a_tt·e_t mod R, so m·v_t = 0
+    mod g_t.
     """
-    rows, cols = dims(m)
+    n = len(m)
+    r = det * det
+    half = r // 2
     a = [list(row) for row in m]
-    u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
+    v = [list(row) for row in identity(n)]
+
+    def fold(x):  # x, or its centered residue mod R once outside [-R, R]
+        return x if -r <= x <= r else (x + half) % r - half
 
     def row_add(i, j, q):  # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        a[i] = [fold(x + q * y) for x, y in zip(a[i], a[j])]
 
     def col_add(i, j, q):  # col_i += q * col_j
-        for r in range(rows):
-            a[r][i] += q * a[r][j]
-        for r in range(cols):
-            v[r][i] += q * v[r][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for row in a:
+            row[i] = fold(row[i] + q * row[j])
+        for row in v:
+            row[i] += q * row[j]
 
     def col_swap(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for rows in (a, v):
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
 
-    t = 0
-    while t < min(rows, cols):
-        loc = _min_pivot(a, t, rows, cols)
-        if loc is None:
+    for t in range(n):
+        loc = _min_pivot(a, t)
+        if loc is None:  # the trailing block is 0; its factors are gcd(0, R)
             break
         i, j = loc
-        if i != t:
-            row_swap(t, i)
+        a[t], a[i] = a[i], a[t]
         if j != t:
             col_swap(t, j)
         # Clear row and column t; swaps keep shrinking the pivot until exact.
         while True:
             dirty = False
-            for i in range(t + 1, rows):
+            for i in range(t + 1, n):
                 if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
+                    row_add(i, t, -(a[i][t] // a[t][t]))
                     if a[i][t] != 0:
-                        row_swap(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
-            for j in range(t + 1, cols):
+            for j in range(t + 1, n):
                 if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
+                    col_add(j, t, -(a[t][j] // a[t][t]))
                     if a[t][j] != 0:
                         col_swap(t, j)
                         dirty = True
@@ -210,18 +208,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             # Enforce divisibility of the trailing block by the pivot.
             p = a[t][t]
             culprit = None if p in (1, -1) else next(
-                (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p), None
+                (i for i in range(t + 1, n) for j in range(t + 1, n) if a[i][j] % p), None
             )
             if culprit is None:
                 break
             row_add(t, culprit, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
 
-    d = tuple(tuple(a[i][j] if i == j else 0 for j in range(cols)) for i in range(rows))
-    return tuple(map(tuple, u)), d, tuple(map(tuple, v))
+    return tuple(math.gcd(a[t][t], r) for t in range(n)), tuple(map(tuple, v))
 
 
 def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:

@@ -21,14 +21,21 @@ class K3FixedLocus:
     """Fixed locus of an order-p automorphism on a K3 surface.
 
     n[t] counts isolated points with local rotation type diag(z^(t+1), z^(p-t))
-    for a primitive p-th root of unity z; n has length p-1.  Immutable;
-    equality and hashing go by (p, k, n, genus_curve).
+    for a primitive p-th root of unity z; n has length p-1.  Every count is
+    an int: a float, bool or str raises InvalidParameter, as does an n that
+    is not a sequence.  Immutable; equality and hashing go by
+    (p, k, n, genus_curve).
     """
 
     __slots__ = ("p", "k", "n", "genus_curve")
 
     def __init__(self, p: int, k: int, n: tuple[int, ...], genus_curve: int | None = None):
-        n = tuple(int(x) for x in n)
+        p, k = as_int(p), as_int(k)
+        try:
+            n = tuple(map(as_int, n))
+        except TypeError as exc:
+            raise InvalidParameter(f"n must be a sequence of integers: {exc}") from exc
+        genus_curve = None if genus_curve is None else as_int(genus_curve)
         if p == 2 or not is_prime(p):
             raise InvalidParameter("p must be an odd prime")
         if len(n) != p - 1:
@@ -262,12 +269,9 @@ HILB2_NATURAL_355 = K3FixedLocus(p=3, k=2, n=(0, 5))
 def k3_fixed_locus_from_json(text: str) -> K3FixedLocus:
     try:
         data = json.loads(text)
-        p = as_int(data["p"])
-        k = as_int(data.get("k", 0))
-        n = data.get("n")
-        n = (0,) * (p - 1) if n is None else tuple(map(as_int, n))
-        genus = data.get("genus_curve")
-        genus = None if genus is None else as_int(genus)
+        p, n = data["p"], data.get("n")
+        if n is None:
+            n = (0,) * (p - 1)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed fixed-locus JSON: {exc!r}") from exc
-    return K3FixedLocus(p=p, k=k, n=n, genus_curve=genus)
+    return K3FixedLocus(p=p, k=data.get("k", 0), n=n, genus_curve=data.get("genus_curve"))

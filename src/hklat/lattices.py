@@ -21,11 +21,12 @@ matrix and no elimination.  `discriminant_form`, `is_p_elementary`,
 `classify.invariants_of` and hence `embed` take it for every lattice
 `realize` built.  The Smith route: a lattice from JSON, or from
 `Lattice(gram, expr)`, `direct_sum` or `twist`, is checked, and its det,
-signature and discriminant form are eliminated from the full Gram matrix.
-The `invariants` command prints the discriminant group and the values of q
-on generators from `discriminant_data`, the Smith form of the full Gram
-matrix, for every lattice: those generators depend on the pivot order over
-the whole matrix, so they are what the command has always printed.
+signature and discriminant form are eliminated from the full Gram matrix,
+the form by `discriminant_data` from the Smith form modulo det².  The
+`invariants` command prints the discriminant group and the values of q on
+generators from `discriminant_data` for every lattice: those generators
+depend on the pivot order over the whole matrix, so they are what the
+command has always printed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .exact import (
     dims,
     is_prime,
     is_symmetric,
-    mat_mul,
     scale,
     signature_of_symmetric,
     smith_normal_form,
@@ -139,15 +139,20 @@ def _cartan_E(l: int) -> IntMatrix:
 
 
 def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """(e·m^-1, e) for e the largest Smith invariant of m.
+    """(e·m^-1, e) for the least e > 0 making e·m^-1 integral.
 
-    With U m V = D, m^-1 = V D^-1 U, so e·m^-1 = V diag(e/d_i) U is integral.
-    """
-    u, d, v = smith_normal_form(m)
+    m^-1 = adj(m)/det, so with c the gcd of the entries of adj(m),
+    e·m^-1 = sign(det)·adj(m)/c for e = |det|/c.  The adjugate is taken by
+    `det_exact` of the minors, and det by expansion along row 0."""
     n = len(m)
-    e = d[n - 1][n - 1]
-    vd = tuple(tuple(v[r][i] * (e // d[i][i]) for i in range(n)) for r in range(n))
-    return mat_mul(vd, u), e
+    adj = [
+        [(-1) ** (i + j) * det_exact(tuple(r[:i] + r[i + 1:] for r in m[:j] + m[j + 1:]))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    det = sum(x * row[0] for x, row in zip(m[0], adj))
+    c = math.gcd(*(x for row in adj for x in row)) * (1 if det > 0 else -1)
+    return tuple(tuple(x // c for x in row) for row in adj), det // c
 
 
 def _atom_base_gram(atom: str) -> IntMatrix:
@@ -389,21 +394,31 @@ def _dot(dense, support) -> int:
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
-    """Discriminant group and form, via the Smith normal form of the Gram matrix.
+    """Discriminant group and form, via the Smith form of the Gram matrix G
+    modulo R = d^2, d = |det G| (`exact.smith_normal_form`).
 
-    With U G V = D, the class group Z^n / G Z^n is generated by the dual vectors
-    x_i = v_i / d_i (v_i column i of V).  G v_i = d_i U^-1 e_i, so w_i = G v_i / d_i
-    is integral, and at the level N the values are the integers
-    q(x_i)·N = (v_i·w_i)·(N/d_i) and b(x_i, x_j)·N = (v_j·w_i)·(N/d_j).
-    The products run over the nonzero entries of the v_i only.
+    With factors g_t and columns v_t of V, the dual vectors x_t = v_t / g_t
+    generate L*/L with orders g_t.  G·v_t = 0 mod g_t, so w_t = G·v_t / g_t
+    is integral: x_t lies in L* = G^-1·Z^n, of order g_t as v_t is
+    primitive.  U·G·v_t = a_tt·e_t + R·z for an integral z, so x_t differs
+    from y_t = (a_tt/g_t)·(U·G)^-1·e_t by (R/g_t)·(U·G)^-1·z, which lies in
+    (R/g_t)·L* ⊆ d·L* ⊆ L: x_t and y_t are one class, and q(x_t) mod 2Z is
+    exact, L being even.  Under y -> U·G·y, L*/L is the sum of the Z/g_s
+    and y_t maps to (a_tt/g_t)·e_t, a generator of Z/g_t: g_t divides
+    d^2/g_t, so a_tt/g_t, prime to R/g_t, is prime to g_t.  (U and the
+    final diagonal a_tt are those of `exact.smith_normal_form`.)
+
+    V is exact, so at the level N the values are the integers
+    q(x_t)·N = (v_t·w_t)·(N/g_t) and b(x_s, x_t)·N = (v_t·w_s)·(N/g_t).
+    The products run over the nonzero entries of the v_t only.
     """
     g = lattice.gram
     n = lattice.rank
     if n == 0:
         return DiscriminantData((), (), trivial_form())
-    _, d, v = smith_normal_form(g)
-    idx = [i for i in range(n) if d[i][i] > 1]
-    factors = tuple(d[i][i] for i in idx)
+    all_factors, v = smith_normal_form(g, lattice.det())
+    idx = [i for i in range(n) if all_factors[i] > 1]
+    factors = tuple(all_factors[i] for i in idx)
     level = math.lcm(*factors)
     cols = [tuple(v[r][i] for r in range(n)) for i in idx]
     supports = [[(r, x) for r, x in enumerate(vi) if x] for vi in cols]

@@ -1,10 +1,24 @@
-"""Full-scan Smith normal form, for tests only.
+"""Full-scan Smith normal form and matrix products, for tests only.
 
-This is the elimination `hklat.exact.smith_normal_form` performs, without its
-two shortcuts: every pivot search scans the whole trailing block for the
-least (|value|, i, j), and the divisibility sweep runs after every pivot,
-also a unit one.  The library must return the same (U, D, V).
+`smith_normal_form(m)` is the general elimination, with its left transform,
+for any rectangular or singular integer matrix: every pivot search scans
+the whole trailing block for the least (|value|, i, j), and the
+divisibility sweep runs after every pivot, also a unit one.
+
+`smith_normal_form(m, modulus=R)` runs the same elimination but replaces an
+entry of the working matrix that leaves [-R, R] by its centered residue mod
+R, as `hklat.exact.smith_normal_form(m, det)` does for R = det²; without the
+library's two shortcuts (a unit pivot taken on sight, no sweep after it) it
+must reach the library's V, and gcd(d_tt, R) must be its factors.
 """
+
+
+def mat_mul(a, b):
+    """Matrix product."""
+    if not a or not b:
+        return ()
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def min_pivot(a, t, rows, cols):
@@ -19,20 +33,26 @@ def min_pivot(a, t, rows, cols):
     return None if best is None else (best[1], best[2])
 
 
-def smith_normal_form(m):
-    """(U, D, V) with U·m·V = D, by the library's pivot rule, scanned in full."""
+def smith_normal_form(m, modulus=None):
+    """(U, D, V) with U·m·V = D (mod the modulus, if one is given), by the
+    library's pivot rule, scanned in full."""
     rows, cols = len(m), len(m[0]) if m else 0
     a = [list(row) for row in m]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
+    def fold(x):
+        if modulus is None or -modulus <= x <= modulus:
+            return x
+        return (x + modulus // 2) % modulus - modulus // 2
+
     def row_add(i, j, q):  # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        a[i] = [fold(x + q * y) for x, y in zip(a[i], a[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
     def col_add(i, j, q):  # col_i += q * col_j
         for r in range(rows):
-            a[r][i] += q * a[r][j]
+            a[r][i] = fold(a[r][i] + q * a[r][j])
         for r in range(cols):
             v[r][i] += q * v[r][j]
 

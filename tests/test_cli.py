@@ -183,6 +183,7 @@ INPUT_FILES = {
     "float_p.json": '{"p": 3.7, "k": 2, "n": [0, 5]}',
     "float_n.json": '{"p": 3, "k": 2, "n": [0, 5.0]}',
     "bool_k.json": '{"p": 3, "k": true, "n": [0, 5]}',
+    "scalar_n.json": '{"p": 3, "k": 0, "n": 5}',
 }
 
 
@@ -206,6 +207,7 @@ FAILURES = [
     (("census", "float_p.json"), 1),
     (("census", "float_n.json"), 1),
     (("census", "bool_k.json"), 1),
+    (("census", "scalar_n.json"), 1),
     (("invariants", "odd.json"), 2),
 ]
 
@@ -239,9 +241,12 @@ def test_missing_json_file_is_an_os_error(tmp_path, monkeypatch, capsys, argv):
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
 
 
-@pytest.mark.parametrize("name", ["<1000002>", "E8(101)", "A10(11)"])
+@pytest.mark.parametrize(
+    "name", ["<1000002>", "E8(101)", "A10(11)", "A6^2 + E6*(-6) + A2^2", "A1(-1)^2 + E6*(-3)^2"]
+)
 def test_invariants_of_large_discriminant_groups(capsys, name):
-    # discriminant groups of order 1000002, 101^8 and 11^11
+    # discriminant groups of order 1000002, 101^8 and 11^11; the sums ran
+    # past 20 s when the Smith form was eliminated without a modulus
     code, out, err = run_cli(capsys, "invariants", name)
     assert (code, err) == (0, "")
     s_plus, s_minus = realize(name).signature()

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_sympy
 from sympy.utilities.iterables import connected_components
 
 import snf_oracle
@@ -13,13 +15,13 @@ from hklat.exact import (
     block_diag,
     det_exact,
     identity,
-    mat_mul,
     orthogonal_components,
     signature_of_symmetric,
     smith_normal_form,
 )
 from hklat.lattices import realize
 from hklat.tables import LATTICE_NAMES
+from snf_oracle import mat_mul
 from test_lattices import CATALOG_ATOMS
 
 A2 = ((-2, 1), (1, -2))
@@ -35,27 +37,29 @@ def is_unimodular(m):
 
 
 def test_snf_identity():
-    u, d, v = smith_normal_form(identity(2))
+    u, d, v = snf_oracle.smith_normal_form(identity(2))
     assert d == identity(2)
     assert mat_mul(mat_mul(u, identity(2)), v) == d
+    assert smith_normal_form(identity(2), 1) == ((1, 1), identity(2))
 
 
 def test_snf_a2():
     # hand row-reduction: [[-2,1],[1,-2]] ~ [[1,-2],[-2,1]] ~ [[1,0],[0,-3]] ~ diag(1,3)
-    u, d, v = smith_normal_form(A2)
+    u, d, v = snf_oracle.smith_normal_form(A2)
     assert d == ((1, 0), (0, 3))
     assert mat_mul(mat_mul(u, A2), v) == d
     assert is_unimodular(u) and is_unimodular(v)
+    assert smith_normal_form(A2, 3) == ((1, 3), v)
 
 
 def test_snf_hyperbolic_plane():
-    _, d, _ = smith_normal_form(U)
-    assert d == ((1, 0), (0, 1))
+    factors, _ = smith_normal_form(U, -1)
+    assert factors == (1, 1)
 
 
 def test_snf_rectangular():
     m = as_matrix([[2, 4, 4], [-6, 6, 12]])
-    u, d, v = smith_normal_form(m)
+    u, d, v = snf_oracle.smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     diag = [d[i][i] for i in range(2)]
     assert diag == [2, 6] or diag[1] % diag[0] == 0
@@ -113,7 +117,7 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 @given(small_matrices)
 def test_snf_properties(rows):
     m = as_matrix(rows)
-    u, d, v = smith_normal_form(m)
+    u, d, v = snf_oracle.smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert is_unimodular(u) and is_unimodular(v)
     n = len(m)
@@ -212,29 +216,53 @@ def test_signature_rejects_hyperbolic_plus_zero():
             signature_of_symmetric(m)
 
 
-# -- Smith form shortcuts against the full scan ----------------------------------
+# -- the Smith form modulo det² against the full scan and sympy --------------
 
-shaped_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
-    lambda rc: st.lists(
-        st.lists(st.integers(-3, 3), min_size=rc[1], max_size=rc[1]),
-        min_size=rc[0],
-        max_size=rc[0],
-    )
-)
+def _assert_snf_matches_oracles(m):
+    """Factors and V of m: those of the full-scan elimination modulo det²,
+    a divisor chain whose product is |det| (sympy's invariant factors), and
+    m·v_t = 0 mod g_t for every column v_t of the unimodular V."""
+    det = det_exact(m)
+    factors, v = smith_normal_form(m, det)
+    _, d, v_full = snf_oracle.smith_normal_form(m, modulus=det * det)
+    assert factors == tuple(math.gcd(d[t][t], det * det) for t in range(len(m)))
+    assert v == v_full and is_unimodular(v)
+    expected = smith_normal_form_sympy(sympy.Matrix(m), domain=sympy.ZZ)
+    assert factors == tuple(abs(int(expected[t, t])) for t in range(len(m)))
+    for t, g in enumerate(factors):
+        assert all(sum(x * row[t] for x, row in zip(m_row, v)) % g == 0 for m_row in m)
+
+
+nonsingular_square_matrices = small_matrices.map(as_matrix).filter(lambda m: det_exact(m) != 0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(shaped_matrices, small_matrices))
-def test_snf_transforms_match_full_scan_oracle(rows):
-    m = as_matrix(rows)
-    assert smith_normal_form(m) == snf_oracle.smith_normal_form(m)
+@given(nonsingular_square_matrices)
+def test_snf_transforms_match_full_scan_oracle(m):
+    _assert_snf_matches_oracles(m)
 
 
 def test_snf_transforms_match_oracle_on_catalog_and_table_lattices():
     names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair}
     for name in sorted(names):
-        gram = realize(name).gram
-        assert smith_normal_form(gram) == snf_oracle.smith_normal_form(gram), name
+        _assert_snf_matches_oracles(realize(name).gram)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices().filter(lambda m: det_exact(m) != 0))
+def test_snf_factors_match_sympy_on_changed_basis(m):
+    _assert_snf_matches_oracles(m)
+
+
+def test_snf_of_a_changed_basis_rank_six_gram():
+    # ran past 60 s under the exact elimination, whose entries grew unbounded
+    m = (
+        (25, -40, 3, 8, 13, 0), (-40, 397, 135, -92, -7, 29), (3, 135, 55, -30, 6, 12),
+        (8, -92, -30, 22, 1, -9), (13, -7, 6, 1, -5, 1), (0, 29, 12, -9, 1, 5),
+    )
+    assert det_exact(m) == -5246
+    assert smith_normal_form(m, -5246)[0] == (1, 1, 1, 1, 1, 5246)
+    _assert_snf_matches_oracles(m)
 
 
 # -- orthogonal components ---------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hklat.errors import InvalidParameter
 from hklat.fixedlocus import (
     FANO_FIXTURES,
     HILB2_NATURAL_355,
@@ -142,3 +143,20 @@ def test_validation():
         K3FixedLocus(p=3, k=-1, n=(0, 0))
     with pytest.raises(ValueError):
         K3FixedLocus(p=3, k=0, n=(0, 0), genus_curve=-2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(p=3, k=1.5, n=(0, 0)),
+    dict(p=3, k=True, n=(0, 0)),
+    dict(p=3.0, k=0, n=(0, 0)),
+    dict(p=3, k=0, n=(2.9, 0)),
+    dict(p=3, k=0, n=(True, 0)),
+    dict(p=3, k=0, n=("1", 0)),
+    dict(p=3, k=0, n=5),
+    dict(p=3, k=0, n=None),
+    dict(p=3, k=0, n=(0, 0), genus_curve=2.0),
+])
+def test_constructor_rejects_non_integers(kwargs):
+    # k=1.5 once gave chi = 25.5, and n entries 2.9 or True were truncated
+    with pytest.raises(InvalidParameter):
+        K3FixedLocus(**kwargs)

@@ -9,6 +9,7 @@ import pytest
 
 import fqf_oracle
 import hklat
+import snf_oracle
 from fqf_oracle import (
     brute_isomorphic,
     elements,
@@ -36,8 +37,10 @@ from hklat.fqf import (
     p_elementary_form,
     trivial_form,
 )
-from hklat.exact import det_exact, mat_mul, smith_normal_form
+from hklat.exact import det_exact
 from hklat.lattices import Lattice, discriminant_form, realize
+from hklat.tables import LATTICE_NAMES
+from snf_oracle import mat_mul
 
 F = Fraction
 
@@ -129,7 +132,7 @@ def _radical_is_trivial_by_smith_form(form):
     k = form.length()
     n = form.level
     stacked = form.b + tuple(tuple(n if i == j else 0 for j in range(k)) for i in range(k))
-    _, d, _ = smith_normal_form(stacked)
+    _, d, _ = snf_oracle.smith_normal_form(stacked)
     return n**k == form.order * math.prod(d[i][i] for i in range(k))
 
 
@@ -207,9 +210,6 @@ def test_gauss_signature_exhaustive_on_small_groups():
 
 
 def test_gauss_signature_is_invariant_under_change_of_basis():
-    """Lattices of rank <= 4 only: from rank 5 on, the Smith normal form of a
-    Gram matrix conjugated this way can run for minutes (its entries grow to
-    millions of bits), which puts their discriminant forms out of reach."""
     from test_exact import _random_unimodular, transpose
 
     rng = random.Random(11)
@@ -217,12 +217,14 @@ def test_gauss_signature_is_invariant_under_change_of_basis():
         "U(3)", "A2", "A4", "D4", "K7", "K19(-1)", "H13", "L17", "A4*(5)", "<-8>",
         "U(3) + <-2>", "<12> + A3", "U(4) + <6>", "U(2) + A2(-2)", "<-8> + <4> + <18>",
     ]
-    for name in names:
+    table = [name for pair in LATTICE_NAMES.values() for name in pair]
+    assert len(table) == 90  # S and T of each table row
+    for name in names + table:
         gram = realize(name).gram
         expected = gauss_signature(discriminant_form(realize(name)))
         key = normal_key(discriminant_form(realize(name)))
         for _ in range(4):
-            p = _random_unimodular(len(gram), rng)
+            p = _random_unimodular(len(gram), rng)  # 4·rank elementary moves
             moved = Lattice(mat_mul(mat_mul(transpose(p), gram), p))
             form = discriminant_form(moved)
             assert gauss_signature(form) == expected, name

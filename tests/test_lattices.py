@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_decomp
 
+import snf_oracle
 from hklat.classify import invariants_of
-from hklat.exact import det_exact, is_prime, smith_normal_form
+from hklat.exact import det_exact, is_prime
 from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
@@ -100,7 +101,7 @@ def test_ambient_lattice():
 def test_direct_sum_a2_a2():
     l = direct_sum(realize("A2"), realize("A2"))
     assert l.det() == 9
-    _, d, _ = smith_normal_form(l.gram)  # independent oracle
+    _, d, _ = snf_oracle.smith_normal_form(l.gram)  # independent oracle
     assert [d[i][i] for i in range(4)] == [1, 1, 3, 3]
     ok, length = is_p_elementary(l, 3)
     assert ok and length == 2
@@ -369,10 +370,10 @@ def _smith_oracle(gram):
     return factors, FiniteQuadraticForm(factors, q, b)
 
 
-def _assert_routes_agree(expr, smith=True):
+def _assert_routes_agree(expr):
     """The atom route (realize) against the Gram route on the same Gram
     matrix: equal det, signature, (p, a) and form class.  The Gram route's
-    Smith form is the library's (`Lattice(gram)`, when smith) and sympy's."""
+    Smith form is the library's (`Lattice(gram)`) and sympy's."""
     atoms = realize(expr)
     gram = Lattice(atoms.gram)
     assert atoms.det() == gram.det() == det_exact(atoms.gram), expr
@@ -387,12 +388,11 @@ def _assert_routes_agree(expr, smith=True):
     for q in {2, 3, inv.p or 2}:
         expected = (True, len(factors)) if set(factors) <= {q} else (False, None)
         assert is_p_elementary(atoms, q) == expected, (expr, q)
-    if smith:
-        inv_gram = invariants_of(gram)
-        assert (inv.p, inv.a) == (inv_gram.p, inv_gram.a), expr
-        assert key == normal_key(inv_gram.form), expr
-        for q in {2, 3, inv.p or 2}:
-            assert is_p_elementary(atoms, q) == is_p_elementary(gram, q), (expr, q)
+    inv_gram = invariants_of(gram)
+    assert (inv.p, inv.a) == (inv_gram.p, inv_gram.a), expr
+    assert key == normal_key(inv_gram.form), expr
+    for q in {2, 3, inv.p or 2}:
+        assert is_p_elementary(atoms, q) == is_p_elementary(gram, q), (expr, q)
 
 
 def _twisted(name, t):
@@ -425,11 +425,31 @@ def atom_sums(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(atom_sums())
+# each ran past 20 s when the Smith form was eliminated without a modulus
+@example(parse_expr("A6^2 + E6*(-6) + A2^2"))
+@example(parse_expr("A1(-1)^2 + E6*(-3)^2"))
 def test_atom_route_matches_gram_route_on_sums(expr):
-    # The library's Smith form runs away on some of these sums (e.g.
-    # "A6^2 + E6*(-6) + A2^2"; see ROADMAP item 1), so the Gram route's
-    # discriminant form here is sympy's; det and signature are the library's.
-    _assert_routes_agree(expr, smith=False)
+    _assert_routes_agree(expr)
+
+
+def test_smith_route_form_equals_the_full_scan_elimination_form(monkeypatch):
+    """discriminant_data reads the same form from the Smith form modulo det²
+    as from the exact full-scan elimination, on every catalog atom (twisted)
+    and table lattice, and on D6 and D8, whose forms would differ modulo det
+    instead of det²."""
+    exprs = [_twisted(name, t) for name in CATALOG_ATOMS for t in (1, -1, 3, -3, -10)]
+    exprs += [parse_expr("D6"), parse_expr("D8")]
+    exprs += [parse_expr(name) for pair in LATTICE_NAMES.values() for name in pair]
+    lattices = [Lattice(realize(expr).gram) for expr in exprs]
+    forms = [discriminant_data(lat).form for lat in lattices]
+
+    def full_scan(m, det):
+        _, d, v = snf_oracle.smith_normal_form(m)
+        return tuple(d[t][t] for t in range(len(m))), v
+
+    monkeypatch.setattr("hklat.lattices.smith_normal_form", full_scan)
+    for expr, lat, form in zip(exprs, lattices, forms):
+        assert discriminant_data(lat).form == form, render_expr(expr)
 
 
 def test_realized_lattice_copies_keep_the_atom_route():
