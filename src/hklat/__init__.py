@@ -34,7 +34,6 @@ from .lattices import (
     direct_sum,
     discriminant_data,
     discriminant_form,
-    is_p_elementary,
     parse_expr,
     realize,
     render_expr,

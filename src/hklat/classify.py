@@ -16,7 +16,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import InvalidParameter, NotPElementary
-from .exact import is_prime
+from .exact import is_prime, is_square
 from .fqf import (
     FiniteQuadraticForm,
     cyclic_form,
@@ -53,8 +53,8 @@ class LatticeInvariants(NamedTuple):
 
 
 def invariants_of(lattice: Lattice) -> LatticeInvariants:
-    """Signature and discriminant form of the lattice (by the atom route for
-    a lattice `realize` built, see `lattices.discriminant_form`)."""
+    """Signature and discriminant form of the lattice, read off its blocks
+    (see `lattices.discriminant_form`)."""
     return lattice_invariants(lattice.signature(), discriminant_form(lattice))
 
 
@@ -90,7 +90,7 @@ def genus_unique(rank: int, det: int) -> bool:
     exponent = rank * (rank - 1) // 2
     k = 2
     while k**exponent <= bound:
-        if k % 4 in (0, 1) and math.isqrt(k) ** 2 != k and bound % (k**exponent) == 0:
+        if k % 4 in (0, 1) and not is_square(k) and bound % (k**exponent) == 0:
             return False
         k += 1
     return True

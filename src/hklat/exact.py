@@ -9,15 +9,35 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 
 from .errors import DegenerateForm, InvalidParameter
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
+@cache
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n > 0, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    return n >= 2 and prime_factors(n) == (n,)
+
+
+def is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def as_int(x) -> int:
@@ -73,50 +93,30 @@ def is_symmetric(m: IntMatrix) -> bool:
     return r == c and all(m[i][j] == m[j][i] for i in range(r) for j in range(i))
 
 
-def orthogonal_components(m: IntMatrix) -> list[list[int]]:
-    """Index sets, each ascending, of the connected components of the graph
-    where i ~ j iff m[i][j] != 0 or m[j][i] != 0; O(n^2).  A simultaneous
-    permutation by them makes m block diagonal."""
-    rest = list(range(len(m)))
-    comps = []
-    while rest:
-        comp, rest = [rest[0]], rest[1:]
-        for i in comp:  # comp grows as its members' neighbours are met
-            row, keep = m[i], []
-            for j in rest:
-                (comp if row[j] or m[j][i] else keep).append(j)
-            rest = keep
-        comps.append(sorted(comp))
-    return comps
-
-
 def det_exact(m: IntMatrix) -> int:
-    """Exact determinant: the product of fraction-free Bareiss eliminations
-    over the orthogonal components of m.  Unchanged by the split: permuting m
-    to block diagonal form keeps the determinant, the product of the blocks'."""
+    """Exact determinant by fraction-free Bareiss elimination."""
     n, c = dims(m)
     if n != c:
         raise InvalidParameter("determinant of non-square matrix")
-    det = 1
-    for idx in orthogonal_components(m):
-        a = [[m[i][j] for j in idx] for i in idx]
-        n, sign, prev = len(a), 1, 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        det *= sign * a[n - 1][n - 1]
-    return det
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _min_pivot(a, t):
@@ -232,39 +232,33 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
     remaining block, and a Schur step on a nonzero pivot lowers it by exactly
     one.  So a singular matrix reaches a block whose leading row is zero, and
     only a singular one does; that is where `DegenerateForm` is raised.
-
-    The elimination runs on each orthogonal component of m and the counts
-    add up.  Unchanged by the split: permuting m to block diagonal form is a
-    congruence, and the inertia of a block diagonal matrix is the sum of its
-    blocks'; m is singular iff a block is.
     """
     n, c = dims(m)
     if n != c or not is_symmetric(m):
         raise InvalidParameter("signature requires a symmetric square matrix")
     plus = minus = 0
-    for idx in orthogonal_components(m):
-        a = [[m[i][j] for j in idx] for i in idx]
-        while a:
-            if not any(a[0]):
-                raise DegenerateForm("matrix is singular")
-            if a[0][0] == 0:
-                i = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
-                if i is not None:  # symmetric swap of indices 0 and i
-                    a[0], a[i] = a[i], a[0]
-                    for row in a:
-                        row[0], row[i] = row[i], row[0]
-                else:  # row_0 += row_j and col_0 += col_j
-                    j = next(j for j in range(1, len(a)) if a[0][j] != 0)
-                    a[0] = [x + y for x, y in zip(a[0], a[j])]
-                    for row in a:
-                        row[0] += row[j]
-            p = a[0][0]
-            if p > 0:
-                plus += 1
-            else:
-                minus += 1
-            s = 1 if p > 0 else -1
-            rest = [[s * (p * x - r[0] * y) for x, y in zip(r[1:], a[0][1:])] for r in a[1:]]
-            g = math.gcd(*(x for row in rest for x in row))
-            a = [[x // g for x in row] for row in rest] if g > 1 else rest
+    a = [list(row) for row in m]
+    while a:
+        if not any(a[0]):
+            raise DegenerateForm("matrix is singular")
+        if a[0][0] == 0:
+            i = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
+            if i is not None:  # symmetric swap of indices 0 and i
+                a[0], a[i] = a[i], a[0]
+                for row in a:
+                    row[0], row[i] = row[i], row[0]
+            else:  # row_0 += row_j and col_0 += col_j
+                j = next(j for j in range(1, len(a)) if a[0][j] != 0)
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+        p = a[0][0]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        s = 1 if p > 0 else -1
+        rest = [[s * (p * x - r[0] * y) for x, y in zip(r[1:], a[0][1:])] for r in a[1:]]
+        g = math.gcd(*(x for row in rest for x in row))
+        a = [[x // g for x in row] for row in rest] if g > 1 else rest
     return plus, minus

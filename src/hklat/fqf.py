@@ -16,10 +16,10 @@ orthogonal splitting into Jordan blocks; nothing is enumerated over the group.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter
+from .exact import is_square, prime_factors
 
 
 class FiniteQuadraticForm:
@@ -108,7 +108,7 @@ class FiniteQuadraticForm:
     def lengths_per_prime(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for d in self.orders:
-            for p in _prime_factors(d):
+            for p in prime_factors(d):
                 out[p] = out.get(p, 0) + 1
         return out
 
@@ -152,21 +152,6 @@ class FiniteQuadraticForm:
             for i, ci, _ in keep
         )
         return FiniteQuadraticForm._trusted(orders, q, b)
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _p_power(n: int, p: int) -> int:
@@ -244,7 +229,7 @@ def _block_signature(p: int, m: int, a: int | str) -> int:
     <a/2^k> gives exp(pi i a/4)·(2/a)^k; <a/p^k>, p odd, gives 1 for k even
     and ε_p·((a/2)/p) for k odd, ε_p = 1 or i as p = 1 or 3 mod 4; an even
     2-adic block gives 1 if hyperbolic and (-1)^k if v-type."""
-    odd_k = math.isqrt(m) ** 2 != m  # m = p^k with k odd
+    odd_k = not is_square(m)  # m = p^k with k odd
     if a == "u":
         return 0
     if a == "v":

@@ -13,20 +13,19 @@ e.g. "U^2 + E8^2 + A2", "A2(-1)", "U(3) + A2^3 + <-2>", "<6> + E6*(3)".
 A leading '-' negates every summand.  The duals E6* and A4* only realize at
 twists clearing their denominators (multiples of 3 resp. 5).
 
-Two routes to a lattice's invariants.  The atom route: `atom_data` builds
-each twisted atom once per process, with every check, its det, signature
-and discriminant form; `realize` sums them (det multiplies, signatures add,
-discriminant forms add orthogonally), so a named lattice costs its block
-matrix and no elimination.  `discriminant_form`, `is_p_elementary`,
-`classify.invariants_of` and hence `embed` take it for every lattice
-`realize` built.  The Smith route: a lattice from JSON, or from
-`Lattice(gram, expr)`, `direct_sum` or `twist`, is checked, and its det,
-signature and discriminant form are eliminated from the full Gram matrix,
-the form by `discriminant_data` from the Smith form modulo det².  The
-`invariants` command prints the discriminant group and the values of q on
-generators from `discriminant_data` for every lattice: those generators
-depend on the pivot order over the whole matrix, so they are what the
-command has always printed.
+A lattice is the orthogonal sum of its blocks.  A block is an even,
+symmetric, nondegenerate Gram matrix, checked once when `_block` builds it,
+with its determinant, signature and discriminant data (the Smith form
+modulo det², `_smith_data`).  `Lattice(gram, expr)` is one block;
+`atom_data` builds each twisted catalog atom's block once per process;
+`realize` and `direct_sum` concatenate blocks without checking them again.
+Every invariant is read off the blocks: det multiplies, rank and signature
+add, and the discriminant form is the orthogonal sum of the blocks' forms.
+The `invariants` command prints the discriminant group and the values of q
+on generators from `discriminant_data`, which for a sum of several blocks
+takes the Smith form of the full Gram matrix: those generators depend on
+the pivot order over the whole matrix, so they are what the command has
+always printed.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from functools import cache
+from functools import cache, reduce
 from typing import NamedTuple
 
 from .errors import InvalidParameter, NotEvenLattice
@@ -193,48 +192,78 @@ def _atom_base_gram(atom: str) -> IntMatrix:
 
 # -- lattices --------------------------------------------------------------------
 
+class DiscriminantData(NamedTuple):
+    """Discriminant group of a lattice: invariant factors d_i, generators as the
+    integer columns v_i (the dual vector x_i = v_i / d_i in the lattice basis),
+    and the quadratic form."""
+
+    invariant_factors: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
+    form: FiniteQuadraticForm
+
+
+class Block(NamedTuple):
+    """One orthogonal summand of a lattice: an even, symmetric, nondegenerate
+    Gram matrix with its determinant, signature and discriminant data."""
+
+    gram: IntMatrix
+    det: int
+    signature: tuple[int, int]
+    data: DiscriminantData
+
+    @property
+    def form(self) -> FiniteQuadraticForm:
+        return self.data.form
+
+
+def _block(gram) -> Block:
+    """Check a Gram matrix and compute its invariants, each once."""
+    g = as_matrix(gram)
+    if dims(g)[1] != len(g):
+        raise InvalidParameter("Gram matrix must be square")
+    if not is_symmetric(g):
+        raise NotEvenLattice("Gram matrix must be symmetric")
+    if any(g[i][i] % 2 for i in range(len(g))):
+        raise NotEvenLattice("lattice is not even: odd diagonal entry")
+    det = det_exact(g)
+    if det == 0:
+        raise NotEvenLattice("lattice is degenerate")
+    return Block(g, det, signature_of_symmetric(g), _smith_data(g, det))
+
+
 class Lattice:
-    """Even nondegenerate lattice given by an exact integer Gram matrix.
+    """Even nondegenerate lattice: the orthogonal sum of its blocks.
 
-    Immutable; equality and hashing go by (gram, expr).  The determinant,
-    computed once for the degeneracy check, is kept for det(); the signature
-    is computed on first use and kept.  Neither takes part in equality,
-    hashing, repr or pickling."""
+    Immutable; equality and hashing go by (gram, expr), whatever the blocks.
+    The Gram matrix is the block diagonal matrix of the blocks, built on
+    first use; det, rank, signature and the discriminant form are read off
+    the blocks.  Copies and pickles carry the blocks, so nothing is
+    computed again.
 
-    __slots__ = ("gram", "expr", "_det", "_sig", "_realized")
+    The sum of blocks is a lattice with these invariants.  A block diagonal
+    matrix of square blocks is symmetric iff each block is (its transpose is
+    the block sum of the transposes), its diagonal is the blocks' diagonals,
+    its determinant is the product of theirs and, the sum being orthogonal,
+    its signature is the sum of theirs.  So a sum of even, symmetric,
+    nondegenerate blocks is one too.  The dual of an orthogonal sum is the
+    sum of the duals, so A_{L+M} = A_L + A_M and q_{L+M} = q_L + q_M
+    (Nikulin 1979, §1)."""
+
+    __slots__ = ("blocks", "expr", "_gram")
 
     def __init__(self, gram: IntMatrix, expr: LatticeExpr | None = None):
-        g = as_matrix(gram)
-        if dims(g)[1] != len(g):
-            raise InvalidParameter("Gram matrix must be square")
-        if not is_symmetric(g):
-            raise NotEvenLattice("Gram matrix must be symmetric")
-        if any(g[i][i] % 2 for i in range(len(g))):
-            raise NotEvenLattice("lattice is not even: odd diagonal entry")
-        det = det_exact(g)
-        if det == 0:
-            raise NotEvenLattice("lattice is degenerate")
-        for name, value in zip(self.__slots__, (g, expr, det, None, False)):
-            object.__setattr__(self, name, value)
+        self._fill((_block(gram),), expr)
 
     @classmethod
-    def _trusted(
-        cls, gram: IntMatrix, expr: LatticeExpr, det: int, sig: tuple[int, int]
-    ) -> "Lattice":
-        """Wrap the block sum `realize` assembles from catalog atoms, without
-        the checks of __init__, with its determinant and signature given.
-
-        Each atom passed those checks once, in `atom_data`.  A block diagonal
-        matrix of square blocks is symmetric iff each block is (its transpose
-        is the block sum of the transposes), its diagonal is the blocks'
-        diagonals, its determinant is the product of theirs and, the sum
-        being orthogonal, its signature is the sum of theirs.  So the sum of
-        even, symmetric, nondegenerate blocks is one too, with det and sig
-        as `realize` computes them."""
+    def from_blocks(cls, blocks, expr: LatticeExpr | None = None) -> "Lattice":
+        """The orthogonal sum of blocks `_block` built, not checked again."""
         lattice = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (gram, expr, det, sig, True)):
-            object.__setattr__(lattice, name, value)
+        lattice._fill(tuple(blocks), expr)
         return lattice
+
+    def _fill(self, blocks: tuple[Block, ...], expr: LatticeExpr | None) -> None:
+        for name, value in zip(self.__slots__, (blocks, expr, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Lattice is immutable; cannot set {name!r}")
@@ -250,42 +279,35 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(gram={self.gram!r}, expr={self.expr!r})"
 
-    def __reduce__(self):  # copy and pickle rebuild the way the lattice was built
-        if self._realized:
-            return (realize, (self.expr,))
-        return (Lattice, (self.gram, self.expr))
+    def __reduce__(self):
+        return (Lattice.from_blocks, (self.blocks, self.expr))
+
+    @property
+    def gram(self) -> IntMatrix:
+        if self._gram is None:
+            object.__setattr__(self, "_gram", block_diag([b.gram for b in self.blocks]))
+        return self._gram
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return sum(len(b.gram) for b in self.blocks)
 
     def det(self) -> int:
-        return self._det
+        return math.prod(b.det for b in self.blocks)
 
     def signature(self) -> tuple[int, int]:
-        if self._sig is None:
-            sig = signature_of_symmetric(self.gram) if self.rank else (0, 0)
-            object.__setattr__(self, "_sig", sig)
-        return self._sig
+        return (
+            sum(b.signature[0] for b in self.blocks),
+            sum(b.signature[1] for b in self.blocks),
+        )
 
     def name(self) -> str:
         return render_expr(self.expr) if self.expr else f"rank-{self.rank} lattice"
 
 
-class AtomData(NamedTuple):
-    """One twisted catalog atom: Gram matrix, determinant, signature and
-    discriminant form (the Smith-form route's, on the atom's own Gram)."""
-
-    gram: IntMatrix
-    det: int
-    signature: tuple[int, int]
-    form: FiniteQuadraticForm
-
-
 @cache
-def atom_data(atom: str, twist: int) -> AtomData:
-    """The data of atom(twist), built once per process through the validating
-    Lattice and discriminant_data, so every check runs once per atom."""
+def atom_data(atom: str, twist: int) -> Block:
+    """The block of atom(twist), built once per process."""
     if atom in ("E6*", "A4*"):  # Gram e·G^-1 of E6 resp. A4, over e
         base, den = _scaled_inverse(_atom_base_gram(atom[:-1]))
     else:
@@ -295,28 +317,19 @@ def atom_data(atom: str, twist: int) -> AtomData:
     gram = [[twist * x // den for x in row] for row in base]
     if any(gram[i][i] % 2 for i in range(len(gram))):
         raise InvalidParameter(f"{atom}({twist}) is not even")
-    lattice = Lattice(gram)
-    return AtomData(
-        lattice.gram, lattice.det(), lattice.signature(), discriminant_data(lattice).form
-    )
+    return _block(gram)
 
 
 def realize(expr: LatticeExpr | str) -> Lattice:
-    """The lattice of a catalog expression: the block sum of its atoms, with
-    det the product of the atoms' dets and signature the sum of theirs."""
+    """The lattice of a catalog expression: the sum of its atoms' blocks."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
     blocks = []
-    det, plus, minus = 1, 0, 0
     for atom, twist, mult in expr.summands:
         if mult < 1:
             raise InvalidParameter(f"bad multiplicity {mult} of {atom}({twist})")
-        data = atom_data(atom, twist)
-        blocks.extend([data.gram] * mult)
-        det *= data.det**mult
-        plus += data.signature[0] * mult
-        minus += data.signature[1] * mult
-    return Lattice._trusted(block_diag(blocks), expr, det, (plus, minus))
+        blocks.extend([atom_data(atom, twist)] * mult)
+    return Lattice.from_blocks(blocks, expr)
 
 
 def catalog(kind: str, **params) -> Lattice:
@@ -356,7 +369,7 @@ def direct_sum(*lattices: Lattice) -> Lattice:
         for l in lattices:
             summands.extend(l.expr.summands)
         expr = LatticeExpr(tuple(summands))
-    return Lattice(block_diag([l.gram for l in lattices]), expr=expr)
+    return Lattice.from_blocks([b for l in lattices for b in l.blocks], expr)
 
 
 def twist(lattice: Lattice, t: int) -> Lattice:
@@ -365,7 +378,7 @@ def twist(lattice: Lattice, t: int) -> Lattice:
     expr = None
     if lattice.expr is not None:
         expr = LatticeExpr(tuple((a, tw * t, m) for a, tw, m in lattice.expr.summands))
-    return Lattice(scale(lattice.gram, t), expr=expr)
+    return Lattice.from_blocks([_block(scale(b.gram, t)) for b in lattice.blocks], expr)
 
 
 AMBIENT_SIGNATURE = (3, 20)
@@ -378,22 +391,12 @@ def ambient_lattice() -> Lattice:
 
 # -- discriminant data ------------------------------------------------------------
 
-class DiscriminantData(NamedTuple):
-    """Discriminant group of a lattice: invariant factors d_i, generators as the
-    integer columns v_i (the dual vector x_i = v_i / d_i in the lattice basis),
-    and the quadratic form."""
-
-    invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    form: FiniteQuadraticForm
-
-
 def _dot(dense, support) -> int:
     """dense·v for a vector v given by its nonzero entries (index, value)."""
     return sum(dense[r] * x for r, x in support)
 
 
-def discriminant_data(lattice: Lattice) -> DiscriminantData:
+def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
     """Discriminant group and form, via the Smith form of the Gram matrix G
     modulo R = d^2, d = |det G| (`exact.smith_normal_form`).
 
@@ -412,11 +415,10 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     q(x_t)·N = (v_t·w_t)·(N/g_t) and b(x_s, x_t)·N = (v_t·w_s)·(N/g_t).
     The products run over the nonzero entries of the v_t only.
     """
-    g = lattice.gram
-    n = lattice.rank
+    n = len(g)
     if n == 0:
         return DiscriminantData((), (), trivial_form())
-    all_factors, v = smith_normal_form(g, lattice.det())
+    all_factors, v = smith_normal_form(g, det)
     idx = [i for i in range(n) if all_factors[i] > 1]
     factors = tuple(all_factors[i] for i in idx)
     level = math.lcm(*factors)
@@ -434,32 +436,20 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     return DiscriminantData(factors, tuple(cols), FiniteQuadraticForm(factors, q_vals, b_rows))
 
 
+def discriminant_data(lattice: Lattice) -> DiscriminantData:
+    """The discriminant group and form on Smith-form generators: a one-block
+    lattice's own, and for several blocks those of the full Gram matrix."""
+    if len(lattice.blocks) == 1:
+        return lattice.blocks[0].data
+    return _smith_data(lattice.gram, lattice.det())
+
+
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
-    """The discriminant form of the lattice.
-
-    For a lattice `realize` built, the orthogonal sum of its atoms' forms:
-    the dual of an orthogonal sum is the sum of the duals, so A_{L+M} =
-    A_L + A_M and q_{L+M} = q_L + q_M (Nikulin 1979, §1).  Any other lattice
-    takes the Smith-form route of `discriminant_data`.  The two forms are
-    isomorphic, not equal: they sit on different generators."""
-    if not lattice._realized:
-        return discriminant_data(lattice).form
-    form = trivial_form()
-    for atom, twist, mult in lattice.expr.summands:
-        atom_form = atom_data(atom, twist).form
-        if atom_form.orders:
-            for _ in range(mult):
-                form = form.dsum(atom_form)
-    return form
-
-
-def is_p_elementary(lattice: Lattice, p: int) -> tuple[bool, int | None]:
-    """Whether the discriminant group is (Z/p)^a, i.e. every generator of
-    the discriminant form has order p; returns (verdict, a)."""
-    orders = discriminant_form(lattice).orders
-    if all(d == p for d in orders):
-        return True, len(orders)
-    return False, None
+    """The discriminant form: the orthogonal sum of the blocks' forms.  For
+    several blocks it is isomorphic, not equal, to `discriminant_data`'s:
+    the two sit on different generators."""
+    forms = [b.form for b in lattice.blocks if b.form.orders]
+    return reduce(FiniteQuadraticForm.dsum, forms, trivial_form())
 
 
 # -- JSON interface ----------------------------------------------------------------
@@ -472,7 +462,7 @@ def lattice_from_json(text: str) -> Lattice:
         expr = parse_expr(data["name"]) if data.get("name") else None
     except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise InvalidParameter(f"malformed lattice JSON: {exc!r}") from exc
-    lattice = Lattice(as_matrix(gram), expr=expr)
+    lattice = Lattice(gram, expr=expr)
     if expr is not None and realize(expr).gram != lattice.gram:
         raise InvalidParameter(f"name {render_expr(expr)!r} does not match the Gram matrix")
     return lattice

@@ -24,7 +24,7 @@ def recognize(target, budget=9):
 
     want_key = normal_key(target.form)
     for count in range(1, budget + 1):
-        for combo in signature_combos(pool, count, want_rank, want_sig):
+        for combo in signature_combos(pool, count, want_rank, want_sig, want_det):
             if abs(math.prod(data.det for _, data in combo)) != want_det:
                 continue
             form = trivial_form()
@@ -35,17 +35,21 @@ def recognize(target, budget=9):
     return None
 
 
-def signature_combos(pool, count, want_rank, want_sig):
-    """Multisets of `count` pool terms with the exact total rank and signature."""
+def signature_combos(pool, count, want_rank, want_sig, want_det):
+    """Multisets of `count` pool terms with the exact total rank and signature,
+    in the order of the unpruned walk, less those whose |det| cannot be
+    want_det: a term whose |det| does not divide what is left of want_det is
+    skipped, as every |det| is a positive integer."""
     n = len(pool)
     ranks = [len(data.gram) for _, data in pool]
+    dets = [abs(data.det) for _, data in pool]
     suffix_min = [0] * (n + 1)
     suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_min[i] = min(ranks[i], suffix_min[i + 1] or ranks[i])
         suffix_max[i] = max(ranks[i], suffix_max[i + 1])
 
-    def rec(start, left, rank_left, plus_left, minus_left, acc):
+    def rec(start, left, rank_left, plus_left, minus_left, det_left, acc):
         if left == 0:
             if rank_left == 0 and plus_left == 0 and minus_left == 0:
                 yield list(acc)
@@ -57,13 +61,16 @@ def signature_combos(pool, count, want_rank, want_sig):
             if r + (left - 1) * suffix_max[i] < rank_left:
                 continue
             sp, sm = pool[i][1].signature
-            if sp > plus_left or sm > minus_left:
+            if sp > plus_left or sm > minus_left or det_left % dets[i]:
                 continue
             acc.append(pool[i])
-            yield from rec(i, left - 1, rank_left - r, plus_left - sp, minus_left - sm, acc)
+            yield from rec(
+                i, left - 1, rank_left - r, plus_left - sp, minus_left - sm,
+                det_left // dets[i], acc,
+            )
             acc.pop()
 
-    yield from rec(0, count, want_rank, want_sig[0], want_sig[1], [])
+    yield from rec(0, count, want_rank, want_sig[0], want_sig[1], want_det, [])
 
 
 def combo_to_expr(combo):

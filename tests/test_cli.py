@@ -11,6 +11,7 @@ import hklat
 from hklat import exact, lattices
 from hklat.cli import _ratio_text, build_parser, main
 from hklat.lattices import realize
+from test_lattices import count_smith_forms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -320,3 +321,24 @@ def test_named_lattice_determinant_computed_once(monkeypatch, capsys, argv, name
     assert all(grams.count(atom) == 1 for atom in atoms)
     assert len(grams) == len(set(grams))
     assert gram in atoms or gram not in grams
+
+
+@pytest.mark.parametrize("named", (False, True))
+def test_invariants_runs_one_smith_form_on_the_full_gram(monkeypatch, tmp_path, capsys, named):
+    # one Smith form on the full Gram matrix, from a JSON file or a name, and
+    # for a name one per atom per process
+    name = "U^2 + E8^2 + A2"
+    gram = realize(name).gram
+    atoms = set()
+    source = name
+    if named:
+        atoms = {lattices.atom_data(atom, t).gram for atom, t, _ in lattices.parse_expr(name).summands}
+    else:
+        source = tmp_path / "lat.json"
+        source.write_text(json.dumps({"gram": [list(row) for row in gram]}))
+    grams = count_smith_forms(monkeypatch)
+    lattices.atom_data.cache_clear()
+    code, out, _ = run_cli(capsys, "invariants", str(source))
+    assert code == 0 and "discriminant group: Z/3" in out
+    assert len(grams) == len(set(grams))
+    assert set(grams) == {gram} | atoms

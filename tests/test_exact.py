@@ -6,7 +6,6 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_sympy
-from sympy.utilities.iterables import connected_components
 
 import snf_oracle
 from hklat.exact import (
@@ -15,7 +14,6 @@ from hklat.exact import (
     block_diag,
     det_exact,
     identity,
-    orthogonal_components,
     signature_of_symmetric,
     smith_normal_form,
 )
@@ -69,11 +67,13 @@ def test_det_examples():
     assert det_exact(((-4, 1), (1, -2))) == 7
     assert det_exact(((-2, 1, 0, 1), (1, -2, 0, 0), (0, 0, -2, 1), (1, 0, 1, -4))) == 17
     assert det_exact(((6,),)) == 6
+    assert det_exact(()) == 1  # the empty lattice
 
 
 def test_signature_examples():
     assert signature_of_symmetric(U) == (1, 1)
     assert signature_of_symmetric(((2, 1), (1, -2))) == (1, 1)  # H5
+    assert signature_of_symmetric(()) == (0, 0)
 
 
 def test_signature_rejects_degenerate():
@@ -265,13 +265,7 @@ def test_snf_of_a_changed_basis_rank_six_gram():
     _assert_snf_matches_oracles(m)
 
 
-# -- orthogonal components ---------------------------------------------------------
-
-def _components_oracle(m):
-    n = len(m)
-    edges = [(i, j) for i in range(n) for j in range(n) if i != j and (m[i][j] or m[j][i])]
-    return sorted(sorted(c) for c in connected_components((list(range(n)), edges)))
-
+# -- block sums -------------------------------------------------------------------
 
 @st.composite
 def permuted_block_sums(draw):
@@ -301,7 +295,6 @@ def permuted_block_sums(draw):
 @given(permuted_block_sums())
 def test_components_det_and_signature_match_oracles(case):
     m, singular = case
-    assert orthogonal_components(m) == _components_oracle(m)
     assert det_exact(m) == sympy.Matrix(m).det()
     if singular:
         with pytest.raises(DegenerateForm):
@@ -329,12 +322,5 @@ def one_sided_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(one_sided_matrices())
 def test_components_of_one_sided_patterns(m):
-    assert orthogonal_components(m) == _components_oracle(m)
     assert det_exact(m) == sympy.Matrix(m).det()
 
-
-def test_components_of_named_sum():
-    # U^2 + E8^2 + A2 splits into its atoms: ranks 2, 2, 8, 8, 2
-    comps = orthogonal_components(realize("U^2 + E8^2 + A2").gram)
-    assert [len(c) for c in comps] == [2, 2, 8, 8, 2]
-    assert orthogonal_components(()) == []

@@ -29,7 +29,6 @@ from hklat.lattices import (
     direct_sum,
     discriminant_data,
     discriminant_form,
-    is_p_elementary,
     lattice_from_json,
     parse_expr,
     realize,
@@ -75,8 +74,8 @@ def test_catalog_a4_dual_5():
     assert lat.rank == 4
     assert lat.signature() == (0, 4)
     assert abs(lat.det()) == 5**3
-    ok, length = is_p_elementary(lat, 5)
-    assert ok and length == 3
+    inv = invariants_of(lat)
+    assert (inv.p, inv.a) == (5, 3)
 
 
 def test_root_lattice_determinants():
@@ -103,16 +102,16 @@ def test_direct_sum_a2_a2():
     assert l.det() == 9
     _, d, _ = snf_oracle.smith_normal_form(l.gram)  # independent oracle
     assert [d[i][i] for i in range(4)] == [1, 1, 3, 3]
-    ok, length = is_p_elementary(l, 3)
-    assert ok and length == 2
+    inv = invariants_of(l)
+    assert (inv.p, inv.a) == (3, 2)
 
 
 def test_twist():
     u3 = twist(realize("U"), 3)
     assert u3.gram == ((0, 3), (3, 0))
     assert u3.det() == -9
-    ok, length = is_p_elementary(u3, 3)
-    assert ok and length == 2
+    inv = invariants_of(u3)
+    assert (inv.p, inv.a) == (3, 2)
     assert twist(realize("A2"), -1).signature() == (2, 0)
     assert twist(realize("U"), 1).gram == realize("U").gram
 
@@ -181,19 +180,18 @@ def test_direct_sum_form_is_orthogonal_sum():
 
 
 def test_is_p_elementary_span6():
-    ok, length = is_p_elementary(realize("<6>"), 3)
-    assert not ok and length is None
+    inv = invariants_of(realize("<6>"))  # Z/6: not (Z/p)^a for any p
+    assert (inv.p, inv.a) == (None, 1)
 
 
 def test_is_p_elementary_l17():
-    ok, length = is_p_elementary(realize("L17"), 17)
-    assert ok and length == 1
+    inv = invariants_of(realize("L17"))
+    assert (inv.p, inv.a) == (17, 1)
 
 
 def test_unimodular_is_p_elementary_for_all_p():
-    for p in (2, 3, 5):
-        ok, length = is_p_elementary(realize("E8"), p)
-        assert ok and length == 0
+    inv = invariants_of(realize("E8"))  # p = 0: p-elementary with a = 0 for every p
+    assert (inv.p, inv.a) == (0, 0)
 
 
 def test_expr_parse_render_roundtrip():
@@ -320,11 +318,12 @@ def test_det_is_computed_once_at_construction():
         for t in (1, -1, 3, -10):
             lat = twist(realize(name), t)
             assert lat.det() == det_exact(lat.gram), (name, t)
-    # the stored determinant takes no part in equality, hashing or repr
-    u = realize("U")
-    same = Lattice(((0, 1), (1, 0)), expr=parse_expr("U"))
-    assert u == same and hash(u) == hash(same)
-    assert "_det" not in repr(u)
+    # the blocks take no part in equality, hashing or repr
+    u = realize("U + A2")
+    same = Lattice(u.gram, expr=parse_expr("U + A2"))
+    assert (len(u.blocks), len(same.blocks)) == (2, 1)
+    assert u == same and hash(u) == hash(same) and repr(u) == repr(same)
+    assert "blocks" not in repr(u)
 
 
 def test_value_classes_are_immutable_and_rebuild_by_copy_and_pickle():
@@ -370,9 +369,14 @@ def _smith_oracle(gram):
     return factors, FiniteQuadraticForm(factors, q, b)
 
 
+def _elementary_at(inv, q):
+    """(whether the discriminant group is (Z/q)^a, a or None), from (p, a)."""
+    return (True, inv.a) if inv.p in (0, q) else (False, None)
+
+
 def _assert_routes_agree(expr):
-    """The atom route (realize) against the Gram route on the same Gram
-    matrix: equal det, signature, (p, a) and form class.  The Gram route's
+    """A sum of atom blocks (realize) against one block of the same Gram
+    matrix: equal det, signature, (p, a) and form class.  The one block's
     Smith form is the library's (`Lattice(gram)`) and sympy's."""
     atoms = realize(expr)
     gram = Lattice(atoms.gram)
@@ -387,12 +391,12 @@ def _assert_routes_agree(expr):
     assert key == normal_key(form), expr
     for q in {2, 3, inv.p or 2}:
         expected = (True, len(factors)) if set(factors) <= {q} else (False, None)
-        assert is_p_elementary(atoms, q) == expected, (expr, q)
+        assert _elementary_at(inv, q) == expected, (expr, q)
     inv_gram = invariants_of(gram)
     assert (inv.p, inv.a) == (inv_gram.p, inv_gram.a), expr
     assert key == normal_key(inv_gram.form), expr
     for q in {2, 3, inv.p or 2}:
-        assert is_p_elementary(atoms, q) == is_p_elementary(gram, q), (expr, q)
+        assert _elementary_at(inv, q) == _elementary_at(inv_gram, q), (expr, q)
 
 
 def _twisted(name, t):
@@ -440,32 +444,64 @@ def test_smith_route_form_equals_the_full_scan_elimination_form(monkeypatch):
     exprs = [_twisted(name, t) for name in CATALOG_ATOMS for t in (1, -1, 3, -3, -10)]
     exprs += [parse_expr("D6"), parse_expr("D8")]
     exprs += [parse_expr(name) for pair in LATTICE_NAMES.values() for name in pair]
-    lattices = [Lattice(realize(expr).gram) for expr in exprs]
-    forms = [discriminant_data(lat).form for lat in lattices]
+    grams = [realize(expr).gram for expr in exprs]
+    forms = [discriminant_data(Lattice(gram)).form for gram in grams]
 
     def full_scan(m, det):
         _, d, v = snf_oracle.smith_normal_form(m)
         return tuple(d[t][t] for t in range(len(m))), v
 
+    # a lattice takes its Smith form when it is built, so build them again
     monkeypatch.setattr("hklat.lattices.smith_normal_form", full_scan)
-    for expr, lat, form in zip(exprs, lattices, forms):
-        assert discriminant_data(lat).form == form, render_expr(expr)
+    for expr, gram, form in zip(exprs, grams, forms):
+        assert discriminant_data(Lattice(gram)).form == form, render_expr(expr)
 
 
-def test_realized_lattice_copies_keep_the_atom_route():
+def count_smith_forms(monkeypatch):
+    """The matrices `smith_normal_form` runs on from now on, in call order."""
+    import hklat.lattices
+
+    real = hklat.lattices.smith_normal_form
+    grams = []
+
+    def counting(m, det):
+        grams.append(m)
+        return real(m, det)
+
+    monkeypatch.setattr(hklat.lattices, "smith_normal_form", counting)
+    return grams
+
+
+def test_realized_lattice_copies_keep_the_atom_route(monkeypatch):
+    # copies of a sum of atom blocks and of one checked block keep their
+    # blocks: equality, hash, repr and the form, with no Smith form again
     import copy
     import pickle
 
-    lat = realize("U(3) + A2^2 + <-2>")
-    form = discriminant_form(lat)
-    for twin in (copy.copy(lat), copy.deepcopy(lat), pickle.loads(pickle.dumps(lat))):
-        assert twin == lat and hash(twin) == hash(lat) and repr(twin) == repr(lat)
-        assert (twin.det(), twin.signature()) == (lat.det(), lat.signature())
-        assert discriminant_form(twin) == form
-    # the Gram route stays the Gram route, and the kept signature takes no
-    # part in equality, hashing or repr
-    same = Lattice(lat.gram, expr=lat.expr)
-    assert same == lat and hash(same) == hash(lat) and repr(same) == repr(lat)
-    assert "_sig" not in repr(lat)
-    assert discriminant_form(same) == discriminant_data(same).form
-    assert pickle.loads(pickle.dumps(same)).signature() == lat.signature()
+    realized = realize("U(3) + A2^2 + <-2>")
+    for lat in (realized, Lattice(realized.gram, expr=realized.expr)):
+        form = discriminant_form(lat)
+        grams = count_smith_forms(monkeypatch)
+        for twin in (copy.copy(lat), copy.deepcopy(lat), pickle.loads(pickle.dumps(lat))):
+            assert twin == lat and hash(twin) == hash(lat) and repr(twin) == repr(lat)
+            assert twin.blocks == lat.blocks
+            assert (twin.det(), twin.signature(), twin.rank) == (
+                lat.det(), lat.signature(), lat.rank
+            )
+            assert discriminant_form(twin) == form
+        assert grams == []
+        monkeypatch.undo()
+    assert realized == Lattice(realized.gram, expr=realized.expr)
+
+
+def test_one_lattice_runs_one_smith_form(monkeypatch):
+    # the form, the invariants and the p-elementary check of a lattice
+    # built from a Gram matrix share the Smith form it was built with
+    gram = realize("U(3) + A2^2").gram
+    grams = count_smith_forms(monkeypatch)
+    lat = Lattice(gram)
+    inv = invariants_of(lat)
+    assert discriminant_form(lat) == inv.form
+    assert (invariants_of(lat).p, inv.a) == (3, 4)
+    assert discriminant_data(lat).form == inv.form
+    assert grams == [gram]

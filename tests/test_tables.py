@@ -13,7 +13,6 @@ from hklat.fqf import forms_isomorphic
 from hklat.lattices import (
     discriminant_data,
     discriminant_form,
-    is_p_elementary,
     realize,
 )
 from hklat.tables import (
@@ -133,8 +132,8 @@ def test_rank_and_signature_of_names():
 
 def test_s_names_are_p_elementary_with_length_a():
     for p, m, a, _, _, s_name, _ in TABLE_ROWS:
-        ok, length = is_p_elementary(realize(s_name), p)
-        assert ok and length == a, s_name
+        inv = invariants_of(realize(s_name))  # p = 0 when unimodular (a = 0)
+        assert (inv.p, inv.a) == (p if a else 0, a), s_name
 
 
 def test_t_names_have_expected_group():
