@@ -30,7 +30,6 @@ from .lattices import (
     Lattice,
     LatticeExpr,
     ambient_lattice,
-    catalog,
     direct_sum,
     discriminant_data,
     discriminant_form,

@@ -2,9 +2,11 @@
 
 Subcommands: invariants, tables, figures, embed, involution, census,
 local-actions.  Each subcommand computes its whole answer before printing, so
-a failure leaves stdout empty.  Exit codes: 1 malformed input (bad parameters,
-unparsable expressions or JSON, unreadable files), 2 a mathematical rejection
-(e.g. a Gram matrix that is not an even lattice, a failed cross-check).
+a failure leaves stdout empty.  Exit codes: 1 malformed input (usage errors
+such as an unknown option or choice, bad parameters, unparsable expressions
+or JSON, unreadable files), 2 a mathematical rejection (e.g. a Gram matrix
+that is not an even lattice, a failed cross-check).  Every error prints one
+`error: ...` line on stderr.  `tables` prints through `tables.render`.
 Output is deterministic.
 """
 
@@ -76,29 +78,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_tables(args) -> int:
-    fmt = args.format
-    if args.all:
-        text = {
-            "md": tables.all_tables_markdown,
-            "csv": tables.all_tables_csv,
-            "json": tables.all_tables_json,
-        }[fmt]()
-    else:
-        if args.prime is None:
-            raise InvalidParameter("need --prime P or --all")
-        p = args.prime
-        text = {
-            "md": tables.table_markdown,
-            "csv": tables.table_csv,
-            "json": tables.table_json,
-        }[fmt](p)
-    _emit(text, args.out)
+    if not args.all and args.prime is None:
+        raise InvalidParameter("need --prime P or --all")
+    primes = tables.SUPPORTED_PRIMES if args.all else (args.prime,)
+    _emit(tables.render(primes, args.format), args.out)
     return 0
 
 
 def _cmd_figures(args) -> int:
-    if args.order != 2:
-        raise InvalidParameter("figure charts exist for order 2 only")
     if args.format == "json":
         text = involutions.figure_points_json(args.which)
     else:
@@ -171,10 +158,18 @@ def _cmd_local_actions(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise `InvalidParameter`, so that
+    they exit 1 like any other malformed input; `--help` still exits 0."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; `parse_args` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hklat",
         description="Even-lattice invariants and the prime-order "
         "non-symplectic automorphism classification for K3^[2]-type fourfolds.",
@@ -193,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=_cmd_tables)
 
     p_fig = sub.add_parser("figures", help="order-2 embedding charts")
-    p_fig.add_argument("--order", type=int, default=2)
     p_fig.add_argument("--which", type=int, choices=(1, 2), required=True)
     p_fig.add_argument("--format", choices=("json", "txt"), default="txt")
     p_fig.add_argument("--out")
@@ -222,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HklatError as exc:
         print(f"error: {exc}", file=sys.stderr)

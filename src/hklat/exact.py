@@ -18,22 +18,56 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 @cache
 def prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct primes dividing n > 0, ascending, by trial division."""
+    """The distinct primes dividing n > 0, ascending, by trial division that
+    stops once the cofactor is prime (tested at the start and after each
+    division, not per divisor)."""
     out = []
     d = 2
-    while d * d <= n:
+    done = is_prime(n)
+    while not done and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            done = is_prime(n)
         d += 1
     if n > 1:
         out.append(n)
     return tuple(out)
 
 
+# Miller-Rabin to the prime bases up to 41 decides every n below the bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == (n,)
+    """Whether n is prime: deterministic Miller-Rabin below `_MR_BOUND`,
+    trial division above it."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
+    if n >= _MR_BOUND:
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_square(n: int) -> bool:

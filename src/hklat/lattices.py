@@ -11,7 +11,8 @@ norm n.  Expressions use the ASCII grammar
 
 e.g. "U^2 + E8^2 + A2", "A2(-1)", "U(3) + A2^3 + <-2>", "<6> + E6*(3)".
 A leading '-' negates every summand.  The duals E6* and A4* only realize at
-twists clearing their denominators (multiples of 3 resp. 5).
+twists clearing their denominators (multiples of 3 resp. 5).  `realize` is
+the one way to name a lattice: it builds the lattice of such an expression.
 
 A lattice is the orthogonal sum of its blocks.  A block is an even,
 symmetric, nondegenerate Gram matrix, checked once when `_block` builds it,
@@ -330,36 +331,6 @@ def realize(expr: LatticeExpr | str) -> Lattice:
             raise InvalidParameter(f"bad multiplicity {mult} of {atom}({twist})")
         blocks.extend([atom_data(atom, twist)] * mult)
     return Lattice.from_blocks(blocks, expr)
-
-
-def catalog(kind: str, **params) -> Lattice:
-    """Named catalog lattices: U, A(k), D(h), E(l), span(n), K(p), H(p), L17,
-    E6dual3, A4dual5."""
-    kind = kind.upper() if len(kind) == 1 else kind
-    if kind == "U":
-        return realize(LatticeExpr((("U", 1, 1),)))
-    if kind == "A":
-        return realize(LatticeExpr(((f"A{params['k']}", 1, 1),)))
-    if kind == "D":
-        return realize(LatticeExpr(((f"D{params['h']}", 1, 1),)))
-    if kind == "E":
-        l = params["l"]
-        if l not in (6, 7, 8):
-            raise InvalidParameter("E_l needs l in {6, 7, 8}")
-        return realize(LatticeExpr(((f"E{l}", 1, 1),)))
-    if kind in ("span", "SPAN"):
-        return realize(LatticeExpr(((f"<{params['n']}>", 1, 1),)))
-    if kind == "K":
-        return realize(LatticeExpr(((f"K{params['p']}", 1, 1),)))
-    if kind == "H":
-        return realize(LatticeExpr(((f"H{params['p']}", 1, 1),)))
-    if kind == "L17":
-        return realize(LatticeExpr((("L17", 1, 1),)))
-    if kind == "E6dual3":
-        return realize(LatticeExpr((("E6*", 3, 1),)))
-    if kind == "A4dual5":
-        return realize(LatticeExpr((("A4*", 5, 1),)))
-    raise InvalidParameter(f"unknown catalog kind {kind!r}")
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:

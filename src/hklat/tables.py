@@ -13,6 +13,9 @@ uniqueness flags; h^* and chi are integer expressions.
 For p = 5 the fixed-locus formulas are only valid for automorphisms induced
 from K3 surfaces, so that table is restricted to the naturally realized rows
 (a static set, like the realization tags) and carries the natural_only flag.
+
+`render(primes, fmt)` is the one way to print tables: markdown, CSV or JSON,
+for one prime or several, with the CSV columns taken from the row records.
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
     return rows
 
 
-# -- emitters ------------------------------------------------------------------
+# -- rendering -----------------------------------------------------------------
 
 def _flags(row: AdmissibleTriple) -> str:
     flags = []
@@ -222,15 +225,14 @@ def _flags(row: AdmissibleTriple) -> str:
     return ",".join(flags)
 
 
-def table_markdown(p: int, rows: list[AdmissibleTriple] | None = None) -> str:
-    rows = enumerate_triples(p) if rows is None else rows
+def _markdown(p: int) -> str:
     out = [f"## Order {p}", ""]
     if p == 5:
         out.append("*Natural automorphisms only.*")
         out.append("")
     out.append("| p | m | a | chi | h* | S | T | realized | flags |")
     out.append("|--:|--:|--:|----:|---:|---|---|---|---|")
-    for r in rows:
+    for r in enumerate_triples(p):
         out.append(
             f"| {r.p} | {r.m} | {r.a} | {r.chi} | {r.h_star} "
             f"| {r.s_expr} | {r.t_expr} | {'+'.join(r.realizations)} | {_flags(r)} |"
@@ -238,27 +240,8 @@ def table_markdown(p: int, rows: list[AdmissibleTriple] | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-CSV_COLUMNS = (
-    "p",
-    "m",
-    "a",
-    "chi",
-    "h_star",
-    "S",
-    "T",
-    "realized",
-    "s_unique_embedding",
-    "embedding_exception",
-    "t_unique_embedding",
-    "s_rank",
-    "t_rank",
-    "moduli_dim",
-    "natural_only",
-    "no_known_realization",
-)
-
-
 def _row_record(r: AdmissibleTriple) -> dict:
+    """One row as a CSV/JSON record; its keys are the CSV columns."""
     return {
         "p": r.p,
         "m": r.m,
@@ -279,37 +262,20 @@ def _row_record(r: AdmissibleTriple) -> dict:
     }
 
 
-def table_csv(p: int, rows: list[AdmissibleTriple] | None = None) -> str:
-    rows = enumerate_triples(p) if rows is None else rows
+def render(primes, fmt: str) -> str:
+    """The tables of `primes`, in order, as one text: for "md" one section per
+    prime, sections joined by a blank line; for "csv" one header over all
+    rows; for "json" one list of row records."""
+    if fmt == "md":
+        return "\n".join(_markdown(p) for p in primes)
+    if fmt not in ("csv", "json"):
+        raise InvalidParameter(f"unknown table format {fmt!r}")
+    records = [_row_record(r) for p in primes for r in enumerate_triples(p)]
+    if fmt == "json":
+        return json.dumps(records, indent=2)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for r in rows:
-        writer.writerow(_row_record(r))
+    writer = csv.writer(buf, lineterminator="\n")
+    if records:
+        writer.writerow(records[0].keys())
+    writer.writerows(r.values() for r in records)
     return buf.getvalue()
-
-
-def table_json(p: int, rows: list[AdmissibleTriple] | None = None) -> str:
-    rows = enumerate_triples(p) if rows is None else rows
-    return json.dumps([_row_record(r) for r in rows], indent=2)
-
-
-def all_tables_markdown() -> str:
-    return "\n".join(table_markdown(p) for p in SUPPORTED_PRIMES)
-
-
-def all_tables_csv() -> str:
-    chunks = []
-    for i, p in enumerate(SUPPORTED_PRIMES):
-        text = table_csv(p)
-        if i:
-            text = text.split("\n", 1)[1]  # keep a single header
-        chunks.append(text)
-    return "".join(chunks)
-
-
-def all_tables_json() -> str:
-    records = []
-    for p in SUPPORTED_PRIMES:
-        records.extend(_row_record(r) for r in enumerate_triples(p))
-    return json.dumps(records, indent=2)

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 import hklat
 from hklat import exact, lattices
 from hklat.cli import _ratio_text, build_parser, main
+from hklat.errors import InvalidParameter
 from hklat.lattices import realize
 from test_lattices import count_smith_forms
 
@@ -138,9 +140,8 @@ def test_local_actions(capsys):
 
 
 def test_parser_rejects_missing_subcommand():
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(InvalidParameter):
         build_parser().parse_args([])
-    assert exc.value.code != 0
 
 
 def test_console_entry_point():
@@ -209,6 +210,11 @@ FAILURES = [
     (("census", "float_n.json"), 1),
     (("census", "bool_k.json"), 1),
     (("census", "scalar_n.json"), 1),
+    (("tables", "--format", "xml", "--all"), 1),
+    (("figures", "--which", "3"), 1),
+    (("involution", "--r", "2", "--a", "2", "--delta", "5"), 1),
+    (("embed",), 1),
+    (("bogus",), 1),
     (("invariants", "odd.json"), 2),
 ]
 
@@ -242,13 +248,32 @@ def test_missing_json_file_is_an_os_error(tmp_path, monkeypatch, capsys, argv):
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
 
 
+class DeadlineExceeded(Exception):
+    pass
+
+
+def _past_deadline(signum, frame):
+    raise DeadlineExceeded
+
+
 @pytest.mark.parametrize(
-    "name", ["<1000002>", "E8(101)", "A10(11)", "A6^2 + E6*(-6) + A2^2", "A1(-1)^2 + E6*(-3)^2"]
+    "name",
+    [
+        "<1000002>", "E8(101)", "A10(11)", "A6^2 + E6*(-6) + A2^2", "A1(-1)^2 + E6*(-3)^2",
+        "K2305843009213693951", "<4611686018427387902>",
+    ],
 )
 def test_invariants_of_large_discriminant_groups(capsys, name):
     # discriminant groups of order 1000002, 101^8 and 11^11; the sums ran
-    # past 20 s when the Smith form was eliminated without a modulus
-    code, out, err = run_cli(capsys, "invariants", name)
+    # past 20 s when the Smith form was eliminated without a modulus, and the
+    # last two (2^61 - 1 and twice it) when primality was trial division
+    previous = signal.signal(signal.SIGALRM, _past_deadline)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        code, out, err = run_cli(capsys, "invariants", name)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert (code, err) == (0, "")
     s_plus, s_minus = realize(name).signature()
     assert f"\ngauss signature (mod 8): {(s_plus - s_minus) % 8}\n" in out
@@ -282,10 +307,7 @@ def test_one_parser_serves_a_session(capsys):
     assert build_parser() is build_parser()
     code, out, _ = run_cli(capsys, "tables", "--all", "--format", "csv")
     assert (code, out) == (0, (GOLDEN / "tables_all.csv").read_text())
-    with pytest.raises(SystemExit) as exc:
-        main(["tables", "--format", "xml"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert run_cli(capsys, "tables", "--format", "xml")[:2] == (1, "")
     # --all from the first call must not carry over
     code, out, _ = run_cli(capsys, "tables", "--prime", "19", "--format", "csv")
     assert (code, out) == (0, (GOLDEN / "table_p19.csv").read_text())

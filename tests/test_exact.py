@@ -14,6 +14,8 @@ from hklat.exact import (
     block_diag,
     det_exact,
     identity,
+    is_prime,
+    prime_factors,
     signature_of_symmetric,
     smith_normal_form,
 )
@@ -32,6 +34,25 @@ def transpose(m):
 
 def is_unimodular(m):
     return det_exact(m) in (1, -1)
+
+
+def test_is_prime_matches_sympy():
+    # every n < 20,000; then seeded n < 10^24, the next prime after each, and
+    # the least strong pseudoprimes to the prime bases up to 7, 23 and 37
+    rng = random.Random(14)
+    draws = [rng.randrange(10**24) for _ in range(2000)]
+    ns = [*range(-2, 20000), *draws, *map(sympy.nextprime, draws[:300])]
+    ns += [3215031751, 3825123056546413051, 318665857834031151167461, 2**61 - 1]
+    assert [n for n in ns if is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_prime_factors_matches_sympy():
+    # seeded m < 10^4 times a prime q < 10^18: trial division up to sqrt(q)
+    # would not finish, so this needs the stop at a prime cofactor
+    rng = random.Random(14)
+    ns = [*range(1, 20000), 2 * (2**61 - 1)]
+    ns += [rng.randrange(1, 10**4) * sympy.nextprime(rng.randrange(10**18)) for _ in range(200)]
+    assert [n for n in ns if list(prime_factors(n)) != sympy.primefactors(n)] == []
 
 
 def test_snf_identity():

@@ -25,7 +25,6 @@ from hklat.lattices import (
     LatticeExpr,
     NotEvenLattice,
     ambient_lattice,
-    catalog,
     direct_sum,
     discriminant_data,
     discriminant_form,
@@ -39,27 +38,27 @@ from hklat.tables import LATTICE_NAMES
 
 
 def test_catalog_k3_is_a2():
-    assert catalog("K", p=3).gram == ((-2, 1), (1, -2))
-    assert catalog("K", p=3).gram == catalog("A", k=2).gram
+    assert realize("K3").gram == ((-2, 1), (1, -2))
+    assert realize("K3").gram == realize("A2").gram
 
 
 def test_catalog_h13():
-    assert catalog("H", p=13).gram == ((6, 1), (1, -2))
+    assert realize("H13").gram == ((6, 1), (1, -2))
 
 
 def test_catalog_rejects_bad_parameters():
     with pytest.raises(InvalidParameter):
-        catalog("K", p=5)  # 5 = 1 mod 4
+        realize("K5")  # 5 = 1 mod 4
     with pytest.raises(InvalidParameter):
-        catalog("H", p=7)
+        realize("H7")
     with pytest.raises(InvalidParameter):
-        catalog("D", h=3)
+        realize("D3")
     with pytest.raises(InvalidParameter):
-        catalog("span", n=3)  # odd
+        realize("<3>")  # odd
 
 
 def test_catalog_e6_dual_3():
-    lat = catalog("E6dual3")
+    lat = realize("E6*(3)")
     assert lat.rank == 6
     assert lat.signature() == (0, 6)
     assert abs(lat.det()) == 3**5
@@ -70,7 +69,7 @@ def test_catalog_e6_dual_3():
 
 
 def test_catalog_a4_dual_5():
-    lat = catalog("A4dual5")
+    lat = realize("A4*(5)")
     assert lat.rank == 4
     assert lat.signature() == (0, 4)
     assert abs(lat.det()) == 5**3

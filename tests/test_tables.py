@@ -1,4 +1,7 @@
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,21 +13,24 @@ from golden_data import (
 )
 from hklat.classify import embed_in_L, invariants_of
 from hklat.fqf import forms_isomorphic
+from hklat.errors import InvalidParameter
 from hklat.lattices import (
     discriminant_data,
     discriminant_form,
     realize,
 )
 from hklat.tables import (
+    SUPPORTED_PRIMES,
     UnsupportedPrime,
     enumerate_triples,
     h4_trace,
     h_star,
     lefschetz_chi,
     moduli_dimension,
-    table_csv,
-    table_markdown,
+    render,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_h_star_examples():
@@ -172,10 +178,35 @@ def test_moduli_dim_matches_fano_examples():
 
 
 def test_markdown_and_csv_shapes():
-    md = table_markdown(19)
+    md = render((19,), "md")
     assert "| 19 | 1 | 1 | 20 | 20 | K19(-1) + E8^2 | U + K19 + <-2> |" in md
-    csv_text = table_csv(19)
+    csv_text = render((19,), "csv")
     lines = csv_text.strip().split("\n")
     assert len(lines) == 2
     assert ",20,20," in lines[1]
-    assert table_markdown(5).count("Natural automorphisms only") == 1
+    assert render((5,), "md").count("Natural automorphisms only") == 1
+
+
+def _golden_slice(fmt, p):
+    """The part of tests/golden/tables_all.<fmt> that belongs to the prime p:
+    its markdown section, or the CSV header over its rows, or its JSON
+    records in the golden's layout."""
+    text = (GOLDEN / f"tables_all.{fmt}").read_text()
+    if fmt == "md":
+        sections = re.finditer(r"^## Order (\d+)\n.*?(?=\n## Order |\Z)", text, re.M | re.S)
+        return next(m.group(0) for m in sections if m.group(1) == str(p))
+    if fmt == "csv":
+        header, *rows = text.splitlines(keepends=True)
+        return header + "".join(r for r in rows if r.startswith(f"{p},"))
+    return json.dumps([r for r in json.loads(text) if r["p"] == p], indent=2)
+
+
+@pytest.mark.parametrize("fmt", ("md", "csv", "json"))
+def test_each_single_prime_table_is_its_slice_of_the_golden(fmt):
+    for p in SUPPORTED_PRIMES:
+        assert render((p,), fmt) == _golden_slice(fmt, p), (fmt, p)
+
+
+def test_render_rejects_an_unknown_format():
+    with pytest.raises(InvalidParameter):
+        render((3,), "xml")
