@@ -10,18 +10,16 @@ asks it for T, tables.enumerate_triples for S.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
 from .errors import InvalidParameter, NotPElementary
-from .exact import is_prime, is_square
+from .exact import is_prime, is_square, prime_factors
 from .fqf import (
     FiniteQuadraticForm,
     cyclic_form,
     even_lattice_exists_report,
-    forms_isomorphic,
     jordan_splitting,
     splitting_key,
 )
@@ -35,46 +33,39 @@ from .lattices import (
 
 
 class LatticeInvariants(NamedTuple):
-    """Genus data of an even lattice: signature plus discriminant form.
-
-    ``p`` is the elementary prime when the discriminant group is (Z/p)^a,
-    0 for the unimodular case, and None for mixed groups.
-    """
+    """Genus data of an even lattice: signature plus discriminant form
+    (Nikulin 1979, Cor. 1.9.4); p, a and rank are read off them."""
 
     s_plus: int
     s_minus: int
-    p: int | None
-    a: int
     form: FiniteQuadraticForm
 
     @property
     def rank(self) -> int:
         return self.s_plus + self.s_minus
 
+    @property
+    def p(self) -> int | None:
+        """The prime p when the discriminant group is (Z/p)^a with a >= 1,
+        0 when it is trivial, None otherwise: a sum of cyclic groups is
+        (Z/p)^a iff each is Z/p, whatever the generators."""
+        orders = self.form.orders
+        if not orders:
+            return 0
+        if all(d == orders[0] for d in orders) and is_prime(orders[0]):
+            return orders[0]
+        return None
+
+    @property
+    def a(self) -> int:
+        """max_p l(A_p), the number of invariant factors of A."""
+        return max(self.form.lengths_per_prime().values(), default=0)
+
 
 def invariants_of(lattice: Lattice) -> LatticeInvariants:
     """Signature and discriminant form of the lattice, read off its blocks
     (see `lattices.discriminant_form`)."""
-    return lattice_invariants(lattice.signature(), discriminant_form(lattice))
-
-
-def lattice_invariants(
-    signature: tuple[int, int], form: FiniteQuadraticForm
-) -> LatticeInvariants:
-    """The invariants of a lattice of this signature and discriminant form.
-
-    a is max_p l(A_p), the number of invariant factors of A; the group is
-    p-elementary when every generator of the form has order p, whatever the
-    generators, since a sum of cyclic groups is (Z/p)^a iff each is Z/p."""
-    orders = form.orders
-    if not orders:
-        p = 0
-    elif all(d == orders[0] for d in orders) and is_prime(orders[0]):
-        p = orders[0]
-    else:
-        p = None
-    a = max(form.lengths_per_prime().values(), default=0)
-    return LatticeInvariants(*signature, p, a, form)
+    return LatticeInvariants(*lattice.signature(), discriminant_form(lattice))
 
 
 # -- genus uniqueness (indefinite) -------------------------------------------------
@@ -105,12 +96,14 @@ class EmbeddingReport(NamedTuple):
     embeds: bool
     unique_embedding: bool
     orthogonal_invariants: LatticeInvariants | None
-    orthogonal_expr: LatticeExpr | None
     exception_flag: bool
     t_unique_embedding: bool
 
 
-def embed_in_L(s: LatticeInvariants, recognize_orthogonal: bool = False) -> EmbeddingReport:
+_NO_EMBEDDING = EmbeddingReport(False, False, None, False, False)
+
+
+def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     """Primitive-embedding analysis of S in L for odd p (or a = 0).
 
     The orthogonal complement T has signature (3 - s+, 20 - s-) and
@@ -124,41 +117,38 @@ def embed_in_L(s: LatticeInvariants, recognize_orthogonal: bool = False) -> Embe
     t_plus = AMBIENT_SIGNATURE[0] - s.s_plus
     t_minus = AMBIENT_SIGNATURE[1] - s.s_minus
     if t_plus < 0 or t_minus < 0:
-        return EmbeddingReport(False, False, None, None, False, False)
+        return _NO_EMBEDDING
     q_t = s.form.neg().dsum(cyclic_form(2, 3))
     embeds, _ = even_lattice_exists_report(t_plus, t_minus, q_t)
     if not embeds:
-        return EmbeddingReport(False, False, None, None, False, False)
-    t_inv = LatticeInvariants(t_plus, t_minus, None, s.a + 1, q_t)
+        return _NO_EMBEDDING
 
     t_rank = t_plus + t_minus
     unique = s.s_plus < 3 and s.s_minus < 20 and s.a <= 21 - s.rank
     exception = False
     if not unique:
         if t_rank == 1:
-            unique = _rank_one_orthogonal_group_surjects(q_t)
+            unique = _rank_one_orthogonal_group_surjects(q_t.order)
         elif t_plus > 0 and t_minus > 0:
-            exception = genus_unique(t_rank, 2 * (s.p**s.a if s.p else 1))
+            exception = genus_unique(t_rank, q_t.order)
 
     t_unique = s.rank >= s.a + 2 or (s.rank == 2 and s.a == 1 and s.p == 3)
-
-    expr = None
-    if recognize_orthogonal:
-        expr = recognize(t_inv)
-    return EmbeddingReport(True, unique, t_inv, expr, exception, t_unique)
+    return EmbeddingReport(
+        True, unique, LatticeInvariants(t_plus, t_minus, q_t), exception, t_unique
+    )
 
 
-def _rank_one_orthogonal_group_surjects(q_t: FiniteQuadraticForm) -> bool:
-    """For a rank-one complement <2d>, O(T) = {+-1}; the embedding is unique iff
-    every q-preserving unit of Z/2d is +-1."""
-    n = q_t.order
-    # q on the generator of <n>* / <n> is 1/n mod 2Z, and -1/n for <-n>
-    if not any(forms_isomorphic(cyclic_form(n, sign), q_t) for sign in (1, -1)):
-        return False
-    for u in range(2, n - 1):
-        if math.gcd(u, n) == 1 and (u * u - 1) % (2 * n) == 0:
-            return False
-    return True
+def _rank_one_orthogonal_group_surjects(n: int) -> bool:
+    """Whether O(<+-n>) = {+-1} maps onto O(q) for even n, that is, whether
+    every unit u of Z/n with u^2 = 1 mod 2n is +-1: iff n = 2^k or n = 2p^k.
+
+    Such u are counted by the Chinese remainder theorem: two (+-1) modulo
+    each odd prime power of n, and modulo the 2-part 2^k of n one for k = 1
+    and two (+-1) for k >= 2.  So only +-1 remain iff n has no odd prime, or
+    one odd prime and k = 1.  A rank-one T that exists is <+-n> for n its
+    |A_T|, so no check of its form is needed."""
+    primes = prime_factors(n)
+    return len(primes) == 1 or (len(primes) == 2 and n % 4 == 2)
 
 
 # -- recognition --------------------------------------------------------------------

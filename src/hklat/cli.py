@@ -2,11 +2,13 @@
 
 Subcommands: invariants, tables, figures, embed, involution, census,
 local-actions.  Each subcommand computes its whole answer before printing, so
-a failure leaves stdout empty.  Exit codes: 1 malformed input (usage errors
+an error leaves stdout empty.  Exit codes: 1 malformed input (usage errors
 such as an unknown option or choice, bad parameters, unparsable expressions
 or JSON, unreadable files), 2 a mathematical rejection (e.g. a Gram matrix
-that is not an even lattice, a failed cross-check).  Every error prints one
-`error: ...` line on stderr.  `tables` prints through `tables.render`.
+that is not an even lattice).  Every error prints one `error: ...` line on
+stderr.  Two answers also exit 2, with the answer on stdout and nothing on
+stderr: `involution` when no such 2-elementary lattice exists, and
+`census --check` on a MISMATCH.  `tables` prints through `tables.render`.
 Output is deterministic.
 """
 
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import fixedlocus, involutions, tables
-from .classify import embed_in_L, invariants_of, lattice_invariants
+from .classify import LatticeInvariants, embed_in_L, invariants_of, recognize
 from .errors import HklatError, InvalidParameter
 from .fqf import form_invariants
 from .involutions import TwoElemInvariants
@@ -38,7 +40,7 @@ def _cmd_invariants(args) -> int:
     lat = _load_lattice(args.lattice)
     # The Smith form of the full Gram matrix: its generators fix the printed
     # group and values, so it is taken here also for a named lattice.
-    inv = lattice_invariants(lat.signature(), discriminant_data(lat).form)
+    inv = LatticeInvariants(*lat.signature(), discriminant_data(lat).form)
     form_inv = form_invariants(inv.form)
     if inv.p == 0:
         elementary = "true for every p (unimodular, a = 0)"
@@ -97,7 +99,7 @@ def _cmd_figures(args) -> int:
 def _cmd_embed(args) -> int:
     lat = _load_lattice(args.expr)
     inv = invariants_of(lat)
-    report = embed_in_L(inv, recognize_orthogonal=True)
+    report = embed_in_L(inv)
     print(f"S = {lat.name()}: signature ({inv.s_plus}, {inv.s_minus}), "
           f"p-elementary p={inv.p}, a={inv.a}")
     print(f"embeds in U^3 + E8^2 + <-2>: {'yes' if report.embeds else 'no'}")
@@ -105,8 +107,9 @@ def _cmd_embed(args) -> int:
         t = report.orthogonal_invariants
         print(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
               f"|A_T| = {t.form.order}")
-        if report.orthogonal_expr is not None:
-            print(f"orthogonal class: {report.orthogonal_expr}")
+        expr = recognize(t)
+        if expr is not None:
+            print(f"orthogonal class: {expr}")
         print(f"embedding unique: {'yes' if report.unique_embedding else 'no'}")
         if report.exception_flag:
             print("complement unique in its genus (one-class certificate)")

@@ -18,22 +18,52 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 @cache
 def prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct primes dividing n > 0, ascending, by trial division that
-    stops once the cofactor is prime (tested at the start and after each
-    division, not per divisor)."""
-    out = []
-    d = 2
-    done = is_prime(n)
-    while not done and d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-            done = is_prime(n)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    """The distinct primes dividing n > 0, ascending.  The primes of
+    `_MR_BASES` are divided out; a cofactor that `is_prime` does not confirm
+    is split by `_rho_divisor` until every part is confirmed prime."""
+    out = set()
+    for p in _MR_BASES:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_divisor(m)
+            parts += (d, m // d)
+    return tuple(sorted(out))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor up to 41:
+    Pollard's rho on x -> x^2 + c with Brent's cycle search and gcds batched
+    over 128 steps (Brent 1980), for c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # Miller-Rabin to the prime bases up to 41 decides every n below the bound,

@@ -329,8 +329,6 @@ def delta_invariant(form: FiniteQuadraticForm) -> int:
 class FormInvariants(NamedTuple):
     """Genus-level fingerprint of a finite quadratic form."""
 
-    order: int
-    lengths_per_prime: dict[int, int]
     signature_mod_8: int
     delta: int
     odd_prime_disc_class: dict[int, int]
@@ -348,8 +346,6 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
         if p != 2 and all(m == p for m, _ in blocks)
     }
     return FormInvariants(
-        order=form.order,
-        lengths_per_prime=form.lengths_per_prime(),
         signature_mod_8=_signature(splitting),
         delta=delta_invariant(form),
         odd_prime_disc_class=disc,

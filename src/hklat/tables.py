@@ -142,7 +142,8 @@ LATTICE_NAMES: dict[tuple[int, int, int], tuple[str, str]] = {
     (19, 1, 1): ("K19(-1) + E8^2", "U + K19 + <-2>"),
 }
 
-# Geometric realization tags (static metadata; not computed).
+# Geometric realization tags (static metadata; not computed).  A row not
+# listed is natural; an empty tuple marks a row with no known realization.
 NATURAL = "natural"
 FANO = "fano"
 REALIZATIONS: dict[tuple[int, int, int], tuple[str, ...]] = {
@@ -160,12 +161,6 @@ NATURAL_P5_ROWS = frozenset(
 )
 
 
-def _realization_tags(key: tuple[int, int, int]) -> tuple[str, ...]:
-    if key in REALIZATIONS:
-        return REALIZATIONS[key]
-    return (NATURAL,)
-
-
 def enumerate_triples(p: int) -> list[AdmissibleTriple]:
     """All admissible rows for the prime p, in table order (m desc, a asc)."""
     if p not in SUPPORTED_PRIMES:
@@ -181,8 +176,7 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
             form = next((q for q in forms if even_lattice_exists(2, rank_s - 2, q)), None)
             if form is None:
                 continue
-            s_inv = LatticeInvariants(2, rank_s - 2, p if a else 0, a, form)
-            report = embed_in_L(s_inv)
+            report = embed_in_L(LatticeInvariants(2, rank_s - 2, form))
             if not report.embeds:
                 continue
             if p == 5 and (m, a) not in NATURAL_P5_ROWS:
@@ -191,6 +185,7 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
             names = LATTICE_NAMES.get(key)
             if names is None:
                 raise AssertionError(f"admissible triple {key} has no catalog name")
+            realizations = REALIZATIONS.get(key, (NATURAL,))
             rows.append(
                 AdmissibleTriple(
                     p=p,
@@ -207,8 +202,8 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
                     t_unique_embedding=report.t_unique_embedding,
                     moduli_dim=moduli_dimension(p, m),
                     natural_only=(p == 5),
-                    realizations=_realization_tags(key),
-                    no_known_realization=(key == (13, 1, 0)),
+                    realizations=realizations,
+                    no_known_realization=not realizations,
                 )
             )
     return rows

@@ -82,19 +82,21 @@ def _invariants(name):
 
 
 def test_embed_row_3_11_1():
-    report = embed_in_L(_invariants("U^2 + E8^2 + A2"), recognize_orthogonal=True)
+    report = embed_in_L(_invariants("U^2 + E8^2 + A2"))
     assert report.embeds
     t = report.orthogonal_invariants
     assert (t.s_plus, t.s_minus) == (1, 0)
     expected = cyclic_form(2, 3).dsum(cyclic_form(3, 2))
     assert forms_isomorphic(t.form, expected)
     assert forms_isomorphic(t.form, discriminant_form(realize("<6>")))
-    assert str(report.orthogonal_expr) == "<6>"
+    assert str(recognize(t)) == "<6>"
+    assert (t.p, t.a) == (None, 1)
     assert report.unique_embedding
 
 
 def test_embed_excluded_row():
-    s = LatticeInvariants(2, 16, 3, 5, discriminant_form(realize("E6*(3)")))
+    s = LatticeInvariants(2, 16, discriminant_form(realize("E6*(3)")))
+    assert (s.p, s.a) == (3, 5)
     report = embed_in_L(s)
     assert not report.embeds
 
@@ -113,7 +115,7 @@ def test_embed_rejects_mixed_group():
 
 
 def test_embed_signature_overflow():
-    s = LatticeInvariants(4, 0, 0, 0, trivial_form())
+    s = LatticeInvariants(4, 0, trivial_form())
     assert not embed_in_L(s).embeds
 
 
@@ -195,7 +197,7 @@ def test_search_pool_unimodular_terms_are_U_and_E8():
     forms += [cyclic_form(2, 1).dsum(form) for form in odd]
     forms.append(functools.reduce(FiniteQuadraticForm.dsum, forms[1:9]))
     for form in forms:
-        pool = _search_pool(LatticeInvariants(0, 0, None, 0, form))
+        pool = _search_pool(LatticeInvariants(0, 0, form))
         unimodular = [term for term in pool if abs(atom_data(*term).det) == 1]
         assert unimodular == [("U", 1), ("E8", 1)], form
 
@@ -203,7 +205,7 @@ def test_search_pool_unimodular_terms_are_U_and_E8():
 def test_rank_one_orthogonal_group_surjects_matches_a_unit_scan():
     # O(<n>) = {+-1}; it maps onto O(q) iff every unit u of Z/n with
     # q(u) = q(1) is +-1
-    for n in range(2, 81, 2):
+    for n in range(2, 401, 2):
         for sign in (1, -1):
             form = cyclic_form(n, sign)
             preserving = [
@@ -211,7 +213,7 @@ def test_rank_one_orthogonal_group_surjects_matches_a_unit_scan():
                 if math.gcd(u, n) == 1 and value(form, (u,)) == value(form, (1,))
             ]
             expected = all(u in (1, n - 1) for u in preserving)
-            assert _rank_one_orthogonal_group_surjects(form) == expected, (n, sign)
+            assert _rank_one_orthogonal_group_surjects(n) == expected, (n, sign)
 
 
 def test_pool_terms_are_built_once():
@@ -238,17 +240,12 @@ def test_recognize_soundness_on_all_table_names():
 def test_round_trip_s_to_t():
     # embedding the S of each row yields the invariants of the row's T
     for _, _, _, _, _, s_name, t_name in TABLE_ROWS:
-        s_inv = invariants_of(realize(s_name))
-        report = embed_in_L(s_inv)
+        report = embed_in_L(invariants_of(realize(s_name)))
         assert report.embeds, s_name
-        t_lat = realize(t_name)
-        assert t_lat.signature() == (
-            report.orthogonal_invariants.s_plus,
-            report.orthogonal_invariants.s_minus,
-        )
-        assert forms_isomorphic(
-            discriminant_form(t_lat), report.orthogonal_invariants.form
-        ), t_name
+        t, want = report.orthogonal_invariants, invariants_of(realize(t_name))
+        assert (t.s_plus, t.s_minus) == (want.s_plus, want.s_minus), t_name
+        assert forms_isomorphic(t.form, want.form), t_name
+        assert (t.p, t.a) == (want.p, want.a), t_name
 
 
 def test_hyperbolic_existence_has_catalog_witnesses():
@@ -261,7 +258,7 @@ def test_hyperbolic_existence_has_catalog_witnesses():
                     continue
                 form = library_p_elementary_form(p, 1, r - 1, a)
                 assert form is not None, (p, r, a)
-                target = LatticeInvariants(1, r - 1, p if a else 0, a, form)
+                target = LatticeInvariants(1, r - 1, form)
                 expr = recognize(target)
                 assert expr is not None, (p, r, a)
                 lat = realize(str(expr))

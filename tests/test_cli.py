@@ -260,13 +260,14 @@ def _past_deadline(signum, frame):
     "name",
     [
         "<1000002>", "E8(101)", "A10(11)", "A6^2 + E6*(-6) + A2^2", "A1(-1)^2 + E6*(-3)^2",
-        "K2305843009213693951", "<4611686018427387902>",
+        "K2305843009213693951", "<4611686018427387902>", "<2000000032000000126>",
     ],
 )
 def test_invariants_of_large_discriminant_groups(capsys, name):
     # discriminant groups of order 1000002, 101^8 and 11^11; the sums ran
-    # past 20 s when the Smith form was eliminated without a modulus, and the
-    # last two (2^61 - 1 and twice it) when primality was trial division
+    # past 20 s when the Smith form was eliminated without a modulus, the
+    # next two (2^61 - 1 and twice it) when primality was trial division,
+    # and the last (2·1000000007·1000000009) when factoring was
     previous = signal.signal(signal.SIGALRM, _past_deadline)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:

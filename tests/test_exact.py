@@ -47,11 +47,16 @@ def test_is_prime_matches_sympy():
 
 
 def test_prime_factors_matches_sympy():
-    # seeded m < 10^4 times a prime q < 10^18: trial division up to sqrt(q)
-    # would not finish, so this needs the stop at a prime cofactor
+    # seeded m < 10^4 times a prime q < 10^18, and products of two primes
+    # above 10^8 (times a prime power above 41): trial division up to the
+    # square root would finish neither
     rng = random.Random(14)
-    ns = [*range(1, 20000), 2 * (2**61 - 1)]
+    ns = [*range(1, 20000), 2 * (2**61 - 1), 1000000007 * 1000000009]
     ns += [rng.randrange(1, 10**4) * sympy.nextprime(rng.randrange(10**18)) for _ in range(200)]
+    ns += [
+        43**3 * sympy.nextprime(rng.randrange(10**8, 10**9)) * sympy.nextprime(rng.randrange(10**8, 10**9))
+        for _ in range(10)
+    ]
     assert [n for n in ns if list(prime_factors(n)) != sympy.primefactors(n)] == []
 
 
