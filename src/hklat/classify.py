@@ -1,9 +1,9 @@
 """Existence, uniqueness and embedding analysis for p-elementary lattices.
 
-The ambient lattice throughout is L = U^3 + E8^2 + <-2>, of signature (3,20)
-and discriminant form Z/2 (3/2).  A p-elementary lattice S (p odd) embedding
-primitively in L has orthogonal complement T with signature (3-s+, 20-s-) and
-discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both
+The ambient lattice throughout is L = U^3 + E8^2 + <-2> (`lattices.AMBIENT`),
+of signature (3,20) and discriminant form Z/2 (3/2).  A p-elementary lattice
+S (p odd) embedding primitively in L has orthogonal complement T with
+signature (3-s+, 20-s-) and discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both
 answered by fqf.even_lattice_exists_report (Nikulin's Thm 1.10.1): embed_in_L
 asks it for T, tables.enumerate_triples for S.
 """
@@ -16,20 +16,8 @@ from typing import NamedTuple
 
 from .errors import InvalidParameter, NotPElementary
 from .exact import is_prime, is_square, prime_factors
-from .fqf import (
-    FiniteQuadraticForm,
-    cyclic_form,
-    even_lattice_exists_report,
-    jordan_splitting,
-    splitting_key,
-)
-from .lattices import (
-    AMBIENT_SIGNATURE,
-    Lattice,
-    LatticeExpr,
-    atom_data,
-    discriminant_form,
-)
+from .fqf import FiniteQuadraticForm, even_lattice_exists_report, jordan_splitting, splitting_key
+from .lattices import Lattice, LatticeExpr, ambient_lattice, atom_data, discriminant_form
 
 
 class LatticeInvariants(NamedTuple):
@@ -106,25 +94,26 @@ _NO_EMBEDDING = EmbeddingReport(False, False, None, False, False)
 def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     """Primitive-embedding analysis of S in L for odd p (or a = 0).
 
-    The orthogonal complement T has signature (3 - s+, 20 - s-) and
-    discriminant form (-q_S) + Z/2 (3/2).  The embedding is unique when
-    s+ < 3, s- < 20 and a <= 21 - rank(S); outside that range the rank-one
+    The orthogonal complement T has signature sig L - sig S and
+    discriminant form (-q_S) + q_L.  The embedding is unique when T is
+    indefinite and a <= rank L - 2 - rank S; outside that range the rank-one
     complement case is checked directly, and an indefinite T may still get a
     one-class-per-genus certificate instead (exception_flag).
     """
     if s.p is None or (s.p == 2 and s.a > 0):
         raise NotPElementary("embedding analysis requires odd p (or trivial group)")
-    t_plus = AMBIENT_SIGNATURE[0] - s.s_plus
-    t_minus = AMBIENT_SIGNATURE[1] - s.s_minus
+    ambient = ambient_lattice()
+    l_plus, l_minus = ambient.signature()
+    t_plus, t_minus = l_plus - s.s_plus, l_minus - s.s_minus
     if t_plus < 0 or t_minus < 0:
         return _NO_EMBEDDING
-    q_t = s.form.neg().dsum(cyclic_form(2, 3))
+    q_t = s.form.neg().dsum(discriminant_form(ambient))
     embeds, _ = even_lattice_exists_report(t_plus, t_minus, q_t)
     if not embeds:
         return _NO_EMBEDDING
 
     t_rank = t_plus + t_minus
-    unique = s.s_plus < 3 and s.s_minus < 20 and s.a <= 21 - s.rank
+    unique = t_plus > 0 and t_minus > 0 and s.a <= ambient.rank - 2 - s.rank
     exception = False
     if not unique:
         if t_rank == 1:
@@ -249,7 +238,7 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     target.
     """
     terms = _search_pool(target)
-    splittings = [_atom_splitting(term) for term in terms]
+    splittings = [jordan_splitting(atom_data(*term).form) for term in terms]
     groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (index, |det|, s+, s-)
     for i, term in enumerate(terms):
         if splittings[i]:
@@ -297,10 +286,4 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
         return None
     counts = Counter(terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
     return LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
-
-
-@cache
-def _atom_splitting(term: tuple[str, int]) -> dict[int, list[tuple[int, int | str]]]:
-    """The Jordan splitting of a pool term's discriminant form, once per process."""
-    return jordan_splitting(atom_data(*term).form)
 

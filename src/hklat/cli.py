@@ -26,7 +26,7 @@ from .classify import LatticeInvariants, embed_in_L, invariants_of, recognize
 from .errors import HklatError, InvalidParameter
 from .fqf import form_invariants
 from .involutions import TwoElemInvariants
-from .lattices import Lattice, discriminant_data, lattice_from_json, realize
+from .lattices import AMBIENT, Lattice, discriminant_data, lattice_from_json, realize
 
 
 def _load_lattice(source: str) -> Lattice:
@@ -102,7 +102,7 @@ def _cmd_embed(args) -> int:
     report = embed_in_L(inv)
     print(f"S = {lat.name()}: signature ({inv.s_plus}, {inv.s_minus}), "
           f"p-elementary p={inv.p}, a={inv.a}")
-    print(f"embeds in U^3 + E8^2 + <-2>: {'yes' if report.embeds else 'no'}")
+    print(f"embeds in {AMBIENT}: {'yes' if report.embeds else 'no'}")
     if report.embeds:
         t = report.orthogonal_invariants
         print(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
@@ -126,7 +126,7 @@ def _cmd_involution(args) -> int:
         return 2
     classes = involutions.classify_involution_embeddings(t)
     if not classes:
-        print("no primitive embedding in U^3 + E8^2 + <-2>")
+        print(f"no primitive embedding in {AMBIENT}")
         return 0
     for cls in classes:
         s = cls.s_invariants
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out")
     p_fig.set_defaults(func=_cmd_figures)
 
-    p_emb = sub.add_parser("embed", help="embedding report for S in U^3 + E8^2 + <-2>")
+    p_emb = sub.add_parser("embed", help=f"embedding report for S in {AMBIENT}")
     p_emb.add_argument("--expr", required=True)
     p_emb.set_defaults(func=_cmd_embed)
 

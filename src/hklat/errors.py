@@ -4,7 +4,8 @@ Every error the package raises is an ``HklatError`` carrying the exit code the
 command line reports for it:
 
 * 1 -- malformed input (bad parameters, unparsable expressions or JSON);
-* 2 -- mathematical rejection (odd or degenerate forms, impossible invariants).
+* 2 -- mathematical rejection (odd or degenerate forms, impossible invariants,
+  a primality that cannot be proved).
 
 Each class also keeps a built-in base, so ``except ValueError`` and the like
 still catch it.
@@ -45,5 +46,12 @@ class NotPElementary(HklatError, ValueError):
 
 class DegenerateForm(HklatError, ValueError):
     """A nondegenerate symmetric or finite quadratic form was expected."""
+
+    exit_code = 2
+
+
+class PrimalityUnproved(HklatError, ArithmeticError):
+    """A probable prime above the Miller-Rabin bound whose primality
+    `exact.is_prime` could not prove."""
 
     exit_code = 2

@@ -11,7 +11,7 @@ import itertools
 import math
 from functools import cache
 
-from .errors import DegenerateForm, InvalidParameter
+from .errors import DegenerateForm, InvalidParameter, PrimalityUnproved
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -70,11 +70,14 @@ def _rho_divisor(n: int) -> int:
 # the least strong pseudoprime to all of them (Sorenson and Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESS_BASES = range(2, 1000)
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime: deterministic Miller-Rabin below `_MR_BOUND`,
-    trial division above it."""
+    """Whether n is prime: Miller-Rabin to `_MR_BASES`, which decides every
+    n below `_MR_BOUND`; a larger n that passes is proved prime by
+    `_pocklington_lehmer`.  That proof factors n - 1, so an n - 1 with two
+    large prime factors that Pollard's rho cannot split still runs long."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -82,8 +85,6 @@ def is_prime(n: int) -> bool:
             return n == b
     if n < 43 * 43:  # no prime factor up to 41
         return True
-    if n >= _MR_BOUND:
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -97,6 +98,26 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    return n < _MR_BOUND or _pocklington_lehmer(n)
+
+
+def _pocklington_lehmer(n: int) -> bool:
+    """Primality of an odd n > 2 from the primes q of n - 1 (Brillhart,
+    Lehmer and Selfridge 1975): n is prime iff each q has a witness b with
+    b^(n-1) = 1 mod n and gcd(b^((n-1)/q) - 1, n) = 1.  Proof of "if": for
+    a prime p | n, the order of b mod p divides n - 1 but not (n - 1)/q, so
+    the q-part of n - 1 divides it and so p - 1; hence n - 1 | p - 1 and
+    p = n.  A prime n has (n - 1)(1 - 1/q) witnesses for q, and a base
+    with b^(n-1) != 1 proves n composite.  Raises PrimalityUnproved when no
+    base of `_WITNESS_BASES` is a witness for some q."""
+    for q in prime_factors(n - 1):
+        for b in _WITNESS_BASES:
+            if pow(b, n - 1, n) != 1:
+                return False
+            if math.gcd(pow(b, (n - 1) // q, n) - 1, n) == 1:
+                break
+        else:
+            raise PrimalityUnproved(f"no Pocklington-Lehmer witness proves {n} prime")
     return True
 
 

@@ -26,9 +26,11 @@ class FiniteQuadraticForm:
     """Quadratic form q: A -> Q/2Z with associated bilinear form b: A x A -> Q/Z,
     scaled to the level N: q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N.
 
-    Immutable; equality and hashing go by (orders, q, b)."""
+    Immutable; equality and hashing go by (orders, q, b).  The Jordan
+    splitting is kept in `_split` on first use (see `jordan_splitting`); it
+    is left out of equality, hashing, repr and pickles."""
 
-    __slots__ = ("orders", "q", "b")
+    __slots__ = ("orders", "q", "b", "_split")
 
     def __init__(
         self,
@@ -59,9 +61,7 @@ class FiniteQuadraticForm:
                     raise InvalidParameter("b values must be reduced into [0, N)")
                 if d * b[i][j] % n:
                     raise InvalidParameter("b value incompatible with generator order")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "b", b)
+        self._fill(orders, q, b)
 
     @classmethod
     def _trusted(cls, orders, q, b) -> "FiniteQuadraticForm":
@@ -69,10 +69,12 @@ class FiniteQuadraticForm:
         builders whose inputs are valid forms (dsum, neg, prime_part) and for
         p_elementary_form."""
         form = object.__new__(cls)
-        object.__setattr__(form, "orders", orders)
-        object.__setattr__(form, "q", q)
-        object.__setattr__(form, "b", b)
+        form._fill(orders, q, b)
         return form
+
+    def _fill(self, orders, q, b) -> None:
+        for name, value in zip(self.__slots__, (orders, q, b, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteQuadraticForm is immutable; cannot set {name!r}")
@@ -212,10 +214,15 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
     return _signature(jordan_splitting(form))
 
 
-def jordan_splitting(form: FiniteQuadraticForm) -> dict[int, list[tuple[int, int | str]]]:
+def jordan_splitting(form: FiniteQuadraticForm) -> dict[int, tuple[tuple[int, int | str], ...]]:
     """The Jordan blocks of each p-part, by prime p of |A| in increasing
-    order; every invariant below is read off this one splitting."""
-    return {p: jordan_blocks(form.prime_part(p), p) for p in sorted(form.lengths_per_prime())}
+    order; every invariant below is read off this one splitting, which is
+    computed once per form and kept on it."""
+    if form._split is None:
+        primes = sorted(form.lengths_per_prime())
+        split = {p: tuple(jordan_blocks(form.prime_part(p), p)) for p in primes}
+        object.__setattr__(form, "_split", split)
+    return form._split
 
 
 def _signature(splitting) -> int:
@@ -331,25 +338,11 @@ class FormInvariants(NamedTuple):
 
     signature_mod_8: int
     delta: int
-    odd_prime_disc_class: dict[int, int]
 
 
 def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
-    """The fingerprint; odd_prime_disc_class holds, for each odd p whose
-    part is elementary, the Legendre symbol of the discriminant of that part:
-    the product of its Jordan block units, which is det of the scaled
-    bilinear form up to the square of a change of basis."""
-    splitting = jordan_splitting(form)
-    disc = {
-        p: legendre(math.prod(a for _, a in blocks), p)
-        for p, blocks in splitting.items()
-        if p != 2 and all(m == p for m, _ in blocks)
-    }
-    return FormInvariants(
-        signature_mod_8=_signature(splitting),
-        delta=delta_invariant(form),
-        odd_prime_disc_class=disc,
-    )
+    """The Gauss signature and the delta invariant."""
+    return FormInvariants(gauss_signature(form), delta_invariant(form))
 
 
 # -- isomorphism ---------------------------------------------------------------

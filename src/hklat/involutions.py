@@ -15,7 +15,7 @@ import json
 from typing import NamedTuple
 
 from .errors import InvalidParameter
-from .lattices import AMBIENT_SIGNATURE
+from .lattices import ambient_lattice
 
 CASE_I = "I"
 CASE_II = "II"
@@ -107,18 +107,19 @@ def classify_involution_embeddings(t: TwoElemInvariants) -> list[InvolutionEmbed
         raise InvalidParameter("T must be hyperbolic of signature (1, r-1)")
     if not two_elementary_exists(t):
         return []
-    s_minus = AMBIENT_SIGNATURE[1] - (t.r - 1)  # rank S = 2 + s_minus = 23 - r
+    l_plus, l_minus = ambient_lattice().signature()
+    s_plus, s_minus = l_plus - t.s_plus, l_minus - t.s_minus
     if s_minus < 0:
         return []
     classes = []
-    case1 = TwoElemInvariants(2, s_minus, t.a + 1, 1)
+    case1 = TwoElemInvariants(s_plus, s_minus, t.a + 1, 1)
     if two_elementary_exists(case1):
         classes.append(InvolutionEmbeddingClass(CASE_I, case1))
     if t.a >= 1 and has_value_three_halves(t):
         for delta_s in (0, 1):
             if t.a - 1 == 0 and delta_s == 1:
                 continue
-            cand = TwoElemInvariants(2, s_minus, t.a - 1, delta_s)
+            cand = TwoElemInvariants(s_plus, s_minus, t.a - 1, delta_s)
             if two_elementary_exists(cand):
                 classes.append(InvolutionEmbeddingClass(CASE_II, cand))
     return classes
@@ -157,8 +158,6 @@ def figure_points(which: int) -> set[tuple[int, int, int]]:
         for a in range(0, r + 1):
             for delta_t in (0, 1):
                 t = TwoElemInvariants(1, r - 1, a, delta_t)
-                if not two_elementary_exists(t):
-                    continue
                 for cls in classify_involution_embeddings(t):
                     if which == 1 and cls.case == CASE_I:
                         points.add((r, a, delta_t))

@@ -109,33 +109,15 @@ def render_expr(expr: LatticeExpr) -> str:
 
 # -- Gram matrices for the atoms -------------------------------------------------
 
-def _cartan_A(k: int) -> IntMatrix:
-    return as_matrix(
-        [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(k)] for i in range(k)]
+def _root_gram(n: int, branch: int) -> IntMatrix:
+    """Gram matrix of a negative definite ADE root lattice of rank n: the
+    negated Cartan matrix of the chain 0..n-2 with node n-1 joined to node
+    `branch` (n-2 for A_n, n-3 for D_n, 2 for E_n in Bourbaki's shape)."""
+    edges = {(i, i + 1) for i in range(n - 2)} | {(branch, n - 1)}
+    return tuple(
+        tuple(-2 if i == j else int((min(i, j), max(i, j)) in edges) for j in range(n))
+        for i in range(n)
     )
-
-
-def _cartan_D(h: int) -> IntMatrix:
-    # chain 0..h-3 with both h-2 and h-1 attached to node h-3
-    m = [[0] * h for _ in range(h)]
-    for i in range(h):
-        m[i][i] = 2
-    for i in range(h - 3):
-        m[i][i + 1] = m[i + 1][i] = -1
-    m[h - 3][h - 2] = m[h - 2][h - 3] = -1
-    m[h - 3][h - 1] = m[h - 1][h - 3] = -1
-    return as_matrix(m)
-
-
-def _cartan_E(l: int) -> IntMatrix:
-    # chain 0..l-2 with node l-1 attached to node 2 (Bourbaki E-shape)
-    m = [[0] * l for _ in range(l)]
-    for i in range(l):
-        m[i][i] = 2
-    for i in range(l - 2):
-        m[i][i + 1] = m[i + 1][i] = -1
-    m[2][l - 1] = m[l - 1][2] = -1
-    return as_matrix(m)
 
 
 def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
@@ -168,14 +150,14 @@ def _atom_base_gram(atom: str) -> IntMatrix:
         k = int(atom[1:])
         if k < 1:
             raise InvalidParameter("A_k needs k >= 1")
-        return scale(_cartan_A(k), -1)
+        return _root_gram(k, k - 2)
     if atom[0] == "D" and atom[1:].isdigit():
         h = int(atom[1:])
         if h < 4:
             raise InvalidParameter("D_h needs h >= 4")
-        return scale(_cartan_D(h), -1)
+        return _root_gram(h, h - 3)
     if atom in ("E6", "E7", "E8"):
-        return scale(_cartan_E(int(atom[1])), -1)
+        return _root_gram(int(atom[1]), 2)
     if atom[0] == "K" and atom[1:].isdigit():
         p = int(atom[1:])
         if p % 4 != 3 or not is_prime(p):
@@ -352,12 +334,15 @@ def twist(lattice: Lattice, t: int) -> Lattice:
     return Lattice.from_blocks([_block(scale(b.gram, t)) for b in lattice.blocks], expr)
 
 
-AMBIENT_SIGNATURE = (3, 20)
+AMBIENT = "U^3 + E8^2 + <-2>"
 
 
+@cache
 def ambient_lattice() -> Lattice:
-    """The rank-23 lattice U^3 + E8^2 + <-2> (second cohomology of a K3^[2] fourfold)."""
-    return realize("U^3 + E8^2 + <-2>")
+    """L = U^3 + E8^2 + <-2>, the second cohomology of a K3^[2]-type
+    fourfold, built once per process; its rank, signature and discriminant
+    form are read off it."""
+    return realize(AMBIENT)
 
 
 # -- discriminant data ------------------------------------------------------------

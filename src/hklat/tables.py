@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .errors import InvalidParameter, UnsupportedPrime
 from .classify import LatticeInvariants, embed_in_L
 from .fqf import even_lattice_exists, p_elementary_form
+from .lattices import ambient_lattice
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
@@ -166,12 +167,10 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"unsupported prime {p}")
     rows: list[AdmissibleTriple] = []
-    m_max = 22 // (p - 1)
-    for m in range(m_max, 0, -1):
+    rank_l = ambient_lattice().rank  # rank S < rank L, as T has t+ = 1
+    for m in range((rank_l - 1) // (p - 1), 0, -1):
         rank_s = (p - 1) * m
-        if rank_s < 2:
-            continue
-        for a in range(0, min(rank_s, 23 - rank_s, m) + 1):
+        for a in range(0, min(rank_s, rank_l - rank_s, m) + 1):
             forms = (p_elementary_form(p, a, nonresidue) for nonresidue in (False, True))
             form = next((q for q in forms if even_lattice_exists(2, rank_s - 2, q)), None)
             if form is None:
@@ -196,7 +195,7 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
                     s_expr=names[0],
                     t_expr=names[1],
                     s_rank=rank_s,
-                    t_rank=23 - rank_s,
+                    t_rank=rank_l - rank_s,
                     s_unique_embedding=report.unique_embedding,
                     embedding_exception=report.exception_flag,
                     t_unique_embedding=report.t_unique_embedding,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hklat
-from hklat import exact, lattices
+from hklat import exact, fqf, lattices
 from hklat.cli import _ratio_text, build_parser, main
 from hklat.errors import InvalidParameter
 from hklat.lattices import realize
@@ -248,6 +248,20 @@ def test_missing_json_file_is_an_os_error(tmp_path, monkeypatch, capsys, argv):
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
 
 
+def test_warm_embed_splits_each_prime_of_the_complement_once(capsys, monkeypatch):
+    # the existence test splits q_T once per prime of |A_T| = 6; recognize
+    # reads that splitting, and the pool atoms' splittings, kept on their
+    # forms since the first run
+    argv = ("embed", "--expr", "U^2 + E8^2 + A2")
+    run_cli(capsys, *argv)
+    split = []
+    jordan_blocks = fqf.jordan_blocks
+    monkeypatch.setattr(fqf, "jordan_blocks", lambda part, p: split.append(p) or jordan_blocks(part, p))
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, "orthogonal class: <6>\n" in out) == (0, True)
+    assert sorted(split) == [2, 3]
+
+
 class DeadlineExceeded(Exception):
     pass
 
@@ -261,13 +275,15 @@ def _past_deadline(signum, frame):
     [
         "<1000002>", "E8(101)", "A10(11)", "A6^2 + E6*(-6) + A2^2", "A1(-1)^2 + E6*(-3)^2",
         "K2305843009213693951", "<4611686018427387902>", "<2000000032000000126>",
+        "<1237940039285380274899124222>",
     ],
 )
 def test_invariants_of_large_discriminant_groups(capsys, name):
     # discriminant groups of order 1000002, 101^8 and 11^11; the sums ran
     # past 20 s when the Smith form was eliminated without a modulus, the
     # next two (2^61 - 1 and twice it) when primality was trial division,
-    # and the last (2·1000000007·1000000009) when factoring was
+    # the next (2·1000000007·1000000009) when factoring was, and the last
+    # (2·(2^89 - 1)) when primality above the Miller-Rabin bound was
     previous = signal.signal(signal.SIGALRM, _past_deadline)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:

@@ -20,6 +20,7 @@ EXIT_CODES = {
     errors.NotEvenLattice: (2, ValueError),
     errors.NotPElementary: (2, ValueError),
     errors.DegenerateForm: (2, ValueError),
+    errors.PrimalityUnproved: (2, ArithmeticError),
 }
 
 

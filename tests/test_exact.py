@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_sympy
 
 import snf_oracle
+from hklat import exact
+from hklat.errors import PrimalityUnproved
 from hklat.exact import (
     DegenerateForm,
     as_matrix,
@@ -44,6 +46,26 @@ def test_is_prime_matches_sympy():
     ns = [*range(-2, 20000), *draws, *map(sympy.nextprime, draws[:300])]
     ns += [3215031751, 3825123056546413051, 318665857834031151167461, 2**61 - 1]
     assert [n for n in ns if is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_proves_primes_above_the_miller_rabin_bound():
+    # Mersenne primes above the bound get a Pocklington-Lehmer proof; seeded
+    # odd composites above it, the bound itself (a strong pseudoprime to every
+    # base of _MR_BASES) and products of two large primes exit at Miller-Rabin
+    assert exact._MR_BOUND < 2**89 - 1
+    assert [k for k in (89, 107, 127) if not is_prime(2**k - 1)] == []
+    rng = random.Random(16)
+    draws = [rng.randrange(exact._MR_BOUND, 10**40) | 1 for _ in range(400)]
+    composites = [n for n in draws if not sympy.isprime(n)]
+    composites += [exact._MR_BOUND, (2**61 - 1) * (2**89 - 1), (2**89 - 1) ** 2, 2**127 + 1]
+    assert [n for n in composites if is_prime(n)] == []
+
+
+def test_is_prime_names_a_number_it_cannot_prove(monkeypatch):
+    # 2 has order 89 modulo 2^89 - 1, so it is a witness only for q = 89
+    monkeypatch.setattr(exact, "_WITNESS_BASES", (2,))
+    with pytest.raises(PrimalityUnproved, match=str(2**89 - 1)):
+        is_prime(2**89 - 1)
 
 
 def test_prime_factors_matches_sympy():

@@ -1,6 +1,8 @@
 import cmath
+import copy
 import functools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +26,7 @@ from fqf_oracle import (
 from hklat.fqf import (
     DegenerateForm,
     FiniteQuadraticForm,
+    FormInvariants,
     _least_nonresidue,
     cyclic_form,
     delta_invariant,
@@ -33,6 +36,7 @@ from hklat.fqf import (
     forms_isomorphic,
     gauss_signature,
     jordan_blocks,
+    jordan_splitting,
     normal_key,
     p_elementary_form,
     trivial_form,
@@ -555,10 +559,10 @@ def test_disc_class_from_jordan_blocks_matches_det_oracle():
                 for f in (form, _change_basis(form, m)):
                     expected = odd_disc_class(f, p)
                     classes.add(expected)
-                    assert form_invariants(f).odd_prime_disc_class == {p: expected}
+                    assert dict(normal_key(f))[p] == ((p, a, expected),)
                     if p != 3:
-                        inv = form_invariants(f.dsum(extra))
-                        assert inv.odd_prime_disc_class == {p: expected}, (p, a)
+                        key = dict(normal_key(f.dsum(extra)))
+                        assert key[p] == ((p, a, expected),), (p, a)
             assert classes == {1, -1}, (p, a)
 
 
@@ -635,10 +639,20 @@ def test_two_elementary_form_matches_invariants():
                 assert gauss_signature(form) == sigma
 
 
+def test_jordan_splitting_is_kept_on_the_form_only():
+    form = discriminant_form(realize("U(3) + A2 + <-2>"))
+    twin = FiniteQuadraticForm(form.orders, form.q, form.b)
+    splitting = jordan_splitting(form)
+    assert jordan_splitting(form) is splitting
+    assert splitting == {2: ((2, 3),), 3: ((3, 4), (3, 2), (3, 4))}
+    assert (form, hash(form), repr(form)) == (twin, hash(twin), repr(twin))
+    for copied in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+        assert copied == form and copied._split is None
+
+
 def test_form_invariants_record():
     inv = form_invariants(discriminant_form(realize("<6>")))
-    assert inv.delta == 1
-    assert 3 in inv.odd_prime_disc_class
+    assert inv == FormInvariants(signature_mod_8=1, delta=1)
 
 
 def test_full_length_existence_runs_in_constant_memory():

@@ -20,6 +20,7 @@ from hklat.fqf import (
     trivial_form,
 )
 from hklat.lattices import (
+    AMBIENT,
     InvalidParameter,
     Lattice,
     LatticeExpr,
@@ -32,6 +33,7 @@ from hklat.lattices import (
     parse_expr,
     realize,
     render_expr,
+    _root_gram,
     twist,
 )
 from hklat.tables import LATTICE_NAMES
@@ -77,6 +79,46 @@ def test_catalog_a4_dual_5():
     assert (inv.p, inv.a) == (5, 3)
 
 
+def _cartan_A(k):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(k)] for i in range(k)]
+
+
+def _cartan_D(h):
+    # chain 0..h-3 with both h-2 and h-1 attached to node h-3
+    m = [[0] * h for _ in range(h)]
+    for i in range(h):
+        m[i][i] = 2
+    for i in range(h - 3):
+        m[i][i + 1] = m[i + 1][i] = -1
+    m[h - 3][h - 2] = m[h - 2][h - 3] = -1
+    m[h - 3][h - 1] = m[h - 1][h - 3] = -1
+    return m
+
+
+def _cartan_E(l):
+    # chain 0..l-2 with node l-1 attached to node 2 (Bourbaki E-shape)
+    m = [[0] * l for _ in range(l)]
+    for i in range(l):
+        m[i][i] = 2
+    for i in range(l - 2):
+        m[i][i + 1] = m[i + 1][i] = -1
+    m[2][l - 1] = m[l - 1][2] = -1
+    return m
+
+
+def test_root_gram_matches_the_cartan_builders():
+    # the three Cartan builders _root_gram replaced, kept as the oracle
+    cases = [(f"A{n}", n, n - 2, _cartan_A(n)) for n in range(1, 25)]
+    cases += [(f"D{n}", n, n - 3, _cartan_D(n)) for n in range(4, 25)]
+    cases += [(f"E{n}", n, 2, _cartan_E(n)) for n in range(6, 9)]
+    for name, n, branch, cartan in cases:
+        expected = tuple(tuple(-x for x in row) for row in cartan)
+        gram = _root_gram(n, branch)
+        assert gram == expected, name
+        assert all(type(x) is int for row in gram for x in row), name
+        assert realize(name).gram == expected, name
+
+
 def test_root_lattice_determinants():
     for name, d in [("A1", -2), ("A2", 3), ("A4", 5), ("D4", 4), ("E6", 3), ("E7", -2), ("E8", 1)]:
         assert realize(name).det() == d
@@ -90,10 +132,10 @@ def test_direct_sum_hyperbolic():
 
 def test_ambient_lattice():
     l = ambient_lattice()
-    assert l.signature() == (3, 20)
-    assert l.det() == 2
-    form = discriminant_form(l)
-    assert forms_isomorphic(form, cyclic_form(2, 3))
+    assert ambient_lattice() is l
+    assert l.expr == parse_expr(AMBIENT)
+    assert (l.rank, l.signature(), l.det()) == (23, (3, 20), 2)
+    assert discriminant_form(l) == cyclic_form(2, 3)
 
 
 def test_direct_sum_a2_a2():
