@@ -21,11 +21,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import fixedlocus, involutions, tables
-from .classify import LatticeInvariants, embed_in_L, invariants_of, recognize
+from . import classify, fixedlocus, involutions, tables
 from .errors import HklatError, InvalidParameter
 from .fqf import form_invariants
-from .involutions import TwoElemInvariants
 from .lattices import AMBIENT, Lattice, discriminant_data, lattice_from_json, realize
 
 
@@ -40,7 +38,7 @@ def _cmd_invariants(args) -> int:
     lat = _load_lattice(args.lattice)
     # The Smith form of the full Gram matrix: its generators fix the printed
     # group and values, so it is taken here also for a named lattice.
-    inv = LatticeInvariants(*lat.signature(), discriminant_data(lat).form)
+    inv = classify.LatticeInvariants(*lat.signature(), discriminant_data(lat).form)
     form_inv = form_invariants(inv.form)
     if inv.p == 0:
         elementary = "true for every p (unimodular, a = 0)"
@@ -98,8 +96,8 @@ def _cmd_figures(args) -> int:
 
 def _cmd_embed(args) -> int:
     lat = _load_lattice(args.expr)
-    inv = invariants_of(lat)
-    report = embed_in_L(inv)
+    inv = classify.invariants_of(lat)
+    report = classify.embed_in_L(inv)
     print(f"S = {lat.name()}: signature ({inv.s_plus}, {inv.s_minus}), "
           f"p-elementary p={inv.p}, a={inv.a}")
     print(f"embeds in {AMBIENT}: {'yes' if report.embeds else 'no'}")
@@ -107,7 +105,7 @@ def _cmd_embed(args) -> int:
         t = report.orthogonal_invariants
         print(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
               f"|A_T| = {t.form.order}")
-        expr = recognize(t)
+        expr = classify.recognize(t)
         if expr is not None:
             print(f"orthogonal class: {expr}")
         print(f"embedding unique: {'yes' if report.unique_embedding else 'no'}")
@@ -119,7 +117,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_involution(args) -> int:
-    t = TwoElemInvariants(1, args.r - 1, args.a, args.delta)
+    t = involutions.TwoElemInvariants(1, args.r - 1, args.a, args.delta)
     if not involutions.two_elementary_exists(t):
         print(f"no even 2-elementary lattice with (r, a, delta) = "
               f"({args.r}, {args.a}, {args.delta}) and signature (1, {args.r - 1})")

@@ -145,17 +145,8 @@ def test_parser_rejects_missing_subcommand():
 
 
 def test_console_entry_point():
-    # the child interpreter imports the same hklat as the tests do
-    src = str(Path(hklat.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hklat.cli", "tables", "--prime", "13", "--format", "csv"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert "no-known-realization" in proc.stdout or "True" in proc.stdout
+    out = _fresh_process("tables", "--prime", "13", "--format", "csv")
+    assert "no-known-realization" in out or "True" in out
 
 
 def test_tables_json_roundtrip(capsys):
@@ -296,10 +287,15 @@ def test_invariants_of_large_discriminant_groups(capsys, name):
     assert f"\ngauss signature (mod 8): {(s_plus - s_minus) % 8}\n" in out
 
 
-def _fresh_python(*args):
+def _run_fresh(*args):
+    # the child interpreter imports the same hklat as the tests do
     src = str(Path(hklat.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _fresh_python(*args):
+    proc = _run_fresh(*args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -312,6 +308,54 @@ def test_cli_import_loads_neither_dataclasses_nor_cmath():
     heavy = "{'dataclasses', 'cmath', 'fractions', 'decimal'}"
     probe = f"import sys, hklat.cli; print(sorted({heavy} & set(sys.modules)))"
     assert _fresh_python("-c", probe) == "[]\n"
+
+
+LAYERS = ("classify", "errors", "exact", "fixedlocus", "fqf", "involutions", "lattices", "tables")
+LAZY = ("classify", "fixedlocus", "involutions", "tables")
+# The hklat.<layer> modules registered in sys.modules whose body has not run:
+# LazyLoader gives an unloaded module its own class and restores ModuleType
+# when it loads.
+UNLOADED = "sorted(n for n, m in sys.modules.items() if n.startswith('hklat.') and type(m) is not types.ModuleType)"
+
+
+def test_import_registers_every_layer_and_loads_only_the_core():
+    # perfbench/spans.py reads sys.modules[f"hklat.{layer}"] after `import hklat`
+    probe = (
+        "import sys, types, hklat\n"
+        "print(sorted(n for n in sys.modules if n.startswith('hklat.')))\n"
+        f"print({UNLOADED})\n"
+        "from hklat import embed_in_L\n"
+        f"print(embed_in_L is sys.modules['hklat.classify'].embed_in_L, {UNLOADED})\n"
+    )
+    registered, unloaded, after = _fresh_python("-c", probe).splitlines()
+    assert registered == repr([f"hklat.{layer}" for layer in LAYERS])
+    assert unloaded == repr([f"hklat.{layer}" for layer in LAZY])
+    assert after == "True " + repr([f"hklat.{layer}" for layer in LAZY if layer != "classify"])
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("figures", "--which", "1", "--format", "txt"), ("classify", "fixedlocus", "tables")),
+        (("tables", "--prime", "19", "--format", "csv"), ("fixedlocus", "involutions")),
+    ],
+)
+def test_fresh_command_loads_only_the_layers_it_runs(argv, unloaded):
+    probe = (
+        "import contextlib, io, sys, types\n"
+        "from hklat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({list(argv)!r})\n"
+        f"print(code, {UNLOADED})\n"
+    )
+    assert _fresh_python("-c", probe) == f"0 {[f'hklat.{layer}' for layer in unloaded]!r}\n"
+
+
+def test_error_raised_in_a_lazy_layer_exits_typed_with_empty_stdout():
+    # `tables` rejects the prime inside hklat.tables, loaded on first use
+    proc = _run_fresh("-m", "hklat.cli", "tables", "--prime", "4")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: unsupported prime 4"]
 
 
 def test_invariants_prints_values_as_fractions_print_them():
