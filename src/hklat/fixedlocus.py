@@ -123,8 +123,8 @@ def hilb2_census(f: K3FixedLocus) -> Hilb2FixedLocus:
     p1p1 = k * (k - 1) // 2
     p2 = k
 
-    chi = points + 2 * rational + 4 * p1p1 + 3 * p2
-    hs = points + 2 * rational + 4 * p1p1 + 3 * p2
+    # points, P^1, P^1 x P^1 and P^2 have only even cohomology: chi = h*
+    chi = hs = points + 2 * rational + 4 * p1p1 + 3 * p2
 
     if g is None:
         return Hilb2FixedLocus(points, rational, 0, p1p1, 0, p2, 0, chi, hs)

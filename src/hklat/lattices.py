@@ -176,13 +176,16 @@ def _atom_base_gram(atom: str) -> IntMatrix:
 # -- lattices --------------------------------------------------------------------
 
 class DiscriminantData(NamedTuple):
-    """Discriminant group of a lattice: invariant factors d_i, generators as the
-    integer columns v_i (the dual vector x_i = v_i / d_i in the lattice basis),
-    and the quadratic form."""
+    """Discriminant group of a lattice: generators as the integer columns v_i
+    (the dual vector x_i = v_i / d_i in the lattice basis) and the quadratic
+    form, whose generator orders are the invariant factors d_i."""
 
-    invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
     form: FiniteQuadraticForm
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return self.form.orders
 
 
 class Block(NamedTuple):
@@ -373,7 +376,7 @@ def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
     """
     n = len(g)
     if n == 0:
-        return DiscriminantData((), (), trivial_form())
+        return DiscriminantData((), trivial_form())
     all_factors, v = smith_normal_form(g, det)
     idx = [i for i in range(n) if all_factors[i] > 1]
     factors = tuple(all_factors[i] for i in idx)
@@ -389,7 +392,7 @@ def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
         tuple(_dot(wi, sj) * (level // dj) % level for sj, dj in zip(supports, factors))
         for wi in ws
     )
-    return DiscriminantData(factors, tuple(cols), FiniteQuadraticForm(factors, q_vals, b_rows))
+    return DiscriminantData(tuple(cols), FiniteQuadraticForm(factors, q_vals, b_rows))
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:

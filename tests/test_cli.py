@@ -324,7 +324,7 @@ def test_import_registers_every_layer_and_loads_only_the_core():
         "import sys, types, hklat\n"
         "print(sorted(n for n in sys.modules if n.startswith('hklat.')))\n"
         f"print({UNLOADED})\n"
-        "from hklat import embed_in_L\n"
+        "embed_in_L = hklat.classify.embed_in_L\n"
         f"print(embed_in_L is sys.modules['hklat.classify'].embed_in_L, {UNLOADED})\n"
     )
     registered, unloaded, after = _fresh_python("-c", probe).splitlines()

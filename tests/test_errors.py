@@ -51,7 +51,7 @@ def test_exit_code_and_builtin_base(cls):
 def test_classes_stay_importable_where_they_are_raised():
     from hklat import classify, exact, fqf, lattices, tables
 
-    assert exact.DegenerateForm is fqf.DegenerateForm is hklat.DegenerateForm
+    assert exact.DegenerateForm is fqf.DegenerateForm is hklat.errors.DegenerateForm
     for module, names in (
         (fqf, ("InvalidParameter",)),
         (lattices, ("InvalidParameter", "NotEvenLattice")),

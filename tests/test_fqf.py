@@ -94,7 +94,7 @@ def test_gauss_rejects_degenerate():
     degenerate = FiniteQuadraticForm((2,), (2,), ((0,),))  # q = 1, b = 0 at level 2
     with pytest.raises(DegenerateForm):
         gauss_signature(degenerate)
-    with pytest.raises(hklat.DegenerateForm):
+    with pytest.raises(hklat.errors.DegenerateForm):
         gauss_signature(degenerate)
 
 
@@ -335,9 +335,9 @@ def test_form_data_are_integers_at_the_level():
 
 
 def test_form_rejects_rational_entries():
-    with pytest.raises(hklat.InvalidParameter):
+    with pytest.raises(hklat.errors.InvalidParameter):
         FiniteQuadraticForm((2,), (F(3, 2),), ((F(1, 2),),))
-    with pytest.raises(hklat.InvalidParameter):
+    with pytest.raises(hklat.errors.InvalidParameter):
         FiniteQuadraticForm((3,), (4,), ((2,),))  # b(g,g) != q(g) mod Z
 
 
@@ -345,9 +345,9 @@ def test_cyclic_form_takes_an_integer_numerator_matching_the_order():
     assert cyclic_form(2, 3) == FiniteQuadraticForm((2,), (3,), ((1,),))
     assert cyclic_form(6, -1) == cyclic_form(6, 11)
     for numerator in (F(3, 2), F(3), 3.0):
-        with pytest.raises(hklat.InvalidParameter):
+        with pytest.raises(hklat.errors.InvalidParameter):
             cyclic_form(2, numerator)
-    with pytest.raises(hklat.InvalidParameter):
+    with pytest.raises(hklat.errors.InvalidParameter):
         cyclic_form(3, 1)  # q(3g) = 9/3 = 3 would not be 0 mod 2Z
 
 

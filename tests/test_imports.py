@@ -1,14 +1,19 @@
-"""Every name a module of hklat imports is used in that module, and the
-package exports each of its public names from that name's home layer."""
+"""Every name a module of hklat imports is used in that module, the package
+holds only its eight layers, each public name is reached only through its
+home layer, and every dotted `hklat.` reference in the docs resolves."""
 
 import ast
 import importlib
+import re
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import hklat
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     path for path in Path(hklat.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
@@ -37,56 +42,76 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# The names `hklat` exports, by home layer; the last four layers load lazily
-# and their names resolve through the package's module __getattr__.
-PUBLIC = {
-    "errors": (
-        "DegenerateForm", "HklatError", "InvalidParameter", "NotEvenLattice",
-        "NotPElementary", "UnsupportedPrime",
-    ),
-    "exact": ("det_exact", "signature_of_symmetric"),
-    "fqf": (
-        "FiniteQuadraticForm", "FormInvariants", "delta_invariant", "even_lattice_exists",
-        "even_lattice_exists_report", "form_invariants", "forms_isomorphic",
-        "gauss_signature", "jordan_blocks", "normal_key",
-    ),
-    "lattices": (
-        "DiscriminantData", "Lattice", "LatticeExpr", "ambient_lattice", "direct_sum",
-        "discriminant_data", "discriminant_form", "parse_expr", "realize", "render_expr",
-        "twist",
-    ),
-    "classify": (
-        "EmbeddingReport", "LatticeInvariants", "embed_in_L", "genus_unique",
-        "invariants_of", "recognize",
-    ),
-    "tables": (
-        "AdmissibleTriple", "enumerate_triples", "h4_trace", "h_star", "lefschetz_chi",
-        "moduli_dimension",
-    ),
-    "involutions": (
-        "InvolutionEmbeddingClass", "TwoElemInvariants", "classify_involution_embeddings",
-        "figure_points", "k3_triple_exists", "natural_involution_shift",
-        "two_elementary_exists",
-    ),
-    "fixedlocus": (
-        "Hilb2FixedLocus", "K3FixedLocus", "census_chi_closed_form",
-        "cross_check_against_table", "enumerate_local_actions", "hilb2_census",
-    ),
-}
+LAYERS = ("errors", "exact", "fqf", "lattices", "classify", "tables", "involutions", "fixedlocus")
 
 
-@pytest.mark.parametrize("layer", PUBLIC)
+def defined_names(module):
+    """The public functions and classes whose home is `module`."""
+    return sorted(
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
+    )
+
+
+@pytest.mark.parametrize("layer", LAYERS)
 def test_package_exports_each_name_from_its_home_layer(layer):
-    home = importlib.import_module(f"hklat.{layer}")
-    for name in PUBLIC[layer]:
-        namespace = {}
-        exec(f"from hklat import {name}", namespace)
-        assert getattr(hklat, name) is namespace[name] is getattr(home, name), name
-        assert name in dir(hklat)
+    home = getattr(hklat, layer)
+    assert home is sys.modules[f"hklat.{layer}"]
+    names = defined_names(home)
+    assert names
+    for name in names:
+        assert not hasattr(hklat, name), name
+        with pytest.raises(ImportError):
+            exec(f"from hklat import {name}", {})
 
 
 def test_package_has_no_other_names():
+    for name in ("realize", "embed_in_L", "no_such_name"):
+        with pytest.raises(ImportError):
+            exec(f"from hklat import {name}", {})
     with pytest.raises(AttributeError):
         hklat.no_such_name
-    with pytest.raises(ImportError):
-        exec("from hklat import no_such_name", {})
+    # Besides the layers only modules: hklat.cli once imported, importlib, sys.
+    others = {
+        name: value
+        for name, value in vars(hklat).items()
+        if not name.startswith("_") and name not in LAYERS
+    }
+    assert all(isinstance(value, types.ModuleType) for value in others.values()), others
+
+
+def dotted_references(text):
+    """The dotted `hklat.<name>...` references in `text`, call arguments dropped."""
+    return sorted(set(re.findall(r"\bhklat(?:\.[A-Za-z_]\w*)+", text)))
+
+
+def resolves(reference):
+    """Import the longest module prefix of `reference`, getattr the rest."""
+    parts = reference.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_resolves_finds_dead_references():
+    assert dotted_references("`hklat.cli.main(argv)` and hklat.realize.") == [
+        "hklat.cli.main", "hklat.realize",
+    ]
+    assert resolves("hklat.cli.main") and resolves("hklat.lattices.realize")
+    assert not resolves("hklat.realize") and not resolves("hklat.no_such_layer.x")
+
+
+def test_docs_name_only_what_exists():
+    for text in ((ROOT / "README.md").read_text(), hklat.__doc__):
+        references = dotted_references(text)
+        assert references
+        assert [ref for ref in references if not resolves(ref)] == []
