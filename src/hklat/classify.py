@@ -11,12 +11,17 @@ asks it for T, tables.enumerate_triples for S.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from typing import NamedTuple
 
 from .errors import InvalidParameter, NotPElementary
 from .exact import is_prime, is_square, prime_factors
-from .fqf import FiniteQuadraticForm, even_lattice_exists_report, jordan_splitting, splitting_key
+from .fqf import (
+    FiniteQuadraticForm,
+    even_lattice_exists_report,
+    jordan_splitting,
+    local_key,
+    splitting_key,
+)
 from .lattices import Lattice, LatticeExpr, ambient_lattice, atom_data, discriminant_form
 
 
@@ -186,7 +191,8 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     Order: fewest summands first, then the sorted sequence of pool indices,
     lexicographic.  Forms match when their normal keys are equal.  A sum's
     key is read off its atoms' Jordan blocks put together, since any Jordan
-    splitting gives the key; the target's is computed once.
+    splitting gives the key; each local key is computed once per process
+    (`fqf.local_key`).
 
     The search.  The atoms are the pool terms with |det| != 1.  Each is filed
     under the largest prime p of its |det|, and the primes are taken from
@@ -251,15 +257,10 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     want = dict(splitting_key(want_splitting))
     want_plus, want_minus = target.s_plus, target.s_minus
 
-    @cache
-    def local_key(p, atoms):
-        """The local key at p of the sum of these atoms, each with p in its |det|."""
-        return dict(splitting_key({p: [block for i in atoms for block in splittings[i][p]]}))[p]
-
     def extend(p, start, left, plus, minus, acc):
         """The extensions of acc by p's atoms from `start` on whose p-part is
         done, as ((rest of |A_T|, plus, minus, blocks at 2), sorted acc)."""
-        if left % p and local_key(p, tuple(i for i in acc if p in splittings[i])) == want[p]:
+        if left % p and local_key(p, [b for i in acc for b in splittings[i].get(p, ())]) == want[p]:
             twos = Counter(block for i in acc for block in splittings[i].get(2, ()))
             yield (left, plus, minus, frozenset(twos.items())), tuple(sorted(acc))
         for k, (i, d, sp, sm) in enumerate(groups[p][start:], start):

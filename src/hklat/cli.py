@@ -117,6 +117,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_involution(args) -> int:
+    if args.r < 1 or args.a < 0:
+        raise InvalidParameter(f"need --r >= 1 and --a >= 0, got --r {args.r} --a {args.a}")
     t = involutions.TwoElemInvariants(1, args.r - 1, args.a, args.delta)
     if not involutions.two_elementary_exists(t):
         print(f"no even 2-elementary lattice with (r, a, delta) = "

@@ -229,7 +229,9 @@ def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatri
     pivot is the least (|value|, i, j) of the trailing block, a unit taken on
     sight; rows and columns are cleared by division with remainder, and a
     row holding an entry the pivot does not divide is added to the pivot
-    row.  An entry leaving [-R, R] is replaced by its centered residue mod R.
+    row.  Each entry an addition writes is replaced by its centered residue
+    mod R when it lies outside [-R, R], also where the addition adds 0; an
+    entry no addition has written keeps its value.
 
     Why this is the Smith form of m.  Row operations U and column operations
     V keep U·m·V = A mod R for the working matrix A, the replacements too.
@@ -241,29 +243,39 @@ def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatri
     operations and residues mod R keep the block in g_t·Z), so the g_t form
     a divisor chain.  Column t gives U·m·v_t = a_tt·e_t mod R, so m·v_t = 0
     mod g_t.
+
+    The trailing block.  At step t the operations on A are swaps and
+    additions among rows >= t and among columns >= t.  Rows and columns
+    s < t are finished: zero off the diagonal.  An addition among rows >= t
+    adds multiples of zeros to zeros in the columns s < t, and one among
+    columns >= t does so in the rows s < t; a swap exchanges zeros.
+    So these entries stay 0, which is its own residue, and each operation is
+    carried out on rows and columns >= t only.  V is kept as its transpose,
+    row t holding column v_t, so a column addition on V adds one row to
+    another and a column swap exchanges two rows.
     """
     n = len(m)
     r = det * det
     half = r // 2
     a = [list(row) for row in m]
-    v = [list(row) for row in identity(n)]
+    vt = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # vt[j]: column j of V
 
-    def fold(x):  # x, or its centered residue mod R once outside [-R, R]
-        return x if -r <= x <= r else (x + half) % r - half
+    def row_add(i, j, q):  # row_i += q * row_j, on columns >= t
+        a[i][t:] = [
+            x if -r <= (x := y + q * z) <= r else (x + half) % r - half
+            for y, z in zip(a[i][t:], a[j][t:])
+        ]
 
-    def row_add(i, j, q):  # row_i += q * row_j
-        a[i] = [fold(x + q * y) for x, y in zip(a[i], a[j])]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        for row in a:
-            row[i] = fold(row[i] + q * row[j])
-        for row in v:
-            row[i] += q * row[j]
+    def col_add(i, j, q):  # col_i += q * col_j, on rows >= t
+        for row in a[t:]:
+            x = row[i] + q * row[j]
+            row[i] = x if -r <= x <= r else (x + half) % r - half
+        vt[i] = [x + q * y for x, y in zip(vt[i], vt[j])]
 
     def col_swap(i, j):
-        for rows in (a, v):
-            for row in rows:
-                row[i], row[j] = row[j], row[i]
+        for row in a[t:]:
+            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     for t in range(n):
         loc = _min_pivot(a, t)
@@ -293,13 +305,13 @@ def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatri
             # Enforce divisibility of the trailing block by the pivot.
             p = a[t][t]
             culprit = None if p in (1, -1) else next(
-                (i for i in range(t + 1, n) for j in range(t + 1, n) if a[i][j] % p), None
+                (i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1:])), None
             )
             if culprit is None:
                 break
             row_add(t, culprit, 1)
 
-    return tuple(math.gcd(a[t][t], r) for t in range(n)), tuple(map(tuple, v))
+    return tuple(math.gcd(a[t][t], r) for t in range(n)), tuple(zip(*vt))
 
 
 def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:

@@ -11,11 +11,21 @@ q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
 (1/d_i)Z.  All arithmetic is on integers.  The Gauss signature, the
 isomorphism class and the existence of an even lattice are read off an
 orthogonal splitting into Jordan blocks; nothing is enumerated over the group.
+
+The local key of a p-part (see `normal_key`) is a function of p and the
+multiset of its Jordan blocks alone, so `local_key` computes it once per
+process, cached by that pair.  Like `lattices.atom_data`, the cache is
+unbounded.  It stays small because it grows with distinct multisets, not
+with forms or queries: a form met again, or a form on other generators with
+the same blocks, adds nothing, and the multisets `classify.recognize` asks
+about are sums of the few catalog atoms' blocks whose orders divide |A_T|.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import cache
 from typing import NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter
@@ -387,10 +397,23 @@ def splitting_key(splitting: dict[int, list[tuple[int, int | str]]]) -> tuple:
     """The normal key of the form whose p-part has the Jordan blocks
     splitting[p].  Any Jordan splitting gives the same key, so the blocks of
     an orthogonal sum may be those of its summands put together."""
-    return tuple(
-        (p, _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p))
-        for p, blocks in sorted(splitting.items())
-    )
+    return tuple((p, local_key(p, blocks)) for p, blocks in sorted(splitting.items()))
+
+
+def local_key(p: int, blocks) -> tuple | frozenset:
+    """The local key at p of a p-group form with these Jordan blocks, in any
+    order: `_two_adic_key` for p = 2, else `_odd_key`."""
+    return _multiset_key(p, frozenset(Counter(blocks).items()))
+
+
+@cache
+def _multiset_key(p: int, multiset: frozenset) -> tuple | frozenset:
+    """The local key of the blocks (block, multiplicity) of `multiset`, once
+    per process.  Both keys are sums over the blocks, so the key depends on
+    the multiset only; a multiset, not a sorted tuple, since u and v blocks
+    do not order against cyclic blocks at the same scale."""
+    blocks = [block for block, k in multiset for _ in range(k)]
+    return _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)
 
 
 def _odd_key(blocks, p: int) -> tuple[tuple[int, int, int], ...]:

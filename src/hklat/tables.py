@@ -168,11 +168,13 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
         raise UnsupportedPrime(f"unsupported prime {p}")
     rows: list[AdmissibleTriple] = []
     rank_l = ambient_lattice().rank  # rank S < rank L, as T has t+ = 1
+    forms: dict[int, tuple] = {}  # a -> the two p-elementary forms of length a
     for m in range((rank_l - 1) // (p - 1), 0, -1):
         rank_s = (p - 1) * m
         for a in range(0, min(rank_s, rank_l - rank_s, m) + 1):
-            forms = (p_elementary_form(p, a, nonresidue) for nonresidue in (False, True))
-            form = next((q for q in forms if even_lattice_exists(2, rank_s - 2, q)), None)
+            if a not in forms:
+                forms[a] = (p_elementary_form(p, a), p_elementary_form(p, a, nonresidue=True))
+            form = next((q for q in forms[a] if even_lattice_exists(2, rank_s - 2, q)), None)
             if form is None:
                 continue
             report = embed_in_L(LatticeInvariants(2, rank_s - 2, form))

@@ -8,8 +8,10 @@ divisibility sweep runs after every pivot, also a unit one.
 `smith_normal_form(m, modulus=R)` runs the same elimination but replaces an
 entry of the working matrix that leaves [-R, R] by its centered residue mod
 R, as `hklat.exact.smith_normal_form(m, det)` does for R = det²; without the
-library's two shortcuts (a unit pivot taken on sight, no sweep after it) it
-must reach the library's V, and gcd(d_tt, R) must be its factors.
+library's two shortcuts (a unit pivot taken on sight, no sweep after it),
+and with every operation on whole rows and columns where the library's
+touch the trailing block only, it must reach the library's V, and
+gcd(d_tt, R) must be its factors.
 """
 
 

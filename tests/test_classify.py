@@ -18,6 +18,7 @@ from hklat.classify import (
     invariants_of,
     recognize,
 )
+from hklat import fqf
 from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
@@ -187,6 +188,18 @@ def test_recognize_has_no_summand_budget():
     # ten summands, one more than the budgeted search tried
     for name in ("U^10", "<-2>^10"):
         assert str(recognize(invariants_of(realize(name)))) == name
+
+
+def test_recognize_of_the_same_atoms_adds_no_local_keys():
+    # the second target is the first on other generators: the same signature
+    # and Jordan blocks, so its search asks only for keys the first stored
+    first = invariants_of(realize("U + A2^2 + E6 + <-2>"))
+    second = invariants_of(realize("<-2> + E6 + U + A2^2"))
+    assert first.form != second.form
+    expr = recognize(first)
+    misses = fqf._multiset_key.cache_info().misses
+    assert recognize(second) == expr
+    assert fqf._multiset_key.cache_info().misses == misses
 
 
 def test_search_pool_unimodular_terms_are_U_and_E8():

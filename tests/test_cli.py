@@ -204,6 +204,9 @@ FAILURES = [
     (("tables", "--format", "xml", "--all"), 1),
     (("figures", "--which", "3"), 1),
     (("involution", "--r", "2", "--a", "2", "--delta", "5"), 1),
+    (("involution", "--r", "-4", "--a", "0", "--delta", "0"), 1),
+    (("involution", "--r", "0", "--a", "0", "--delta", "1"), 1),
+    (("involution", "--r", "2", "--a", "-1", "--delta", "1"), 1),
     (("embed",), 1),
     (("bogus",), 1),
     (("invariants", "odd.json"), 2),

@@ -24,6 +24,7 @@ from hklat.exact import (
 from hklat.lattices import realize
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import mat_mul
+from test_frozen_queries import FROZEN
 from test_lattices import CATALOG_ATOMS
 
 A2 = ((-2, 1), (1, -2))
@@ -291,7 +292,11 @@ def test_snf_transforms_match_full_scan_oracle(m):
 
 
 def test_snf_transforms_match_oracle_on_catalog_and_table_lattices():
-    names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair}
+    # and every sum of several blocks among the frozen `invariants` queries,
+    # whose whole Gram matrix `invariants` runs the Smith form on
+    queried = {n for n in FROZEN["invariants"] if len(realize(n).blocks) > 1}
+    assert len(queried) == 82
+    names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair} | queried
     for name in sorted(names):
         _assert_snf_matches_oracles(realize(name).gram)
 
@@ -311,6 +316,25 @@ def test_snf_of_a_changed_basis_rank_six_gram():
     assert det_exact(m) == -5246
     assert smith_normal_form(m, -5246)[0] == (1, 1, 1, 1, 1, 5246)
     _assert_snf_matches_oracles(m)
+
+
+def test_snf_folds_where_the_full_scan_folds():
+    # An operation folds every entry it writes outside [-R, R], also one it
+    # adds 0 to, while an entry no operation has written keeps its value and
+    # may still become the pivot.  |det| = 1 gives R = 1, where every written
+    # entry but 0 and ±1 folds to 0; the last matrix (R = 4) adds 0 times a
+    # column to one whose entries outside [-4, 4] that addition folds.
+    rng = random.Random(19)
+    u_e8 = realize("U + E8").gram
+    cases = [((2, 3), (3, 4)), ((4, 7), (5, 9)), ((2, 5, 1), (5, 12, 2), (1, 2, 1))]
+    for _ in range(8):
+        p = _random_unimodular(len(u_e8), rng)
+        cases.append(mat_mul(mat_mul(transpose(p), u_e8), p))
+    for m in cases:
+        assert det_exact(m) in (1, -1) and max(abs(x) for row in m for x in row) > 1
+        assert smith_normal_form(m, det_exact(m))[0] == (1,) * len(m)
+        _assert_snf_matches_oracles(m)
+    _assert_snf_matches_oracles(((-3, -8, 3), (7, -5, -3), (6, 4, -4)))
 
 
 # -- block sums -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import functools
+import itertools
 import math
 import pickle
 import random
@@ -23,11 +24,14 @@ from fqf_oracle import (
     value,
     value_counts,
 )
+from hklat import fqf
 from hklat.fqf import (
     DegenerateForm,
     FiniteQuadraticForm,
     FormInvariants,
     _least_nonresidue,
+    _odd_key,
+    _two_adic_key,
     cyclic_form,
     delta_invariant,
     even_lattice_exists,
@@ -37,6 +41,7 @@ from hklat.fqf import (
     gauss_signature,
     jordan_blocks,
     jordan_splitting,
+    local_key,
     normal_key,
     p_elementary_form,
     trivial_form,
@@ -45,6 +50,7 @@ from hklat.exact import det_exact
 from hklat.lattices import Lattice, discriminant_form, realize
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import mat_mul
+from test_lattices import CATALOG_ATOMS
 
 F = Fraction
 
@@ -648,6 +654,32 @@ def test_jordan_splitting_is_kept_on_the_form_only():
     assert (form, hash(form), repr(form)) == (twin, hash(twin), repr(twin))
     for copied in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
         assert copied == form and copied._split is None
+
+
+def test_local_key_does_not_depend_on_block_order():
+    # u and v blocks do not order against cyclic blocks of the same scale
+    two = [(2, "u"), (2, 1), (2, 3), (4, "v"), (4, 5), (8, 7), (2, "v")]
+    with pytest.raises(TypeError):
+        sorted(two)
+    key = _two_adic_key(two)
+    rng = random.Random(19)
+    for _ in range(60):
+        rng.shuffle(two)
+        assert local_key(2, two) == key
+    odd = [(3, 2), (3, 4), (9, 2), (3, 2), (27, 4)]
+    assert {local_key(3, blocks) for blocks in itertools.permutations(odd)} == {_odd_key(odd, 3)}
+
+
+def test_local_key_equals_the_uncached_keys():
+    # every p-part of the catalog atoms and table lattices, each key computed
+    # on its first call and read from the cache on the second
+    fqf._multiset_key.cache_clear()
+    names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair}
+    for name in sorted(names):
+        for p, blocks in jordan_splitting(discriminant_form(realize(name))).items():
+            uncached = _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)
+            assert local_key(p, blocks) == uncached == local_key(p, blocks[::-1]), name
+    assert fqf._multiset_key.cache_info().hits > 0
 
 
 def test_form_invariants_record():
