@@ -10,6 +10,18 @@ stderr.  Two answers also exit 2, with the answer on stdout and nothing on
 stderr: `involution` when no such 2-elementary lattice exists, and
 `census --check` on a MISMATCH.  `tables` prints through `tables.render`.
 Output is deterministic.
+
+Dispatch: `COMMANDS` is the one table of commands, each with its handler,
+its one-line help and the function that declares its arguments.  `main`
+looks its first argument up there and parses the rest with that command's
+own parser, `hklat <name>`, built on first use and kept for the process; a
+query never runs argparse over the other commands, and a fresh command
+builds one parser.  Only when the first argument names no command (`hklat`,
+`hklat --help`, an unknown word, `hklat -- ...`) does `main` use
+`build_parser`, the whole CLI with every command as a subparser, built from
+the same table, for its usage, help and errors.  Both print the same help
+and errors for a command.  An expression that starts with `-` reads as an
+option; pass it after `--` (`invariants -- -E8`) or as `--expr=-E8`.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import classify, fixedlocus, involutions, tables
 from .errors import HklatError, InvalidParameter
@@ -161,6 +174,66 @@ def _cmd_local_actions(args) -> int:
     return 0
 
 
+def _args_invariants(parser) -> None:
+    parser.add_argument("lattice")
+
+
+def _args_tables(parser) -> None:
+    parser.add_argument("--prime", type=int)
+    parser.add_argument("--all", action="store_true")
+    parser.add_argument("--format", choices=("md", "csv", "json"), default="md")
+    parser.add_argument("--out")
+
+
+def _args_figures(parser) -> None:
+    parser.add_argument("--which", type=int, choices=(1, 2), required=True)
+    parser.add_argument("--format", choices=("json", "txt"), default="txt")
+    parser.add_argument("--out")
+
+
+def _args_embed(parser) -> None:
+    parser.add_argument("--expr", required=True)
+
+
+def _args_involution(parser) -> None:
+    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--a", type=int, required=True)
+    parser.add_argument("--delta", type=int, choices=(0, 1), required=True)
+
+
+def _args_census(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--check", metavar="p,m,a")
+
+
+def _args_local_actions(parser) -> None:
+    parser.add_argument("--prime", type=int, required=True)
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+
+
+# The one table of commands, in the order `hklat --help` lists them.
+COMMANDS = {
+    "invariants": _Command(
+        _cmd_invariants, "invariants of a lattice (expr or JSON file)", _args_invariants
+    ),
+    "tables": _Command(_cmd_tables, "classification tables", _args_tables),
+    "figures": _Command(_cmd_figures, "order-2 embedding charts", _args_figures),
+    "embed": _Command(_cmd_embed, f"embedding report for S in {AMBIENT}", _args_embed),
+    "involution": _Command(
+        _cmd_involution, "embedding classes of a 2-elementary T", _args_involution
+    ),
+    "census": _Command(_cmd_census, "Hilbert-square fixed-locus census", _args_census),
+    "local-actions": _Command(
+        _cmd_local_actions, "local eigenvalue patterns at fixed points", _args_local_actions
+    ),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors raise `InvalidParameter`, so that
     they exit 1 like any other malformed input; `--help` still exits 0."""
@@ -170,58 +243,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, `hklat <name>`, built on first use and kept
+    for the process; its usage, help and errors are those of the subparser
+    `build_parser` makes for the command."""
+    parser = _Parser(prog=f"hklat {name}")
+    COMMANDS[name].add_arguments(parser)
+    return parser
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; `parse_args` leaves it unchanged."""
+    """The parser of the whole CLI, with every command as a subcommand, built
+    once per process; `parse_args` leaves it unchanged.  `main` reaches it
+    only when its first argument names no command."""
     parser = _Parser(
         prog="hklat",
         description="Even-lattice invariants and the prime-order "
         "non-symplectic automorphism classification for K3^[2]-type fourfolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariants", help="invariants of a lattice (expr or JSON file)")
-    p_inv.add_argument("lattice")
-    p_inv.set_defaults(func=_cmd_invariants)
-
-    p_tab = sub.add_parser("tables", help="classification tables")
-    p_tab.add_argument("--prime", type=int)
-    p_tab.add_argument("--all", action="store_true")
-    p_tab.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p_tab.add_argument("--out")
-    p_tab.set_defaults(func=_cmd_tables)
-
-    p_fig = sub.add_parser("figures", help="order-2 embedding charts")
-    p_fig.add_argument("--which", type=int, choices=(1, 2), required=True)
-    p_fig.add_argument("--format", choices=("json", "txt"), default="txt")
-    p_fig.add_argument("--out")
-    p_fig.set_defaults(func=_cmd_figures)
-
-    p_emb = sub.add_parser("embed", help=f"embedding report for S in {AMBIENT}")
-    p_emb.add_argument("--expr", required=True)
-    p_emb.set_defaults(func=_cmd_embed)
-
-    p_invo = sub.add_parser("involution", help="embedding classes of a 2-elementary T")
-    p_invo.add_argument("--r", type=int, required=True)
-    p_invo.add_argument("--a", type=int, required=True)
-    p_invo.add_argument("--delta", type=int, choices=(0, 1), required=True)
-    p_invo.set_defaults(func=_cmd_involution)
-
-    p_cen = sub.add_parser("census", help="Hilbert-square fixed-locus census")
-    p_cen.add_argument("file")
-    p_cen.add_argument("--check", metavar="p,m,a")
-    p_cen.set_defaults(func=_cmd_census)
-
-    p_loc = sub.add_parser("local-actions", help="local eigenvalue patterns at fixed points")
-    p_loc.add_argument("--prime", type=int, required=True)
-    p_loc.set_defaults(func=_cmd_local_actions)
-
+    for name, command in COMMANDS.items():
+        command.add_arguments(sub.add_parser(name, help=command.help))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        command = COMMANDS.get(argv[0]) if argv else None
+        if command is None:  # no command: the usage error or the help
+            args = build_parser().parse_args(argv)
+            return COMMANDS[args.command].run(args)
+        return command.run(_command_parser(argv[0]).parse_args(argv[1:]))
     except HklatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

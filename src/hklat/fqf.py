@@ -37,8 +37,9 @@ class FiniteQuadraticForm:
     scaled to the level N: q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N.
 
     Immutable; equality and hashing go by (orders, q, b).  The Jordan
-    splitting is kept in `_split` on first use (see `jordan_splitting`); it
-    is left out of equality, hashing, repr and pickles."""
+    splitting is kept in `_split` on first use, or from birth for a sum or
+    negation of split forms (see `jordan_splitting`); it is left out of
+    equality, hashing, repr and pickles."""
 
     __slots__ = ("orders", "q", "b", "_split")
 
@@ -74,16 +75,19 @@ class FiniteQuadraticForm:
         self._fill(orders, q, b)
 
     @classmethod
-    def _trusted(cls, orders, q, b) -> "FiniteQuadraticForm":
+    def _trusted(cls, orders, q, b, split=None) -> "FiniteQuadraticForm":
         """Wrap data already known valid, without the checks of __init__; for
         builders whose inputs are valid forms (dsum, neg, prime_part) and for
-        p_elementary_form."""
+        p_elementary_form.  `split`, when given, is a Jordan splitting of the
+        form (see `jordan_splitting`)."""
         form = object.__new__(cls)
-        form._fill(orders, q, b)
+        form._fill(orders, q, b, split)
         return form
 
-    def _fill(self, orders, q, b) -> None:
-        for name, value in zip(self.__slots__, (orders, q, b, None)):
+    def _fill(self, orders, q, b, split=None) -> None:
+        if not orders:
+            split = {}  # the trivial form has no p-parts
+        for name, value in zip(self.__slots__, (orders, q, b, split)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -127,6 +131,14 @@ class FiniteQuadraticForm:
     # -- constructions -----------------------------------------------------
 
     def dsum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
+        """The orthogonal sum, on the generators of self followed by those of
+        other.  When both operands carry a Jordan splitting, so does the sum:
+        its p-part is the orthogonal sum of theirs, and blocks that are
+        pairwise orthogonal in each summand stay so in the sum, where the
+        two summands are orthogonal to each other.  So the blocks of the two
+        splittings, put together prime by prime, are a Jordan splitting of
+        the sum.  An operand without one (not yet split, or degenerate)
+        leaves the sum without one."""
         n = math.lcm(self.level, other.level)
         s, t = n // self.level, n // other.level
         pad1, pad2 = (0,) * other.length(), (0,) * self.length()
@@ -134,13 +146,32 @@ class FiniteQuadraticForm:
         b = tuple(tuple(s * x for x in row) + pad1 for row in self.b) + tuple(
             pad2 + tuple(t * x for x in row) for row in other.b
         )
-        return FiniteQuadraticForm._trusted(self.orders + other.orders, q, b)
+        split = None
+        if self._split is not None and other._split is not None:
+            split = {
+                p: self._split.get(p, ()) + other._split.get(p, ())
+                for p in sorted(self._split.keys() | other._split.keys())
+            }
+        return FiniteQuadraticForm._trusted(self.orders + other.orders, q, b, split)
 
     def neg(self) -> "FiniteQuadraticForm":
+        """The form -q on the same generators.  When q carries a Jordan
+        splitting, -q carries its negation: the generators that split q
+        split -q, since negating b keeps the blocks orthogonal to each other
+        and their units prime to p.  On them a cyclic block (m, a), q = a/m,
+        becomes (m, -a mod 2m), and an even rank-2 block keeps its type,
+        which `jordan_blocks` reads off q·m mod 4 on the block's two
+        generators, where 2 and -2 agree."""
         n = self.level
         q = tuple(-x % (2 * n) for x in self.q)
         b = tuple(tuple(-x % n for x in row) for row in self.b)
-        return FiniteQuadraticForm._trusted(self.orders, q, b)
+        split = None
+        if self._split is not None:
+            split = {
+                p: tuple((m, a if a in _EVEN_DET else -a % (2 * m)) for m, a in blocks)
+                for p, blocks in self._split.items()
+            }
+        return FiniteQuadraticForm._trusted(self.orders, q, b, split)
 
     def prime_part(self, p: int) -> "FiniteQuadraticForm":
         """Restriction to the p-Sylow subgroup (cross terms with other primes vanish).
@@ -227,7 +258,16 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
 def jordan_splitting(form: FiniteQuadraticForm) -> dict[int, tuple[tuple[int, int | str], ...]]:
     """The Jordan blocks of each p-part, by prime p of |A| in increasing
     order; every invariant below is read off this one splitting, which is
-    computed once per form and kept on it."""
+    computed once per form and kept on it.
+
+    A sum or negation of forms that carry a splitting is born with one (see
+    `FiniteQuadraticForm.dsum` and `neg`), and `jordan_blocks` never runs on
+    it.  That splitting may differ block by block from the one computed
+    afresh, but both are Jordan splittings of the same form, and everything
+    read off a splitting here is the same for every one: the normal key (see
+    `normal_key`), the Gauss signature (the Gauss sum of an orthogonal sum
+    is the product of its summands') and the existence test (see
+    `even_lattice_exists_report`)."""
     if form._split is None:
         primes = sorted(form.lengths_per_prime())
         split = {p: tuple(jordan_blocks(form.prime_part(p), p)) for p in primes}

@@ -50,7 +50,7 @@ from .exact import (
     signature_of_symmetric,
     smith_normal_form,
 )
-from .fqf import FiniteQuadraticForm, trivial_form
+from .fqf import FiniteQuadraticForm, jordan_splitting, trivial_form
 
 
 # -- expressions ---------------------------------------------------------------
@@ -406,8 +406,12 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     """The discriminant form: the orthogonal sum of the blocks' forms.  For
     several blocks it is isomorphic, not equal, to `discriminant_data`'s:
-    the two sit on different generators."""
+    the two sit on different generators.  Each block's form is split once
+    and kept split (a named atom's for the process), so the sum inherits
+    their Jordan splittings (see `fqf.jordan_splitting`)."""
     forms = [b.form for b in lattice.blocks if b.form.orders]
+    for form in forms:
+        jordan_splitting(form)
     return reduce(FiniteQuadraticForm.dsum, forms, trivial_form())
 
 

@@ -50,6 +50,7 @@ from hklat.exact import det_exact
 from hklat.lattices import Lattice, discriminant_form, realize
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import mat_mul
+from test_frozen_queries import FROZEN
 from test_lattices import CATALOG_ATOMS
 
 F = Fraction
@@ -650,10 +651,61 @@ def test_jordan_splitting_is_kept_on_the_form_only():
     twin = FiniteQuadraticForm(form.orders, form.q, form.b)
     splitting = jordan_splitting(form)
     assert jordan_splitting(form) is splitting
-    assert splitting == {2: ((2, 3),), 3: ((3, 4), (3, 2), (3, 4))}
+    # the blocks' splittings put together (U(3), then A2), not a fresh split
+    assert splitting == {2: ((2, 3),), 3: ((3, 2), (3, 4), (3, 4))}
+    assert normal_key(form) == normal_key(twin)
     assert (form, hash(form), repr(form)) == (twin, hash(twin), repr(twin))
     for copied in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
         assert copied == form and copied._split is None
+
+
+def _composed_forms():
+    """Sums f + g, negations -f and sums -f + g of the discriminant forms of
+    the catalog atoms, the table S/T lattices and the frozen `queries` pool,
+    each born with the splitting composed from its operands'."""
+    names = set(CATALOG_ATOMS) | set(FROZEN["invariants"])
+    names |= {n for pair in LATTICE_NAMES.values() for n in pair}
+    forms = [discriminant_form(realize(name)) for name in sorted(names)]
+    rng = random.Random(20)
+    pairs = [(rng.choice(forms), rng.choice(forms)) for _ in range(700)]
+    return (
+        [f.dsum(g) for f, g in pairs]
+        + [f.neg() for f in forms]
+        + [f.neg().dsum(g) for f, g in pairs]
+    )
+
+
+def test_composed_splitting_agrees_with_a_fresh_split():
+    # oracle: the twin on the same data, split from scratch by jordan_blocks
+    for form in _composed_forms():
+        assert form._split is not None, form
+        twin = FiniteQuadraticForm(form.orders, form.q, form.b)
+        assert normal_key(form) == normal_key(twin), form
+        assert gauss_signature(form) == gauss_signature(twin), form
+        length = max(form.lengths_per_prime().values(), default=0)
+        for rank in (length, length + 1, length + 2):
+            for s_plus in range(rank + 1):
+                sig = (s_plus, rank - s_plus)
+                want = even_lattice_exists_report(*sig, twin)
+                assert even_lattice_exists_report(*sig, form) == want, (form, sig)
+
+
+def test_sum_and_negation_inherit_only_existing_splittings():
+    split = discriminant_form(realize("U(3) + <-2>"))
+    assert jordan_splitting(split) == {2: ((2, 3),), 3: ((3, 2), (3, 4))}
+    assert split.neg()._split == {2: ((2, 1),), 3: ((3, 4), (3, 2))}
+    assert split.neg().neg()._split == split._split
+    assert trivial_form()._split == {}
+    assert trivial_form().dsum(split)._split == split._split
+    unsplit = cyclic_form(3, 4)
+    assert unsplit.dsum(split)._split is None and split.dsum(unsplit)._split is None
+    assert unsplit.neg()._split is None
+    # a degenerate form has no splitting, and still sums and negates
+    degenerate = FiniteQuadraticForm((2,), (2,), ((0,),))
+    for form in (degenerate.dsum(split), split.dsum(degenerate), degenerate.neg()):
+        assert form._split is None
+        with pytest.raises(DegenerateForm):
+            jordan_splitting(form)
 
 
 def test_local_key_does_not_depend_on_block_order():
