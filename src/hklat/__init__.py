@@ -2,31 +2,35 @@
 non-symplectic automorphisms on K3^[2]-type hyperkaehler fourfolds.
 
 Each public name is reached one way, through its home layer:
-`hklat.lattices.realize`, `hklat.classify.embed_in_L`.  The core layers
-`errors`, `exact`, `fqf` and `lattices` load eagerly, leaf first; every
-command uses them.  The other layers, `classify`, `tables`, `involutions`
-and `fixedlocus`, load lazily through `importlib.util.LazyLoader`, so a
-fresh command compiles (or, from `__pycache__`, unmarshals) only the layers
-it runs: `hklat figures` never loads `classify`, `tables` or `fixedlocus`,
-and `hklat tables` never loads `involutions` or `fixedlocus`.  The core
-stays eager for peak memory: loaded on demand after `cli`, the large
-`lattices` and `fqf` would be compiled with other code already in memory,
-and the compiler's working memory for them would come on top of it.
+`hklat.lattices.realize`, `hklat.classify.embed_in_L`.  All eight layers
+load lazily through `importlib.util.LazyLoader`: `import hklat` runs no
+layer's module body, and a fresh command compiles (or, from `__pycache__`,
+unmarshals) only the layers it runs.  Besides `cli` and `errors`:
+
+- `figures` and `involution` load `involutions` (`involution` also loads
+  `exact`, `fqf` and `lattices` to name L when T has no embedding);
+- `invariants` and `embed` load `exact`, `fqf`, `lattices` and
+  `classify`, and `tables` also `tables`;
+- `census` and `local-actions` load `exact` and `fixedlocus`, and
+  `census --check` also the layers of `tables`.
+
+The trade is peak memory.  A core layer loaded after `cli` is compiled with
+`cli` and argparse already in memory, so from source the `tables` commands
+peak 0.4-0.55 MB higher than when the core loaded first, and `figures`
+peaks 0.8 MB lower; from bytecode the difference is under 0.3 MB.
 
 Every layer is in `sys.modules` after `import hklat`, loaded or not, and is
-an attribute of the package.  Binding a lazy layer (`from hklat import
-tables`) does not load it; reading any of its attributes does.  So an error
-raised while a lazy layer's module body runs surfaces at that first use, not
-at `import hklat`, and the half-run module stays in `sys.modules`.
-LazyLoader takes no lock on Python 3.11, so two threads touching the same
-unloaded layer at once could both run its body; hklat is serial
-(`HKLAT_THREADS` is a cap that serial code meets).
+an attribute of the package.  Binding a layer (`from hklat import tables`)
+does not load it; reading any of its attributes, or importing a name from
+it, does.  So an error raised while a layer's module body runs surfaces at
+that first use, not at `import hklat`, and the half-run module stays in
+`sys.modules`.  LazyLoader takes no lock on Python 3.11, so two threads
+touching the same unloaded layer at once could both run its body; hklat is
+serial (`HKLAT_THREADS` is a cap that serial code meets).
 """
 
 import importlib.util
 import sys
-
-from . import errors, exact, fqf, lattices
 
 
 def _lazy(layer: str):
@@ -39,6 +43,10 @@ def _lazy(layer: str):
     return module
 
 
+errors = _lazy("errors")
+exact = _lazy("exact")
+fqf = _lazy("fqf")
+lattices = _lazy("lattices")
 classify = _lazy("classify")
 tables = _lazy("tables")
 involutions = _lazy("involutions")

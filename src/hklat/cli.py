@@ -22,6 +22,11 @@ builds one parser.  Only when the first argument names no command (`hklat`,
 the same table, for its usage, help and errors.  Both print the same help
 and errors for a command.  An expression that starts with `-` reads as an
 option; pass it after `--` (`invariants -- -E8`) or as `--expr=-E8`.
+
+Loading: `cli` reads the other layers only through their modules
+(`lattices.realize`, `fqf.form_invariants`), and every layer loads lazily
+(see `hklat`), so importing `cli` loads `errors` alone and a command loads
+the layers it runs.
 """
 
 from __future__ import annotations
@@ -34,25 +39,23 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import classify, fixedlocus, involutions, tables
+from . import classify, fixedlocus, fqf, involutions, lattices, tables
 from .errors import HklatError, InvalidParameter
-from .fqf import form_invariants
-from .lattices import AMBIENT, Lattice, discriminant_data, lattice_from_json, realize
 
 
-def _load_lattice(source: str) -> Lattice:
+def _load_lattice(source: str) -> lattices.Lattice:
     path = Path(source)
     if path.suffix == ".json":
-        return lattice_from_json(path.read_text())
-    return realize(source)
+        return lattices.lattice_from_json(path.read_text())
+    return lattices.realize(source)
 
 
 def _cmd_invariants(args) -> int:
     lat = _load_lattice(args.lattice)
     # The Smith form of the full Gram matrix: its generators fix the printed
     # group and values, so it is taken here also for a named lattice.
-    inv = classify.LatticeInvariants(*lat.signature(), discriminant_data(lat).form)
-    form_inv = form_invariants(inv.form)
+    inv = classify.LatticeInvariants(*lat.signature(), lattices.discriminant_data(lat).form)
+    form_inv = fqf.form_invariants(inv.form)
     if inv.p == 0:
         elementary = "true for every p (unimodular, a = 0)"
     elif inv.p is None:
@@ -113,7 +116,7 @@ def _cmd_embed(args) -> int:
     report = classify.embed_in_L(inv)
     print(f"S = {lat.name()}: signature ({inv.s_plus}, {inv.s_minus}), "
           f"p-elementary p={inv.p}, a={inv.a}")
-    print(f"embeds in {AMBIENT}: {'yes' if report.embeds else 'no'}")
+    print(f"embeds in {lattices.AMBIENT}: {'yes' if report.embeds else 'no'}")
     if report.embeds:
         t = report.orthogonal_invariants
         print(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
@@ -139,7 +142,7 @@ def _cmd_involution(args) -> int:
         return 2
     classes = involutions.classify_involution_embeddings(t)
     if not classes:
-        print(f"no primitive embedding in {AMBIENT}")
+        print(f"no primitive embedding in {lattices.AMBIENT}")
         return 0
     for cls in classes:
         s = cls.s_invariants
@@ -212,7 +215,7 @@ def _args_local_actions(parser) -> None:
 
 class _Command(NamedTuple):
     run: Callable[[argparse.Namespace], int]
-    help: str
+    help: str  # "{L}" stands for `lattices.AMBIENT`, read when help is built
     add_arguments: Callable[[argparse.ArgumentParser], None]
 
 
@@ -223,7 +226,7 @@ COMMANDS = {
     ),
     "tables": _Command(_cmd_tables, "classification tables", _args_tables),
     "figures": _Command(_cmd_figures, "order-2 embedding charts", _args_figures),
-    "embed": _Command(_cmd_embed, f"embedding report for S in {AMBIENT}", _args_embed),
+    "embed": _Command(_cmd_embed, "embedding report for S in {L}", _args_embed),
     "involution": _Command(
         _cmd_involution, "embedding classes of a 2-elementary T", _args_involution
     ),
@@ -264,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        command.add_arguments(sub.add_parser(name, help=command.help))
+        subparser = sub.add_parser(name, help=command.help.format(L=lattices.AMBIENT))
+        command.add_arguments(subparser)
     return parser
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
+from . import tables
 from .errors import InvalidParameter
 from .exact import as_int, is_prime
-from .tables import h_star, lefschetz_chi
 
 
 class K3FixedLocus:
@@ -146,7 +146,7 @@ def census_chi_closed_form(g: int, N: int, k: int) -> tuple[int, int]:
 
 def cross_check_totals(chi: int, hs: int, p: int, m: int, a: int) -> bool:
     """Do fixed-locus totals match the lattice-side predictions for (p, m, a)?"""
-    return chi == lefschetz_chi(p, m) and hs == h_star(p, m, a)
+    return chi == tables.lefschetz_chi(p, m) and hs == tables.h_star(p, m, a)
 
 
 def cross_check_against_table(f: K3FixedLocus, p: int, m: int, a: int) -> bool:

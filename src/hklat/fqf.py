@@ -231,12 +231,19 @@ def cyclic_form(n: int, a: int) -> FiniteQuadraticForm:
 
 def p_elementary_form(p: int, a: int, nonresidue: bool = False) -> FiniteQuadraticForm:
     """(Z/p)^a, diagonal at level p, with generator values 2/p, the last one
-    2n/p for a nonresidue n if asked."""
+    2n/p for a nonresidue n if asked.
+
+    For odd p the form is born split: its generators are pairwise orthogonal,
+    each spanning a cyclic block (p, 2u), which is the splitting
+    `jordan_blocks` finds.  For p = 2 the form is degenerate and carries
+    none."""
     us = [1] * a
     if nonresidue and a:
         us[-1] = _least_nonresidue(p)
+    q = tuple(2 * u for u in us)
     b = tuple(tuple(2 * u % p if i == j else 0 for j in range(a)) for i, u in enumerate(us))
-    return FiniteQuadraticForm._trusted((p,) * a, tuple(2 * u for u in us), b)
+    split = {p: tuple((p, v) for v in q)} if p != 2 else None
+    return FiniteQuadraticForm._trusted((p,) * a, q, b, split)
 
 
 def _least_nonresidue(p: int) -> int:

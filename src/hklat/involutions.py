@@ -15,10 +15,13 @@ import json
 from typing import NamedTuple
 
 from .errors import InvalidParameter
-from .lattices import ambient_lattice
 
 CASE_I = "I"
 CASE_II = "II"
+
+# The signature of L = U^3 + E8^2 + <-2>, whose one definition is
+# `lattices.AMBIENT`; kept here so that the charts need no lattice arithmetic.
+AMBIENT_SIGNATURE = (3, 20)
 
 
 class TwoElemInvariants(NamedTuple):
@@ -107,7 +110,7 @@ def classify_involution_embeddings(t: TwoElemInvariants) -> list[InvolutionEmbed
         raise InvalidParameter("T must be hyperbolic of signature (1, r-1)")
     if not two_elementary_exists(t):
         return []
-    l_plus, l_minus = ambient_lattice().signature()
+    l_plus, l_minus = AMBIENT_SIGNATURE
     s_plus, s_minus = l_plus - t.s_plus, l_minus - t.s_minus
     if s_minus < 0:
         return []

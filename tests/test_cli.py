@@ -314,14 +314,13 @@ def test_cli_import_loads_neither_dataclasses_nor_cmath():
 
 
 LAYERS = ("classify", "errors", "exact", "fixedlocus", "fqf", "involutions", "lattices", "tables")
-LAZY = ("classify", "fixedlocus", "involutions", "tables")
 # The hklat.<layer> modules registered in sys.modules whose body has not run:
 # LazyLoader gives an unloaded module its own class and restores ModuleType
 # when it loads.
 UNLOADED = "sorted(n for n, m in sys.modules.items() if n.startswith('hklat.') and type(m) is not types.ModuleType)"
 
 
-def test_import_registers_every_layer_and_loads_only_the_core():
+def test_import_registers_every_layer_and_loads_none():
     # perfbench/spans.py reads sys.modules[f"hklat.{layer}"] after `import hklat`
     probe = (
         "import sys, types, hklat\n"
@@ -331,27 +330,48 @@ def test_import_registers_every_layer_and_loads_only_the_core():
         f"print(embed_in_L is sys.modules['hklat.classify'].embed_in_L, {UNLOADED})\n"
     )
     registered, unloaded, after = _fresh_python("-c", probe).splitlines()
-    assert registered == repr([f"hklat.{layer}" for layer in LAYERS])
-    assert unloaded == repr([f"hklat.{layer}" for layer in LAZY])
-    assert after == "True " + repr([f"hklat.{layer}" for layer in LAZY if layer != "classify"])
+    assert registered == unloaded == repr([f"hklat.{layer}" for layer in LAYERS])
+    assert after == "True " + repr(["hklat.fixedlocus", "hklat.involutions", "hklat.tables"])
 
 
-@pytest.mark.parametrize(
-    "argv, unloaded",
-    [
-        (("figures", "--which", "1", "--format", "txt"), ("classify", "fixedlocus", "tables")),
-        (("tables", "--prime", "19", "--format", "csv"), ("fixedlocus", "involutions")),
-    ],
-)
-def test_fresh_command_loads_only_the_layers_it_runs(argv, unloaded):
+CORE = ("errors", "exact", "fqf", "lattices")
+
+# The layers each fresh command loads besides `cli`.
+COMMAND_LAYERS = {
+    "invariants": (("invariants", "U(3)"), (*CORE, "classify")),
+    "tables": (("tables", "--prime", "19", "--format", "csv"), (*CORE, "classify", "tables")),
+    "figures": (("figures", "--which", "1", "--format", "txt"), ("errors", "involutions")),
+    "embed": (("embed", "--expr", "U(3)"), (*CORE, "classify")),
+    "involution": (
+        ("involution", "--r", "10", "--a", "4", "--delta", "1"), ("errors", "involutions")
+    ),
+    "census": (("census", "LOCUS"), ("errors", "exact", "fixedlocus")),
+    "census-check": (
+        ("census", "LOCUS", "--check", "3,5,5"),
+        (*CORE, "classify", "fixedlocus", "tables"),
+    ),
+    "local-actions": (("local-actions", "--prime", "7"), ("errors", "exact", "fixedlocus")),
+}
+
+
+def test_command_layer_table_covers_every_command():
+    assert {argv[0] for argv, _ in COMMAND_LAYERS.values()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS.values(), ids=COMMAND_LAYERS)
+def test_fresh_command_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    locus = tmp_path / "locus.json"
+    locus.write_text(json.dumps({"p": 3, "k": 2, "n": [0, 5]}))
+    argv = [str(locus) if arg == "LOCUS" else arg for arg in argv]
     probe = (
         "import contextlib, io, sys, types\n"
         "from hklat.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({list(argv)!r})\n"
+        f"    code = main({argv!r})\n"
         f"print(code, {UNLOADED})\n"
     )
-    assert _fresh_python("-c", probe) == f"0 {[f'hklat.{layer}' for layer in unloaded]!r}\n"
+    unloaded = [f"hklat.{layer}" for layer in LAYERS if layer not in layers]
+    assert _fresh_python("-c", probe) == f"0 {unloaded!r}\n"
 
 
 def test_error_raised_in_a_lazy_layer_exits_typed_with_empty_stdout():

@@ -752,6 +752,16 @@ def test_full_length_existence_runs_in_constant_memory():
     assert peak < 1_000_000
 
 
+def test_p_elementary_form_is_born_with_its_fresh_splitting():
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        for a in range(22):
+            for nonresidue in (False, True):
+                form = p_elementary_form(p, a, nonresidue)
+                twin = FiniteQuadraticForm(form.orders, form.q, form.b)
+                assert a == 0 or twin._split is None  # split afresh below
+                assert form._split == jordan_splitting(twin), (p, a, nonresidue)
+
+
 def test_p_elementary_form_matches_cyclic_sum():
     for p in (3, 5, 7, 11, 13, 17, 19):
         nonresidue = next(n for n in range(2, p) if legendre_ref(n, p) == -1)

@@ -4,6 +4,7 @@ from fqf_oracle import two_elementary_form, value_counts
 from golden_data import figure_marker_set
 from hklat.fqf import delta_invariant, gauss_signature, trivial_form
 from hklat.involutions import (
+    AMBIENT_SIGNATURE,
     CASE_I,
     CASE_II,
     TwoElemInvariants,
@@ -15,7 +16,12 @@ from hklat.involutions import (
     natural_involution_shift,
     two_elementary_exists,
 )
-from hklat.lattices import discriminant_form, realize
+from hklat.lattices import ambient_lattice, discriminant_form, realize
+
+
+def test_ambient_signature_is_that_of_the_ambient_lattice():
+    # lattices.AMBIENT stays the one definition of L
+    assert AMBIENT_SIGNATURE == ambient_lattice().signature()
 
 
 def test_existence_examples():
