@@ -11,6 +11,7 @@ asks it for T, tables.enumerate_triples for S.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import NamedTuple
 
 from .errors import InvalidParameter, NotPElementary
@@ -22,7 +23,14 @@ from .fqf import (
     local_key,
     splitting_key,
 )
-from .lattices import Lattice, LatticeExpr, ambient_lattice, atom_data, discriminant_form
+from .lattices import (
+    Lattice,
+    LatticeExpr,
+    ambient_form,
+    ambient_lattice,
+    atom_data,
+    discriminant_form,
+)
 
 
 class LatticeInvariants(NamedTuple):
@@ -112,7 +120,7 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     t_plus, t_minus = l_plus - s.s_plus, l_minus - s.s_minus
     if t_plus < 0 or t_minus < 0:
         return _NO_EMBEDDING
-    q_t = s.form.neg().dsum(discriminant_form(ambient))
+    q_t = s.form.neg().dsum(ambient_form())
     embeds, _ = even_lattice_exists_report(t_plus, t_minus, q_t)
     if not embeds:
         return _NO_EMBEDDING
@@ -147,41 +155,74 @@ def _rank_one_orthogonal_group_surjects(n: int) -> bool:
 
 # -- recognition --------------------------------------------------------------------
 
+class _Pool(NamedTuple):
+    """A search pool and what `recognize` reads off its terms, built once per
+    process for each pool (see `_pool`).  `groups` holds, largest prime
+    first, each prime p with the atoms filed under it as
+    (pool index, |det|, s+, s-); `local_keys` and `twos` are the tables."""
+
+    terms: tuple[tuple[str, int], ...]
+    splittings: tuple[dict[int, tuple], ...]
+    groups: tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]
+    scales: frozenset[int]
+    u: int
+    e8: int
+    local_keys: dict[tuple[int, tuple[int, ...]], tuple | frozenset]
+    twos: dict[tuple[int, ...], frozenset]
+
+
 def _search_pool(target: LatticeInvariants) -> list[tuple[str, int]]:
     """Catalog terms (atom, twist) eligible for a recognition search, in
     canonical order."""
-    odd_primes = sorted(
-        p for p in target.form.lengths_per_prime() if p != 2
-    )
-    has_two_part = 2 in target.form.lengths_per_prime()
-    pool: list[tuple[str, int]] = [("U", 1)]
+    return list(_pool_of(target).terms)
+
+
+def _pool_of(target: LatticeInvariants) -> _Pool:
+    primes = target.form.lengths_per_prime()
+    return _pool(tuple(sorted(p for p in primes if p != 2)), 2 in primes)
+
+
+@cache
+def _pool(odd_primes: tuple[int, ...], has_two_part: bool) -> _Pool:
+    """The pool of a target whose |A_T| has these odd primes, and a 2-part
+    when `has_two_part`, with its tables, once per process."""
+    terms: list[tuple[str, int]] = [("U", 1)]
     for p in odd_primes:
-        pool.append(("U", p))
+        terms.append(("U", p))
     for p in odd_primes:
-        pool.append((f"A{p - 1}", 1))
+        terms.append((f"A{p - 1}", 1))
     if 3 in odd_primes:
-        pool.append(("E6", 1))
-    pool.append(("E8", 1))
+        terms.append(("E6", 1))
+    terms.append(("E8", 1))
     for p in odd_primes:
         if p == 3:
             continue  # K3 = A2, already in the pool
-        pool.append((f"K{p}" if p % 4 == 3 else f"H{p}", 1))
+        terms.append((f"K{p}" if p % 4 == 3 else f"H{p}", 1))
         if p % 4 == 3:
-            pool.append((f"K{p}", -1))
+            terms.append((f"K{p}", -1))
     if 17 in odd_primes:
-        pool.append(("L17", 1))
+        terms.append(("L17", 1))
     if 3 in odd_primes:
-        pool.append(("E6*", 3))
-        pool.append(("A2", -1))
+        terms.append(("E6*", 3))
+        terms.append(("A2", -1))
     if 5 in odd_primes:
-        pool.append(("A4*", 5))
+        terms.append(("A4*", 5))
     if has_two_part:
-        pool.append(("<-2>", 1))
-        pool.append(("<2>", 1))
+        terms.append(("<-2>", 1))
+        terms.append(("<2>", 1))
         for p in odd_primes:
-            pool.append((f"<{2 * p}>", 1))
-            pool.append((f"<{-2 * p}>", 1))
-    return pool
+            terms.append((f"<{2 * p}>", 1))
+            terms.append((f"<{-2 * p}>", 1))
+    splittings = tuple(jordan_splitting(atom_data(*term).form) for term in terms)
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}
+    for i, term in enumerate(terms):
+        if splittings[i]:
+            atom = atom_data(*term)
+            groups.setdefault(max(splittings[i]), []).append((i, abs(atom.det), *atom.signature))
+    by_prime = tuple((p, tuple(groups[p])) for p in sorted(groups, reverse=True))
+    scales = frozenset(m for split in splittings for blocks in split.values() for m, _ in blocks)
+    u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
+    return _Pool(tuple(terms), splittings, by_prime, scales, u, e8, {}, {})
 
 
 def recognize(target: LatticeInvariants) -> LatticeExpr | None:
@@ -191,8 +232,21 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     Order: fewest summands first, then the sorted sequence of pool indices,
     lexicographic.  Forms match when their normal keys are equal.  A sum's
     key is read off its atoms' Jordan blocks put together, since any Jordan
-    splitting gives the key; each local key is computed once per process
-    (`fqf.local_key`).
+    splitting gives the key.
+
+    Tables.  A pool depends on the target only through the odd primes of
+    |A_T| and whether it has a 2-part, so `_pool` builds it once per process
+    for each such signature: the terms, their Jordan splittings, the atoms
+    filed under each prime, the block scales, and the indices of U and E8.
+    Each pool also keeps two tables that the search fills as it goes:
+    (p, atoms of a partial sum as pool indices) -> the local key at p, which
+    `fqf.local_key` computes on a miss, and the sorted atoms of a partial sum
+    -> its multiset of Jordan blocks at 2.  A key is a function of the atoms
+    it names, so a table entry holds for every target of that pool.  The
+    tables grow with the distinct atom multisets the searches visit, each of
+    |det| product dividing some |A_T|, not with the number of targets; a
+    search met again adds nothing.  They only cache values; the state the
+    search prunes by and its order are as below.
 
     The search.  The atoms are the pool terms with |det| != 1.  Each is filed
     under the largest prime p of its |det|, and the primes are taken from
@@ -243,48 +297,53 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     wherever that one answers.  The empty multiset answers the rank-0
     target.
     """
-    terms = _search_pool(target)
-    splittings = [jordan_splitting(atom_data(*term).form) for term in terms]
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (index, |det|, s+, s-)
-    for i, term in enumerate(terms):
-        if splittings[i]:
-            atom = atom_data(*term)
-            groups.setdefault(max(splittings[i]), []).append((i, abs(atom.det), *atom.signature))
+    pool = _pool_of(target)
+    splittings, local_keys, twos = pool.splittings, pool.local_keys, pool.twos
     want_splitting = jordan_splitting(target.form)
-    scales = {m for splitting in splittings for blocks in splitting.values() for m, _ in blocks}
-    if any(m not in scales for blocks in want_splitting.values() for m, _ in blocks):
+    if any(m not in pool.scales for blocks in want_splitting.values() for m, _ in blocks):
         return None
     want = dict(splitting_key(want_splitting))
     want_plus, want_minus = target.s_plus, target.s_minus
 
-    def extend(p, start, left, plus, minus, acc):
-        """The extensions of acc by p's atoms from `start` on whose p-part is
-        done, as ((rest of |A_T|, plus, minus, blocks at 2), sorted acc)."""
-        if left % p and local_key(p, [b for i in acc for b in splittings[i].get(p, ())]) == want[p]:
-            twos = Counter(block for i in acc for block in splittings[i].get(2, ()))
-            yield (left, plus, minus, frozenset(twos.items())), tuple(sorted(acc))
-        for k, (i, d, sp, sm) in enumerate(groups[p][start:], start):
+    def extend(p, atoms, start, left, plus, minus, acc, out):
+        """Append to `out` the extensions of acc by `atoms` from `start` on
+        whose p-part is done, as ((rest of |A_T|, plus, minus, blocks at 2),
+        sorted acc)."""
+        if left % p:
+            key = local_keys.get((p, acc))
+            if key is None:
+                blocks = [b for i in acc for b in splittings[i].get(p, ())]
+                key = local_keys[p, acc] = local_key(p, blocks)
+            if key == want[p]:
+                seq = tuple(sorted(acc))
+                two = twos.get(seq)
+                if two is None:
+                    blocks = Counter(b for i in seq for b in splittings[i].get(2, ()))
+                    two = twos[seq] = frozenset(blocks.items())
+                out.append(((left, plus, minus, two), seq))
+        for k in range(start, len(atoms)):
+            i, d, sp, sm = atoms[k]
             if left % d == 0 and plus + sp <= want_plus and minus + sm <= want_minus:
-                yield from extend(p, k, left // d, plus + sp, minus + sm, acc + (i,))
+                extend(p, atoms, k, left // d, plus + sp, minus + sm, acc + (i,), out)
 
     kept = {(target.form.order, 0, 0, None): ()}
-    for p in sorted(groups, reverse=True):
-        done: dict[tuple, tuple[int, ...]] = {}
+    for p, atoms in pool.groups:
+        out: list[tuple[tuple, tuple[int, ...]]] = []
         for (left, plus, minus, _), acc in kept.items():
-            for state, seq in extend(p, 0, left, plus, minus, acc):
-                if state not in done or (len(seq), seq) < (len(done[state]), done[state]):
-                    done[state] = seq
-        kept = done
+            extend(p, atoms, 0, left, plus, minus, acc, out)
+        kept = {}
+        for state, seq in out:
+            if state not in kept or (len(seq), seq) < (len(kept[state]), kept[state]):
+                kept[state] = seq
 
-    u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
     found = []
     for (_, plus, minus, _), acc in kept.items():
         x = want_plus - plus
         y8 = want_minus - minus - x
         if y8 >= 0 and y8 % 8 == 0:
-            found.append(tuple(sorted(acc + (u,) * x + (e8,) * (y8 // 8))))
+            found.append(tuple(sorted(acc + (pool.u,) * x + (pool.e8,) * (y8 // 8))))
     if not found:
         return None
-    counts = Counter(terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
+    counts = Counter(pool.terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
     return LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
 

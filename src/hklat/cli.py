@@ -53,9 +53,11 @@ def _load_lattice(source: str) -> lattices.Lattice:
 def _cmd_invariants(args) -> int:
     lat = _load_lattice(args.lattice)
     # The Smith form of the full Gram matrix: its generators fix the printed
-    # group and values, so it is taken here also for a named lattice.
+    # group and values, so it is taken here also for a named lattice.  The
+    # Gauss signature and delta are invariants of the form's class: they are
+    # read off the blocks' forms, already split, not off a new Smith form.
     inv = classify.LatticeInvariants(*lat.signature(), lattices.discriminant_data(lat).form)
-    form_inv = fqf.form_invariants(inv.form)
+    form_inv = fqf.form_invariants(lattices.discriminant_form(lat))
     if inv.p == 0:
         elementary = "true for every p (unimodular, a = 0)"
     elif inv.p is None:

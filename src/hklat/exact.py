@@ -147,10 +147,6 @@ def as_matrix(rows) -> IntMatrix:
     return out
 
 
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def dims(m: IntMatrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 

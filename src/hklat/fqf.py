@@ -18,7 +18,8 @@ process, cached by that pair.  Like `lattices.atom_data`, the cache is
 unbounded.  It stays small because it grows with distinct multisets, not
 with forms or queries: a form met again, or a form on other generators with
 the same blocks, adds nothing, and the multisets `classify.recognize` asks
-about are sums of the few catalog atoms' blocks whose orders divide |A_T|.
+about, on a miss of its own pool tables, are sums of the few catalog atoms'
+blocks whose orders divide |A_T|.
 """
 
 from __future__ import annotations

@@ -403,16 +403,31 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     return _smith_data(lattice.gram, lattice.det())
 
 
+_TRIVIAL_FORM = trivial_form()
+
+
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
-    """The discriminant form: the orthogonal sum of the blocks' forms.  For
-    several blocks it is isomorphic, not equal, to `discriminant_data`'s:
-    the two sit on different generators.  Each block's form is split once
-    and kept split (a named atom's for the process), so the sum inherits
-    their Jordan splittings (see `fqf.jordan_splitting`)."""
+    """The discriminant form: the orthogonal sum of the blocks' forms, from
+    the first non-unimodular block on.  For several blocks it is isomorphic,
+    not equal, to `discriminant_data`'s: the two sit on different
+    generators.  A lattice with one non-unimodular block gets that block's
+    own form, and a unimodular one the shared trivial form; forms are
+    immutable, so nothing can change them under another lattice.  Each
+    block's form is split once and kept split (a named atom's for the
+    process), so the sum inherits their Jordan splittings (see
+    `fqf.jordan_splitting`)."""
     forms = [b.form for b in lattice.blocks if b.form.orders]
+    if not forms:
+        return _TRIVIAL_FORM
     for form in forms:
         jordan_splitting(form)
-    return reduce(FiniteQuadraticForm.dsum, forms, trivial_form())
+    return reduce(FiniteQuadraticForm.dsum, forms)
+
+
+@cache
+def ambient_form() -> FiniteQuadraticForm:
+    """q_L, read off `ambient_lattice()` once per process."""
+    return discriminant_form(ambient_lattice())
 
 
 # -- JSON interface ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from golden_data import TABLE_ROWS
 from hklat.classify import (
     LatticeInvariants,
     NotPElementary,
+    _pool_of,
     _rank_one_orthogonal_group_surjects,
     _search_pool,
     embed_in_L,
@@ -196,10 +197,29 @@ def test_recognize_of_the_same_atoms_adds_no_local_keys():
     first = invariants_of(realize("U + A2^2 + E6 + <-2>"))
     second = invariants_of(realize("<-2> + E6 + U + A2^2"))
     assert first.form != second.form
+    pool = _pool_of(first)
+    assert _pool_of(second) is pool
     expr = recognize(first)
+    assert pool.local_keys and pool.twos
+    sizes = (len(pool.local_keys), len(pool.twos))
     misses = fqf._multiset_key.cache_info().misses
-    assert recognize(second) == expr
+    assert recognize(second) == recognize(first) == expr
+    assert (len(pool.local_keys), len(pool.twos)) == sizes
     assert fqf._multiset_key.cache_info().misses == misses
+
+
+def test_targets_with_different_prime_sets_do_not_share_a_table():
+    # |A_T| with the odd primes {3}, {3, 5}, and {3} with a 2-part
+    names = ("U + A2^2", "U + A2 + A4", "U + A2 + <-2>")
+    targets = [invariants_of(realize(name)) for name in names]
+    pools = [_pool_of(target) for target in targets]
+    assert len({id(pool.local_keys) for pool in pools}) == 3
+    assert len({id(pool.twos) for pool in pools}) == 3
+    assert str(recognize(targets[0])) == names[0]
+    sizes = (len(pools[0].local_keys), len(pools[0].twos))
+    for name, target in zip(names[1:], targets[1:]):
+        assert str(recognize(target)) == name
+    assert (len(pools[0].local_keys), len(pools[0].twos)) == sizes
 
 
 def test_search_pool_unimodular_terms_are_U_and_E8():

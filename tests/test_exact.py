@@ -15,7 +15,6 @@ from hklat.exact import (
     as_matrix,
     block_diag,
     det_exact,
-    identity,
     is_prime,
     prime_factors,
     signature_of_symmetric,
@@ -37,6 +36,10 @@ def transpose(m):
 
 def is_unimodular(m):
     return det_exact(m) in (1, -1)
+
+
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def test_is_prime_matches_sympy():

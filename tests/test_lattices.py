@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
     forms_isomorphic,
+    jordan_splitting,
     normal_key,
     trivial_form,
 )
@@ -25,7 +27,9 @@ from hklat.lattices import (
     Lattice,
     LatticeExpr,
     NotEvenLattice,
+    ambient_form,
     ambient_lattice,
+    atom_data,
     direct_sum,
     discriminant_data,
     discriminant_form,
@@ -136,6 +140,29 @@ def test_ambient_lattice():
     assert l.expr == parse_expr(AMBIENT)
     assert (l.rank, l.signature(), l.det()) == (23, (3, 20), 2)
     assert discriminant_form(l) == cyclic_form(2, 3)
+
+
+def test_ambient_form_is_built_once():
+    form = ambient_form()
+    assert ambient_form() is form
+    assert form == discriminant_form(ambient_lattice()) == cyclic_form(2, 3)
+
+
+def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
+    from hklat.classify import embed_in_L
+
+    targets = [invariants_of(realize(name)) for name in ("A2", "U + A2^2 + E6")]
+    operands = []
+    dsum = FiniteQuadraticForm.dsum
+
+    def recording(self, other):
+        operands.append(other)
+        return dsum(self, other)
+
+    monkeypatch.setattr(FiniteQuadraticForm, "dsum", recording)
+    for target in targets:
+        assert embed_in_L(target).embeds
+    assert len(operands) == 2 and all(form is ambient_form() for form in operands)
 
 
 def test_direct_sum_a2_a2():
@@ -451,6 +478,32 @@ def test_atom_route_matches_gram_route_on_catalog_and_tables():
     for pair in LATTICE_NAMES.values():
         for name in pair:
             _assert_routes_agree(parse_expr(name))
+
+
+def _sum_from_trivial(lattice):
+    """The discriminant form as a sum of the blocks' forms from the trivial
+    form on, each block's form split first."""
+    forms = [b.form for b in lattice.blocks if b.form.orders]
+    for form in forms:
+        jordan_splitting(form)
+    return reduce(FiniteQuadraticForm.dsum, forms, trivial_form())
+
+
+def test_discriminant_form_equals_the_sum_from_the_trivial_form():
+    exprs = [_twisted(name, t) for name in CATALOG_ATOMS for t in (1, -1, 3, -3)]
+    exprs += [parse_expr(name) for pair in LATTICE_NAMES.values() for name in pair]
+    for expr in exprs:
+        lat = realize(expr)
+        form, want = discriminant_form(lat), _sum_from_trivial(lat)
+        assert (form.orders, form.q, form.b) == (want.orders, want.q, want.b), expr
+        assert jordan_splitting(form) == jordan_splitting(want), expr
+
+
+def test_discriminant_form_of_one_block_is_its_form():
+    for name, atom in (("A2", ("A2", 1)), ("U + E6*(3) + E8^2", ("E6*", 3))):
+        assert discriminant_form(realize(name)) is atom_data(*atom).form, name
+    assert discriminant_form(realize("U^2 + E8")) is discriminant_form(realize("E8"))
+    assert discriminant_form(realize("U")) == trivial_form()
 
 
 @st.composite
