@@ -26,7 +26,6 @@ from .fqf import (
 from .lattices import (
     Lattice,
     LatticeExpr,
-    ambient_form,
     ambient_lattice,
     atom_data,
     discriminant_form,
@@ -120,7 +119,7 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     t_plus, t_minus = l_plus - s.s_plus, l_minus - s.s_minus
     if t_plus < 0 or t_minus < 0:
         return _NO_EMBEDDING
-    q_t = s.form.neg().dsum(ambient_form())
+    q_t = s.form.neg().dsum(discriminant_form(ambient))
     embeds, _ = even_lattice_exists_report(t_plus, t_minus, q_t)
     if not embeds:
         return _NO_EMBEDDING
@@ -179,17 +178,22 @@ def _search_pool(target: LatticeInvariants) -> list[tuple[str, int]]:
 
 def _pool_of(target: LatticeInvariants) -> _Pool:
     primes = target.form.lengths_per_prime()
-    return _pool(tuple(sorted(p for p in primes if p != 2)), 2 in primes)
+    odd_primes = tuple(sorted(p for p in primes if p != 2))
+    roots = tuple(p for p in odd_primes if p - 1 <= target.rank)
+    return _pool(odd_primes, roots, 2 in primes)
 
 
 @cache
-def _pool(odd_primes: tuple[int, ...], has_two_part: bool) -> _Pool:
+def _pool(odd_primes: tuple[int, ...], roots: tuple[int, ...], has_two_part: bool) -> _Pool:
     """The pool of a target whose |A_T| has these odd primes, and a 2-part
-    when `has_two_part`, with its tables, once per process."""
+    when `has_two_part`, with its tables, once per process.  A_{p-1} is a
+    term only for the primes p in `roots`, those with p - 1 <= rank T: a
+    larger one, of signature (0, p - 1), can never be a summand, and its
+    block alone would cost more than the search (A_222 for p = 223)."""
     terms: list[tuple[str, int]] = [("U", 1)]
     for p in odd_primes:
         terms.append(("U", p))
-    for p in odd_primes:
+    for p in roots:
         terms.append((f"A{p - 1}", 1))
     if 3 in odd_primes:
         terms.append(("E6", 1))
@@ -235,9 +239,10 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     splitting gives the key.
 
     Tables.  A pool depends on the target only through the odd primes of
-    |A_T| and whether it has a 2-part, so `_pool` builds it once per process
-    for each such signature: the terms, their Jordan splittings, the atoms
-    filed under each prime, the block scales, and the indices of U and E8.
+    |A_T|, those of them whose A_{p-1} fits in rank T, and whether |A_T| has
+    a 2-part, so `_pool` builds it once per process for each such signature:
+    the terms, their Jordan splittings, the atoms filed under each prime, the
+    block scales, and the indices of U and E8.
     Each pool also keeps two tables that the search fills as it goes:
     (p, atoms of a partial sum as pool indices) -> the local key at p, which
     `fqf.local_key` computes on a miss, and the sorted atoms of a partial sum

@@ -249,9 +249,15 @@ def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatri
     carried out on rows and columns >= t only.  V is kept as its transpose,
     row t holding column v_t, so a column addition on V adds one row to
     another and a column swap exchanges two rows.
+
+    For |det| = 1 every entry is 0 modulo R = 1: there is no pivot, every
+    factor is 1 and V is the identity.  (Eliminating anyway would replace a
+    pivot outside [-1, 1] by its residue 0 and divide by it.)
     """
     n = len(m)
     r = det * det
+    if r == 1:
+        return (1,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     half = r // 2
     a = [list(row) for row in m]
     vt = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # vt[j]: column j of V

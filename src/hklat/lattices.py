@@ -12,7 +12,8 @@ norm n.  Expressions use the ASCII grammar
 e.g. "U^2 + E8^2 + A2", "A2(-1)", "U(3) + A2^3 + <-2>", "<6> + E6*(3)".
 A leading '-' negates every summand.  The duals E6* and A4* only realize at
 twists clearing their denominators (multiples of 3 resp. 5).  `realize` is
-the one way to name a lattice: it builds the lattice of such an expression.
+the one way to name a lattice: it builds the lattice of such an expression,
+once per process.
 
 A lattice is the orthogonal sum of its blocks.  A block is an even,
 symmetric, nondegenerate Gram matrix, checked once when `_block` builds it,
@@ -26,7 +27,22 @@ The `invariants` command prints the discriminant group and the values of q
 on generators from `discriminant_data`, which for a sum of several blocks
 takes the Smith form of the full Gram matrix: those generators depend on
 the pivot order over the whole matrix, so they are what the command has
-always printed.
+always printed.  A lattice keeps its Gram matrix, discriminant form and
+discriminant data once computed.
+
+Per-process caches, all unbounded, none of them holding a lattice read
+from a file:
+  * atom blocks (`atom_data`): one block per twisted catalog atom asked,
+    growing with the distinct (atom, twist) pairs;
+  * named lattices (`realize`): one lattice per expression asked, with
+    what it keeps, growing with the distinct expressions;
+  * local keys (`fqf.local_key`): the normal key of one p-part per prime
+    and multiset of Jordan blocks, growing with the distinct multisets;
+  * pool tables (`classify._pool`): per recognition pool its terms, their
+    splittings, and the local keys and 2-blocks of the atom multisets the
+    searches visit, growing with the pools (the odd primes of |A_T| that
+    occur) and those multisets, not with targets.
+None grows with the number of queries: a query met again adds nothing.
 """
 
 from __future__ import annotations
@@ -223,8 +239,10 @@ class Lattice:
     Immutable; equality and hashing go by (gram, expr), whatever the blocks.
     The Gram matrix is the block diagonal matrix of the blocks, built on
     first use; det, rank, signature and the discriminant form are read off
-    the blocks.  Copies and pickles carry the blocks, so nothing is
-    computed again.
+    the blocks.  The Gram matrix, the discriminant form (`discriminant_form`)
+    and the discriminant data (`discriminant_data`) are kept once computed,
+    outside equality, hashing, repr and pickling.  Copies and pickles carry
+    the blocks, so no block is computed again.
 
     The sum of blocks is a lattice with these invariants.  A block diagonal
     matrix of square blocks is symmetric iff each block is (its transpose is
@@ -235,7 +253,7 @@ class Lattice:
     sum of the duals, so A_{L+M} = A_L + A_M and q_{L+M} = q_L + q_M
     (Nikulin 1979, §1)."""
 
-    __slots__ = ("blocks", "expr", "_gram")
+    __slots__ = ("blocks", "expr", "_gram", "_form", "_data")
 
     def __init__(self, gram: IntMatrix, expr: LatticeExpr | None = None):
         self._fill((_block(gram),), expr)
@@ -248,7 +266,7 @@ class Lattice:
         return lattice
 
     def _fill(self, blocks: tuple[Block, ...], expr: LatticeExpr | None) -> None:
-        for name, value in zip(self.__slots__, (blocks, expr, None)):
+        for name, value in zip(self.__slots__, (blocks, expr, None, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -306,8 +324,20 @@ def atom_data(atom: str, twist: int) -> Block:
     return _block(gram)
 
 
+@cache
 def realize(expr: LatticeExpr | str) -> Lattice:
-    """The lattice of a catalog expression: the sum of its atoms' blocks."""
+    """The lattice of a catalog expression: the sum of its atoms' blocks.
+
+    Built once per process for each expression asked, a `str` or a
+    `LatticeExpr` (a string and its parsed expression are two entries, as
+    are two spellings of one sum): the same immutable lattice is returned
+    again, with the discriminant form and data it keeps once computed.  A
+    rejected expression raises on every call, as exceptions are not
+    cached.  Like `atom_data` the cache is unbounded; it grows with the
+    distinct expressions asked, not with queries: the 126 expressions of
+    the benchmark's frozen `queries` answers, each with its Gram matrix,
+    discriminant form and data, hold about 330 KB (`tracemalloc`).  A
+    lattice read from a JSON file is built on every call, never cached."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
     blocks = []
@@ -340,11 +370,10 @@ def twist(lattice: Lattice, t: int) -> Lattice:
 AMBIENT = "U^3 + E8^2 + <-2>"
 
 
-@cache
 def ambient_lattice() -> Lattice:
     """L = U^3 + E8^2 + <-2>, the second cohomology of a K3^[2]-type
-    fourfold, built once per process; its rank, signature and discriminant
-    form are read off it."""
+    fourfold: `realize(AMBIENT)`, so built once per process and kept with
+    its discriminant form; its rank, signature and form are read off it."""
     return realize(AMBIENT)
 
 
@@ -397,10 +426,15 @@ def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
     """The discriminant group and form on Smith-form generators: a one-block
-    lattice's own, and for several blocks those of the full Gram matrix."""
-    if len(lattice.blocks) == 1:
-        return lattice.blocks[0].data
-    return _smith_data(lattice.gram, lattice.det())
+    lattice's own, and for several blocks those of the full Gram matrix.
+    Kept on the lattice from the first call on."""
+    if lattice._data is None:
+        if len(lattice.blocks) == 1:
+            data = lattice.blocks[0].data
+        else:
+            data = _smith_data(lattice.gram, lattice.det())
+        object.__setattr__(lattice, "_data", data)
+    return lattice._data
 
 
 _TRIVIAL_FORM = trivial_form()
@@ -415,19 +449,15 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     immutable, so nothing can change them under another lattice.  Each
     block's form is split once and kept split (a named atom's for the
     process), so the sum inherits their Jordan splittings (see
-    `fqf.jordan_splitting`)."""
-    forms = [b.form for b in lattice.blocks if b.form.orders]
-    if not forms:
-        return _TRIVIAL_FORM
-    for form in forms:
-        jordan_splitting(form)
-    return reduce(FiniteQuadraticForm.dsum, forms)
-
-
-@cache
-def ambient_form() -> FiniteQuadraticForm:
-    """q_L, read off `ambient_lattice()` once per process."""
-    return discriminant_form(ambient_lattice())
+    `fqf.jordan_splitting`).  The sum is kept on the lattice from the first
+    call on, so a named lattice (see `realize`) is summed once per process."""
+    if lattice._form is None:
+        forms = [b.form for b in lattice.blocks if b.form.orders]
+        for form in forms:
+            jordan_splitting(form)
+        form = reduce(FiniteQuadraticForm.dsum, forms) if forms else _TRIVIAL_FORM
+        object.__setattr__(lattice, "_form", form)
+    return lattice._form
 
 
 # -- JSON interface ----------------------------------------------------------------

@@ -5,6 +5,7 @@ It walks the multisets of pool terms with the target's rank and signature,
 fewest summands first and lexicographic in pool index within a count, and
 returns the first whose |det| is |A_T| and whose discriminant form has the
 target's normal key; after `budget` summands it gives up and returns None.
+`terms` replaces the pool of `hklat.classify._search_pool(target)`.
 """
 
 import math
@@ -14,8 +15,10 @@ from hklat.fqf import normal_key, trivial_form
 from hklat.lattices import LatticeExpr, atom_data
 
 
-def recognize(target, budget=9):
-    pool = [(term, atom_data(*term)) for term in _search_pool(target)]
+def recognize(target, budget=9, terms=None):
+    if terms is None:
+        terms = _search_pool(target)
+    pool = [(term, atom_data(*term)) for term in terms]
     want_det = target.form.order
     want_sig = (target.s_plus, target.s_minus)
     want_rank = target.rank

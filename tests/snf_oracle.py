@@ -7,7 +7,8 @@ divisibility sweep runs after every pivot, also a unit one.
 
 `smith_normal_form(m, modulus=R)` runs the same elimination but replaces an
 entry of the working matrix that leaves [-R, R] by its centered residue mod
-R, as `hklat.exact.smith_normal_form(m, det)` does for R = det²; without the
+R, as `hklat.exact.smith_normal_form(m, det)` does for R = det² (for R = 1
+every entry is 0 from the start, so D = 0 and U, V are identities); without the
 library's two shortcuts (a unit pivot taken on sight, no sweep after it),
 and with every operation on whole rows and columns where the library's
 touch the trailing block only, it must reach the library's V, and
@@ -39,7 +40,7 @@ def smith_normal_form(m, modulus=None):
     """(U, D, V) with U·m·V = D (mod the modulus, if one is given), by the
     library's pivot rule, scanned in full."""
     rows, cols = len(m), len(m[0]) if m else 0
-    a = [list(row) for row in m]
+    a = [[0] * cols for _ in m] if modulus == 1 else [list(row) for row in m]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 

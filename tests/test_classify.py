@@ -8,9 +8,11 @@ import recognize_oracle
 from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
 from fqf_oracle import value
 from golden_data import TABLE_ROWS
+from hklat import classify
 from hklat.classify import (
     LatticeInvariants,
     NotPElementary,
+    _pool,
     _pool_of,
     _rank_one_orthogonal_group_surjects,
     _search_pool,
@@ -183,6 +185,41 @@ def test_recognize_matches_the_budgeted_search_on_table_names():
 @given(atom_sums())
 def test_recognize_matches_the_budgeted_search_on_sums(expr):
     _assert_recognize_agrees_with_oracle(invariants_of(realize(expr)))
+
+
+def test_pool_of_a_large_prime_builds_no_root_term_beyond_the_rank(monkeypatch):
+    # T of K223 in L has rank 21 and |A_T| = 2·223: A_222 cannot be a summand
+    target = embed_in_L(invariants_of(realize("K223"))).orthogonal_invariants
+    assert (target.rank, target.form.order) == (21, 446)
+    built = []
+
+    def recording(atom, twist):
+        built.append((atom, twist))
+        return atom_data(atom, twist)
+
+    monkeypatch.setattr(classify, "atom_data", recording)
+    _pool.cache_clear()
+    assert str(recognize(target)) == "U^2 + E8^2 + <446>"
+    assert ("K223", 1) in built and ("A222", 1) not in built
+    assert ("A222", 1) not in _search_pool(target)
+
+
+def test_roots_left_out_of_a_pool_change_no_answer():
+    # targets whose pool leaves out some A_{p-1}: the budgeted search over
+    # the pool with every A_{p-1} gives the same name
+    left_out = 0
+    for pair in LATTICE_NAMES.values():
+        for name in pair:
+            target = invariants_of(realize(name))
+            primes = target.form.lengths_per_prime()
+            odd_primes = tuple(sorted(p for p in primes if p != 2))
+            terms = _pool(odd_primes, odd_primes, 2 in primes).terms
+            if len(terms) == len(_search_pool(target)):
+                continue
+            left_out += 1
+            oracle = recognize_oracle.recognize(target, terms=terms)
+            assert oracle is not None and str(recognize(target)) == str(oracle), name
+    assert left_out
 
 
 def test_recognize_has_no_summand_budget():

@@ -32,11 +32,15 @@ def test_invariants_expr(capsys):
 
 
 def test_invariants_json_file(tmp_path, capsys):
-    f = tmp_path / "lat.json"
-    f.write_text(json.dumps({"gram": [[0, 1], [1, 0]], "name": "U"}))
-    code, out, _ = run_cli(capsys, "invariants", str(f))
-    assert code == 0
-    assert "discriminant group: trivial" in out
+    # U, and U^2 on another basis (whose Smith form modulo det² = 1 once
+    # divided by zero)
+    u2 = [[4, -8, 11, 8], [-8, 16, -23, -17], [11, -23, 28, 19], [8, -17, 19, 12]]
+    for data in ({"gram": [[0, 1], [1, 0]], "name": "U"}, {"gram": u2}):
+        f = tmp_path / "lat.json"
+        f.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "invariants", str(f))
+        assert code == 0
+        assert "discriminant group: trivial" in out
 
 
 def test_invariants_rejects_odd_lattice(tmp_path, capsys):
@@ -48,8 +52,11 @@ def test_invariants_rejects_odd_lattice(tmp_path, capsys):
 
 
 def test_invariants_rejects_garbage(capsys):
-    code, _, err = run_cli(capsys, "invariants", "Q17")
-    assert code == 1
+    # unparsable terms, and a term the catalog refuses (5 = 1 mod 4), on
+    # every call: a rejection is not kept
+    for expr in ("Q17", "U + Q17", "K5") * 2:
+        code, out, err = run_cli(capsys, "invariants", expr)
+        assert (code, out) == (1, "") and err.startswith("error: ")
 
 
 def test_tables_p19_csv(capsys):
@@ -421,6 +428,7 @@ def test_named_lattice_determinant_computed_once(monkeypatch, capsys, argv, name
     for module in (exact, lattices):
         monkeypatch.setattr(module, "det_exact", counting_det)
     lattices.atom_data.cache_clear()
+    lattices.realize.cache_clear()
     for _ in range(2):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -444,10 +452,42 @@ def test_invariants_runs_one_smith_form_on_the_full_gram(monkeypatch, tmp_path, 
         source.write_text(json.dumps({"gram": [list(row) for row in gram]}))
     grams = count_smith_forms(monkeypatch)
     lattices.atom_data.cache_clear()
+    lattices.realize.cache_clear()
     code, out, _ = run_cli(capsys, "invariants", str(source))
     assert code == 0 and "discriminant group: Z/3" in out
     assert len(grams) == len(set(grams))
     assert set(grams) == {gram} | atoms
+
+
+def test_warm_named_invariants_runs_no_smith_form_and_no_sum(monkeypatch, capsys):
+    # the named lattice keeps its Smith-form data and its summed form
+    name = "U^2 + E8^2 + A2"
+    first = run_cli(capsys, "invariants", name)
+    calls = []
+
+    def counting(real, label):
+        def wrapper(*args):
+            calls.append(label)
+            return real(*args)
+        return wrapper
+
+    snf = counting(exact.smith_normal_form, "smith_normal_form")
+    for module in (exact, lattices):
+        monkeypatch.setattr(module, "smith_normal_form", snf)
+    monkeypatch.setattr(fqf.FiniteQuadraticForm, "dsum", counting(fqf.FiniteQuadraticForm.dsum, "dsum"))
+    assert run_cli(capsys, "invariants", name) == first
+    assert first[0] == 0 and calls == []
+
+
+def test_json_lattice_rewritten_between_calls_is_read_again(tmp_path, capsys):
+    source = tmp_path / "lat.json"
+    source.write_text(json.dumps({"gram": [[-2, 1], [1, -2]]}))
+    first = run_cli(capsys, "invariants", str(source))
+    assert first[0] == 0 and "det: 3" in first[1]
+    source.write_text(json.dumps({"gram": [[0, 3], [3, 0]]}))
+    second = run_cli(capsys, "invariants", str(source))
+    assert second[:2] == (0, _fresh_process("invariants", str(source)))
+    assert "det: -9" in second[1] and "discriminant group: Z/3 x Z/3" in second[1]
 
 
 # `hklat <command> --help` at 80 columns, as the subparsers of one

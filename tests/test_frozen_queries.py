@@ -1,6 +1,8 @@
 """Every frozen CLI answer of the `queries` benchmark, replayed through
 `cli.main`: the exit code and stdout must match byte for byte, so that an
-output change fails here before the benchmark sees it.  The file is only
+output change fails here before the benchmark sees it.  Each entry is
+replayed twice in one process, first with no named lattice kept and then
+warm, as the benchmark's session asks them again.  The file is only
 read."""
 
 import json
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hklat import lattices
 from hklat.cli import main
 
 FROZEN = json.loads(
@@ -36,10 +39,12 @@ def _argv(command, key, entry, tmp_path):
 def test_cli_replays_every_frozen_query(command, capsys, tmp_path):
     entries = FROZEN[command]
     assert len(entries) == COUNTS[command]
+    lattices.realize.cache_clear()
     differ = []
-    for key, entry in sorted(entries.items()):
-        code = main(_argv(command, key, entry, tmp_path))
-        out = capsys.readouterr().out
-        if (code, out) != (entry["code"], entry["out"]):
-            differ.append((key, code, out))
+    for replay in ("cold", "warm"):
+        for key, entry in sorted(entries.items()):
+            code = main(_argv(command, key, entry, tmp_path))
+            out = capsys.readouterr().out
+            if (code, out) != (entry["code"], entry["out"]):
+                differ.append((replay, key, code, out))
     assert differ == []

@@ -27,7 +27,6 @@ from hklat.lattices import (
     Lattice,
     LatticeExpr,
     NotEvenLattice,
-    ambient_form,
     ambient_lattice,
     atom_data,
     direct_sum,
@@ -142,10 +141,21 @@ def test_ambient_lattice():
     assert discriminant_form(l) == cyclic_form(2, 3)
 
 
+def test_realize_keeps_one_lattice_per_expression():
+    name = "U(3) + A2^2 + <-2>"
+    lat = realize(name)
+    assert realize(name) is lat
+    assert realize(lat.expr) is realize(lat.expr) == lat
+    assert discriminant_form(realize(name)) is discriminant_form(lat)
+    assert discriminant_data(realize(name)) is discriminant_data(lat)
+    text = json.dumps({"gram": [list(row) for row in lat.gram], "name": name})
+    assert lattice_from_json(text) is not lattice_from_json(text)
+
+
 def test_ambient_form_is_built_once():
-    form = ambient_form()
-    assert ambient_form() is form
-    assert form == discriminant_form(ambient_lattice()) == cyclic_form(2, 3)
+    form = discriminant_form(ambient_lattice())
+    assert discriminant_form(ambient_lattice()) is form
+    assert form == discriminant_form(realize(AMBIENT)) == cyclic_form(2, 3)
 
 
 def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
@@ -162,7 +172,8 @@ def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
     monkeypatch.setattr(FiniteQuadraticForm, "dsum", recording)
     for target in targets:
         assert embed_in_L(target).embeds
-    assert len(operands) == 2 and all(form is ambient_form() for form in operands)
+    ambient_form = discriminant_form(ambient_lattice())
+    assert len(operands) == 2 and all(form is ambient_form for form in operands)
 
 
 def test_direct_sum_a2_a2():
