@@ -170,13 +170,9 @@ class _Pool(NamedTuple):
     twos: dict[tuple[int, ...], frozenset]
 
 
-def _search_pool(target: LatticeInvariants) -> list[tuple[str, int]]:
-    """Catalog terms (atom, twist) eligible for a recognition search, in
-    canonical order."""
-    return list(_pool_of(target).terms)
-
-
 def _pool_of(target: LatticeInvariants) -> _Pool:
+    """The recognition pool of `target`: the catalog terms (atom, twist)
+    eligible for its search, in canonical order, with their tables."""
     primes = target.form.lengths_per_prime()
     odd_primes = tuple(sorted(p for p in primes if p != 2))
     roots = tuple(p for p in odd_primes if p - 1 <= target.rank)
@@ -230,7 +226,7 @@ def _pool(odd_primes: tuple[int, ...], roots: tuple[int, ...], has_two_part: boo
 
 
 def recognize(target: LatticeInvariants) -> LatticeExpr | None:
-    """The first catalog direct sum over `_search_pool(target)` with the
+    """The first catalog direct sum over `_pool_of(target).terms` with the
     target's signature and discriminant form, or None when there is none.
 
     Order: fewest summands first, then the sorted sequence of pool indices,

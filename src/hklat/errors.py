@@ -27,7 +27,8 @@ class InvalidParameter(HklatError, ValueError):
 
 
 class UnsupportedPrime(HklatError, ValueError):
-    """enumerate_triples handles the odd primes 3..19 only."""
+    """A prime beyond the odd primes 3..19 that the tables and the K3 fixed
+    loci cover."""
 
 
 # -- 2: mathematical rejection ---------------------------------------------------

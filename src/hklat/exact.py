@@ -151,10 +151,6 @@ def dims(m: IntMatrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
-def scale(m: IntMatrix, t: int) -> IntMatrix:
-    return tuple(tuple(t * x for x in row) for row in m)
-
-
 def block_diag(blocks) -> IntMatrix:
     """Block-diagonal assembly of square matrices."""
     sizes = [len(b) for b in blocks]

@@ -13,15 +13,32 @@ import json
 from typing import NamedTuple
 
 from . import tables
-from .errors import InvalidParameter
+from .errors import InvalidParameter, UnsupportedPrime
 from .exact import as_int, is_prime
+
+
+def _k3_prime(p) -> int:
+    """p checked as the order of a non-symplectic automorphism of a K3
+    surface X: an int, at most 19, and an odd prime.  No larger prime
+    occurs: p - 1 divides the rank of the transcendental lattice, which is
+    at most 21 as X is projective (Nikulin, on finite automorphism groups of
+    K3 surfaces; cited only).  The bound is tested first, so no larger p
+    is sized or factored."""
+    p = as_int(p)
+    if p > 19:
+        raise UnsupportedPrime(f"p = {p} is above 19: a K3 surface has no "
+                               "non-symplectic automorphism of larger prime order")
+    if p == 2 or not is_prime(p):
+        raise InvalidParameter("p must be an odd prime")
+    return p
 
 
 class K3FixedLocus:
     """Fixed locus of an order-p automorphism on a K3 surface.
 
     n[t] counts isolated points with local rotation type diag(z^(t+1), z^(p-t))
-    for a primitive p-th root of unity z; n has length p-1.  Every count is
+    for a primitive p-th root of unity z; n has length p-1.  p is an odd
+    prime at most 19 (`_k3_prime`, UnsupportedPrime above).  Every count is
     an int: a float, bool or str raises InvalidParameter, as does an n that
     is not a sequence.  Immutable; equality and hashing go by
     (p, k, n, genus_curve).
@@ -30,14 +47,12 @@ class K3FixedLocus:
     __slots__ = ("p", "k", "n", "genus_curve")
 
     def __init__(self, p: int, k: int, n: tuple[int, ...], genus_curve: int | None = None):
-        p, k = as_int(p), as_int(k)
+        p, k = _k3_prime(p), as_int(k)
         try:
             n = tuple(map(as_int, n))
         except TypeError as exc:
             raise InvalidParameter(f"n must be a sequence of integers: {exc}") from exc
         genus_curve = None if genus_curve is None else as_int(genus_curve)
-        if p == 2 or not is_prime(p):
-            raise InvalidParameter("p must be an odd prime")
         if len(n) != p - 1:
             raise InvalidParameter(f"n must list p-1 = {p - 1} local-type counts")
         if k < 0 or any(x < 0 for x in n):
@@ -267,11 +282,13 @@ HILB2_NATURAL_355 = K3FixedLocus(p=3, k=2, n=(0, 5))
 # -- JSON interface -----------------------------------------------------------------
 
 def k3_fixed_locus_from_json(text: str) -> K3FixedLocus:
+    """The locus of a JSON object {"p", "k", "n", "genus_curve"}; "n"
+    defaults to p - 1 zeros once p is checked, "k" to 0."""
     try:
         data = json.loads(text)
         p, n = data["p"], data.get("n")
-        if n is None:
-            n = (0,) * (p - 1)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed fixed-locus JSON: {exc!r}") from exc
+    if n is None:
+        n = (0,) * (_k3_prime(p) - 1)
     return K3FixedLocus(p=p, k=data.get("k", 0), n=n, genus_curve=data.get("genus_curve"))

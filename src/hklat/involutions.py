@@ -128,24 +128,6 @@ def classify_involution_embeddings(t: TwoElemInvariants) -> list[InvolutionEmbed
     return classes
 
 
-def natural_involution_shift(k3_inv: TwoElemInvariants) -> TwoElemInvariants:
-    """Invariants of the induced involution on the Hilbert square: a K3 invariant
-    lattice (r, a, delta) becomes (r+1, a+1, 1)."""
-    if k3_inv.s_plus != 1 or k3_inv.r > 20:
-        raise InvalidParameter("expected K3 invariants: signature (1, r-1) with r <= 20")
-    return TwoElemInvariants(1, k3_inv.s_minus + 1, k3_inv.a + 1, 1)
-
-
-def k3_triple_exists(r: int, a: int, delta: int) -> bool:
-    """Whether (r, a, delta) occurs for a 2-elementary hyperbolic sublattice of
-    the K3 lattice U^3 + E8^2 with 2-elementary orthogonal complement."""
-    if not 1 <= r <= 20:
-        return False
-    t = TwoElemInvariants(1, r - 1, a, delta)
-    s = TwoElemInvariants(2, 20 - r, a, delta)
-    return two_elementary_exists(t) and two_elementary_exists(s)
-
-
 def figure_points(which: int) -> set[tuple[int, int, int]]:
     """The two embedding charts, as sets of (r, a, delta_marker).
 

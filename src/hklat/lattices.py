@@ -1,4 +1,4 @@
-"""Even lattices: the named catalog, direct sums, twists, discriminant forms.
+"""Even lattices: the named catalog, its sums and twists, discriminant forms.
 
 Gram conventions: U = [[0,1],[1,0]]; the root lattices A_k, D_h, E_l are
 negative definite (negated Cartan matrices); <n> is the rank-one lattice of
@@ -20,7 +20,7 @@ symmetric, nondegenerate Gram matrix, checked once when `_block` builds it,
 with its determinant, signature and discriminant data (the Smith form
 modulo det², `_smith_data`).  `Lattice(gram, expr)` is one block;
 `atom_data` builds each twisted catalog atom's block once per process;
-`realize` and `direct_sum` concatenate blocks without checking them again.
+`realize` concatenates blocks without checking them again.
 Every invariant is read off the blocks: det multiplies, rank and signature
 add, and the discriminant form is the orthogonal sum of the blocks' forms.
 The `invariants` command prints the discriminant group and the values of q
@@ -62,7 +62,6 @@ from .exact import (
     dims,
     is_prime,
     is_symmetric,
-    scale,
     signature_of_symmetric,
     smith_normal_form,
 )
@@ -346,25 +345,6 @@ def realize(expr: LatticeExpr | str) -> Lattice:
             raise InvalidParameter(f"bad multiplicity {mult} of {atom}({twist})")
         blocks.extend([atom_data(atom, twist)] * mult)
     return Lattice.from_blocks(blocks, expr)
-
-
-def direct_sum(*lattices: Lattice) -> Lattice:
-    expr = None
-    if all(l.expr is not None for l in lattices):
-        summands = []
-        for l in lattices:
-            summands.extend(l.expr.summands)
-        expr = LatticeExpr(tuple(summands))
-    return Lattice.from_blocks([b for l in lattices for b in l.blocks], expr)
-
-
-def twist(lattice: Lattice, t: int) -> Lattice:
-    if t == 0:
-        raise InvalidParameter("twist by zero")
-    expr = None
-    if lattice.expr is not None:
-        expr = LatticeExpr(tuple((a, tw * t, m) for a, tw, m in lattice.expr.summands))
-    return Lattice.from_blocks([_block(scale(b.gram, t)) for b in lattice.blocks], expr)
 
 
 AMBIENT = "U^3 + E8^2 + <-2>"

@@ -10,9 +10,11 @@ so at most one passes E2.  Each surviving row carries h^*, the Euler
 characteristic of the fixed locus, the catalog names of S and T, and
 uniqueness flags; h^* and chi are integer expressions.
 
-For p = 5 the fixed-locus formulas are only valid for automorphisms induced
-from K3 surfaces, so that table is restricted to the naturally realized rows
-(a static set, like the realization tags) and carries the natural_only flag.
+Whether a natural automorphism (one induced from a K3 surface) realizes a
+row is computed, by `natural_verdict`.  For p = 5 the fixed-locus formulas
+are only valid for natural automorphisms, so that table keeps the rows whose
+verdict is true and carries the natural_only flag.  The Fano tags are
+geometric constructions that lattice data cannot decide, so they stay data.
 
 `render(primes, fmt)` is the one way to print tables: markdown, CSV or JSON,
 for one prime or several, with the CSV columns taken from the row records.
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import InvalidParameter, UnsupportedPrime
 from .classify import LatticeInvariants, embed_in_L
-from .fqf import even_lattice_exists, p_elementary_form
+from .fqf import even_lattice_exists, even_lattice_exists_report, p_elementary_form
 from .lattices import ambient_lattice
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
@@ -61,13 +63,6 @@ def h4_trace(m: int, r: int) -> int:
     return (m - r) * (m - r - 1) // 2
 
 
-def moduli_dimension(p: int, m: int) -> int:
-    """Dimension of the deformation family: m-1 for odd p, m-2 for p = 2."""
-    if m < 1:
-        raise InvalidParameter("m must be positive")
-    return m - 2 if p == 2 else m - 1
-
-
 class AdmissibleTriple(NamedTuple):
     """One classification row."""
 
@@ -83,7 +78,7 @@ class AdmissibleTriple(NamedTuple):
     s_unique_embedding: bool
     embedding_exception: bool
     t_unique_embedding: bool
-    moduli_dim: int
+    moduli_dim: int  # m - 1, the dimension of the deformation family (odd p)
     natural_only: bool
     realizations: tuple[str, ...]
     no_known_realization: bool
@@ -143,23 +138,34 @@ LATTICE_NAMES: dict[tuple[int, int, int], tuple[str, str]] = {
     (19, 1, 1): ("K19(-1) + E8^2", "U + K19 + <-2>"),
 }
 
-# Geometric realization tags (static metadata; not computed).  A row not
-# listed is natural; an empty tuple marks a row with no known realization.
+# Realization tags.  NATURAL is computed (`natural_verdict`); FANO marks the
+# rows realized by a construction on Fano varieties, which is geometric data.
 NATURAL = "natural"
 FANO = "fano"
-REALIZATIONS: dict[tuple[int, int, int], tuple[str, ...]] = {
-    (3, 11, 1): (FANO,),
-    (3, 8, 6): (FANO,),
-    (3, 7, 7): (FANO, NATURAL),
-    (3, 5, 5): (FANO, NATURAL),
-    (13, 1, 0): (),
-}
+FANO_ROWS = frozenset({(3, 11, 1), (3, 8, 6), (3, 7, 7), (3, 5, 5)})
 
-# The p = 5 rows realized by natural automorphisms (the only ones for which
-# the fixed-locus formulas are known to apply).
-NATURAL_P5_ROWS = frozenset(
-    {(5, 1), (4, 2), (4, 4), (3, 1), (3, 3), (2, 2), (1, 1)}
-)
+
+def natural_verdict(p: int, m: int, a: int, form) -> tuple[bool, str | None]:
+    """Whether a natural automorphism, one induced on Sigma^[2] by an order-p
+    automorphism of a K3 surface Sigma, can realize the row (p, m, a) whose S
+    has the discriminant form `form`; when not, the failing condition, "N2"
+    or the existence test's "E1".."E4".
+
+    (N2) m = a mod 2.  On Sigma, topological Lefschetz gives chi = 24 - pm
+    and Smith theory h*(F_p) = 24 - (p-2)m - 2a for the fixed locus, which
+    is points and smooth curves, so h* - chi = 4·(sum of the genera).
+    (N1) S embeds primitively in the K3 lattice Lambda = U^3 + E8^2, as
+    L = Lambda + <-2> with H^2(Sigma) = Lambda.  Lambda is unimodular, so
+    this holds iff an even T' of signature (3, 19) - (2, rank S - 2) =
+    (1, 21 - rank S) with form -q_S exists (Nikulin 1979, Prop. 1.6.1 and
+    Thm 1.10.1); the row's T is then T' + <-2>.
+    That the two suffice is Artebani, Sarti and Taki's realization of every
+    K3 pair that passes them (Math. Z. 268, 2011; cited, not re-derived);
+    the tests compare the verdict with the published tables on every
+    candidate row.  N2 goes first, as it costs nothing."""
+    if (m - a) % 2:
+        return False, "N2"
+    return even_lattice_exists_report(1, 21 - (p - 1) * m, form.neg())
 
 
 def enumerate_triples(p: int) -> list[AdmissibleTriple]:
@@ -180,13 +186,14 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
             report = embed_in_L(LatticeInvariants(2, rank_s - 2, form))
             if not report.embeds:
                 continue
-            if p == 5 and (m, a) not in NATURAL_P5_ROWS:
+            natural, _ = natural_verdict(p, m, a, form)
+            if p == 5 and not natural:
                 continue
             key = (p, m, a)
             names = LATTICE_NAMES.get(key)
             if names is None:
                 raise AssertionError(f"admissible triple {key} has no catalog name")
-            realizations = REALIZATIONS.get(key, (NATURAL,))
+            realizations = ((FANO,) if key in FANO_ROWS else ()) + ((NATURAL,) if natural else ())
             rows.append(
                 AdmissibleTriple(
                     p=p,
@@ -201,7 +208,7 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
                     s_unique_embedding=report.unique_embedding,
                     embedding_exception=report.exception_flag,
                     t_unique_embedding=report.t_unique_embedding,
-                    moduli_dim=moduli_dimension(p, m),
+                    moduli_dim=m - 1,
                     natural_only=(p == 5),
                     realizations=realizations,
                     no_known_realization=not realizations,

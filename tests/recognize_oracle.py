@@ -5,19 +5,19 @@ It walks the multisets of pool terms with the target's rank and signature,
 fewest summands first and lexicographic in pool index within a count, and
 returns the first whose |det| is |A_T| and whose discriminant form has the
 target's normal key; after `budget` summands it gives up and returns None.
-`terms` replaces the pool of `hklat.classify._search_pool(target)`.
+`terms` replaces the pool terms of `hklat.classify._pool_of(target)`.
 """
 
 import math
 
-from hklat.classify import _search_pool
+from hklat.classify import _pool_of
 from hklat.fqf import normal_key, trivial_form
 from hklat.lattices import LatticeExpr, atom_data
 
 
 def recognize(target, budget=9, terms=None):
     if terms is None:
-        terms = _search_pool(target)
+        terms = _pool_of(target).terms
     pool = [(term, atom_data(*term)) for term in terms]
     want_det = target.form.order
     want_sig = (target.s_plus, target.s_minus)

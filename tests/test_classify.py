@@ -15,7 +15,6 @@ from hklat.classify import (
     _pool,
     _pool_of,
     _rank_one_orthogonal_group_surjects,
-    _search_pool,
     embed_in_L,
     genus_unique,
     invariants_of,
@@ -201,7 +200,7 @@ def test_pool_of_a_large_prime_builds_no_root_term_beyond_the_rank(monkeypatch):
     _pool.cache_clear()
     assert str(recognize(target)) == "U^2 + E8^2 + <446>"
     assert ("K223", 1) in built and ("A222", 1) not in built
-    assert ("A222", 1) not in _search_pool(target)
+    assert ("A222", 1) not in _pool_of(target).terms
 
 
 def test_roots_left_out_of_a_pool_change_no_answer():
@@ -214,7 +213,7 @@ def test_roots_left_out_of_a_pool_change_no_answer():
             primes = target.form.lengths_per_prime()
             odd_primes = tuple(sorted(p for p in primes if p != 2))
             terms = _pool(odd_primes, odd_primes, 2 in primes).terms
-            if len(terms) == len(_search_pool(target)):
+            if len(terms) == len(_pool_of(target).terms):
                 continue
             left_out += 1
             oracle = recognize_oracle.recognize(target, terms=terms)
@@ -267,7 +266,7 @@ def test_search_pool_unimodular_terms_are_U_and_E8():
     forms += [cyclic_form(2, 1).dsum(form) for form in odd]
     forms.append(functools.reduce(FiniteQuadraticForm.dsum, forms[1:9]))
     for form in forms:
-        pool = _search_pool(LatticeInvariants(0, 0, form))
+        pool = _pool_of(LatticeInvariants(0, 0, form)).terms
         unimodular = [term for term in pool if abs(atom_data(*term).det) == 1]
         assert unimodular == [("U", 1), ("E8", 1)], form
 

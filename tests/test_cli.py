@@ -184,6 +184,9 @@ INPUT_FILES = {
     "float_n.json": '{"p": 3, "k": 2, "n": [0, 5.0]}',
     "bool_k.json": '{"p": 3, "k": true, "n": [0, 5]}',
     "scalar_n.json": '{"p": 3, "k": 0, "n": 5}',
+    # 2^61 - 1 with no "n": the default of p - 1 zeros must not be built
+    "huge_p.json": '{"p": 2305843009213693951}',
+    "p23.json": '{"p": 23, "k": 0}',
 }
 
 
@@ -208,6 +211,8 @@ FAILURES = [
     (("census", "float_n.json"), 1),
     (("census", "bool_k.json"), 1),
     (("census", "scalar_n.json"), 1),
+    (("census", "huge_p.json"), 1),
+    (("census", "p23.json"), 1),
     (("tables", "--format", "xml", "--all"), 1),
     (("figures", "--which", "3"), 1),
     (("involution", "--r", "2", "--a", "2", "--delta", "5"), 1),
@@ -229,7 +234,7 @@ def test_failures_exit_typed_with_empty_stdout(tmp_path, monkeypatch, capsys, ar
         (tmp_path / name).write_text(text)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (expected_code, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_determinism(capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hklat.errors import InvalidParameter
+from hklat.errors import InvalidParameter, UnsupportedPrime
 from hklat.fixedlocus import (
     FANO_FIXTURES,
     HILB2_NATURAL_355,
@@ -143,6 +143,10 @@ def test_validation():
         K3FixedLocus(p=3, k=-1, n=(0, 0))
     with pytest.raises(ValueError):
         K3FixedLocus(p=3, k=0, n=(0, 0), genus_curve=-2)
+    # no K3 surface has a non-symplectic automorphism of prime order > 19
+    assert K3FixedLocus(p=19, k=0, n=(0,) * 18).N == 0
+    with pytest.raises(UnsupportedPrime):
+        K3FixedLocus(p=23, k=0, n=(0,) * 22)
 
 
 @pytest.mark.parametrize("kwargs", [

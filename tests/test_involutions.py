@@ -2,7 +2,7 @@ import pytest
 
 from fqf_oracle import two_elementary_form, value_counts
 from golden_data import figure_marker_set
-from hklat.fqf import delta_invariant, gauss_signature, trivial_form
+from hklat.fqf import delta_invariant, even_lattice_exists, gauss_signature, trivial_form
 from hklat.involutions import (
     AMBIENT_SIGNATURE,
     CASE_I,
@@ -12,11 +12,20 @@ from hklat.involutions import (
     figure_points,
     figure_points_text,
     has_value_three_halves,
-    k3_triple_exists,
-    natural_involution_shift,
     two_elementary_exists,
 )
 from hklat.lattices import ambient_lattice, discriminant_form, realize
+
+
+def k3_triple_exists(r, a, delta):
+    """Whether (r, a, delta) occurs for a 2-elementary hyperbolic sublattice
+    of the K3 lattice U^3 + E8^2 with 2-elementary orthogonal complement,
+    by the closed forms: both T (1, r - 1) and S (2, 20 - r) exist."""
+    if not 1 <= r <= 20:
+        return False
+    t = TwoElemInvariants(1, r - 1, a, delta)
+    s = TwoElemInvariants(2, 20 - r, a, delta)
+    return two_elementary_exists(t) and two_elementary_exists(s)
 
 
 def test_ambient_signature_is_that_of_the_ambient_lattice():
@@ -151,16 +160,6 @@ def test_classify_at_most_three_classes():
                         assert c.s_invariants.a == a - 1
 
 
-def test_natural_involution_shift():
-    assert natural_involution_shift(TwoElemInvariants(1, 19, 2, 1)) == TwoElemInvariants(1, 20, 3, 1)
-    assert natural_involution_shift(TwoElemInvariants(1, 0, 1, 1)) == TwoElemInvariants(1, 1, 2, 1)
-    shifted = natural_involution_shift(TwoElemInvariants(1, 9, 10, 0))
-    assert (shifted.r, shifted.a, shifted.delta) == (11, 11, 1)
-    assert (11, 11, 0) in figure_points(2)
-    with pytest.raises(ValueError):
-        natural_involution_shift(TwoElemInvariants(1, 20, 3, 1))
-
-
 def test_figures_match_published_charts():
     assert figure_points(1) == figure_marker_set(1)
     assert figure_points(2) == figure_marker_set(2)
@@ -201,6 +200,24 @@ def test_k3_triples():
     assert k3_triple_exists(10, 10, 0)
     assert not k3_triple_exists(21, 3, 1)
     assert not k3_triple_exists(1, 1, 0)
+
+
+def test_k3_triples_are_condition_n1_on_two_elementary_forms():
+    # tables.natural_verdict's N1 at p = 2: T of signature (1, r - 1) with a
+    # 2-elementary form q, and its complement S in the unimodular K3 lattice,
+    # of signature (2, 20 - r) with form -q, both exist (Thm 1.10.1)
+    forms = {
+        (a, delta): [q for sigma in range(8) if (q := two_elementary_form(a, delta, sigma))]
+        for a in range(23)
+        for delta in (0, 1)
+    }
+    for r in range(23):
+        for (a, delta), qs in forms.items():
+            n1 = any(
+                even_lattice_exists(1, r - 1, q) and even_lattice_exists(2, 20 - r, q.neg())
+                for q in qs
+            )
+            assert k3_triple_exists(r, a, delta) == n1, (r, a, delta)
 
 
 def test_figure_text_render():

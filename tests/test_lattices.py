@@ -29,7 +29,6 @@ from hklat.lattices import (
     NotEvenLattice,
     ambient_lattice,
     atom_data,
-    direct_sum,
     discriminant_data,
     discriminant_form,
     lattice_from_json,
@@ -37,7 +36,6 @@ from hklat.lattices import (
     realize,
     render_expr,
     _root_gram,
-    twist,
 )
 from hklat.tables import LATTICE_NAMES
 
@@ -128,7 +126,7 @@ def test_root_lattice_determinants():
 
 
 def test_direct_sum_hyperbolic():
-    l = direct_sum(realize("U"), realize("U"))
+    l = realize("U + U")
     assert l.signature() == (2, 2)
     assert l.det() == 1
 
@@ -177,7 +175,7 @@ def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
 
 
 def test_direct_sum_a2_a2():
-    l = direct_sum(realize("A2"), realize("A2"))
+    l = realize("A2 + A2")
     assert l.det() == 9
     _, d, _ = snf_oracle.smith_normal_form(l.gram)  # independent oracle
     assert [d[i][i] for i in range(4)] == [1, 1, 3, 3]
@@ -186,13 +184,13 @@ def test_direct_sum_a2_a2():
 
 
 def test_twist():
-    u3 = twist(realize("U"), 3)
+    u3 = realize("U(3)")
     assert u3.gram == ((0, 3), (3, 0))
     assert u3.det() == -9
     inv = invariants_of(u3)
     assert (inv.p, inv.a) == (3, 2)
-    assert twist(realize("A2"), -1).signature() == (2, 0)
-    assert twist(realize("U"), 1).gram == realize("U").gram
+    assert realize("A2(-1)").signature() == (2, 0)
+    assert realize("U(1)").gram == realize("U").gram
 
 
 def test_discriminant_data_unimodular():
@@ -253,7 +251,7 @@ def test_discriminant_generators_are_dual_vectors():
 
 def test_direct_sum_form_is_orthogonal_sum():
     a, b = realize("A2"), realize("U(3)")
-    combined = discriminant_form(direct_sum(a, b))
+    combined = discriminant_form(realize("A2 + U(3)"))
     expected = discriminant_form(a).dsum(discriminant_form(b))
     assert forms_isomorphic(combined, expected)
 
@@ -394,8 +392,9 @@ def test_json_name_must_match_gram():
 
 def test_det_is_computed_once_at_construction():
     for name in CATALOG_ATOMS:
+        ((atom, twist, _),) = parse_expr(name).summands
         for t in (1, -1, 3, -10):
-            lat = twist(realize(name), t)
+            lat = realize(f"{atom}({twist * t})")
             assert lat.det() == det_exact(lat.gram), (name, t)
     # the blocks take no part in equality, hashing or repr
     u = realize("U + A2")

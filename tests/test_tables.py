@@ -7,12 +7,14 @@ import pytest
 
 from golden_data import (
     EXCEPTION_TRIPLES,
+    FANO_ONLY_TRIPLES,
+    NATURAL_P5_ROWS,
     NO_REALIZATION_TRIPLES,
     ROW_COUNTS,
     TABLE_ROWS,
 )
-from hklat.classify import embed_in_L, invariants_of
-from hklat.fqf import forms_isomorphic
+from hklat.classify import LatticeInvariants, embed_in_L, invariants_of
+from hklat.fqf import even_lattice_exists, forms_isomorphic, p_elementary_form
 from hklat.errors import InvalidParameter
 from hklat.lattices import (
     discriminant_data,
@@ -26,7 +28,7 @@ from hklat.tables import (
     h4_trace,
     h_star,
     lefschetz_chi,
-    moduli_dimension,
+    natural_verdict,
     render,
 )
 
@@ -75,9 +77,10 @@ def test_lefschetz_assembly_identity():
 
 
 def test_moduli_dimension():
-    assert moduli_dimension(3, 11) == 10
-    assert moduli_dimension(3, 5) == 4
-    assert moduli_dimension(2, 2) == 0
+    rows = {r.key: r for p in SUPPORTED_PRIMES for r in enumerate_triples(p)}
+    assert rows[(3, 11, 1)].moduli_dim == 10
+    assert rows[(3, 5, 5)].moduli_dim == 4
+    assert all(r.moduli_dim == r.m - 1 for r in rows.values())
 
 
 def test_unsupported_prime():
@@ -115,6 +118,48 @@ def test_p5_rows_natural_only():
     assert all(r.natural_only for r in rows)
     assert all("natural" in r.realizations for r in rows)
     assert not any(r.natural_only for r in enumerate_triples(7))
+
+
+def _candidate_rows():
+    """Each (p, m, a) whose S exists and embeds in L, with the form of S: the
+    table rows and the order-5 rows that the natural filter drops."""
+    for p in SUPPORTED_PRIMES:
+        for m in range(22 // (p - 1), 0, -1):
+            rank_s = (p - 1) * m
+            for a in range(min(rank_s, 23 - rank_s, m) + 1):
+                for form in (p_elementary_form(p, a), p_elementary_form(p, a, nonresidue=True)):
+                    s = LatticeInvariants(2, rank_s - 2, form)
+                    if even_lattice_exists(2, rank_s - 2, form):
+                        if embed_in_L(s).embeds:
+                            yield (p, m, a), form
+                        break  # for a >= 1 the other form fails E2
+
+
+def test_natural_verdict_matches_the_published_classification():
+    candidates = dict(_candidate_rows())
+    assert len(candidates) == len(list(_candidate_rows()))
+    table = {r.key: r for p in SUPPORTED_PRIMES for r in enumerate_triples(p)}
+    assert len(candidates) == 54 and set(table) <= set(candidates)
+    assert len({key for key in candidates if key[0] == 5} - set(table)) == 9
+    non_natural = FANO_ONLY_TRIPLES | NO_REALIZATION_TRIPLES
+    for key, form in candidates.items():
+        p, m, a = key
+        natural = (m, a) in NATURAL_P5_ROWS if p == 5 else key not in non_natural
+        assert natural_verdict(p, m, a, form)[0] == natural, key
+        if key in table:
+            assert ("natural" in table[key].realizations) == natural, key
+
+
+def test_natural_verdict_reasons_of_the_non_natural_rows():
+    # (3, 11, 1): rank S = 22, so T' would need signature (1, -1);
+    # (3, 8, 6): -q_S fails the determinant condition at p = 3;
+    # (13, 1, 0): m - a is odd, against Smith theory on the K3
+    verdicts = {key: natural_verdict(*key, form) for key, form in _candidate_rows()}
+    assert {key: v for key, v in verdicts.items() if key[0] != 5 and not v[0]} == {
+        (3, 11, 1): (False, "E1"),
+        (3, 8, 6): (False, "E3:p=3"),
+        (13, 1, 0): (False, "N2"),
+    }
 
 
 def test_h_star_chi_gap_identity():
