@@ -6,6 +6,11 @@ S (p odd) embedding primitively in L has orthogonal complement T with
 signature (3-s+, 20-s-) and discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both
 answered by fqf.even_lattice_exists_report (Nikulin's Thm 1.10.1): embed_in_L
 asks it for T, tables.enumerate_triples for S.
+
+Both answers are pure functions of values the process already holds, so
+each is computed once per process: embed_in_L's report once per S
+(signature and form), and recognize's answer once per genus of T
+(signature and normal key), in the `answers` table of T's pool.
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ class EmbeddingReport(NamedTuple):
 _NO_EMBEDDING = EmbeddingReport(False, False, None, False, False)
 
 
+@cache
 def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     """Primitive-embedding analysis of S in L for odd p (or a = 0).
 
@@ -111,6 +117,10 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     indefinite and a <= rank L - 2 - rank S; outside that range the rank-one
     complement case is checked directly, and an indefinite T may still get a
     one-class-per-genus certificate instead (exception_flag).
+
+    The report is a function of S's signature and form, so it is computed
+    once per process for each (s+, s-, form) asked; its objects are
+    immutable, so every caller shares them.  A rejected S raises each time.
     """
     if s.p is None or (s.p == 2 and s.a > 0):
         raise NotPElementary("embedding analysis requires odd p (or trivial group)")
@@ -158,7 +168,8 @@ class _Pool(NamedTuple):
     """A search pool and what `recognize` reads off its terms, built once per
     process for each pool (see `_pool`).  `groups` holds, largest prime
     first, each prime p with the atoms filed under it as
-    (pool index, |det|, s+, s-); `local_keys` and `twos` are the tables."""
+    (pool index, |det|, s+, s-); `local_keys`, `twos` and `answers` are the
+    tables."""
 
     terms: tuple[tuple[str, int], ...]
     splittings: tuple[dict[int, tuple], ...]
@@ -168,6 +179,7 @@ class _Pool(NamedTuple):
     e8: int
     local_keys: dict[tuple[int, tuple[int, ...]], tuple | frozenset]
     twos: dict[tuple[int, ...], frozenset]
+    answers: dict[tuple[int, int, tuple], LatticeExpr | None]
 
 
 def _pool_of(target: LatticeInvariants) -> _Pool:
@@ -222,7 +234,7 @@ def _pool(odd_primes: tuple[int, ...], roots: tuple[int, ...], has_two_part: boo
     by_prime = tuple((p, tuple(groups[p])) for p in sorted(groups, reverse=True))
     scales = frozenset(m for split in splittings for blocks in split.values() for m, _ in blocks)
     u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
-    return _Pool(tuple(terms), splittings, by_prime, scales, u, e8, {}, {})
+    return _Pool(tuple(terms), splittings, by_prime, scales, u, e8, {}, {}, {})
 
 
 def recognize(target: LatticeInvariants) -> LatticeExpr | None:
@@ -248,6 +260,14 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     |det| product dividing some |A_T|, not with the number of targets; a
     search met again adds nothing.  They only cache values; the state the
     search prunes by and its order are as below.
+    A third table, `answers`, maps (s+, s-, normal key) of a target to its
+    answer.  The answer depends on the target only through its signature
+    and its form up to isomorphism, and the key records the block scales
+    the pre-check below reads and, with their ranks, |A_T|; so a search
+    runs once per genus of T per process, and a target met again on other
+    generators reads the answer.  It grows with the distinct genera asked.
+    The tables live in the pool, so `_pool.cache_clear()` resets every
+    piece of recognition state at once.
 
     The search.  The atoms are the pool terms with |det| != 1.  Each is filed
     under the largest prime p of its |det|, and the primes are taken from
@@ -299,11 +319,22 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     target.
     """
     pool = _pool_of(target)
-    splittings, local_keys, twos = pool.splittings, pool.local_keys, pool.twos
     want_splitting = jordan_splitting(target.form)
+    key = (target.s_plus, target.s_minus, splitting_key(want_splitting))
+    answers = pool.answers
+    if key not in answers:
+        answers[key] = _search(pool, target, want_splitting, dict(key[2]))
+    return answers[key]
+
+
+def _search(
+    pool: _Pool, target: LatticeInvariants, want_splitting: dict, want: dict
+) -> LatticeExpr | None:
+    """`recognize`'s search for `target`, whose Jordan splitting is
+    `want_splitting` and whose local key at each prime p is want[p]."""
+    splittings, local_keys, twos = pool.splittings, pool.local_keys, pool.twos
     if any(m not in pool.scales for blocks in want_splitting.values() for m, _ in blocks):
         return None
-    want = dict(splitting_key(want_splitting))
     want_plus, want_minus = target.s_plus, target.s_minus
 
     def extend(p, atoms, start, left, plus, minus, acc, out):

@@ -27,8 +27,9 @@ class InvalidParameter(HklatError, ValueError):
 
 
 class UnsupportedPrime(HklatError, ValueError):
-    """A prime beyond the odd primes 3..19 that the tables and the K3 fixed
-    loci cover."""
+    """A prime beyond the range a command covers: the odd primes 3..19 of
+    the tables and the K3 fixed loci, or, for the local actions on the
+    fourfold, those up to 23."""
 
 
 # -- 2: mathematical rejection ---------------------------------------------------

@@ -181,7 +181,15 @@ def enumerate_local_actions(p: int) -> list[dict]:
     Family 2 has eigenvalues (1, z, z^i, z^(1-i)) with 2i != 1 mod p and
     multiplicities (a, a, b, b), a + b = 2.  The fixed-component dimension at
     the point equals the multiplicity of eigenvalue 1.
+
+    p is an odd prime at most 23: p - 1 divides the rank of the
+    transcendental lattice of the projective fourfold, at most
+    b_2 - 1 = 22 (cited only).  A larger p raises UnsupportedPrime; the
+    bound is tested first, so no larger p is factored.
     """
+    if p > 23:
+        raise UnsupportedPrime(f"p = {p} is above 23: the fourfold has no "
+                               "non-symplectic automorphism of larger prime order")
     if p == 2 or not is_prime(p):
         raise InvalidParameter("p must be an odd prime")
     out = []

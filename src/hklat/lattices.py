@@ -41,7 +41,10 @@ from a file:
   * pool tables (`classify._pool`): per recognition pool its terms, their
     splittings, and the local keys and 2-blocks of the atom multisets the
     searches visit, growing with the pools (the odd primes of |A_T| that
-    occur) and those multisets, not with targets.
+    occur) and those multisets, and the answer of each genus of T asked,
+    growing with the distinct genera;
+  * embedding reports (`classify.embed_in_L`): one report per S asked,
+    growing with the distinct (signature, form) pairs.
 None grows with the number of queries: a query met again adds nothing.
 """
 

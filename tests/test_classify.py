@@ -113,8 +113,35 @@ def test_embed_row_3_2_0():
 
 
 def test_embed_rejects_mixed_group():
-    with pytest.raises(NotPElementary):
-        embed_in_L(_invariants("<6>"))
+    for _ in range(2):  # a rejection is not kept: it raises every time
+        with pytest.raises(NotPElementary):
+            embed_in_L(_invariants("<6>"))
+
+
+def test_embed_in_L_reports_an_equal_S_once(monkeypatch):
+    # the second S is the first with a fresh form of the same data: it reads
+    # the first report, summing no q_T and running no existence test
+    first = _invariants("U + A2^2 + E6")
+    form = first.form
+    copy = FiniteQuadraticForm(form.orders, form.q, form.b)
+    second = LatticeInvariants(first.s_plus, first.s_minus, copy)
+    assert second == first and copy is not form
+    calls = []
+    dsum = FiniteQuadraticForm.dsum
+    monkeypatch.setattr(
+        FiniteQuadraticForm, "dsum", lambda self, other: calls.append("dsum") or dsum(self, other)
+    )
+    monkeypatch.setattr(
+        classify,
+        "even_lattice_exists_report",
+        lambda *args: calls.append("exists") or even_lattice_exists_report(*args),
+    )
+    embed_in_L.cache_clear()
+    report = embed_in_L(first)
+    assert report.embeds and calls == ["dsum", "exists"]
+    calls.clear()
+    assert embed_in_L(second) is report
+    assert calls == []
 
 
 def test_embed_signature_overflow():
@@ -242,6 +269,33 @@ def test_recognize_of_the_same_atoms_adds_no_local_keys():
     assert recognize(second) == recognize(first) == expr
     assert (len(pool.local_keys), len(pool.twos)) == sizes
     assert fqf._multiset_key.cache_info().misses == misses
+
+
+def test_recognize_answers_a_genus_once():
+    # the same genus on other generators: one search, then its answer is read
+    first = _invariants("U + A2^2 + E6 + <-2>")
+    second = _invariants("<-2> + E6 + U + A2^2")
+    assert first.form != second.form
+    _pool.cache_clear()
+    pool = _pool_of(first)
+    assert pool.answers == {}
+    expr = recognize(first)
+    assert str(expr) == "E6^2 + <6>" and len(pool.answers) == 1
+    sizes = (len(pool.local_keys), len(pool.twos))
+    assert recognize(second) is expr
+    assert (len(pool.answers), len(pool.local_keys), len(pool.twos)) == (1, *sizes)
+
+
+def test_recognize_answers_are_kept_per_signature_and_form():
+    # one pool each: the unimodular pair shares the trivial form and differs
+    # in signature; the other pair shares signature and |A| and differs in form
+    for names in (("U + E8", "U^2 + E8"), ("<-2> + <6>", "<2> + <-6>")):
+        targets = [_invariants(name) for name in names]
+        assert _pool_of(targets[0]) is _pool_of(targets[1])
+        assert targets[0].form.order == targets[1].form.order
+        for _ in range(2):
+            assert [str(recognize(target)) for target in targets] == list(names)
+    assert _invariants("U + E8").form == _invariants("U^2 + E8").form
 
 
 def test_targets_with_different_prime_sets_do_not_share_a_table():

@@ -202,6 +202,8 @@ FAILURES = [
     (("embed", "--expr", "nothere.json"), 1),
     (("census", "empty.json"), 1),
     (("local-actions", "--prime", "4"), 1),
+    (("local-actions", "--prime", "29"), 1),
+    (("local-actions", "--prime", "10000000000000000051"), 1),  # a 20-digit prime
     (("census", "locus.json", "--check", "3,5"), 1),
     (("invariants", "float.json"), 1),
     (("embed", "--expr", "float.json"), 1),

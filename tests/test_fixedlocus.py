@@ -110,6 +110,17 @@ def test_local_actions_p7_admits_1_2():
     assert (1, 1, 2) in [r["multiplicities"] for r in recs if r["family"] == 1]
 
 
+def test_local_actions_stop_at_23(monkeypatch):
+    assert enumerate_local_actions(23)
+    for p in (29, 2**127 - 1):
+        with pytest.raises(UnsupportedPrime):
+            enumerate_local_actions(p)
+    # the bound comes before the primality test, so a huge p is not factored
+    monkeypatch.setattr("hklat.fixedlocus.is_prime", lambda n: pytest.fail(f"is_prime({n})"))
+    with pytest.raises(UnsupportedPrime):
+        enumerate_local_actions(10**40 + 1)
+
+
 def test_cross_checks():
     assert cross_check_against_table(HILB2_NATURAL_355, 3, 5, 5)
     assert not cross_check_against_table(HILB2_NATURAL_355, 3, 6, 4)

@@ -1,16 +1,16 @@
 """Every frozen CLI answer of the `queries` benchmark, replayed through
 `cli.main`: the exit code and stdout must match byte for byte, so that an
 output change fails here before the benchmark sees it.  Each entry is
-replayed twice in one process, first with no named lattice kept and then
-warm, as the benchmark's session asks them again.  The file is only
-read."""
+replayed twice in one process, first with no named lattice, embedding
+report or recognition pool kept, so that every search runs, and then warm,
+as the benchmark's session asks them again.  The file is only read."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from hklat import lattices
+from hklat import classify, lattices
 from hklat.cli import main
 
 FROZEN = json.loads(
@@ -40,6 +40,8 @@ def test_cli_replays_every_frozen_query(command, capsys, tmp_path):
     entries = FROZEN[command]
     assert len(entries) == COUNTS[command]
     lattices.realize.cache_clear()
+    classify.embed_in_L.cache_clear()
+    classify._pool.cache_clear()
     differ = []
     for replay in ("cold", "warm"):
         for key, entry in sorted(entries.items()):

@@ -159,6 +159,7 @@ def test_ambient_form_is_built_once():
 def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
     from hklat.classify import embed_in_L
 
+    embed_in_L.cache_clear()  # a report kept from an earlier call sums nothing
     targets = [invariants_of(realize(name)) for name in ("A2", "U + A2^2 + E6")]
     operands = []
     dsum = FiniteQuadraticForm.dsum
@@ -250,10 +251,10 @@ def test_discriminant_generators_are_dual_vectors():
 
 
 def test_direct_sum_form_is_orthogonal_sum():
-    a, b = realize("A2"), realize("U(3)")
-    combined = discriminant_form(realize("A2 + U(3)"))
-    expected = discriminant_form(a).dsum(discriminant_form(b))
-    assert forms_isomorphic(combined, expected)
+    # the sum of the blocks' forms against the form read off the Smith data
+    # of the full Gram matrix, which does not go through the blocks
+    lat = realize("A2 + U(3)")
+    assert normal_key(discriminant_form(lat)) == normal_key(discriminant_data(lat).form)
 
 
 def test_is_p_elementary_span6():
