@@ -7,12 +7,13 @@ load lazily through `importlib.util.LazyLoader`: `import hklat` runs no
 layer's module body, and a fresh command compiles (or, from `__pycache__`,
 unmarshals) only the layers it runs.  Besides `cli` and `errors`:
 
-- `figures` and `involution` load `involutions` (`involution` also loads
-  `exact`, `fqf` and `lattices` to name L when T has no embedding);
+- `hklat`, `hklat --help` and an unknown command load no other layer: L's
+  name is `AMBIENT`, defined here;
+- `figures` and `involution` load `involutions`;
 - `invariants` and `embed` load `exact`, `fqf`, `lattices` and
   `classify`, and `tables` also `tables`;
 - `census` and `local-actions` load `exact` and `fixedlocus`, and
-  `census --check` also the layers of `tables`.
+  `census --check` also `tables`.
 
 The trade is peak memory.  A core layer loaded after `cli` is compiled with
 `cli` and argparse already in memory, so from source the `tables` commands
@@ -53,3 +54,7 @@ involutions = _lazy("involutions")
 fixedlocus = _lazy("fixedlocus")
 
 __version__ = "0.1.0"
+
+# L = H^2 of a K3^[2]-type fourfold, defined once: `lattices.ambient_lattice()`
+# is `realize(AMBIENT)`, and `cli` prints this name.
+AMBIENT = "U^3 + E8^2 + <-2>"

@@ -1,6 +1,6 @@
 """Existence, uniqueness and embedding analysis for p-elementary lattices.
 
-The ambient lattice throughout is L = U^3 + E8^2 + <-2> (`lattices.AMBIENT`),
+The ambient lattice throughout is L = U^3 + E8^2 + <-2> (`hklat.AMBIENT`),
 of signature (3,20) and discriminant form Z/2 (3/2).  A p-elementary lattice
 S (p odd) embedding primitively in L has orthogonal complement T with
 signature (3-s+, 20-s-) and discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both

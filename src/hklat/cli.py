@@ -26,7 +26,8 @@ option; pass it after `--` (`invariants -- -E8`) or as `--expr=-E8`.
 Loading: `cli` reads the other layers only through their modules
 (`lattices.realize`, `fqf.form_invariants`), and every layer loads lazily
 (see `hklat`), so importing `cli` loads `errors` alone and a command loads
-the layers it runs.
+the layers it runs.  L's name is the package's `AMBIENT`, so the help, the
+usage errors and `involution` name L without loading `lattices`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import classify, fixedlocus, fqf, involutions, lattices, tables
+from . import AMBIENT, classify, fixedlocus, fqf, involutions, lattices, tables
 from .errors import HklatError, InvalidParameter
 
 
@@ -118,7 +119,7 @@ def _cmd_embed(args) -> int:
     report = classify.embed_in_L(inv)
     print(f"S = {lat.name()}: signature ({inv.s_plus}, {inv.s_minus}), "
           f"p-elementary p={inv.p}, a={inv.a}")
-    print(f"embeds in {lattices.AMBIENT}: {'yes' if report.embeds else 'no'}")
+    print(f"embeds in {AMBIENT}: {'yes' if report.embeds else 'no'}")
     if report.embeds:
         t = report.orthogonal_invariants
         print(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
@@ -144,7 +145,7 @@ def _cmd_involution(args) -> int:
         return 2
     classes = involutions.classify_involution_embeddings(t)
     if not classes:
-        print(f"no primitive embedding in {lattices.AMBIENT}")
+        print(f"no primitive embedding in {AMBIENT}")
         return 0
     for cls in classes:
         s = cls.s_invariants
@@ -217,7 +218,7 @@ def _args_local_actions(parser) -> None:
 
 class _Command(NamedTuple):
     run: Callable[[argparse.Namespace], int]
-    help: str  # "{L}" stands for `lattices.AMBIENT`, read when help is built
+    help: str  # "{L}" stands for L's name, `hklat.AMBIENT`
     add_arguments: Callable[[argparse.ArgumentParser], None]
 
 
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        subparser = sub.add_parser(name, help=command.help.format(L=lattices.AMBIENT))
+        subparser = sub.add_parser(name, help=command.help.format(L=AMBIENT))
         command.add_arguments(subparser)
     return parser
 

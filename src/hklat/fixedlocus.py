@@ -150,23 +150,9 @@ def hilb2_census(f: K3FixedLocus) -> Hilb2FixedLocus:
     return Hilb2FixedLocus(points, rational, cg_curves, p1p1, k, p2, 1, chi, hs)
 
 
-def census_chi_closed_form(g: int, N: int, k: int) -> tuple[int, int]:
-    """Closed forms for (chi, h_star) when a genus-g curve is present."""
-    # Both halvings are exact: the factors of chi2 differ by 3, and every term
-    # of hs2 is even except N^2 + 7N = N(N + 7).
-    chi2 = (2 * g - 2 - N - 2 * k) * (2 * g - 5 - N - 2 * k)
-    hs2 = N * N + 7 * N + 4 * N * k + 14 * k + 4 * N * g + 10 + 10 * g + 4 * k * k + 8 * k * g + 4 * g * g
-    return chi2 // 2, hs2 // 2
-
-
 def cross_check_totals(chi: int, hs: int, p: int, m: int, a: int) -> bool:
     """Do fixed-locus totals match the lattice-side predictions for (p, m, a)?"""
     return chi == tables.lefschetz_chi(p, m) and hs == tables.h_star(p, m, a)
-
-
-def cross_check_against_table(f: K3FixedLocus, p: int, m: int, a: int) -> bool:
-    census = hilb2_census(f)
-    return cross_check_totals(census.chi, census.h_star, p, m, a)
 
 
 # -- local fixed-point analysis ----------------------------------------------------
@@ -225,66 +211,6 @@ def enumerate_local_actions(p: int) -> list[dict]:
                 }
             )
     return out
-
-
-# -- fixtures: fixed loci on families of fourfolds ----------------------------------
-
-class FixedLocusFixture(NamedTuple):
-    """A directly observed fixed locus on a fourfold: components given as
-    ("point", count), ("curve", genus, count) or ("surface", chi, h_star, count);
-    expected to match the classification row `triple`."""
-
-    label: str
-    components: tuple[tuple, ...]
-    triple: tuple[int, int, int]
-
-    def totals(self) -> tuple[int, int]:
-        chi = hs = 0
-        for comp in self.components:
-            kind = comp[0]
-            if kind == "point":
-                chi += comp[1]
-                hs += comp[1]
-            elif kind == "curve":
-                _, g, count = comp
-                chi += count * (2 - 2 * g)
-                hs += count * (2 + 2 * g)
-            elif kind == "surface":
-                _, c, h, count = comp
-                chi += count * c
-                hs += count * h
-            else:
-                raise InvalidParameter(f"unknown component kind {kind!r}")
-        return chi, hs
-
-
-# Fixed loci of the four order-3 actions on families of Fano varieties of
-# lines in cubic fourfolds, plus the Hilbert-square census of a K3 action
-# with five isolated points and two rational curves.
-FANO_FIXTURES = (
-    FixedLocusFixture(
-        label="fano-surface-of-cubic-threefold",
-        components=(("surface", 27, 67, 1),),
-        triple=(3, 11, 1),
-    ),
-    FixedLocusFixture(
-        label="three-cubic-surfaces-and-27-points",
-        components=(("point", 27), ("surface", 9, 9, 3)),
-        triple=(3, 5, 5),
-    ),
-    FixedLocusFixture(
-        label="three-elliptic-curves",
-        components=(("curve", 1, 3),),
-        triple=(3, 8, 6),
-    ),
-    FixedLocusFixture(
-        label="three-points-three-rational-curves",
-        components=(("point", 3), ("curve", 0, 3)),
-        triple=(3, 7, 7),
-    ),
-)
-
-HILB2_NATURAL_355 = K3FixedLocus(p=3, k=2, n=(0, 5))
 
 
 # -- JSON interface -----------------------------------------------------------------

@@ -20,7 +20,7 @@ CASE_I = "I"
 CASE_II = "II"
 
 # The signature of L = U^3 + E8^2 + <-2>, whose one definition is
-# `lattices.AMBIENT`; kept here so that the charts need no lattice arithmetic.
+# `hklat.AMBIENT`; kept here so that the charts need no lattice arithmetic.
 AMBIENT_SIGNATURE = (3, 20)
 
 

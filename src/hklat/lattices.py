@@ -56,6 +56,7 @@ import re
 from functools import cache, reduce
 from typing import NamedTuple
 
+from . import AMBIENT
 from .errors import InvalidParameter, NotEvenLattice
 from .exact import (
     IntMatrix,
@@ -350,12 +351,9 @@ def realize(expr: LatticeExpr | str) -> Lattice:
     return Lattice.from_blocks(blocks, expr)
 
 
-AMBIENT = "U^3 + E8^2 + <-2>"
-
-
 def ambient_lattice() -> Lattice:
     """L = U^3 + E8^2 + <-2>, the second cohomology of a K3^[2]-type
-    fourfold: `realize(AMBIENT)`, so built once per process and kept with
+    fourfold: `realize(hklat.AMBIENT)`, so built once per process and kept with
     its discriminant form; its rank, signature and form are read off it."""
     return realize(AMBIENT)
 

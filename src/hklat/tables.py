@@ -27,10 +27,8 @@ import io
 import json
 from typing import NamedTuple
 
+from . import classify, fqf, lattices
 from .errors import InvalidParameter, UnsupportedPrime
-from .classify import LatticeInvariants, embed_in_L
-from .fqf import even_lattice_exists, even_lattice_exists_report, p_elementary_form
-from .lattices import ambient_lattice
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 
@@ -56,11 +54,6 @@ def lefschetz_chi(p: int, m: int) -> int:
     The half is exact: mp and mp - 51 have opposite parity, so their
     product is even."""
     return 324 + m * p * (m * p - 51) // 2
-
-
-def h4_trace(m: int, r: int) -> int:
-    """Trace of the action on degree-4 cohomology: (m-r)(m-r-1)/2."""
-    return (m - r) * (m - r - 1) // 2
 
 
 class AdmissibleTriple(NamedTuple):
@@ -165,7 +158,7 @@ def natural_verdict(p: int, m: int, a: int, form) -> tuple[bool, str | None]:
     candidate row.  N2 goes first, as it costs nothing."""
     if (m - a) % 2:
         return False, "N2"
-    return even_lattice_exists_report(1, 21 - (p - 1) * m, form.neg())
+    return fqf.even_lattice_exists_report(1, 21 - (p - 1) * m, form.neg())
 
 
 def enumerate_triples(p: int) -> list[AdmissibleTriple]:
@@ -173,17 +166,18 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"unsupported prime {p}")
     rows: list[AdmissibleTriple] = []
-    rank_l = ambient_lattice().rank  # rank S < rank L, as T has t+ = 1
+    rank_l = lattices.ambient_lattice().rank  # rank S < rank L, as T has t+ = 1
     forms: dict[int, tuple] = {}  # a -> the two p-elementary forms of length a
     for m in range((rank_l - 1) // (p - 1), 0, -1):
         rank_s = (p - 1) * m
         for a in range(0, min(rank_s, rank_l - rank_s, m) + 1):
             if a not in forms:
-                forms[a] = (p_elementary_form(p, a), p_elementary_form(p, a, nonresidue=True))
-            form = next((q for q in forms[a] if even_lattice_exists(2, rank_s - 2, q)), None)
+                forms[a] = (fqf.p_elementary_form(p, a),
+                            fqf.p_elementary_form(p, a, nonresidue=True))
+            form = next((q for q in forms[a] if fqf.even_lattice_exists(2, rank_s - 2, q)), None)
             if form is None:
                 continue
-            report = embed_in_L(LatticeInvariants(2, rank_s - 2, form))
+            report = classify.embed_in_L(classify.LatticeInvariants(2, rank_s - 2, form))
             if not report.embeds:
                 continue
             natural, _ = natural_verdict(p, m, a, form)

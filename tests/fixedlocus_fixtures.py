@@ -1,0 +1,90 @@
+"""Test-only fixed-locus data and oracles.
+
+Fixed loci observed on families of fourfolds, each with the classification
+row it must match; the closed forms of the Hilbert-square census when a
+genus-g curve is present (an oracle of `fixedlocus.hilb2_census`); the
+census cross-check of a K3 locus against a row; and the trace on degree-4
+cohomology.  The library never uses them.
+"""
+
+from typing import NamedTuple
+
+from hklat.errors import InvalidParameter
+from hklat.fixedlocus import K3FixedLocus, cross_check_totals, hilb2_census
+
+
+class FixedLocusFixture(NamedTuple):
+    """A directly observed fixed locus on a fourfold: components given as
+    ("point", count), ("curve", genus, count) or ("surface", chi, h_star, count);
+    expected to match the classification row `triple`."""
+
+    label: str
+    components: tuple[tuple, ...]
+    triple: tuple[int, int, int]
+
+    def totals(self) -> tuple[int, int]:
+        chi = hs = 0
+        for comp in self.components:
+            kind = comp[0]
+            if kind == "point":
+                chi += comp[1]
+                hs += comp[1]
+            elif kind == "curve":
+                _, g, count = comp
+                chi += count * (2 - 2 * g)
+                hs += count * (2 + 2 * g)
+            elif kind == "surface":
+                _, c, h, count = comp
+                chi += count * c
+                hs += count * h
+            else:
+                raise InvalidParameter(f"unknown component kind {kind!r}")
+        return chi, hs
+
+
+# Fixed loci of the four order-3 actions on families of Fano varieties of
+# lines in cubic fourfolds, plus the Hilbert-square census of a K3 action
+# with five isolated points and two rational curves.
+FANO_FIXTURES = (
+    FixedLocusFixture(
+        label="fano-surface-of-cubic-threefold",
+        components=(("surface", 27, 67, 1),),
+        triple=(3, 11, 1),
+    ),
+    FixedLocusFixture(
+        label="three-cubic-surfaces-and-27-points",
+        components=(("point", 27), ("surface", 9, 9, 3)),
+        triple=(3, 5, 5),
+    ),
+    FixedLocusFixture(
+        label="three-elliptic-curves",
+        components=(("curve", 1, 3),),
+        triple=(3, 8, 6),
+    ),
+    FixedLocusFixture(
+        label="three-points-three-rational-curves",
+        components=(("point", 3), ("curve", 0, 3)),
+        triple=(3, 7, 7),
+    ),
+)
+
+HILB2_NATURAL_355 = K3FixedLocus(p=3, k=2, n=(0, 5))
+
+
+def census_chi_closed_form(g: int, N: int, k: int) -> tuple[int, int]:
+    """Closed forms for (chi, h_star) when a genus-g curve is present."""
+    # Both halvings are exact: the factors of chi2 differ by 3, and every term
+    # of hs2 is even except N^2 + 7N = N(N + 7).
+    chi2 = (2 * g - 2 - N - 2 * k) * (2 * g - 5 - N - 2 * k)
+    hs2 = N * N + 7 * N + 4 * N * k + 14 * k + 4 * N * g + 10 + 10 * g + 4 * k * k + 8 * k * g + 4 * g * g
+    return chi2 // 2, hs2 // 2
+
+
+def cross_check_against_table(f: K3FixedLocus, p: int, m: int, a: int) -> bool:
+    census = hilb2_census(f)
+    return cross_check_totals(census.chi, census.h_star, p, m, a)
+
+
+def h4_trace(m: int, r: int) -> int:
+    """Trace of the action on degree-4 cohomology: (m-r)(m-r-1)/2."""
+    return (m - r) * (m - r - 1) // 2

@@ -13,16 +13,15 @@ from golden_data import (
     TABLE_ROWS,
     figure_marker_set,
 )
-from hklat.classify import embed_in_L, invariants_of, recognize
-from hklat.fixedlocus import (
+from fixedlocus_fixtures import (
     FANO_FIXTURES,
     HILB2_NATURAL_355,
-    K3FixedLocus,
     census_chi_closed_form,
     cross_check_against_table,
-    cross_check_totals,
-    hilb2_census,
+    h4_trace,
 )
+from hklat.classify import embed_in_L, invariants_of, recognize
+from hklat.fixedlocus import K3FixedLocus, cross_check_totals, hilb2_census
 from hklat.fqf import (
     cyclic_form,
     even_lattice_exists_report,
@@ -38,7 +37,7 @@ from hklat.involutions import (
     figure_points,
 )
 from hklat.lattices import discriminant_form, realize
-from hklat.tables import enumerate_triples, h4_trace, h_star, lefschetz_chi
+from hklat.tables import enumerate_triples, h_star, lefschetz_chi
 
 def report(criterion, description):
     print(f"[criterion {criterion}] PASS  {description}")

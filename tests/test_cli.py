@@ -362,7 +362,7 @@ COMMAND_LAYERS = {
     "census": (("census", "LOCUS"), ("errors", "exact", "fixedlocus")),
     "census-check": (
         ("census", "LOCUS", "--check", "3,5,5"),
-        (*CORE, "classify", "fixedlocus", "tables"),
+        ("errors", "exact", "fixedlocus", "tables"),
     ),
     "local-actions": (("local-actions", "--prime", "7"), ("errors", "exact", "fixedlocus")),
 }
@@ -386,6 +386,38 @@ def test_fresh_command_loads_only_the_layers_it_runs(argv, layers, tmp_path):
     )
     unloaded = [f"hklat.{layer}" for layer in LAYERS if layer not in layers]
     assert _fresh_python("-c", probe) == f"0 {unloaded!r}\n"
+
+
+# Calls that print L's name or only parse, and the layers each loads besides
+# `cli`: L's name is `hklat.AMBIENT`, so none of them loads `lattices`.
+NAMING_CALLS = {
+    "build_parser": ("build_parser()", ("errors",)),
+    "help": ("main(['--help'])", ("errors",)),
+    "no-arguments": ("main([])", ("errors",)),
+    "unknown-command": ("main(['bogus'])", ("errors",)),
+    "involution-no-embedding": (
+        "main(['involution', '--r', '14', '--a', '10', '--delta', '0'])", ("errors", "involutions")
+    ),
+    "involution-no-lattice": (
+        "main(['involution', '--r', '1', '--a', '1', '--delta', '0'])", ("errors", "involutions")
+    ),
+}
+
+
+@pytest.mark.parametrize("call, layers", NAMING_CALLS.values(), ids=NAMING_CALLS)
+def test_fresh_parse_or_naming_L_loads_no_arithmetic(call, layers):
+    probe = (
+        "import contextlib, io, sys, types\n"
+        "from hklat.cli import build_parser, main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        {call}\n"
+        "    except SystemExit:  # --help\n"
+        "        pass\n"
+        f"print({UNLOADED})\n"
+    )
+    unloaded = [f"hklat.{layer}" for layer in LAYERS if layer not in layers]
+    assert _fresh_python("-c", probe) == f"{unloaded!r}\n"
 
 
 def test_error_raised_in_a_lazy_layer_exits_typed_with_empty_stdout():

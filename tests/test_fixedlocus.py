@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from hklat.errors import InvalidParameter, UnsupportedPrime
-from hklat.fixedlocus import (
+from fixedlocus_fixtures import (
     FANO_FIXTURES,
     HILB2_NATURAL_355,
-    K3FixedLocus,
     census_chi_closed_form,
     cross_check_against_table,
+)
+from hklat.errors import InvalidParameter, UnsupportedPrime
+from hklat.fixedlocus import (
+    K3FixedLocus,
     cross_check_totals,
     enumerate_local_actions,
     hilb2_census,

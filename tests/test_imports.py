@@ -1,6 +1,7 @@
 """Every name a module of hklat imports is used in that module, the package
-holds only its eight layers, each public name is reached only through its
-home layer, and every dotted `hklat.` reference in the docs resolves."""
+holds only its eight layers and L's name, each public name is reached only
+through its home layer, and every dotted `hklat.` reference in the docs
+resolves."""
 
 import ast
 import importlib
@@ -72,13 +73,16 @@ def test_package_has_no_other_names():
             exec(f"from hklat import {name}", {})
     with pytest.raises(AttributeError):
         hklat.no_such_name
-    # Besides the layers only modules: hklat.cli once imported, importlib, sys.
+    # Besides the layers L's name, and only modules: hklat.cli once imported,
+    # importlib, sys.
     others = {
         name: value
         for name, value in vars(hklat).items()
         if not name.startswith("_") and name not in LAYERS
     }
-    assert all(isinstance(value, types.ModuleType) for value in others.values()), others
+    assert [name for name, value in others.items() if not isinstance(value, types.ModuleType)] == [
+        "AMBIENT"
+    ], others
 
 
 def dotted_references(text):

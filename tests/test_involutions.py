@@ -29,7 +29,7 @@ def k3_triple_exists(r, a, delta):
 
 
 def test_ambient_signature_is_that_of_the_ambient_lattice():
-    # lattices.AMBIENT stays the one definition of L
+    # hklat.AMBIENT stays the one definition of L
     assert AMBIENT_SIGNATURE == ambient_lattice().signature()
 
 

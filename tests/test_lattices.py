@@ -21,8 +21,8 @@ from hklat.fqf import (
     normal_key,
     trivial_form,
 )
+from hklat import AMBIENT
 from hklat.lattices import (
-    AMBIENT,
     InvalidParameter,
     Lattice,
     LatticeExpr,

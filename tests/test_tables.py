@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fixedlocus_fixtures import h4_trace
 from golden_data import (
     EXCEPTION_TRIPLES,
     FANO_ONLY_TRIPLES,
@@ -25,7 +26,6 @@ from hklat.tables import (
     SUPPORTED_PRIMES,
     UnsupportedPrime,
     enumerate_triples,
-    h4_trace,
     h_star,
     lefschetz_chi,
     natural_verdict,
