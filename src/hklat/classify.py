@@ -7,10 +7,10 @@ signature (3-s+, 20-s-) and discriminant form (-q_S) + Z/2 (3/2).  Existence of 
 answered by fqf.even_lattice_exists_report (Nikulin's Thm 1.10.1): embed_in_L
 asks it for T, tables.enumerate_triples for S.
 
-Both answers are pure functions of values the process already holds, so
-each is computed once per process: embed_in_L's report once per S
-(signature and form), and recognize's answer once per genus of T
-(signature and normal key), in the `answers` table of T's pool.
+Both answers are functions of the genus alone, a `LatticeInvariants`
+value, so each is computed once per process per genus: embed_in_L's report
+per genus of S, and recognize's answer per genus of T.  The same genus on
+other generators reads the answer.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .fqf import (
     even_lattice_exists_report,
     jordan_splitting,
     local_key,
-    splitting_key,
+    normal_key,
 )
 from .lattices import (
     Lattice,
@@ -37,13 +37,47 @@ from .lattices import (
 )
 
 
-class LatticeInvariants(NamedTuple):
-    """Genus data of an even lattice: signature plus discriminant form
-    (Nikulin 1979, Cor. 1.9.4); p, a and rank are read off them."""
+class LatticeInvariants:
+    """The genus of an even lattice: its signature and the isomorphism class
+    of its discriminant form (Nikulin 1979, Cor. 1.9.4); p, a and rank are
+    read off them.
 
-    s_plus: int
-    s_minus: int
-    form: FiniteQuadraticForm
+    Immutable; equality and hashing go by (s+, s-, normal key of `form`),
+    so the same genus on other generators is equal.  `form` is one
+    representative.  The key is computed on the first hash or comparison
+    and kept in `_key`, outside repr and pickles; a genus only read for its
+    signature, p or a never computes it."""
+
+    __slots__ = ("s_plus", "s_minus", "form", "_key")
+
+    def __init__(self, s_plus: int, s_minus: int, form: FiniteQuadraticForm):
+        for name, value in zip(self.__slots__, (s_plus, s_minus, form, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LatticeInvariants is immutable; cannot set {name!r}")
+
+    @property
+    def key(self) -> tuple:
+        """(s+, s-, normal key of the form): equal iff the genera are."""
+        if self._key is None:
+            object.__setattr__(self, "_key", (self.s_plus, self.s_minus, normal_key(self.form)))
+        return self._key
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return (f"LatticeInvariants(s_plus={self.s_plus!r}, s_minus={self.s_minus!r}, "
+                f"form={self.form!r})")
+
+    def __reduce__(self):
+        return (LatticeInvariants, (self.s_plus, self.s_minus, self.form))
 
     @property
     def rank(self) -> int:
@@ -68,8 +102,8 @@ class LatticeInvariants(NamedTuple):
 
 
 def invariants_of(lattice: Lattice) -> LatticeInvariants:
-    """Signature and discriminant form of the lattice, read off its blocks
-    (see `lattices.discriminant_form`)."""
+    """The genus of the lattice, on the discriminant form read off its
+    blocks (see `lattices.discriminant_form`)."""
     return LatticeInvariants(*lattice.signature(), discriminant_form(lattice))
 
 
@@ -118,9 +152,10 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     complement case is checked directly, and an indefinite T may still get a
     one-class-per-genus certificate instead (exception_flag).
 
-    The report is a function of S's signature and form, so it is computed
-    once per process for each (s+, s-, form) asked; its objects are
-    immutable, so every caller shares them.  A rejected S raises each time.
+    The report is a function of the genus of S, so it is computed once per
+    process for each genus asked, with T's form built from the first
+    representative of S; its objects are immutable, so every caller shares
+    them.  A rejected S raises each time.
     """
     if s.p is None or (s.p == 2 and s.a > 0):
         raise NotPElementary("embedding analysis requires odd p (or trivial group)")
@@ -168,8 +203,7 @@ class _Pool(NamedTuple):
     """A search pool and what `recognize` reads off its terms, built once per
     process for each pool (see `_pool`).  `groups` holds, largest prime
     first, each prime p with the atoms filed under it as
-    (pool index, |det|, s+, s-); `local_keys`, `twos` and `answers` are the
-    tables."""
+    (pool index, |det|, s+, s-)."""
 
     terms: tuple[tuple[str, int], ...]
     splittings: tuple[dict[int, tuple], ...]
@@ -177,14 +211,11 @@ class _Pool(NamedTuple):
     scales: frozenset[int]
     u: int
     e8: int
-    local_keys: dict[tuple[int, tuple[int, ...]], tuple | frozenset]
-    twos: dict[tuple[int, ...], frozenset]
-    answers: dict[tuple[int, int, tuple], LatticeExpr | None]
 
 
 def _pool_of(target: LatticeInvariants) -> _Pool:
     """The recognition pool of `target`: the catalog terms (atom, twist)
-    eligible for its search, in canonical order, with their tables."""
+    eligible for its search, in canonical order, with what is read off them."""
     primes = target.form.lengths_per_prime()
     odd_primes = tuple(sorted(p for p in primes if p != 2))
     roots = tuple(p for p in odd_primes if p - 1 <= target.rank)
@@ -194,10 +225,10 @@ def _pool_of(target: LatticeInvariants) -> _Pool:
 @cache
 def _pool(odd_primes: tuple[int, ...], roots: tuple[int, ...], has_two_part: bool) -> _Pool:
     """The pool of a target whose |A_T| has these odd primes, and a 2-part
-    when `has_two_part`, with its tables, once per process.  A_{p-1} is a
-    term only for the primes p in `roots`, those with p - 1 <= rank T: a
-    larger one, of signature (0, p - 1), can never be a summand, and its
-    block alone would cost more than the search (A_222 for p = 223)."""
+    when `has_two_part`, once per process.  A_{p-1} is a term only for the
+    primes p in `roots`, those with p - 1 <= rank T: a larger one, of
+    signature (0, p - 1), can never be a summand, and its block alone would
+    cost more than the search (A_222 for p = 223)."""
     terms: list[tuple[str, int]] = [("U", 1)]
     for p in odd_primes:
         terms.append(("U", p))
@@ -234,9 +265,10 @@ def _pool(odd_primes: tuple[int, ...], roots: tuple[int, ...], has_two_part: boo
     by_prime = tuple((p, tuple(groups[p])) for p in sorted(groups, reverse=True))
     scales = frozenset(m for split in splittings for blocks in split.values() for m, _ in blocks)
     u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
-    return _Pool(tuple(terms), splittings, by_prime, scales, u, e8, {}, {}, {})
+    return _Pool(tuple(terms), splittings, by_prime, scales, u, e8)
 
 
+@cache
 def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     """The first catalog direct sum over `_pool_of(target).terms` with the
     target's signature and discriminant form, or None when there is none.
@@ -246,28 +278,12 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     key is read off its atoms' Jordan blocks put together, since any Jordan
     splitting gives the key.
 
-    Tables.  A pool depends on the target only through the odd primes of
-    |A_T|, those of them whose A_{p-1} fits in rank T, and whether |A_T| has
-    a 2-part, so `_pool` builds it once per process for each such signature:
+    A pool depends on the target only through the odd primes of |A_T|,
+    those of them whose A_{p-1} fits in rank T, and whether |A_T| has a
+    2-part, so `_pool` keeps it once per process for each such signature:
     the terms, their Jordan splittings, the atoms filed under each prime, the
-    block scales, and the indices of U and E8.
-    Each pool also keeps two tables that the search fills as it goes:
-    (p, atoms of a partial sum as pool indices) -> the local key at p, which
-    `fqf.local_key` computes on a miss, and the sorted atoms of a partial sum
-    -> its multiset of Jordan blocks at 2.  A key is a function of the atoms
-    it names, so a table entry holds for every target of that pool.  The
-    tables grow with the distinct atom multisets the searches visit, each of
-    |det| product dividing some |A_T|, not with the number of targets; a
-    search met again adds nothing.  They only cache values; the state the
-    search prunes by and its order are as below.
-    A third table, `answers`, maps (s+, s-, normal key) of a target to its
-    answer.  The answer depends on the target only through its signature
-    and its form up to isomorphism, and the key records the block scales
-    the pre-check below reads and, with their ranks, |A_T|; so a search
-    runs once per genus of T per process, and a target met again on other
-    generators reads the answer.  It grows with the distinct genera asked.
-    The tables live in the pool, so `_pool.cache_clear()` resets every
-    piece of recognition state at once.
+    block scales, and the indices of U and E8.  The answer is a function of
+    the genus of T, so it is computed once per process per genus.
 
     The search.  The atoms are the pool terms with |det| != 1.  Each is filed
     under the largest prime p of its |det|, and the primes are taken from
@@ -318,41 +334,28 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     wherever that one answers.  The empty multiset answers the rank-0
     target.
     """
-    pool = _pool_of(target)
+    return _search(_pool_of(target), target)
+
+
+def _search(pool: _Pool, target: LatticeInvariants) -> LatticeExpr | None:
+    """`recognize`'s search for `target` over `pool`."""
+    splittings = pool.splittings
     want_splitting = jordan_splitting(target.form)
-    key = (target.s_plus, target.s_minus, splitting_key(want_splitting))
-    answers = pool.answers
-    if key not in answers:
-        answers[key] = _search(pool, target, want_splitting, dict(key[2]))
-    return answers[key]
-
-
-def _search(
-    pool: _Pool, target: LatticeInvariants, want_splitting: dict, want: dict
-) -> LatticeExpr | None:
-    """`recognize`'s search for `target`, whose Jordan splitting is
-    `want_splitting` and whose local key at each prime p is want[p]."""
-    splittings, local_keys, twos = pool.splittings, pool.local_keys, pool.twos
     if any(m not in pool.scales for blocks in want_splitting.values() for m, _ in blocks):
         return None
     want_plus, want_minus = target.s_plus, target.s_minus
+    want = dict(target.key[2])
 
     def extend(p, atoms, start, left, plus, minus, acc, out):
         """Append to `out` the extensions of acc by `atoms` from `start` on
         whose p-part is done, as ((rest of |A_T|, plus, minus, blocks at 2),
         sorted acc)."""
         if left % p:
-            key = local_keys.get((p, acc))
-            if key is None:
-                blocks = [b for i in acc for b in splittings[i].get(p, ())]
-                key = local_keys[p, acc] = local_key(p, blocks)
-            if key == want[p]:
+            blocks = [b for i in acc for b in splittings[i].get(p, ())]
+            if local_key(p, blocks) == want[p]:
                 seq = tuple(sorted(acc))
-                two = twos.get(seq)
-                if two is None:
-                    blocks = Counter(b for i in seq for b in splittings[i].get(2, ()))
-                    two = twos[seq] = frozenset(blocks.items())
-                out.append(((left, plus, minus, two), seq))
+                two = Counter(b for i in seq for b in splittings[i].get(2, ()))
+                out.append(((left, plus, minus, frozenset(two.items())), seq))
         for k in range(start, len(atoms)):
             i, d, sp, sm = atoms[k]
             if left % d == 0 and plus + sp <= want_plus and minus + sm <= want_minus:

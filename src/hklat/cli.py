@@ -53,20 +53,21 @@ def _load_lattice(source: str) -> lattices.Lattice:
 
 def _cmd_invariants(args) -> int:
     lat = _load_lattice(args.lattice)
-    # The Smith form of the full Gram matrix: its generators fix the printed
-    # group and values, so it is taken here also for a named lattice.  The
-    # Gauss signature and delta are invariants of the form's class: they are
-    # read off the blocks' forms, already split, not off a new Smith form.
-    inv = classify.LatticeInvariants(*lat.signature(), lattices.discriminant_data(lat).form)
-    form_inv = fqf.form_invariants(lattices.discriminant_form(lat))
+    # Only the group and the values of q on generators depend on the
+    # generators: they are printed on those of the Smith form of the full
+    # Gram matrix, taken here also for a named lattice.  Every other line is
+    # read off the genus, on the blocks' forms, already split.
+    inv = classify.invariants_of(lat)
+    form = lattices.discriminant_data(lat).form
+    form_inv = fqf.form_invariants(inv.form)
     if inv.p == 0:
         elementary = "true for every p (unimodular, a = 0)"
     elif inv.p is None:
         elementary = "false"
     else:
         elementary = f"true (p={inv.p}, a={inv.a})"
-    group = " x ".join(f"Z/{d}" for d in inv.form.orders) or "trivial"
-    values = ", ".join(_ratio_text(v, inv.form.level) for v in inv.form.q) or "-"
+    group = " x ".join(f"Z/{d}" for d in form.orders) or "trivial"
+    values = ", ".join(_ratio_text(v, form.level) for v in form.q) or "-"
     print("\n".join((
         f"lattice: {lat.name()}",
         f"rank: {lat.rank}",

@@ -18,8 +18,7 @@ process, cached by that pair.  Like `lattices.atom_data`, the cache is
 unbounded.  It stays small because it grows with distinct multisets, not
 with forms or queries: a form met again, or a form on other generators with
 the same blocks, adds nothing, and the multisets `classify.recognize` asks
-about, on a miss of its own pool tables, are sums of the few catalog atoms'
-blocks whose orders divide |A_T|.
+about are sums of the few catalog atoms' blocks whose orders divide |A_T|.
 """
 
 from __future__ import annotations
@@ -438,14 +437,7 @@ def normal_key(form: FiniteQuadraticForm) -> tuple:
     so the set depends on q only up to isomorphism; conversely a lattice in
     both sets has a discriminant form isomorphic to both forms.
     """
-    return splitting_key(jordan_splitting(form))
-
-
-def splitting_key(splitting: dict[int, list[tuple[int, int | str]]]) -> tuple:
-    """The normal key of the form whose p-part has the Jordan blocks
-    splitting[p].  Any Jordan splitting gives the same key, so the blocks of
-    an orthogonal sum may be those of its summands put together."""
-    return tuple((p, local_key(p, blocks)) for p, blocks in sorted(splitting.items()))
+    return tuple((p, local_key(p, blocks)) for p, blocks in jordan_splitting(form).items())
 
 
 def local_key(p: int, blocks) -> tuple | frozenset:

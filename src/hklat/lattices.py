@@ -38,13 +38,12 @@ from a file:
     what it keeps, growing with the distinct expressions;
   * local keys (`fqf.local_key`): the normal key of one p-part per prime
     and multiset of Jordan blocks, growing with the distinct multisets;
-  * pool tables (`classify._pool`): per recognition pool its terms, their
-    splittings, and the local keys and 2-blocks of the atom multisets the
-    searches visit, growing with the pools (the odd primes of |A_T| that
-    occur) and those multisets, and the answer of each genus of T asked,
-    growing with the distinct genera;
-  * embedding reports (`classify.embed_in_L`): one report per S asked,
-    growing with the distinct (signature, form) pairs.
+  * recognition pools (`classify._pool`): per pool its terms and their
+    splittings, growing with the pools (the odd primes of |A_T| that
+    occur);
+  * recognitions (`classify.recognize`): one answer per genus of T asked;
+  * embedding reports (`classify.embed_in_L`): one report per genus of S
+    asked.
 None grows with the number of queries: a query met again adds nothing.
 """
 

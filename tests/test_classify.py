@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,11 @@ from hklat.fqf import (
     p_elementary_form,
     trivial_form,
 )
-from hklat.lattices import atom_data, discriminant_form, realize
+from hklat.cli import main
+from hklat.lattices import Lattice, atom_data, discriminant_form, realize
 from hklat.tables import LATTICE_NAMES
+from snf_oracle import mat_mul
+from test_exact import _random_unimodular, transpose
 from test_lattices import atom_sums
 
 
@@ -225,6 +230,7 @@ def test_pool_of_a_large_prime_builds_no_root_term_beyond_the_rank(monkeypatch):
 
     monkeypatch.setattr(classify, "atom_data", recording)
     _pool.cache_clear()
+    recognize.cache_clear()
     assert str(recognize(target)) == "U^2 + E8^2 + <446>"
     assert ("K223", 1) in built and ("A222", 1) not in built
     assert ("A222", 1) not in _pool_of(target).terms
@@ -256,34 +262,35 @@ def test_recognize_has_no_summand_budget():
 
 def test_recognize_of_the_same_atoms_adds_no_local_keys():
     # the second target is the first on other generators: the same signature
-    # and Jordan blocks, so its search asks only for keys the first stored
+    # and Jordan blocks, so its search, run afresh, asks only for local keys
+    # that the first search left in fqf's cache
     first = invariants_of(realize("U + A2^2 + E6 + <-2>"))
     second = invariants_of(realize("<-2> + E6 + U + A2^2"))
     assert first.form != second.form
-    pool = _pool_of(first)
-    assert _pool_of(second) is pool
+    assert _pool_of(second) is _pool_of(first)
+    recognize.cache_clear()
     expr = recognize(first)
-    assert pool.local_keys and pool.twos
-    sizes = (len(pool.local_keys), len(pool.twos))
     misses = fqf._multiset_key.cache_info().misses
-    assert recognize(second) == recognize(first) == expr
-    assert (len(pool.local_keys), len(pool.twos)) == sizes
+    recognize.cache_clear()
+    assert recognize(second) == expr
+    assert recognize.cache_info().misses == 1
     assert fqf._multiset_key.cache_info().misses == misses
 
 
 def test_recognize_answers_a_genus_once():
-    # the same genus on other generators: one search, then its answer is read
+    # the same genus on other generators: one search, then its answer is read,
+    # and reading it asks for no new local key
     first = _invariants("U + A2^2 + E6 + <-2>")
     second = _invariants("<-2> + E6 + U + A2^2")
-    assert first.form != second.form
-    _pool.cache_clear()
-    pool = _pool_of(first)
-    assert pool.answers == {}
+    assert first.form != second.form and first == second
+    recognize.cache_clear()
     expr = recognize(first)
-    assert str(expr) == "E6^2 + <6>" and len(pool.answers) == 1
-    sizes = (len(pool.local_keys), len(pool.twos))
+    assert str(expr) == "E6^2 + <6>"
+    misses = fqf._multiset_key.cache_info().misses
     assert recognize(second) is expr
-    assert (len(pool.answers), len(pool.local_keys), len(pool.twos)) == (1, *sizes)
+    info = recognize.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert fqf._multiset_key.cache_info().misses == misses
 
 
 def test_recognize_answers_are_kept_per_signature_and_form():
@@ -298,18 +305,15 @@ def test_recognize_answers_are_kept_per_signature_and_form():
     assert _invariants("U + E8").form == _invariants("U^2 + E8").form
 
 
-def test_targets_with_different_prime_sets_do_not_share_a_table():
+def test_targets_with_different_prime_sets_do_not_share_a_pool():
     # |A_T| with the odd primes {3}, {3, 5}, and {3} with a 2-part
     names = ("U + A2^2", "U + A2 + A4", "U + A2 + <-2>")
     targets = [invariants_of(realize(name)) for name in names]
     pools = [_pool_of(target) for target in targets]
-    assert len({id(pool.local_keys) for pool in pools}) == 3
-    assert len({id(pool.twos) for pool in pools}) == 3
-    assert str(recognize(targets[0])) == names[0]
-    sizes = (len(pools[0].local_keys), len(pools[0].twos))
-    for name, target in zip(names[1:], targets[1:]):
+    assert len({id(pool) for pool in pools}) == 3
+    assert len({pool.terms for pool in pools}) == 3
+    for name, target in zip(names, targets):
         assert str(recognize(target)) == name
-    assert (len(pools[0].local_keys), len(pools[0].twos)) == sizes
 
 
 def test_search_pool_unimodular_terms_are_U_and_E8():
@@ -337,6 +341,43 @@ def test_rank_one_orthogonal_group_surjects_matches_a_unit_scan():
             ]
             expected = all(u in (1, n - 1) for u in preserving)
             assert _rank_one_orthogonal_group_surjects(n) == expected, (n, sign)
+
+
+def _on_random_basis(name, rng):
+    """The Gram matrix of `name` on a random basis: P^T G P, P unimodular."""
+    gram = realize(name).gram
+    p = _random_unimodular(len(gram), rng)
+    return mat_mul(mat_mul(transpose(p), gram), p)
+
+
+@pytest.mark.parametrize("row", sorted(LATTICE_NAMES), ids=str)
+def test_a_genus_on_other_bases_is_one_key(row, tmp_path, capsys):
+    # each table row's S and T on seeded random bases: an equal genus, the
+    # same embedding report and recognition, and the same `embed` output
+    # below the line that names S
+    s_name, t_name = LATTICE_NAMES[row]
+    rng = random.Random(repr(row))
+    embed_in_L.cache_clear()
+    recognize.cache_clear()
+    s, t = _invariants(s_name), _invariants(t_name)
+    report = embed_in_L(s)
+    answer = recognize(report.orthogonal_invariants)
+    assert recognize(t) is answer
+    assert main(["embed", "--expr", s_name]) == 0
+    named = capsys.readouterr().out.splitlines()
+    for i in range(3):
+        gram = _on_random_basis(s_name, rng)
+        s_moved = invariants_of(Lattice(gram))
+        t_moved = invariants_of(Lattice(_on_random_basis(t_name, rng)))
+        assert s_moved == s and hash(s_moved) == hash(s)
+        assert t_moved == t
+        assert embed_in_L(s_moved) is report
+        assert recognize(t_moved) is answer
+        path = tmp_path / f"s{i}.json"
+        path.write_text(json.dumps({"gram": [list(r) for r in gram]}))
+        assert main(["embed", "--expr", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == named[1:]
+    assert embed_in_L.cache_info().currsize == recognize.cache_info().currsize == 1
 
 
 def test_pool_terms_are_built_once():

@@ -31,6 +31,20 @@ def test_invariants_expr(capsys):
     assert "signature: (1, 1)" in out
 
 
+def test_invariants_computes_no_normal_key(tmp_path, capsys):
+    # the genus is read for its signature, p and a only, cold and warm, from
+    # a name or a JSON file: no local key is asked for, hit or miss
+    source = tmp_path / "lat.json"
+    source.write_text(json.dumps({"gram": [list(r) for r in realize("U(3) + A2 + <-2>").gram]}))
+    lattices.realize.cache_clear()
+    info = fqf._multiset_key.cache_info()
+    for _ in range(2):
+        for lattice in ("U + A2^2 + E6 + <-2>", str(source)):
+            code, out, _ = run_cli(capsys, "invariants", lattice)
+            assert code == 0 and "discriminant group: Z/" in out
+    assert fqf._multiset_key.cache_info()[:2] == info[:2]
+
+
 def test_invariants_json_file(tmp_path, capsys):
     # U, and U^2 on another basis (whose Smith form modulo det² = 1 once
     # divided by zero)
