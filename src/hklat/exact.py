@@ -312,48 +312,46 @@ def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatri
     return tuple(math.gcd(a[t][t], r) for t in range(n)), tuple(zip(*vt))
 
 
-def signature_of_symmetric(m: IntMatrix) -> tuple[int, int]:
-    """Signature (s_plus, s_minus) of a nondegenerate symmetric integer matrix.
+def signature_of_symmetric(m: IntMatrix) -> tuple[tuple[int, int], int]:
+    """((s_plus, s_minus), det) of a nondegenerate symmetric integer matrix,
+    by one symmetric fraction-free (Bareiss) elimination.
 
-    Computed by fraction-free symmetric elimination.  The pivot p = a_00 is
-    counted by its sign, and the trailing block becomes the Schur complement
-    scaled by |p|, sign(p)·(p·a_ij - a_i0·a_0j), divided by its content; both
-    scalings are positive, so the inertia is preserved.  When all remaining
-    diagonal entries vanish (as happens for even lattices such as the
-    hyperbolic plane) a row/column of an off-diagonal entry is added in first,
-    which splits the 2x2 hyperbolic block exactly.
-
-    Swaps, row/column additions and content divisions keep the rank of the
-    remaining block, and a Schur step on a nonzero pivot lowers it by exactly
-    one.  So a singular matrix reaches a block whose leading row is zero, and
-    only a singular one does; that is where `DegenerateForm` is raised.
+    Step k sets each trailing entry to (a_ij·p - a_ik·a_kj) / (previous
+    pivot), by Sylvester's identity (Bareiss, Math. Comp. 22, 1968) the minor
+    of rows 0..k, i and columns 0..k, j: the division is exact and the pivots
+    are the leading principal minors d_1, ..., d_n.  So det = d_n, and
+    s_minus counts the sign changes in 1, d_1, ..., d_n (Jacobi's rule).  A
+    zero pivot is swapped symmetrically with a later nonzero diagonal entry,
+    or, with none (as in U), row and column j with a_kj != 0 are added in:
+    pivot 2·a_kj.  These unimodular congruences on the indices >= k keep
+    det, signature and d_1, ..., d_k, and a trailing entry is linear in its
+    row and in its column, so it stays a minor of the repaired matrix: the
+    divisions stay exact.  A zero pivot row (`DegenerateForm`) is d_k times
+    a zero row of a Schur complement, so the matrix is singular; a singular
+    one meets such a row, as d_n = det = 0 and no other pivot is 0.
     """
-    n, c = dims(m)
-    if n != c or not is_symmetric(m):
+    if not is_symmetric(m):
         raise InvalidParameter("signature requires a symmetric square matrix")
-    plus = minus = 0
+    n, minus, prev = len(m), 0, 1
     a = [list(row) for row in m]
-    while a:
-        if not any(a[0]):
-            raise DegenerateForm("matrix is singular")
-        if a[0][0] == 0:
-            i = next((i for i in range(1, len(a)) if a[i][i] != 0), None)
-            if i is not None:  # symmetric swap of indices 0 and i
-                a[0], a[i] = a[i], a[0]
-                for row in a:
-                    row[0], row[i] = row[i], row[0]
-            else:  # row_0 += row_j and col_0 += col_j
-                j = next(j for j in range(1, len(a)) if a[0][j] != 0)
-                a[0] = [x + y for x, y in zip(a[0], a[j])]
-                for row in a:
-                    row[0] += row[j]
-        p = a[0][0]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
-        s = 1 if p > 0 else -1
-        rest = [[s * (p * x - r[0] * y) for x, y in zip(r[1:], a[0][1:])] for r in a[1:]]
-        g = math.gcd(*(x for row in rest for x in row))
-        a = [[x // g for x in row] for row in rest] if g > 1 else rest
-    return plus, minus
+    for k in range(n):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if i is not None:  # symmetric swap of indices k and i
+                a[k], a[i] = a[i], a[k]
+                for r in a[k:]:
+                    r[k], r[i] = r[i], r[k]
+            else:  # row_k += row_j and col_k += col_j
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    raise DegenerateForm("matrix is singular")
+                a[k][k:] = [x + y for x, y in zip(a[k][k:], a[j][k:])]
+                for r in a[k:]:
+                    r[k] += r[j]
+        p, tail = a[k][k], a[k][k + 1:]
+        minus += (p < 0) != (prev < 0)
+        for r in a[k + 1:]:
+            x = r[k]
+            r[k + 1:] = [(y * p - x * z) // prev for y, z in zip(r[k + 1:], tail)]
+        prev = p
+    return (n - minus, minus), prev

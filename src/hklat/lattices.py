@@ -17,10 +17,10 @@ once per process.
 
 A lattice is the orthogonal sum of its blocks.  A block is an even,
 symmetric, nondegenerate Gram matrix, checked once when `_block` builds it,
-with its determinant, signature and discriminant data (the Smith form
-modulo det², `_smith_data`).  `Lattice(gram, expr)` is one block;
-`atom_data` builds each twisted catalog atom's block once per process;
-`realize` concatenates blocks without checking them again.
+with its determinant and signature (from one elimination) and discriminant
+data (the Smith form modulo det², `_smith_data`).  `Lattice(gram, expr)`
+is one block; `atom_data` builds each twisted catalog atom's block once
+per process; `realize` concatenates blocks without checking them again.
 Every invariant is read off the blocks: det multiplies, rank and signature
 add, and the discriminant form is the orthogonal sum of the blocks' forms.
 The `invariants` command prints the discriminant group and the values of q
@@ -56,7 +56,7 @@ from functools import cache, reduce
 from typing import NamedTuple
 
 from . import AMBIENT
-from .errors import InvalidParameter, NotEvenLattice
+from .errors import DegenerateForm, InvalidParameter, NotEvenLattice
 from .exact import (
     IntMatrix,
     as_matrix,
@@ -221,7 +221,8 @@ class Block(NamedTuple):
 
 
 def _block(gram) -> Block:
-    """Check a Gram matrix and compute its invariants, each once."""
+    """Check a Gram matrix and compute its invariants, each once: det and
+    signature from one elimination, then the discriminant data."""
     g = as_matrix(gram)
     if dims(g)[1] != len(g):
         raise InvalidParameter("Gram matrix must be square")
@@ -229,10 +230,11 @@ def _block(gram) -> Block:
         raise NotEvenLattice("Gram matrix must be symmetric")
     if any(g[i][i] % 2 for i in range(len(g))):
         raise NotEvenLattice("lattice is not even: odd diagonal entry")
-    det = det_exact(g)
-    if det == 0:
-        raise NotEvenLattice("lattice is degenerate")
-    return Block(g, det, signature_of_symmetric(g), _smith_data(g, det))
+    try:
+        signature, det = signature_of_symmetric(g)
+    except DegenerateForm:
+        raise NotEvenLattice("lattice is degenerate") from None
+    return Block(g, det, signature, _smith_data(g, det))
 
 
 class Lattice:

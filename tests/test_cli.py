@@ -201,6 +201,10 @@ INPUT_FILES = {
     # 2^61 - 1 with no "n": the default of p - 1 zeros must not be built
     "huge_p.json": '{"p": 2305843009213693951}',
     "p23.json": '{"p": 23, "k": 0}',
+    "singular.json": '{"gram": [[2, 2], [2, 2]]}',
+    # no nonzero diagonal entry: rejected where the pivot repair would add a row
+    "null.json": '{"gram": [[0, 0], [0, 0]]}',
+    "asym.json": '{"gram": [[0, 1], [2, 0]]}',
 }
 
 
@@ -238,6 +242,9 @@ FAILURES = [
     (("embed",), 1),
     (("bogus",), 1),
     (("invariants", "odd.json"), 2),
+    (("invariants", "singular.json"), 2),
+    (("invariants", "null.json"), 2),
+    (("invariants", "asym.json"), 2),
 ]
 
 
@@ -251,6 +258,8 @@ def test_failures_exit_typed_with_empty_stdout(tmp_path, monkeypatch, capsys, ar
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (expected_code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[-1] in ("singular.json", "null.json"):
+        assert err == "error: lattice is degenerate\n"
 
 
 def test_determinism(capsys):
@@ -467,19 +476,20 @@ def test_one_parser_serves_a_session(capsys):
     [(("invariants", "U(3)"), "U(3)"), (("embed", "--expr", "U^2 + E8^2 + A2"), "U^2 + E8^2 + A2")],
 )
 def test_named_lattice_determinant_computed_once(monkeypatch, capsys, argv, name):
-    # a realized lattice multiplies its atoms' determinants: none on its full
-    # Gram matrix (unless it is one atom), and one per atom per process
+    # a realized lattice multiplies its atoms' determinants: no elimination
+    # on its full Gram matrix (unless it is one atom), and one per atom per
+    # process, which gives the atom's det and signature
     gram = realize(name).gram
     atoms = {lattices.atom_data(atom, t).gram for atom, t, _ in lattices.parse_expr(name).summands}
-    real_det = exact.det_exact
+    real_elimination = exact.signature_of_symmetric
     grams = []
 
-    def counting_det(m):
+    def counting_elimination(m):
         grams.append(m)
-        return real_det(m)
+        return real_elimination(m)
 
     for module in (exact, lattices):
-        monkeypatch.setattr(module, "det_exact", counting_det)
+        monkeypatch.setattr(module, "signature_of_symmetric", counting_elimination)
     lattices.atom_data.cache_clear()
     lattices.realize.cache_clear()
     for _ in range(2):

@@ -20,7 +20,7 @@ from hklat.exact import (
     signature_of_symmetric,
     smith_normal_form,
 )
-from hklat.lattices import realize
+from hklat.lattices import _root_gram, realize
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import mat_mul
 from test_frozen_queries import FROZEN
@@ -123,9 +123,25 @@ def test_det_examples():
 
 
 def test_signature_examples():
-    assert signature_of_symmetric(U) == (1, 1)
-    assert signature_of_symmetric(((2, 1), (1, -2))) == (1, 1)  # H5
-    assert signature_of_symmetric(()) == (0, 0)
+    # the one pass returns ((s_plus, s_minus), det), det agreeing with Bareiss
+    examples = {
+        U: ((1, 1), -1),
+        ((2, 1), (1, -2)): ((1, 1), -5),  # H5
+        ((-2, 1, 0, 1), (1, -2, 0, 0), (0, 0, -2, 1), (1, 0, 1, -4)): ((0, 4), 17),  # L17
+        ((6,),): ((1, 0), 6),
+        (): ((0, 0), 1),  # the empty lattice
+    }
+    for m, expected in examples.items():
+        assert signature_of_symmetric(m) == expected
+        assert expected[1] == det_exact(m)
+
+
+def test_signature_and_det_of_root_lattices_in_closed_form():
+    # A_n: det (-1)^n (n+1); D_n: det (-1)^n 4; both negative definite
+    for n in range(1, 61):
+        assert signature_of_symmetric(_root_gram(n, n - 2)) == ((0, n), (-1) ** n * (n + 1))
+        if n >= 4:
+            assert signature_of_symmetric(_root_gram(n, n - 3)) == ((0, n), (-1) ** n * 4)
 
 
 def test_signature_rejects_degenerate():
@@ -145,14 +161,20 @@ def _random_unimodular(n, rng):
 
 
 def test_signature_congruence_invariant():
+    # U^k has no nonzero diagonal entry, so its first pivot comes from adding
+    # a row and column in; its congruences mix zero and nonzero diagonals
     rng = random.Random(7)
     grams = [A2, U, ((2, 1), (1, -2)), ((0, 1, 0), (1, 0, 0), (0, 0, -2))]
+    grams += [block_diag([U] * k) for k in (2, 3, 4)]
+    assert [signature_of_symmetric(g) for g in grams[4:]] == [((k, k), (-1) ** k) for k in (2, 3, 4)]
     for g in grams:
         n = len(g)
-        for _ in range(5):
+        expected = signature_of_symmetric(g)
+        assert expected[1] == det_exact(g)
+        for _ in range(20):
             p = _random_unimodular(n, rng)
             conj = mat_mul(mat_mul(transpose(p), g), p)
-            assert signature_of_symmetric(conj) == signature_of_symmetric(g)
+            assert signature_of_symmetric(conj) == expected
             assert det_exact(conj) == det_exact(g)
 
 
@@ -222,8 +244,9 @@ def symmetric_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(symmetric_matrices())
 def test_signature_agrees_with_descartes_count(m):
-    assume(det_exact(m) != 0)
-    assert signature_of_symmetric(m) == _signature_by_descartes(m)
+    det = det_exact(m)
+    assume(det != 0)
+    assert signature_of_symmetric(m) == (_signature_by_descartes(m), det)
 
 
 @st.composite
@@ -253,11 +276,13 @@ def singular_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(singular_matrices(), symmetric_matrices()))
 def test_signature_rejects_exactly_the_singular(m):
-    if det_exact(m) == 0:
+    det = det_exact(m)
+    if det == 0:
         with pytest.raises(DegenerateForm):
             signature_of_symmetric(m)
     else:
-        assert sum(signature_of_symmetric(m)) == len(m)
+        signature, pivot_det = signature_of_symmetric(m)
+        assert sum(signature) == len(m) and pivot_det == det
 
 
 def test_signature_rejects_hyperbolic_plus_zero():
@@ -372,12 +397,13 @@ def permuted_block_sums(draw):
 @given(permuted_block_sums())
 def test_components_det_and_signature_match_oracles(case):
     m, singular = case
-    assert det_exact(m) == sympy.Matrix(m).det()
+    det = sympy.Matrix(m).det()
+    assert det_exact(m) == det
     if singular:
         with pytest.raises(DegenerateForm):
             signature_of_symmetric(m)
     else:
-        assert signature_of_symmetric(m) == _signature_by_descartes(m)
+        assert signature_of_symmetric(m) == (_signature_by_descartes(m), det)
 
 
 @st.composite

@@ -405,6 +405,28 @@ def test_det_is_computed_once_at_construction():
     assert "blocks" not in repr(u)
 
 
+def test_gram_lattice_runs_one_elimination(monkeypatch):
+    # det and signature of a Gram matrix come from one elimination, with no
+    # Bareiss determinant beside it
+    import hklat.exact
+    import hklat.lattices
+
+    calls = {"det_exact": [], "signature_of_symmetric": []}
+    for name, grams in calls.items():
+        real = getattr(hklat.exact, name)
+
+        def counting(m, real=real, grams=grams):
+            grams.append(m)
+            return real(m)
+
+        for module in (hklat.exact, hklat.lattices):
+            monkeypatch.setattr(module, name, counting)
+    gram = ((0, 3, 0, 0), (3, 0, 0, 0), (0, 0, -2, 1), (0, 0, 1, -2))  # U(3) + A2
+    lat = lattice_from_json(json.dumps({"gram": [list(row) for row in gram]}))
+    assert (lat.det(), lat.signature()) == (-27, (1, 3))
+    assert calls == {"det_exact": [], "signature_of_symmetric": [gram]}
+
+
 def test_value_classes_are_immutable_and_rebuild_by_copy_and_pickle():
     import copy
     import pickle
