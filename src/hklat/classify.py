@@ -44,14 +44,14 @@ class LatticeInvariants:
 
     Immutable; equality and hashing go by (s+, s-, normal key of `form`),
     so the same genus on other generators is equal.  `form` is one
-    representative.  The key is computed on the first hash or comparison
-    and kept in `_key`, outside repr and pickles; a genus only read for its
-    signature, p or a never computes it."""
+    representative.  The form computes its key on the first hash or
+    comparison and keeps it (see `fqf.normal_key`); a genus only read for
+    its signature, p or a never computes it."""
 
-    __slots__ = ("s_plus", "s_minus", "form", "_key")
+    __slots__ = ("s_plus", "s_minus", "form")
 
     def __init__(self, s_plus: int, s_minus: int, form: FiniteQuadraticForm):
-        for name, value in zip(self.__slots__, (s_plus, s_minus, form, None)):
+        for name, value in zip(self.__slots__, (s_plus, s_minus, form)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -60,9 +60,7 @@ class LatticeInvariants:
     @property
     def key(self) -> tuple:
         """(s+, s-, normal key of the form): equal iff the genera are."""
-        if self._key is None:
-            object.__setattr__(self, "_key", (self.s_plus, self.s_minus, normal_key(self.form)))
-        return self._key
+        return (self.s_plus, self.s_minus, normal_key(self.form))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -199,41 +197,20 @@ def _rank_one_orthogonal_group_surjects(n: int) -> bool:
 
 # -- recognition --------------------------------------------------------------------
 
-class _Pool(NamedTuple):
-    """A search pool and what `recognize` reads off its terms, built once per
-    process for each pool (see `_pool`).  `groups` holds, largest prime
-    first, each prime p with the atoms filed under it as
-    (pool index, |det|, s+, s-)."""
-
-    terms: tuple[tuple[str, int], ...]
-    splittings: tuple[dict[int, tuple], ...]
-    groups: tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]
-    scales: frozenset[int]
-    u: int
-    e8: int
-
-
-def _pool_of(target: LatticeInvariants) -> _Pool:
+def _pool_terms(target: LatticeInvariants) -> tuple[tuple[str, int], ...]:
     """The recognition pool of `target`: the catalog terms (atom, twist)
-    eligible for its search, in canonical order, with what is read off them."""
-    primes = target.form.lengths_per_prime()
-    odd_primes = tuple(sorted(p for p in primes if p != 2))
-    roots = tuple(p for p in odd_primes if p - 1 <= target.rank)
-    return _pool(odd_primes, roots, 2 in primes)
-
-
-@cache
-def _pool(odd_primes: tuple[int, ...], roots: tuple[int, ...], has_two_part: bool) -> _Pool:
-    """The pool of a target whose |A_T| has these odd primes, and a 2-part
-    when `has_two_part`, once per process.  A_{p-1} is a term only for the
-    primes p in `roots`, those with p - 1 <= rank T: a larger one, of
+    eligible for its search, in canonical order.  A_{p-1} is a term only
+    for the odd primes p of |A_T| with p - 1 <= rank T: a larger one, of
     signature (0, p - 1), can never be a summand, and its block alone would
     cost more than the search (A_222 for p = 223)."""
+    primes = target.form.lengths_per_prime()
+    odd_primes = sorted(p for p in primes if p != 2)
     terms: list[tuple[str, int]] = [("U", 1)]
     for p in odd_primes:
         terms.append(("U", p))
-    for p in roots:
-        terms.append((f"A{p - 1}", 1))
+    for p in odd_primes:
+        if p - 1 <= target.rank:
+            terms.append((f"A{p - 1}", 1))
     if 3 in odd_primes:
         terms.append(("E6", 1))
     terms.append(("E8", 1))
@@ -250,27 +227,18 @@ def _pool(odd_primes: tuple[int, ...], roots: tuple[int, ...], has_two_part: boo
         terms.append(("A2", -1))
     if 5 in odd_primes:
         terms.append(("A4*", 5))
-    if has_two_part:
+    if 2 in primes:
         terms.append(("<-2>", 1))
         terms.append(("<2>", 1))
         for p in odd_primes:
             terms.append((f"<{2 * p}>", 1))
             terms.append((f"<{-2 * p}>", 1))
-    splittings = tuple(jordan_splitting(atom_data(*term).form) for term in terms)
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for i, term in enumerate(terms):
-        if splittings[i]:
-            atom = atom_data(*term)
-            groups.setdefault(max(splittings[i]), []).append((i, abs(atom.det), *atom.signature))
-    by_prime = tuple((p, tuple(groups[p])) for p in sorted(groups, reverse=True))
-    scales = frozenset(m for split in splittings for blocks in split.values() for m, _ in blocks)
-    u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
-    return _Pool(tuple(terms), splittings, by_prime, scales, u, e8)
+    return tuple(terms)
 
 
 @cache
 def recognize(target: LatticeInvariants) -> LatticeExpr | None:
-    """The first catalog direct sum over `_pool_of(target).terms` with the
+    """The first catalog direct sum over `_pool_terms(target)` with the
     target's signature and discriminant form, or None when there is none.
 
     Order: fewest summands first, then the sorted sequence of pool indices,
@@ -278,12 +246,8 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     key is read off its atoms' Jordan blocks put together, since any Jordan
     splitting gives the key.
 
-    A pool depends on the target only through the odd primes of |A_T|,
-    those of them whose A_{p-1} fits in rank T, and whether |A_T| has a
-    2-part, so `_pool` keeps it once per process for each such signature:
-    the terms, their Jordan splittings, the atoms filed under each prime, the
-    block scales, and the indices of U and E8.  The answer is a function of
-    the genus of T, so it is computed once per process per genus.
+    The answer is a function of the genus of T, so it is computed once per
+    process per genus, and the pool is built only for that first search.
 
     The search.  The atoms are the pool terms with |det| != 1.  Each is filed
     under the largest prime p of its |det|, and the primes are taken from
@@ -334,17 +298,23 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     wherever that one answers.  The empty multiset answers the rank-0
     target.
     """
-    return _search(_pool_of(target), target)
+    return _search(_pool_terms(target), target)
 
 
-def _search(pool: _Pool, target: LatticeInvariants) -> LatticeExpr | None:
-    """`recognize`'s search for `target` over `pool`."""
-    splittings = pool.splittings
+def _search(terms: tuple[tuple[str, int], ...], target: LatticeInvariants) -> LatticeExpr | None:
+    """`recognize`'s search for `target` over the pool `terms`."""
+    data = [atom_data(*term) for term in terms]
+    splittings = [jordan_splitting(atom.form) for atom in data]
+    scales = {m for split in splittings for blocks in split.values() for m, _ in blocks}
     want_splitting = jordan_splitting(target.form)
-    if any(m not in pool.scales for blocks in want_splitting.values() for m, _ in blocks):
+    if any(m not in scales for blocks in want_splitting.values() for m, _ in blocks):
         return None
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (pool index, |det|, s+, s-)
+    for i, (atom, split) in enumerate(zip(data, splittings)):
+        if split:
+            groups.setdefault(max(split), []).append((i, abs(atom.det), *atom.signature))
     want_plus, want_minus = target.s_plus, target.s_minus
-    want = dict(target.key[2])
+    want = dict(normal_key(target.form))
 
     def extend(p, atoms, start, left, plus, minus, acc, out):
         """Append to `out` the extensions of acc by `atoms` from `start` on
@@ -362,23 +332,24 @@ def _search(pool: _Pool, target: LatticeInvariants) -> LatticeExpr | None:
                 extend(p, atoms, k, left // d, plus + sp, minus + sm, acc + (i,), out)
 
     kept = {(target.form.order, 0, 0, None): ()}
-    for p, atoms in pool.groups:
+    for p in sorted(groups, reverse=True):
         out: list[tuple[tuple, tuple[int, ...]]] = []
         for (left, plus, minus, _), acc in kept.items():
-            extend(p, atoms, 0, left, plus, minus, acc, out)
+            extend(p, groups[p], 0, left, plus, minus, acc, out)
         kept = {}
         for state, seq in out:
             if state not in kept or (len(seq), seq) < (len(kept[state]), kept[state]):
                 kept[state] = seq
 
+    u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
     found = []
     for (_, plus, minus, _), acc in kept.items():
         x = want_plus - plus
         y8 = want_minus - minus - x
         if y8 >= 0 and y8 % 8 == 0:
-            found.append(tuple(sorted(acc + (pool.u,) * x + (pool.e8,) * (y8 // 8))))
+            found.append(tuple(sorted(acc + (u,) * x + (e8,) * (y8 // 8))))
     if not found:
         return None
-    counts = Counter(pool.terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
+    counts = Counter(terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
     return LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
 

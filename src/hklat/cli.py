@@ -165,6 +165,8 @@ def _cmd_census(args) -> int:
             p, m, a = (int(x) for x in args.check.split(","))
         except ValueError as exc:
             raise InvalidParameter(f"--check needs p,m,a: {exc}") from exc
+        if p != locus.p:
+            raise InvalidParameter(f"--check p = {p} is not the locus's p = {locus.p}")
         ok = fixedlocus.cross_check_totals(census.chi, census.h_star, p, m, a)
         lines.append(f"cross-check against ({p},{m},{a}): {'MATCH' if ok else 'MISMATCH'}")
         code = 0 if ok else 2

@@ -11,21 +11,12 @@ q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
 (1/d_i)Z.  All arithmetic is on integers.  The Gauss signature, the
 isomorphism class and the existence of an even lattice are read off an
 orthogonal splitting into Jordan blocks; nothing is enumerated over the group.
-
-The local key of a p-part (see `normal_key`) is a function of p and the
-multiset of its Jordan blocks alone, so `local_key` computes it once per
-process, cached by that pair.  Like `lattices.atom_data`, the cache is
-unbounded.  It stays small because it grows with distinct multisets, not
-with forms or queries: a form met again, or a form on other generators with
-the same blocks, adds nothing, and the multisets `classify.recognize` asks
-about are sums of the few catalog atoms' blocks whose orders divide |A_T|.
+A form keeps its splitting and its normal key once computed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from functools import cache
 from typing import NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter
@@ -38,10 +29,11 @@ class FiniteQuadraticForm:
 
     Immutable; equality and hashing go by (orders, q, b).  The Jordan
     splitting is kept in `_split` on first use, or from birth for a sum or
-    negation of split forms (see `jordan_splitting`); it is left out of
-    equality, hashing, repr and pickles."""
+    negation of split forms (see `jordan_splitting`), and the normal key in
+    `_key` on first use (see `normal_key`); both are left out of equality,
+    hashing, repr and pickles."""
 
-    __slots__ = ("orders", "q", "b", "_split")
+    __slots__ = ("orders", "q", "b", "_split", "_key")
 
     def __init__(
         self,
@@ -87,7 +79,7 @@ class FiniteQuadraticForm:
     def _fill(self, orders, q, b, split=None) -> None:
         if not orders:
             split = {}  # the trivial form has no p-parts
-        for name, value in zip(self.__slots__, (orders, q, b, split)):
+        for name, value in zip(self.__slots__, (orders, q, b, split, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -436,23 +428,19 @@ def normal_key(form: FiniteQuadraticForm) -> tuple:
     built here are all such L, whatever Jordan splitting of q they come from,
     so the set depends on q only up to isomorphism; conversely a lattice in
     both sets has a discriminant form isomorphic to both forms.
+
+    The key is computed once per form and kept on it, in `_key`.
     """
-    return tuple((p, local_key(p, blocks)) for p, blocks in jordan_splitting(form).items())
+    if form._key is None:
+        key = tuple((p, local_key(p, blocks)) for p, blocks in jordan_splitting(form).items())
+        object.__setattr__(form, "_key", key)
+    return form._key
 
 
 def local_key(p: int, blocks) -> tuple | frozenset:
     """The local key at p of a p-group form with these Jordan blocks, in any
-    order: `_two_adic_key` for p = 2, else `_odd_key`."""
-    return _multiset_key(p, frozenset(Counter(blocks).items()))
-
-
-@cache
-def _multiset_key(p: int, multiset: frozenset) -> tuple | frozenset:
-    """The local key of the blocks (block, multiplicity) of `multiset`, once
-    per process.  Both keys are sums over the blocks, so the key depends on
-    the multiset only; a multiset, not a sorted tuple, since u and v blocks
-    do not order against cyclic blocks at the same scale."""
-    blocks = [block for block, k in multiset for _ in range(k)]
+    order: `_two_adic_key` for p = 2, else `_odd_key`.  Both are sums over
+    the blocks, so the order does not matter."""
     return _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)
 
 

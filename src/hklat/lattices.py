@@ -36,11 +36,6 @@ from a file:
     growing with the distinct (atom, twist) pairs;
   * named lattices (`realize`): one lattice per expression asked, with
     what it keeps, growing with the distinct expressions;
-  * local keys (`fqf.local_key`): the normal key of one p-part per prime
-    and multiset of Jordan blocks, growing with the distinct multisets;
-  * recognition pools (`classify._pool`): per pool its terms and their
-    splittings, growing with the pools (the odd primes of |A_T| that
-    occur);
   * recognitions (`classify.recognize`): one answer per genus of T asked;
   * embedding reports (`classify.embed_in_L`): one report per genus of S
     asked.

@@ -5,19 +5,19 @@ It walks the multisets of pool terms with the target's rank and signature,
 fewest summands first and lexicographic in pool index within a count, and
 returns the first whose |det| is |A_T| and whose discriminant form has the
 target's normal key; after `budget` summands it gives up and returns None.
-`terms` replaces the pool terms of `hklat.classify._pool_of(target)`.
+`terms` replaces the pool terms `hklat.classify._pool_terms(target)`.
 """
 
 import math
 
-from hklat.classify import _pool_of
+from hklat.classify import _pool_terms
 from hklat.fqf import normal_key, trivial_form
 from hklat.lattices import LatticeExpr, atom_data
 
 
 def recognize(target, budget=9, terms=None):
     if terms is None:
-        terms = _pool_of(target).terms
+        terms = _pool_terms(target)
     pool = [(term, atom_data(*term)) for term in terms]
     want_det = target.form.order
     want_sig = (target.s_plus, target.s_minus)

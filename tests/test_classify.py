@@ -14,8 +14,7 @@ from hklat import classify
 from hklat.classify import (
     LatticeInvariants,
     NotPElementary,
-    _pool,
-    _pool_of,
+    _pool_terms,
     _rank_one_orthogonal_group_surjects,
     embed_in_L,
     genus_unique,
@@ -229,24 +228,23 @@ def test_pool_of_a_large_prime_builds_no_root_term_beyond_the_rank(monkeypatch):
         return atom_data(atom, twist)
 
     monkeypatch.setattr(classify, "atom_data", recording)
-    _pool.cache_clear()
     recognize.cache_clear()
     assert str(recognize(target)) == "U^2 + E8^2 + <446>"
     assert ("K223", 1) in built and ("A222", 1) not in built
-    assert ("A222", 1) not in _pool_of(target).terms
+    assert ("A222", 1) not in _pool_terms(target)
 
 
 def test_roots_left_out_of_a_pool_change_no_answer():
     # targets whose pool leaves out some A_{p-1}: the budgeted search over
-    # the pool with every A_{p-1} gives the same name
+    # the pool with every A_{p-1}, that of the same form at a rank where
+    # each fits, gives the same name
     left_out = 0
     for pair in LATTICE_NAMES.values():
         for name in pair:
             target = invariants_of(realize(name))
-            primes = target.form.lengths_per_prime()
-            odd_primes = tuple(sorted(p for p in primes if p != 2))
-            terms = _pool(odd_primes, odd_primes, 2 in primes).terms
-            if len(terms) == len(_pool_of(target).terms):
+            largest = max(target.form.lengths_per_prime(), default=0)
+            terms = _pool_terms(LatticeInvariants(0, largest, target.form))
+            if len(terms) == len(_pool_terms(target)):
                 continue
             left_out += 1
             oracle = recognize_oracle.recognize(target, terms=terms)
@@ -260,37 +258,39 @@ def test_recognize_has_no_summand_budget():
         assert str(recognize(invariants_of(realize(name)))) == name
 
 
-def test_recognize_of_the_same_atoms_adds_no_local_keys():
+def test_recognize_of_the_same_atoms_adds_no_local_keys(monkeypatch):
     # the second target is the first on other generators: the same signature
-    # and Jordan blocks, so its search, run afresh, asks only for local keys
-    # that the first search left in fqf's cache
+    # and Jordan blocks, so its search, run afresh, has the same pool and
+    # computes only local keys that the first search computed
     first = invariants_of(realize("U + A2^2 + E6 + <-2>"))
     second = invariants_of(realize("<-2> + E6 + U + A2^2"))
     assert first.form != second.form
-    assert _pool_of(second) is _pool_of(first)
+    assert _pool_terms(second) == _pool_terms(first)
+    keys = []
+    monkeypatch.setattr(
+        classify, "local_key", lambda p, blocks: keys.append(fqf.local_key(p, blocks)) or keys[-1]
+    )
     recognize.cache_clear()
     expr = recognize(first)
-    misses = fqf._multiset_key.cache_info().misses
+    seen = set(keys)
+    keys.clear()
     recognize.cache_clear()
     assert recognize(second) == expr
     assert recognize.cache_info().misses == 1
-    assert fqf._multiset_key.cache_info().misses == misses
+    assert keys and set(keys) <= seen
 
 
 def test_recognize_answers_a_genus_once():
-    # the same genus on other generators: one search, then its answer is read,
-    # and reading it asks for no new local key
+    # the same genus on other generators: one search, then its answer is read
     first = _invariants("U + A2^2 + E6 + <-2>")
     second = _invariants("<-2> + E6 + U + A2^2")
     assert first.form != second.form and first == second
     recognize.cache_clear()
     expr = recognize(first)
     assert str(expr) == "E6^2 + <6>"
-    misses = fqf._multiset_key.cache_info().misses
     assert recognize(second) is expr
     info = recognize.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    assert fqf._multiset_key.cache_info().misses == misses
 
 
 def test_recognize_answers_are_kept_per_signature_and_form():
@@ -298,7 +298,7 @@ def test_recognize_answers_are_kept_per_signature_and_form():
     # in signature; the other pair shares signature and |A| and differs in form
     for names in (("U + E8", "U^2 + E8"), ("<-2> + <6>", "<2> + <-6>")):
         targets = [_invariants(name) for name in names]
-        assert _pool_of(targets[0]) is _pool_of(targets[1])
+        assert _pool_terms(targets[0]) == _pool_terms(targets[1])
         assert targets[0].form.order == targets[1].form.order
         for _ in range(2):
             assert [str(recognize(target)) for target in targets] == list(names)
@@ -309,9 +309,7 @@ def test_targets_with_different_prime_sets_do_not_share_a_pool():
     # |A_T| with the odd primes {3}, {3, 5}, and {3} with a 2-part
     names = ("U + A2^2", "U + A2 + A4", "U + A2 + <-2>")
     targets = [invariants_of(realize(name)) for name in names]
-    pools = [_pool_of(target) for target in targets]
-    assert len({id(pool) for pool in pools}) == 3
-    assert len({pool.terms for pool in pools}) == 3
+    assert len({_pool_terms(target) for target in targets}) == 3
     for name, target in zip(names, targets):
         assert str(recognize(target)) == name
 
@@ -324,7 +322,7 @@ def test_search_pool_unimodular_terms_are_U_and_E8():
     forms += [cyclic_form(2, 1).dsum(form) for form in odd]
     forms.append(functools.reduce(FiniteQuadraticForm.dsum, forms[1:9]))
     for form in forms:
-        pool = _pool_of(LatticeInvariants(0, 0, form)).terms
+        pool = _pool_terms(LatticeInvariants(0, 0, form))
         unimodular = [term for term in pool if abs(atom_data(*term).det) == 1]
         assert unimodular == [("U", 1), ("E8", 1)], form
 

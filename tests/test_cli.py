@@ -31,18 +31,38 @@ def test_invariants_expr(capsys):
     assert "signature: (1, 1)" in out
 
 
-def test_invariants_computes_no_normal_key(tmp_path, capsys):
+def _count_local_keys(monkeypatch):
+    """The list that every later call of `fqf.local_key` appends to."""
+    calls = []
+    local_key = fqf.local_key
+    monkeypatch.setattr(fqf, "local_key", lambda p, blocks: calls.append(p) or local_key(p, blocks))
+    return calls
+
+
+def test_invariants_computes_no_normal_key(tmp_path, capsys, monkeypatch):
     # the genus is read for its signature, p and a only, cold and warm, from
-    # a name or a JSON file: no local key is asked for, hit or miss
+    # a name or a JSON file: no local key is computed
     source = tmp_path / "lat.json"
     source.write_text(json.dumps({"gram": [list(r) for r in realize("U(3) + A2 + <-2>").gram]}))
     lattices.realize.cache_clear()
-    info = fqf._multiset_key.cache_info()
+    calls = _count_local_keys(monkeypatch)
     for _ in range(2):
         for lattice in ("U + A2^2 + E6 + <-2>", str(source)):
             code, out, _ = run_cli(capsys, "invariants", lattice)
             assert code == 0 and "discriminant group: Z/" in out
-    assert fqf._multiset_key.cache_info()[:2] == info[:2]
+    assert calls == []
+
+
+def test_warm_embed_computes_no_local_key(capsys, monkeypatch):
+    # the named lattice keeps its discriminant form, and the form its normal
+    # key, so the warm run hashes S's genus without a key computed afresh
+    argv = ("embed", "--expr", "U(3) + A2")
+    lattices.realize.cache_clear()
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0 and "orthogonal class: " in cold
+    calls = _count_local_keys(monkeypatch)
+    assert run_cli(capsys, *argv) == (0, cold, "")
+    assert calls == []
 
 
 def test_invariants_json_file(tmp_path, capsys):
@@ -191,6 +211,8 @@ INPUT_FILES = {
     "misnamed.json": '{"gram": [[0, 1], [1, 0]], "name": "A2"}',
     "empty.json": "{}",
     "locus.json": '{"p": 3, "k": 2, "n": [0, 5]}',
+    # its totals are those of the row (19, 1, 1)
+    "order3.json": '{"p": 3, "k": 0, "n": [0, 5]}',
     "float.json": '{"gram": [[2.9, 1], [1, 2]]}',
     "bool.json": '{"gram": [[true]]}',
     "string.json": '{"gram": [["2", "1"], ["1", "2"]]}',
@@ -223,6 +245,9 @@ FAILURES = [
     (("local-actions", "--prime", "29"), 1),
     (("local-actions", "--prime", "10000000000000000051"), 1),  # a 20-digit prime
     (("census", "locus.json", "--check", "3,5"), 1),
+    # a row of another prime says nothing about the locus, match or not
+    (("census", "order3.json", "--check", "19,1,1"), 1),
+    (("census", "locus.json", "--check", "7,2,1"), 1),
     (("invariants", "float.json"), 1),
     (("embed", "--expr", "float.json"), 1),
     (("invariants", "bool.json"), 1),

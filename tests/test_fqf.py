@@ -24,7 +24,6 @@ from fqf_oracle import (
     value,
     value_counts,
 )
-from hklat import fqf
 from hklat.fqf import (
     DegenerateForm,
     FiniteQuadraticForm,
@@ -723,15 +722,18 @@ def test_local_key_does_not_depend_on_block_order():
 
 
 def test_local_key_equals_the_uncached_keys():
-    # every p-part of the catalog atoms and table lattices, each key computed
-    # on its first call and read from the cache on the second
-    fqf._multiset_key.cache_clear()
+    # every p-part of the catalog atoms and table lattices; a form computes
+    # its normal key once and keeps it, and a pickled copy, which keeps
+    # nothing, computes an equal key
     names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair}
     for name in sorted(names):
-        for p, blocks in jordan_splitting(discriminant_form(realize(name))).items():
+        form = discriminant_form(realize(name))
+        for p, blocks in jordan_splitting(form).items():
             uncached = _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)
             assert local_key(p, blocks) == uncached == local_key(p, blocks[::-1]), name
-    assert fqf._multiset_key.cache_info().hits > 0
+        assert normal_key(form) is normal_key(form), name
+        copied = pickle.loads(pickle.dumps(form))
+        assert copied._key is None and normal_key(copied) == normal_key(form), name
 
 
 def test_form_invariants_record():

@@ -2,7 +2,7 @@
 `cli.main`: the exit code and stdout must match byte for byte, so that an
 output change fails here before the benchmark sees it.  Each entry is
 replayed twice in one process, first with no named lattice, embedding
-report, recognition pool or recognition kept, so that every search runs,
+report or recognition kept, so that every search runs,
 and then warm, as the benchmark's session asks them again.  The file is
 only read."""
 
@@ -42,7 +42,6 @@ def test_cli_replays_every_frozen_query(command, capsys, tmp_path):
     assert len(entries) == COUNTS[command]
     lattices.realize.cache_clear()
     classify.embed_in_L.cache_clear()
-    classify._pool.cache_clear()
     classify.recognize.cache_clear()
     differ = []
     for replay in ("cold", "warm"):

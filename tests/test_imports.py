@@ -1,9 +1,10 @@
 """Every name a module of hklat imports is used in that module, the package
 holds only its eight layers and L's name, each public name is reached only
-through its home layer, and every dotted `hklat.` reference in the docs
-resolves."""
+through its home layer, every dotted `hklat.` reference in the docs
+resolves, and the process-wide caches are the seven listed in `CACHES`."""
 
 import ast
+import functools
 import importlib
 import re
 import sys
@@ -119,3 +120,40 @@ def test_docs_name_only_what_exists():
         references = dotted_references(text)
         assert references
         assert [ref for ref in references if not resolves(ref)] == []
+
+
+CACHES = {
+    "exact.prime_factors",
+    "lattices.atom_data",
+    "lattices.realize",
+    "classify.embed_in_L",
+    "classify.recognize",
+    "cli._command_parser",
+    "cli.build_parser",
+}
+
+
+def cached_callables(module):
+    """The `functools.cache`/`lru_cache` callables whose home is `module`, at
+    module level or in a class, as `layer.name`."""
+    layer = module.__name__.removeprefix("hklat.")
+    found = set()
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, functools._lru_cache_wrapper):
+            found.add(f"{layer}.{name}")
+        elif isinstance(value, type):
+            found |= {
+                f"{layer}.{name}.{attr}"
+                for attr, member in vars(value).items()
+                if isinstance(member, functools._lru_cache_wrapper)
+            }
+    return found
+
+
+def test_the_process_wide_caches_are_exactly_these():
+    # each cache kept was measured against its removal; adding one means
+    # adding it here
+    modules = [importlib.import_module(f"hklat.{layer}") for layer in (*LAYERS, "cli")]
+    assert set().union(*map(cached_callables, modules)) == CACHES
