@@ -11,7 +11,9 @@ unmarshals) only the layers it runs.  Besides `cli` and `errors`:
   name is `AMBIENT`, defined here;
 - `figures` and `involution` load `involutions`;
 - `invariants` and `embed` load `exact`, `fqf`, `lattices` and
-  `classify`, and `tables` also `tables`;
+  `classify`;
+- `tables` loads `exact`, `fqf`, `classify` and `tables`: L's genus is
+  `classify.AMBIENT_GENUS`, so no lattice is built;
 - `census` and `local-actions` load `exact` and `fixedlocus`, and
   `census --check` also `tables`.
 
@@ -55,6 +57,6 @@ fixedlocus = _lazy("fixedlocus")
 
 __version__ = "0.1.0"
 
-# L = H^2 of a K3^[2]-type fourfold, defined once: `lattices.ambient_lattice()`
-# is `realize(AMBIENT)`, and `cli` prints this name.
+# L = H^2 of a K3^[2]-type fourfold, defined once: `classify.AMBIENT_GENUS`
+# is the genus of `lattices.realize(AMBIENT)`, and `cli` prints this name.
 AMBIENT = "U^3 + E8^2 + <-2>"

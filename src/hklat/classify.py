@@ -1,9 +1,12 @@
 """Existence, uniqueness and embedding analysis for p-elementary lattices.
 
 The ambient lattice throughout is L = U^3 + E8^2 + <-2> (`hklat.AMBIENT`),
-of signature (3,20) and discriminant form Z/2 (3/2).  A p-elementary lattice
-S (p odd) embedding primitively in L has orthogonal complement T with
-signature (3-s+, 20-s-) and discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both
+of signature (3,20) and discriminant form Z/2 (3/2).  Its genus is the value
+`AMBIENT_GENUS`, so neither the embedding analysis nor the tables build L;
+`classify` reads `lattices` only through the module, at call time, and
+loading it loads no `lattices`.  A p-elementary lattice S (p odd) embedding
+primitively in L has orthogonal complement T with signature (3-s+, 20-s-)
+and discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both
 answered by fqf.even_lattice_exists_report (Nikulin's Thm 1.10.1): embed_in_L
 asks it for T, tables.enumerate_triples for S.
 
@@ -19,21 +22,16 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
+from . import lattices
 from .errors import InvalidParameter, NotPElementary
 from .exact import is_prime, is_square, prime_factors
 from .fqf import (
     FiniteQuadraticForm,
+    cyclic_form,
     even_lattice_exists_report,
     jordan_splitting,
     local_key,
     normal_key,
-)
-from .lattices import (
-    Lattice,
-    LatticeExpr,
-    ambient_lattice,
-    atom_data,
-    discriminant_form,
 )
 
 
@@ -99,10 +97,17 @@ class LatticeInvariants:
         return max(self.form.lengths_per_prime().values(), default=0)
 
 
-def invariants_of(lattice: Lattice) -> LatticeInvariants:
+# The genus of L = U^3 + E8^2 + <-2> (`hklat.AMBIENT`): signature (3, 20) and
+# form Z/2 (3/2), split here once, so that every complement's form
+# (-q_S) + q_L is born split; a test pins it to `invariants_of(realize(AMBIENT))`.
+AMBIENT_GENUS = LatticeInvariants(3, 20, cyclic_form(2, 3))
+jordan_splitting(AMBIENT_GENUS.form)
+
+
+def invariants_of(lattice: lattices.Lattice) -> LatticeInvariants:
     """The genus of the lattice, on the discriminant form read off its
     blocks (see `lattices.discriminant_form`)."""
-    return LatticeInvariants(*lattice.signature(), discriminant_form(lattice))
+    return LatticeInvariants(*lattice.signature(), lattices.discriminant_form(lattice))
 
 
 # -- genus uniqueness (indefinite) -------------------------------------------------
@@ -155,14 +160,14 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     representative of S; its objects are immutable, so every caller shares
     them.  A rejected S raises each time.
     """
-    if s.p is None or (s.p == 2 and s.a > 0):
+    p = s.p  # each read runs a primality proof
+    if p is None or (p == 2 and s.a > 0):
         raise NotPElementary("embedding analysis requires odd p (or trivial group)")
-    ambient = ambient_lattice()
-    l_plus, l_minus = ambient.signature()
-    t_plus, t_minus = l_plus - s.s_plus, l_minus - s.s_minus
+    ambient = AMBIENT_GENUS
+    t_plus, t_minus = ambient.s_plus - s.s_plus, ambient.s_minus - s.s_minus
     if t_plus < 0 or t_minus < 0:
         return _NO_EMBEDDING
-    q_t = s.form.neg().dsum(discriminant_form(ambient))
+    q_t = s.form.neg().dsum(ambient.form)
     embeds, _ = even_lattice_exists_report(t_plus, t_minus, q_t)
     if not embeds:
         return _NO_EMBEDDING
@@ -176,7 +181,7 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
         elif t_plus > 0 and t_minus > 0:
             exception = genus_unique(t_rank, q_t.order)
 
-    t_unique = s.rank >= s.a + 2 or (s.rank == 2 and s.a == 1 and s.p == 3)
+    t_unique = s.rank >= s.a + 2 or (s.rank == 2 and s.a == 1 and p == 3)
     return EmbeddingReport(
         True, unique, LatticeInvariants(t_plus, t_minus, q_t), exception, t_unique
     )
@@ -237,7 +242,7 @@ def _pool_terms(target: LatticeInvariants) -> tuple[tuple[str, int], ...]:
 
 
 @cache
-def recognize(target: LatticeInvariants) -> LatticeExpr | None:
+def recognize(target: LatticeInvariants) -> lattices.LatticeExpr | None:
     """The first catalog direct sum over `_pool_terms(target)` with the
     target's signature and discriminant form, or None when there is none.
 
@@ -301,9 +306,11 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
     return _search(_pool_terms(target), target)
 
 
-def _search(terms: tuple[tuple[str, int], ...], target: LatticeInvariants) -> LatticeExpr | None:
+def _search(
+    terms: tuple[tuple[str, int], ...], target: LatticeInvariants
+) -> lattices.LatticeExpr | None:
     """`recognize`'s search for `target` over the pool `terms`."""
-    data = [atom_data(*term) for term in terms]
+    data = [lattices.atom_data(*term) for term in terms]
     splittings = [jordan_splitting(atom.form) for atom in data]
     scales = {m for split in splittings for blocks in split.values() for m, _ in blocks}
     want_splitting = jordan_splitting(target.form)
@@ -351,5 +358,5 @@ def _search(terms: tuple[tuple[str, int], ...], target: LatticeInvariants) -> La
     if not found:
         return None
     counts = Counter(terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
-    return LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
+    return lattices.LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -60,12 +59,13 @@ def _cmd_invariants(args) -> int:
     inv = classify.invariants_of(lat)
     form = lattices.discriminant_data(lat).form
     form_inv = fqf.form_invariants(inv.form)
-    if inv.p == 0:
+    p = inv.p  # each read of `p` runs a primality proof
+    if p == 0:
         elementary = "true for every p (unimodular, a = 0)"
-    elif inv.p is None:
+    elif p is None:
         elementary = "false"
     else:
-        elementary = f"true (p={inv.p}, a={inv.a})"
+        elementary = f"true (p={p}, a={inv.a})"
     group = " x ".join(f"Z/{d}" for d in form.orders) or "trivial"
     values = ", ".join(_ratio_text(v, form.level) for v in form.q) or "-"
     print("\n".join((
@@ -158,6 +158,8 @@ def _cmd_involution(args) -> int:
 def _cmd_census(args) -> int:
     locus = fixedlocus.k3_fixed_locus_from_json(Path(args.file).read_text())
     census = fixedlocus.hilb2_census(locus)
+    import json
+
     lines = [json.dumps(census.as_dict(), indent=2)]
     code = 0
     if args.check:

@@ -9,7 +9,6 @@ characteristic and total F_p Betti number are accumulated per component.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from . import tables
@@ -218,6 +217,8 @@ def enumerate_local_actions(p: int) -> list[dict]:
 def k3_fixed_locus_from_json(text: str) -> K3FixedLocus:
     """The locus of a JSON object {"p", "k", "n", "genus_curve"}; "n"
     defaults to p - 1 zeros once p is checked, "k" to 0."""
+    import json
+
     try:
         data = json.loads(text)
         p, n = data["p"], data.get("n")

@@ -11,7 +11,6 @@ length a+1 with delta_S = 1 (case I, always available), or length a-1
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .errors import InvalidParameter
@@ -156,6 +155,8 @@ def figure_points(which: int) -> set[tuple[int, int, int]]:
 # -- emitters -----------------------------------------------------------------
 
 def figure_points_json(which: int) -> str:
+    import json
+
     key = "delta_t" if which == 1 else "delta_s"
     records = [
         {"r": r, "a": a, key: d}

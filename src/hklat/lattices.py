@@ -44,13 +44,11 @@ None grows with the number of queries: a query met again adds nothing.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from functools import cache, reduce
 from typing import NamedTuple
 
-from . import AMBIENT
 from .errors import DegenerateForm, InvalidParameter, NotEvenLattice
 from .exact import (
     IntMatrix,
@@ -347,13 +345,6 @@ def realize(expr: LatticeExpr | str) -> Lattice:
     return Lattice.from_blocks(blocks, expr)
 
 
-def ambient_lattice() -> Lattice:
-    """L = U^3 + E8^2 + <-2>, the second cohomology of a K3^[2]-type
-    fourfold: `realize(hklat.AMBIENT)`, so built once per process and kept with
-    its discriminant form; its rank, signature and form are read off it."""
-    return realize(AMBIENT)
-
-
 # -- discriminant data ------------------------------------------------------------
 
 def _dot(dense, support) -> int:
@@ -441,6 +432,8 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
 
 def lattice_from_json(text: str) -> Lattice:
     """Read {"gram": [[...], ...], "name": "optional expr string"}."""
+    import json
+
     try:
         data = json.loads(text)
         gram = data["gram"]

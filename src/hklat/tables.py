@@ -22,12 +22,9 @@ for one prime or several, with the CSV columns taken from the row records.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from typing import NamedTuple
 
-from . import classify, fqf, lattices
+from . import classify, fqf
 from .errors import InvalidParameter, UnsupportedPrime
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19)
@@ -166,7 +163,7 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"unsupported prime {p}")
     rows: list[AdmissibleTriple] = []
-    rank_l = lattices.ambient_lattice().rank  # rank S < rank L, as T has t+ = 1
+    rank_l = classify.AMBIENT_GENUS.rank  # rank S < rank L, as T has t+ = 1
     forms: dict[int, tuple] = {}  # a -> the two p-elementary forms of length a
     for m in range((rank_l - 1) // (p - 1), 0, -1):
         rank_s = (p - 1) * m
@@ -262,14 +259,20 @@ def _row_record(r: AdmissibleTriple) -> dict:
 def render(primes, fmt: str) -> str:
     """The tables of `primes`, in order, as one text: for "md" one section per
     prime, sections joined by a blank line; for "csv" one header over all
-    rows; for "json" one list of row records."""
+    rows; for "json" one list of row records.  `json` and `csv` are imported
+    only by the format that writes them."""
     if fmt == "md":
         return "\n".join(_markdown(p) for p in primes)
     if fmt not in ("csv", "json"):
         raise InvalidParameter(f"unknown table format {fmt!r}")
     records = [_row_record(r) for p in primes for r in enumerate_triples(p)]
     if fmt == "json":
+        import json
+
         return json.dumps(records, indent=2)
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if records:

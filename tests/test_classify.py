@@ -10,7 +10,7 @@ import recognize_oracle
 from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
 from fqf_oracle import value
 from golden_data import TABLE_ROWS
-from hklat import classify
+from hklat import classify, lattices
 from hklat.classify import (
     LatticeInvariants,
     NotPElementary,
@@ -227,7 +227,7 @@ def test_pool_of_a_large_prime_builds_no_root_term_beyond_the_rank(monkeypatch):
         built.append((atom, twist))
         return atom_data(atom, twist)
 
-    monkeypatch.setattr(classify, "atom_data", recording)
+    monkeypatch.setattr(lattices, "atom_data", recording)
     recognize.cache_clear()
     assert str(recognize(target)) == "U^2 + E8^2 + <446>"
     assert ("K223", 1) in built and ("A222", 1) not in built

@@ -65,6 +65,22 @@ def test_warm_embed_computes_no_local_key(capsys, monkeypatch):
     assert calls == []
 
 
+def test_warm_invariants_of_a_large_prime_proves_primality_once(capsys, monkeypatch):
+    # each read of LatticeInvariants.p runs a primality proof of |A|; the
+    # command reads it once
+    from hklat import classify
+
+    argv = ("invariants", "K27141178092745043502159107")
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "p-elementary: true (p=27141178092745043502159107, a=1)" in cold.splitlines()
+    calls = []
+    is_prime = classify.is_prime
+    monkeypatch.setattr(classify, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert run_cli(capsys, *argv) == (0, cold, "")
+    assert calls == [27141178092745043502159107]
+
+
 def test_invariants_json_file(tmp_path, capsys):
     # U, and U^2 on another basis (whose Smith form modulo det² = 1 once
     # divided by zero)
@@ -393,47 +409,71 @@ def test_import_registers_every_layer_and_loads_none():
     )
     registered, unloaded, after = _fresh_python("-c", probe).splitlines()
     assert registered == unloaded == repr([f"hklat.{layer}" for layer in LAYERS])
-    assert after == "True " + repr(["hklat.fixedlocus", "hklat.involutions", "hklat.tables"])
+    # L's genus is a value in `classify`, which reaches `lattices` at call time
+    assert after == "True " + repr(
+        ["hklat.fixedlocus", "hklat.involutions", "hklat.lattices", "hklat.tables"]
+    )
 
 
 CORE = ("errors", "exact", "fqf", "lattices")
 
-# The layers each fresh command loads besides `cli`.
+# The layers each fresh command loads besides `cli`, and which of `json` and
+# `csv` it loads: each is imported only by the formats that read or write it.
 COMMAND_LAYERS = {
-    "invariants": (("invariants", "U(3)"), (*CORE, "classify")),
-    "tables": (("tables", "--prime", "19", "--format", "csv"), (*CORE, "classify", "tables")),
-    "figures": (("figures", "--which", "1", "--format", "txt"), ("errors", "involutions")),
-    "embed": (("embed", "--expr", "U(3)"), (*CORE, "classify")),
-    "involution": (
-        ("involution", "--r", "10", "--a", "4", "--delta", "1"), ("errors", "involutions")
+    "invariants": (("invariants", "U(3)"), (*CORE, "classify"), ()),
+    "invariants-json": (("invariants", "GRAM"), (*CORE, "classify"), ("json",)),
+    # L's genus is `classify.AMBIENT_GENUS`: the tables build no lattice
+    "tables": (
+        ("tables", "--prime", "19", "--format", "csv"),
+        ("errors", "exact", "fqf", "classify", "tables"),
+        ("csv",),
     ),
-    "census": (("census", "LOCUS"), ("errors", "exact", "fixedlocus")),
+    "tables-md": (
+        ("tables", "--all", "--format", "md"), ("errors", "exact", "fqf", "classify", "tables"), ()
+    ),
+    "tables-json": (
+        ("tables", "--prime", "19", "--format", "json"),
+        ("errors", "exact", "fqf", "classify", "tables"),
+        ("json",),
+    ),
+    "figures": (("figures", "--which", "1", "--format", "txt"), ("errors", "involutions"), ()),
+    "figures-json": (
+        ("figures", "--which", "2", "--format", "json"), ("errors", "involutions"), ("json",)
+    ),
+    "embed": (("embed", "--expr", "U(3)"), (*CORE, "classify"), ()),
+    "involution": (
+        ("involution", "--r", "10", "--a", "4", "--delta", "1"), ("errors", "involutions"), ()
+    ),
+    "census": (("census", "LOCUS"), ("errors", "exact", "fixedlocus"), ("json",)),
     "census-check": (
         ("census", "LOCUS", "--check", "3,5,5"),
         ("errors", "exact", "fixedlocus", "tables"),
+        ("json",),
     ),
-    "local-actions": (("local-actions", "--prime", "7"), ("errors", "exact", "fixedlocus")),
+    "local-actions": (("local-actions", "--prime", "7"), ("errors", "exact", "fixedlocus"), ()),
 }
 
 
 def test_command_layer_table_covers_every_command():
-    assert {argv[0] for argv, _ in COMMAND_LAYERS.values()} == set(COMMANDS)
+    assert {argv[0] for argv, _, _ in COMMAND_LAYERS.values()} == set(COMMANDS)
 
 
-@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS.values(), ids=COMMAND_LAYERS)
-def test_fresh_command_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+@pytest.mark.parametrize("argv, layers, formats", COMMAND_LAYERS.values(), ids=COMMAND_LAYERS)
+def test_fresh_command_loads_only_the_layers_it_runs(argv, layers, formats, tmp_path):
     locus = tmp_path / "locus.json"
     locus.write_text(json.dumps({"p": 3, "k": 2, "n": [0, 5]}))
-    argv = [str(locus) if arg == "LOCUS" else arg for arg in argv]
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": [[0, 3], [3, 0]]}))
+    argv = [{"LOCUS": str(locus), "GRAM": str(gram)}.get(arg, arg) for arg in argv]
     probe = (
         "import contextlib, io, sys, types\n"
         "from hklat.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
-        f"print(code, {UNLOADED})\n"
+        f"print(code, {UNLOADED}, sorted({{'csv', 'json'}} & set(sys.modules)))\n"
     )
     unloaded = [f"hklat.{layer}" for layer in LAYERS if layer not in layers]
-    assert _fresh_python("-c", probe) == f"0 {unloaded!r}\n"
+    assert _fresh_python("-c", probe) == f"0 {unloaded!r} {sorted(formats)!r}\n"
 
 
 # Calls that print L's name or only parse, and the layers each loads besides

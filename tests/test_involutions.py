@@ -14,7 +14,9 @@ from hklat.involutions import (
     has_value_three_halves,
     two_elementary_exists,
 )
-from hklat.lattices import ambient_lattice, discriminant_form, realize
+from hklat import AMBIENT
+from hklat.classify import AMBIENT_GENUS
+from hklat.lattices import discriminant_form, realize
 
 
 def k3_triple_exists(r, a, delta):
@@ -30,7 +32,8 @@ def k3_triple_exists(r, a, delta):
 
 def test_ambient_signature_is_that_of_the_ambient_lattice():
     # hklat.AMBIENT stays the one definition of L
-    assert AMBIENT_SIGNATURE == ambient_lattice().signature()
+    assert AMBIENT_SIGNATURE == realize(AMBIENT).signature()
+    assert AMBIENT_SIGNATURE == (AMBIENT_GENUS.s_plus, AMBIENT_GENUS.s_minus)
 
 
 def test_existence_examples():

@@ -27,7 +27,6 @@ from hklat.lattices import (
     Lattice,
     LatticeExpr,
     NotEvenLattice,
-    ambient_lattice,
     atom_data,
     discriminant_data,
     discriminant_form,
@@ -132,11 +131,16 @@ def test_direct_sum_hyperbolic():
 
 
 def test_ambient_lattice():
-    l = ambient_lattice()
-    assert ambient_lattice() is l
+    from hklat.classify import AMBIENT_GENUS
+
+    l = realize(AMBIENT)
+    assert realize(AMBIENT) is l
     assert l.expr == parse_expr(AMBIENT)
     assert (l.rank, l.signature(), l.det()) == (23, (3, 20), 2)
     assert discriminant_form(l) == cyclic_form(2, 3)
+    # the genus `classify` reads in place of building L
+    assert AMBIENT_GENUS == invariants_of(l)
+    assert (AMBIENT_GENUS.rank, AMBIENT_GENUS.form.order) == (l.rank, abs(l.det()))
 
 
 def test_realize_keeps_one_lattice_per_expression():
@@ -151,13 +155,13 @@ def test_realize_keeps_one_lattice_per_expression():
 
 
 def test_ambient_form_is_built_once():
-    form = discriminant_form(ambient_lattice())
-    assert discriminant_form(ambient_lattice()) is form
-    assert form == discriminant_form(realize(AMBIENT)) == cyclic_form(2, 3)
+    form = discriminant_form(realize(AMBIENT))
+    assert discriminant_form(realize(AMBIENT)) is form
+    assert form == cyclic_form(2, 3)
 
 
 def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
-    from hklat.classify import embed_in_L
+    from hklat.classify import AMBIENT_GENUS, embed_in_L
 
     embed_in_L.cache_clear()  # a report kept from an earlier call sums nothing
     targets = [invariants_of(realize(name)) for name in ("A2", "U + A2^2 + E6")]
@@ -171,8 +175,11 @@ def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
     monkeypatch.setattr(FiniteQuadraticForm, "dsum", recording)
     for target in targets:
         assert embed_in_L(target).embeds
-    ambient_form = discriminant_form(ambient_lattice())
+    ambient_form = AMBIENT_GENUS.form
     assert len(operands) == 2 and all(form is ambient_form for form in operands)
+    # split once, when `classify` loaded: every complement's form is born split
+    assert ambient_form._split == {2: ((2, 3),)}
+    assert all(embed_in_L(t).orthogonal_invariants.form._split is not None for t in targets)
 
 
 def test_direct_sum_a2_a2():
