@@ -19,9 +19,10 @@ query never runs argparse over the other commands, and a fresh command
 builds one parser.  Only when the first argument names no command (`hklat`,
 `hklat --help`, an unknown word, `hklat -- ...`) does `main` use
 `build_parser`, the whole CLI with every command as a subparser, built from
-the same table, for its usage, help and errors.  Both print the same help
-and errors for a command.  An expression that starts with `-` reads as an
-option; pass it after `--` (`invariants -- -E8`) or as `--expr=-E8`.
+the same table on each such call and not kept, for its usage, help and
+errors.  Both print the same help and errors for a command.  An expression
+that starts with `-` reads as an option; pass it after `--`
+(`invariants -- -E8`) or as `--expr=-E8`.
 
 Loading: `cli` reads the other layers only through their modules
 (`lattices.realize`, `fqf.form_invariants`), and every layer loads lazily
@@ -263,11 +264,10 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of the whole CLI, with every command as a subcommand, built
-    once per process; `parse_args` leaves it unchanged.  `main` reaches it
-    only when its first argument names no command."""
+    """The parser of the whole CLI, with every command as a subcommand.
+    `main` builds it afresh each time its first argument names no command:
+    the help, a usage error or a call after `--`, none of them a query."""
     parser = _Parser(
         prog="hklat",
         description="Even-lattice invariants and the prime-order "

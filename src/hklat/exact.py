@@ -170,32 +170,6 @@ def is_symmetric(m: IntMatrix) -> bool:
     return r == c and all(m[i][j] == m[j][i] for i in range(r) for j in range(i))
 
 
-def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n, c = dims(m)
-    if n != c:
-        raise InvalidParameter("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _min_pivot(a, t):
     """Nonzero entry of the trailing block minimizing (|value|, i, j); None if
     all zero.  The scan is row-major, so the first +-1 met is taken on sight."""

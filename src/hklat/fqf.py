@@ -396,12 +396,6 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
 
 # -- isomorphism ---------------------------------------------------------------
 
-def forms_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
-    """Decide isomorphism of two nondegenerate finite quadratic forms: equal
-    normal keys.  Raises DegenerateForm if either form is degenerate."""
-    return normal_key(f1) == normal_key(f2)
-
-
 def normal_key(form: FiniteQuadraticForm) -> tuple:
     """A complete isomorphism invariant of a nondegenerate form, read off the
     Jordan blocks of each p-part: forms are isomorphic iff their keys are
@@ -507,11 +501,6 @@ def _canonical_2_adic_symbol(scales) -> tuple[tuple[int, int, int, bool, int], .
 
 
 # -- even lattice existence ------------------------------------------------------
-
-def even_lattice_exists(s_plus: int, s_minus: int, form: FiniteQuadraticForm) -> bool:
-    ok, _ = even_lattice_exists_report(s_plus, s_minus, form)
-    return ok
-
 
 def even_lattice_exists_report(
     s_plus: int, s_minus: int, form: FiniteQuadraticForm

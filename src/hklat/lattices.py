@@ -27,19 +27,16 @@ The `invariants` command prints the discriminant group and the values of q
 on generators from `discriminant_data`, which for a sum of several blocks
 takes the Smith form of the full Gram matrix: those generators depend on
 the pivot order over the whole matrix, so they are what the command has
-always printed.  A lattice keeps its Gram matrix, discriminant form and
-discriminant data once computed.
+always printed.  A lattice keeps its discriminant form and discriminant
+data once computed.
 
-Per-process caches, all unbounded, none of them holding a lattice read
-from a file:
+Per-process caches, both unbounded, neither holding a lattice read from a
+file:
   * atom blocks (`atom_data`): one block per twisted catalog atom asked,
     growing with the distinct (atom, twist) pairs;
   * named lattices (`realize`): one lattice per expression asked, with
-    what it keeps, growing with the distinct expressions;
-  * recognitions (`classify.recognize`): one answer per genus of T asked;
-  * embedding reports (`classify.embed_in_L`): one report per genus of S
-    asked.
-None grows with the number of queries: a query met again adds nothing.
+    what it keeps, growing with the distinct expressions.
+Neither grows with the number of queries: a query met again adds nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from .exact import (
     IntMatrix,
     as_matrix,
     block_diag,
-    det_exact,
     dims,
     is_prime,
     is_symmetric,
@@ -132,20 +128,29 @@ def _root_gram(n: int, branch: int) -> IntMatrix:
 
 
 def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """(e·m^-1, e) for the least e > 0 making e·m^-1 integral.
+    """(e·m^-1, e) for a nonsingular m and the least e > 0 making e·m^-1
+    integral.
 
-    m^-1 = adj(m)/det, so with c the gcd of the entries of adj(m),
-    e·m^-1 = sign(det)·adj(m)/c for e = |det|/c.  The adjugate is taken by
-    `det_exact` of the minors, and det by expansion along row 0."""
-    n = len(m)
-    adj = [
-        [(-1) ** (i + j) * det_exact(tuple(r[:i] + r[i + 1:] for r in m[:j] + m[j + 1:]))
-         for j in range(n)]
-        for i in range(n)
-    ]
-    det = sum(x * row[0] for x, row in zip(m[0], adj))
-    c = math.gcd(*(x for row in adj for x in row)) * (1 if det > 0 else -1)
-    return tuple(tuple(x // c for x in row) for row in adj), det // c
+    One fraction-free Gauss-Jordan pass on [m | I]: step k brings a row with
+    a nonzero entry in column k up to row k if a_kk = 0, then sets every
+    other row i to (a_ij·p - a_ik·a_kj) / (previous pivot), p = a_kk, an exact
+    division as in Bareiss's elimination.  It ends at [d·I | d·m^-1], d the
+    last pivot, the determinant of m with its rows permuted: d·m^-1 = ±adj(m).
+    With c the gcd of its entries, signed as d, e·m^-1 = d·m^-1/c for
+    e = d/c."""
+    n, prev = len(m), 1
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        i = next(i for i in range(k, n) if a[i][k])
+        a[k], a[i] = a[i], a[k]
+        p, pivot_row = a[k][k], a[k]
+        for i, row in enumerate(a):
+            if i != k:
+                x = row[k]
+                a[i] = [(y * p - x * z) // prev for y, z in zip(row, pivot_row)]
+        prev = p
+    c = math.gcd(*(x for row in a for x in row[n:])) * (1 if prev > 0 else -1)
+    return tuple(tuple(x // c for x in row[n:]) for row in a), prev // c
 
 
 def _atom_base_gram(atom: str) -> IntMatrix:
@@ -235,10 +240,10 @@ class Lattice:
 
     Immutable; equality and hashing go by (gram, expr), whatever the blocks.
     The Gram matrix is the block diagonal matrix of the blocks, built on
-    first use; det, rank, signature and the discriminant form are read off
-    the blocks.  The Gram matrix, the discriminant form (`discriminant_form`)
-    and the discriminant data (`discriminant_data`) are kept once computed,
-    outside equality, hashing, repr and pickling.  Copies and pickles carry
+    each read; det, rank, signature and the discriminant form are read off
+    the blocks.  The discriminant form (`discriminant_form`) and the
+    discriminant data (`discriminant_data`) are kept once computed, outside
+    equality, hashing, repr and pickling.  Copies and pickles carry
     the blocks, so no block is computed again.
 
     The sum of blocks is a lattice with these invariants.  A block diagonal
@@ -250,7 +255,7 @@ class Lattice:
     sum of the duals, so A_{L+M} = A_L + A_M and q_{L+M} = q_L + q_M
     (Nikulin 1979, §1)."""
 
-    __slots__ = ("blocks", "expr", "_gram", "_form", "_data")
+    __slots__ = ("blocks", "expr", "_form", "_data")
 
     def __init__(self, gram: IntMatrix, expr: LatticeExpr | None = None):
         self._fill((_block(gram),), expr)
@@ -263,7 +268,7 @@ class Lattice:
         return lattice
 
     def _fill(self, blocks: tuple[Block, ...], expr: LatticeExpr | None) -> None:
-        for name, value in zip(self.__slots__, (blocks, expr, None, None, None)):
+        for name, value in zip(self.__slots__, (blocks, expr, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -285,9 +290,7 @@ class Lattice:
 
     @property
     def gram(self) -> IntMatrix:
-        if self._gram is None:
-            object.__setattr__(self, "_gram", block_diag([b.gram for b in self.blocks]))
-        return self._gram
+        return block_diag([b.gram for b in self.blocks])
 
     @property
     def rank(self) -> int:
@@ -332,9 +335,10 @@ def realize(expr: LatticeExpr | str) -> Lattice:
     rejected expression raises on every call, as exceptions are not
     cached.  Like `atom_data` the cache is unbounded; it grows with the
     distinct expressions asked, not with queries: the 126 expressions of
-    the benchmark's frozen `queries` answers, each with its Gram matrix,
-    discriminant form and data, hold about 330 KB (`tracemalloc`).  A
-    lattice read from a JSON file is built on every call, never cached."""
+    the benchmark's frozen `queries` answers, each with its discriminant
+    form and data, hold about 190 KB (`tracemalloc`, after their
+    `invariants` and `embed` answers).  A lattice read from a JSON file is
+    built on every call, never cached."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
     blocks = []

@@ -5,9 +5,9 @@ determines m and a with rank S = (p-1)m; the candidate triples are filtered by
 the counting bounds, by existence of the p-elementary lattice S of signature
 (2, (p-1)m - 2), and by existence of the orthogonal complement T inside
 U^3 + E8^2 + <-2>.  S exists iff one of the two p-elementary forms of length a
-passes fqf.even_lattice_exists; for a >= 1 their Gauss signatures differ by 4,
-so at most one passes E2.  Each surviving row carries h^*, the Euler
-characteristic of the fixed locus, the catalog names of S and T, and
+passes fqf.even_lattice_exists_report; for a >= 1 their Gauss signatures
+differ by 4, so at most one passes E2.  Each surviving row carries h^*, the
+Euler characteristic of the fixed locus, the catalog names of S and T, and
 uniqueness flags; h^* and chi are integer expressions.
 
 Whether a natural automorphism (one induced from a K3 surface) realizes a
@@ -171,7 +171,9 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
             if a not in forms:
                 forms[a] = (fqf.p_elementary_form(p, a),
                             fqf.p_elementary_form(p, a, nonresidue=True))
-            form = next((q for q in forms[a] if fqf.even_lattice_exists(2, rank_s - 2, q)), None)
+            form = next(
+                (q for q in forms[a] if fqf.even_lattice_exists_report(2, rank_s - 2, q)[0]), None
+            )
             if form is None:
                 continue
             report = classify.embed_in_L(classify.LatticeInvariants(2, rank_s - 2, form))

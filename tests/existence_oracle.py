@@ -1,7 +1,7 @@
 """Independent routes to even-lattice existence, for tests only.
 
 The library decides existence one way, by Nikulin's Theorem 1.10.1 on the
-Jordan blocks of the discriminant form (`hklat.fqf.even_lattice_exists`).
+Jordan blocks of the discriminant form (`hklat.fqf.even_lattice_exists_report`).
 These routes decide some of the same questions without it:
 
 * closed conditions on (p, s+, s-, a) for p-elementary lattices, p odd;

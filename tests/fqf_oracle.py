@@ -3,13 +3,21 @@ tests only.
 
 Each oracle enumerates the group, so it serves small forms only; the library
 decides the same questions from Jordan blocks (`hklat.fqf.jordan_blocks`).
+`forms_isomorphic` and `even_lattice_exists` are the library's answers as
+booleans, for the tests that compare forms or ask for existence only.
 """
 
 import itertools
 import math
 
-from hklat.exact import det_exact
-from hklat.fqf import FiniteQuadraticForm, cyclic_form, trivial_form
+from hklat.fqf import (
+    FiniteQuadraticForm,
+    cyclic_form,
+    even_lattice_exists_report,
+    normal_key,
+    trivial_form,
+)
+from snf_oracle import det_exact
 
 
 def value(form, coords):
@@ -161,6 +169,16 @@ def spans(images, form):
                 seen.add(y)
                 frontier.append(y)
     return len(seen) == form.order
+
+
+def forms_isomorphic(f1, f2):
+    """Isomorphism of two nondegenerate forms: equal normal keys."""
+    return normal_key(f1) == normal_key(f2)
+
+
+def even_lattice_exists(s_plus, s_minus, form):
+    """Existence of an even lattice with this signature and form."""
+    return even_lattice_exists_report(s_plus, s_minus, form)[0]
 
 
 def brute_isomorphic(f1, f2):

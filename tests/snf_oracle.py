@@ -13,7 +13,36 @@ library's two shortcuts (a unit pivot taken on sight, no sweep after it),
 and with every operation on whole rows and columns where the library's
 touch the trailing block only, it must reach the library's V, and
 gcd(d_tt, R) must be its factors.
+
+`det_exact(m)` is the determinant of a square m by its own Bareiss
+elimination with row swaps: the oracle of the det that
+`hklat.exact.signature_of_symmetric` returns, and of `hklat.lattices`'
+Gauss-Jordan inverse.
 """
+
+
+def det_exact(m):
+    """Exact determinant by fraction-free Bareiss elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def mat_mul(a, b):

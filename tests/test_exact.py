@@ -14,7 +14,6 @@ from hklat.exact import (
     DegenerateForm,
     as_matrix,
     block_diag,
-    det_exact,
     is_prime,
     prime_factors,
     signature_of_symmetric,
@@ -22,7 +21,7 @@ from hklat.exact import (
 )
 from hklat.lattices import _root_gram, realize
 from hklat.tables import LATTICE_NAMES
-from snf_oracle import mat_mul
+from snf_oracle import det_exact, mat_mul
 from test_frozen_queries import FROZEN
 from test_lattices import CATALOG_ATOMS
 

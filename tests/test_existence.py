@@ -11,12 +11,11 @@ from existence_oracle import (
     p_elementary_exists,
     small_lattices,
 )
-from fqf_oracle import two_elementary_form
+from fqf_oracle import even_lattice_exists, two_elementary_form
 from hklat.errors import DegenerateForm
 from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
-    even_lattice_exists,
     even_lattice_exists_report,
     normal_key,
 )

@@ -16,6 +16,8 @@ import snf_oracle
 from fqf_oracle import (
     brute_isomorphic,
     elements,
+    even_lattice_exists,
+    forms_isomorphic,
     odd_disc_class,
     pairing,
     two_elementary_form,
@@ -33,10 +35,8 @@ from hklat.fqf import (
     _two_adic_key,
     cyclic_form,
     delta_invariant,
-    even_lattice_exists,
     even_lattice_exists_report,
     form_invariants,
-    forms_isomorphic,
     gauss_signature,
     jordan_blocks,
     jordan_splitting,
@@ -45,10 +45,9 @@ from hklat.fqf import (
     p_elementary_form,
     trivial_form,
 )
-from hklat.exact import det_exact
 from hklat.lattices import Lattice, discriminant_form, realize
 from hklat.tables import LATTICE_NAMES
-from snf_oracle import mat_mul
+from snf_oracle import det_exact, mat_mul
 from test_frozen_queries import FROZEN
 from test_lattices import CATALOG_ATOMS
 

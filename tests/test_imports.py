@@ -129,7 +129,6 @@ CACHES = {
     "classify.embed_in_L",
     "classify.recognize",
     "cli._command_parser",
-    "cli.build_parser",
 }
 
 

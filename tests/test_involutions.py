@@ -1,8 +1,8 @@
 import pytest
 
-from fqf_oracle import two_elementary_form, value_counts
+from fqf_oracle import even_lattice_exists, two_elementary_form, value_counts
 from golden_data import figure_marker_set
-from hklat.fqf import delta_invariant, even_lattice_exists, gauss_signature, trivial_form
+from hklat.fqf import delta_invariant, gauss_signature, trivial_form
 from hklat.involutions import (
     AMBIENT_SIGNATURE,
     CASE_I,

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_decomp
 
 import snf_oracle
+from fqf_oracle import forms_isomorphic
 from hklat.classify import invariants_of
-from hklat.exact import det_exact, is_prime
+from hklat.exact import is_prime
 from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
-    forms_isomorphic,
     jordan_splitting,
     normal_key,
     trivial_form,
@@ -35,8 +35,10 @@ from hklat.lattices import (
     realize,
     render_expr,
     _root_gram,
+    _scaled_inverse,
 )
 from hklat.tables import LATTICE_NAMES
+from snf_oracle import det_exact
 
 
 def test_catalog_k3_is_a2():
@@ -384,6 +386,42 @@ def test_dual_atoms_match_rational_inverse():
             realize(text)
 
 
+def _adjugate_inverse(m):
+    """(e·m^-1, e) as sign(det)·adj(m)/c, c the gcd of the adjugate's
+    entries, each cofactor and det by the `det_exact` oracle."""
+    n = len(m)
+    adj = [
+        [(-1) ** (i + j) * det_exact(tuple(r[:i] + r[i + 1:] for r in m[:j] + m[j + 1:]))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    det = det_exact(m)
+    c = math.gcd(*(x for row in adj for x in row)) * (1 if det > 0 else -1)
+    return tuple(tuple(x // c for x in row) for row in adj), det // c
+
+
+nonsingular_matrices = (
+    st.integers(min_value=1, max_value=6)
+    .flatmap(lambda n: st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ))
+    .map(lambda rows: tuple(map(tuple, rows)))
+    .filter(lambda m: det_exact(m) != 0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonsingular_matrices)
+@example(_root_gram(6, 2))  # E6
+@example(_root_gram(4, 2))  # A4
+@example(((0, 1, 2), (1, 0, 3), (2, 3, 0)))  # a zero first pivot, swapped
+def test_scaled_inverse_is_the_reduced_adjugate(m):
+    # one Gauss-Jordan pass gives what the n^2 cofactors give
+    assert _scaled_inverse(m) == _adjugate_inverse(m)
+
+
 def test_non_square_gram_is_malformed():
     with pytest.raises(InvalidParameter):
         Lattice(((0, 1),))
@@ -413,25 +451,23 @@ def test_det_is_computed_once_at_construction():
 
 
 def test_gram_lattice_runs_one_elimination(monkeypatch):
-    # det and signature of a Gram matrix come from one elimination, with no
-    # Bareiss determinant beside it
+    # det and signature of a Gram matrix come from one elimination
     import hklat.exact
     import hklat.lattices
 
-    calls = {"det_exact": [], "signature_of_symmetric": []}
-    for name, grams in calls.items():
-        real = getattr(hklat.exact, name)
+    grams = []
+    real = hklat.exact.signature_of_symmetric
 
-        def counting(m, real=real, grams=grams):
-            grams.append(m)
-            return real(m)
+    def counting(m):
+        grams.append(m)
+        return real(m)
 
-        for module in (hklat.exact, hklat.lattices):
-            monkeypatch.setattr(module, name, counting)
+    for module in (hklat.exact, hklat.lattices):
+        monkeypatch.setattr(module, "signature_of_symmetric", counting)
     gram = ((0, 3, 0, 0), (3, 0, 0, 0), (0, 0, -2, 1), (0, 0, 1, -2))  # U(3) + A2
     lat = lattice_from_json(json.dumps({"gram": [list(row) for row in gram]}))
     assert (lat.det(), lat.signature()) == (-27, (1, 3))
-    assert calls == {"det_exact": [], "signature_of_symmetric": [gram]}
+    assert grams == [gram]
 
 
 def test_value_classes_are_immutable_and_rebuild_by_copy_and_pickle():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fixedlocus_fixtures import h4_trace
+from fqf_oracle import even_lattice_exists, forms_isomorphic
 from golden_data import (
     EXCEPTION_TRIPLES,
     FANO_ONLY_TRIPLES,
@@ -15,7 +16,7 @@ from golden_data import (
     TABLE_ROWS,
 )
 from hklat.classify import LatticeInvariants, embed_in_L, invariants_of
-from hklat.fqf import even_lattice_exists, forms_isomorphic, p_elementary_form
+from hklat.fqf import p_elementary_form
 from hklat.errors import InvalidParameter
 from hklat.lattices import (
     discriminant_data,
