@@ -49,8 +49,9 @@ class LatticeInvariants:
     __slots__ = ("s_plus", "s_minus", "form")
 
     def __init__(self, s_plus: int, s_minus: int, form: FiniteQuadraticForm):
-        for name, value in zip(self.__slots__, (s_plus, s_minus, form)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "s_plus", s_plus)
+        object.__setattr__(self, "s_minus", s_minus)
+        object.__setattr__(self, "form", form)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LatticeInvariants is immutable; cannot set {name!r}")

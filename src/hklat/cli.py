@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: invariants, tables, figures, embed, involution, census,
-local-actions.  Each subcommand computes its whole answer before printing, so
-an error leaves stdout empty.  Exit codes: 1 malformed input (usage errors
-such as an unknown option or choice, bad parameters, unparsable expressions
-or JSON, unreadable files), 2 a mathematical rejection (e.g. a Gram matrix
-that is not an even lattice).  Every error prints one `error: ...` line on
+local-actions.  Each subcommand computes its whole answer before it writes
+it, in one write, so an error leaves stdout empty.  `tables` and `figures`
+with `--out FILE` write the file with the bytes they would print, final
+newline included.  Exit codes: 1 malformed input (usage errors such as an
+unknown option or choice, bad parameters, unparsable expressions or JSON,
+unreadable files), 2 a mathematical rejection (e.g. a Gram matrix that is
+not an even lattice).  Every error prints one `error: ...` line on
 stderr.  Two answers also exit 2, with the answer on stdout and nothing on
 stderr: `involution` when no such 2-elementary lattice exists, and
 `census --check` on a MISMATCH.  `tables` prints through `tables.render`.
@@ -28,7 +30,10 @@ Loading: `cli` reads the other layers only through their modules
 (`lattices.realize`, `fqf.form_invariants`), and every layer loads lazily
 (see `hklat`), so importing `cli` loads `errors` alone and a command loads
 the layers it runs.  L's name is the package's `AMBIENT`, so the help, the
-usage errors and `involution` name L without loading `lattices`.
+usage errors and `involution` name L without loading `lattices`.  Files are
+read and written with `open`, and a lattice argument is a JSON file when
+`os.path.splitext` gives it the suffix `.json` (`X.JSON`, `.json` and
+`x.json/` are expressions), so `cli` imports no `pathlib`.
 """
 
 from __future__ import annotations
@@ -36,18 +41,22 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import AMBIENT, classify, fixedlocus, fqf, involutions, lattices, tables
 from .errors import HklatError, InvalidParameter
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
 def _load_lattice(source: str) -> lattices.Lattice:
-    path = Path(source)
-    if path.suffix == ".json":
-        return lattices.lattice_from_json(path.read_text())
+    if os.path.splitext(source)[1] == ".json":
+        return lattices.lattice_from_json(_read(source))
     return lattices.realize(source)
 
 
@@ -68,7 +77,8 @@ def _cmd_invariants(args) -> int:
     else:
         elementary = f"true (p={p}, a={inv.a})"
     group = " x ".join(f"Z/{d}" for d in form.orders) or "trivial"
-    values = ", ".join(_ratio_text(v, form.level) for v in form.q) or "-"
+    level = form.level
+    values = ", ".join(_ratio_text(v, level) for v in form.q) or "-"
     print("\n".join((
         f"lattice: {lat.name()}",
         f"rank: {lat.rank}",
@@ -90,12 +100,15 @@ def _ratio_text(v: int, n: int) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write `text`, ending in one newline, to stdout or to the file `out`:
+    the file gets the bytes stdout would."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _cmd_tables(args) -> int:
@@ -119,21 +132,24 @@ def _cmd_embed(args) -> int:
     lat = _load_lattice(args.expr)
     inv = classify.invariants_of(lat)
     report = classify.embed_in_L(inv)
-    print(f"S = {lat.name()}: signature ({inv.s_plus}, {inv.s_minus}), "
-          f"p-elementary p={inv.p}, a={inv.a}")
-    print(f"embeds in {AMBIENT}: {'yes' if report.embeds else 'no'}")
+    lines = [
+        f"S = {lat.name()}: signature ({inv.s_plus}, {inv.s_minus}), "
+        f"p-elementary p={inv.p}, a={inv.a}",
+        f"embeds in {AMBIENT}: {'yes' if report.embeds else 'no'}",
+    ]
     if report.embeds:
         t = report.orthogonal_invariants
-        print(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
-              f"|A_T| = {t.form.order}")
+        lines.append(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
+                     f"|A_T| = {t.form.order}")
         expr = classify.recognize(t)
         if expr is not None:
-            print(f"orthogonal class: {expr}")
-        print(f"embedding unique: {'yes' if report.unique_embedding else 'no'}")
+            lines.append(f"orthogonal class: {expr}")
+        lines.append(f"embedding unique: {'yes' if report.unique_embedding else 'no'}")
         if report.exception_flag:
-            print("complement unique in its genus (one-class certificate)")
-        print(f"complement embeds uniquely: "
-              f"{'yes' if report.t_unique_embedding else 'no'}")
+            lines.append("complement unique in its genus (one-class certificate)")
+        lines.append(f"complement embeds uniquely: "
+                     f"{'yes' if report.t_unique_embedding else 'no'}")
+    print("\n".join(lines))
     return 0
 
 
@@ -149,15 +165,17 @@ def _cmd_involution(args) -> int:
     if not classes:
         print(f"no primitive embedding in {AMBIENT}")
         return 0
+    lines = []
     for cls in classes:
         s = cls.s_invariants
-        print(f"case {cls.case}: S has signature ({s.s_plus}, {s.s_minus}), "
-              f"a = {s.a}, delta = {s.delta}")
+        lines.append(f"case {cls.case}: S has signature ({s.s_plus}, {s.s_minus}), "
+                     f"a = {s.a}, delta = {s.delta}")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_census(args) -> int:
-    locus = fixedlocus.k3_fixed_locus_from_json(Path(args.file).read_text())
+    locus = fixedlocus.k3_fixed_locus_from_json(_read(args.file))
     census = fixedlocus.hilb2_census(locus)
     import json
 
@@ -178,11 +196,13 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_local_actions(args) -> int:
+    lines = []
     for rec in fixedlocus.enumerate_local_actions(args.prime):
         exps = ", ".join(f"z^{e}" if e else "1" for e in rec["eigenvalue_exponents"])
         extra = f" (i = {rec['i']})" if "i" in rec else ""
-        print(f"family {rec['family']}{extra}: eigenvalues ({exps}) "
-              f"multiplicities {rec['multiplicities']} fixed-dim {rec['fixed_dim']}")
+        lines.append(f"family {rec['family']}{extra}: eigenvalues ({exps}) "
+                     f"multiplicities {rec['multiplicities']} fixed-dim {rec['fixed_dim']}")
+    print("\n".join(lines))
     return 0
 
 

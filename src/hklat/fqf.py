@@ -371,13 +371,19 @@ def jordan_blocks(part: FiniteQuadraticForm, p: int) -> list[tuple[int, int | st
 def delta_invariant(form: FiniteQuadraticForm) -> int:
     """0 if the 2-part takes only integer values mod 2Z, else 1.
 
-    q(sum c_i g_i) is integral for every choice of c iff every q(g_i) and
-    every 2 b(g_i, g_j) is, i.e. iff the level N_2 divides q[i] and 2 b[i][j].
+    The 2-part is generated by c_i·g_i, over the generators g_i of even
+    order d_i, with c_i the odd part of d_i.  q(sum x_i c_i g_i) is integral
+    for every choice of x iff every q(c_i g_i) and every 2 b(c_i g_i, c_j g_j)
+    is, i.e. iff the level N divides c_i^2 q[i] and 2 c_i c_j b[i][j] for all
+    such i and j.  This is read on the form's own generators, with no 2-part
+    form built, and holds on a degenerate form too.
     """
-    part = form.prime_part(2)
-    n = part.level
-    integral = all(x % n == 0 for x in part.q) and all(
-        2 * x % n == 0 for row in part.b for x in row
+    n = form.level
+    q, b = form.q, form.b
+    # d & -d is the 2-power part of d, so d // (d & -d) is its odd part
+    even = [(i, d // (d & -d)) for i, d in enumerate(form.orders) if not d & 1]
+    integral = all(c * c * q[i] % n == 0 for i, c in even) and all(
+        2 * ci * cj * b[i][j] % n == 0 for i, ci in even for j, cj in even
     )
     return 0 if integral else 1
 

@@ -11,7 +11,7 @@ import pytest
 import hklat
 from hklat import exact, fqf, lattices
 from hklat.cli import COMMANDS, _command_parser, _ratio_text, build_parser, main
-from hklat.errors import InvalidParameter
+from hklat.errors import InvalidParameter, PrimalityUnproved
 from hklat.lattices import realize
 from test_lattices import count_smith_forms
 
@@ -93,6 +93,27 @@ def test_invariants_json_file(tmp_path, capsys):
         assert "discriminant group: trivial" in out
 
 
+@pytest.mark.parametrize(
+    "lattice, error",
+    [
+        (".json", "cannot parse lattice term '.json'"),
+        ("x.json/", "cannot parse lattice term 'x.json/'"),
+        ("./missing.json", "[Errno 2] No such file or directory: './missing.json'"),
+        ("X.JSON", "cannot parse lattice term 'X.JSON'"),
+    ],
+)
+def test_invariants_reads_a_file_only_on_the_suffix_json(lattice, error, tmp_path, capsys, monkeypatch):
+    # a Gram file stands under every name but the missing one: a dotfile,
+    # a trailing slash and another case are expressions, and a path is
+    # named as typed
+    monkeypatch.chdir(tmp_path)
+    for name in (".json", "x.json", "X.JSON"):
+        (tmp_path / name).write_text(json.dumps({"gram": [[0, 3], [3, 0]]}))
+    code, out, err = run_cli(capsys, "invariants", lattice)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {error}"]
+
+
 def test_invariants_rejects_odd_lattice(tmp_path, capsys):
     f = tmp_path / "odd.json"
     f.write_text(json.dumps({"gram": [[1]]}))
@@ -134,6 +155,28 @@ def test_tables_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "tables", "--prime", "17", "--format", "csv", "--out", str(target))
     assert code == 0 and out == ""
     assert ",35,35," in target.read_text()
+
+
+# The paper's eight artefacts and the golden file each must equal.
+ARTEFACTS = {
+    "tables_all.md": ("tables", "--all", "--format", "md"),
+    "tables_all.csv": ("tables", "--all", "--format", "csv"),
+    "tables_all.json": ("tables", "--all", "--format", "json"),
+    "table_p19.csv": ("tables", "--prime", "19", "--format", "csv"),
+    "figure1.txt": ("figures", "--which", "1", "--format", "txt"),
+    "figure1.json": ("figures", "--which", "1", "--format", "json"),
+    "figure2.txt": ("figures", "--which", "2", "--format", "txt"),
+    "figure2.json": ("figures", "--which", "2", "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("golden", ARTEFACTS)
+def test_out_file_holds_the_bytes_stdout_prints(golden, tmp_path, capsys):
+    # the final newline too: the text of tables --all --format json and of
+    # every figure ends without one, which only stdout used to add
+    target = tmp_path / golden
+    assert run_cli(capsys, *ARTEFACTS[golden], "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_tables_requires_prime_or_all(capsys):
@@ -513,6 +556,44 @@ def test_error_raised_in_a_lazy_layer_exits_typed_with_empty_stdout():
     proc = _run_fresh("-m", "hklat.cli", "tables", "--prime", "4")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.splitlines() == ["error: unsupported prime 4"]
+
+
+def test_fresh_commands_load_no_pathlib(tmp_path):
+    # without `site`, which loads pathlib itself, no command loads it:
+    # files are read and written with `open`
+    locus = tmp_path / "locus.json"
+    locus.write_text(json.dumps({"p": 3, "k": 2, "n": [0, 5]}))
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": [[0, 3], [3, 0]]}))
+    runs = [
+        ["invariants", "U(3)"],
+        ["embed", "--expr", str(gram)],
+        ["census", str(locus), "--check", "3,5,5"],
+        ["tables", "--prime", "19", "--out", str(tmp_path / "F")],
+        ["figures", "--which", "1"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from hklat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted({'pathlib', 'urllib.parse'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python("-S", "-c", probe) == "[0, 0, 0, 0, 0] []\n"
+
+
+def test_embed_computes_before_it_prints(capsys, monkeypatch):
+    # recognition runs after the first lines of the answer are known; an
+    # error there still leaves stdout empty
+    from hklat import classify
+
+    def unproved(target):
+        raise PrimalityUnproved("no proof")
+
+    monkeypatch.setattr(classify, "recognize", unproved)
+    code, out, err = run_cli(capsys, "embed", "--expr", "A2 + U(3)")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: no proof"]
 
 
 def test_invariants_prints_values_as_fractions_print_them():

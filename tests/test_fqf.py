@@ -9,6 +9,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fqf_oracle
 import hklat
@@ -325,6 +327,37 @@ def test_delta_invariant_agrees_with_value_scan():
         assert delta == _delta_by_value_scan(form), form
         seen.add((delta, _radical_is_trivial_by_enumeration(form)))
     assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+@st.composite
+def _forms_with_large_odd_parts(draw):
+    """A valid form on up to three cyclic factors of order 2^k·m, k <= 3 and
+    m in {1, 3, 5, 7, 9, 15}, so that the odd part c_i of an even order
+    reaches 15 (`_random_form` reaches 3); b is drawn freely, as there."""
+    odd = st.sampled_from((1, 3, 5, 7, 9, 15))
+    order = st.tuples(st.integers(0, 3), odd).map(lambda km: 2 ** km[0] * km[1])
+    orders = draw(st.lists(order.filter(lambda d: d > 1), min_size=1, max_size=3))
+    k = len(orders)
+    n = math.lcm(*orders)
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = draw(st.integers(0, g - 1)) * (n // g)
+    q = []
+    for i, d in enumerate(orders):
+        v = (b[i][i] + draw(st.integers(0, 1)) * n) % (2 * n)
+        if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
+            v = (v + n) % (2 * n)
+        q.append(v)
+    return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, b)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_forms_with_large_odd_parts())
+def test_delta_invariant_agrees_with_value_scan_on_large_odd_parts(form):
+    # delta is read on the generators c_i·g_i of the 2-part, with c_i up to 15
+    assert delta_invariant(form) == _delta_by_value_scan(form)
 
 
 def test_form_data_are_integers_at_the_level():
