@@ -33,7 +33,10 @@ the layers it runs.  L's name is the package's `AMBIENT`, so the help, the
 usage errors and `involution` name L without loading `lattices`.  Files are
 read and written with `open`, and a lattice argument is a JSON file when
 `os.path.splitext` gives it the suffix `.json` (`X.JSON`, `.json` and
-`x.json/` are expressions), so `cli` imports no `pathlib`.
+`x.json/` are expressions), so `cli` imports no `pathlib`.  `census`
+writes its JSON from the census's own template (`Hilb2FixedLocus.as_json`),
+so `json` is loaded only to read the locus file, and `local-actions` formats
+each eigenvalue pattern's head once for its multiplicity rows.
 """
 
 from __future__ import annotations
@@ -177,9 +180,7 @@ def _cmd_involution(args) -> int:
 def _cmd_census(args) -> int:
     locus = fixedlocus.k3_fixed_locus_from_json(_read(args.file))
     census = fixedlocus.hilb2_census(locus)
-    import json
-
-    lines = [json.dumps(census.as_dict(), indent=2)]
+    lines = [census.as_json()]
     code = 0
     if args.check:
         try:
@@ -197,11 +198,14 @@ def _cmd_census(args) -> int:
 
 def _cmd_local_actions(args) -> int:
     lines = []
+    exps = head = None
     for rec in fixedlocus.enumerate_local_actions(args.prime):
-        exps = ", ".join(f"z^{e}" if e else "1" for e in rec["eigenvalue_exponents"])
-        extra = f" (i = {rec['i']})" if "i" in rec else ""
-        lines.append(f"family {rec['family']}{extra}: eigenvalues ({exps}) "
-                     f"multiplicities {rec['multiplicities']} fixed-dim {rec['fixed_dim']}")
+        if rec["eigenvalue_exponents"] != exps:  # a new pattern: its rows share the head
+            exps = rec["eigenvalue_exponents"]
+            extra = f" (i = {rec['i']})" if "i" in rec else ""
+            eigenvalues = ", ".join(f"z^{e}" if e else "1" for e in exps)
+            head = f"family {rec['family']}{extra}: eigenvalues ({eigenvalues}) multiplicities "
+        lines.append(f"{head}{rec['multiplicities']} fixed-dim {rec['fixed_dim']}")
     print("\n".join(lines))
     return 0
 

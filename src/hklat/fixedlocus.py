@@ -5,6 +5,8 @@ surface (one curve of genus g, k smooth rational curves, N isolated points
 with local-type counts n_0..n_{p-2}), the induced automorphism on the Hilbert
 square fixes a catalogue of points, curves and surfaces whose Euler
 characteristic and total F_p Betti number are accumulated per component.
+The census writes its JSON text from one template (`Hilb2FixedLocus.as_json`);
+`json` is imported only to read a locus (`k3_fixed_locus_from_json`).
 """
 
 from __future__ import annotations
@@ -94,8 +96,31 @@ class K3FixedLocus:
         return self.n[(self.p - 1) // 2]
 
 
+# `json.dumps(census.as_dict(), indent=2)` with one placeholder per field,
+# in field order.
+_CENSUS_JSON = """{{
+  "isolated_points": {},
+  "rational_curves": {},
+  "genus_g_curves": {},
+  "surfaces": {{
+    "p1_x_p1": {},
+    "p1_x_cg": {},
+    "p2": {},
+    "hilb2_cg": {}
+  }},
+  "chi": {},
+  "h_star": {}
+}}"""
+
+
 class Hilb2FixedLocus(NamedTuple):
-    """Component inventory of the induced fixed locus on the Hilbert square."""
+    """Component inventory of the induced fixed locus on the Hilbert square.
+
+    The field order is the key order of `as_dict`, the four surface counts
+    nested under "surfaces"; `as_json` writes that dict as
+    `json.dumps(..., indent=2)` would, from one template, so no json
+    encoder runs.
+    """
 
     isolated_points: int
     rational_curves: int
@@ -121,6 +146,10 @@ class Hilb2FixedLocus(NamedTuple):
             "chi": self.chi,
             "h_star": self.h_star,
         }
+
+    def as_json(self) -> str:
+        """`as_dict` as JSON text with an indent of 2, no final newline."""
+        return _CENSUS_JSON.format(*self)
 
 
 def hilb2_census(f: K3FixedLocus) -> Hilb2FixedLocus:
@@ -167,6 +196,11 @@ def enumerate_local_actions(p: int) -> list[dict]:
     multiplicities (a, a, b, b), a + b = 2.  The fixed-component dimension at
     the point equals the multiplicity of eigenvalue 1.
 
+    Family 2 lists one i per unordered pair {i, 1 - i} mod p, the smaller:
+    i = 2, ..., (p - 1)/2, since i = (p + 1)/2 is the excluded 2i = 1.  The
+    records of one eigenvalue pattern come together and share one exponent
+    tuple; they differ only in multiplicities and fixed_dim.
+
     p is an odd prime at most 23: p - 1 divides the rank of the
     transcendental lattice of the projective fourfold, at most
     b_2 - 1 = 22 (cited only).  A larger p raises UnsupportedPrime; the
@@ -177,38 +211,21 @@ def enumerate_local_actions(p: int) -> list[dict]:
                                "non-symplectic automorphism of larger prime order")
     if p == 2 or not is_prime(p):
         raise InvalidParameter("p must be an odd prime")
-    out = []
     half = (p + 1) // 2
-    for a in range(0, 3):
-        b = 4 - 2 * a
-        if (a + half * b - 2) % p == 0:
-            out.append(
-                {
-                    "family": 1,
-                    "eigenvalue_exponents": (0, 1, half),
-                    "multiplicities": (a, a, b),
-                    "fixed_dim": a,
-                }
-            )
-    seen = set()
-    for i in range(2, p):
-        if (2 * i - 1) % p == 0:
-            continue
-        rep = min(i, (1 - i) % p)
-        if rep in seen or rep in (0, 1):
-            continue
-        seen.add(rep)
-        for a in range(0, 3):
-            b = 2 - a
-            out.append(
-                {
-                    "family": 2,
-                    "i": i,
-                    "eigenvalue_exponents": (0, 1, i, (1 - i) % p),
-                    "multiplicities": (a, a, b, b),
-                    "fixed_dim": a,
-                }
-            )
+    exps = (0, 1, half)
+    out = [
+        {"family": 1, "eigenvalue_exponents": exps, "multiplicities": (a, a, 4 - 2 * a),
+         "fixed_dim": a}
+        for a in range(3)
+        if (a + half * (4 - 2 * a) - 2) % p == 0
+    ]
+    for i in range(2, half):
+        exps = (0, 1, i, p + 1 - i)
+        out += (
+            {"family": 2, "i": i, "eigenvalue_exponents": exps,
+             "multiplicities": (a, a, 2 - a, 2 - a), "fixed_dim": a}
+            for a in range(3)
+        )
     return out
 
 

@@ -3,8 +3,10 @@
 Fixed loci observed on families of fourfolds, each with the classification
 row it must match; the closed forms of the Hilbert-square census when a
 genus-g curve is present (an oracle of `fixedlocus.hilb2_census`); the
-census cross-check of a K3 locus against a row; and the trace on degree-4
-cohomology.  The library never uses them.
+census cross-check of a K3 locus against a row; the trace on degree-4
+cohomology; and the local-action patterns by a scan of every i (an oracle
+of `fixedlocus.enumerate_local_actions`) with the line `hklat local-actions`
+prints for one record.  The library never uses them.
 """
 
 from typing import NamedTuple
@@ -88,3 +90,49 @@ def cross_check_against_table(f: K3FixedLocus, p: int, m: int, a: int) -> bool:
 def h4_trace(m: int, r: int) -> int:
     """Trace of the action on degree-4 cohomology: (m-r)(m-r-1)/2."""
     return (m - r) * (m - r - 1) // 2
+
+
+def local_actions_by_scan(p: int) -> list[dict]:
+    """The local-action records of an odd prime p, family 2 found by scanning
+    i = 2..p-1 and keeping the least i of each pair {i, 1 - i} mod p."""
+    out = []
+    half = (p + 1) // 2
+    for a in range(0, 3):
+        b = 4 - 2 * a
+        if (a + half * b - 2) % p == 0:
+            out.append(
+                {
+                    "family": 1,
+                    "eigenvalue_exponents": (0, 1, half),
+                    "multiplicities": (a, a, b),
+                    "fixed_dim": a,
+                }
+            )
+    seen = set()
+    for i in range(2, p):
+        if (2 * i - 1) % p == 0:
+            continue
+        rep = min(i, (1 - i) % p)
+        if rep in seen or rep in (0, 1):
+            continue
+        seen.add(rep)
+        for a in range(0, 3):
+            b = 2 - a
+            out.append(
+                {
+                    "family": 2,
+                    "i": i,
+                    "eigenvalue_exponents": (0, 1, i, (1 - i) % p),
+                    "multiplicities": (a, a, b, b),
+                    "fixed_dim": a,
+                }
+            )
+    return out
+
+
+def local_action_line(rec: dict) -> str:
+    """The line `hklat local-actions` prints for one record, formatted whole."""
+    exps = ", ".join(f"z^{e}" if e else "1" for e in rec["eigenvalue_exponents"])
+    extra = f" (i = {rec['i']})" if "i" in rec else ""
+    return (f"family {rec['family']}{extra}: eigenvalues ({exps}) "
+            f"multiplicities {rec['multiplicities']} fixed-dim {rec['fixed_dim']}")

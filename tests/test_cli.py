@@ -13,6 +13,7 @@ from hklat import exact, fqf, lattices
 from hklat.cli import COMMANDS, _command_parser, _ratio_text, build_parser, main
 from hklat.errors import InvalidParameter, PrimalityUnproved
 from hklat.lattices import realize
+from fixedlocus_fixtures import local_action_line, local_actions_by_scan
 from test_lattices import count_smith_forms
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -188,9 +189,10 @@ def test_figures_golden(capsys):
     for which in (1, 2):
         code, out, _ = run_cli(capsys, "figures", "--which", str(which), "--format", "json")
         assert code == 0
-        assert out.rstrip("\n") == (GOLDEN / f"figure{which}.json").read_text().rstrip("\n")
+        assert out == (GOLDEN / f"figure{which}.json").read_text()
         code, out, _ = run_cli(capsys, "figures", "--which", str(which), "--format", "txt")
-        assert out.rstrip("\n") == (GOLDEN / f"figure{which}.txt").read_text().rstrip("\n")
+        assert code == 0
+        assert out == (GOLDEN / f"figure{which}.txt").read_text()
 
 
 def test_figures_json_roundtrip(capsys):
@@ -237,6 +239,13 @@ def test_local_actions(capsys):
     code, out, _ = run_cli(capsys, "local-actions", "--prime", "7")
     assert code == 0
     assert "multiplicities (2, 2, 0)" in out
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23))
+def test_local_actions_print_each_record_formatted_whole(capsys, p):
+    code, out, _ = run_cli(capsys, "local-actions", "--prime", str(p))
+    assert code == 0
+    assert out == "".join(local_action_line(rec) + "\n" for rec in local_actions_by_scan(p))
 
 
 def test_parser_rejects_missing_subcommand():

@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixedlocus_fixtures import (
     FANO_FIXTURES,
     HILB2_NATURAL_355,
     census_chi_closed_form,
     cross_check_against_table,
+    local_actions_by_scan,
 )
 from hklat.errors import InvalidParameter, UnsupportedPrime
 from hklat.fixedlocus import (
@@ -47,6 +50,26 @@ def test_census_empty_locus():
         "p2": 0,
         "hilb2_cg": 0,
     }
+
+
+@st.composite
+def k3_loci(draw):
+    """A locus of any odd prime p <= 19, with or without a genus-g curve
+    (g <= 10, so chi goes negative), every count up to 10^6."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19)))
+    counts = st.integers(min_value=0, max_value=20) | st.integers(min_value=0, max_value=10**6)
+    n = draw(st.lists(counts, min_size=p - 1, max_size=p - 1))
+    genus = draw(st.none() | st.integers(min_value=0, max_value=10))
+    return K3FixedLocus(p=p, k=draw(counts), n=n, genus_curve=genus)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k3_loci())
+# chi = (2g - 2 - N - 2k)(2g - 5 - N - 2k) / 2 = -1 for N + 2k = 2g - 4
+@example(K3FixedLocus(p=3, k=1, n=(14, 0), genus_curve=10))
+def test_census_json_text_is_json_dumps(locus):
+    census = hilb2_census(locus)
+    assert census.as_json() == json.dumps(census.as_dict(), indent=2)
 
 
 def test_closed_form_examples():
@@ -110,6 +133,26 @@ def test_local_actions_pfaffian():
 def test_local_actions_p7_admits_1_2():
     recs = enumerate_local_actions(7)
     assert (1, 1, 2) in [r["multiplicities"] for r in recs if r["family"] == 1]
+
+
+ODD_PRIMES_TO_23 = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_23)
+def test_local_actions_agree_with_scan(p):
+    assert enumerate_local_actions(p) == local_actions_by_scan(p)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_23)
+def test_local_actions_list_each_pair_once(p):
+    recs = [r for r in enumerate_local_actions(p) if r["family"] == 2]
+    pairs = [frozenset((r["i"], (1 - r["i"]) % p)) for r in recs[::3]]
+    expected = {frozenset((i, (1 - i) % p)) for i in range(2, p) if (2 * i - 1) % p}
+    assert len(pairs) == len(set(pairs)) and set(pairs) == expected
+    # each pattern's three rows share one exponent tuple
+    for first, *rest in zip(recs[::3], recs[1::3], recs[2::3]):
+        assert all(r["eigenvalue_exponents"] is first["eigenvalue_exponents"] for r in rest)
+        assert [r["fixed_dim"] for r in (first, *rest)] == [0, 1, 2]
 
 
 def test_local_actions_stop_at_23(monkeypatch):
