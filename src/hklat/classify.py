@@ -116,18 +116,24 @@ def invariants_of(lattice: lattices.Lattice) -> LatticeInvariants:
 def genus_unique(rank: int, det: int) -> bool:
     """Sufficient one-class-per-genus test for indefinite lattices of rank n and
     |determinant| d: true when no nonsquare k = 0,1 mod 4 has k^C(n,2) dividing
-    4^floor(n/2) * d."""
+    B = 4^floor(n/2) * d.
+
+    k^C(n,2) divides B iff k divides r = prod q^floor(v_q(B) / C(n,2)) over
+    the primes q of B, so only the divisors k > 1 of r are tried, not every
+    k up to B^(1/C(n,2))."""
     if rank < 2:
         raise InvalidParameter("test applies to indefinite lattices (rank >= 2)")
-    d = abs(det)
-    bound = 4 ** (rank // 2) * d
+    if det == 0:
+        raise InvalidParameter("test applies to nondegenerate lattices (det != 0)")
+    bound = 4 ** (rank // 2) * abs(det)
     exponent = rank * (rank - 1) // 2
-    k = 2
-    while k**exponent <= bound:
-        if k % 4 in (0, 1) and not is_square(k) and bound % (k**exponent) == 0:
-            return False
-        k += 1
-    return True
+    divisors = [1]
+    for q in prime_factors(bound):
+        v, rest = 0, bound
+        while rest % q == 0:
+            v, rest = v + 1, rest // q
+        divisors = [k * q**i for k in divisors for i in range(v // exponent + 1)]
+    return not any(k % 4 in (0, 1) and not is_square(k) for k in divisors[1:])
 
 
 # -- primitive embeddings into the ambient lattice ---------------------------------

@@ -96,8 +96,8 @@ class K3FixedLocus:
         return self.n[(self.p - 1) // 2]
 
 
-# `json.dumps(census.as_dict(), indent=2)` with one placeholder per field,
-# in field order.
+# The census as `json.dumps(..., indent=2)` writes it, with one placeholder
+# per field, in field order.
 _CENSUS_JSON = """{{
   "isolated_points": {},
   "rational_curves": {},
@@ -116,10 +116,9 @@ _CENSUS_JSON = """{{
 class Hilb2FixedLocus(NamedTuple):
     """Component inventory of the induced fixed locus on the Hilbert square.
 
-    The field order is the key order of `as_dict`, the four surface counts
-    nested under "surfaces"; `as_json` writes that dict as
-    `json.dumps(..., indent=2)` would, from one template, so no json
-    encoder runs.
+    `as_json` writes the fields in field order as a JSON object, the four
+    surface counts nested under "surfaces", as `json.dumps(..., indent=2)`
+    would, from one template, so no json encoder runs.
     """
 
     isolated_points: int
@@ -132,23 +131,8 @@ class Hilb2FixedLocus(NamedTuple):
     chi: int
     h_star: int
 
-    def as_dict(self) -> dict:
-        return {
-            "isolated_points": self.isolated_points,
-            "rational_curves": self.rational_curves,
-            "genus_g_curves": self.genus_g_curves,
-            "surfaces": {
-                "p1_x_p1": self.surfaces_p1_x_p1,
-                "p1_x_cg": self.surfaces_p1_x_cg,
-                "p2": self.surfaces_p2,
-                "hilb2_cg": self.surfaces_hilb2_cg,
-            },
-            "chi": self.chi,
-            "h_star": self.h_star,
-        }
-
     def as_json(self) -> str:
-        """`as_dict` as JSON text with an indent of 2, no final newline."""
+        """The census as JSON text with an indent of 2, no final newline."""
         return _CENSUS_JSON.format(*self)
 
 

@@ -8,10 +8,12 @@ Q/Z.  Values on arbitrary elements follow from
 
 Every value is stored as an integer at the level N = lcm(d1, ..., dk):
 q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
-(1/d_i)Z.  All arithmetic is on integers.  The Gauss signature, the
-isomorphism class and the existence of an even lattice are read off an
-orthogonal splitting into Jordan blocks; nothing is enumerated over the group.
-A form keeps its splitting and its normal key once computed.
+(1/d_i)Z.  All arithmetic is on integers.  The Gauss signature, the delta
+invariant, the isomorphism class and the existence of an even lattice are
+all read off one orthogonal splitting into Jordan blocks, found on the
+form's own generators; nothing is enumerated over the group, and no form of
+a p-part is built.  A form keeps its splitting and its normal key once
+computed.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class FiniteQuadraticForm:
     @classmethod
     def _trusted(cls, orders, q, b, split=None) -> "FiniteQuadraticForm":
         """Wrap data already known valid, without the checks of __init__; for
-        builders whose inputs are valid forms (dsum, neg, prime_part) and for
+        builders whose inputs are valid forms (dsum, neg) and for
         p_elementary_form.  `split`, when given, is a Jordan splitting of the
         form (see `jordan_splitting`)."""
         form = object.__new__(cls)
@@ -165,29 +167,6 @@ class FiniteQuadraticForm:
             }
         return FiniteQuadraticForm._trusted(self.orders, q, b, split)
 
-    def prime_part(self, p: int) -> "FiniteQuadraticForm":
-        """Restriction to the p-Sylow subgroup (cross terms with other primes vanish).
-
-        The p-part of g_i is c_i·g_i with c_i = d_i / p^k; its values, read at
-        the level N, are multiples of N / N_p (N_p the p-part's level).  A
-        p-group form is its own p-part."""
-        if all(_p_power(d, p) == d for d in self.orders):
-            return self
-        n = self.level
-        keep = []
-        for i, d in enumerate(self.orders):
-            pk = _p_power(d, p)
-            if pk > 1:
-                keep.append((i, d // pk, pk))
-        orders = tuple(pk for _, _, pk in keep)
-        shrink = n // math.lcm(*orders)
-        q = tuple(c * c * self.q[i] % (2 * n) // shrink for i, c, _ in keep)
-        b = tuple(
-            tuple(ci * cj * self.b[i][j] % n // shrink for j, cj, _ in keep)
-            for i, ci, _ in keep
-        )
-        return FiniteQuadraticForm._trusted(orders, q, b)
-
 
 def _p_power(n: int, p: int) -> int:
     pk = 1
@@ -256,8 +235,9 @@ def gauss_signature(form: FiniteQuadraticForm) -> int:
 
 def jordan_splitting(form: FiniteQuadraticForm) -> dict[int, tuple[tuple[int, int | str], ...]]:
     """The Jordan blocks of each p-part, by prime p of |A| in increasing
-    order; every invariant below is read off this one splitting, which is
-    computed once per form and kept on it.
+    order, each read in place on the form's generators by `jordan_blocks`;
+    every invariant below is read off this one splitting, which is computed
+    once per form and kept on it.
 
     A sum or negation of forms that carry a splitting is born with one (see
     `FiniteQuadraticForm.dsum` and `neg`), and `jordan_blocks` never runs on
@@ -265,11 +245,12 @@ def jordan_splitting(form: FiniteQuadraticForm) -> dict[int, tuple[tuple[int, in
     afresh, but both are Jordan splittings of the same form, and everything
     read off a splitting here is the same for every one: the normal key (see
     `normal_key`), the Gauss signature (the Gauss sum of an orthogonal sum
-    is the product of its summands') and the existence test (see
+    is the product of its summands'), the delta invariant (see
+    `delta_invariant`) and the existence test (see
     `even_lattice_exists_report`)."""
     if form._split is None:
         primes = sorted(form.lengths_per_prime())
-        split = {p: tuple(jordan_blocks(form.prime_part(p), p)) for p in primes}
+        split = {p: tuple(jordan_blocks(form, p)) for p in primes}
         object.__setattr__(form, "_split", split)
     return form._split
 
@@ -297,13 +278,20 @@ def _block_signature(p: int, m: int, a: int | str) -> int:
     return 0
 
 
-def jordan_blocks(part: FiniteQuadraticForm, p: int) -> list[tuple[int, int | str]]:
-    """Orthogonal Jordan splitting of a p-group form, as a list of blocks.
+def jordan_blocks(form: FiniteQuadraticForm, p: int) -> list[tuple[int, int | str]]:
+    """Orthogonal Jordan splitting of the p-part of the form, as a list of
+    blocks.
 
     A block is (m, a), cyclic of order m = p^k with q = a/m on its generator
     (a = q·m mod 2m, prime to p), or, for p = 2 only, (m, "u") or (m, "v"):
     an even rank-2 block on (Z/m)^2, hyperbolic (u) or with q odd on every
     element of order m (v).
+
+    The p-part is read in place: it is generated by c_i·g_i, over the
+    generators g_i of order d_i divisible by p, with c_i = d_i / p^k the part
+    of d_i prime to p; c_i·g_i has order p^k and values c_i^2·q[i] and
+    c_i·c_j·b[i][j], still at the form's level N.  A p-group form is its own
+    p-part, with every c_i = 1.
 
     At each step m is the largest order among the remaining generators and
     s = N/m; an entry is a unit when entry/s is prime to p.  A generator x of
@@ -316,11 +304,12 @@ def jordan_blocks(part: FiniteQuadraticForm, p: int) -> list[tuple[int, int | st
     keeps a basis (c·x has order dividing that of y) and updates q and b by
     congruence: q(y - cx) = q(y) - 2c·b(y, x) + c^2·q(x).
     """
-    n = part.level
-    orders = part.orders
-    q = list(part.q)
-    b = [list(row) for row in part.b]
-    live = list(range(len(orders)))
+    n = form.level
+    keep = [(i, d // pk, pk) for i, d in enumerate(form.orders) if (pk := _p_power(d, p)) > 1]
+    orders = [pk for _, _, pk in keep]
+    q = [c * c * form.q[i] % (2 * n) for i, c, _ in keep]
+    b = [[ci * cj * form.b[i][j] % n for j, cj, _ in keep] for i, ci, _ in keep]
+    live = list(range(len(keep)))
 
     def shift(y, x, c):
         """Replace generator y by y - c·x."""
@@ -369,23 +358,17 @@ def jordan_blocks(part: FiniteQuadraticForm, p: int) -> list[tuple[int, int | st
 
 
 def delta_invariant(form: FiniteQuadraticForm) -> int:
-    """0 if the 2-part takes only integer values mod 2Z, else 1.
+    """0 if the 2-part takes only integer values mod 2Z, else 1; read off the
+    2-adic Jordan blocks.  Raises DegenerateForm on a degenerate form.
 
-    The 2-part is generated by c_i·g_i, over the generators g_i of even
-    order d_i, with c_i the odd part of d_i.  q(sum x_i c_i g_i) is integral
-    for every choice of x iff every q(c_i g_i) and every 2 b(c_i g_i, c_j g_j)
-    is, i.e. iff the level N divides c_i^2 q[i] and 2 c_i c_j b[i][j] for all
-    such i and j.  This is read on the form's own generators, with no 2-part
-    form built, and holds on a degenerate form too.
+    δ = 1 iff some 2-adic block is cyclic or has scale m > 2: a cyclic block
+    <a/m> has q = a/m with a odd, not an integer; an even block of scale m
+    has q(w) and q(v) in (2/m)Z and 2·b(w, v) = 2u/m with u odd, all
+    integers iff m = 2; and an orthogonal sum takes only integer values iff
+    each summand does.
     """
-    n = form.level
-    q, b = form.q, form.b
-    # d & -d is the 2-power part of d, so d // (d & -d) is its odd part
-    even = [(i, d // (d & -d)) for i, d in enumerate(form.orders) if not d & 1]
-    integral = all(c * c * q[i] % n == 0 for i, c in even) and all(
-        2 * ci * cj * b[i][j] % n == 0 for i, ci in even for j, cj in even
-    )
-    return 0 if integral else 1
+    blocks = jordan_splitting(form).get(2, ())
+    return int(any(m > 2 or a not in _EVEN_DET for m, a in blocks))
 
 
 class FormInvariants(NamedTuple):

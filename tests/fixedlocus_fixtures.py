@@ -3,16 +3,18 @@
 Fixed loci observed on families of fourfolds, each with the classification
 row it must match; the closed forms of the Hilbert-square census when a
 genus-g curve is present (an oracle of `fixedlocus.hilb2_census`); the
-census cross-check of a K3 locus against a row; the trace on degree-4
-cohomology; and the local-action patterns by a scan of every i (an oracle
-of `fixedlocus.enumerate_local_actions`) with the line `hklat local-actions`
-prints for one record.  The library never uses them.
+census as a dict, which `json.dumps` turns into the text of
+`Hilb2FixedLocus.as_json`; the census cross-check of a K3 locus against a
+row; the trace on degree-4 cohomology; and the local-action patterns by a
+scan of every i (an oracle of `fixedlocus.enumerate_local_actions`) with
+the line `hklat local-actions` prints for one record.  The library never
+uses them.
 """
 
 from typing import NamedTuple
 
 from hklat.errors import InvalidParameter
-from hklat.fixedlocus import K3FixedLocus, cross_check_totals, hilb2_census
+from hklat.fixedlocus import Hilb2FixedLocus, K3FixedLocus, cross_check_totals, hilb2_census
 
 
 class FixedLocusFixture(NamedTuple):
@@ -80,6 +82,24 @@ def census_chi_closed_form(g: int, N: int, k: int) -> tuple[int, int]:
     chi2 = (2 * g - 2 - N - 2 * k) * (2 * g - 5 - N - 2 * k)
     hs2 = N * N + 7 * N + 4 * N * k + 14 * k + 4 * N * g + 10 + 10 * g + 4 * k * k + 8 * k * g + 4 * g * g
     return chi2 // 2, hs2 // 2
+
+
+def census_as_dict(census: Hilb2FixedLocus) -> dict:
+    """The census as a dict in field order, the four surface counts nested
+    under "surfaces"."""
+    return {
+        "isolated_points": census.isolated_points,
+        "rational_curves": census.rational_curves,
+        "genus_g_curves": census.genus_g_curves,
+        "surfaces": {
+            "p1_x_p1": census.surfaces_p1_x_p1,
+            "p1_x_cg": census.surfaces_p1_x_cg,
+            "p2": census.surfaces_p2,
+            "hilb2_cg": census.surfaces_hilb2_cg,
+        },
+        "chi": census.chi,
+        "h_star": census.h_star,
+    }
 
 
 def cross_check_against_table(f: K3FixedLocus, p: int, m: int, a: int) -> bool:

@@ -1,10 +1,13 @@
 """Brute-force oracles and block builders for finite quadratic forms, for
 tests only.
 
-Each oracle enumerates the group, so it serves small forms only; the library
-decides the same questions from Jordan blocks (`hklat.fqf.jordan_blocks`).
-`forms_isomorphic` and `even_lattice_exists` are the library's answers as
-booleans, for the tests that compare forms or ask for existence only.
+Each enumerating oracle serves small forms only; the library decides the
+same questions from Jordan blocks (`hklat.fqf.jordan_blocks`).
+`prime_part` builds the p-part as a form of its own, which the library
+reads in place, and `delta_by_generators` reads delta off the generators
+rather than off the 2-adic blocks.  `forms_isomorphic` and
+`even_lattice_exists` are the library's answers as booleans, for the tests
+that compare forms or ask for existence only.
 """
 
 import itertools
@@ -37,6 +40,47 @@ def pairing(form, x, y):
         for j, cj in enumerate(y):
             total += ci * cj * form.b[i][j]
     return total % form.level
+
+
+def prime_part(form, p):
+    """The restriction to the p-Sylow subgroup, as a form of its own (cross
+    terms with other primes vanish).  The p-part of g_i is c_i·g_i with
+    c_i = d_i / p^k; its values, read at the level N, are multiples of
+    N / N_p (N_p the p-part's level), and are stored divided by that."""
+    n = form.level
+    keep = []
+    for i, d in enumerate(form.orders):
+        pk = 1
+        while d % (pk * p) == 0:
+            pk *= p
+        if pk > 1:
+            keep.append((i, d // pk, pk))
+    orders = tuple(pk for _, _, pk in keep)
+    shrink = n // math.lcm(*orders)
+    q = tuple(c * c * form.q[i] % (2 * n) // shrink for i, c, _ in keep)
+    b = tuple(
+        tuple(ci * cj * form.b[i][j] % n // shrink for j, cj, _ in keep) for i, ci, _ in keep
+    )
+    return FiniteQuadraticForm(orders, q, b)
+
+
+def delta_by_generators(form):
+    """0 if the 2-part takes only integer values mod 2Z, else 1, read on the
+    form's generators; holds on a degenerate form too.
+
+    The 2-part is generated by c_i·g_i, over the generators g_i of even
+    order d_i, with c_i the odd part of d_i.  q(sum x_i c_i g_i) is integral
+    for every choice of x iff every q(c_i g_i) and every 2 b(c_i g_i, c_j g_j)
+    is, i.e. iff the level N divides c_i^2 q[i] and 2 c_i c_j b[i][j] for all
+    such i and j."""
+    n = form.level
+    q, b = form.q, form.b
+    # d & -d is the 2-power part of d, so d // (d & -d) is its odd part
+    even = [(i, d // (d & -d)) for i, d in enumerate(form.orders) if not d & 1]
+    integral = all(c * c * q[i] % n == 0 for i, c in even) and all(
+        2 * ci * cj * b[i][j] % n == 0 for i, ci in even for j, cj in even
+    )
+    return 0 if integral else 1
 
 
 def u_block(n=2):

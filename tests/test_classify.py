@@ -31,6 +31,7 @@ from hklat.fqf import (
     trivial_form,
 )
 from hklat.cli import main
+from hklat.errors import InvalidParameter
 from hklat.lattices import Lattice, atom_data, discriminant_form, realize
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import mat_mul
@@ -170,6 +171,31 @@ def test_genus_unique_examples():
     # k = 5 = 1 mod 4 is not a square and 5^3 divides 4·125 and 4·250
     assert not genus_unique(3, 125)
     assert not genus_unique(3, 250)
+
+
+def _genus_unique_by_scan(rank, det):
+    """Oracle: the one-class test by trying every k >= 2 with k^C(n,2) <= B."""
+    bound = 4 ** (rank // 2) * abs(det)
+    exponent = rank * (rank - 1) // 2
+    k = 2
+    while k**exponent <= bound:
+        if k % 4 in (0, 1) and math.isqrt(k) ** 2 != k and bound % k**exponent == 0:
+            return False
+        k += 1
+    return True
+
+
+def test_genus_unique_agrees_with_the_scan():
+    answers = set()
+    for rank in range(2, 9):
+        for det in range(1, 800):
+            for d in (det, -det):
+                answer = genus_unique(rank, d)
+                assert answer == _genus_unique_by_scan(rank, d), (rank, d)
+                answers.add(answer)
+    assert answers == {True, False}
+    with pytest.raises(InvalidParameter):
+        genus_unique(3, 0)
 
 
 def test_genus_unique_on_exception_complements():

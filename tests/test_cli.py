@@ -394,6 +394,17 @@ def _past_deadline(signum, frame):
     raise DeadlineExceeded
 
 
+def _run_cli_within(capsys, seconds, *argv):
+    """run_cli, raising DeadlineExceeded after the given seconds."""
+    previous = signal.signal(signal.SIGALRM, _past_deadline)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run_cli(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -408,16 +419,18 @@ def test_invariants_of_large_discriminant_groups(capsys, name):
     # next two (2^61 - 1 and twice it) when primality was trial division,
     # the next (2·1000000007·1000000009) when factoring was, and the last
     # (2·(2^89 - 1)) when primality above the Miller-Rabin bound was
-    previous = signal.signal(signal.SIGALRM, _past_deadline)
-    signal.setitimer(signal.ITIMER_REAL, 5)
-    try:
-        code, out, err = run_cli(capsys, "invariants", name)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    code, out, err = _run_cli_within(capsys, 5, "invariants", name)
     assert (code, err) == (0, "")
     s_plus, s_minus = realize(name).signature()
     assert f"\ngauss signature (mod 8): {(s_plus - s_minus) % 8}\n" in out
+
+
+def test_embed_certifies_a_complement_of_a_large_discriminant_group(capsys):
+    # T has rank 3 and |A_T| = 2p^2, p = 1000000000039; the one-class test
+    # ran past 30 s when it tried every k with k^3 <= 8p^2
+    code, out, err = _run_cli_within(capsys, 5, "embed", "--expr", "U + U(1000000000039) + E8^2")
+    assert (code, err) == (0, "")
+    assert "\ncomplement unique in its genus (one-class certificate)\n" in out
 
 
 def _run_fresh(*args):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -20,8 +21,10 @@ from hklat.fqf import (
     normal_key,
 )
 from hklat.involutions import TwoElemInvariants, two_elementary_exists
-from hklat.lattices import discriminant_form, realize
+from hklat.lattices import Lattice, discriminant_form, realize
+from snf_oracle import mat_mul
 from test_classify import library_p_elementary_exists
+from test_exact import _random_unimodular, transpose
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19)
 MAX_DET = 64
@@ -152,3 +155,35 @@ def test_full_length_two_part_is_decided_by_e4():
     # of <-2>, whose 2-adic unit is -1 = 7, not 3
     assert even_lattice_exists_report(0, 1, cyclic(3, 2)) == (True, None)
     assert even_lattice_exists_report(1, 1, cyclic(1, 2).dsum(cyclic(3, 2))) == (True, None)
+
+
+# Catalog terms whose discriminant groups are 2-groups, or nearly so: the
+# roots A1, A3, A7 and D4-D7 and E7, twisted by ±1 and ±2, U(2^k) and
+# <±2^k·u> for every odd u mod 8.
+TWO_ADIC_TERMS = (
+    [f"{root}({t})" for root in ("A1", "A3", "A7", "D4", "D5", "D6", "D7", "E7") for t in (1, -1, 2, -2)]
+    + [f"U({2**k})" for k in (1, 2, 3)]
+    + [f"<{s * 2**k * u}>" for s in (1, -1) for k in (1, 2, 3) for u in (1, 3, 5, 7)]
+)
+
+
+def test_changed_basis_sums_of_2_adic_terms_exist_and_keep_their_key():
+    # A route to the 2-adic theory apart from the enumeration of small
+    # forms: the lattice exists, so its form on another basis, split afresh
+    # from the Smith form, passes E1-E4 at its own signature, and its key
+    # equals that of the terms' forms summed, which carries their splittings.
+    rng = random.Random(14)
+    full_length = 0
+    for _ in range(400):
+        terms = [rng.choice(TWO_ADIC_TERMS) for _ in range(rng.randint(1, 4))]
+        gram = realize(" + ".join(terms)).gram
+        p = _random_unimodular(len(gram), rng)
+        moved = Lattice(mat_mul(mat_mul(transpose(p), gram), p))
+        form = discriminant_form(moved)
+        assert even_lattice_exists_report(*moved.signature(), form) == (True, None), terms
+        summed = functools.reduce(
+            FiniteQuadraticForm.dsum, (discriminant_form(realize(t)) for t in terms)
+        )
+        assert normal_key(form) == normal_key(summed), terms
+        full_length += form.lengths_per_prime().get(2) == moved.rank
+    assert full_length > 100  # E4 applies to many of them

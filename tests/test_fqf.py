@@ -17,11 +17,13 @@ import hklat
 import snf_oracle
 from fqf_oracle import (
     brute_isomorphic,
+    delta_by_generators,
     elements,
     even_lattice_exists,
     forms_isomorphic,
     odd_disc_class,
     pairing,
+    prime_part,
     two_elementary_form,
     u_block,
     v_block,
@@ -310,12 +312,31 @@ def test_delta_invariant():
     assert delta_invariant(trivial_form()) == 0
     assert delta_invariant(v_block()) == 0
     assert delta_invariant(discriminant_form(realize("<6>"))) == 1
+    assert delta_invariant(u_block(4)) == 1  # q(e + f) = 2·b(e, f) = 1/2
+    assert delta_invariant(cyclic_form(9, 2)) == 0  # no 2-part
+    with pytest.raises(DegenerateForm):
+        delta_invariant(FiniteQuadraticForm((2,), (2,), ((0,),)))
 
 
 def _delta_by_value_scan(form):
     """Oracle: 0 iff every value of the 2-part is an integer mod 2Z."""
-    part = form.prime_part(2)
+    part = prime_part(form, 2)
     return 0 if all(v % part.level == 0 for v in value_counts(part)) else 1
+
+
+def _delta_or_none(form, nondegenerate):
+    """delta_invariant, checked against the value scan and the generator
+    formula on a nondegenerate form; on a degenerate one it raises
+    DegenerateForm, and None is returned.  The two oracles agree on every
+    form."""
+    expected = _delta_by_value_scan(form)
+    assert delta_by_generators(form) == expected, form
+    if not nondegenerate:
+        with pytest.raises(DegenerateForm):
+            delta_invariant(form)
+        return None
+    assert delta_invariant(form) == expected, form
+    return expected
 
 
 def test_delta_invariant_agrees_with_value_scan():
@@ -323,10 +344,8 @@ def test_delta_invariant_agrees_with_value_scan():
     seen = set()
     for _ in range(1500):
         form = _random_form(rng)
-        delta = delta_invariant(form)
-        assert delta == _delta_by_value_scan(form), form
-        seen.add((delta, _radical_is_trivial_by_enumeration(form)))
-    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+        seen.add(_delta_or_none(form, _radical_is_trivial_by_enumeration(form)))
+    assert seen == {0, 1, None}
 
 
 @st.composite
@@ -356,8 +375,41 @@ def _forms_with_large_odd_parts(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_forms_with_large_odd_parts())
 def test_delta_invariant_agrees_with_value_scan_on_large_odd_parts(form):
-    # delta is read on the generators c_i·g_i of the 2-part, with c_i up to 15
-    assert delta_invariant(form) == _delta_by_value_scan(form)
+    # the 2-part is generated by c_i·g_i, with c_i up to 15
+    _delta_or_none(form, _radical_is_trivial_by_smith_form(form))
+
+
+def _assert_split_in_place(form, p):
+    """jordan_blocks reads the p-part in place on the form's generators; the
+    oracle route builds it as a form of its own first.  Both give the same
+    blocks in the same order, or both raise DegenerateForm; returns whether
+    the p-part split."""
+    try:
+        expected = jordan_blocks(prime_part(form, p), p)
+    except DegenerateForm:
+        with pytest.raises(DegenerateForm):
+            jordan_blocks(form, p)
+        return False
+    assert jordan_blocks(form, p) == expected, (form, p)
+    return True
+
+
+def test_jordan_blocks_read_each_prime_part_in_place():
+    rng = random.Random(2027)
+    outcomes = []
+    for _ in range(1500):
+        form = _random_form(rng)
+        primes = form.lengths_per_prime()
+        outcomes += [(len(primes) > 1, _assert_split_in_place(form, p)) for p in primes]
+    # split and degenerate p-parts, of forms with one prime and with several
+    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_forms_with_large_odd_parts())
+def test_jordan_blocks_read_each_prime_part_in_place_on_large_odd_parts(form):
+    for p in form.lengths_per_prime():
+        _assert_split_in_place(form, p)
 
 
 def test_form_data_are_integers_at_the_level():
@@ -557,20 +609,20 @@ def test_forms_isomorphic_rejects_degenerate():
 
 
 def test_internal_builders_yield_valid_forms():
-    """dsum, neg and prime_part skip the checks of __init__; their results
-    pass those checks and are equal to the forms __init__ rebuilds."""
+    """dsum and neg skip the checks of __init__; their results pass those
+    checks and are equal to the forms __init__ rebuilds."""
     rng = random.Random(7)
     built = []
     for _ in range(500):
         f, g = _random_form(rng), _random_form(rng)
-        built += [f.dsum(g), f.neg()] + [f.prime_part(p) for p in (2, 3, 5)]
+        built += [f.dsum(g), f.neg()]
     for form in built:
         assert FiniteQuadraticForm(form.orders, form.q, form.b) == form
 
 
 def test_odd_disc_class():
     assert odd_disc_class(cyclic_form(3, 2), 3) == legendre_ref(2, 3)
-    assert odd_disc_class(discriminant_form(realize("U(3)")).prime_part(3), 3) == legendre_ref(-1, 3)
+    assert odd_disc_class(prime_part(discriminant_form(realize("U(3)")), 3), 3) == legendre_ref(-1, 3)
 
 
 def _change_basis(form, m):
