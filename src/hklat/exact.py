@@ -2,7 +2,9 @@
 
 Everything here works on plain Python integers (arbitrary precision); no
 floating point and no fractions are used anywhere.  Matrices are immutable
-tuples of tuples of ints.
+tuples of tuples of ints.  Outside input is checked by `as_matrix`; the
+eliminations (`signature_of_symmetric`, `smith_normal_form`) take matrices
+their callers have checked, and check nothing again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ IntMatrix = tuple[tuple[int, ...], ...]
 def prime_factors(n: int) -> tuple[int, ...]:
     """The distinct primes dividing n > 0, ascending.  The primes of
     `_MR_BASES` are divided out; a cofactor that `is_prime` does not confirm
-    is split by `_rho_divisor` until every part is confirmed prime."""
+    is replaced by its root if it is a perfect power (`_power_root`), which
+    has the same primes, and is otherwise split by `_rho_divisor`, until
+    every part is confirmed prime."""
     out = set()
     for p in _MR_BASES:
         if n % p == 0:
@@ -32,10 +36,26 @@ def prime_factors(n: int) -> tuple[int, ...]:
         m = parts.pop()
         if is_prime(m):
             out.add(m)
+        elif (r := _power_root(m)) != m:
+            parts.append(r)
         else:
             d = _rho_divisor(m)
             parts += (d, m // d)
     return tuple(sorted(out))
+
+
+def _power_root(n: int) -> int:
+    """r for the least k > 1 with r^k = n, or n if there is none, for an
+    n > 1 with no prime factor up to 41, so that k <= log_43 n < bits/5.
+    The integer Newton steps x -> ((k-1)·x + n // x^(k-1)) // k decrease
+    from 2^ceil(bits/k) >= n^(1/k) until they reach floor(n^(1/k))."""
+    for k in range(2, n.bit_length() // 5 + 1):
+        r = 1 << -(-n.bit_length() // k)
+        while (x := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = x
+        if r**k == n:
+            return r
+    return n
 
 
 def _rho_divisor(n: int) -> int:
@@ -147,10 +167,6 @@ def as_matrix(rows) -> IntMatrix:
     return out
 
 
-def dims(m: IntMatrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
-
-
 def block_diag(blocks) -> IntMatrix:
     """Block-diagonal assembly of square matrices."""
     sizes = [len(b) for b in blocks]
@@ -163,11 +179,6 @@ def block_diag(blocks) -> IntMatrix:
                 out[off + i][off + j] = x
         off += len(b)
     return tuple(map(tuple, out))
-
-
-def is_symmetric(m: IntMatrix) -> bool:
-    r, c = dims(m)
-    return r == c and all(m[i][j] == m[j][i] for i in range(r) for j in range(i))
 
 
 def _min_pivot(a, t):
@@ -303,9 +314,10 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[tuple[int, int], int]:
     divisions stay exact.  A zero pivot row (`DegenerateForm`) is d_k times
     a zero row of a Schur complement, so the matrix is singular; a singular
     one meets such a row, as d_n = det = 0 and no other pivot is 0.
+
+    m must be square and symmetric: its one library caller, `lattices._block`,
+    has checked that, and it is not checked again here.
     """
-    if not is_symmetric(m):
-        raise InvalidParameter("signature requires a symmetric square matrix")
     n, minus, prev = len(m), 0, 1
     a = [list(row) for row in m]
     for k in range(n):

@@ -10,16 +10,17 @@ norm n.  Expressions use the ASCII grammar
            | E6* | A4* | '<' EVEN_INT '>'
 
 e.g. "U^2 + E8^2 + A2", "A2(-1)", "U(3) + A2^3 + <-2>", "<6> + E6*(3)".
-A leading '-' negates every summand.  The duals E6* and A4* only realize at
-twists clearing their denominators (multiples of 3 resp. 5).  `realize` is
+A leading '-' negates every summand.  The catalog states the duals E6* and
+A4* as 3·E6* and 5·A4* over 3 and 5; they only realize at twists clearing
+those denominators (multiples of 3 resp. 5).  `realize` is
 the one way to name a lattice: it builds the lattice of such an expression,
 once per process.
 
-A lattice is the orthogonal sum of its blocks.  A block is an even,
-symmetric, nondegenerate Gram matrix, checked once when `_block` builds it,
-with its determinant and signature (from one elimination) and discriminant
-data (the Smith form modulo det², `_smith_data`).  `Lattice(gram, expr)`
-is one block; `atom_data` builds each twisted catalog atom's block once
+A lattice is the orthogonal sum of its blocks.  A block is a Gram matrix
+checked once (square, symmetric, even, nondegenerate), by `_block` and
+nowhere else, with its determinant and signature (from one elimination)
+and discriminant data (the Smith form modulo det², `_smith_data`).
+`Lattice(gram, expr)` is one block; `atom_data` builds each twisted catalog atom's block once
 per process; `realize` concatenates blocks without checking them again.
 Every invariant is read off the blocks: det multiplies, rank and signature
 add, and the discriminant form is the orthogonal sum of the blocks' forms.
@@ -51,9 +52,7 @@ from .exact import (
     IntMatrix,
     as_matrix,
     block_diag,
-    dims,
     is_prime,
-    is_symmetric,
     signature_of_symmetric,
     smith_normal_form,
 )
@@ -127,65 +126,56 @@ def _root_gram(n: int, branch: int) -> IntMatrix:
     )
 
 
-def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """(e·m^-1, e) for a nonsingular m and the least e > 0 making e·m^-1
-    integral.
-
-    One fraction-free Gauss-Jordan pass on [m | I]: step k brings a row with
-    a nonzero entry in column k up to row k if a_kk = 0, then sets every
-    other row i to (a_ij·p - a_ik·a_kj) / (previous pivot), p = a_kk, an exact
-    division as in Bareiss's elimination.  It ends at [d·I | d·m^-1], d the
-    last pivot, the determinant of m with its rows permuted: d·m^-1 = ±adj(m).
-    With c the gcd of its entries, signed as d, e·m^-1 = d·m^-1/c for
-    e = d/c."""
-    n, prev = len(m), 1
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    for k in range(n):
-        i = next(i for i in range(k, n) if a[i][k])
-        a[k], a[i] = a[i], a[k]
-        p, pivot_row = a[k][k], a[k]
-        for i, row in enumerate(a):
-            if i != k:
-                x = row[k]
-                a[i] = [(y * p - x * z) // prev for y, z in zip(row, pivot_row)]
-        prev = p
-    c = math.gcd(*(x for row in a for x in row[n:])) * (1 if prev > 0 else -1)
-    return tuple(tuple(x // c for x in row[n:]) for row in a), prev // c
-
-
-def _atom_base_gram(atom: str) -> IntMatrix:
-    """Gram matrix of the untwisted atom (the duals E6* and A4* excepted)."""
+def _atom_base_gram(atom: str) -> tuple[IntMatrix, int]:
+    """(e·G, e) for the Gram matrix G of the untwisted atom: e = 3 for E6*
+    and 5 for A4*, whose e·G = e·G_R^-1 for the root lattice R = E6, A4 is
+    the reduced adjugate of G_R (Conway and Sloane, SPLAG, ch. 4 §8), and
+    e = 1 for every other atom.  Each e·G has an even diagonal (U 0, A/D/E
+    -2, K_p -(p+1)/2 and H_p (p-1)/2 for the p allowed, L17 -2 and -4, the
+    duals -4 to -18, and <n> is checked even here), so every twist t that
+    realizes, an integral multiple (t/e)·e·G, is even."""
+    if atom == "E6*":
+        return (
+            (-4, -5, -6, -4, -2, -3),
+            (-5, -10, -12, -8, -4, -6),
+            (-6, -12, -18, -12, -6, -9),
+            (-4, -8, -12, -10, -5, -6),
+            (-2, -4, -6, -5, -4, -3),
+            (-3, -6, -9, -6, -3, -6),
+        ), 3
+    if atom == "A4*":
+        return ((-4, -3, -2, -1), (-3, -6, -4, -2), (-2, -4, -6, -3), (-1, -2, -3, -4)), 5
     if atom == "U":
-        return ((0, 1), (1, 0))
+        return ((0, 1), (1, 0)), 1
     if atom.startswith("<") and atom.endswith(">"):
         n = int(atom[1:-1])
         if n == 0 or n % 2:
             raise InvalidParameter(f"<{n}> is not an even rank-one lattice")
-        return ((n,),)
+        return ((n,),), 1
     if atom[0] == "A" and atom[1:].isdigit():
         k = int(atom[1:])
         if k < 1:
             raise InvalidParameter("A_k needs k >= 1")
-        return _root_gram(k, k - 2)
+        return _root_gram(k, k - 2), 1
     if atom[0] == "D" and atom[1:].isdigit():
         h = int(atom[1:])
         if h < 4:
             raise InvalidParameter("D_h needs h >= 4")
-        return _root_gram(h, h - 3)
+        return _root_gram(h, h - 3), 1
     if atom in ("E6", "E7", "E8"):
-        return _root_gram(int(atom[1]), 2)
+        return _root_gram(int(atom[1]), 2), 1
     if atom[0] == "K" and atom[1:].isdigit():
         p = int(atom[1:])
         if p % 4 != 3 or not is_prime(p):
             raise InvalidParameter(f"K_p needs a prime p = 3 mod 4, got {p}")
-        return ((-(p + 1) // 2, 1), (1, -2))
+        return ((-(p + 1) // 2, 1), (1, -2)), 1
     if atom[0] == "H" and atom[1:].isdigit():
         p = int(atom[1:])
         if p % 4 != 1 or not is_prime(p):
             raise InvalidParameter(f"H_p needs a prime p = 1 mod 4, got {p}")
-        return (((p - 1) // 2, 1), (1, -2))
+        return (((p - 1) // 2, 1), (1, -2)), 1
     if atom == "L17":
-        return ((-2, 1, 0, 1), (1, -2, 0, 0), (0, 0, -2, 1), (1, 0, 1, -4))
+        return ((-2, 1, 0, 1), (1, -2, 0, 0), (0, 0, -2, 1), (1, 0, 1, -4)), 1
     raise InvalidParameter(f"unknown atom {atom!r}")
 
 
@@ -222,11 +212,12 @@ def _block(gram) -> Block:
     """Check a Gram matrix and compute its invariants, each once: det and
     signature from one elimination, then the discriminant data."""
     g = as_matrix(gram)
-    if dims(g)[1] != len(g):
+    n = len(g)
+    if g and len(g[0]) != n:  # as_matrix leaves no ragged rows
         raise InvalidParameter("Gram matrix must be square")
-    if not is_symmetric(g):
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         raise NotEvenLattice("Gram matrix must be symmetric")
-    if any(g[i][i] % 2 for i in range(len(g))):
+    if any(g[i][i] % 2 for i in range(n)):
         raise NotEvenLattice("lattice is not even: odd diagonal entry")
     try:
         signature, det = signature_of_symmetric(g)
@@ -312,16 +303,10 @@ class Lattice:
 @cache
 def atom_data(atom: str, twist: int) -> Block:
     """The block of atom(twist), built once per process."""
-    if atom in ("E6*", "A4*"):  # Gram e·G^-1 of E6 resp. A4, over e
-        base, den = _scaled_inverse(_atom_base_gram(atom[:-1]))
-    else:
-        base, den = _atom_base_gram(atom), 1
+    base, den = _atom_base_gram(atom)
     if any(twist * x % den for row in base for x in row):
         raise InvalidParameter(f"{atom}({twist}) is not an integral lattice")
-    gram = [[twist * x // den for x in row] for row in base]
-    if any(gram[i][i] % 2 for i in range(len(gram))):
-        raise InvalidParameter(f"{atom}({twist}) is not even")
-    return _block(gram)
+    return _block([[twist * x // den for x in row] for row in base])
 
 
 @cache

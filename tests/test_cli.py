@@ -295,6 +295,8 @@ INPUT_FILES = {
     # no nonzero diagonal entry: rejected where the pivot repair would add a row
     "null.json": '{"gram": [[0, 0], [0, 0]]}',
     "asym.json": '{"gram": [[0, 1], [2, 0]]}',
+    # both asymmetric and odd: symmetry is tested first
+    "asym_odd.json": '{"gram": [[1, 1], [2, 0]]}',
 }
 
 
@@ -334,11 +336,28 @@ FAILURES = [
     (("involution", "--r", "2", "--a", "-1", "--delta", "1"), 1),
     (("embed",), 1),
     (("bogus",), 1),
+    # catalog atoms rejected by their parameters, none by _block
+    (("invariants", "E6*(2)"), 1),
+    (("invariants", "A4*(3)"), 1),
+    (("invariants", "<3>"), 1),
+    (("invariants", "K5"), 1),
+    (("invariants", "H7"), 1),
     (("invariants", "odd.json"), 2),
     (("invariants", "singular.json"), 2),
     (("invariants", "null.json"), 2),
     (("invariants", "asym.json"), 2),
+    (("invariants", "asym_odd.json"), 2),
 ]
+
+# the one line _block writes for each Gram matrix it rejects
+BLOCK_ERRORS = {
+    "wide.json": "error: Gram matrix must be square\n",
+    "asym.json": "error: Gram matrix must be symmetric\n",
+    "asym_odd.json": "error: Gram matrix must be symmetric\n",
+    "odd.json": "error: lattice is not even: odd diagonal entry\n",
+    "singular.json": "error: lattice is degenerate\n",
+    "null.json": "error: lattice is degenerate\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -351,8 +370,8 @@ def test_failures_exit_typed_with_empty_stdout(tmp_path, monkeypatch, capsys, ar
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (expected_code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    if argv[-1] in ("singular.json", "null.json"):
-        assert err == "error: lattice is degenerate\n"
+    if argv[-1] in BLOCK_ERRORS:
+        assert err == BLOCK_ERRORS[argv[-1]]
 
 
 def test_determinism(capsys):

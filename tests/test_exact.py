@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -83,6 +84,41 @@ def test_prime_factors_matches_sympy():
         for _ in range(10)
     ]
     assert [n for n in ns if list(prime_factors(n)) != sympy.primefactors(n)] == []
+
+
+def test_prime_factors_splits_perfect_powers_at_once():
+    # Pollard rho alone spent most of a second on each of these
+    p, q = 1000000000039, 1000003
+    for n in (p**2, 8 * p**2, p**2 * q**2, p**5):
+        prime_factors.cache_clear()
+        start = time.perf_counter()
+        assert list(prime_factors(n)) == sympy.primefactors(n)
+        assert time.perf_counter() - start < 1.0, n
+
+
+def test_prime_factors_of_random_perfect_powers_match_sympy():
+    # seeded r^k, r a product of up to three primes in [43, 10^6) or one
+    # below 10^12, k in 2..7, times a power of 2 or 3 or not
+    rng = random.Random(35)
+    ns = []
+    for _ in range(150):
+        if rng.random() < 0.5:
+            r = math.prod(sympy.nextprime(rng.randrange(42, 10**6)) for _ in range(rng.randint(1, 3)))
+        else:
+            r = sympy.nextprime(rng.randrange(10**11, 10**12))
+        ns.append(rng.choice((1, 2, 8, 27)) * r ** rng.randint(2, 7))
+    assert [n for n in ns if list(prime_factors(n)) != sorted(sympy.factorint(n))] == []
+
+
+def test_power_root_takes_the_least_root():
+    # r^k for a seeded prime r > 41 has the root r^(k/l), l the least prime
+    # of k; a product of two distinct primes is no perfect power
+    rng = random.Random(35)
+    for _ in range(300):
+        r, k = sympy.nextprime(rng.randrange(42, 10**30)), rng.randint(2, 12)
+        assert exact._power_root(r**k) == r ** (k // min(sympy.primefactors(k))), (r, k)
+        s = sympy.nextprime(r)
+        assert exact._power_root(r * s) == r * s
 
 
 def test_snf_identity():

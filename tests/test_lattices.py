@@ -34,8 +34,8 @@ from hklat.lattices import (
     parse_expr,
     realize,
     render_expr,
+    _atom_base_gram,
     _root_gram,
-    _scaled_inverse,
 )
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import det_exact
@@ -400,26 +400,44 @@ def _adjugate_inverse(m):
     return tuple(tuple(x // c for x in row) for row in adj), det // c
 
 
-nonsingular_matrices = (
-    st.integers(min_value=1, max_value=6)
-    .flatmap(lambda n: st.lists(
-        st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
-        min_size=n,
-        max_size=n,
-    ))
-    .map(lambda rows: tuple(map(tuple, rows)))
-    .filter(lambda m: det_exact(m) != 0)
-)
+def test_dual_literals_are_the_reduced_adjugates():
+    # the catalog's e·G of E6* and A4* is e·G_R^-1 for the root Gram G_R,
+    # the n^2 cofactors reduced by their gcd, and e·G·G_R = e·I
+    for atom, root in (("E6*", _root_gram(6, 2)), ("A4*", _root_gram(4, 2))):
+        base, den = _atom_base_gram(atom)
+        assert (base, den) == _adjugate_inverse(root)
+        n = len(root)
+        product = tuple(
+            tuple(sum(base[i][k] * root[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+        assert product == tuple(tuple(den * (i == j) for j in range(n)) for i in range(n))
+    assert atom_data("E6*", 3).gram == _atom_base_gram("E6*")[0]
+    assert atom_data("A4*", 5).gram == _atom_base_gram("A4*")[0]
 
 
-@settings(max_examples=300, deadline=None)
-@given(nonsingular_matrices)
-@example(_root_gram(6, 2))  # E6
-@example(_root_gram(4, 2))  # A4
-@example(((0, 1, 2), (1, 0, 3), (2, 3, 0)))  # a zero first pivot, swapped
-def test_scaled_inverse_is_the_reduced_adjugate(m):
-    # one Gauss-Jordan pass gives what the n^2 cofactors give
-    assert _scaled_inverse(m) == _adjugate_inverse(m)
+def test_every_catalog_atom_twists_to_an_even_diagonal():
+    # why atom_data needs no evenness test of its own: each base e·G has an
+    # even diagonal, and a twist t that realizes is an integral multiple t/e
+    atoms = (
+        "U", "A1", "A2", "A4", "A10", "D4", "D7", "E6", "E7", "E8", "K3", "K7",
+        "K19", "K1019", "H5", "H13", "H1021", "L17", "E6*", "A4*", "<2>", "<-8>",
+    )
+    realized = 0
+    for atom in atoms:
+        base, den = _atom_base_gram(atom)
+        assert all(base[i][i] % 2 == 0 for i in range(len(base))), atom
+        for t in {s * k * e for s in (1, -1) for k in (1, 2, 3) for e in (1, den)}:
+            if any(t * x % den for row in base for x in row):
+                with pytest.raises(InvalidParameter):
+                    atom_data(atom, t)
+                continue
+            gram = [[t * x // den for x in row] for row in base]
+            assert all(gram[i][i] % 2 == 0 for i in range(len(gram))), (atom, t)
+            assert atom_data(atom, t).gram == tuple(map(tuple, gram))
+            realized += 1
+    # six twists each: ±1, ±2, ±3, and e·(±1, ±2, ±3) for the duals
+    assert realized == 6 * len(atoms)
 
 
 def test_non_square_gram_is_malformed():
