@@ -73,9 +73,6 @@ class LatticeInvariants:
         return (f"LatticeInvariants(s_plus={self.s_plus!r}, s_minus={self.s_minus!r}, "
                 f"form={self.form!r})")
 
-    def __reduce__(self):
-        return (LatticeInvariants, (self.s_plus, self.s_minus, self.form))
-
     @property
     def rank(self) -> int:
         return self.s_plus + self.s_minus

@@ -6,12 +6,12 @@ it, in one write, so an error leaves stdout empty.  `tables` and `figures`
 with `--out FILE` write the file with the bytes they would print, final
 newline included.  Exit codes: 1 malformed input (usage errors such as an
 unknown option or choice, bad parameters, unparsable expressions or JSON,
-unreadable files), 2 a mathematical rejection (e.g. a Gram matrix that is
-not an even lattice).  Every error prints one `error: ...` line on
-stderr.  Two answers also exit 2, with the answer on stdout and nothing on
-stderr: `involution` when no such 2-elementary lattice exists, and
-`census --check` on a MISMATCH.  `tables` prints through `tables.render`.
-Output is deterministic.
+unreadable files or files that are not UTF-8 text), 2 a mathematical
+rejection (e.g. a Gram matrix that is not an even lattice).  Every error
+prints one `error: ...` line on stderr.  Two answers also exit 2, with the
+answer on stdout and nothing on stderr: `involution` when no such
+2-elementary lattice exists, and `census --check` on a MISMATCH.  `tables`
+prints through `tables.render`.  Output is deterministic.
 
 Dispatch: `COMMANDS` is the one table of commands, each with its handler,
 its one-line help and the function that declares its arguments.  `main`
@@ -53,8 +53,11 @@ from .errors import HklatError, InvalidParameter
 
 
 def _read(path: str) -> str:
-    with open(path) as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_lattice(source: str) -> lattices.Lattice:

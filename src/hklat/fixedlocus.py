@@ -41,8 +41,7 @@ class K3FixedLocus:
     for a primitive p-th root of unity z; n has length p-1.  p is an odd
     prime at most 19 (`_k3_prime`, UnsupportedPrime above).  Every count is
     an int: a float, bool or str raises InvalidParameter, as does an n that
-    is not a sequence.  Immutable; equality and hashing go by
-    (p, k, n, genus_curve).
+    is not a sequence.  Immutable.
     """
 
     __slots__ = ("p", "k", "n", "genus_curve")
@@ -68,23 +67,9 @@ class K3FixedLocus:
     def __setattr__(self, name, value):
         raise AttributeError(f"K3FixedLocus is immutable; cannot set {name!r}")
 
-    def _key(self):
-        return (self.p, self.k, self.n, self.genus_curve)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return (f"K3FixedLocus(p={self.p!r}, k={self.k!r}, n={self.n!r}, "
                 f"genus_curve={self.genus_curve!r})")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (K3FixedLocus, self._key())
 
     @property
     def N(self) -> int:
@@ -223,7 +208,7 @@ def k3_fixed_locus_from_json(text: str) -> K3FixedLocus:
     try:
         data = json.loads(text)
         p, n = data["p"], data.get("n")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidParameter(f"malformed fixed-locus JSON: {exc!r}") from exc
     if n is None:
         n = (0,) * (_k3_prime(p) - 1)

@@ -33,7 +33,7 @@ class FiniteQuadraticForm:
     splitting is kept in `_split` on first use, or from birth for a sum or
     negation of split forms (see `jordan_splitting`), and the normal key in
     `_key` on first use (see `normal_key`); both are left out of equality,
-    hashing, repr and pickles."""
+    hashing and repr."""
 
     __slots__ = ("orders", "q", "b", "_split", "_key")
 
@@ -97,9 +97,6 @@ class FiniteQuadraticForm:
 
     def __repr__(self):
         return f"FiniteQuadraticForm(orders={self.orders!r}, q={self.q!r}, b={self.b!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return (FiniteQuadraticForm, (self.orders, self.q, self.b))
 
     # -- basic structure ---------------------------------------------------
 

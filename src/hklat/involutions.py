@@ -35,10 +35,6 @@ class TwoElemInvariants(NamedTuple):
     def r(self) -> int:
         return self.s_plus + self.s_minus
 
-    @property
-    def signature(self) -> tuple[int, int]:
-        return (self.s_plus, self.s_minus)
-
 
 class InvolutionEmbeddingClass(NamedTuple):
     """One embedding class of T in L, described by its orthogonal complement."""

@@ -229,13 +229,11 @@ def _block(gram) -> Block:
 class Lattice:
     """Even nondegenerate lattice: the orthogonal sum of its blocks.
 
-    Immutable; equality and hashing go by (gram, expr), whatever the blocks.
-    The Gram matrix is the block diagonal matrix of the blocks, built on
-    each read; det, rank, signature and the discriminant form are read off
-    the blocks.  The discriminant form (`discriminant_form`) and the
-    discriminant data (`discriminant_data`) are kept once computed, outside
-    equality, hashing, repr and pickling.  Copies and pickles carry
-    the blocks, so no block is computed again.
+    Immutable, so the caches can share it.  The Gram matrix is the block
+    diagonal matrix of the blocks, built on each read; det, rank, signature
+    and the discriminant form are read off the blocks.  The discriminant
+    form (`discriminant_form`) and the discriminant data
+    (`discriminant_data`) are kept once computed, outside repr.
 
     The sum of blocks is a lattice with these invariants.  A block diagonal
     matrix of square blocks is symmetric iff each block is (its transpose is
@@ -265,19 +263,8 @@ class Lattice:
     def __setattr__(self, name, value):
         raise AttributeError(f"Lattice is immutable; cannot set {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.gram, self.expr) == (other.gram, other.expr)
-
-    def __hash__(self):
-        return hash((self.gram, self.expr))
-
     def __repr__(self):
         return f"Lattice(gram={self.gram!r}, expr={self.expr!r})"
-
-    def __reduce__(self):
-        return (Lattice.from_blocks, (self.blocks, self.expr))
 
     @property
     def gram(self) -> IntMatrix:
@@ -427,7 +414,7 @@ def lattice_from_json(text: str) -> Lattice:
         data = json.loads(text)
         gram = data["gram"]
         expr = parse_expr(data["name"]) if data.get("name") else None
-    except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, AttributeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidParameter(f"malformed lattice JSON: {exc!r}") from exc
     lattice = Lattice(gram, expr=expr)
     if expr is not None and realize(expr).gram != lattice.gram:

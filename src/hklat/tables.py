@@ -73,10 +73,6 @@ class AdmissibleTriple(NamedTuple):
     realizations: tuple[str, ...]
     no_known_realization: bool
 
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.p, self.m, self.a)
-
 
 # Catalog names of S and T per (p, m, a), in the classification's standard
 # presentation (validated against the computed invariants by the test suite).

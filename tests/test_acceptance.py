@@ -54,8 +54,9 @@ def test_criterion_1_table_reproduction():
         assert got == want, f"table for p={p} differs"
         assert len(rows) == ROW_COUNTS[p]
         for r in rows:
-            assert r.embedding_exception == (r.key in EXCEPTION_TRIPLES)
-            assert r.no_known_realization == (r.key in NO_REALIZATION_TRIPLES)
+            key = (r.p, r.m, r.a)
+            assert r.embedding_exception == (key in EXCEPTION_TRIPLES)
+            assert r.no_known_realization == (key in NO_REALIZATION_TRIPLES)
         if p == 5:
             assert all(r.natural_only for r in rows)
     keys3 = {(r.m, r.a) for r in enumerate_triples(3)}

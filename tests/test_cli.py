@@ -297,6 +297,10 @@ INPUT_FILES = {
     "asym.json": '{"gram": [[0, 1], [2, 0]]}',
     # both asymmetric and odd: symmetry is tested first
     "asym_odd.json": '{"gram": [[1, 1], [2, 0]]}',
+    "latin1.json": b'{"gram": [[0, 1], [1, 0]], "name": "\xff"}',
+    # nested deeper than the recursion limit
+    "deep.json": '{"gram": ' + "[" * 5000 + "]" * 5000 + "}",
+    "deep_locus.json": '{"p": 3, "n": ' + "[" * 5000 + "]" * 5000 + "}",
 }
 
 
@@ -347,6 +351,12 @@ FAILURES = [
     (("invariants", "null.json"), 2),
     (("invariants", "asym.json"), 2),
     (("invariants", "asym_odd.json"), 2),
+    (("invariants", "latin1.json"), 1),
+    (("embed", "--expr", "latin1.json"), 1),
+    (("census", "latin1.json"), 1),
+    (("invariants", "deep.json"), 1),
+    (("embed", "--expr", "deep.json"), 1),
+    (("census", "deep_locus.json"), 1),
 ]
 
 # the one line _block writes for each Gram matrix it rejects
@@ -366,7 +376,7 @@ BLOCK_ERRORS = {
 def test_failures_exit_typed_with_empty_stdout(tmp_path, monkeypatch, capsys, argv, expected_code):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUT_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (expected_code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -389,6 +399,14 @@ def test_missing_json_file_is_an_os_error(tmp_path, monkeypatch, capsys, argv):
         Path("missing.json").read_text()
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+
+
+def test_non_utf8_file_is_named_in_its_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(INPUT_FILES["latin1.json"])
+    code, out, err = run_cli(capsys, "invariants", "latin1.json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: latin1.json is not UTF-8 text: ")
 
 
 def test_warm_embed_calls_jordan_blocks_zero_times(capsys, monkeypatch):

@@ -1,9 +1,7 @@
 import cmath
-import copy
 import functools
 import itertools
 import math
-import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -431,6 +429,23 @@ def test_form_rejects_rational_entries():
         FiniteQuadraticForm((3,), (4,), ((2,),))  # b(g,g) != q(g) mod Z
 
 
+@pytest.mark.parametrize(
+    "orders, q, b, message",
+    [
+        ((3,), (2, 0), ((2,),), "inconsistent generator data"),
+        ((1,), (0,), ((0,),), "generator orders must be > 1"),
+        ((3,), (6,), ((0,),), "q values must be reduced into [0, 2N)"),
+        ((3, 3), (2, 2), ((2, 1), (2, 2)), "b must be symmetric"),
+        ((3,), (2,), ((5,),), "b values must be reduced into [0, N)"),
+        ((2, 4), (0, 2), ((0, 1), (1, 2)), "b value incompatible with generator order"),
+    ],
+)
+def test_form_rejects_invalid_generator_data(orders, q, b, message):
+    with pytest.raises(hklat.errors.InvalidParameter) as exc:
+        FiniteQuadraticForm(orders, q, b)
+    assert str(exc.value) == message
+
+
 def test_cyclic_form_takes_an_integer_numerator_matching_the_order():
     assert cyclic_form(2, 3) == FiniteQuadraticForm((2,), (3,), ((1,),))
     assert cyclic_form(6, -1) == cyclic_form(6, 11)
@@ -732,14 +747,13 @@ def test_two_elementary_form_matches_invariants():
 def test_jordan_splitting_is_kept_on_the_form_only():
     form = discriminant_form(realize("U(3) + A2 + <-2>"))
     twin = FiniteQuadraticForm(form.orders, form.q, form.b)
+    assert twin._split is None
     splitting = jordan_splitting(form)
     assert jordan_splitting(form) is splitting
     # the blocks' splittings put together (U(3), then A2), not a fresh split
     assert splitting == {2: ((2, 3),), 3: ((3, 2), (3, 4), (3, 4))}
     assert normal_key(form) == normal_key(twin)
     assert (form, hash(form), repr(form)) == (twin, hash(twin), repr(twin))
-    for copied in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
-        assert copied == form and copied._split is None
 
 
 def _composed_forms():
@@ -807,8 +821,8 @@ def test_local_key_does_not_depend_on_block_order():
 
 def test_local_key_equals_the_uncached_keys():
     # every p-part of the catalog atoms and table lattices; a form computes
-    # its normal key once and keeps it, and a pickled copy, which keeps
-    # nothing, computes an equal key
+    # its normal key once and keeps it, and a twin built from its generator
+    # data, which keeps nothing, computes an equal key
     names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair}
     for name in sorted(names):
         form = discriminant_form(realize(name))
@@ -816,8 +830,8 @@ def test_local_key_equals_the_uncached_keys():
             uncached = _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)
             assert local_key(p, blocks) == uncached == local_key(p, blocks[::-1]), name
         assert normal_key(form) is normal_key(form), name
-        copied = pickle.loads(pickle.dumps(form))
-        assert copied._key is None and normal_key(copied) == normal_key(form), name
+        twin = FiniteQuadraticForm(form.orders, form.q, form.b)
+        assert twin._key is None and normal_key(twin) == normal_key(form), name
 
 
 def test_form_invariants_record():

@@ -126,7 +126,7 @@ def test_classify_example_rank_two():
     case1, case2 = classes
     assert (case1.s_invariants.a, case1.s_invariants.delta) == (3, 1)
     assert (case2.s_invariants.a, case2.s_invariants.delta) == (1, 1)
-    assert case1.s_invariants.signature == (2, 19)
+    assert (case1.s_invariants.s_plus, case1.s_invariants.s_minus) == (2, 19)
     # the two orthogonal classes match the known rank-21 lattices
     for name, a in (("U^2 + E8 + E7 + <-2>^2", 3), ("U^2 + E8^2 + <-2>", 1)):
         lat = realize(name)

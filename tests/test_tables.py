@@ -78,7 +78,7 @@ def test_lefschetz_assembly_identity():
 
 
 def test_moduli_dimension():
-    rows = {r.key: r for p in SUPPORTED_PRIMES for r in enumerate_triples(p)}
+    rows = {(r.p, r.m, r.a): r for p in SUPPORTED_PRIMES for r in enumerate_triples(p)}
     assert rows[(3, 11, 1)].moduli_dim == 10
     assert rows[(3, 5, 5)].moduli_dim == 4
     assert all(r.moduli_dim == r.m - 1 for r in rows.values())
@@ -108,9 +108,10 @@ def test_excluded_triple_absent():
 def test_flags():
     for p in (3, 11, 13):
         for r in enumerate_triples(p):
-            assert r.embedding_exception == (r.key in EXCEPTION_TRIPLES)
-            assert r.s_unique_embedding == (r.key not in EXCEPTION_TRIPLES)
-            assert r.no_known_realization == (r.key in NO_REALIZATION_TRIPLES)
+            key = (r.p, r.m, r.a)
+            assert r.embedding_exception == (key in EXCEPTION_TRIPLES)
+            assert r.s_unique_embedding == (key not in EXCEPTION_TRIPLES)
+            assert r.no_known_realization == (key in NO_REALIZATION_TRIPLES)
             assert r.t_unique_embedding
 
 
@@ -139,7 +140,7 @@ def _candidate_rows():
 def test_natural_verdict_matches_the_published_classification():
     candidates = dict(_candidate_rows())
     assert len(candidates) == len(list(_candidate_rows()))
-    table = {r.key: r for p in SUPPORTED_PRIMES for r in enumerate_triples(p)}
+    table = {(r.p, r.m, r.a): r for p in SUPPORTED_PRIMES for r in enumerate_triples(p)}
     assert len(candidates) == 54 and set(table) <= set(candidates)
     assert len({key for key in candidates if key[0] == 5} - set(table)) == 9
     non_natural = FANO_ONLY_TRIPLES | NO_REALIZATION_TRIPLES
