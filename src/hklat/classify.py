@@ -146,9 +146,6 @@ class EmbeddingReport(NamedTuple):
     t_unique_embedding: bool
 
 
-_NO_EMBEDDING = EmbeddingReport(False, False, None, False, False)
-
-
 @cache
 def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     """Primitive-embedding analysis of S in L for odd p (or a = 0).
@@ -169,12 +166,10 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
         raise NotPElementary("embedding analysis requires odd p (or trivial group)")
     ambient = AMBIENT_GENUS
     t_plus, t_minus = ambient.s_plus - s.s_plus, ambient.s_minus - s.s_minus
-    if t_plus < 0 or t_minus < 0:
-        return _NO_EMBEDDING
     q_t = s.form.neg().dsum(ambient.form)
     embeds, _ = even_lattice_exists_report(t_plus, t_minus, q_t)
     if not embeds:
-        return _NO_EMBEDDING
+        return EmbeddingReport(False, False, None, False, False)
 
     t_rank = t_plus + t_minus
     unique = t_plus > 0 and t_minus > 0 and s.a <= ambient.rank - 2 - s.rank
@@ -268,10 +263,7 @@ def recognize(target: LatticeInvariants) -> lattices.LatticeExpr | None:
     the same state (rest of |A_T|, signature, multiset of Jordan blocks at
     2) only the first in the order above is kept.  After the last prime,
     each partial sum is completed by x copies of U and y copies of E8, and
-    the first in order is the answer.  A target with a Jordan block of a
-    scale that no atom has is answered None at once: the scales, with their
-    ranks, are the elementary divisors of A_T, and those of a sum are its
-    summands' put together.
+    the first in order is the answer; with no completion the answer is None.
 
     Complete.  Let M be a pool sum with sig M = sig T and q_M ~ q_T.  Its
     summands with |det| != 1 have |det| product |A_M| = |A_T|, since |det|
@@ -316,10 +308,6 @@ def _search(
     """`recognize`'s search for `target` over the pool `terms`."""
     data = [lattices.atom_data(*term) for term in terms]
     splittings = [jordan_splitting(atom.form) for atom in data]
-    scales = {m for split in splittings for blocks in split.values() for m, _ in blocks}
-    want_splitting = jordan_splitting(target.form)
-    if any(m not in scales for blocks in want_splitting.values() for m, _ in blocks):
-        return None
     groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (pool index, |det|, s+, s-)
     for i, (atom, split) in enumerate(zip(data, splittings)):
         if split:

@@ -182,8 +182,8 @@ def block_diag(blocks) -> IntMatrix:
 
 
 def _min_pivot(a, t):
-    """Nonzero entry of the trailing block minimizing (|value|, i, j); None if
-    all zero.  The scan is row-major, so the first +-1 met is taken on sight."""
+    """Nonzero entry of the trailing block minimizing (|value|, i, j).  The
+    scan is row-major, so the first +-1 met is taken on sight."""
     best, least = None, None
     for i in range(t, len(a)):
         row = a[i]
@@ -231,6 +231,10 @@ def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatri
     row t holding column v_t, so a column addition on V adds one row to
     another and a column swap exchanges two rows.
 
+    Each step finds a pivot when d = |det| >= 2: were the trailing block 0 at
+    step t, the index d of A·Z^n + R·Z^n = U·m·Z^n would be a multiple of
+    g_t = gcd(0, R) = R = d^2 > d.
+
     For |det| = 1 every entry is 0 modulo R = 1: there is no pivot, every
     factor is 1 and V is the identity.  (Eliminating anyway would replace a
     pivot outside [-1, 1] by its residue 0 and divide by it.)
@@ -261,10 +265,7 @@ def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatri
         vt[i], vt[j] = vt[j], vt[i]
 
     for t in range(n):
-        loc = _min_pivot(a, t)
-        if loc is None:  # the trailing block is 0; its factors are gcd(0, R)
-            break
-        i, j = loc
+        i, j = _min_pivot(a, t)
         a[t], a[i] = a[i], a[t]
         if j != t:
             col_swap(t, j)

@@ -79,6 +79,13 @@ _ATOM_RE = re.compile(
 )
 
 
+# The largest rank an expression may name (E8^200 has 1,600): `parse_expr`
+# rejects a larger sum before any block or Gram matrix is built.  An atom's
+# rank is read off its name: its index for A_k, D_h, E_l, E6* and A4*.
+MAX_RANK = 2048
+_ATOM_RANKS = {"<": 1, "U": 2, "K": 2, "H": 2, "L": 4}
+
+
 def parse_expr(text: str) -> LatticeExpr:
     s = text.strip()
     negate = s.startswith("-")
@@ -86,7 +93,7 @@ def parse_expr(text: str) -> LatticeExpr:
         s = s[1:].strip()
     if not s:
         raise InvalidParameter("empty lattice expression")
-    summands = []
+    summands, rank = [], 0
     for piece in s.split("+"):
         m = _ATOM_RE.match(piece.strip())
         if not m:
@@ -96,6 +103,9 @@ def parse_expr(text: str) -> LatticeExpr:
         mult = int(mult) if mult else 1
         if twist == 0 or mult < 1:
             raise InvalidParameter(f"bad twist or multiplicity in {piece.strip()!r}")
+        rank += mult * (_ATOM_RANKS.get(atom[0]) or int(atom[1:].rstrip("*")))
+        if rank > MAX_RANK:
+            raise InvalidParameter(f"lattice expression of rank above {MAX_RANK}")
         summands.append((atom, twist, mult))
     expr = LatticeExpr(tuple(summands))
     return expr.negated() if negate else expr
@@ -315,8 +325,6 @@ def realize(expr: LatticeExpr | str) -> Lattice:
         expr = parse_expr(expr)
     blocks = []
     for atom, twist, mult in expr.summands:
-        if mult < 1:
-            raise InvalidParameter(f"bad multiplicity {mult} of {atom}({twist})")
         blocks.extend([atom_data(atom, twist)] * mult)
     return Lattice.from_blocks(blocks, expr)
 
@@ -345,11 +353,10 @@ def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
 
     V is exact, so at the level N the values are the integers
     q(x_t)·N = (v_t·w_t)·(N/g_t) and b(x_s, x_t)·N = (v_t·w_s)·(N/g_t).
-    The products run over the nonzero entries of the v_t only.
+    The products run over the nonzero entries of the v_t only.  A rank-0
+    G (det 1) has no factors, so its form is the trivial one.
     """
     n = len(g)
-    if n == 0:
-        return DiscriminantData((), trivial_form())
     all_factors, v = smith_normal_form(g, det)
     idx = [i for i in range(n) if all_factors[i] > 1]
     factors = tuple(all_factors[i] for i in idx)

@@ -17,7 +17,7 @@ verdict is true and carries the natural_only flag.  The Fano tags are
 geometric constructions that lattice data cannot decide, so they stay data.
 
 `render(primes, fmt)` is the one way to print tables: markdown, CSV or JSON,
-for one prime or several, with the CSV columns taken from the row records.
+for one prime or several; a row's fields are its CSV columns and JSON keys.
 """
 
 from __future__ import annotations
@@ -54,23 +54,23 @@ def lefschetz_chi(p: int, m: int) -> int:
 
 
 class AdmissibleTriple(NamedTuple):
-    """One classification row."""
+    """One classification row; its fields, in order, are its CSV columns."""
 
     p: int
     m: int
     a: int
     chi: int
     h_star: int
-    s_expr: str
-    t_expr: str
-    s_rank: int
-    t_rank: int
+    S: str
+    T: str
+    realized: str  # the realization tags joined by "+", "" for none
     s_unique_embedding: bool
     embedding_exception: bool
     t_unique_embedding: bool
+    s_rank: int
+    t_rank: int
     moduli_dim: int  # m - 1, the dimension of the deformation family (odd p)
     natural_only: bool
-    realizations: tuple[str, ...]
     no_known_realization: bool
 
 
@@ -179,9 +179,7 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
             if p == 5 and not natural:
                 continue
             key = (p, m, a)
-            names = LATTICE_NAMES.get(key)
-            if names is None:
-                raise AssertionError(f"admissible triple {key} has no catalog name")
+            names = LATTICE_NAMES[key]
             realizations = ((FANO,) if key in FANO_ROWS else ()) + ((NATURAL,) if natural else ())
             rows.append(
                 AdmissibleTriple(
@@ -190,16 +188,16 @@ def enumerate_triples(p: int) -> list[AdmissibleTriple]:
                     a=a,
                     chi=lefschetz_chi(p, m),
                     h_star=h_star(p, m, a),
-                    s_expr=names[0],
-                    t_expr=names[1],
-                    s_rank=rank_s,
-                    t_rank=rank_l - rank_s,
+                    S=names[0],
+                    T=names[1],
+                    realized="+".join(realizations),
                     s_unique_embedding=report.unique_embedding,
                     embedding_exception=report.exception_flag,
                     t_unique_embedding=report.t_unique_embedding,
+                    s_rank=rank_s,
+                    t_rank=rank_l - rank_s,
                     moduli_dim=m - 1,
                     natural_only=(p == 5),
-                    realizations=realizations,
                     no_known_realization=not realizations,
                 )
             )
@@ -227,53 +225,31 @@ def _markdown(p: int) -> str:
     for r in enumerate_triples(p):
         out.append(
             f"| {r.p} | {r.m} | {r.a} | {r.chi} | {r.h_star} "
-            f"| {r.s_expr} | {r.t_expr} | {'+'.join(r.realizations)} | {_flags(r)} |"
+            f"| {r.S} | {r.T} | {r.realized} | {_flags(r)} |"
         )
     return "\n".join(out) + "\n"
-
-
-def _row_record(r: AdmissibleTriple) -> dict:
-    """One row as a CSV/JSON record; its keys are the CSV columns."""
-    return {
-        "p": r.p,
-        "m": r.m,
-        "a": r.a,
-        "chi": r.chi,
-        "h_star": r.h_star,
-        "S": r.s_expr,
-        "T": r.t_expr,
-        "realized": "+".join(r.realizations),
-        "s_unique_embedding": r.s_unique_embedding,
-        "embedding_exception": r.embedding_exception,
-        "t_unique_embedding": r.t_unique_embedding,
-        "s_rank": r.s_rank,
-        "t_rank": r.t_rank,
-        "moduli_dim": r.moduli_dim,
-        "natural_only": r.natural_only,
-        "no_known_realization": r.no_known_realization,
-    }
 
 
 def render(primes, fmt: str) -> str:
     """The tables of `primes`, in order, as one text: for "md" one section per
     prime, sections joined by a blank line; for "csv" one header over all
-    rows; for "json" one list of row records.  `json` and `csv` are imported
-    only by the format that writes them."""
+    rows; for "json" one list of rows as records.  `json` and `csv` are
+    imported only by the format that writes them."""
     if fmt == "md":
         return "\n".join(_markdown(p) for p in primes)
     if fmt not in ("csv", "json"):
         raise InvalidParameter(f"unknown table format {fmt!r}")
-    records = [_row_record(r) for p in primes for r in enumerate_triples(p)]
+    rows = [r for p in primes for r in enumerate_triples(p)]
     if fmt == "json":
         import json
 
-        return json.dumps(records, indent=2)
+        return json.dumps([r._asdict() for r in rows], indent=2)
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if records:
-        writer.writerow(records[0].keys())
-    writer.writerows(r.values() for r in records)
+    if rows:
+        writer.writerow(AdmissibleTriple._fields)
+    writer.writerows(rows)
     return buf.getvalue()

@@ -50,7 +50,7 @@ def test_criterion_1_table_reproduction():
         expected.setdefault(p, []).append((m, a, chi, hs, s, t))
     for p, want in expected.items():
         rows = enumerate_triples(p)
-        got = [(r.m, r.a, r.chi, r.h_star, r.s_expr, r.t_expr) for r in rows]
+        got = [(r.m, r.a, r.chi, r.h_star, r.S, r.T) for r in rows]
         assert got == want, f"table for p={p} differs"
         assert len(rows) == ROW_COUNTS[p]
         for r in rows:

@@ -152,6 +152,16 @@ def test_embed_signature_overflow():
     assert not embed_in_L(s).embeds
 
 
+def test_genus_repr_rebuilds_an_equal_genus():
+    text = repr(classify.AMBIENT_GENUS)
+    assert text == (
+        "LatticeInvariants(s_plus=3, s_minus=20, "
+        "form=FiniteQuadraticForm(orders=(2,), q=(3,), b=((1,),)))"
+    )
+    names = {"LatticeInvariants": LatticeInvariants, "FiniteQuadraticForm": FiniteQuadraticForm}
+    assert eval(text, names) == classify.AMBIENT_GENUS
+
+
 def test_definite_complement_gets_no_genus_certificate():
     # genus_unique is a criterion for indefinite lattices only; here T is
     # negative definite of signature (0, 17)

@@ -222,6 +222,9 @@ def test_involution(capsys):
     assert "case I" in out and "case II" in out
     code, out, _ = run_cli(capsys, "involution", "--r", "1", "--a", "1", "--delta", "0")
     assert code == 2
+    # the lattice exists but is too large for L: an answer, not an error
+    code, out, err = run_cli(capsys, "involution", "--r", "24", "--a", "2", "--delta", "1")
+    assert (code, out, err) == (0, "no primitive embedding in U^3 + E8^2 + <-2>\n", "")
 
 
 def test_census(tmp_path, capsys):
@@ -301,6 +304,7 @@ INPUT_FILES = {
     # nested deeper than the recursion limit
     "deep.json": '{"gram": ' + "[" * 5000 + "]" * 5000 + "}",
     "deep_locus.json": '{"p": 3, "n": ' + "[" * 5000 + "]" * 5000 + "}",
+    "scalar_gram.json": '{"gram": 5}',
 }
 
 
@@ -357,6 +361,13 @@ FAILURES = [
     (("invariants", "deep.json"), 1),
     (("embed", "--expr", "deep.json"), 1),
     (("census", "deep_locus.json"), 1),
+    (("invariants", "scalar_gram.json"), 1),
+    (("invariants", ""), 1),
+    (("invariants", "A0"), 1),
+    # above the rank bound: rejected as parsed, before any block is built
+    (("invariants", "U^99999999999"), 1),
+    (("invariants", "A99999999"), 1),
+    (("embed", "--expr", "D99999999"), 1),
 ]
 
 # the one line _block writes for each Gram matrix it rejects
@@ -367,6 +378,16 @@ BLOCK_ERRORS = {
     "odd.json": "error: lattice is not even: odd diagonal entry\n",
     "singular.json": "error: lattice is degenerate\n",
     "null.json": "error: lattice is degenerate\n",
+}
+
+# the one line each of these inputs writes before any block is built
+INPUT_ERRORS = {
+    "scalar_gram.json": "error: not an integer matrix: 'int' object is not iterable\n",
+    "": "error: empty lattice expression\n",
+    "A0": "error: A_k needs k >= 1\n",
+    "U^99999999999": f"error: lattice expression of rank above {lattices.MAX_RANK}\n",
+    "A99999999": f"error: lattice expression of rank above {lattices.MAX_RANK}\n",
+    "D99999999": f"error: lattice expression of rank above {lattices.MAX_RANK}\n",
 }
 
 
@@ -382,6 +403,16 @@ def test_failures_exit_typed_with_empty_stdout(tmp_path, monkeypatch, capsys, ar
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[-1] in BLOCK_ERRORS:
         assert err == BLOCK_ERRORS[argv[-1]]
+    if argv[-1] in INPUT_ERRORS:
+        assert err == INPUT_ERRORS[argv[-1]]
+
+
+def test_the_largest_planned_sum_answers_within_the_rank_bound(capsys):
+    code, out, err = run_cli(capsys, "invariants", "E8^200")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:5] == [
+        "rank: 1600", "signature: (0, 1600)", "det: 1", "discriminant group: trivial"
+    ]
 
 
 def test_determinism(capsys):

@@ -26,6 +26,7 @@ from hklat.lattices import (
     InvalidParameter,
     Lattice,
     LatticeExpr,
+    MAX_RANK,
     NotEvenLattice,
     atom_data,
     discriminant_data,
@@ -306,6 +307,24 @@ def test_expr_rejects_garbage():
         parse_expr("U(0)")
     with pytest.raises(InvalidParameter):
         realize("E6*")  # dual only integral after twisting by 3
+
+
+def test_expression_rank_is_bounded_as_it_is_parsed(monkeypatch):
+    assert MAX_RANK == 2048  # the README states it
+    # each atom's rank, read off its name, is that of its block
+    for atom, twist in (("U", 1), ("A1", 1), ("A10", 1), ("D7", 1), ("E6", 1), ("E7", 1),
+                        ("E8", 1), ("K3", 1), ("K19", -1), ("H13", 1), ("L17", 1),
+                        ("E6*", 3), ("A4*", 5), ("<-8>", 1)):
+        rank = len(atom_data(atom, twist).gram)
+        term = f"{atom}({twist})^{MAX_RANK // rank}"
+        assert parse_expr(term).summands == ((atom, twist, MAX_RANK // rank),)
+        with pytest.raises(InvalidParameter, match=f"rank above {MAX_RANK}"):
+            parse_expr(f"{term} + {atom}({twist})")
+    # a larger sum is rejected before any block is built
+    monkeypatch.setattr("hklat.lattices.atom_data", None)
+    for text in ("U^99999999999", "A99999999", "-K7^1025", "U^1000 + A4*(5)^10 + E8^2"):
+        with pytest.raises(InvalidParameter, match=f"rank above {MAX_RANK}"):
+            realize(text)
 
 
 def test_even_validation():

@@ -96,7 +96,7 @@ def test_row_sets_match_tables():
     for p, m, a, chi, hs, s, t in TABLE_ROWS:
         expected.setdefault(p, []).append((m, a, chi, hs, s, t))
     for p, rows in expected.items():
-        got = [(r.m, r.a, r.chi, r.h_star, r.s_expr, r.t_expr) for r in enumerate_triples(p)]
+        got = [(r.m, r.a, r.chi, r.h_star, r.S, r.T) for r in enumerate_triples(p)]
         assert got == rows, f"p={p}"
         assert len(got) == ROW_COUNTS[p]
 
@@ -118,7 +118,7 @@ def test_flags():
 def test_p5_rows_natural_only():
     rows = enumerate_triples(5)
     assert all(r.natural_only for r in rows)
-    assert all("natural" in r.realizations for r in rows)
+    assert all("natural" in r.realized for r in rows)
     assert not any(r.natural_only for r in enumerate_triples(7))
 
 
@@ -149,7 +149,7 @@ def test_natural_verdict_matches_the_published_classification():
         natural = (m, a) in NATURAL_P5_ROWS if p == 5 else key not in non_natural
         assert natural_verdict(p, m, a, form)[0] == natural, key
         if key in table:
-            assert ("natural" in table[key].realizations) == natural, key
+            assert ("natural" in table[key].realized) == natural, key
 
 
 def test_natural_verdict_reasons_of_the_non_natural_rows():
