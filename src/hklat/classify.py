@@ -264,6 +264,8 @@ def recognize(target: LatticeInvariants) -> lattices.LatticeExpr | None:
     2) only the first in the order above is kept.  After the last prime,
     each partial sum is completed by x copies of U and y copies of E8, and
     the first in order is the answer; with no completion the answer is None.
+    A target with a Jordan block of a scale that no atom has is answered
+    None before any partial sum is made.
 
     Complete.  Let M be a pool sum with sig M = sig T and q_M ~ q_T.  Its
     summands with |det| != 1 have |det| product |A_M| = |A_T|, since |det|
@@ -276,11 +278,14 @@ def recognize(target: LatticeInvariants) -> lattices.LatticeExpr | None:
     for one with the same state can be finished by the same atoms: the
     later primes see only the later atoms, and the 2-part, the sum of the
     same blocks, is the same form.  So M's atoms or a sum of the same state
-    survive every prime.  Conversely the normal key is the tuple of the
-    local keys, so a partial sum that passes every prime has the target's
-    key.  Each atom has |det| >= 2, so at most Omega(|A_T|) atoms are placed
-    and the search ends.  The other summands of M are unimodular, and U and
-    E8 are the only unimodular pool terms.
+    survive every prime.  The discriminant group of an orthogonal sum is
+    the sum of the groups, so the scales of M's Jordan blocks, the orders
+    of its cyclic p-parts, are those of its atoms: no pool sum can match a
+    target with a scale that no pool atom carries.  Conversely the normal
+    key is the tuple of the local keys, so a partial sum that passes every
+    prime has the target's key.  Each atom has |det| >= 2, so at most
+    Omega(|A_T|) atoms are placed and the search ends.  The other summands
+    of M are unimodular, and U and E8 are the only unimodular pool terms.
 
     Forced.  x copies of U and y of E8 have signature (x, x + 8y).  With
     (D+, D-) = sig T - sig(atoms), x = D+ and y = (D- - D+)/8; atoms for
@@ -308,6 +313,10 @@ def _search(
     """`recognize`'s search for `target` over the pool `terms`."""
     data = [lattices.atom_data(*term) for term in terms]
     splittings = [jordan_splitting(atom.form) for atom in data]
+    scales = {m for split in splittings for blocks in split.values() for m, _ in blocks}
+    wanted = jordan_splitting(target.form).values()
+    if any(m not in scales for blocks in wanted for m, _ in blocks):
+        return None
     groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (pool index, |det|, s+, s-)
     for i, (atom, split) in enumerate(zip(data, splittings)):
         if split:

@@ -1,17 +1,21 @@
 """Command-line front end.
 
 Subcommands: invariants, tables, figures, embed, involution, census,
-local-actions.  Each subcommand computes its whole answer before it writes
-it, in one write, so an error leaves stdout empty.  `tables` and `figures`
-with `--out FILE` write the file with the bytes they would print, final
-newline included.  Exit codes: 1 malformed input (usage errors such as an
-unknown option or choice, bad parameters, unparsable expressions or JSON,
-unreadable files or files that are not UTF-8 text), 2 a mathematical
-rejection (e.g. a Gram matrix that is not an even lattice).  Every error
-prints one `error: ...` line on stderr.  Two answers also exit 2, with the
-answer on stdout and nothing on stderr: `involution` when no such
-2-elementary lattice exists, and `census --check` on a MISMATCH.  `tables`
-prints through `tables.render`.  Output is deterministic.
+local-actions.  Each handler returns its whole answer and exit code as
+`(text, code)`, and `main` alone writes the answer, in one write, ending in
+one newline: to stdout, or with `--out FILE` (`tables`, `figures`) to the
+file, always as UTF-8, so the file holds the bytes a UTF-8 stdout would.
+An error leaves stdout empty; so does a stdout whose encoding cannot hold
+the answer (the figures' marks under an ASCII locale) and an answer holding
+an integer longer than Python writes in decimal, which exit 1.
+Exit codes: 1 malformed input (usage errors such as an unknown option or
+choice, bad parameters, unparsable expressions or JSON, unreadable files or
+files that are not UTF-8 text), 2 a mathematical rejection (e.g. a Gram
+matrix that is not an even lattice).  Every error prints one `error: ...`
+line on stderr.  Two answers also exit 2, with the answer on stdout and
+nothing on stderr: `involution` when no such 2-elementary lattice exists,
+and `census --check` on a MISMATCH.  `tables` renders through
+`tables.render`.  Output is deterministic.
 
 Dispatch: `COMMANDS` is the one table of commands, each with its handler,
 its one-line help and the function that declares its arguments.  `main`
@@ -66,7 +70,7 @@ def _load_lattice(source: str) -> lattices.Lattice:
     return lattices.realize(source)
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[str, int]:
     lat = _load_lattice(args.lattice)
     # Only the group and the values of q on generators depend on the
     # generators: they are printed on those of the Smith form of the full
@@ -85,7 +89,7 @@ def _cmd_invariants(args) -> int:
     group = " x ".join(f"Z/{d}" for d in form.orders) or "trivial"
     level = form.level
     values = ", ".join(_ratio_text(v, level) for v in form.q) or "-"
-    print("\n".join((
+    return "\n".join((
         f"lattice: {lat.name()}",
         f"rank: {lat.rank}",
         f"signature: ({inv.s_plus}, {inv.s_minus})",
@@ -95,8 +99,7 @@ def _cmd_invariants(args) -> int:
         f"p-elementary: {elementary}",
         f"delta (2-part): {form_inv.delta}",
         f"gauss signature (mod 8): {form_inv.signature_mod_8}",
-    )))
-    return 0
+    )), 0
 
 
 def _ratio_text(v: int, n: int) -> str:
@@ -105,36 +108,20 @@ def _ratio_text(v: int, n: int) -> str:
     return str(v // g) if g == n else f"{v // g}/{n // g}"
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write `text`, ending in one newline, to stdout or to the file `out`:
-    the file gets the bytes stdout would."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> tuple[str, int]:
     if not args.all and args.prime is None:
         raise InvalidParameter("need --prime P or --all")
     primes = tables.SUPPORTED_PRIMES if args.all else (args.prime,)
-    _emit(tables.render(primes, args.format), args.out)
-    return 0
+    return tables.render(primes, args.format), 0
 
 
-def _cmd_figures(args) -> int:
+def _cmd_figures(args) -> tuple[str, int]:
     if args.format == "json":
-        text = involutions.figure_points_json(args.which)
-    else:
-        text = involutions.figure_points_text(args.which)
-    _emit(text, args.out)
-    return 0
+        return involutions.figure_points_json(args.which), 0
+    return involutions.figure_points_text(args.which), 0
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> tuple[str, int]:
     lat = _load_lattice(args.expr)
     inv = classify.invariants_of(lat)
     report = classify.embed_in_L(inv)
@@ -155,32 +142,28 @@ def _cmd_embed(args) -> int:
             lines.append("complement unique in its genus (one-class certificate)")
         lines.append(f"complement embeds uniquely: "
                      f"{'yes' if report.t_unique_embedding else 'no'}")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines), 0
 
 
-def _cmd_involution(args) -> int:
+def _cmd_involution(args) -> tuple[str, int]:
     if args.r < 1 or args.a < 0:
         raise InvalidParameter(f"need --r >= 1 and --a >= 0, got --r {args.r} --a {args.a}")
     t = involutions.TwoElemInvariants(1, args.r - 1, args.a, args.delta)
     if not involutions.two_elementary_exists(t):
-        print(f"no even 2-elementary lattice with (r, a, delta) = "
-              f"({args.r}, {args.a}, {args.delta}) and signature (1, {args.r - 1})")
-        return 2
+        return (f"no even 2-elementary lattice with (r, a, delta) = "
+                f"({args.r}, {args.a}, {args.delta}) and signature (1, {args.r - 1})"), 2
     classes = involutions.classify_involution_embeddings(t)
     if not classes:
-        print(f"no primitive embedding in {AMBIENT}")
-        return 0
+        return f"no primitive embedding in {AMBIENT}", 0
     lines = []
     for cls in classes:
         s = cls.s_invariants
         lines.append(f"case {cls.case}: S has signature ({s.s_plus}, {s.s_minus}), "
                      f"a = {s.a}, delta = {s.delta}")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines), 0
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[str, int]:
     locus = fixedlocus.k3_fixed_locus_from_json(_read(args.file))
     census = fixedlocus.hilb2_census(locus)
     lines = [census.as_json()]
@@ -195,11 +178,10 @@ def _cmd_census(args) -> int:
         ok = fixedlocus.cross_check_totals(census.chi, census.h_star, p, m, a)
         lines.append(f"cross-check against ({p},{m},{a}): {'MATCH' if ok else 'MISMATCH'}")
         code = 0 if ok else 2
-    print("\n".join(lines))
-    return code
+    return "\n".join(lines), code
 
 
-def _cmd_local_actions(args) -> int:
+def _cmd_local_actions(args) -> tuple[str, int]:
     lines = []
     exps = head = None
     for rec in fixedlocus.enumerate_local_actions(args.prime):
@@ -209,8 +191,7 @@ def _cmd_local_actions(args) -> int:
             eigenvalues = ", ".join(f"z^{e}" if e else "1" for e in exps)
             head = f"family {rec['family']}{extra}: eigenvalues ({eigenvalues}) multiplicities "
         lines.append(f"{head}{rec['multiplicities']} fixed-dim {rec['fixed_dim']}")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines), 0
 
 
 def _args_invariants(parser) -> None:
@@ -250,7 +231,7 @@ def _args_local_actions(parser) -> None:
 
 
 class _Command(NamedTuple):
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace], tuple[str, int]]  # (answer, exit code)
     help: str  # "{L}" stands for L's name, `hklat.AMBIENT`
     add_arguments: Callable[[argparse.ArgumentParser], None]
 
@@ -313,12 +294,25 @@ def main(argv=None) -> int:
         command = COMMANDS.get(argv[0]) if argv else None
         if command is None:  # no command: the usage error or the help
             args = build_parser().parse_args(argv)
-            return COMMANDS[args.command].run(args)
-        return command.run(_command_parser(argv[0]).parse_args(argv[1:]))
+            command = COMMANDS[args.command]
+        else:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+        text, code = command.run(args)
+        if not text.endswith("\n"):
+            text += "\n"
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except HklatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # a file not read or not written, an answer that stdout's encoding
+        # cannot hold (UnicodeEncodeError), or one holding an integer longer
+        # than the interpreter writes in decimal (4,300 digits)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

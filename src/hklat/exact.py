@@ -2,9 +2,9 @@
 
 Everything here works on plain Python integers (arbitrary precision); no
 floating point and no fractions are used anywhere.  Matrices are immutable
-tuples of tuples of ints.  Outside input is checked by `as_matrix`; the
+tuples of tuples of ints.  Nothing here checks outside input: the
 eliminations (`signature_of_symmetric`, `smith_normal_form`) take matrices
-their callers have checked, and check nothing again.
+that `lattices._block` has checked, and check nothing again.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import math
 from functools import cache
 
-from .errors import DegenerateForm, InvalidParameter, PrimalityUnproved
+from .errors import DegenerateForm, PrimalityUnproved
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -143,28 +143,6 @@ def _pocklington_lehmer(n: int) -> bool:
 
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def as_int(x) -> int:
-    """Validate one integer of outside input: an int, not a bool, float or str."""
-    if type(x) is not int:
-        raise InvalidParameter(f"not an integer: {x!r}")
-    return x
-
-
-def as_matrix(rows) -> IntMatrix:
-    """Validate outside input as an IntMatrix: equal-length rows of ints (a
-    bool, float or str entry raises rather than being truncated)."""
-    try:
-        out = tuple(map(tuple, rows))
-    except TypeError as exc:
-        raise InvalidParameter(f"not an integer matrix: {exc}") from exc
-    bad = [x for x in itertools.chain.from_iterable(out) if type(x) is not int]
-    if bad:
-        raise InvalidParameter(f"not an integer matrix: entry {bad[0]!r}")
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise InvalidParameter("ragged matrix")
-    return out
 
 
 def block_diag(blocks) -> IntMatrix:

@@ -15,19 +15,26 @@ from typing import NamedTuple
 
 from . import tables
 from .errors import InvalidParameter, UnsupportedPrime
-from .exact import as_int, is_prime
+from .exact import is_prime
 
 
-def _k3_prime(p) -> int:
-    """p checked as the order of a non-symplectic automorphism of a K3
-    surface X: an int, at most 19, and an odd prime.  No larger prime
-    occurs: p - 1 divides the rank of the transcendental lattice, which is
-    at most 21 as X is projective (Nikulin, on finite automorphism groups of
-    K3 surfaces; cited only).  The bound is tested first, so no larger p
-    is sized or factored."""
+def as_int(x) -> int:
+    """Validate one integer of outside input: an int, not a bool, float or str."""
+    if type(x) is not int:
+        raise InvalidParameter(f"not an integer: {x!r}")
+    return x
+
+
+def _odd_prime(p, bound: int = 19, variety: str = "a K3 surface") -> int:
+    """p checked as the order of a non-symplectic automorphism of `variety`:
+    an int, at most `bound`, and an odd prime.  The bound is tested first,
+    so no larger p is sized or factored.  A K3 surface X has none of prime
+    order above 19: p - 1 divides the rank of the transcendental lattice,
+    which is at most 21 as X is projective (Nikulin, on finite automorphism
+    groups of K3 surfaces; cited only)."""
     p = as_int(p)
-    if p > 19:
-        raise UnsupportedPrime(f"p = {p} is above 19: a K3 surface has no "
+    if p > bound:
+        raise UnsupportedPrime(f"p = {p} is above {bound}: {variety} has no "
                                "non-symplectic automorphism of larger prime order")
     if p == 2 or not is_prime(p):
         raise InvalidParameter("p must be an odd prime")
@@ -39,7 +46,7 @@ class K3FixedLocus:
 
     n[t] counts isolated points with local rotation type diag(z^(t+1), z^(p-t))
     for a primitive p-th root of unity z; n has length p-1.  p is an odd
-    prime at most 19 (`_k3_prime`, UnsupportedPrime above).  Every count is
+    prime at most 19 (`_odd_prime`, UnsupportedPrime above).  Every count is
     an int: a float, bool or str raises InvalidParameter, as does an n that
     is not a sequence.  Immutable.
     """
@@ -47,7 +54,7 @@ class K3FixedLocus:
     __slots__ = ("p", "k", "n", "genus_curve")
 
     def __init__(self, p: int, k: int, n: tuple[int, ...], genus_curve: int | None = None):
-        p, k = _k3_prime(p), as_int(k)
+        p, k = _odd_prime(p), as_int(k)
         try:
             n = tuple(map(as_int, n))
         except TypeError as exc:
@@ -172,14 +179,10 @@ def enumerate_local_actions(p: int) -> list[dict]:
 
     p is an odd prime at most 23: p - 1 divides the rank of the
     transcendental lattice of the projective fourfold, at most
-    b_2 - 1 = 22 (cited only).  A larger p raises UnsupportedPrime; the
-    bound is tested first, so no larger p is factored.
+    b_2 - 1 = 22 (cited only).  A larger p raises UnsupportedPrime
+    (`_odd_prime`).
     """
-    if p > 23:
-        raise UnsupportedPrime(f"p = {p} is above 23: the fourfold has no "
-                               "non-symplectic automorphism of larger prime order")
-    if p == 2 or not is_prime(p):
-        raise InvalidParameter("p must be an odd prime")
+    p = _odd_prime(p, 23, "the fourfold")
     half = (p + 1) // 2
     exps = (0, 1, half)
     out = [
@@ -211,5 +214,5 @@ def k3_fixed_locus_from_json(text: str) -> K3FixedLocus:
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidParameter(f"malformed fixed-locus JSON: {exc!r}") from exc
     if n is None:
-        n = (0,) * (_k3_prime(p) - 1)
+        n = (0,) * (_odd_prime(p) - 1)
     return K3FixedLocus(p=p, k=data.get("k", 0), n=n, genus_curve=data.get("genus_curve"))

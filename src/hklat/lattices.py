@@ -10,26 +10,27 @@ norm n.  Expressions use the ASCII grammar
            | E6* | A4* | '<' EVEN_INT '>'
 
 e.g. "U^2 + E8^2 + A2", "A2(-1)", "U(3) + A2^3 + <-2>", "<6> + E6*(3)".
-A leading '-' negates every summand.  The catalog states the duals E6* and
-A4* as 3·E6* and 5·A4* over 3 and 5; they only realize at twists clearing
-those denominators (multiples of 3 resp. 5).  `realize` is
+A leading '-' negates every summand; an integer longer than Python
+converts (4,300 digits) is rejected as parsed.  The catalog states the
+duals E6* and A4* as 3·E6* and 5·A4* over 3 and 5; they only realize at
+twists clearing those denominators (multiples of 3 resp. 5).  `realize` is
 the one way to name a lattice: it builds the lattice of such an expression,
 once per process.
 
 A lattice is the orthogonal sum of its blocks.  A block is a Gram matrix
-checked once (square, symmetric, even, nondegenerate), by `_block` and
-nowhere else, with its determinant and signature (from one elimination)
-and discriminant data (the Smith form modulo det², `_smith_data`).
-`Lattice(gram, expr)` is one block; `atom_data` builds each twisted catalog atom's block once
-per process; `realize` concatenates blocks without checking them again.
-Every invariant is read off the blocks: det multiplies, rank and signature
-add, and the discriminant form is the orthogonal sum of the blocks' forms.
-The `invariants` command prints the discriminant group and the values of q
-on generators from `discriminant_data`, which for a sum of several blocks
-takes the Smith form of the full Gram matrix: those generators depend on
-the pivot order over the whole matrix, so they are what the command has
-always printed.  A lattice keeps its discriminant form and discriminant
-data once computed.
+checked once (int entries, square, symmetric, even, nondegenerate), by
+`_block` and nowhere else, with its determinant and signature (from one
+elimination) and discriminant data (the Smith form modulo det²,
+`_smith_data`).  `Lattice(gram, expr)` is one block; `atom_data` builds
+each twisted catalog atom's block once per process; `realize` concatenates
+blocks without checking them again.  Every invariant is read off the
+blocks: det multiplies, rank and signature add, and the discriminant form
+is the orthogonal sum of the blocks' forms.  The `invariants` command
+prints the discriminant group and the values of q on generators from
+`discriminant_data`, which for a sum of several blocks takes the Smith form
+of the full Gram matrix: those generators depend on the pivot order over
+the whole matrix, so they are what the command has always printed.  A
+lattice keeps its discriminant form and discriminant data once computed.
 
 Per-process caches, both unbounded, neither holding a lattice read from a
 file:
@@ -50,7 +51,6 @@ from typing import NamedTuple
 from .errors import DegenerateForm, InvalidParameter, NotEvenLattice
 from .exact import (
     IntMatrix,
-    as_matrix,
     block_diag,
     is_prime,
     signature_of_symmetric,
@@ -84,6 +84,7 @@ _ATOM_RE = re.compile(
 # rank is read off its name: its index for A_k, D_h, E_l, E6* and A4*.
 MAX_RANK = 2048
 _ATOM_RANKS = {"<": 1, "U": 2, "K": 2, "H": 2, "L": 4}
+_DIGITS = re.compile(r"\d+")
 
 
 def parse_expr(text: str) -> LatticeExpr:
@@ -98,9 +99,11 @@ def parse_expr(text: str) -> LatticeExpr:
         m = _ATOM_RE.match(piece.strip())
         if not m:
             raise InvalidParameter(f"cannot parse lattice term {piece.strip()!r}")
-        atom, twist, mult = m.group(1), m.group(2), m.group(3)
-        twist = int(twist) if twist else 1
-        mult = int(mult) if mult else 1
+        atom, twist, mult = m.groups()
+        try:  # every integer of the term is read here, so that none fails later
+            twist, mult, *_ = map(int, (twist or "1", mult or "1", *_DIGITS.findall(atom)))
+        except ValueError:  # longer than the interpreter converts (4,300 digits)
+            raise InvalidParameter("integer too long in a lattice term") from None
         if twist == 0 or mult < 1:
             raise InvalidParameter(f"bad twist or multiplicity in {piece.strip()!r}")
         rank += mult * (_ATOM_RANKS.get(atom[0]) or int(atom[1:].rstrip("*")))
@@ -220,10 +223,18 @@ class Block(NamedTuple):
 
 def _block(gram) -> Block:
     """Check a Gram matrix and compute its invariants, each once: det and
-    signature from one elimination, then the discriminant data."""
-    g = as_matrix(gram)
+    signature from one elimination, then the discriminant data.  An entry
+    must be an int: a bool, float or str raises rather than being
+    truncated."""
+    try:
+        g = tuple(map(tuple, gram))
+    except TypeError as exc:
+        raise InvalidParameter(f"not an integer matrix: {exc}") from exc
+    bad = [x for row in g for x in row if type(x) is not int]
+    if bad:
+        raise InvalidParameter(f"not an integer matrix: entry {bad[0]!r}")
     n = len(g)
-    if g and len(g[0]) != n:  # as_matrix leaves no ragged rows
+    if any(len(row) != n for row in g):
         raise InvalidParameter("Gram matrix must be square")
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         raise NotEvenLattice("Gram matrix must be symmetric")
@@ -421,7 +432,10 @@ def lattice_from_json(text: str) -> Lattice:
         data = json.loads(text)
         gram = data["gram"]
         expr = parse_expr(data["name"]) if data.get("name") else None
-    except (KeyError, TypeError, AttributeError, json.JSONDecodeError, RecursionError) as exc:
+    except InvalidParameter:  # the name's own rejection
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer longer than the interpreter converts
         raise InvalidParameter(f"malformed lattice JSON: {exc!r}") from exc
     lattice = Lattice(gram, expr=expr)
     if expr is not None and realize(expr).gram != lattice.gram:

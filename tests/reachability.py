@@ -38,7 +38,7 @@ UNREACHED = (
     ("classify", "genus_unique",
      'raise InvalidParameter("test applies to indefinite lattices (rank >= 2)")',
      "guard of a public function: embed_in_L calls it for an indefinite T of rank >= 2"),
-    ("cli", "main", "return COMMANDS[args.command].run(args)",
+    ("cli", "main", "command = COMMANDS[args.command]",
      "unreachable on 3.11: argparse rejects every argv whose first word is no command"),
     ("cli", "<module>", "sys.exit(main())",
      "runs only as `python -m hklat.cli`, in processes that tests start"),

@@ -317,6 +317,20 @@ def test_recognize_of_the_same_atoms_adds_no_local_keys(monkeypatch):
     assert keys and set(keys) <= seen
 
 
+def test_recognize_of_a_scale_no_pool_atom_has_computes_no_local_key(monkeypatch):
+    # 32 copies of Z/4: every pool atom's 2-part has scale 2, so no pool sum
+    # has the target's form, and the search stops before any partial sum
+    target = _invariants("E8(4)^2 + E8(4)^2 + A4*(-5)^2 + E8(6)^2")
+    assert (target.s_plus, target.s_minus) == (8, 48)
+    keys = []
+    monkeypatch.setattr(
+        classify, "local_key", lambda p, blocks: keys.append(p) or fqf.local_key(p, blocks)
+    )
+    recognize.cache_clear()
+    assert recognize(target) is None
+    assert keys == []
+
+
 def test_recognize_answers_a_genus_once():
     # the same genus on other generators: one search, then its answer is read
     first = _invariants("U + A2^2 + E6 + <-2>")

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -180,6 +182,24 @@ def test_out_file_holds_the_bytes_stdout_prints(golden, tmp_path, capsys):
     assert target.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_ascii_stdout_exits_1_with_nothing_written(tmp_path, capsys, monkeypatch):
+    # an ASCII locale's stdout cannot encode the chart's marks: the answer is
+    # encoded whole before anything is written, so nothing is; --out writes
+    # UTF-8 whatever the locale
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["figures", "--which", "1"]) == 1
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'ascii' codec can't encode") and err.count("\n") == 1
+    target = tmp_path / "figure1.txt"
+    assert main(["figures", "--which", "1", "--out", str(target)]) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b"" and capsys.readouterr().err == ""
+    assert target.read_bytes() == (GOLDEN / "figure1.txt").read_bytes()
+
+
 def test_tables_requires_prime_or_all(capsys):
     code, _, err = run_cli(capsys, "tables", "--format", "csv")
     assert code == 1
@@ -305,6 +325,11 @@ INPUT_FILES = {
     "deep.json": '{"gram": ' + "[" * 5000 + "]" * 5000 + "}",
     "deep_locus.json": '{"p": 3, "n": ' + "[" * 5000 + "]" * 5000 + "}",
     "scalar_gram.json": '{"gram": 5}',
+    "badname.json": '{"gram": [[0, 1], [1, 0]], "name": "Q"}',
+    # longer than the interpreter converts: json raises a plain ValueError
+    "long_int.json": '{"gram": [[2' + "0" * 5000 + "]]}",
+    # read, but its census holds integers longer than the interpreter writes
+    "long_count.json": '{"p": 3, "k": 0, "n": [1' + "0" * 2500 + ", 0]}",
 }
 
 
@@ -368,10 +393,26 @@ FAILURES = [
     (("invariants", "U^99999999999"), 1),
     (("invariants", "A99999999"), 1),
     (("embed", "--expr", "D99999999"), 1),
+    # integers longer than the interpreter converts, rejected as read
+    (("invariants", "U^" + "9" * 5000), 1),
+    (("invariants", "U(" + "7" * 5000 + ")"), 1),
+    (("embed", "--expr", "<" + "8" * 5000 + ">"), 1),
+    (("invariants", "long_int.json"), 1),
+    (("invariants", "badname.json"), 1),
+    # answers holding an integer longer than the interpreter writes
+    (("invariants", "U(1" + "0" * 2200 + ")"), 1),
+    (("census", "long_count.json"), 1),
 ]
+
+
+def _failure_id(argv):
+    """argv joined, a run of 100 or more digits named by its first digit and length."""
+    return re.sub(r"\d{100,}", lambda m: f"{m[0][0]}x{len(m[0])}", " ".join(argv))
+
 
 # the one line _block writes for each Gram matrix it rejects
 BLOCK_ERRORS = {
+    "ragged.json": "error: Gram matrix must be square\n",
     "wide.json": "error: Gram matrix must be square\n",
     "asym.json": "error: Gram matrix must be symmetric\n",
     "asym_odd.json": "error: Gram matrix must be symmetric\n",
@@ -383,16 +424,21 @@ BLOCK_ERRORS = {
 # the one line each of these inputs writes before any block is built
 INPUT_ERRORS = {
     "scalar_gram.json": "error: not an integer matrix: 'int' object is not iterable\n",
+    # the name's own rejection, not wrapped as malformed JSON
+    "badname.json": "error: cannot parse lattice term 'Q'\n",
     "": "error: empty lattice expression\n",
     "A0": "error: A_k needs k >= 1\n",
     "U^99999999999": f"error: lattice expression of rank above {lattices.MAX_RANK}\n",
     "A99999999": f"error: lattice expression of rank above {lattices.MAX_RANK}\n",
     "D99999999": f"error: lattice expression of rank above {lattices.MAX_RANK}\n",
+    "U^" + "9" * 5000: "error: integer too long in a lattice term\n",
+    "U(" + "7" * 5000 + ")": "error: integer too long in a lattice term\n",
+    "<" + "8" * 5000 + ">": "error: integer too long in a lattice term\n",
 }
 
 
 @pytest.mark.parametrize(
-    "argv, expected_code", FAILURES, ids=[" ".join(argv) for argv, _ in FAILURES]
+    "argv, expected_code", FAILURES, ids=[_failure_id(argv) for argv, _ in FAILURES]
 )
 def test_failures_exit_typed_with_empty_stdout(tmp_path, monkeypatch, capsys, argv, expected_code):
     monkeypatch.chdir(tmp_path)

@@ -13,7 +13,6 @@ from hklat import exact
 from hklat.errors import PrimalityUnproved
 from hklat.exact import (
     DegenerateForm,
-    as_matrix,
     block_diag,
     is_prime,
     prime_factors,
@@ -25,6 +24,12 @@ from hklat.tables import LATTICE_NAMES
 from snf_oracle import det_exact, mat_mul
 from test_frozen_queries import FROZEN
 from test_lattices import CATALOG_ATOMS
+
+
+def _matrix(rows):
+    """rows as an IntMatrix: a tuple of int tuples."""
+    return tuple(map(tuple, rows))
+
 
 A2 = ((-2, 1), (1, -2))
 U = ((0, 1), (1, 0))
@@ -143,7 +148,7 @@ def test_snf_hyperbolic_plane():
 
 
 def test_snf_rectangular():
-    m = as_matrix([[2, 4, 4], [-6, 6, 12]])
+    m = _matrix([[2, 4, 4], [-6, 6, 12]])
     u, d, v = snf_oracle.smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     diag = [d[i][i] for i in range(2)]
@@ -192,7 +197,7 @@ def _random_unimodular(n, rng):
             continue
         q = rng.randint(-2, 2)
         m[i] = [a + q * b for a, b in zip(m[i], m[j])]
-    return as_matrix(m)
+    return _matrix(m)
 
 
 def test_signature_congruence_invariant():
@@ -225,7 +230,7 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_snf_properties(rows):
-    m = as_matrix(rows)
+    m = _matrix(rows)
     u, d, v = snf_oracle.smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert is_unimodular(u) and is_unimodular(v)
@@ -269,7 +274,7 @@ def symmetric_matrices(draw):
         for j in range(i, n):
             if i != j or not zero_diagonal:
                 m[i][j] = m[j][i] = draw(st.integers(min_value=-6, max_value=6))
-    m = as_matrix(m)
+    m = _matrix(m)
     if draw(st.booleans()):
         p = _random_unimodular(n, random.Random(draw(st.integers(0, 2**32))))
         m = mat_mul(mat_mul(transpose(p), m), p)
@@ -293,14 +298,14 @@ def singular_matrices(draw):
         k = draw(st.integers(min_value=0, max_value=n - 1))
         b = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(k)]
         d = [draw(st.integers(-3, 3)) for _ in range(k)]
-        m = as_matrix([
+        m = _matrix([
             [sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n)]
             for i in range(n)
         ])
     else:
         hyperbolic = draw(st.integers(min_value=1, max_value=2))
         n = 2 * hyperbolic + draw(st.integers(min_value=1, max_value=2))
-        m = as_matrix([
+        m = _matrix([
             [int(i // 2 == j // 2 and i != j and i < 2 * hyperbolic) for j in range(n)]
             for i in range(n)
         ])
@@ -345,7 +350,7 @@ def _assert_snf_matches_oracles(m):
         assert all(sum(x * row[t] for x, row in zip(m_row, v)) % g == 0 for m_row in m)
 
 
-nonsingular_square_matrices = small_matrices.map(as_matrix).filter(lambda m: det_exact(m) != 0)
+nonsingular_square_matrices = small_matrices.map(_matrix).filter(lambda m: det_exact(m) != 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -454,7 +459,7 @@ def one_sided_matrices(draw):
                 m[i][j] = draw(st.integers(-4, 4).filter(bool))
             if side in ("lower", "both"):
                 m[j][i] = draw(st.integers(-4, 4).filter(bool))
-    return as_matrix(m)
+    return _matrix(m)
 
 
 @settings(max_examples=200, deadline=None)
