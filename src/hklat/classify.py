@@ -1,4 +1,5 @@
-"""Existence, uniqueness and embedding analysis for p-elementary lattices.
+"""Genus, existence, uniqueness and embedding analysis for p-elementary
+lattices.
 
 The ambient lattice throughout is L = U^3 + E8^2 + <-2> (`hklat.AMBIENT`),
 of signature (3,20) and discriminant form Z/2 (3/2).  Its genus is the value
@@ -8,17 +9,17 @@ loading it loads no `lattices`.  A p-elementary lattice S (p odd) embedding
 primitively in L has orthogonal complement T with signature (3-s+, 20-s-)
 and discriminant form (-q_S) + Z/2 (3/2).  Existence of S and of T are both
 answered by fqf.even_lattice_exists_report (Nikulin's Thm 1.10.1): embed_in_L
-asks it for T, tables.enumerate_triples for S.
+asks it for T, tables.enumerate_triples for S.  `lattices.recognize`, the
+inverse of `lattices.realize`, names a catalog lattice of T's genus; `embed`
+runs it, the tables never do.
 
-Both answers are functions of the genus alone, a `LatticeInvariants`
-value, so each is computed once per process per genus: embed_in_L's report
-per genus of S, and recognize's answer per genus of T.  The same genus on
-other generators reads the answer.
+The embedding report is a function of the genus alone, a `LatticeInvariants`
+value, so embed_in_L computes it once per process per genus of S.  The same
+genus on other generators reads the answer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
@@ -30,7 +31,6 @@ from .fqf import (
     cyclic_form,
     even_lattice_exists_report,
     jordan_splitting,
-    local_key,
     normal_key,
 )
 
@@ -197,167 +197,3 @@ def _rank_one_orthogonal_group_surjects(n: int) -> bool:
     |A_T|, so no check of its form is needed."""
     primes = prime_factors(n)
     return len(primes) == 1 or (len(primes) == 2 and n % 4 == 2)
-
-
-# -- recognition --------------------------------------------------------------------
-
-def _pool_terms(target: LatticeInvariants) -> tuple[tuple[str, int], ...]:
-    """The recognition pool of `target`: the catalog terms (atom, twist)
-    eligible for its search, in canonical order.  A_{p-1} is a term only
-    for the odd primes p of |A_T| with p - 1 <= rank T: a larger one, of
-    signature (0, p - 1), can never be a summand, and its block alone would
-    cost more than the search (A_222 for p = 223)."""
-    primes = target.form.lengths_per_prime()
-    odd_primes = sorted(p for p in primes if p != 2)
-    terms: list[tuple[str, int]] = [("U", 1)]
-    for p in odd_primes:
-        terms.append(("U", p))
-    for p in odd_primes:
-        if p - 1 <= target.rank:
-            terms.append((f"A{p - 1}", 1))
-    if 3 in odd_primes:
-        terms.append(("E6", 1))
-    terms.append(("E8", 1))
-    for p in odd_primes:
-        if p == 3:
-            continue  # K3 = A2, already in the pool
-        terms.append((f"K{p}" if p % 4 == 3 else f"H{p}", 1))
-        if p % 4 == 3:
-            terms.append((f"K{p}", -1))
-    if 17 in odd_primes:
-        terms.append(("L17", 1))
-    if 3 in odd_primes:
-        terms.append(("E6*", 3))
-        terms.append(("A2", -1))
-    if 5 in odd_primes:
-        terms.append(("A4*", 5))
-    if 2 in primes:
-        terms.append(("<-2>", 1))
-        terms.append(("<2>", 1))
-        for p in odd_primes:
-            terms.append((f"<{2 * p}>", 1))
-            terms.append((f"<{-2 * p}>", 1))
-    return tuple(terms)
-
-
-@cache
-def recognize(target: LatticeInvariants) -> lattices.LatticeExpr | None:
-    """The first catalog direct sum over `_pool_terms(target)` with the
-    target's signature and discriminant form, or None when there is none.
-
-    Order: fewest summands first, then the sorted sequence of pool indices,
-    lexicographic.  Forms match when their normal keys are equal.  A sum's
-    key is read off its atoms' Jordan blocks put together, since any Jordan
-    splitting gives the key.
-
-    The answer is a function of the genus of T, so it is computed once per
-    process per genus, and the pool is built only for that first search.
-
-    The search.  The atoms are the pool terms with |det| != 1.  Each is filed
-    under the largest prime p of its |det|, and the primes are taken from
-    the largest down.  For each p, every partial sum kept so far is extended
-    by multisets of p's atoms, by nondecreasing pool index, while the |det|
-    product divides |A_T| and the signature stays within the target's.  An
-    extension is kept once its p-part is done: p does not divide the rest of
-    |A_T|, and the local key at p is the target's.  Of the extensions with
-    the same state (rest of |A_T|, signature, multiset of Jordan blocks at
-    2) only the first in the order above is kept.  After the last prime,
-    each partial sum is completed by x copies of U and y copies of E8, and
-    the first in order is the answer; with no completion the answer is None.
-    A target with a Jordan block of a scale that no atom has is answered
-    None before any partial sum is made.
-
-    Complete.  Let M be a pool sum with sig M = sig T and q_M ~ q_T.  Its
-    summands with |det| != 1 have |det| product |A_M| = |A_T|, since |det|
-    is multiplicative over an orthogonal sum, and each partial sum of them
-    has signature <= sig T, since signatures add and are >= 0.  An atom
-    filed under p has no prime above p in its |det|, and every pool atom
-    with an odd p in its |det| is filed under p: only <2p> and <-2p> have two
-    primes.  So once M's atoms of p are placed, the p-part of M is done, and
-    q_M ~ q_T gives it the target's local key at p.  An extension dropped
-    for one with the same state can be finished by the same atoms: the
-    later primes see only the later atoms, and the 2-part, the sum of the
-    same blocks, is the same form.  So M's atoms or a sum of the same state
-    survive every prime.  The discriminant group of an orthogonal sum is
-    the sum of the groups, so the scales of M's Jordan blocks, the orders
-    of its cyclic p-parts, are those of its atoms: no pool sum can match a
-    target with a scale that no pool atom carries.  Conversely the normal
-    key is the tuple of the local keys, so a partial sum that passes every
-    prime has the target's key.  Each atom has |det| >= 2, so at most
-    Omega(|A_T|) atoms are placed and the search ends.  The other summands
-    of M are unimodular, and U and E8 are the only unimodular pool terms.
-
-    Forced.  x copies of U and y of E8 have signature (x, x + 8y).  With
-    (D+, D-) = sig T - sig(atoms), x = D+ and y = (D- - D+)/8; atoms for
-    which these are not integers >= 0 have no completion.
-
-    Order.  Two extensions with the same state are finished by the same
-    atoms, U and E8.  Their summand counts then differ as their lengths do.
-    At equal length, of two sorted sequences the first is the one with more
-    copies of the smallest index whose multiplicity differs, and that index
-    is one of theirs.  So the extension kept comes first with every
-    completion, and the answer is the first of all pool sums with the
-    target's signature and key.  The budgeted search this replaces (kept as
-    the test oracle `tests/recognize_oracle.py`) met the pool multisets of
-    the target's signature in this order and took the first with
-    |det| = |A_T| and the target's key, so the two give the same answer
-    wherever that one answers.  The empty multiset answers the rank-0
-    target.
-    """
-    return _search(_pool_terms(target), target)
-
-
-def _search(
-    terms: tuple[tuple[str, int], ...], target: LatticeInvariants
-) -> lattices.LatticeExpr | None:
-    """`recognize`'s search for `target` over the pool `terms`."""
-    data = [lattices.atom_data(*term) for term in terms]
-    splittings = [jordan_splitting(atom.form) for atom in data]
-    scales = {m for split in splittings for blocks in split.values() for m, _ in blocks}
-    wanted = jordan_splitting(target.form).values()
-    if any(m not in scales for blocks in wanted for m, _ in blocks):
-        return None
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (pool index, |det|, s+, s-)
-    for i, (atom, split) in enumerate(zip(data, splittings)):
-        if split:
-            groups.setdefault(max(split), []).append((i, abs(atom.det), *atom.signature))
-    want_plus, want_minus = target.s_plus, target.s_minus
-    want = dict(normal_key(target.form))
-
-    def extend(p, atoms, start, left, plus, minus, acc, out):
-        """Append to `out` the extensions of acc by `atoms` from `start` on
-        whose p-part is done, as ((rest of |A_T|, plus, minus, blocks at 2),
-        sorted acc)."""
-        if left % p:
-            blocks = [b for i in acc for b in splittings[i].get(p, ())]
-            if local_key(p, blocks) == want[p]:
-                seq = tuple(sorted(acc))
-                two = Counter(b for i in seq for b in splittings[i].get(2, ()))
-                out.append(((left, plus, minus, frozenset(two.items())), seq))
-        for k in range(start, len(atoms)):
-            i, d, sp, sm = atoms[k]
-            if left % d == 0 and plus + sp <= want_plus and minus + sm <= want_minus:
-                extend(p, atoms, k, left // d, plus + sp, minus + sm, acc + (i,), out)
-
-    kept = {(target.form.order, 0, 0, None): ()}
-    for p in sorted(groups, reverse=True):
-        out: list[tuple[tuple, tuple[int, ...]]] = []
-        for (left, plus, minus, _), acc in kept.items():
-            extend(p, groups[p], 0, left, plus, minus, acc, out)
-        kept = {}
-        for state, seq in out:
-            if state not in kept or (len(seq), seq) < (len(kept[state]), kept[state]):
-                kept[state] = seq
-
-    u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
-    found = []
-    for (_, plus, minus, _), acc in kept.items():
-        x = want_plus - plus
-        y8 = want_minus - minus - x
-        if y8 >= 0 and y8 % 8 == 0:
-            found.append(tuple(sorted(acc + (u,) * x + (e8,) * (y8 // 8))))
-    if not found:
-        return None
-    counts = Counter(terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
-    return lattices.LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
-

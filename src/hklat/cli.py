@@ -7,7 +7,8 @@ one newline: to stdout, or with `--out FILE` (`tables`, `figures`) to the
 file, always as UTF-8, so the file holds the bytes a UTF-8 stdout would.
 An error leaves stdout empty; so does a stdout whose encoding cannot hold
 the answer (the figures' marks under an ASCII locale) and an answer holding
-an integer longer than Python writes in decimal, which exit 1.
+an integer longer than Python writes in decimal (4,300 digits), which exit
+1; the latter's one line names that cause.
 Exit codes: 1 malformed input (usage errors such as an unknown option or
 choice, bad parameters, unparsable expressions or JSON, unreadable files or
 files that are not UTF-8 text), 2 a mathematical rejection (e.g. a Gram
@@ -134,7 +135,7 @@ def _cmd_embed(args) -> tuple[str, int]:
         t = report.orthogonal_invariants
         lines.append(f"orthogonal complement: signature ({t.s_plus}, {t.s_minus}), "
                      f"|A_T| = {t.form.order}")
-        expr = classify.recognize(t)
+        expr = lattices.recognize(t)
         if expr is not None:
             lines.append(f"orthogonal class: {expr}")
         lines.append(f"embedding unique: {'yes' if report.unique_embedding else 'no'}")
@@ -312,7 +313,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # a file not read or not written, an answer that stdout's encoding
         # cannot hold (UnicodeEncodeError), or one holding an integer longer
-        # than the interpreter writes in decimal (4,300 digits)
+        # than the interpreter writes in decimal; its message for reading one
+        # goes on "conversion: value has ..." and never gets here, as every
+        # input integer is bounded where it is read
+        if "integer string conversion;" in str(exc):
+            exc = (f"the answer holds an integer of more than "
+                   f"{sys.get_int_max_str_digits():,} digits")
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,9 @@
-"""Exact integer matrix arithmetic.
+"""Exact integer arithmetic: primality, prime factors and squares.
 
 Everything here works on plain Python integers (arbitrary precision); no
-floating point and no fractions are used anywhere.  Matrices are immutable
-tuples of tuples of ints.  Nothing here checks outside input: the
-eliminations (`signature_of_symmetric`, `smith_normal_form`) take matrices
-that `lattices._block` has checked, and check nothing again.
+floating point and no fractions are used anywhere.  The Gram-matrix
+eliminations, the Smith form and the signature, live in `lattices`, their
+one caller, so that a command that builds no lattice never compiles them.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ import itertools
 import math
 from functools import cache
 
-from .errors import DegenerateForm, PrimalityUnproved
-
-IntMatrix = tuple[tuple[int, ...], ...]
+from .errors import PrimalityUnproved
 
 
 @cache
@@ -143,180 +140,3 @@ def _pocklington_lehmer(n: int) -> bool:
 
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def block_diag(blocks) -> IntMatrix:
-    """Block-diagonal assembly of square matrices."""
-    sizes = [len(b) for b in blocks]
-    n = sum(sizes)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(b)
-    return tuple(map(tuple, out))
-
-
-def _min_pivot(a, t):
-    """Nonzero entry of the trailing block minimizing (|value|, i, j).  The
-    scan is row-major, so the first +-1 met is taken on sight."""
-    best, least = None, None
-    for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(a)):
-            x = row[j]
-            if x:
-                if x == 1 or x == -1:
-                    return i, j
-                if best is None or abs(x) < least:
-                    best, least = (i, j), abs(x)
-    return best
-
-
-def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatrix]:
-    """Invariant factors of a nonsingular square m with |det m| = |det|, and
-    a right transform, by elimination modulo R = det^2 (Cohen, GTM 138, §2.4).
-
-    Returns (factors, V): factors g_1 | g_2 | ... | g_n with product |det|,
-    and V unimodular with m·v_t = 0 mod g_t for each column v_t of V.  The
-    pivot is the least (|value|, i, j) of the trailing block, a unit taken on
-    sight; rows and columns are cleared by division with remainder, and a
-    row holding an entry the pivot does not divide is added to the pivot
-    row.  Each entry an addition writes is replaced by its centered residue
-    mod R when it lies outside [-R, R], also where the addition adds 0; an
-    entry no addition has written keeps its value.
-
-    Why this is the Smith form of m.  Row operations U and column operations
-    V keep U·m·V = A mod R for the working matrix A, the replacements too.
-    R·Z^n lies in m·Z^n, since d·m^-1 = ±adj m is integral for d = |det|; so
-    U·m·Z^n = A·Z^n + R·Z^n, i.e. each replacement is a column operation
-    against R·I and SNF([m | R·I]) = SNF(m).  At the end A is diagonal and
-    A·Z^n + R·Z^n is the sum of the g_t·Z for g_t = gcd(a_tt, R).  Once a_tt
-    divides the trailing block, g_t divides every later entry (the later
-    operations and residues mod R keep the block in g_t·Z), so the g_t form
-    a divisor chain.  Column t gives U·m·v_t = a_tt·e_t mod R, so m·v_t = 0
-    mod g_t.
-
-    The trailing block.  At step t the operations on A are swaps and
-    additions among rows >= t and among columns >= t.  Rows and columns
-    s < t are finished: zero off the diagonal.  An addition among rows >= t
-    adds multiples of zeros to zeros in the columns s < t, and one among
-    columns >= t does so in the rows s < t; a swap exchanges zeros.
-    So these entries stay 0, which is its own residue, and each operation is
-    carried out on rows and columns >= t only.  V is kept as its transpose,
-    row t holding column v_t, so a column addition on V adds one row to
-    another and a column swap exchanges two rows.
-
-    Each step finds a pivot when d = |det| >= 2: were the trailing block 0 at
-    step t, the index d of A·Z^n + R·Z^n = U·m·Z^n would be a multiple of
-    g_t = gcd(0, R) = R = d^2 > d.
-
-    For |det| = 1 every entry is 0 modulo R = 1: there is no pivot, every
-    factor is 1 and V is the identity.  (Eliminating anyway would replace a
-    pivot outside [-1, 1] by its residue 0 and divide by it.)
-    """
-    n = len(m)
-    r = det * det
-    if r == 1:
-        return (1,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    half = r // 2
-    a = [list(row) for row in m]
-    vt = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # vt[j]: column j of V
-
-    def row_add(i, j, q):  # row_i += q * row_j, on columns >= t
-        a[i][t:] = [
-            x if -r <= (x := y + q * z) <= r else (x + half) % r - half
-            for y, z in zip(a[i][t:], a[j][t:])
-        ]
-
-    def col_add(i, j, q):  # col_i += q * col_j, on rows >= t
-        for row in a[t:]:
-            x = row[i] + q * row[j]
-            row[i] = x if -r <= x <= r else (x + half) % r - half
-        vt[i] = [x + q * y for x, y in zip(vt[i], vt[j])]
-
-    def col_swap(i, j):
-        for row in a[t:]:
-            row[i], row[j] = row[j], row[i]
-        vt[i], vt[j] = vt[j], vt[i]
-
-    for t in range(n):
-        i, j = _min_pivot(a, t)
-        a[t], a[i] = a[i], a[t]
-        if j != t:
-            col_swap(t, j)
-        # Clear row and column t; swaps keep shrinking the pivot until exact.
-        while True:
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    row_add(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    col_add(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce divisibility of the trailing block by the pivot.
-            p = a[t][t]
-            culprit = None if p in (1, -1) else next(
-                (i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1:])), None
-            )
-            if culprit is None:
-                break
-            row_add(t, culprit, 1)
-
-    return tuple(math.gcd(a[t][t], r) for t in range(n)), tuple(zip(*vt))
-
-
-def signature_of_symmetric(m: IntMatrix) -> tuple[tuple[int, int], int]:
-    """((s_plus, s_minus), det) of a nondegenerate symmetric integer matrix,
-    by one symmetric fraction-free (Bareiss) elimination.
-
-    Step k sets each trailing entry to (a_ij·p - a_ik·a_kj) / (previous
-    pivot), by Sylvester's identity (Bareiss, Math. Comp. 22, 1968) the minor
-    of rows 0..k, i and columns 0..k, j: the division is exact and the pivots
-    are the leading principal minors d_1, ..., d_n.  So det = d_n, and
-    s_minus counts the sign changes in 1, d_1, ..., d_n (Jacobi's rule).  A
-    zero pivot is swapped symmetrically with a later nonzero diagonal entry,
-    or, with none (as in U), row and column j with a_kj != 0 are added in:
-    pivot 2·a_kj.  These unimodular congruences on the indices >= k keep
-    det, signature and d_1, ..., d_k, and a trailing entry is linear in its
-    row and in its column, so it stays a minor of the repaired matrix: the
-    divisions stay exact.  A zero pivot row (`DegenerateForm`) is d_k times
-    a zero row of a Schur complement, so the matrix is singular; a singular
-    one meets such a row, as d_n = det = 0 and no other pivot is 0.
-
-    m must be square and symmetric: its one library caller, `lattices._block`,
-    has checked that, and it is not checked again here.
-    """
-    n, minus, prev = len(m), 0, 1
-    a = [list(row) for row in m]
-    for k in range(n):
-        if a[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if i is not None:  # symmetric swap of indices k and i
-                a[k], a[i] = a[i], a[k]
-                for r in a[k:]:
-                    r[k], r[i] = r[i], r[k]
-            else:  # row_k += row_j and col_k += col_j
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    raise DegenerateForm("matrix is singular")
-                a[k][k:] = [x + y for x, y in zip(a[k][k:], a[j][k:])]
-                for r in a[k:]:
-                    r[k] += r[j]
-        p, tail = a[k][k], a[k][k + 1:]
-        minus += (p < 0) != (prev < 0)
-        for r in a[k + 1:]:
-            x = r[k]
-            r[k + 1:] = [(y * p - x * z) // prev for y, z in zip(r[k + 1:], tail)]
-        prev = p
-    return (n - minus, minus), prev

@@ -1,4 +1,5 @@
-"""Even lattices: the named catalog, its sums and twists, discriminant forms.
+"""Even lattices: the named catalog, its sums and twists, the Gram-matrix
+eliminations, discriminant forms, and recognition of a genus in the catalog.
 
 Gram conventions: U = [[0,1],[1,0]]; the root lattices A_k, D_h, E_l are
 negative definite (negated Cartan matrices); <n> is the rank-one lattice of
@@ -20,10 +21,12 @@ once per process.
 A lattice is the orthogonal sum of its blocks.  A block is a Gram matrix
 checked once (int entries, square, symmetric, even, nondegenerate), by
 `_block` and nowhere else, with its determinant and signature (from one
-elimination) and discriminant data (the Smith form modulo det²,
-`_smith_data`).  `Lattice(gram, expr)` is one block; `atom_data` builds
-each twisted catalog atom's block once per process; `realize` concatenates
-blocks without checking them again.  Every invariant is read off the
+Bareiss elimination, `signature_of_symmetric`) and discriminant data (the
+Smith form modulo det², `smith_normal_form` and `_smith_data`).  The two
+eliminations live here, with their one caller, and check nothing again.
+`Lattice(gram, expr)` is one block; `atom_data` builds each twisted catalog
+atom's block once per process; `realize` concatenates blocks without
+checking them again.  Every invariant is read off the
 blocks: det multiplies, rank and signature add, and the discriminant form
 is the orthogonal sum of the blocks' forms.  The `invariants` command
 prints the discriminant group and the values of q on generators from
@@ -32,31 +35,37 @@ of the full Gram matrix: those generators depend on the pivot order over
 the whole matrix, so they are what the command has always printed.  A
 lattice keeps its discriminant form and discriminant data once computed.
 
-Per-process caches, both unbounded, neither holding a lattice read from a
+`recognize` is the inverse of `realize`: it names the first catalog sum of
+a given genus (a `classify.LatticeInvariants`, read by its signature and
+form only, so that `lattices` never loads `classify`).  Only
+`embed` runs it; the tables never load this module.
+
+Per-process caches, all three unbounded, none holding a lattice read from a
 file:
   * atom blocks (`atom_data`): one block per twisted catalog atom asked,
     growing with the distinct (atom, twist) pairs;
   * named lattices (`realize`): one lattice per expression asked, with
-    what it keeps, growing with the distinct expressions.
-Neither grows with the number of queries: a query met again adds nothing.
+    what it keeps, growing with the distinct expressions;
+  * recognitions (`recognize`): one answer per genus asked.
+None grows with the number of queries: a query met again adds nothing.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from functools import cache, reduce
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter, NotEvenLattice
-from .exact import (
-    IntMatrix,
-    block_diag,
-    is_prime,
-    signature_of_symmetric,
-    smith_normal_form,
-)
-from .fqf import FiniteQuadraticForm, jordan_splitting, trivial_form
+from .exact import is_prime
+from .fqf import FiniteQuadraticForm, jordan_splitting, local_key, normal_key, trivial_form
+
+if TYPE_CHECKING:  # classify imports lattices, not the other way round
+    from .classify import LatticeInvariants
+
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 # -- expressions ---------------------------------------------------------------
@@ -190,6 +199,185 @@ def _atom_base_gram(atom: str) -> tuple[IntMatrix, int]:
     if atom == "L17":
         return ((-2, 1, 0, 1), (1, -2, 0, 0), (0, 0, -2, 1), (1, 0, 1, -4)), 1
     raise InvalidParameter(f"unknown atom {atom!r}")
+
+
+# -- Gram-matrix elimination ---------------------------------------------------
+
+def block_diag(blocks) -> IntMatrix:
+    """Block-diagonal assembly of square matrices."""
+    sizes = [len(b) for b in blocks]
+    n = sum(sizes)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[off + i][off + j] = x
+        off += len(b)
+    return tuple(map(tuple, out))
+
+
+def _min_pivot(a, t):
+    """Nonzero entry of the trailing block minimizing (|value|, i, j).  The
+    scan is row-major, so the first +-1 met is taken on sight."""
+    best, least = None, None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(a)):
+            x = row[j]
+            if x:
+                if x == 1 or x == -1:
+                    return i, j
+                if best is None or abs(x) < least:
+                    best, least = (i, j), abs(x)
+    return best
+
+
+def smith_normal_form(m: IntMatrix, det: int) -> tuple[tuple[int, ...], IntMatrix]:
+    """Invariant factors of a nonsingular square m with |det m| = |det|, and
+    a right transform, by elimination modulo R = det^2 (Cohen, GTM 138, §2.4).
+
+    Returns (factors, V): factors g_1 | g_2 | ... | g_n with product |det|,
+    and V unimodular with m·v_t = 0 mod g_t for each column v_t of V.  The
+    pivot is the least (|value|, i, j) of the trailing block, a unit taken on
+    sight; rows and columns are cleared by division with remainder, and a
+    row holding an entry the pivot does not divide is added to the pivot
+    row.  Each entry an addition writes is replaced by its centered residue
+    mod R when it lies outside [-R, R], also where the addition adds 0; an
+    entry no addition has written keeps its value.
+
+    Why this is the Smith form of m.  Row operations U and column operations
+    V keep U·m·V = A mod R for the working matrix A, the replacements too.
+    R·Z^n lies in m·Z^n, since d·m^-1 = ±adj m is integral for d = |det|; so
+    U·m·Z^n = A·Z^n + R·Z^n, i.e. each replacement is a column operation
+    against R·I and SNF([m | R·I]) = SNF(m).  At the end A is diagonal and
+    A·Z^n + R·Z^n is the sum of the g_t·Z for g_t = gcd(a_tt, R).  Once a_tt
+    divides the trailing block, g_t divides every later entry (the later
+    operations and residues mod R keep the block in g_t·Z), so the g_t form
+    a divisor chain.  Column t gives U·m·v_t = a_tt·e_t mod R, so m·v_t = 0
+    mod g_t.
+
+    The trailing block.  At step t the operations on A are swaps and
+    additions among rows >= t and among columns >= t.  Rows and columns
+    s < t are finished: zero off the diagonal.  An addition among rows >= t
+    adds multiples of zeros to zeros in the columns s < t, and one among
+    columns >= t does so in the rows s < t; a swap exchanges zeros.
+    So these entries stay 0, which is its own residue, and each operation is
+    carried out on rows and columns >= t only.  V is kept as its transpose,
+    row t holding column v_t, so a column addition on V adds one row to
+    another and a column swap exchanges two rows.
+
+    Each step finds a pivot when d = |det| >= 2: were the trailing block 0 at
+    step t, the index d of A·Z^n + R·Z^n = U·m·Z^n would be a multiple of
+    g_t = gcd(0, R) = R = d^2 > d.
+
+    For |det| = 1 every entry is 0 modulo R = 1: there is no pivot, every
+    factor is 1 and V is the identity.  (Eliminating anyway would replace a
+    pivot outside [-1, 1] by its residue 0 and divide by it.)
+    """
+    n = len(m)
+    r = det * det
+    if r == 1:
+        return (1,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    half = r // 2
+    a = [list(row) for row in m]
+    vt = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # vt[j]: column j of V
+
+    def row_add(i, j, q):  # row_i += q * row_j, on columns >= t
+        a[i][t:] = [
+            x if -r <= (x := y + q * z) <= r else (x + half) % r - half
+            for y, z in zip(a[i][t:], a[j][t:])
+        ]
+
+    def col_add(i, j, q):  # col_i += q * col_j, on rows >= t
+        for row in a[t:]:
+            x = row[i] + q * row[j]
+            row[i] = x if -r <= x <= r else (x + half) % r - half
+        vt[i] = [x + q * y for x, y in zip(vt[i], vt[j])]
+
+    def col_swap(i, j):
+        for row in a[t:]:
+            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
+
+    for t in range(n):
+        i, j = _min_pivot(a, t)
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            col_swap(t, j)
+        # Clear row and column t; swaps keep shrinking the pivot until exact.
+        while True:
+            dirty = False
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    row_add(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    col_add(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Enforce divisibility of the trailing block by the pivot.
+            p = a[t][t]
+            culprit = None if p in (1, -1) else next(
+                (i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1:])), None
+            )
+            if culprit is None:
+                break
+            row_add(t, culprit, 1)
+
+    return tuple(math.gcd(a[t][t], r) for t in range(n)), tuple(zip(*vt))
+
+
+def signature_of_symmetric(m: IntMatrix) -> tuple[tuple[int, int], int]:
+    """((s_plus, s_minus), det) of a nondegenerate symmetric integer matrix,
+    by one symmetric fraction-free (Bareiss) elimination.
+
+    Step k sets each trailing entry to (a_ij·p - a_ik·a_kj) / (previous
+    pivot), by Sylvester's identity (Bareiss, Math. Comp. 22, 1968) the minor
+    of rows 0..k, i and columns 0..k, j: the division is exact and the pivots
+    are the leading principal minors d_1, ..., d_n.  So det = d_n, and
+    s_minus counts the sign changes in 1, d_1, ..., d_n (Jacobi's rule).  A
+    zero pivot is swapped symmetrically with a later nonzero diagonal entry,
+    or, with none (as in U), row and column j with a_kj != 0 are added in:
+    pivot 2·a_kj.  These unimodular congruences on the indices >= k keep
+    det, signature and d_1, ..., d_k, and a trailing entry is linear in its
+    row and in its column, so it stays a minor of the repaired matrix: the
+    divisions stay exact.  A zero pivot row (`DegenerateForm`) is d_k times
+    a zero row of a Schur complement, so the matrix is singular; a singular
+    one meets such a row, as d_n = det = 0 and no other pivot is 0.
+
+    m must be square and symmetric: its one caller, `_block`, has checked
+    that, and it is not checked again here.
+    """
+    n, minus, prev = len(m), 0, 1
+    a = [list(row) for row in m]
+    for k in range(n):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if i is not None:  # symmetric swap of indices k and i
+                a[k], a[i] = a[i], a[k]
+                for r in a[k:]:
+                    r[k], r[i] = r[i], r[k]
+            else:  # row_k += row_j and col_k += col_j
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    raise DegenerateForm("matrix is singular")
+                a[k][k:] = [x + y for x, y in zip(a[k][k:], a[j][k:])]
+                for r in a[k:]:
+                    r[k] += r[j]
+        p, tail = a[k][k], a[k][k + 1:]
+        minus += (p < 0) != (prev < 0)
+        for r in a[k + 1:]:
+            x = r[k]
+            r[k + 1:] = [(y * p - x * z) // prev for y, z in zip(r[k + 1:], tail)]
+        prev = p
+    return (n - minus, minus), prev
 
 
 # -- lattices --------------------------------------------------------------------
@@ -349,7 +537,7 @@ def _dot(dense, support) -> int:
 
 def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
     """Discriminant group and form, via the Smith form of the Gram matrix G
-    modulo R = d^2, d = |det G| (`exact.smith_normal_form`).
+    modulo R = d^2, d = |det G| (`smith_normal_form`).
 
     With factors g_t and columns v_t of V, the dual vectors x_t = v_t / g_t
     generate L*/L with orders g_t.  G·v_t = 0 mod g_t, so w_t = G·v_t / g_t
@@ -360,7 +548,7 @@ def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
     exact, L being even.  Under y -> U·G·y, L*/L is the sum of the Z/g_s
     and y_t maps to (a_tt/g_t)·e_t, a generator of Z/g_t: g_t divides
     d^2/g_t, so a_tt/g_t, prime to R/g_t, is prime to g_t.  (U and the
-    final diagonal a_tt are those of `exact.smith_normal_form`.)
+    final diagonal a_tt are those of `smith_normal_form`.)
 
     V is exact, so at the level N the values are the integers
     q(x_t)·N = (v_t·w_t)·(N/g_t) and b(x_s, x_t)·N = (v_t·w_s)·(N/g_t).
@@ -420,6 +608,167 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
         form = reduce(FiniteQuadraticForm.dsum, forms) if forms else _TRIVIAL_FORM
         object.__setattr__(lattice, "_form", form)
     return lattice._form
+
+
+# -- recognition --------------------------------------------------------------------
+
+def _pool_terms(target: LatticeInvariants) -> tuple[tuple[str, int], ...]:
+    """The recognition pool of `target`: the catalog terms (atom, twist)
+    eligible for its search, in canonical order.  A_{p-1} is a term only
+    for the odd primes p of |A_T| with p - 1 <= rank T: a larger one, of
+    signature (0, p - 1), can never be a summand, and its block alone would
+    cost more than the search (A_222 for p = 223)."""
+    primes = target.form.lengths_per_prime()
+    odd_primes = sorted(p for p in primes if p != 2)
+    terms: list[tuple[str, int]] = [("U", 1)]
+    for p in odd_primes:
+        terms.append(("U", p))
+    for p in odd_primes:
+        if p - 1 <= target.rank:
+            terms.append((f"A{p - 1}", 1))
+    if 3 in odd_primes:
+        terms.append(("E6", 1))
+    terms.append(("E8", 1))
+    for p in odd_primes:
+        if p == 3:
+            continue  # K3 = A2, already in the pool
+        terms.append((f"K{p}" if p % 4 == 3 else f"H{p}", 1))
+        if p % 4 == 3:
+            terms.append((f"K{p}", -1))
+    if 17 in odd_primes:
+        terms.append(("L17", 1))
+    if 3 in odd_primes:
+        terms.append(("E6*", 3))
+        terms.append(("A2", -1))
+    if 5 in odd_primes:
+        terms.append(("A4*", 5))
+    if 2 in primes:
+        terms.append(("<-2>", 1))
+        terms.append(("<2>", 1))
+        for p in odd_primes:
+            terms.append((f"<{2 * p}>", 1))
+            terms.append((f"<{-2 * p}>", 1))
+    return tuple(terms)
+
+
+@cache
+def recognize(target: LatticeInvariants) -> LatticeExpr | None:
+    """The first catalog direct sum over `_pool_terms(target)` with the
+    target's signature and discriminant form, or None when there is none.
+
+    Order: fewest summands first, then the sorted sequence of pool indices,
+    lexicographic.  Forms match when their normal keys are equal.  A sum's
+    key is read off its atoms' Jordan blocks put together, since any Jordan
+    splitting gives the key.
+
+    The answer is a function of the genus of T, so it is computed once per
+    process per genus, and the pool is built only for that first search.
+
+    The search.  The atoms are the pool terms with |det| != 1.  Each is filed
+    under the largest prime p of its |det|, and the primes are taken from
+    the largest down.  For each p, every partial sum kept so far is extended
+    by multisets of p's atoms, by nondecreasing pool index, while the |det|
+    product divides |A_T| and the signature stays within the target's.  An
+    extension is kept once its p-part is done: p does not divide the rest of
+    |A_T|, and the local key at p is the target's.  Of the extensions with
+    the same state (rest of |A_T|, signature, multiset of Jordan blocks at
+    2) only the first in the order above is kept.  After the last prime,
+    each partial sum is completed by x copies of U and y copies of E8, and
+    the first in order is the answer; with no completion the answer is None.
+    A target with a Jordan block of a scale that no atom has is answered
+    None before any partial sum is made.
+
+    Complete.  Let M be a pool sum with sig M = sig T and q_M ~ q_T.  Its
+    summands with |det| != 1 have |det| product |A_M| = |A_T|, since |det|
+    is multiplicative over an orthogonal sum, and each partial sum of them
+    has signature <= sig T, since signatures add and are >= 0.  An atom
+    filed under p has no prime above p in its |det|, and every pool atom
+    with an odd p in its |det| is filed under p: only <2p> and <-2p> have two
+    primes.  So once M's atoms of p are placed, the p-part of M is done, and
+    q_M ~ q_T gives it the target's local key at p.  An extension dropped
+    for one with the same state can be finished by the same atoms: the
+    later primes see only the later atoms, and the 2-part, the sum of the
+    same blocks, is the same form.  So M's atoms or a sum of the same state
+    survive every prime.  The discriminant group of an orthogonal sum is
+    the sum of the groups, so the scales of M's Jordan blocks, the orders
+    of its cyclic p-parts, are those of its atoms: no pool sum can match a
+    target with a scale that no pool atom carries.  Conversely the normal
+    key is the tuple of the local keys, so a partial sum that passes every
+    prime has the target's key.  Each atom has |det| >= 2, so at most
+    Omega(|A_T|) atoms are placed and the search ends.  The other summands
+    of M are unimodular, and U and E8 are the only unimodular pool terms.
+
+    Forced.  x copies of U and y of E8 have signature (x, x + 8y).  With
+    (D+, D-) = sig T - sig(atoms), x = D+ and y = (D- - D+)/8; atoms for
+    which these are not integers >= 0 have no completion.
+
+    Order.  Two extensions with the same state are finished by the same
+    atoms, U and E8.  Their summand counts then differ as their lengths do.
+    At equal length, of two sorted sequences the first is the one with more
+    copies of the smallest index whose multiplicity differs, and that index
+    is one of theirs.  So the extension kept comes first with every
+    completion, and the answer is the first of all pool sums with the
+    target's signature and key.  The budgeted search this replaces (kept as
+    the test oracle `tests/recognize_oracle.py`) met the pool multisets of
+    the target's signature in this order and took the first with
+    |det| = |A_T| and the target's key, so the two give the same answer
+    wherever that one answers.  The empty multiset answers the rank-0
+    target.
+    """
+    return _search(_pool_terms(target), target)
+
+
+def _search(terms: tuple[tuple[str, int], ...], target: LatticeInvariants) -> LatticeExpr | None:
+    """`recognize`'s search for `target` over the pool `terms`."""
+    data = [atom_data(*term) for term in terms]
+    splittings = [jordan_splitting(atom.form) for atom in data]
+    scales = {m for split in splittings for blocks in split.values() for m, _ in blocks}
+    wanted = jordan_splitting(target.form).values()
+    if any(m not in scales for blocks in wanted for m, _ in blocks):
+        return None
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (pool index, |det|, s+, s-)
+    for i, (atom, split) in enumerate(zip(data, splittings)):
+        if split:
+            groups.setdefault(max(split), []).append((i, abs(atom.det), *atom.signature))
+    want_plus, want_minus = target.s_plus, target.s_minus
+    want = dict(normal_key(target.form))
+
+    def extend(p, atoms, start, left, plus, minus, acc, out):
+        """Append to `out` the extensions of acc by `atoms` from `start` on
+        whose p-part is done, as ((rest of |A_T|, plus, minus, blocks at 2),
+        sorted acc)."""
+        if left % p:
+            blocks = [b for i in acc for b in splittings[i].get(p, ())]
+            if local_key(p, blocks) == want[p]:
+                seq = tuple(sorted(acc))
+                two = Counter(b for i in seq for b in splittings[i].get(2, ()))
+                out.append(((left, plus, minus, frozenset(two.items())), seq))
+        for k in range(start, len(atoms)):
+            i, d, sp, sm = atoms[k]
+            if left % d == 0 and plus + sp <= want_plus and minus + sm <= want_minus:
+                extend(p, atoms, k, left // d, plus + sp, minus + sm, acc + (i,), out)
+
+    kept = {(target.form.order, 0, 0, None): ()}
+    for p in sorted(groups, reverse=True):
+        out: list[tuple[tuple, tuple[int, ...]]] = []
+        for (left, plus, minus, _), acc in kept.items():
+            extend(p, groups[p], 0, left, plus, minus, acc, out)
+        kept = {}
+        for state, seq in out:
+            if state not in kept or (len(seq), seq) < (len(kept[state]), kept[state]):
+                kept[state] = seq
+
+    u, e8 = terms.index(("U", 1)), terms.index(("E8", 1))
+    found = []
+    for (_, plus, minus, _), acc in kept.items():
+        x = want_plus - plus
+        y8 = want_minus - minus - x
+        if y8 >= 0 and y8 % 8 == 0:
+            found.append(tuple(sorted(acc + (u,) * x + (e8,) * (y8 // 8))))
+    if not found:
+        return None
+    counts = Counter(terms[i] for i in min(found, key=lambda seq: (len(seq), seq)))
+    return LatticeExpr(tuple((atom, tw, mult) for (atom, tw), mult in counts.items()))
 
 
 # -- JSON interface ----------------------------------------------------------------

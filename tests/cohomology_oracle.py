@@ -31,8 +31,19 @@ divides the index.
 A K3 surface has H^2 of rank 22 and no H^4 term, so the same ranks with
 23 replaced by 22 give chi = 24 - pm and h* = 24 - (p-2)m - 2a, the pair
 behind `tables.natural_verdict`'s condition N2.
+
+The rules are checked by brute force on explicit modules.  A Z[C_p]-module
+here is Z^n with the matrix of sigma: `trivial` (1), `cyclotomic`
+(multiplication by zeta on 1, zeta, ..., zeta^(p-2)) and `regular` (the
+cyclic shift), with `direct_sum`, `tensor` (sigma (x) sigma) and `sym2`
+(sigma on the monomials e_i e_j, i <= j).  On M/pM, sigma - 1 is
+nilpotent, and Z, Z[zeta] and Z[C_p] reduce to one Jordan block of size 1,
+p - 1 and p: F_p[x]/(x - 1), F_p[x]/(x - 1)^(p-1) and F_p[x]/(x - 1)^p.
+So `summand_types` reads (l1, lz, lr) of M off the block sizes, which for
+odd p tell the three types apart.
 """
 
+from collections import Counter
 from math import comb
 
 def module_ranks(p, m, a, rank=23):
@@ -61,6 +72,12 @@ def sym2_count(p, m, a, sym2_cyclotomic=0):
     Sym^2 Z[zeta] (lz) counts `sym2_cyclotomic`, 0 by Smith theory; the
     tests set 1 to show that the check is sharp."""
     l1, lz, _ = module_ranks(p, m, a)
+    return sym2_count_of(l1, lz, sym2_cyclotomic)
+
+
+def sym2_count_of(l1, lz, sym2_cyclotomic=0):
+    """The Smith count of Sym^2 M for M with l1 trivial and lz cyclotomic
+    summands (and any number of regular ones)."""
     return comb(l1 + 1, 2) + l1 * lz + comb(lz, 2) + lz * sym2_cyclotomic
 
 
@@ -90,3 +107,95 @@ def triples(primes, rank=23):
         for a in range(m + 1)
         if module_ranks(p, m, a, rank)[0] >= 0
     ]
+
+
+# -- explicit modules ------------------------------------------------------------
+
+def trivial(p):
+    return [[1]]
+
+
+def cyclotomic(p):
+    """zeta on Z[zeta]: zeta^i -> zeta^(i+1), and zeta^(p-2) -> zeta^(p-1),
+    minus the sum of the lower powers.  Column i is the image of zeta^i."""
+    n = p - 1
+    return [[-1 if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)]
+
+
+def regular(p):
+    """The cyclic shift e_i -> e_(i+1 mod p) on Z[C_p]."""
+    return [[int(i == (j + 1) % p) for j in range(p)] for i in range(p)]
+
+
+def direct_sum(*sigmas):
+    n = sum(map(len, sigmas))
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for s in sigmas:
+        for i, row in enumerate(s):
+            out[off + i][off:off + len(s)] = row
+        off += len(s)
+    return out
+
+
+def tensor(a, b):
+    """sigma (x) sigma on e_i (x) f_k, indexed i·len(b) + k."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def sym2(a):
+    """sigma on Sym^2 M, on the monomials e_i e_j with i <= j: the image of
+    e_i e_j is (sigma e_i)(sigma e_j)."""
+    n = len(a)
+    basis = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {pair: t for t, pair in enumerate(basis)}
+    out = [[0] * len(basis) for _ in basis]
+    for col, (i, j) in enumerate(basis):
+        for k in range(n):
+            for h in range(n):
+                if a[k][i] and a[h][j]:
+                    out[index[min(k, h), max(k, h)]][col] += a[k][i] * a[h][j]
+    return out
+
+
+def _rank_mod(m, p):
+    rows = [[x % p for x in row] for row in m]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def jordan_sizes(sigma, p):
+    """The sizes of the Jordan blocks of sigma - 1 on M/pM, as a Counter: of
+    size at least k there are rank N^(k-1) - rank N^k, for N = sigma - 1."""
+    n = len(sigma)
+    nil = [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(sigma)]
+    ranks, power = [n], nil
+    while ranks[-1]:
+        ranks.append(_rank_mod(power, p))
+        power = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*nil)] for row in power]
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
+    return Counter({k: at_least[k - 1] - at_least[k] for k in range(1, len(ranks))
+                    if at_least[k - 1] > at_least[k]})
+
+
+def summand_types(sigma, p):
+    """(l1, lz, lr) of M, read off the block sizes 1, p - 1 and p; a block
+    of any other size is no reduction of a Z_p[C_p]-lattice."""
+    sizes = jordan_sizes(sigma, p)
+    assert set(sizes) <= {1, p - 1, p}, sizes
+    return sizes[1], sizes[p - 1], sizes[p]
+
+
+def trace(sigma):
+    return sum(row[i] for i, row in enumerate(sigma))

@@ -51,6 +51,8 @@ UNREACHED = (
      "a T with s+ != 1: the CLI and the chart sweep build T of signature (1, r - 1)"),
     ("lattices", "_atom_base_gram", 'raise InvalidParameter(f"unknown atom {atom!r}")',
      "unreachable: parse_expr admits catalog atoms only, and each has a branch above"),
+    ("lattices", "<module>", "from .classify import LatticeInvariants",
+     "type checkers only: recognition's annotation; lattices never loads classify"),
 )
 
 

@@ -1,18 +1,17 @@
-"""The budgeted catalog search that `hklat.classify.recognize` replaced, for
+"""The budgeted catalog search that `hklat.lattices.recognize` replaced, for
 tests only.
 
 It walks the multisets of pool terms with the target's rank and signature,
 fewest summands first and lexicographic in pool index within a count, and
 returns the first whose |det| is |A_T| and whose discriminant form has the
 target's normal key; after `budget` summands it gives up and returns None.
-`terms` replaces the pool terms `hklat.classify._pool_terms(target)`.
+`terms` replaces the pool terms `hklat.lattices._pool_terms(target)`.
 """
 
 import math
 
-from hklat.classify import _pool_terms
 from hklat.fqf import normal_key, trivial_form
-from hklat.lattices import LatticeExpr, atom_data
+from hklat.lattices import LatticeExpr, _pool_terms, atom_data
 
 
 def recognize(target, budget=9, terms=None):

@@ -7,7 +7,7 @@ divisibility sweep runs after every pivot, also a unit one.
 
 `smith_normal_form(m, modulus=R)` runs the same elimination but replaces an
 entry of the working matrix that leaves [-R, R] by its centered residue mod
-R, as `hklat.exact.smith_normal_form(m, det)` does for R = det² (for R = 1
+R, as `hklat.lattices.smith_normal_form(m, det)` does for R = det² (for R = 1
 every entry is 0 from the start, so D = 0 and U, V are identities); without the
 library's two shortcuts (a unit pivot taken on sight, no sweep after it),
 and with every operation on whole rows and columns where the library's
@@ -16,8 +16,7 @@ gcd(d_tt, R) must be its factors.
 
 `det_exact(m)` is the determinant of a square m by its own Bareiss
 elimination with row swaps: the oracle of the det that
-`hklat.exact.signature_of_symmetric` returns, and of `hklat.lattices`'
-Gauss-Jordan inverse.
+`hklat.lattices.signature_of_symmetric` returns.
 """
 
 

@@ -21,7 +21,7 @@ from fixedlocus_fixtures import (
     h4_trace,
 )
 from fqf_oracle import forms_isomorphic
-from hklat.classify import embed_in_L, invariants_of, recognize
+from hklat.classify import embed_in_L, invariants_of
 from hklat.fixedlocus import K3FixedLocus, cross_check_totals, hilb2_census
 from hklat.fqf import (
     cyclic_form,
@@ -36,7 +36,7 @@ from hklat.involutions import (
     classify_involution_embeddings,
     figure_points,
 )
-from hklat.lattices import discriminant_form, realize
+from hklat.lattices import discriminant_form, realize, recognize
 from hklat.tables import enumerate_triples, h_star, lefschetz_chi
 
 def report(criterion, description):

@@ -14,12 +14,10 @@ from hklat import classify, lattices
 from hklat.classify import (
     LatticeInvariants,
     NotPElementary,
-    _pool_terms,
     _rank_one_orthogonal_group_surjects,
     embed_in_L,
     genus_unique,
     invariants_of,
-    recognize,
 )
 from hklat import fqf
 from hklat.fqf import (
@@ -32,7 +30,7 @@ from hklat.fqf import (
 )
 from hklat.cli import main
 from hklat.errors import InvalidParameter
-from hklat.lattices import Lattice, atom_data, discriminant_form, realize
+from hklat.lattices import Lattice, _pool_terms, atom_data, discriminant_form, realize, recognize
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import mat_mul
 from test_exact import _random_unimodular, transpose
@@ -305,7 +303,7 @@ def test_recognize_of_the_same_atoms_adds_no_local_keys(monkeypatch):
     assert _pool_terms(second) == _pool_terms(first)
     keys = []
     monkeypatch.setattr(
-        classify, "local_key", lambda p, blocks: keys.append(fqf.local_key(p, blocks)) or keys[-1]
+        lattices, "local_key", lambda p, blocks: keys.append(fqf.local_key(p, blocks)) or keys[-1]
     )
     recognize.cache_clear()
     expr = recognize(first)
@@ -324,7 +322,7 @@ def test_recognize_of_a_scale_no_pool_atom_has_computes_no_local_key(monkeypatch
     assert (target.s_plus, target.s_minus) == (8, 48)
     keys = []
     monkeypatch.setattr(
-        classify, "local_key", lambda p, blocks: keys.append(p) or fqf.local_key(p, blocks)
+        lattices, "local_key", lambda p, blocks: keys.append(p) or fqf.local_key(p, blocks)
     )
     recognize.cache_clear()
     assert recognize(target) is None

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hklat
-from hklat import exact, fqf, lattices
+from hklat import fqf, lattices
 from hklat.cli import COMMANDS, _command_parser, _ratio_text, build_parser, main
 from hklat.errors import InvalidParameter, PrimalityUnproved
 from hklat.lattices import realize
@@ -421,7 +421,8 @@ BLOCK_ERRORS = {
     "null.json": "error: lattice is degenerate\n",
 }
 
-# the one line each of these inputs writes before any block is built
+# the one line each of these inputs writes: all but the last two before any
+# block is built
 INPUT_ERRORS = {
     "scalar_gram.json": "error: not an integer matrix: 'int' object is not iterable\n",
     # the name's own rejection, not wrapped as malformed JSON
@@ -434,6 +435,9 @@ INPUT_ERRORS = {
     "U^" + "9" * 5000: "error: integer too long in a lattice term\n",
     "U(" + "7" * 5000 + ")": "error: integer too long in a lattice term\n",
     "<" + "8" * 5000 + ">": "error: integer too long in a lattice term\n",
+    # answers holding an integer longer than the interpreter writes
+    "U(1" + "0" * 2200 + ")": "error: the answer holds an integer of more than 4,300 digits\n",
+    "long_count.json": "error: the answer holds an integer of more than 4,300 digits\n",
 }
 
 
@@ -721,15 +725,22 @@ def test_fresh_commands_load_no_pathlib(tmp_path):
 def test_embed_computes_before_it_prints(capsys, monkeypatch):
     # recognition runs after the first lines of the answer are known; an
     # error there still leaves stdout empty
-    from hklat import classify
-
     def unproved(target):
         raise PrimalityUnproved("no proof")
 
-    monkeypatch.setattr(classify, "recognize", unproved)
+    monkeypatch.setattr(lattices, "recognize", unproved)
     code, out, err = run_cli(capsys, "embed", "--expr", "A2 + U(3)")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: no proof"]
+
+
+def test_only_the_integer_limit_is_named_as_a_long_answer(capsys, monkeypatch):
+    # any other ValueError of a handler is printed as it is, still with exit 1
+    def failing(source):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(lattices, "realize", failing)
+    assert run_cli(capsys, "invariants", "U") == (1, "", "error: not a digit limit\n")
 
 
 def test_invariants_prints_values_as_fractions_print_them():
@@ -762,15 +773,14 @@ def test_named_lattice_determinant_computed_once(monkeypatch, capsys, argv, name
     # process, which gives the atom's det and signature
     gram = realize(name).gram
     atoms = {lattices.atom_data(atom, t).gram for atom, t, _ in lattices.parse_expr(name).summands}
-    real_elimination = exact.signature_of_symmetric
+    real_elimination = lattices.signature_of_symmetric
     grams = []
 
     def counting_elimination(m):
         grams.append(m)
         return real_elimination(m)
 
-    for module in (exact, lattices):
-        monkeypatch.setattr(module, "signature_of_symmetric", counting_elimination)
+    monkeypatch.setattr(lattices, "signature_of_symmetric", counting_elimination)
     lattices.atom_data.cache_clear()
     lattices.realize.cache_clear()
     for _ in range(2):
@@ -815,9 +825,8 @@ def test_warm_named_invariants_runs_no_smith_form_and_no_sum(monkeypatch, capsys
             return real(*args)
         return wrapper
 
-    snf = counting(exact.smith_normal_form, "smith_normal_form")
-    for module in (exact, lattices):
-        monkeypatch.setattr(module, "smith_normal_form", snf)
+    snf = counting(lattices.smith_normal_form, "smith_normal_form")
+    monkeypatch.setattr(lattices, "smith_normal_form", snf)
     monkeypatch.setattr(fqf.FiniteQuadraticForm, "dsum", counting(fqf.FiniteQuadraticForm.dsum, "dsum"))
     assert run_cli(capsys, "invariants", name) == first
     assert first[0] == 0 and calls == []

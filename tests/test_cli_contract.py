@@ -5,20 +5,33 @@ argparse's `SystemExit` for `--help`, exits 0, 1 or 2, leaves stdout empty
 and writes exactly one `error:` line on stderr when it rejects, and gives the
 same bytes when run again.  The argv mix well-formed queries with twists,
 `^0`, stray tokens, 5,000-digit integers, malformed Gram and census JSON and
-out-of-range numbers.  Derandomized, so tier-1 sees the same examples on
-every run.
+out-of-range numbers.
+
+Two answers are checked against independent routes, end to end through the
+Gram-matrix elimination of `lattices`: the det and signature `invariants`
+prints for a drawn even Gram matrix are sympy's det and Descartes' sign
+counts on sympy's characteristic polynomial, and `embed` of a named lattice
+on a changed basis prints the named lattice's answer below the line that
+names S.  Derandomized, so tier-1 sees the same examples on every run.
 """
 
 import contextlib
 import io
+import json
 import os
+import random
 import re
 import tempfile
 
+import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hklat.cli import main
+from hklat.lattices import realize
+from hklat.tables import LATTICE_NAMES
+from snf_oracle import mat_mul
+from test_exact import _random_unimodular, _signature_by_descartes, transpose
 
 # three 5,000-digit integers, beyond the 4,300 digits the interpreter converts
 NINES, SEVENS, EIGHTS = ("9" * 5000, "7" * 5000, "8" * 5000)
@@ -235,3 +248,60 @@ def test_every_argv_gets_an_answer_or_one_typed_error_line(invocation):
         else:
             assert code in (0, 2) and out.endswith("\n")
         assert _run(argv) == first
+
+
+@st.composite
+def even_grams(draw):
+    """Symmetric integer matrices of rank 1 to 5 with an even diagonal, some
+    conjugated by a unimodular matrix."""
+    n = draw(st.integers(1, 5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = draw(st.integers(-4, 4))
+            m[i][j] = m[j][i] = 2 * x if i == j else x
+    if draw(st.booleans()):
+        p = _random_unimodular(n, random.Random(draw(st.integers(0, 2**32))))
+        m = mat_mul(mat_mul(transpose(p), m), p)
+    return [list(row) for row in m]
+
+
+def _answer_on_file(argv, gram):
+    """`_run` of argv with "{file}" standing for a JSON file holding gram."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "gram.json")
+        with open(path, "w") as f:
+            json.dump({"gram": gram}, f)
+        return _run([arg.replace("{file}", path) for arg in argv])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(even_grams())
+def test_invariants_prints_sympys_det_and_descartes_signature(gram):
+    code, out, err, _ = _answer_on_file(["invariants", "{file}"], gram)
+    det = sympy.Matrix(gram).det()
+    if det == 0:
+        assert (code, out, err) == (2, "", "error: lattice is degenerate\n")
+        return
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert f"det: {det}" in lines
+    assert "signature: ({}, {})".format(*_signature_by_descartes(gram)) in lines
+
+
+NAMED = sorted({name for pair in LATTICE_NAMES.values() for name in pair}
+               | {"U(3)", "A2 + U(3)", "E6", "K7", "H5", "U + <-2>", "A2^2", "E8(-1)", "A1"})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(NAMED), st.integers(0, 2**32))
+def test_embed_on_a_changed_basis_answers_as_the_named_lattice(name, seed):
+    named = _run(["embed", "--expr", name])
+    gram = realize(name).gram
+    p = _random_unimodular(len(gram), random.Random(seed))
+    moved = _answer_on_file(["embed", "--expr", "{file}"],
+                            [list(row) for row in mat_mul(mat_mul(transpose(p), gram), p)])
+    # the first line names S ("rank-n lattice" for the file); all that
+    # follows the name, the lines below it included, is the named answer
+    assert moved[0] == named[0] and moved[2] == named[2]
+    assert moved[1].partition(":")[2] == named[1].partition(":")[2]

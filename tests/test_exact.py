@@ -10,16 +10,15 @@ from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_sy
 
 import snf_oracle
 from hklat import exact
-from hklat.errors import PrimalityUnproved
-from hklat.exact import (
-    DegenerateForm,
+from hklat.errors import DegenerateForm, PrimalityUnproved
+from hklat.exact import is_prime, prime_factors
+from hklat.lattices import (
+    _root_gram,
     block_diag,
-    is_prime,
-    prime_factors,
+    realize,
     signature_of_symmetric,
     smith_normal_form,
 )
-from hklat.lattices import _root_gram, realize
 from hklat.tables import LATTICE_NAMES
 from snf_oracle import det_exact, mat_mul
 from test_frozen_queries import FROZEN

@@ -299,7 +299,7 @@ def test_gauss_signature_enumerates_nothing(monkeypatch):
 
     for name in ("elements", "value_counts", "brute_isomorphic"):
         monkeypatch.setattr(fqf_oracle, name, forbidden)
-    for module in (hklat.exact, hklat.fqf):
+    for module in (hklat.lattices, hklat.fqf):
         monkeypatch.setattr(module, "smith_normal_form", forbidden, raising=False)
     assert [_signature_or_none(f) for f in forms] == expected
 

@@ -42,7 +42,7 @@ def test_cli_replays_every_frozen_query(command, capsys, tmp_path):
     assert len(entries) == COUNTS[command]
     lattices.realize.cache_clear()
     classify.embed_in_L.cache_clear()
-    classify.recognize.cache_clear()
+    lattices.recognize.cache_clear()
     differ = []
     for replay in ("cold", "warm"):
         for key, entry in sorted(entries.items()):

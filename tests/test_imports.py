@@ -126,8 +126,8 @@ CACHES = {
     "exact.prime_factors",
     "lattices.atom_data",
     "lattices.realize",
+    "lattices.recognize",
     "classify.embed_in_L",
-    "classify.recognize",
     "cli._command_parser",
 }
 
