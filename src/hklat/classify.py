@@ -25,14 +25,8 @@ from typing import NamedTuple
 
 from . import lattices
 from .errors import InvalidParameter, NotPElementary
-from .exact import is_prime, is_square, prime_factors
-from .fqf import (
-    FiniteQuadraticForm,
-    cyclic_form,
-    even_lattice_exists_report,
-    jordan_splitting,
-    normal_key,
-)
+from .exact import is_square, prime_factors
+from .fqf import FiniteQuadraticForm, cyclic_form, even_lattice_exists_report, normal_key
 
 
 class LatticeInvariants:
@@ -80,13 +74,15 @@ class LatticeInvariants:
     @property
     def p(self) -> int | None:
         """The prime p when the discriminant group is (Z/p)^a with a >= 1,
-        0 when it is trivial, None otherwise: a sum of cyclic groups is
-        (Z/p)^a iff each is Z/p, whatever the generators."""
-        orders = self.form.orders
-        if not orders:
+        0 when it is trivial, None otherwise: A is (Z/p)^a iff p is the one
+        prime of the form's Jordan splitting and every block has scale p."""
+        split = self.form.split
+        if not split:
             return 0
-        if all(d == orders[0] for d in orders) and is_prime(orders[0]):
-            return orders[0]
+        if len(split) == 1:
+            [(p, blocks)] = split.items()
+            if all(m == p for m, _ in blocks):
+                return p
         return None
 
     @property
@@ -96,10 +92,8 @@ class LatticeInvariants:
 
 
 # The genus of L = U^3 + E8^2 + <-2> (`hklat.AMBIENT`): signature (3, 20) and
-# form Z/2 (3/2), split here once, so that every complement's form
-# (-q_S) + q_L is born split; a test pins it to `invariants_of(realize(AMBIENT))`.
+# form Z/2 (3/2); a test pins it to `invariants_of(realize(AMBIENT))`.
 AMBIENT_GENUS = LatticeInvariants(3, 20, cyclic_form(2, 3))
-jordan_splitting(AMBIENT_GENUS.form)
 
 
 def invariants_of(lattice: lattices.Lattice) -> LatticeInvariants:
@@ -161,7 +155,7 @@ def embed_in_L(s: LatticeInvariants) -> EmbeddingReport:
     representative of S; its objects are immutable, so every caller shares
     them.  A rejected S raises each time.
     """
-    p = s.p  # each read runs a primality proof
+    p = s.p
     if p is None or (p == 2 and s.a > 0):
         raise NotPElementary("embedding analysis requires odd p (or trivial group)")
     ambient = AMBIENT_GENUS

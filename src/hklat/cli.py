@@ -76,20 +76,20 @@ def _cmd_invariants(args) -> tuple[str, int]:
     # Only the group and the values of q on generators depend on the
     # generators: they are printed on those of the Smith form of the full
     # Gram matrix, taken here also for a named lattice.  Every other line is
-    # read off the genus, on the blocks' forms, already split.
+    # read off the genus, on the Jordan blocks of the blocks' forms.
     inv = classify.invariants_of(lat)
-    form = lattices.discriminant_data(lat).form
+    data = lattices.discriminant_data(lat)
     form_inv = fqf.form_invariants(inv.form)
-    p = inv.p  # each read of `p` runs a primality proof
+    p = inv.p
     if p == 0:
         elementary = "true for every p (unimodular, a = 0)"
     elif p is None:
         elementary = "false"
     else:
         elementary = f"true (p={p}, a={inv.a})"
-    group = " x ".join(f"Z/{d}" for d in form.orders) or "trivial"
-    level = form.level
-    values = ", ".join(_ratio_text(v, level) for v in form.q) or "-"
+    group = " x ".join(f"Z/{d}" for d in data.invariant_factors) or "trivial"
+    level = math.lcm(*data.invariant_factors)
+    values = ", ".join(_ratio_text(v, level) for v in data.q_values) or "-"
     return "\n".join((
         f"lattice: {lat.name()}",
         f"rank: {lat.rank}",

@@ -1,19 +1,21 @@
 """Finite quadratic forms on finite abelian groups.
 
-A form lives on A = Z/d1 x ... x Z/dk and is described by the values q(g_i)
-in Q/2Z on the generators together with the bilinear pairings b(g_i, g_j) in
-Q/Z.  Values on arbitrary elements follow from
+A form q: A -> Q/2Z, with bilinear form b: A x A -> Q/Z, is held as its
+Jordan splitting: for each prime p of |A|, the orthogonal Jordan blocks of
+the p-part (see `jordan_blocks`).  It is given on generators g_i of
+A = Z/d1 x ... x Z/dk by the values q(g_i) in Q/2Z and the pairings
+b(g_i, g_j) in Q/Z, from which
 
     q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j)  (mod 2Z)
 
-Every value is stored as an integer at the level N = lcm(d1, ..., dk):
-q(g_i)·N mod 2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
-(1/d_i)Z.  All arithmetic is on integers.  The Gauss signature, the delta
-invariant, the isomorphism class and the existence of an even lattice are
-all read off one orthogonal splitting into Jordan blocks, found on the
-form's own generators; nothing is enumerated over the group, and no form of
-a p-part is built.  A form keeps its splitting and its normal key once
-computed.
+Those values are integers at the level N = lcm(d1, ..., dk): q(g_i)·N mod
+2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
+(1/d_i)Z.  The constructor checks them, splits each p-part once on those
+generators and keeps only the blocks.  Sums, negations and the p-elementary
+forms are built from blocks.  The order, the lengths, the Gauss signature,
+the delta invariant, the isomorphism class and the existence of an even
+lattice are all read off the blocks; nothing is enumerated over the group.
+A form keeps its normal key once computed.
 """
 
 from __future__ import annotations
@@ -24,18 +26,26 @@ from typing import NamedTuple
 from .errors import DegenerateForm, InvalidParameter
 from .exact import is_square, prime_factors
 
+# p -> the Jordan blocks of the p-part: (m, a) cyclic, or (m, "u"), (m, "v")
+Splitting = dict[int, tuple[tuple[int, int | str], ...]]
+
 
 class FiniteQuadraticForm:
     """Quadratic form q: A -> Q/2Z with associated bilinear form b: A x A -> Q/Z,
-    scaled to the level N: q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N.
+    held as its Jordan splitting `split`: each prime p of |A|, ascending,
+    maps to the Jordan blocks of the p-part (see `jordan_blocks`).
 
-    Immutable; equality and hashing go by (orders, q, b).  The Jordan
-    splitting is kept in `_split` on first use, or from birth for a sum or
-    negation of split forms (see `jordan_splitting`), and the normal key in
-    `_key` on first use (see `normal_key`); both are left out of equality,
-    hashing and repr."""
+    `FiniteQuadraticForm(orders, q, b)` takes generator data at the level N:
+    q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N.  It raises
+    InvalidParameter on inconsistent data and DegenerateForm when b has a
+    nontrivial radical.
 
-    __slots__ = ("orders", "q", "b", "_split", "_key")
+    Immutable; equality and hashing go by the splitting, so two forms on
+    different generators may be isomorphic (equal `normal_key`) and still
+    unequal.  The normal key is kept in `_key` on first use, outside
+    equality, hashing and repr."""
+
+    __slots__ = ("split", "_key")
 
     def __init__(
         self,
@@ -66,23 +76,12 @@ class FiniteQuadraticForm:
                     raise InvalidParameter("b values must be reduced into [0, N)")
                 if d * b[i][j] % n:
                     raise InvalidParameter("b value incompatible with generator order")
-        self._fill(orders, q, b)
+        primes = sorted({p for d in orders for p in prime_factors(d)})
+        self._fill({p: tuple(jordan_blocks(orders, q, b, p)) for p in primes})
 
-    @classmethod
-    def _trusted(cls, orders, q, b, split=None) -> "FiniteQuadraticForm":
-        """Wrap data already known valid, without the checks of __init__; for
-        builders whose inputs are valid forms (dsum, neg) and for
-        p_elementary_form.  `split`, when given, is a Jordan splitting of the
-        form (see `jordan_splitting`)."""
-        form = object.__new__(cls)
-        form._fill(orders, q, b, split)
-        return form
-
-    def _fill(self, orders, q, b, split=None) -> None:
-        if not orders:
-            split = {}  # the trivial form has no p-parts
-        for name, value in zip(self.__slots__, (orders, q, b, split, None)):
-            object.__setattr__(self, name, value)
+    def _fill(self, split: Splitting) -> None:
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteQuadraticForm is immutable; cannot set {name!r}")
@@ -90,79 +89,61 @@ class FiniteQuadraticForm:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.orders, self.q, self.b) == (other.orders, other.q, other.b)
+        return self.split == other.split
 
     def __hash__(self):
-        return hash((self.orders, self.q, self.b))
+        return hash(tuple(self.split.items()))
 
     def __repr__(self):
-        return f"FiniteQuadraticForm(orders={self.orders!r}, q={self.q!r}, b={self.b!r})"
+        return f"<FiniteQuadraticForm split={self.split!r}>"
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return math.prod(self.orders)
-
-    @property
-    def level(self) -> int:
-        """The exponent N of A, the scale of the stored values (1 when trivial)."""
-        return math.lcm(*self.orders)
-
-    def length(self) -> int:
-        return len(self.orders)
+        """|A|: a cyclic block of scale m has order m, a u or v block m^2."""
+        return math.prod(
+            m * m if a in _EVEN_DET else m for blocks in self.split.values() for m, a in blocks
+        )
 
     def lengths_per_prime(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.orders:
-            for p in prime_factors(d):
-                out[p] = out.get(p, 0) + 1
-        return out
+        """l(A_p) for each prime p of |A|: a cyclic block counts 1, a u or v
+        block 2."""
+        return {
+            p: sum(2 if a in _EVEN_DET else 1 for _, a in blocks)
+            for p, blocks in self.split.items()
+        }
 
     # -- constructions -----------------------------------------------------
 
     def dsum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        """The orthogonal sum, on the generators of self followed by those of
-        other.  When both operands carry a Jordan splitting, so does the sum:
-        its p-part is the orthogonal sum of theirs, and blocks that are
-        pairwise orthogonal in each summand stay so in the sum, where the
-        two summands are orthogonal to each other.  So the blocks of the two
-        splittings, put together prime by prime, are a Jordan splitting of
-        the sum.  An operand without one (not yet split, or degenerate)
-        leaves the sum without one."""
-        n = math.lcm(self.level, other.level)
-        s, t = n // self.level, n // other.level
-        pad1, pad2 = (0,) * other.length(), (0,) * self.length()
-        q = tuple(s * x for x in self.q) + tuple(t * x for x in other.q)
-        b = tuple(tuple(s * x for x in row) + pad1 for row in self.b) + tuple(
-            pad2 + tuple(t * x for x in row) for row in other.b
-        )
-        split = None
-        if self._split is not None and other._split is not None:
-            split = {
-                p: self._split.get(p, ()) + other._split.get(p, ())
-                for p in sorted(self._split.keys() | other._split.keys())
-            }
-        return FiniteQuadraticForm._trusted(self.orders + other.orders, q, b, split)
+        """The orthogonal sum: prime by prime, the blocks of self followed by
+        those of other.  The p-part of the sum is the orthogonal sum of the
+        two p-parts, so blocks pairwise orthogonal in each summand stay so in
+        the sum, where the summands are orthogonal to each other: together
+        they are a Jordan splitting of the sum."""
+        a, b = self.split, other.split
+        return _form({p: a.get(p, ()) + b.get(p, ()) for p in sorted(a.keys() | b.keys())})
 
     def neg(self) -> "FiniteQuadraticForm":
-        """The form -q on the same generators.  When q carries a Jordan
-        splitting, -q carries its negation: the generators that split q
-        split -q, since negating b keeps the blocks orthogonal to each other
-        and their units prime to p.  On them a cyclic block (m, a), q = a/m,
-        becomes (m, -a mod 2m), and an even rank-2 block keeps its type,
-        which `jordan_blocks` reads off q·m mod 4 on the block's two
-        generators, where 2 and -2 agree."""
-        n = self.level
-        q = tuple(-x % (2 * n) for x in self.q)
-        b = tuple(tuple(-x % n for x in row) for row in self.b)
-        split = None
-        if self._split is not None:
-            split = {
-                p: tuple((m, a if a in _EVEN_DET else -a % (2 * m)) for m, a in blocks)
-                for p, blocks in self._split.items()
-            }
-        return FiniteQuadraticForm._trusted(self.orders, q, b, split)
+        """The form -q, block by block: the generators that split q split -q,
+        since negating b keeps the blocks orthogonal to each other and their
+        units prime to p.  On them a cyclic block (m, a), q = a/m, becomes
+        (m, -a mod 2m), and an even rank-2 block keeps its type, which
+        `jordan_blocks` reads off q·m mod 4 on the block's two generators,
+        where 2 and -2 agree."""
+        return _form({
+            p: tuple((m, a if a in _EVEN_DET else -a % (2 * m)) for m, a in blocks)
+            for p, blocks in self.split.items()
+        })
+
+
+def _form(split: Splitting) -> FiniteQuadraticForm:
+    """The form with this Jordan splitting, for builders whose blocks are
+    already a splitting (`dsum`, `neg`, `p_elementary_form`, `trivial_form`)."""
+    form = object.__new__(FiniteQuadraticForm)
+    form._fill(split)
+    return form
 
 
 def _p_power(n: int, p: int) -> int:
@@ -185,7 +166,7 @@ def legendre(a: int, p: int) -> int:
 # -- standard building blocks ------------------------------------------------
 
 def trivial_form() -> FiniteQuadraticForm:
-    return FiniteQuadraticForm((), (), ())
+    return _form({})
 
 
 def cyclic_form(n: int, a: int) -> FiniteQuadraticForm:
@@ -198,20 +179,13 @@ def cyclic_form(n: int, a: int) -> FiniteQuadraticForm:
 
 
 def p_elementary_form(p: int, a: int, nonresidue: bool = False) -> FiniteQuadraticForm:
-    """(Z/p)^a, diagonal at level p, with generator values 2/p, the last one
-    2n/p for a nonresidue n if asked.
-
-    For odd p the form is born split: its generators are pairwise orthogonal,
-    each spanning a cyclic block (p, 2u), which is the splitting
-    `jordan_blocks` finds.  For p = 2 the form is degenerate and carries
-    none."""
-    us = [1] * a
+    """(Z/p)^a for an odd prime p, the orthogonal sum of a cyclic blocks
+    (p, 2), that is q = 2/p on each generator, the last one (p, 2n) for a
+    nonresidue n if asked."""
+    units = [1] * a
     if nonresidue and a:
-        us[-1] = _least_nonresidue(p)
-    q = tuple(2 * u for u in us)
-    b = tuple(tuple(2 * u % p if i == j else 0 for j in range(a)) for i, u in enumerate(us))
-    split = {p: tuple((p, v) for v in q)} if p != 2 else None
-    return FiniteQuadraticForm._trusted((p,) * a, q, b, split)
+        units[-1] = _least_nonresidue(p)
+    return _form({p: tuple((p, 2 * u) for u in units)} if a else {})
 
 
 def _least_nonresidue(p: int) -> int:
@@ -221,40 +195,14 @@ def _least_nonresidue(p: int) -> int:
 # -- invariants ----------------------------------------------------------------
 
 def gauss_signature(form: FiniteQuadraticForm) -> int:
-    """Signature s mod 8 of a nondegenerate form: the Gauss sum
+    """Signature s mod 8 of the form: the Gauss sum
     (1/sqrt|A|) sum_x exp(pi i q(x)) equals exp(2 pi i s/8).
 
-    Exact: each p-part is split into orthogonal Jordan blocks, whose Gauss
-    sums are known in closed form, and s is the sum of the block signatures.
-    Raises DegenerateForm when b has a nontrivial radical."""
-    return _signature(jordan_splitting(form))
-
-
-def jordan_splitting(form: FiniteQuadraticForm) -> dict[int, tuple[tuple[int, int | str], ...]]:
-    """The Jordan blocks of each p-part, by prime p of |A| in increasing
-    order, each read in place on the form's generators by `jordan_blocks`;
-    every invariant below is read off this one splitting, which is computed
-    once per form and kept on it.
-
-    A sum or negation of forms that carry a splitting is born with one (see
-    `FiniteQuadraticForm.dsum` and `neg`), and `jordan_blocks` never runs on
-    it.  That splitting may differ block by block from the one computed
-    afresh, but both are Jordan splittings of the same form, and everything
-    read off a splitting here is the same for every one: the normal key (see
-    `normal_key`), the Gauss signature (the Gauss sum of an orthogonal sum
-    is the product of its summands'), the delta invariant (see
-    `delta_invariant`) and the existence test (see
-    `even_lattice_exists_report`)."""
-    if form._split is None:
-        primes = sorted(form.lengths_per_prime())
-        split = {p: tuple(jordan_blocks(form, p)) for p in primes}
-        object.__setattr__(form, "_split", split)
-    return form._split
-
-
-def _signature(splitting) -> int:
+    Exact: the Gauss sum of an orthogonal sum is the product of its
+    summands', the Jordan blocks' sums are known in closed form, and s is
+    the sum of the block signatures."""
     return sum(
-        _block_signature(p, m, a) for p, blocks in splitting.items() for m, a in blocks
+        _block_signature(p, m, a) for p, blocks in form.split.items() for m, a in blocks
     ) % 8
 
 
@@ -275,9 +223,10 @@ def _block_signature(p: int, m: int, a: int | str) -> int:
     return 0
 
 
-def jordan_blocks(form: FiniteQuadraticForm, p: int) -> list[tuple[int, int | str]]:
-    """Orthogonal Jordan splitting of the p-part of the form, as a list of
-    blocks.
+def jordan_blocks(orders, q_gen, b_gen, p: int) -> list[tuple[int, int | str]]:
+    """Orthogonal Jordan splitting of the p-part of the form with generator
+    data (orders, q_gen, b_gen) at the level N (see `FiniteQuadraticForm`),
+    as a list of blocks; run only by the form's constructor, once per prime.
 
     A block is (m, a), cyclic of order m = p^k with q = a/m on its generator
     (a = q·m mod 2m, prime to p), or, for p = 2 only, (m, "u") or (m, "v"):
@@ -286,9 +235,9 @@ def jordan_blocks(form: FiniteQuadraticForm, p: int) -> list[tuple[int, int | st
 
     The p-part is read in place: it is generated by c_i·g_i, over the
     generators g_i of order d_i divisible by p, with c_i = d_i / p^k the part
-    of d_i prime to p; c_i·g_i has order p^k and values c_i^2·q[i] and
-    c_i·c_j·b[i][j], still at the form's level N.  A p-group form is its own
-    p-part, with every c_i = 1.
+    of d_i prime to p; c_i·g_i has order p^k and values c_i^2·q_gen[i] and
+    c_i·c_j·b_gen[i][j], still at the level N.  The data of a p-group are
+    their own p-part, with every c_i = 1.
 
     At each step m is the largest order among the remaining generators and
     s = N/m; an entry is a unit when entry/s is prime to p.  A generator x of
@@ -301,11 +250,11 @@ def jordan_blocks(form: FiniteQuadraticForm, p: int) -> list[tuple[int, int | st
     keeps a basis (c·x has order dividing that of y) and updates q and b by
     congruence: q(y - cx) = q(y) - 2c·b(y, x) + c^2·q(x).
     """
-    n = form.level
-    keep = [(i, d // pk, pk) for i, d in enumerate(form.orders) if (pk := _p_power(d, p)) > 1]
+    n = math.lcm(*orders)
+    keep = [(i, d // pk, pk) for i, d in enumerate(orders) if (pk := _p_power(d, p)) > 1]
     orders = [pk for _, _, pk in keep]
-    q = [c * c * form.q[i] % (2 * n) for i, c, _ in keep]
-    b = [[ci * cj * form.b[i][j] % n for j, cj, _ in keep] for i, ci, _ in keep]
+    q = [c * c * q_gen[i] % (2 * n) for i, c, _ in keep]
+    b = [[ci * cj * b_gen[i][j] % n for j, cj, _ in keep] for i, ci, _ in keep]
     live = list(range(len(keep)))
 
     def shift(y, x, c):
@@ -356,7 +305,7 @@ def jordan_blocks(form: FiniteQuadraticForm, p: int) -> list[tuple[int, int | st
 
 def delta_invariant(form: FiniteQuadraticForm) -> int:
     """0 if the 2-part takes only integer values mod 2Z, else 1; read off the
-    2-adic Jordan blocks.  Raises DegenerateForm on a degenerate form.
+    2-adic Jordan blocks.
 
     δ = 1 iff some 2-adic block is cyclic or has scale m > 2: a cyclic block
     <a/m> has q = a/m with a odd, not an integer; an even block of scale m
@@ -364,7 +313,7 @@ def delta_invariant(form: FiniteQuadraticForm) -> int:
     integers iff m = 2; and an orthogonal sum takes only integer values iff
     each summand does.
     """
-    blocks = jordan_splitting(form).get(2, ())
+    blocks = form.split.get(2, ())
     return int(any(m > 2 or a not in _EVEN_DET for m, a in blocks))
 
 
@@ -383,9 +332,8 @@ def form_invariants(form: FiniteQuadraticForm) -> FormInvariants:
 # -- isomorphism ---------------------------------------------------------------
 
 def normal_key(form: FiniteQuadraticForm) -> tuple:
-    """A complete isomorphism invariant of a nondegenerate form, read off the
-    Jordan blocks of each p-part: forms are isomorphic iff their keys are
-    equal.  Raises DegenerateForm on a degenerate form.
+    """A complete isomorphism invariant of a form, read off the Jordan blocks
+    of each p-part: forms are isomorphic iff their keys are equal.
 
     The key holds, for each prime p of |A|, one local key; both local keys
     record the rank at every scale, so the group type is part of the key.
@@ -412,7 +360,7 @@ def normal_key(form: FiniteQuadraticForm) -> tuple:
     The key is computed once per form and kept on it, in `_key`.
     """
     if form._key is None:
-        key = tuple((p, local_key(p, blocks)) for p, blocks in jordan_splitting(form).items())
+        key = tuple((p, local_key(p, blocks)) for p, blocks in form.split.items())
         object.__setattr__(form, "_key", key)
     return form._key
 
@@ -517,13 +465,13 @@ def even_lattice_exists_report(
     lengths = form.lengths_per_prime()
     if s_plus < 0 or s_minus < 0 or max(lengths.values(), default=0) > rank:
         return False, "E1"
-    splitting = jordan_splitting(form)
-    if _signature(splitting) != (s_plus - s_minus) % 8:
+    if gauss_signature(form) != (s_plus - s_minus) % 8:
         return False, "E2"
-    for p, blocks in splitting.items():
+    for p, blocks in form.split.items():
         if lengths[p] != rank:
             continue
-        unit = (-1) ** s_minus * form.order // _p_power(form.order, p)
+        order = form.order
+        unit = (-1) ** s_minus * order // _p_power(order, p)
         disc = math.prod(_EVEN_DET.get(a, a) for _, a in blocks)
         if p != 2:
             if legendre(unit * disc, p) == -1:

@@ -19,17 +19,19 @@ the one way to name a lattice: it builds the lattice of such an expression,
 once per process.
 
 A lattice is the orthogonal sum of its blocks.  A block is a Gram matrix
-checked once (int entries, square, symmetric, even, nondegenerate), by
-`_block` and nowhere else, with its determinant and signature (from one
-Bareiss elimination, `signature_of_symmetric`) and discriminant data (the
-Smith form modulo det², `smith_normal_form` and `_smith_data`).  The two
-eliminations live here, with their one caller, and check nothing again.
-`Lattice(gram, expr)` is one block; `atom_data` builds each twisted catalog
-atom's block once per process; `realize` concatenates blocks without
-checking them again.  Every invariant is read off the
-blocks: det multiplies, rank and signature add, and the discriminant form
-is the orthogonal sum of the blocks' forms.  The `invariants` command
-prints the discriminant group and the values of q on generators from
+checked once (int entries, square and not empty, symmetric, even,
+nondegenerate), by `_block` and nowhere else, with its determinant and
+signature (from one Bareiss elimination, `signature_of_symmetric`) and
+discriminant data (the Smith form modulo det², `smith_normal_form` and
+`_smith_data`), whose form is built from the Smith generators' values and
+held as its Jordan splitting.  The two eliminations live here, with their
+one caller, and check nothing again.  `Lattice(gram, expr)` is one block;
+`atom_data` builds each twisted catalog atom's block once per process;
+`realize` concatenates blocks without checking them again.  Every
+invariant is read off the blocks: det multiplies, rank and signature add,
+and the discriminant form is the orthogonal sum of the blocks' forms, their
+Jordan blocks put together.  The `invariants` command prints the
+discriminant group and the values of q on generators from
 `discriminant_data`, which for a sum of several blocks takes the Smith form
 of the full Gram matrix: those generators depend on the pivot order over
 the whole matrix, so they are what the command has always printed.  A
@@ -60,7 +62,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter, NotEvenLattice
 from .exact import is_prime
-from .fqf import FiniteQuadraticForm, jordan_splitting, local_key, normal_key, trivial_form
+from .fqf import FiniteQuadraticForm, local_key, normal_key, trivial_form
 
 if TYPE_CHECKING:  # classify imports lattices, not the other way round
     from .classify import LatticeInvariants
@@ -383,16 +385,15 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[tuple[int, int], int]:
 # -- lattices --------------------------------------------------------------------
 
 class DiscriminantData(NamedTuple):
-    """Discriminant group of a lattice: generators as the integer columns v_i
-    (the dual vector x_i = v_i / d_i in the lattice basis) and the quadratic
-    form, whose generator orders are the invariant factors d_i."""
+    """Discriminant group of a lattice on Smith-form generators: the integer
+    columns v_i (the dual vector x_i = v_i / d_i in the lattice basis), their
+    orders, the invariant factors d_i > 1, and the values q(x_i)·N mod 2N at
+    the level N = lcm(d_i); with the discriminant form, as Jordan blocks."""
 
     generators: tuple[tuple[int, ...], ...]
+    invariant_factors: tuple[int, ...]
+    q_values: tuple[int, ...]
     form: FiniteQuadraticForm
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.form.orders
 
 
 class Block(NamedTuple):
@@ -413,7 +414,7 @@ def _block(gram) -> Block:
     """Check a Gram matrix and compute its invariants, each once: det and
     signature from one elimination, then the discriminant data.  An entry
     must be an int: a bool, float or str raises rather than being
-    truncated."""
+    truncated.  An empty matrix is rejected as malformed input."""
     try:
         g = tuple(map(tuple, gram))
     except TypeError as exc:
@@ -422,6 +423,8 @@ def _block(gram) -> Block:
     if bad:
         raise InvalidParameter(f"not an integer matrix: entry {bad[0]!r}")
     n = len(g)
+    if not n:
+        raise InvalidParameter("Gram matrix must not be empty")
     if any(len(row) != n for row in g):
         raise InvalidParameter("Gram matrix must be square")
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
@@ -535,9 +538,14 @@ def _dot(dense, support) -> int:
     return sum(dense[r] * x for r, x in support)
 
 
-def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
+def _smith_data(
+    g: IntMatrix, det: int, form: FiniteQuadraticForm | None = None
+) -> DiscriminantData:
     """Discriminant group and form, via the Smith form of the Gram matrix G
-    modulo R = d^2, d = |det G| (`smith_normal_form`).
+    modulo R = d^2, d = |det G| (`smith_normal_form`).  The form is built
+    from the generators' values and pairings, unless it is given: a lattice
+    of several blocks passes the sum of its blocks' forms, an isomorphic
+    form, and no pairing is computed.
 
     With factors g_t and columns v_t of V, the dual vectors x_t = v_t / g_t
     generate L*/L with orders g_t.  G·v_t = 0 mod g_t, so w_t = G·v_t / g_t
@@ -552,8 +560,8 @@ def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
 
     V is exact, so at the level N the values are the integers
     q(x_t)·N = (v_t·w_t)·(N/g_t) and b(x_s, x_t)·N = (v_t·w_s)·(N/g_t).
-    The products run over the nonzero entries of the v_t only.  A rank-0
-    G (det 1) has no factors, so its form is the trivial one.
+    The products run over the nonzero entries of the v_t only.  A
+    unimodular G has no factors, so its form is the trivial one.
     """
     n = len(g)
     all_factors, v = smith_normal_form(g, det)
@@ -567,22 +575,25 @@ def _smith_data(g: IntMatrix, det: int) -> DiscriminantData:
         _dot(wi, sv) * (level // di) % (2 * level)
         for sv, wi, di in zip(supports, ws, factors)
     )
-    b_rows = tuple(
-        tuple(_dot(wi, sj) * (level // dj) % level for sj, dj in zip(supports, factors))
-        for wi in ws
-    )
-    return DiscriminantData(tuple(cols), FiniteQuadraticForm(factors, q_vals, b_rows))
+    if form is None:
+        b_rows = tuple(
+            tuple(_dot(wi, sj) * (level // dj) % level for sj, dj in zip(supports, factors))
+            for wi in ws
+        )
+        form = FiniteQuadraticForm(factors, q_vals, b_rows)
+    return DiscriminantData(tuple(cols), factors, q_vals, form)
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
-    """The discriminant group and form on Smith-form generators: a one-block
-    lattice's own, and for several blocks those of the full Gram matrix.
-    Kept on the lattice from the first call on."""
+    """The discriminant group on Smith-form generators: a one-block
+    lattice's own data, and for several blocks the generators and values of
+    the full Gram matrix's Smith form, with `discriminant_form(lattice)` as
+    the form.  Kept on the lattice from the first call on."""
     if lattice._data is None:
         if len(lattice.blocks) == 1:
             data = lattice.blocks[0].data
         else:
-            data = _smith_data(lattice.gram, lattice.det())
+            data = _smith_data(lattice.gram, lattice.det(), discriminant_form(lattice))
         object.__setattr__(lattice, "_data", data)
     return lattice._data
 
@@ -592,19 +603,15 @@ _TRIVIAL_FORM = trivial_form()
 
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     """The discriminant form: the orthogonal sum of the blocks' forms, from
-    the first non-unimodular block on.  For several blocks it is isomorphic,
-    not equal, to `discriminant_data`'s: the two sit on different
-    generators.  A lattice with one non-unimodular block gets that block's
-    own form, and a unimodular one the shared trivial form; forms are
-    immutable, so nothing can change them under another lattice.  Each
-    block's form is split once and kept split (a named atom's for the
-    process), so the sum inherits their Jordan splittings (see
-    `fqf.jordan_splitting`).  The sum is kept on the lattice from the first
-    call on, so a named lattice (see `realize`) is summed once per process."""
+    the first non-unimodular block on, which puts their Jordan blocks
+    together prime by prime (`FiniteQuadraticForm.dsum`).  A lattice with
+    one non-unimodular block gets that block's own form, and a unimodular
+    one the shared trivial form; forms are immutable, so nothing can change
+    them under another lattice.  The sum is kept on the lattice from the
+    first call on, so a named lattice (see `realize`) is summed once per
+    process."""
     if lattice._form is None:
-        forms = [b.form for b in lattice.blocks if b.form.orders]
-        for form in forms:
-            jordan_splitting(form)
+        forms = [b.form for b in lattice.blocks if b.form.split]
         form = reduce(FiniteQuadraticForm.dsum, forms) if forms else _TRIVIAL_FORM
         object.__setattr__(lattice, "_form", form)
     return lattice._form
@@ -618,7 +625,7 @@ def _pool_terms(target: LatticeInvariants) -> tuple[tuple[str, int], ...]:
     for the odd primes p of |A_T| with p - 1 <= rank T: a larger one, of
     signature (0, p - 1), can never be a summand, and its block alone would
     cost more than the search (A_222 for p = 223)."""
-    primes = target.form.lengths_per_prime()
+    primes = target.form.split
     odd_primes = sorted(p for p in primes if p != 2)
     terms: list[tuple[str, int]] = [("U", 1)]
     for p in odd_primes:
@@ -721,9 +728,9 @@ def recognize(target: LatticeInvariants) -> LatticeExpr | None:
 def _search(terms: tuple[tuple[str, int], ...], target: LatticeInvariants) -> LatticeExpr | None:
     """`recognize`'s search for `target` over the pool `terms`."""
     data = [atom_data(*term) for term in terms]
-    splittings = [jordan_splitting(atom.form) for atom in data]
+    splittings = [atom.form.split for atom in data]
     scales = {m for split in splittings for blocks in split.values() for m, _ in blocks}
-    wanted = jordan_splitting(target.form).values()
+    wanted = target.form.split.values()
     if any(m not in scales for blocks in wanted for m, _ in blocks):
         return None
     groups: dict[int, list[tuple[int, int, int, int]]] = {}  # (pool index, |det|, s+, s-)

@@ -6,8 +6,11 @@ These routes decide some of the same questions without it:
 
 * closed conditions on (p, s+, s-, a) for p-elementary lattices, p odd;
 * a search of reduced even binary definite forms;
-* an enumeration of every even lattice of rank <= 2 and small |det|.
+* an enumeration of every even lattice of rank <= 2 and small |det|;
+* an enumeration of every definite even lattice of rank 3 and small |det|.
 """
+
+import itertools
 
 from hklat.exact import is_prime
 from hklat.fqf import normal_key, trivial_form
@@ -129,4 +132,39 @@ def small_lattices(max_det):
                 c, rem = divmod(d + b * b, big_a)
                 if d and not rem and c % 2 == 0 and (c == 0 or abs(c) >= abs(big_a)):
                     add(((big_a, b), (b, c)))
+    return found
+
+
+# -- every definite lattice of rank 3 ------------------------------------------------
+
+def definite_ternary_lattices(max_det):
+    """{(s_plus, s_minus): {normal key: discriminant form}} over every
+    definite even lattice of rank 3 with |det| <= max_det, up to isometry,
+    at the signatures (3, 0) and (0, 3).
+
+    Every positive definite ternary form is equivalent to a Minkowski-reduced
+    one, whose Gram matrix [a_ij] has |2a_ij| <= a_ii for i < j,
+    a11 <= a22 <= a33 and a11·a22·a33 <= 2·det (Minkowski's inequality in
+    rank 3); a negative definite lattice is a positive one negated.  So the
+    Gram matrices with even diagonal under these bounds meet every class.
+    Each form is the library's, built from the Smith data of its Gram
+    matrix (`FiniteQuadraticForm`'s constructor)."""
+    found = {(3, 0): {}, (0, 3): {}}
+    bound = 2 * max_det
+    for a11 in range(2, bound + 1, 2):
+        for a22 in range(a11, bound // a11 + 1, 2):
+            for a33 in range(a22, bound // (a11 * a22) + 1, 2):
+                h1, h2 = a11 // 2, a22 // 2
+                for a12, a13, a23 in itertools.product(
+                    range(-h1, h1 + 1), range(-h1, h1 + 1), range(-h2, h2 + 1)
+                ):
+                    det = (a11 * (a22 * a33 - a23 * a23) - a12 * (a12 * a33 - a23 * a13)
+                           + a13 * (a12 * a23 - a22 * a13))
+                    if a11 * a22 <= a12 * a12 or not 0 < det <= max_det:
+                        continue  # not positive definite, or |det| too large
+                    gram = ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
+                    for sign in (1, -1):
+                        lat = Lattice(tuple(tuple(sign * x for x in row) for row in gram))
+                        form = discriminant_data(lat).form
+                        found[lat.signature()].setdefault(normal_key(form), form)
     return found

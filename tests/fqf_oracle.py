@@ -1,17 +1,22 @@
 """Brute-force oracles and block builders for finite quadratic forms, for
 tests only.
 
-Each enumerating oracle serves small forms only; the library decides the
-same questions from Jordan blocks (`hklat.fqf.jordan_blocks`).
-`prime_part` builds the p-part as a form of its own, which the library
-reads in place, and `delta_by_generators` reads delta off the generators
-rather than off the 2-adic blocks.  `forms_isomorphic` and
-`even_lattice_exists` are the library's answers as booleans, for the tests
-that compare forms or ask for existence only.
+The oracles work on dense generator data that the tests own, a `Dense`
+(orders, q, b) at the level N, as `FiniteQuadraticForm(orders, q, b)`
+takes it: a random form is drawn as one, and a library form, which holds
+only its Jordan blocks, is expanded into generators by `dense`.  Each
+enumerating oracle serves small forms only; the library decides the same
+questions from Jordan blocks (`hklat.fqf.jordan_blocks`).  `prime_part`
+builds the p-part as data of its own, which the library reads in place,
+and `delta_by_generators` reads delta off the generators rather than off
+the 2-adic blocks.  `forms_isomorphic` and `even_lattice_exists` are the
+library's answers as booleans, for the tests that compare forms or ask for
+existence only.
 """
 
 import itertools
 import math
+from typing import NamedTuple
 
 from hklat.fqf import (
     FiniteQuadraticForm,
@@ -23,8 +28,82 @@ from hklat.fqf import (
 from snf_oracle import det_exact
 
 
+class Dense(NamedTuple):
+    """Generator data of a finite quadratic form: orders d_i, and at the
+    level N = lcm(d_i) the values q[i] = q(g_i)·N mod 2N and
+    b[i][j] = b(g_i, g_j)·N mod N.  Degenerate data are allowed."""
+
+    orders: tuple
+    q: tuple
+    b: tuple
+
+    @property
+    def level(self):
+        return math.lcm(*self.orders)
+
+    @property
+    def order(self):
+        return math.prod(self.orders)
+
+    def length(self):
+        return len(self.orders)
+
+    def form(self):
+        """The library form of these data; DegenerateForm when degenerate."""
+        return FiniteQuadraticForm(self.orders, self.q, self.b)
+
+
+def dense(form):
+    """Generator data of a library form, one generator per cyclic Jordan
+    block and two per u or v block, at the level N of its largest scale: a
+    cyclic block (m, a) has q = a/m; a u block of scale m has q = 0 on both
+    generators and b = 1/m between them, a v block q = 2/m and the same b.
+    A `Dense` is returned as it is."""
+    if isinstance(form, Dense):
+        return form
+    blocks = [block for blocks in form.split.values() for block in blocks]
+    n = math.lcm(*(m for m, _ in blocks))
+    orders, q, cross = [], [], []  # cross: index pairs with b = 1/m
+    for m, a in blocks:
+        s = n // m
+        if a in ("u", "v"):
+            value = 2 * s * (a == "v")
+            cross.append((len(q), len(q) + 1, s))
+            orders += [m, m]
+            q += [value, value]
+        else:
+            orders.append(m)
+            q.append(a * s % (2 * n))
+    b = [[x % n if i == j else 0 for j in range(len(q))] for i, x in enumerate(q)]
+    for i, j, s in cross:
+        b[i][j] = b[j][i] = s
+    return Dense(tuple(orders), tuple(q), tuple(map(tuple, b)))
+
+
+def dense_sum(f, g):
+    """The orthogonal sum of two dense data, on the generators of f followed
+    by those of g, at the common level."""
+    n = math.lcm(f.level, g.level)
+    s, t = n // f.level, n // g.level
+    pad_f, pad_g = (0,) * g.length(), (0,) * f.length()
+    q = tuple(s * x for x in f.q) + tuple(t * x for x in g.q)
+    b = tuple(tuple(s * x for x in row) + pad_f for row in f.b) + tuple(
+        pad_g + tuple(t * x for x in row) for row in g.b
+    )
+    return Dense(f.orders + g.orders, q, b)
+
+
+def dense_neg(f):
+    """-q on the same generators."""
+    n = f.level
+    return Dense(
+        f.orders, tuple(-x % (2 * n) for x in f.q), tuple(tuple(-x % n for x in row) for row in f.b)
+    )
+
+
 def value(form, coords):
     """q(x)·N mod 2N."""
+    form = dense(form)
     total = 0
     for i, c in enumerate(coords):
         total += c * c * form.q[i]
@@ -35,6 +114,7 @@ def value(form, coords):
 
 def pairing(form, x, y):
     """b(x, y)·N mod N."""
+    form = dense(form)
     total = 0
     for i, ci in enumerate(x):
         for j, cj in enumerate(y):
@@ -43,10 +123,11 @@ def pairing(form, x, y):
 
 
 def prime_part(form, p):
-    """The restriction to the p-Sylow subgroup, as a form of its own (cross
-    terms with other primes vanish).  The p-part of g_i is c_i·g_i with
-    c_i = d_i / p^k; its values, read at the level N, are multiples of
+    """The restriction to the p-Sylow subgroup, as dense data of its own
+    (cross terms with other primes vanish).  The p-part of g_i is c_i·g_i
+    with c_i = d_i / p^k; its values, read at the level N, are multiples of
     N / N_p (N_p the p-part's level), and are stored divided by that."""
+    form = dense(form)
     n = form.level
     keep = []
     for i, d in enumerate(form.orders):
@@ -61,7 +142,7 @@ def prime_part(form, p):
     b = tuple(
         tuple(ci * cj * form.b[i][j] % n // shrink for j, cj, _ in keep) for i, ci, _ in keep
     )
-    return FiniteQuadraticForm(orders, q, b)
+    return Dense(orders, q, b)
 
 
 def delta_by_generators(form):
@@ -73,6 +154,7 @@ def delta_by_generators(form):
     for every choice of x iff every q(c_i g_i) and every 2 b(c_i g_i, c_j g_j)
     is, i.e. iff the level N divides c_i^2 q[i] and 2 c_i c_j b[i][j] for all
     such i and j."""
+    form = dense(form)
     n = form.level
     q, b = form.q, form.b
     # d & -d is the 2-power part of d, so d // (d & -d) is its odd part
@@ -88,9 +170,11 @@ def u_block(n=2):
     return FiniteQuadraticForm((n, n), (0, 0), ((0, 1), (1, 0)))
 
 
-def v_block():
-    """(Z/2)^2 with q = 1 on all three nonzero elements (discriminant form of D4)."""
-    return FiniteQuadraticForm((2, 2), (2, 2), ((0, 1), (1, 0)))
+def v_block(n=2):
+    """v-type block on (Z/n)^2, n a power of 2: q = 2/n on generators,
+    b(x,y) = 1/n; for n = 2, q = 1 on all three nonzero elements
+    (discriminant form of D4)."""
+    return FiniteQuadraticForm((n, n), (2, 2), ((2 % n, 1), (1, 2 % n)))
 
 
 def two_elementary_form(a, delta, sigma):
@@ -126,11 +210,13 @@ def two_elementary_form(a, delta, sigma):
 
 def elements(form):
     """Every element of A, as coordinate tuples in the generators."""
+    form = dense(form)
     return itertools.product(*(range(d) for d in form.orders))
 
 
 def orthogonal_components(form):
     """Generator index blocks pairwise orthogonal for b (graph components)."""
+    form = dense(form)
     k = form.length()
     parent = list(range(k))
 
@@ -179,6 +265,7 @@ def value_counts(form):
 
     Values add across b-orthogonal components, so each component is
     enumerated separately and the value distributions are convolved."""
+    form = dense(form)
     mod = 2 * form.level
     total = {0: 1}
     for idxs in orthogonal_components(form):
@@ -228,6 +315,7 @@ def even_lattice_exists(s_plus, s_minus, form):
 def brute_isomorphic(f1, f2):
     """Search for generator images in f2 with f1's orders, values and
     pairings that generate f2."""
+    f1, f2 = dense(f1), dense(f2)
     if f1.order != f2.order:
         return False
     if sorted(value_counts(f1).items()) != sorted(value_counts(f2).items()):
@@ -251,5 +339,5 @@ def brute_isomorphic(f1, f2):
 def odd_disc_class(part, p):
     """Square class (+1 or -1) of det of the scaled bilinear form of a
     p-elementary part, p odd: stored at level p, b is the scaled form itself."""
-    d = det_exact(part.b) % p
+    d = det_exact(dense(part).b) % p
     return 1 if any(x * x % p == d for x in range(1, p)) else -1

@@ -1,3 +1,4 @@
+import ast
 import functools
 import json
 import math
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 
 import recognize_oracle
 from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
-from fqf_oracle import even_lattice_exists, forms_isomorphic, value
+from fqf_oracle import Dense, dense, even_lattice_exists, forms_isomorphic, value
 from golden_data import TABLE_ROWS
 from hklat import classify, lattices
 from hklat.classify import (
@@ -120,11 +121,12 @@ def test_embed_rejects_mixed_group():
 
 
 def test_embed_in_L_reports_an_equal_S_once(monkeypatch):
-    # the second S is the first with a fresh form of the same data: it reads
-    # the first report, summing no q_T and running no existence test
+    # the second S is the first with a fresh form built from the generators
+    # of its blocks: it reads the first report, summing no q_T and running
+    # no existence test
     first = _invariants("U + A2^2 + E6")
     form = first.form
-    copy = FiniteQuadraticForm(form.orders, form.q, form.b)
+    copy = dense(form).form()
     second = LatticeInvariants(first.s_plus, first.s_minus, copy)
     assert second == first and copy is not form
     calls = []
@@ -151,13 +153,14 @@ def test_embed_signature_overflow():
 
 
 def test_genus_repr_rebuilds_an_equal_genus():
+    # the form's repr shows its Jordan splitting, and the form with that
+    # splitting gives the same genus
     text = repr(classify.AMBIENT_GENUS)
     assert text == (
-        "LatticeInvariants(s_plus=3, s_minus=20, "
-        "form=FiniteQuadraticForm(orders=(2,), q=(3,), b=((1,),)))"
+        "LatticeInvariants(s_plus=3, s_minus=20, form=<FiniteQuadraticForm split={2: ((2, 3),)}>)"
     )
-    names = {"LatticeInvariants": LatticeInvariants, "FiniteQuadraticForm": FiniteQuadraticForm}
-    assert eval(text, names) == classify.AMBIENT_GENUS
+    split = ast.literal_eval(text.partition("split=")[2].removesuffix(">)"))
+    assert LatticeInvariants(3, 20, fqf._form(split)) == classify.AMBIENT_GENUS
 
 
 def test_definite_complement_gets_no_genus_certificate():
@@ -381,7 +384,7 @@ def test_rank_one_orthogonal_group_surjects_matches_a_unit_scan():
     # q(u) = q(1) is +-1
     for n in range(2, 401, 2):
         for sign in (1, -1):
-            form = cyclic_form(n, sign)
+            form = Dense((n,), (sign % (2 * n),), ((sign % n,),))  # Z/n on its generator
             preserving = [
                 u for u in range(1, n)
                 if math.gcd(u, n) == 1 and value(form, (u,)) == value(form, (1,))

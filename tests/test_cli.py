@@ -68,20 +68,24 @@ def test_warm_embed_computes_no_local_key(capsys, monkeypatch):
     assert calls == []
 
 
-def test_warm_invariants_of_a_large_prime_proves_primality_once(capsys, monkeypatch):
-    # each read of LatticeInvariants.p runs a primality proof of |A|; the
-    # command reads it once
-    from hklat import classify
+def test_warm_invariants_of_a_large_prime_proves_no_primality(capsys, monkeypatch):
+    # p is read off the Jordan splitting, whose primes the form's constructor
+    # found once (`exact.prime_factors` keeps them), and the atom's block is
+    # kept: a warm command proves no primality
+    from hklat import classify, exact
 
     argv = ("invariants", "K27141178092745043502159107")
     code, cold, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "p-elementary: true (p=27141178092745043502159107, a=1)" in cold.splitlines()
     calls = []
-    is_prime = classify.is_prime
-    monkeypatch.setattr(classify, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    is_prime = exact.is_prime
+    for module in (exact, lattices, fqf, classify):
+        monkeypatch.setattr(
+            module, "is_prime", lambda n: calls.append(n) or is_prime(n), raising=False
+        )
     assert run_cli(capsys, *argv) == (0, cold, "")
-    assert calls == [27141178092745043502159107]
+    assert calls == []
 
 
 def test_invariants_json_file(tmp_path, capsys):
@@ -317,6 +321,7 @@ INPUT_FILES = {
     "singular.json": '{"gram": [[2, 2], [2, 2]]}',
     # no nonzero diagonal entry: rejected where the pivot repair would add a row
     "null.json": '{"gram": [[0, 0], [0, 0]]}',
+    "rank0.json": '{"gram": []}',
     "asym.json": '{"gram": [[0, 1], [2, 0]]}',
     # both asymmetric and odd: symmetry is tested first
     "asym_odd.json": '{"gram": [[1, 1], [2, 0]]}',
@@ -378,6 +383,8 @@ FAILURES = [
     (("invariants", "odd.json"), 2),
     (("invariants", "singular.json"), 2),
     (("invariants", "null.json"), 2),
+    (("invariants", "rank0.json"), 1),
+    (("embed", "--expr", "rank0.json"), 1),
     (("invariants", "asym.json"), 2),
     (("invariants", "asym_odd.json"), 2),
     (("invariants", "latin1.json"), 1),
@@ -419,6 +426,7 @@ BLOCK_ERRORS = {
     "odd.json": "error: lattice is not even: odd diagonal entry\n",
     "singular.json": "error: lattice is degenerate\n",
     "null.json": "error: lattice is degenerate\n",
+    "rank0.json": "error: Gram matrix must not be empty\n",
 }
 
 # the one line each of these inputs writes: all but the last two before any
@@ -491,14 +499,14 @@ def test_non_utf8_file_is_named_in_its_error(tmp_path, monkeypatch, capsys):
 
 
 def test_warm_embed_calls_jordan_blocks_zero_times(capsys, monkeypatch):
-    # S's atoms were split by the first run and keep their splittings;
-    # q_T = (-q_S) + q_L inherits them through neg and dsum, so neither the
-    # existence test nor recognize splits anything
+    # S's atoms were split when their forms were built, and a form is its
+    # splitting; q_T = (-q_S) + q_L is built from blocks by neg and dsum, so
+    # neither the existence test nor recognize splits anything
     argv = ("embed", "--expr", "U^2 + E8^2 + A2")
     run_cli(capsys, *argv)
     split = []
     jordan_blocks = fqf.jordan_blocks
-    monkeypatch.setattr(fqf, "jordan_blocks", lambda part, p: split.append(p) or jordan_blocks(part, p))
+    monkeypatch.setattr(fqf, "jordan_blocks", lambda *args: split.append(args) or jordan_blocks(*args))
     code, out, _ = run_cli(capsys, *argv)
     assert (code, "orthogonal class: <6>\n" in out) == (0, True)
     assert split == []
@@ -549,6 +557,17 @@ def test_embed_certifies_a_complement_of_a_large_discriminant_group(capsys):
     code, out, err = _run_cli_within(capsys, 5, "embed", "--expr", "U + U(1000000000039) + E8^2")
     assert (code, err) == (0, "")
     assert "\ncomplement unique in its genus (one-class certificate)\n" in out
+
+
+def test_embed_of_a_long_sum_answers_at_once(capsys):
+    # the discriminant form of A2^1000 puts 1000 blocks together; it ran
+    # about 20 s when each pairwise sum copied the generator matrix
+    code, out, err = _run_cli_within(capsys, 5, "embed", "--expr", "A2^1000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        "S = A2^1000: signature (0, 2000), p-elementary p=3, a=1000",
+        "embeds in U^3 + E8^2 + <-2>: no",
+    ]
 
 
 def _run_fresh(*args):

@@ -3,22 +3,26 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
+import sympy
 
 from existence_oracle import (
     definite_binary_exists,
+    definite_ternary_lattices,
     hyperbolic_route_exists,
     p_elementary_exists,
     small_lattices,
 )
-from fqf_oracle import even_lattice_exists, two_elementary_form
+from fqf_oracle import even_lattice_exists, two_elementary_form, u_block, v_block
 from hklat.errors import DegenerateForm
 from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
     even_lattice_exists_report,
     normal_key,
+    trivial_form,
 )
 from hklat.involutions import TwoElemInvariants, two_elementary_exists
 from hklat.lattices import Lattice, discriminant_form, realize
@@ -37,27 +41,26 @@ def _small_lattices():
 
 
 def _forms_of_length_at_most_2(max_order):
-    """Every nondegenerate form on Z/n1 x Z/n2 (n1 | n2) or Z/n, order <= max_order."""
+    """The generator data (orders, q, b) of every form on Z/n1 x Z/n2
+    (n1 | n2) or Z/n, order <= max_order, degenerate ones included."""
     for n in range(2, max_order + 1):
         for q in range(0, 2 * n, 1 + n % 2):
-            yield FiniteQuadraticForm((n,), (q,), ((q % n,),))
+            yield (n,), (q,), ((q % n,),)
     for n1 in range(2, max_order + 1):
         for n2 in range(n1, max_order // n1 + 1, n1):
             q1s = [q for q in range(2 * n2) if n1 * q % n2 == 0 == n1 * n1 * q % (2 * n2)]
             q2s = range(0, 2 * n2, 1 + n2 % 2)
             for q1, q2, b12 in itertools.product(q1s, q2s, range(0, n2, n2 // n1)):
-                yield FiniteQuadraticForm(
-                    (n1, n2), (q1, q2), ((q1 % n2, b12), (b12, q2 % n2))
-                )
+                yield (n1, n2), (q1, q2), ((q1 % n2, b12), (b12, q2 % n2))
 
 
-def _nondegenerate(forms):
-    for form in forms:
+def _nondegenerate(data):
+    """The forms of the nondegenerate ones among the generator data."""
+    for orders, q, b in data:
         try:
-            normal_key(form)
+            yield FiniteQuadraticForm(orders, q, b)
         except DegenerateForm:
             continue
-        yield form
 
 
 def test_small_lattice_enumeration_is_complete_on_known_cases():
@@ -79,6 +82,69 @@ def test_existence_agrees_with_enumeration_on_all_small_forms():
             assert even_lattice_exists(*sig, form) == (key in found.get(sig, {})), (sig, form)
         count += 1
     assert count > 5000
+
+
+MAX_DET_3 = 100
+
+
+def _jordan_block_forms(max_order):
+    """A form of each Jordan block class of order <= max_order: <2/p^k> and
+    <2n/p^k> (n the least nonresidue) for odd p, <a/2^k> for every odd a
+    mod min(8, 2^(k+1)), and the u and v blocks of scale 2^k."""
+    out = []
+    for p in sympy.primerange(2, max_order + 1):
+        m = p
+        while m <= max_order:
+            if p == 2:
+                out += [cyclic_form(m, a) for a in range(1, min(8, 2 * m), 2)]
+                if m * m <= max_order:
+                    out += [u_block(m), v_block(m)]
+            else:
+                n = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+                out += [cyclic_form(m, 2), cyclic_form(m, 2 * n)]
+            m *= p
+    return out
+
+
+@functools.cache
+def _ternary_block_sums():
+    """Every sum of Jordan block forms (as a multiset) of order <= MAX_DET_3
+    with at most four blocks, built by `dsum` from the trivial form."""
+    blocks = _jordan_block_forms(MAX_DET_3)
+    out = []
+
+    def extend(start, form, count):
+        for i in range(start, len(blocks)):
+            if form.order * blocks[i].order <= MAX_DET_3 and count < 4:
+                out.append(form.dsum(blocks[i]))
+                extend(i, out[-1], count + 1)
+
+    extend(0, trivial_form(), 0)
+    return out
+
+
+def test_existence_agrees_with_enumeration_of_definite_ternary_lattices():
+    # rank 3, definite, |A| <= 100: the lattice exists iff the enumeration
+    # of reduced Gram matrices met its form, on every form met there and on
+    # every sum of Jordan blocks generated apart from it; the sums that
+    # exist meet every class the enumeration met
+    found = definite_ternary_lattices(MAX_DET_3)
+    reasons, met = Counter(), {sig: set() for sig in found}
+    for sig, forms in found.items():
+        for form in forms.values():
+            assert even_lattice_exists_report(*sig, form) == (True, None), (sig, form)
+    sums = _ternary_block_sums()
+    for form in sums:
+        key = normal_key(form)
+        for sig in found:
+            ok, reason = even_lattice_exists_report(*sig, form)
+            assert ok == (key in found[sig]), (sig, form)
+            reasons[reason] += 1
+            if ok:
+                met[sig].add(key)
+    assert {"E1", "E2", "E3:p=3", "E4"} <= set(reasons), reasons
+    assert all(met[sig] == found[sig].keys() for sig in found)
+    assert len(sums) > 1000 and len(found[3, 0]) > 100
 
 
 def test_existence_agrees_with_closed_conditions():

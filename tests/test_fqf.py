@@ -4,9 +4,11 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +16,12 @@ import fqf_oracle
 import hklat
 import snf_oracle
 from fqf_oracle import (
+    Dense,
     brute_isomorphic,
     delta_by_generators,
+    dense,
+    dense_neg,
+    dense_sum,
     elements,
     even_lattice_exists,
     forms_isomorphic,
@@ -41,7 +47,6 @@ from hklat.fqf import (
     form_invariants,
     gauss_signature,
     jordan_blocks,
-    jordan_splitting,
     local_key,
     normal_key,
     p_elementary_form,
@@ -58,6 +63,7 @@ F = Fraction
 
 def _gauss_sum_direct(form):
     """Independent oracle: direct summation of exp(pi i q(x)) over all elements."""
+    form = dense(form)
     total = 0j
     for x in elements(form):
         total += cmath.exp(1j * math.pi * value(form, x) / form.level)
@@ -98,11 +104,11 @@ def test_gauss_additive():
 
 
 def test_gauss_rejects_degenerate():
-    degenerate = FiniteQuadraticForm((2,), (2,), ((0,),))  # q = 1, b = 0 at level 2
-    with pytest.raises(DegenerateForm):
-        gauss_signature(degenerate)
-    with pytest.raises(hklat.errors.DegenerateForm):
-        gauss_signature(degenerate)
+    # q = 1, b = 0 at level 2: no Jordan splitting, so no form to read a
+    # signature, a delta or a key off; the constructor raises
+    for error in (DegenerateForm, hklat.errors.DegenerateForm):
+        with pytest.raises(error):
+            FiniteQuadraticForm((2,), (2,), ((0,),))
 
 
 def _radical_is_trivial_by_enumeration(form):
@@ -116,8 +122,9 @@ def _radical_is_trivial_by_enumeration(form):
 
 
 def _random_form(rng):
-    """A valid finite quadratic form on up to three small cyclic factors; b is
-    drawn freely, so a good share of the forms are degenerate."""
+    """Valid dense data of a finite quadratic form on up to three small
+    cyclic factors; b is drawn freely, so a good share of them are
+    degenerate."""
     orders = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 3))]
     k = len(orders)
     n = math.lcm(*orders)
@@ -132,7 +139,7 @@ def _random_form(rng):
         if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
             v = (v + n) % (2 * n)
         q.append(v)
-    return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, b)))
+    return Dense(tuple(orders), tuple(q), tuple(map(tuple, b)))
 
 
 def _radical_is_trivial_by_smith_form(form):
@@ -147,12 +154,20 @@ def _radical_is_trivial_by_smith_form(form):
     return n**k == form.order * math.prod(d[i][i] for i in range(k))
 
 
-def _signature_or_none(form):
-    """gauss_signature, or None where it rejects the form as degenerate."""
+def _form_or_none(data):
+    """The library form of dense data, or None where the constructor
+    rejects them as degenerate."""
     try:
-        return gauss_signature(form)
+        return data.form()
     except DegenerateForm:
         return None
+
+
+def _signature_or_none(data):
+    """gauss_signature of the form of dense data, or None where they are
+    degenerate."""
+    form = _form_or_none(data)
+    return None if form is None else gauss_signature(form)
 
 
 def test_radical_check_agrees_with_enumeration():
@@ -180,10 +195,10 @@ def _assert_signature_matches_oracles(form):
     and DegenerateForm is raised exactly on the degenerate ones; returns
     whether the form is nondegenerate."""
     if _radical_is_trivial_by_enumeration(form):
-        assert gauss_signature(form) == _signature_by_gauss_sum(form), form
+        assert gauss_signature(form.form()) == _signature_by_gauss_sum(form), form
         return True
     with pytest.raises(DegenerateForm):
-        gauss_signature(form)
+        form.form()
     return False
 
 
@@ -200,7 +215,7 @@ def _all_cyclic_forms():
     for n in orders:
         for v in range(2 * n):
             if n * v % 2 == 0:  # q(g)·n^2 in 2Z
-                yield FiniteQuadraticForm((n,), (v,), ((v % n,),))
+                yield Dense((n,), (v,), ((v % n,),))
 
 
 def _all_rank_two_2_forms():
@@ -209,7 +224,7 @@ def _all_rank_two_2_forms():
         for q1 in range(2 * n):
             for q2 in range(2 * n):
                 for b12 in range(n):
-                    yield FiniteQuadraticForm((n, n), (q1, q2), ((q1 % n, b12), (b12, q2 % n)))
+                    yield Dense((n, n), (q1, q2), ((q1 % n, b12), (b12, q2 % n)))
 
 
 def test_gauss_signature_exhaustive_on_small_groups():
@@ -247,6 +262,7 @@ def test_gauss_signature_is_invariant_under_change_of_basis():
 def _rebased(form, rng, moves=12):
     """The same form on another basis of A, reached by random moves
     g_i <- g_i + c·g_j with c·g_j of order dividing that of g_i."""
+    form = dense(form)
     k, orders = form.length(), form.orders
     basis = [[int(i == j) for j in range(k)] for i in range(k)]
     for _ in range(moves):
@@ -291,8 +307,9 @@ def test_gauss_signature_is_invariant_under_change_of_group_basis():
 def test_gauss_signature_enumerates_nothing(monkeypatch):
     forms = [discriminant_form(realize(n)) for n in ("E8(101)", "<1000002>", "A10(11)", "U(8) + D5")]
     rng = random.Random(5)
-    forms += [_random_form(rng) for _ in range(50)]
-    expected = [_signature_or_none(f) for f in forms]
+    forms += [f for f in (_form_or_none(_random_form(rng)) for _ in range(100)) if f is not None]
+    assert len(forms) > 20
+    expected = [gauss_signature(f) for f in forms]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("gauss_signature must not call this")
@@ -301,7 +318,7 @@ def test_gauss_signature_enumerates_nothing(monkeypatch):
         monkeypatch.setattr(fqf_oracle, name, forbidden)
     for module in (hklat.lattices, hklat.fqf):
         monkeypatch.setattr(module, "smith_normal_form", forbidden, raising=False)
-    assert [_signature_or_none(f) for f in forms] == expected
+    assert [gauss_signature(f) for f in forms] == expected
 
 
 def test_delta_invariant():
@@ -312,8 +329,6 @@ def test_delta_invariant():
     assert delta_invariant(discriminant_form(realize("<6>"))) == 1
     assert delta_invariant(u_block(4)) == 1  # q(e + f) = 2·b(e, f) = 1/2
     assert delta_invariant(cyclic_form(9, 2)) == 0  # no 2-part
-    with pytest.raises(DegenerateForm):
-        delta_invariant(FiniteQuadraticForm((2,), (2,), ((0,),)))
 
 
 def _delta_by_value_scan(form):
@@ -324,16 +339,16 @@ def _delta_by_value_scan(form):
 
 def _delta_or_none(form, nondegenerate):
     """delta_invariant, checked against the value scan and the generator
-    formula on a nondegenerate form; on a degenerate one it raises
-    DegenerateForm, and None is returned.  The two oracles agree on every
-    form."""
+    formula on nondegenerate dense data; on degenerate data the constructor
+    raises DegenerateForm, and None is returned.  The two oracles agree on
+    all data."""
     expected = _delta_by_value_scan(form)
     assert delta_by_generators(form) == expected, form
     if not nondegenerate:
         with pytest.raises(DegenerateForm):
-            delta_invariant(form)
+            form.form()
         return None
-    assert delta_invariant(form) == expected, form
+    assert delta_invariant(form.form()) == expected, form
     return expected
 
 
@@ -348,8 +363,8 @@ def test_delta_invariant_agrees_with_value_scan():
 
 @st.composite
 def _forms_with_large_odd_parts(draw):
-    """A valid form on up to three cyclic factors of order 2^k·m, k <= 3 and
-    m in {1, 3, 5, 7, 9, 15}, so that the odd part c_i of an even order
+    """Valid dense data on up to three cyclic factors of order 2^k·m, k <= 3
+    and m in {1, 3, 5, 7, 9, 15}, so that the odd part c_i of an even order
     reaches 15 (`_random_form` reaches 3); b is drawn freely, as there."""
     odd = st.sampled_from((1, 3, 5, 7, 9, 15))
     order = st.tuples(st.integers(0, 3), odd).map(lambda km: 2 ** km[0] * km[1])
@@ -367,7 +382,7 @@ def _forms_with_large_odd_parts(draw):
         if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
             v = (v + n) % (2 * n)
         q.append(v)
-    return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, b)))
+    return Dense(tuple(orders), tuple(q), tuple(map(tuple, b)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -378,18 +393,23 @@ def test_delta_invariant_agrees_with_value_scan_on_large_odd_parts(form):
 
 
 def _assert_split_in_place(form, p):
-    """jordan_blocks reads the p-part in place on the form's generators; the
-    oracle route builds it as a form of its own first.  Both give the same
-    blocks in the same order, or both raise DegenerateForm; returns whether
-    the p-part split."""
+    """jordan_blocks reads the p-part in place on the generators; the oracle
+    route builds it as data of its own first.  Both give the same blocks in
+    the same order, or both raise DegenerateForm; returns whether the p-part
+    split."""
     try:
-        expected = jordan_blocks(prime_part(form, p), p)
+        expected = jordan_blocks(*prime_part(form, p), p)
     except DegenerateForm:
         with pytest.raises(DegenerateForm):
-            jordan_blocks(form, p)
+            jordan_blocks(*form, p)
         return False
-    assert jordan_blocks(form, p) == expected, (form, p)
+    assert jordan_blocks(*form, p) == expected, (form, p)
     return True
+
+
+def _primes(data):
+    """The primes of the group order of dense data."""
+    return sorted({p for d in data.orders for p in sympy.primefactors(d)})
 
 
 def test_jordan_blocks_read_each_prime_part_in_place():
@@ -397,7 +417,7 @@ def test_jordan_blocks_read_each_prime_part_in_place():
     outcomes = []
     for _ in range(1500):
         form = _random_form(rng)
-        primes = form.lengths_per_prime()
+        primes = _primes(form)
         outcomes += [(len(primes) > 1, _assert_split_in_place(form, p)) for p in primes]
     # split and degenerate p-parts, of forms with one prime and with several
     assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
@@ -406,20 +426,27 @@ def test_jordan_blocks_read_each_prime_part_in_place():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_forms_with_large_odd_parts())
 def test_jordan_blocks_read_each_prime_part_in_place_on_large_odd_parts(form):
-    for p in form.lengths_per_prime():
+    for p in _primes(form):
         _assert_split_in_place(form, p)
 
 
 def test_form_data_are_integers_at_the_level():
+    # a form holds its Jordan blocks: a scale m and, for a cyclic block, the
+    # integer a = q·m mod 2m, prime to p (the value at the block's level m)
     forms = [
         discriminant_form(realize(name)) for name in ("A2", "U(3) + <-2>", "D4", "E6*(3)", "<12>")
     ] + [u_block(4), v_block(), p_elementary_form(5, 3, True), cyclic_form(8, 3)]
     for form in forms:
-        assert form.level == math.lcm(*form.orders)
-        assert all(type(x) is int for x in form.q)
-        assert all(type(x) is int for row in form.b for x in row)
-    assert cyclic_form(8, 3).q == (3,) and cyclic_form(3, -2).q == (4,)
-    assert u_block(4).dsum(cyclic_form(2, 1)).q == (0, 0, 2)  # 1/2 at level 4
+        assert list(form.split) == sorted(form.split)
+        for p, blocks in form.split.items():
+            for m, a in blocks:
+                assert type(m) is int and sympy.primefactors(m) == [p], form
+                if a in ("u", "v"):
+                    assert p == 2, form
+                else:
+                    assert type(a) is int and 0 < a < 2 * m and a % p and m * a % 2 == 0, form
+    assert cyclic_form(8, 3).split == {2: ((8, 3),)} and cyclic_form(3, -2).split == {3: ((3, 4),)}
+    assert u_block(4).dsum(cyclic_form(2, 1)).split == {2: ((4, "u"), (2, 1))}
 
 
 def test_form_rejects_rational_entries():
@@ -558,7 +585,7 @@ def _oracle_classes(forms):
     """Isomorphism classes by brute-force matching against one member each."""
     by_group = {}
     for form in forms:
-        classes = by_group.setdefault(tuple(sorted(form.orders)), [])
+        classes = by_group.setdefault(tuple(sorted(dense(form).orders)), [])
         for cls in classes:
             if brute_isomorphic(form, cls[0]):
                 cls.append(form)
@@ -588,10 +615,13 @@ def test_normal_key_is_invariant_under_change_of_group_basis(p, max_order):
 
 
 def test_jordan_blocks_of_standard_forms():
-    assert jordan_blocks(u_block(4).dsum(cyclic_form(2, 3)), 2) == [(4, "u"), (2, 3)]
-    assert jordan_blocks(v_block(), 2) == [(2, "v")]
-    assert jordan_blocks(discriminant_form(realize("A2")), 3) == [(3, 4)]
-    assert sorted(jordan_blocks(discriminant_form(realize("U(3)")), 3)) == [(3, 2), (3, 4)]
+    # u(4) + <3/2> at level 4, on its three generators
+    data = ((4, 4, 2), (0, 0, 6), ((0, 1, 0), (1, 0, 0), (0, 0, 2)))
+    assert jordan_blocks(*data, 2) == [(4, "u"), (2, 3)]
+    assert FiniteQuadraticForm(*data).split == {2: ((4, "u"), (2, 3))}
+    assert v_block().split == {2: ((2, "v"),)}
+    assert discriminant_form(realize("A2")).split == {3: ((3, 4),)}
+    assert sorted(discriminant_form(realize("U(3)")).split[3]) == [(3, 2), (3, 4)]
 
 
 def test_forms_isomorphic_on_large_groups(monkeypatch):
@@ -616,23 +646,73 @@ def test_forms_isomorphic_on_large_groups(monkeypatch):
 
 
 def test_forms_isomorphic_rejects_degenerate():
-    degenerate = FiniteQuadraticForm((2,), (2,), ((0,),))
+    # degenerate data build no form, so no key is compared
     with pytest.raises(DegenerateForm):
-        forms_isomorphic(degenerate, degenerate)
-    with pytest.raises(DegenerateForm):
-        forms_isomorphic(cyclic_form(2, 1), degenerate)
+        forms_isomorphic(cyclic_form(2, 1), FiniteQuadraticForm((2,), (2,), ((0,),)))
 
 
 def test_internal_builders_yield_valid_forms():
-    """dsum and neg skip the checks of __init__; their results pass those
-    checks and are equal to the forms __init__ rebuilds."""
+    """dsum and neg build blocks without the checks of __init__; the
+    generators of their blocks pass those checks, and __init__ splits them
+    into the same blocks, up to their order."""
     rng = random.Random(7)
-    built = []
-    for _ in range(500):
-        f, g = _random_form(rng), _random_form(rng)
-        built += [f.dsum(g), f.neg()]
-    for form in built:
-        assert FiniteQuadraticForm(form.orders, form.q, form.b) == form
+    forms = [f for f in (_form_or_none(_random_form(rng)) for _ in range(1000)) if f is not None]
+    assert len(forms) > 300
+    for f, g in zip(forms, forms[1:]):
+        for form in (f.dsum(g), f.neg()):
+            twin = dense(form).form()
+            blocks = {p: Counter(b) for p, b in form.split.items()}
+            assert {p: Counter(b) for p, b in twin.split.items()} == blocks, form
+
+
+@st.composite
+def _nondegenerate_pairs(draw):
+    """Two nondegenerate dense data, each drawn as `_forms_with_large_odd_parts`."""
+    data = _forms_with_large_odd_parts().filter(lambda d: _form_or_none(d) is not None)
+    return draw(data), draw(data)
+
+
+def _assert_same_invariants(form, data):
+    """The form and the form built from dense data have the same normal key,
+    Gauss signature, delta and existence verdicts, at every signature of
+    rank up to two above the longest p-part."""
+    built = data.form()
+    assert normal_key(form) == normal_key(built), data
+    assert form_invariants(form) == form_invariants(built), data
+    assert form.order == built.order == data.order, data
+    assert form.lengths_per_prime() == built.lengths_per_prime(), data
+    length = max(built.lengths_per_prime().values(), default=0)
+    for rank in range(length + 3):
+        for s_plus in range(rank + 1):
+            sig = (s_plus, rank - s_plus)
+            assert even_lattice_exists_report(*sig, form) == even_lattice_exists_report(
+                *sig, built
+            ), (data, sig)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_nondegenerate_pairs())
+def test_sum_and_negation_of_blocks_agree_with_the_dense_route(pair):
+    # dsum puts the blocks together and neg negates them; the oracle builds
+    # the form from the dense direct sum, and from the dense negation
+    f, g = pair
+    _assert_same_invariants(f.form().dsum(g.form()), dense_sum(f, g))
+    _assert_same_invariants(f.form().neg(), dense_neg(f))
+    _assert_same_invariants(f.form().neg().dsum(g.form()), dense_sum(dense_neg(f), g))
+
+
+def test_sum_and_negation_of_catalog_forms_agree_with_the_dense_route():
+    # the discriminant forms of the catalog atoms, the table S/T lattices
+    # and the frozen `queries` pool, whose blocks include u and v blocks of
+    # scales above 2 and several primes at once
+    names = set(CATALOG_ATOMS) | set(FROZEN["invariants"])
+    names |= {n for pair in LATTICE_NAMES.values() for n in pair}
+    forms = [discriminant_form(realize(name)) for name in sorted(names)]
+    rng = random.Random(20)
+    for _ in range(300):
+        f, g = rng.choice(forms), rng.choice(forms)
+        _assert_same_invariants(f.dsum(g), dense_sum(dense(f), dense(g)))
+        _assert_same_invariants(f.neg().dsum(g), dense_sum(dense_neg(dense(f)), dense(g)))
 
 
 def test_odd_disc_class():
@@ -642,6 +722,7 @@ def test_odd_disc_class():
 
 def _change_basis(form, m):
     """The form on the generators sum_j m[i][j] g_j (m invertible mod the level)."""
+    form = dense(form)
     q = tuple(value(form, row) for row in m)
     b = tuple(tuple(pairing(form, x, y) for y in m) for x in m)
     return FiniteQuadraticForm(form.orders, q, b)
@@ -708,18 +789,20 @@ def test_even_lattice_exists_milgram_gate():
 
 
 def test_existence_splits_each_prime_part_once(monkeypatch):
-    # <-6>: full length at 2 and at 3, so E2, E3:p=3 and E4 all read blocks
+    # <-6>: full length at 2 and at 3, so E2, E3:p=3 and E4 all read blocks;
+    # the constructor splits each p-part once, and the test splits nothing
     calls = []
     split = hklat.fqf.jordan_blocks
 
-    def counted(part, p):
-        calls.append(p)
-        return split(part, p)
+    def counted(*args):
+        calls.append(args[-1])
+        return split(*args)
 
     monkeypatch.setattr(hklat.fqf, "jordan_blocks", counted)
-    form = cyclic_form(2, 1).dsum(cyclic_form(3, 4))
+    form = FiniteQuadraticForm((6,), (11,), ((5,),))  # <11/6> = <1/2> + <4/3>
+    assert calls == [2, 3]
     assert even_lattice_exists_report(0, 1, form) == (True, None)
-    assert sorted(calls) == [2, 3]
+    assert calls == [2, 3]
 
 
 def test_even_lattice_exists_for_all_table_lattices():
@@ -739,70 +822,9 @@ def test_two_elementary_form_matches_invariants():
                 form = two_elementary_form(a, delta, sigma)
                 if form is None:
                     continue
-                assert form.length() == a
+                assert form.lengths_per_prime() == {2: a}
                 assert delta_invariant(form) == delta
                 assert gauss_signature(form) == sigma
-
-
-def test_jordan_splitting_is_kept_on_the_form_only():
-    form = discriminant_form(realize("U(3) + A2 + <-2>"))
-    twin = FiniteQuadraticForm(form.orders, form.q, form.b)
-    assert twin._split is None
-    splitting = jordan_splitting(form)
-    assert jordan_splitting(form) is splitting
-    # the blocks' splittings put together (U(3), then A2), not a fresh split
-    assert splitting == {2: ((2, 3),), 3: ((3, 2), (3, 4), (3, 4))}
-    assert normal_key(form) == normal_key(twin)
-    assert (form, hash(form), repr(form)) == (twin, hash(twin), repr(twin))
-
-
-def _composed_forms():
-    """Sums f + g, negations -f and sums -f + g of the discriminant forms of
-    the catalog atoms, the table S/T lattices and the frozen `queries` pool,
-    each born with the splitting composed from its operands'."""
-    names = set(CATALOG_ATOMS) | set(FROZEN["invariants"])
-    names |= {n for pair in LATTICE_NAMES.values() for n in pair}
-    forms = [discriminant_form(realize(name)) for name in sorted(names)]
-    rng = random.Random(20)
-    pairs = [(rng.choice(forms), rng.choice(forms)) for _ in range(700)]
-    return (
-        [f.dsum(g) for f, g in pairs]
-        + [f.neg() for f in forms]
-        + [f.neg().dsum(g) for f, g in pairs]
-    )
-
-
-def test_composed_splitting_agrees_with_a_fresh_split():
-    # oracle: the twin on the same data, split from scratch by jordan_blocks
-    for form in _composed_forms():
-        assert form._split is not None, form
-        twin = FiniteQuadraticForm(form.orders, form.q, form.b)
-        assert normal_key(form) == normal_key(twin), form
-        assert gauss_signature(form) == gauss_signature(twin), form
-        length = max(form.lengths_per_prime().values(), default=0)
-        for rank in (length, length + 1, length + 2):
-            for s_plus in range(rank + 1):
-                sig = (s_plus, rank - s_plus)
-                want = even_lattice_exists_report(*sig, twin)
-                assert even_lattice_exists_report(*sig, form) == want, (form, sig)
-
-
-def test_sum_and_negation_inherit_only_existing_splittings():
-    split = discriminant_form(realize("U(3) + <-2>"))
-    assert jordan_splitting(split) == {2: ((2, 3),), 3: ((3, 2), (3, 4))}
-    assert split.neg()._split == {2: ((2, 1),), 3: ((3, 4), (3, 2))}
-    assert split.neg().neg()._split == split._split
-    assert trivial_form()._split == {}
-    assert trivial_form().dsum(split)._split == split._split
-    unsplit = cyclic_form(3, 4)
-    assert unsplit.dsum(split)._split is None and split.dsum(unsplit)._split is None
-    assert unsplit.neg()._split is None
-    # a degenerate form has no splitting, and still sums and negates
-    degenerate = FiniteQuadraticForm((2,), (2,), ((0,),))
-    for form in (degenerate.dsum(split), split.dsum(degenerate), degenerate.neg()):
-        assert form._split is None
-        with pytest.raises(DegenerateForm):
-            jordan_splitting(form)
 
 
 def test_local_key_does_not_depend_on_block_order():
@@ -821,16 +843,16 @@ def test_local_key_does_not_depend_on_block_order():
 
 def test_local_key_equals_the_uncached_keys():
     # every p-part of the catalog atoms and table lattices; a form computes
-    # its normal key once and keeps it, and a twin built from its generator
-    # data, which keeps nothing, computes an equal key
+    # its normal key once and keeps it, and a twin built from its blocks'
+    # generators, which keeps nothing, computes an equal key
     names = set(CATALOG_ATOMS) | {n for pair in LATTICE_NAMES.values() for n in pair}
     for name in sorted(names):
         form = discriminant_form(realize(name))
-        for p, blocks in jordan_splitting(form).items():
+        for p, blocks in form.split.items():
             uncached = _two_adic_key(blocks) if p == 2 else _odd_key(blocks, p)
             assert local_key(p, blocks) == uncached == local_key(p, blocks[::-1]), name
         assert normal_key(form) is normal_key(form), name
-        twin = FiniteQuadraticForm(form.orders, form.q, form.b)
+        twin = dense(form).form()
         assert twin._key is None and normal_key(twin) == normal_key(form), name
 
 
@@ -852,16 +874,6 @@ def test_full_length_existence_runs_in_constant_memory():
     assert peak < 1_000_000
 
 
-def test_p_elementary_form_is_born_with_its_fresh_splitting():
-    for p in (3, 5, 7, 11, 13, 17, 19):
-        for a in range(22):
-            for nonresidue in (False, True):
-                form = p_elementary_form(p, a, nonresidue)
-                twin = FiniteQuadraticForm(form.orders, form.q, form.b)
-                assert a == 0 or twin._split is None  # split afresh below
-                assert form._split == jordan_splitting(twin), (p, a, nonresidue)
-
-
 def test_p_elementary_form_matches_cyclic_sum():
     for p in (3, 5, 7, 11, 13, 17, 19):
         nonresidue = next(n for n in range(2, p) if legendre_ref(n, p) == -1)
@@ -873,4 +885,4 @@ def test_p_elementary_form_matches_cyclic_sum():
                     expected = expected.dsum(cyclic_form(p, 2 * u))
                 form = p_elementary_form(p, a, last != 1)
                 assert form == expected, (p, a, last)
-                assert FiniteQuadraticForm(form.orders, form.q, form.b) == form
+                assert dense(form).form() == form

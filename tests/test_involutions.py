@@ -65,7 +65,7 @@ def test_existence_against_catalog_witnesses():
     for name, a, delta in witnesses:
         lat = realize(name)
         form = discriminant_form(lat)
-        assert form.length() == a, name
+        assert sum(form.lengths_per_prime().values()) == a, name
         assert delta_invariant(form) == delta, name
         s_plus, s_minus = lat.signature()
         assert two_elementary_exists(TwoElemInvariants(s_plus, s_minus, a, delta)), name
@@ -88,7 +88,7 @@ def test_form_of_matches_invariants():
                 if not two_elementary_exists(inv):
                     continue
                 form = form_of(inv)
-                assert form.length() == a
+                assert sum(form.lengths_per_prime().values()) == a
                 if a:
                     assert delta_invariant(form) == delta
                     assert gauss_signature(form) == (2 - r) % 8
@@ -104,7 +104,7 @@ def test_three_halves_scan_agrees_with_criterion():
                 if not two_elementary_exists(inv):
                     continue
                 form = form_of(inv)
-                assert form.level == 2
+                assert {m for m, _ in form.split[2]} == {2}
                 scan = 3 in value_counts(form)  # q = 3/2 at level 2
                 assert has_value_three_halves(inv) == scan, (r, a, delta)
                 checked += 1
@@ -132,7 +132,7 @@ def test_classify_example_rank_two():
         lat = realize(name)
         form = discriminant_form(lat)
         assert lat.signature() == (2, 19)
-        assert form.length() == a
+        assert form.lengths_per_prime() == {2: a}
         assert delta_invariant(form) == 1
 
 

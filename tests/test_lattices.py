@@ -17,7 +17,6 @@ from hklat.exact import is_prime
 from hklat.fqf import (
     FiniteQuadraticForm,
     cyclic_form,
-    jordan_splitting,
     normal_key,
     trivial_form,
 )
@@ -181,9 +180,7 @@ def test_embed_in_L_reads_the_one_ambient_form(monkeypatch):
         assert embed_in_L(target).embeds
     ambient_form = AMBIENT_GENUS.form
     assert len(operands) == 2 and all(form is ambient_form for form in operands)
-    # split once, when `classify` loaded: every complement's form is born split
-    assert ambient_form._split == {2: ((2, 3),)}
-    assert all(embed_in_L(t).orthogonal_invariants.form._split is not None for t in targets)
+    assert ambient_form.split == {2: ((2, 3),)}
 
 
 def test_direct_sum_a2_a2():
@@ -219,13 +216,14 @@ def test_discriminant_data_a2():
     gram = realize("A2").gram
     norm = sum(g[i] * gram[i][j] * g[j] for i in range(2) for j in range(2))
     assert norm == Fraction(-2, 3)
-    assert data.form.q == (4,)  # 4/3 at level 3
+    assert data.q_values == (4,)  # 4/3 at level 3
+    assert data.form == cyclic_form(3, 4)
 
 
 def test_discriminant_data_minus_two():
     data = discriminant_data(realize("<-2>"))
     assert data.invariant_factors == (2,)
-    assert data.form.q == (3,)  # 3/2 at level 2
+    assert data.q_values == (3,)  # 3/2 at level 2
 
 
 def _dual_generators(data):
@@ -363,18 +361,26 @@ CATALOG_ATOMS = (
 
 
 def test_integer_form_matches_dual_generators():
-    # oracle: q(x) = x^T G x mod 2 and b(x, y) = x^T G y mod 1 on the rational generators
+    # oracle: q(x) = x^T G x mod 2 and b(x, y) = x^T G y mod 1 on the rational
+    # generators; the form is the one those generator data build
     for name in CATALOG_ATOMS:
         lat = realize(name)
         data = discriminant_data(lat)
-        form, gram, n = data.form, lat.gram, lat.rank
+        gram, n = lat.gram, lat.rank
+        level = math.lcm(*data.invariant_factors)
         gens = _dual_generators(data)
+        q, b = [], []
         for i, x in enumerate(gens):
+            row = []
             for j, y in enumerate(gens):
                 pair = sum(x[r] * gram[r][c] * y[c] for r in range(n) for c in range(n))
-                assert Fraction(form.b[i][j], form.level) == pair % 1, name
+                row.append(int(pair % 1 * level))
                 if i == j:
-                    assert Fraction(form.q[i], form.level) == pair % 2, name
+                    q.append(int(pair % 2 * level))
+            b.append(tuple(row))
+        assert data.q_values == tuple(q), name
+        built = FiniteQuadraticForm(data.invariant_factors, tuple(q), tuple(b))
+        assert data.form == built, name
 
 
 def _fraction_inverse(m):
@@ -589,12 +595,9 @@ def test_atom_route_matches_gram_route_on_catalog_and_tables():
 
 
 def _sum_from_trivial(lattice):
-    """The discriminant form as a sum of the blocks' forms from the trivial
-    form on, each block's form split first."""
-    forms = [b.form for b in lattice.blocks if b.form.orders]
-    for form in forms:
-        jordan_splitting(form)
-    return reduce(FiniteQuadraticForm.dsum, forms, trivial_form())
+    """The discriminant form as a sum of every block's form from the trivial
+    form on."""
+    return reduce(FiniteQuadraticForm.dsum, (b.form for b in lattice.blocks), trivial_form())
 
 
 def test_discriminant_form_equals_the_sum_from_the_trivial_form():
@@ -603,8 +606,7 @@ def test_discriminant_form_equals_the_sum_from_the_trivial_form():
     for expr in exprs:
         lat = realize(expr)
         form, want = discriminant_form(lat), _sum_from_trivial(lat)
-        assert (form.orders, form.q, form.b) == (want.orders, want.q, want.b), expr
-        assert jordan_splitting(form) == jordan_splitting(want), expr
+        assert (form, hash(form)) == (want, hash(want)), expr
 
 
 def test_discriminant_form_of_one_block_is_its_form():
@@ -612,6 +614,35 @@ def test_discriminant_form_of_one_block_is_its_form():
         assert discriminant_form(realize(name)) is atom_data(*atom).form, name
     assert discriminant_form(realize("U^2 + E8")) is discriminant_form(realize("E8"))
     assert discriminant_form(realize("U")) == trivial_form()
+
+
+def test_a_long_sum_splits_nothing(monkeypatch):
+    # a form is its Jordan splitting: the sum of the blocks' forms puts their
+    # blocks together, and only the constructor, on generator data, splits
+    import ast
+    from pathlib import Path
+
+    import hklat.fqf
+
+    atom_data("A2", 1)
+    realize.cache_clear()  # the sum below is made afresh
+    calls = []
+    split = hklat.fqf.jordan_blocks
+    monkeypatch.setattr(hklat.fqf, "jordan_blocks", lambda *args: calls.append(args) or split(*args))
+    form = discriminant_form(realize("A2^300"))
+    assert calls == []
+    assert form.split == {3: ((3, 4),) * 300}
+    assert (form.order, form.lengths_per_prime()) == (3**300, {3: 300})
+    callers = set()
+    for path in Path(hklat.fqf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    scope = {n for n in ast.walk(child) if isinstance(n, ast.Call)}
+                    if any(getattr(c.func, "id", None) == "jordan_blocks" for c in scope):
+                        callers.add((path.name, child.name))
+    assert callers == {("fqf.py", "__init__")}
 
 
 @st.composite
@@ -647,7 +678,7 @@ def test_smith_route_form_equals_the_full_scan_elimination_form(monkeypatch):
     exprs += [parse_expr("D6"), parse_expr("D8")]
     exprs += [parse_expr(name) for pair in LATTICE_NAMES.values() for name in pair]
     grams = [realize(expr).gram for expr in exprs]
-    forms = [discriminant_data(Lattice(gram)).form for gram in grams]
+    datas = [discriminant_data(Lattice(gram)) for gram in grams]
 
     def full_scan(m, det):
         _, d, v = snf_oracle.smith_normal_form(m)
@@ -655,8 +686,8 @@ def test_smith_route_form_equals_the_full_scan_elimination_form(monkeypatch):
 
     # a lattice takes its Smith form when it is built, so build them again
     monkeypatch.setattr("hklat.lattices.smith_normal_form", full_scan)
-    for expr, gram, form in zip(exprs, grams, forms):
-        assert discriminant_data(Lattice(gram)).form == form, render_expr(expr)
+    for expr, gram, data in zip(exprs, grams, datas):
+        assert discriminant_data(Lattice(gram))[1:] == data[1:], render_expr(expr)
 
 
 def count_smith_forms(monkeypatch):
