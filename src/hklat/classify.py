@@ -3,7 +3,8 @@ lattices.
 
 The ambient lattice throughout is L = U^3 + E8^2 + <-2> (`hklat.AMBIENT`),
 of signature (3,20) and discriminant form Z/2 (3/2).  Its genus is the value
-`AMBIENT_GENUS`, so neither the embedding analysis nor the tables build L;
+`AMBIENT_GENUS`, its form built from its one Jordan block, so neither the
+embedding analysis nor the tables build L or split a form;
 `classify` reads `lattices` only through the module, at call time, and
 loading it loads no `lattices`.  A p-elementary lattice S (p odd) embedding
 primitively in L has orthogonal complement T with signature (3-s+, 20-s-)
@@ -26,7 +27,7 @@ from typing import NamedTuple
 from . import lattices
 from .errors import InvalidParameter, NotPElementary
 from .exact import is_square, prime_factors
-from .fqf import FiniteQuadraticForm, cyclic_form, even_lattice_exists_report, normal_key
+from .fqf import FiniteQuadraticForm, even_lattice_exists_report, normal_key
 
 
 class LatticeInvariants:
@@ -92,8 +93,9 @@ class LatticeInvariants:
 
 
 # The genus of L = U^3 + E8^2 + <-2> (`hklat.AMBIENT`): signature (3, 20) and
-# form Z/2 (3/2); a test pins it to `invariants_of(realize(AMBIENT))`.
-AMBIENT_GENUS = LatticeInvariants(3, 20, cyclic_form(2, 3))
+# form Z/2 (3/2), one cyclic Jordan block (2, 3); a test pins it to
+# `invariants_of(realize(AMBIENT))`.
+AMBIENT_GENUS = LatticeInvariants(3, 20, FiniteQuadraticForm({2: ((2, 3),)}))
 
 
 def invariants_of(lattice: lattices.Lattice) -> LatticeInvariants:

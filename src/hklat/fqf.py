@@ -1,21 +1,15 @@
 """Finite quadratic forms on finite abelian groups.
 
 A form q: A -> Q/2Z, with bilinear form b: A x A -> Q/Z, is held as its
-Jordan splitting: for each prime p of |A|, the orthogonal Jordan blocks of
-the p-part (see `jordan_blocks`).  It is given on generators g_i of
-A = Z/d1 x ... x Z/dk by the values q(g_i) in Q/2Z and the pairings
-b(g_i, g_j) in Q/Z, from which
-
-    q(sum c_i g_i) = sum c_i^2 q(g_i) + 2 sum_{i<j} c_i c_j b(g_i, g_j)  (mod 2Z)
-
-Those values are integers at the level N = lcm(d1, ..., dk): q(g_i)·N mod
-2N and b(g_i, g_j)·N mod N, both integral because q(g_i) lies in
-(1/d_i)Z.  The constructor checks them, splits each p-part once on those
-generators and keeps only the blocks.  Sums, negations and the p-elementary
-forms are built from blocks.  The order, the lengths, the Gauss signature,
-the delta invariant, the isomorphism class and the existence of an even
-lattice are all read off the blocks; nothing is enumerated over the group.
-A form keeps its normal key once computed.
+Jordan splitting and built from it alone: for each prime p of |A|, the
+orthogonal Jordan blocks of the p-part (see `FiniteQuadraticForm`).  A
+form given on generators, a lattice's Smith generators, is split in
+`lattices`, the one module that makes such generators.  Sums, negations
+and the p-elementary forms are built from blocks.  The order, the
+lengths, the Gauss signature, the delta invariant, the isomorphism class
+and the existence of an even lattice are all read off the blocks; nothing
+is enumerated over the group.  A form keeps its normal key once
+computed.
 """
 
 from __future__ import annotations
@@ -23,8 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateForm, InvalidParameter
-from .exact import is_square, prime_factors
+from .exact import is_square
 
 # p -> the Jordan blocks of the p-part: (m, a) cyclic, or (m, "u"), (m, "v")
 Splitting = dict[int, tuple[tuple[int, int | str], ...]]
@@ -33,12 +26,17 @@ Splitting = dict[int, tuple[tuple[int, int | str], ...]]
 class FiniteQuadraticForm:
     """Quadratic form q: A -> Q/2Z with associated bilinear form b: A x A -> Q/Z,
     held as its Jordan splitting `split`: each prime p of |A|, ascending,
-    maps to the Jordan blocks of the p-part (see `jordan_blocks`).
+    maps to the Jordan blocks of the p-part, pairwise orthogonal.
 
-    `FiniteQuadraticForm(orders, q, b)` takes generator data at the level N:
-    q[i] = q(g_i)·N mod 2N, b[i][j] = b(g_i, g_j)·N mod N.  It raises
-    InvalidParameter on inconsistent data and DegenerateForm when b has a
-    nontrivial radical.
+    A block is (m, a), cyclic of order m = p^k with q = a/m on its generator
+    (a = q·m mod 2m, prime to p), or, for p = 2 only, (m, "u") or (m, "v"):
+    an even rank-2 block on (Z/m)^2, hyperbolic (u) or with q odd on every
+    element of order m (v).
+
+    `FiniteQuadraticForm(split)` is the one constructor.  It takes blocks
+    that already are a Jordan splitting, as `dsum`, `neg`,
+    `p_elementary_form` and the Smith data of `lattices` make them, and
+    checks nothing.
 
     Immutable; equality and hashing go by the splitting, so two forms on
     different generators may be isomorphic (equal `normal_key`) and still
@@ -47,39 +45,7 @@ class FiniteQuadraticForm:
 
     __slots__ = ("split", "_key")
 
-    def __init__(
-        self,
-        orders: tuple[int, ...],
-        q: tuple[int, ...],
-        b: tuple[tuple[int, ...], ...],
-    ):
-        k = len(orders)
-        if len(q) != k or len(b) != k or any(len(r) != k for r in b):
-            raise InvalidParameter("inconsistent generator data")
-        entries = (*orders, *q, *(x for row in b for x in row))
-        if not all(type(x) is int for x in entries):
-            raise InvalidParameter("form data must be integers at the form's level")
-        if any(d < 2 for d in orders):
-            raise InvalidParameter("generator orders must be > 1")
-        n = math.lcm(*orders)
-        for i, d in enumerate(orders):
-            if not 0 <= q[i] < 2 * n:
-                raise InvalidParameter("q values must be reduced into [0, 2N)")
-            if d * d * q[i] % (2 * n):
-                raise InvalidParameter("q value incompatible with generator order")
-            if (b[i][i] - q[i]) % n:
-                raise InvalidParameter("b(g,g) must equal q(g) mod Z")
-            for j in range(k):
-                if b[i][j] != b[j][i]:
-                    raise InvalidParameter("b must be symmetric")
-                if not 0 <= b[i][j] < n:
-                    raise InvalidParameter("b values must be reduced into [0, N)")
-                if d * b[i][j] % n:
-                    raise InvalidParameter("b value incompatible with generator order")
-        primes = sorted({p for d in orders for p in prime_factors(d)})
-        self._fill({p: tuple(jordan_blocks(orders, q, b, p)) for p in primes})
-
-    def _fill(self, split: Splitting) -> None:
+    def __init__(self, split: Splitting):
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "_key", None)
 
@@ -102,9 +68,7 @@ class FiniteQuadraticForm:
     @property
     def order(self) -> int:
         """|A|: a cyclic block of scale m has order m, a u or v block m^2."""
-        return math.prod(
-            m * m if a in _EVEN_DET else m for blocks in self.split.values() for m, a in blocks
-        )
+        return math.prod(map(_order, self.split.values()))
 
     def lengths_per_prime(self) -> dict[int, int]:
         """l(A_p) for each prime p of |A|: a cyclic block counts 1, a u or v
@@ -123,35 +87,26 @@ class FiniteQuadraticForm:
         the sum, where the summands are orthogonal to each other: together
         they are a Jordan splitting of the sum."""
         a, b = self.split, other.split
-        return _form({p: a.get(p, ()) + b.get(p, ()) for p in sorted(a.keys() | b.keys())})
+        return FiniteQuadraticForm(
+            {p: a.get(p, ()) + b.get(p, ()) for p in sorted(a.keys() | b.keys())}
+        )
 
     def neg(self) -> "FiniteQuadraticForm":
         """The form -q, block by block: the generators that split q split -q,
         since negating b keeps the blocks orthogonal to each other and their
         units prime to p.  On them a cyclic block (m, a), q = a/m, becomes
-        (m, -a mod 2m), and an even rank-2 block keeps its type, which
-        `jordan_blocks` reads off q·m mod 4 on the block's two generators,
-        where 2 and -2 agree."""
-        return _form({
+        (m, -a mod 2m), and an even rank-2 block keeps its type, read off
+        q·m mod 4 on the block's two generators, where 2 and -2 agree."""
+        return FiniteQuadraticForm({
             p: tuple((m, a if a in _EVEN_DET else -a % (2 * m)) for m, a in blocks)
             for p, blocks in self.split.items()
         })
 
 
-def _form(split: Splitting) -> FiniteQuadraticForm:
-    """The form with this Jordan splitting, for builders whose blocks are
-    already a splitting (`dsum`, `neg`, `p_elementary_form`, `trivial_form`)."""
-    form = object.__new__(FiniteQuadraticForm)
-    form._fill(split)
-    return form
-
-
-def _p_power(n: int, p: int) -> int:
-    pk = 1
-    while n % p == 0:
-        n //= p
-        pk *= p
-    return pk
+def _order(blocks) -> int:
+    """The order of the group these Jordan blocks span: m per cyclic block,
+    m^2 per u or v block."""
+    return math.prod(m * m if a in _EVEN_DET else m for m, a in blocks)
 
 
 def legendre(a: int, p: int) -> int:
@@ -165,19 +120,6 @@ def legendre(a: int, p: int) -> int:
 
 # -- standard building blocks ------------------------------------------------
 
-def trivial_form() -> FiniteQuadraticForm:
-    return _form({})
-
-
-def cyclic_form(n: int, a: int) -> FiniteQuadraticForm:
-    """Z/n with q(generator) = a/n mod 2Z for an integer a; b(g,g) = a/n mod Z.
-
-    The form's __init__ rejects a non-integer a and an a with a·n odd, for
-    which a/n is no value of an element of order n."""
-    v = a % (2 * n)
-    return FiniteQuadraticForm((n,), (v,), ((v % n,),))
-
-
 def p_elementary_form(p: int, a: int, nonresidue: bool = False) -> FiniteQuadraticForm:
     """(Z/p)^a for an odd prime p, the orthogonal sum of a cyclic blocks
     (p, 2), that is q = 2/p on each generator, the last one (p, 2n) for a
@@ -185,7 +127,7 @@ def p_elementary_form(p: int, a: int, nonresidue: bool = False) -> FiniteQuadrat
     units = [1] * a
     if nonresidue and a:
         units[-1] = _least_nonresidue(p)
-    return _form({p: tuple((p, 2 * u) for u in units)} if a else {})
+    return FiniteQuadraticForm({p: tuple((p, 2 * u) for u in units)} if a else {})
 
 
 def _least_nonresidue(p: int) -> int:
@@ -221,86 +163,6 @@ def _block_signature(p: int, m: int, a: int | str) -> int:
     if odd_k:
         return (0 if p % 4 == 1 else 2) + 4 * (legendre(a // 2, p) == -1)
     return 0
-
-
-def jordan_blocks(orders, q_gen, b_gen, p: int) -> list[tuple[int, int | str]]:
-    """Orthogonal Jordan splitting of the p-part of the form with generator
-    data (orders, q_gen, b_gen) at the level N (see `FiniteQuadraticForm`),
-    as a list of blocks; run only by the form's constructor, once per prime.
-
-    A block is (m, a), cyclic of order m = p^k with q = a/m on its generator
-    (a = q·m mod 2m, prime to p), or, for p = 2 only, (m, "u") or (m, "v"):
-    an even rank-2 block on (Z/m)^2, hyperbolic (u) or with q odd on every
-    element of order m (v).
-
-    The p-part is read in place: it is generated by c_i·g_i, over the
-    generators g_i of order d_i divisible by p, with c_i = d_i / p^k the part
-    of d_i prime to p; c_i·g_i has order p^k and values c_i^2·q_gen[i] and
-    c_i·c_j·b_gen[i][j], still at the level N.  The data of a p-group are
-    their own p-part, with every c_i = 1.
-
-    At each step m is the largest order among the remaining generators and
-    s = N/m; an entry is a unit when entry/s is prime to p.  A generator x of
-    order m with b(x, x) a unit spans a cyclic block.  For odd p, two
-    generators w, v of order m with b(w, v) a unit give such an x as w + v;
-    for p = 2 they span an even rank-2 block, of v-type exactly when
-    q(w)·m = q(v)·m = 2 mod 4.  If no order-m generator pairs to a unit with
-    any other, (m/p)·w lies in the radical and DegenerateForm is raised.
-    The other generators are projected off the block, y <- y - c·x, which
-    keeps a basis (c·x has order dividing that of y) and updates q and b by
-    congruence: q(y - cx) = q(y) - 2c·b(y, x) + c^2·q(x).
-    """
-    n = math.lcm(*orders)
-    keep = [(i, d // pk, pk) for i, d in enumerate(orders) if (pk := _p_power(d, p)) > 1]
-    orders = [pk for _, _, pk in keep]
-    q = [c * c * q_gen[i] % (2 * n) for i, c, _ in keep]
-    b = [[ci * cj * b_gen[i][j] % n for j, cj, _ in keep] for i, ci, _ in keep]
-    live = list(range(len(keep)))
-
-    def shift(y, x, c):
-        """Replace generator y by y - c·x."""
-        bxy = b[x][y]
-        q[y] = (q[y] - 2 * c * bxy + c * c * q[x]) % (2 * n)
-        byy = (b[y][y] - 2 * c * bxy + c * c * b[x][x]) % n
-        for z in live:
-            b[y][z] = b[z][y] = (b[y][z] - c * b[x][z]) % n
-        b[y][y] = byy
-
-    blocks: list[tuple[int, int | str]] = []
-    while live:
-        m = max(orders[i] for i in live)
-        s = n // m
-        top = [i for i in live if orders[i] == m]
-        w = next((i for i in top if b[i][i] // s % p), None)
-        v = None
-        if w is None:
-            w = top[0]
-            v = next((j for j in top if b[w][j] // s % p), None)
-            if v is None:
-                raise DegenerateForm("degenerate form has no Jordan splitting")
-            if p != 2:
-                shift(w, v, -1)  # b(w + v, w + v) = 2·b(w, v) + non-units
-                v = None
-        if v is None:
-            blocks.append((m, q[w] // s))
-            block, det, adj = (w,), b[w][w] // s, ((1,),)
-        else:
-            v_type = q[w] // s % 4 == 2 and q[v] // s % 4 == 2
-            blocks.append((m, "v" if v_type else "u"))
-            g11, g12, g22 = b[w][w] // s, b[w][v] // s, b[v][v] // s
-            block, det, adj = (w, v), g11 * g22 - g12 * g12, ((g22, -g12), (-g12, g11))
-        inv = pow(det, -1, m)
-        rest = [y for y in live if y not in block]
-        for y in rest:  # c = b(y, block)·G^-1 mod m, G the block's Gram over s
-            t = [b[y][x] // s for x in block]
-            if not any(t):
-                continue  # y is already orthogonal to the block
-            for x, row in zip(block, adj):
-                c = inv * sum(r * ti for r, ti in zip(row, t)) % m
-                if c:
-                    shift(y, x, c)
-        live = rest
-    return blocks
 
 
 def delta_invariant(form: FiniteQuadraticForm) -> int:
@@ -470,8 +332,7 @@ def even_lattice_exists_report(
     for p, blocks in form.split.items():
         if lengths[p] != rank:
             continue
-        order = form.order
-        unit = (-1) ** s_minus * order // _p_power(order, p)
+        unit = (-1) ** s_minus * form.order // _order(blocks)
         disc = math.prod(_EVEN_DET.get(a, a) for _, a in blocks)
         if p != 2:
             if legendre(unit * disc, p) == -1:

@@ -23,11 +23,13 @@ checked once (int entries, square and not empty, symmetric, even,
 nondegenerate), by `_block` and nowhere else, with its determinant and
 signature (from one Bareiss elimination, `signature_of_symmetric`) and
 discriminant data (the Smith form modulo det², `smith_normal_form` and
-`_smith_data`), whose form is built from the Smith generators' values and
-held as its Jordan splitting.  The two eliminations live here, with their
-one caller, and check nothing again.  `Lattice(gram, expr)` is one block;
-`atom_data` builds each twisted catalog atom's block once per process;
-`realize` concatenates blocks without checking them again.  Every
+`_smith_data`), whose form is split from the Smith generators' values and
+pairings (`jordan_blocks`) and held as its Jordan splitting.  This is the
+one module that makes generator data of a form: the two eliminations and
+the splitting live here, with their one caller, and check nothing again.
+`Lattice(gram, expr)` is one block; `atom_data` builds each twisted
+catalog atom's block once per process; `realize` concatenates blocks
+without checking them again.  Every
 invariant is read off the blocks: det multiplies, rank and signature add,
 and the discriminant form is the orthogonal sum of the blocks' forms, their
 Jordan blocks put together.  The `invariants` command prints the
@@ -61,8 +63,8 @@ from functools import cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateForm, InvalidParameter, NotEvenLattice
-from .exact import is_prime
-from .fqf import FiniteQuadraticForm, local_key, normal_key, trivial_form
+from .exact import is_prime, prime_factors
+from .fqf import FiniteQuadraticForm, local_key, normal_key
 
 if TYPE_CHECKING:  # classify imports lattices, not the other way round
     from .classify import LatticeInvariants
@@ -385,12 +387,12 @@ def signature_of_symmetric(m: IntMatrix) -> tuple[tuple[int, int], int]:
 # -- lattices --------------------------------------------------------------------
 
 class DiscriminantData(NamedTuple):
-    """Discriminant group of a lattice on Smith-form generators: the integer
-    columns v_i (the dual vector x_i = v_i / d_i in the lattice basis), their
-    orders, the invariant factors d_i > 1, and the values q(x_i)·N mod 2N at
-    the level N = lcm(d_i); with the discriminant form, as Jordan blocks."""
+    """Discriminant group of a lattice on Smith-form generators, the dual
+    vectors x_i = v_i / d_i for the columns v_i of `smith_normal_form`'s
+    transform: their orders, the invariant factors d_i > 1, and the values
+    q(x_i)·N mod 2N at the level N = lcm(d_i); with the discriminant form,
+    as Jordan blocks."""
 
-    generators: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
     q_values: tuple[int, ...]
     form: FiniteQuadraticForm
@@ -542,10 +544,11 @@ def _smith_data(
     g: IntMatrix, det: int, form: FiniteQuadraticForm | None = None
 ) -> DiscriminantData:
     """Discriminant group and form, via the Smith form of the Gram matrix G
-    modulo R = d^2, d = |det G| (`smith_normal_form`).  The form is built
-    from the generators' values and pairings, unless it is given: a lattice
-    of several blocks passes the sum of its blocks' forms, an isomorphic
-    form, and no pairing is computed.
+    modulo R = d^2, d = |det G| (`smith_normal_form`).  The form is split
+    from the generators' values and pairings, prime by prime of the level
+    (`jordan_blocks`), unless it is given: a lattice of several blocks
+    passes the sum of its blocks' forms, an isomorphic form, and no pairing
+    is computed.
 
     With factors g_t and columns v_t of V, the dual vectors x_t = v_t / g_t
     generate L*/L with orders g_t.  G·v_t = 0 mod g_t, so w_t = G·v_t / g_t
@@ -560,16 +563,19 @@ def _smith_data(
 
     V is exact, so at the level N the values are the integers
     q(x_t)·N = (v_t·w_t)·(N/g_t) and b(x_s, x_t)·N = (v_t·w_s)·(N/g_t).
-    The products run over the nonzero entries of the v_t only.  A
-    unimodular G has no factors, so its form is the trivial one.
+    So the data need no check before `jordan_blocks` splits them: they are
+    integers, q(x_t)·g_t^2 = v_t·G·v_t is even, b is symmetric with
+    b(x_s, x_t) in (1/g_t)Z and b(x_t, x_t) = q(x_t) mod Z, and b is the
+    discriminant pairing, which is nondegenerate.  The products run over
+    the nonzero entries of the v_t only.  A unimodular G has no factors, so
+    its form is the trivial one.
     """
     n = len(g)
     all_factors, v = smith_normal_form(g, det)
     idx = [i for i in range(n) if all_factors[i] > 1]
     factors = tuple(all_factors[i] for i in idx)
     level = math.lcm(*factors)
-    cols = [tuple(v[r][i] for r in range(n)) for i in idx]
-    supports = [[(r, x) for r, x in enumerate(vi) if x] for vi in cols]
+    supports = [[(r, v[r][i]) for r in range(n) if v[r][i]] for i in idx]
     ws = [tuple(_dot(row, sv) // di for row in g) for sv, di in zip(supports, factors)]
     q_vals = tuple(
         _dot(wi, sv) * (level // di) % (2 * level)
@@ -580,8 +586,97 @@ def _smith_data(
             tuple(_dot(wi, sj) * (level // dj) % level for sj, dj in zip(supports, factors))
             for wi in ws
         )
-        form = FiniteQuadraticForm(factors, q_vals, b_rows)
-    return DiscriminantData(tuple(cols), factors, q_vals, form)
+        form = FiniteQuadraticForm(
+            {p: tuple(jordan_blocks(factors, q_vals, b_rows, p)) for p in prime_factors(level)}
+        )
+    return DiscriminantData(factors, q_vals, form)
+
+
+def _p_power(n: int, p: int) -> int:
+    pk = 1
+    while n % p == 0:
+        n //= p
+        pk *= p
+    return pk
+
+
+def jordan_blocks(orders, q_gen, b_gen, p: int) -> list[tuple[int, int | str]]:
+    """Orthogonal Jordan splitting of the p-part of the form with generator
+    data (orders, q_gen, b_gen) at the level N = lcm(orders):
+    q_gen[i] = q(g_i)·N mod 2N and b_gen[i][j] = b(g_i, g_j)·N mod N, as
+    `_smith_data` computes them.  Returns the blocks as a list, each one as
+    in `FiniteQuadraticForm`: (m, a) cyclic, or (m, "u"), (m, "v") at
+    p = 2.  In the library only `_smith_data` runs it, once per prime of
+    the level.
+
+    The p-part is read in place: it is generated by c_i·g_i, over the
+    generators g_i of order d_i divisible by p, with c_i = d_i / p^k the part
+    of d_i prime to p; c_i·g_i has order p^k and values c_i^2·q_gen[i] and
+    c_i·c_j·b_gen[i][j], still at the level N.  The data of a p-group are
+    their own p-part, with every c_i = 1.
+
+    At each step m is the largest order among the remaining generators and
+    s = N/m; an entry is a unit when entry/s is prime to p.  A generator x of
+    order m with b(x, x) a unit spans a cyclic block.  For odd p, two
+    generators w, v of order m with b(w, v) a unit give such an x as w + v;
+    for p = 2 they span an even rank-2 block, of v-type exactly when
+    q(w)·m = q(v)·m = 2 mod 4.  If no order-m generator pairs to a unit with
+    any other, (m/p)·w lies in the radical and DegenerateForm is raised.
+    The other generators are projected off the block, y <- y - c·x, which
+    keeps a basis (c·x has order dividing that of y) and updates q and b by
+    congruence: q(y - cx) = q(y) - 2c·b(y, x) + c^2·q(x).
+    """
+    n = math.lcm(*orders)
+    keep = [(i, d // pk, pk) for i, d in enumerate(orders) if (pk := _p_power(d, p)) > 1]
+    orders = [pk for _, _, pk in keep]
+    q = [c * c * q_gen[i] % (2 * n) for i, c, _ in keep]
+    b = [[ci * cj * b_gen[i][j] % n for j, cj, _ in keep] for i, ci, _ in keep]
+    live = list(range(len(keep)))
+
+    def shift(y, x, c):
+        """Replace generator y by y - c·x."""
+        bxy = b[x][y]
+        q[y] = (q[y] - 2 * c * bxy + c * c * q[x]) % (2 * n)
+        byy = (b[y][y] - 2 * c * bxy + c * c * b[x][x]) % n
+        for z in live:
+            b[y][z] = b[z][y] = (b[y][z] - c * b[x][z]) % n
+        b[y][y] = byy
+
+    blocks: list[tuple[int, int | str]] = []
+    while live:
+        m = max(orders[i] for i in live)
+        s = n // m
+        top = [i for i in live if orders[i] == m]
+        w = next((i for i in top if b[i][i] // s % p), None)
+        v = None
+        if w is None:
+            w = top[0]
+            v = next((j for j in top if b[w][j] // s % p), None)
+            if v is None:
+                raise DegenerateForm("degenerate form has no Jordan splitting")
+            if p != 2:
+                shift(w, v, -1)  # b(w + v, w + v) = 2·b(w, v) + non-units
+                v = None
+        if v is None:
+            blocks.append((m, q[w] // s))
+            block, det, adj = (w,), b[w][w] // s, ((1,),)
+        else:
+            v_type = q[w] // s % 4 == 2 and q[v] // s % 4 == 2
+            blocks.append((m, "v" if v_type else "u"))
+            g11, g12, g22 = b[w][w] // s, b[w][v] // s, b[v][v] // s
+            block, det, adj = (w, v), g11 * g22 - g12 * g12, ((g22, -g12), (-g12, g11))
+        inv = pow(det, -1, m)
+        rest = [y for y in live if y not in block]
+        for y in rest:  # c = b(y, block)·G^-1 mod m, G the block's Gram over s
+            t = [b[y][x] // s for x in block]
+            if not any(t):
+                continue  # y is already orthogonal to the block
+            for x, row in zip(block, adj):
+                c = inv * sum(r * ti for r, ti in zip(row, t)) % m
+                if c:
+                    shift(y, x, c)
+        live = rest
+    return blocks
 
 
 def discriminant_data(lattice: Lattice) -> DiscriminantData:
@@ -598,7 +693,7 @@ def discriminant_data(lattice: Lattice) -> DiscriminantData:
     return lattice._data
 
 
-_TRIVIAL_FORM = trivial_form()
+_TRIVIAL_FORM = FiniteQuadraticForm({})
 
 
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:

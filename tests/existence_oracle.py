@@ -13,7 +13,8 @@ These routes decide some of the same questions without it:
 import itertools
 
 from hklat.exact import is_prime
-from hklat.fqf import normal_key, trivial_form
+from fqf_oracle import trivial_form
+from hklat.fqf import normal_key
 from hklat.lattices import Lattice, discriminant_data
 
 
@@ -147,8 +148,8 @@ def definite_ternary_lattices(max_det):
     a11 <= a22 <= a33 and a11·a22·a33 <= 2·det (Minkowski's inequality in
     rank 3); a negative definite lattice is a positive one negated.  So the
     Gram matrices with even diagonal under these bounds meet every class.
-    Each form is the library's, built from the Smith data of its Gram
-    matrix (`FiniteQuadraticForm`'s constructor)."""
+    Each form is the library's, split from the Smith data of its Gram
+    matrix (`hklat.lattices.jordan_blocks`)."""
     found = {(3, 0): {}, (0, 3): {}}
     bound = 2 * max_det
     for a11 in range(2, bound + 1, 2):

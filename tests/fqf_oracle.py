@@ -2,14 +2,16 @@
 tests only.
 
 The oracles work on dense generator data that the tests own, a `Dense`
-(orders, q, b) at the level N, as `FiniteQuadraticForm(orders, q, b)`
-takes it: a random form is drawn as one, and a library form, which holds
-only its Jordan blocks, is expanded into generators by `dense`.  Each
-enumerating oracle serves small forms only; the library decides the same
-questions from Jordan blocks (`hklat.fqf.jordan_blocks`).  `prime_part`
-builds the p-part as data of its own, which the library reads in place,
-and `delta_by_generators` reads delta off the generators rather than off
-the 2-adic blocks.  `forms_isomorphic` and `even_lattice_exists` are the
+(orders, q, b) at the level N, as `hklat.lattices.jordan_blocks` reads
+them off a Smith form: a random form is drawn as one, and a library form,
+which holds only its Jordan blocks, is expanded into generators by
+`dense`.  `Dense.form` checks the data and splits them with the library's
+`jordan_blocks`, and `cyclic_form` and `u_block` build forms that way.
+Each enumerating oracle serves small forms only; the library decides the
+same questions from Jordan blocks.  `prime_part` builds the p-part as
+data of its own, which the library reads in place, and
+`delta_by_generators` reads delta off the generators rather than off the
+2-adic blocks.  `forms_isomorphic` and `even_lattice_exists` are the
 library's answers as booleans, for the tests that compare forms or ask for
 existence only.
 """
@@ -18,13 +20,12 @@ import itertools
 import math
 from typing import NamedTuple
 
-from hklat.fqf import (
-    FiniteQuadraticForm,
-    cyclic_form,
-    even_lattice_exists_report,
-    normal_key,
-    trivial_form,
-)
+import sympy
+from hypothesis import strategies as st
+
+from hklat import lattices
+from hklat.errors import InvalidParameter
+from hklat.fqf import FiniteQuadraticForm, even_lattice_exists_report, normal_key
 from snf_oracle import det_exact
 
 
@@ -49,8 +50,102 @@ class Dense(NamedTuple):
         return len(self.orders)
 
     def form(self):
-        """The library form of these data; DegenerateForm when degenerate."""
-        return FiniteQuadraticForm(self.orders, self.q, self.b)
+        """The library form of these data, split prime by prime of the level
+        by `lattices.jordan_blocks`, read at call time so that a test can
+        count its calls.  InvalidParameter when `check` rejects the data,
+        DegenerateForm when they are degenerate."""
+        self.check()
+        return FiniteQuadraticForm({
+            p: tuple(lattices.jordan_blocks(*self, p)) for p in sympy.primefactors(self.level)
+        })
+
+    def check(self):
+        """Raise InvalidParameter unless these are generator data of a form:
+        integers, orders > 1, q and b reduced, q(g)·d^2 in 2Z, b symmetric,
+        b(g, g) = q(g) mod Z and b(g, h)·d in Z for g of order d."""
+        orders, q, b = self
+        k = len(orders)
+        if len(q) != k or len(b) != k or any(len(r) != k for r in b):
+            raise InvalidParameter("inconsistent generator data")
+        entries = (*orders, *q, *(x for row in b for x in row))
+        if not all(type(x) is int for x in entries):
+            raise InvalidParameter("form data must be integers at the form's level")
+        if any(d < 2 for d in orders):
+            raise InvalidParameter("generator orders must be > 1")
+        n = math.lcm(*orders)
+        for i, d in enumerate(orders):
+            if not 0 <= q[i] < 2 * n:
+                raise InvalidParameter("q values must be reduced into [0, 2N)")
+            if d * d * q[i] % (2 * n):
+                raise InvalidParameter("q value incompatible with generator order")
+            if (b[i][i] - q[i]) % n:
+                raise InvalidParameter("b(g,g) must equal q(g) mod Z")
+            for j in range(k):
+                if b[i][j] != b[j][i]:
+                    raise InvalidParameter("b must be symmetric")
+                if not 0 <= b[i][j] < n:
+                    raise InvalidParameter("b values must be reduced into [0, N)")
+                if d * b[i][j] % n:
+                    raise InvalidParameter("b value incompatible with generator order")
+
+
+def trivial_form():
+    """The form on the trivial group: no Jordan block."""
+    return FiniteQuadraticForm({})
+
+
+def cyclic_form(n, a):
+    """Z/n with q(generator) = a/n mod 2Z for an integer a; b(g,g) = a/n mod Z.
+
+    `Dense.check` rejects a non-integer a and an a with a·n odd, for which
+    a/n is no value of an element of order n."""
+    v = a % (2 * n)
+    return Dense((n,), (v,), ((v % n,),)).form()
+
+
+def random_dense(rng):
+    """Valid dense data of a finite quadratic form on up to three small
+    cyclic factors; b is drawn freely, so a good share of them are
+    degenerate."""
+    orders = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 3))]
+    k = len(orders)
+    n = math.lcm(*orders)
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = rng.randrange(g) * (n // g)
+    q = []
+    for i, d in enumerate(orders):
+        v = (b[i][i] + rng.randrange(2) * n) % (2 * n)
+        if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
+            v = (v + n) % (2 * n)
+        q.append(v)
+    return Dense(tuple(orders), tuple(q), tuple(map(tuple, b)))
+
+
+@st.composite
+def dense_with_large_odd_parts(draw):
+    """Valid dense data on up to three cyclic factors of order 2^k·m, k <= 3
+    and m in {1, 3, 5, 7, 9, 15}, so that the odd part c_i of an even order
+    reaches 15 (`random_dense` reaches 3); b is drawn freely, as there."""
+    odd = st.sampled_from((1, 3, 5, 7, 9, 15))
+    order = st.tuples(st.integers(0, 3), odd).map(lambda km: 2 ** km[0] * km[1])
+    orders = draw(st.lists(order.filter(lambda d: d > 1), min_size=1, max_size=3))
+    k = len(orders)
+    n = math.lcm(*orders)
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = draw(st.integers(0, g - 1)) * (n // g)
+    q = []
+    for i, d in enumerate(orders):
+        v = (b[i][i] + draw(st.integers(0, 1)) * n) % (2 * n)
+        if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
+            v = (v + n) % (2 * n)
+        q.append(v)
+    return Dense(tuple(orders), tuple(q), tuple(map(tuple, b)))
 
 
 def dense(form):
@@ -167,14 +262,14 @@ def delta_by_generators(form):
 
 def u_block(n=2):
     """Hyperbolic block on (Z/n)^2: q = 0 on generators, b(x,y) = 1/n."""
-    return FiniteQuadraticForm((n, n), (0, 0), ((0, 1), (1, 0)))
+    return Dense((n, n), (0, 0), ((0, 1), (1, 0))).form()
 
 
 def v_block(n=2):
     """v-type block on (Z/n)^2, n a power of 2: q = 2/n on generators,
     b(x,y) = 1/n; for n = 2, q = 1 on all three nonzero elements
     (discriminant form of D4)."""
-    return FiniteQuadraticForm((n, n), (2, 2), ((2 % n, 1), (1, 2 % n)))
+    return Dense((n, n), (2, 2), ((2 % n, 1), (1, 2 % n))).form()
 
 
 def two_elementary_form(a, delta, sigma):

@@ -10,7 +10,8 @@ target's normal key; after `budget` summands it gives up and returns None.
 
 import math
 
-from hklat.fqf import normal_key, trivial_form
+from fqf_oracle import trivial_form
+from hklat.fqf import normal_key
 from hklat.lattices import LatticeExpr, _pool_terms, atom_data
 
 

@@ -20,15 +20,10 @@ from fixedlocus_fixtures import (
     cross_check_against_table,
     h4_trace,
 )
-from fqf_oracle import forms_isomorphic
+from fqf_oracle import cyclic_form, forms_isomorphic, trivial_form
 from hklat.classify import embed_in_L, invariants_of
 from hklat.fixedlocus import K3FixedLocus, cross_check_totals, hilb2_census
-from hklat.fqf import (
-    cyclic_form,
-    even_lattice_exists_report,
-    gauss_signature,
-    trivial_form,
-)
+from hklat.fqf import even_lattice_exists_report, gauss_signature
 from hklat.involutions import (
     CASE_I,
     CASE_II,

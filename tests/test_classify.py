@@ -9,7 +9,15 @@ from hypothesis import given, settings
 
 import recognize_oracle
 from existence_oracle import hyperbolic_p_elementary_exists, split_off_U
-from fqf_oracle import Dense, dense, even_lattice_exists, forms_isomorphic, value
+from fqf_oracle import (
+    Dense,
+    cyclic_form,
+    dense,
+    even_lattice_exists,
+    forms_isomorphic,
+    trivial_form,
+    value,
+)
 from golden_data import TABLE_ROWS
 from hklat import classify, lattices
 from hklat.classify import (
@@ -23,11 +31,9 @@ from hklat.classify import (
 from hklat import fqf
 from hklat.fqf import (
     FiniteQuadraticForm,
-    cyclic_form,
     even_lattice_exists_report,
     normal_key,
     p_elementary_form,
-    trivial_form,
 )
 from hklat.cli import main
 from hklat.errors import InvalidParameter
@@ -160,7 +166,7 @@ def test_genus_repr_rebuilds_an_equal_genus():
         "LatticeInvariants(s_plus=3, s_minus=20, form=<FiniteQuadraticForm split={2: ((2, 3),)}>)"
     )
     split = ast.literal_eval(text.partition("split=")[2].removesuffix(">)"))
-    assert LatticeInvariants(3, 20, fqf._form(split)) == classify.AMBIENT_GENUS
+    assert LatticeInvariants(3, 20, FiniteQuadraticForm(split)) == classify.AMBIENT_GENUS
 
 
 def test_definite_complement_gets_no_genus_certificate():

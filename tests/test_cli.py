@@ -505,8 +505,8 @@ def test_warm_embed_calls_jordan_blocks_zero_times(capsys, monkeypatch):
     argv = ("embed", "--expr", "U^2 + E8^2 + A2")
     run_cli(capsys, *argv)
     split = []
-    jordan_blocks = fqf.jordan_blocks
-    monkeypatch.setattr(fqf, "jordan_blocks", lambda *args: split.append(args) or jordan_blocks(*args))
+    jordan_blocks = lattices.jordan_blocks
+    monkeypatch.setattr(lattices, "jordan_blocks", lambda *args: split.append(args) or jordan_blocks(*args))
     code, out, _ = run_cli(capsys, *argv)
     assert (code, "orthogonal class: <6>\n" in out) == (0, True)
     assert split == []

@@ -49,13 +49,11 @@ def test_exit_code_and_builtin_base(cls):
 
 
 def test_classes_stay_importable_where_they_are_raised():
-    from hklat import classify, exact, fqf, lattices, tables
+    from hklat import classify, exact, lattices, tables
 
-    assert lattices.DegenerateForm is fqf.DegenerateForm is hklat.errors.DegenerateForm
     for module, names in (
         (exact, ("PrimalityUnproved",)),
-        (fqf, ("InvalidParameter",)),
-        (lattices, ("InvalidParameter", "NotEvenLattice")),
+        (lattices, ("DegenerateForm", "InvalidParameter", "NotEvenLattice")),
         (classify, ("NotPElementary",)),
         (tables, ("UnsupportedPrime",)),
     ):

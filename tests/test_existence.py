@@ -15,15 +15,17 @@ from existence_oracle import (
     p_elementary_exists,
     small_lattices,
 )
-from fqf_oracle import even_lattice_exists, two_elementary_form, u_block, v_block
-from hklat.errors import DegenerateForm
-from hklat.fqf import (
-    FiniteQuadraticForm,
+from fqf_oracle import (
+    Dense,
     cyclic_form,
-    even_lattice_exists_report,
-    normal_key,
+    even_lattice_exists,
     trivial_form,
+    two_elementary_form,
+    u_block,
+    v_block,
 )
+from hklat.errors import DegenerateForm
+from hklat.fqf import FiniteQuadraticForm, even_lattice_exists_report, normal_key
 from hklat.involutions import TwoElemInvariants, two_elementary_exists
 from hklat.lattices import Lattice, discriminant_form, realize
 from snf_oracle import mat_mul
@@ -58,7 +60,7 @@ def _nondegenerate(data):
     """The forms of the nondegenerate ones among the generator data."""
     for orders, q, b in data:
         try:
-            yield FiniteQuadraticForm(orders, q, b)
+            yield Dense(orders, q, b).form()
         except DegenerateForm:
             continue
 
@@ -211,7 +213,7 @@ def test_full_length_two_part_is_decided_by_e4():
     assert even_lattice_exists_report(0, 1, cyclic(3, 8)) == (False, "E4")
     # the 2-part of the discriminant form of 4·[[2, 1], [1, 2]]: a v block,
     # discr 3·16 against det U = -1 for U(4)
-    v4 = FiniteQuadraticForm((4, 4), (2, 2), ((2, 1), (1, 2)))
+    v4 = Dense((4, 4), (2, 2), ((2, 1), (1, 2))).form()
     u4 = discriminant_form(realize("U(4)"))
     assert even_lattice_exists_report(1, 1, u4) == (True, None)
     assert even_lattice_exists_report(1, 1, v4) == (False, "E4")

@@ -18,39 +18,40 @@ import snf_oracle
 from fqf_oracle import (
     Dense,
     brute_isomorphic,
+    cyclic_form,
     delta_by_generators,
     dense,
     dense_neg,
     dense_sum,
+    dense_with_large_odd_parts,
     elements,
     even_lattice_exists,
     forms_isomorphic,
     odd_disc_class,
     pairing,
     prime_part,
+    random_dense,
+    trivial_form,
     two_elementary_form,
     u_block,
     v_block,
     value,
     value_counts,
 )
+from hklat.errors import DegenerateForm
 from hklat.fqf import (
-    DegenerateForm,
     FiniteQuadraticForm,
     FormInvariants,
     _least_nonresidue,
     _odd_key,
     _two_adic_key,
-    cyclic_form,
     delta_invariant,
     even_lattice_exists_report,
     form_invariants,
     gauss_signature,
-    jordan_blocks,
     local_key,
     normal_key,
     p_elementary_form,
-    trivial_form,
 )
 from hklat.lattices import Lattice, discriminant_form, realize
 from hklat.tables import LATTICE_NAMES
@@ -105,10 +106,10 @@ def test_gauss_additive():
 
 def test_gauss_rejects_degenerate():
     # q = 1, b = 0 at level 2: no Jordan splitting, so no form to read a
-    # signature, a delta or a key off; the constructor raises
+    # signature, a delta or a key off; the split raises
     for error in (DegenerateForm, hklat.errors.DegenerateForm):
         with pytest.raises(error):
-            FiniteQuadraticForm((2,), (2,), ((0,),))
+            Dense((2,), (2,), ((0,),)).form()
 
 
 def _radical_is_trivial_by_enumeration(form):
@@ -119,27 +120,6 @@ def _radical_is_trivial_by_enumeration(form):
         any(x) and all(pairing(form, x, e) == 0 for e in units)
         for x in elements(form)
     )
-
-
-def _random_form(rng):
-    """Valid dense data of a finite quadratic form on up to three small
-    cyclic factors; b is drawn freely, so a good share of them are
-    degenerate."""
-    orders = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(1, 3))]
-    k = len(orders)
-    n = math.lcm(*orders)
-    b = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            g = math.gcd(orders[i], orders[j])
-            b[i][j] = b[j][i] = rng.randrange(g) * (n // g)
-    q = []
-    for i, d in enumerate(orders):
-        v = (b[i][i] + rng.randrange(2) * n) % (2 * n)
-        if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
-            v = (v + n) % (2 * n)
-        q.append(v)
-    return Dense(tuple(orders), tuple(q), tuple(map(tuple, b)))
 
 
 def _radical_is_trivial_by_smith_form(form):
@@ -174,7 +154,7 @@ def test_radical_check_agrees_with_enumeration():
     rng = random.Random(2024)
     degenerate = 0
     for _ in range(600):
-        form = _random_form(rng)
+        form = random_dense(rng)
         expected = _radical_is_trivial_by_enumeration(form)
         assert _radical_is_trivial_by_smith_form(form) == expected, form
         assert (_signature_or_none(form) is None) == (not expected), form
@@ -204,7 +184,7 @@ def _assert_signature_matches_oracles(form):
 
 def test_gauss_signature_agrees_with_direct_sum_on_random_forms():
     rng = random.Random(2026)
-    outcomes = [_assert_signature_matches_oracles(_random_form(rng)) for _ in range(2000)]
+    outcomes = [_assert_signature_matches_oracles(random_dense(rng)) for _ in range(2000)]
     assert 500 < sum(outcomes) < 1500  # both outcomes are exercised
 
 
@@ -272,7 +252,7 @@ def _rebased(form, rng, moves=12):
             basis[i] = [(x + c * y) % d for x, y, d in zip(basis[i], basis[j], orders)]
     q = tuple(value(form, x) for x in basis)
     b = tuple(tuple(pairing(form, x, y) for y in basis) for x in basis)
-    return FiniteQuadraticForm(orders, q, b)
+    return Dense(orders, q, b).form()
 
 
 def test_gauss_signature_is_invariant_under_change_of_group_basis():
@@ -280,7 +260,7 @@ def test_gauss_signature_is_invariant_under_change_of_group_basis():
     # order pair with those of another, and 2-adic rank-2 blocks of scale
     # >= 8 have further generators of their own order to be projected off.
     def v(n, a):
-        return FiniteQuadraticForm((n, n), (a, a), ((a, 1), (1, a)))
+        return Dense((n, n), (a, a), ((a, 1), (1, a))).form()
 
     def c(n, a):
         return cyclic_form(n, a)
@@ -307,7 +287,7 @@ def test_gauss_signature_is_invariant_under_change_of_group_basis():
 def test_gauss_signature_enumerates_nothing(monkeypatch):
     forms = [discriminant_form(realize(n)) for n in ("E8(101)", "<1000002>", "A10(11)", "U(8) + D5")]
     rng = random.Random(5)
-    forms += [f for f in (_form_or_none(_random_form(rng)) for _ in range(100)) if f is not None]
+    forms += [f for f in (_form_or_none(random_dense(rng)) for _ in range(100)) if f is not None]
     assert len(forms) > 20
     expected = [gauss_signature(f) for f in forms]
 
@@ -356,78 +336,16 @@ def test_delta_invariant_agrees_with_value_scan():
     rng = random.Random(2025)
     seen = set()
     for _ in range(1500):
-        form = _random_form(rng)
+        form = random_dense(rng)
         seen.add(_delta_or_none(form, _radical_is_trivial_by_enumeration(form)))
     assert seen == {0, 1, None}
 
 
-@st.composite
-def _forms_with_large_odd_parts(draw):
-    """Valid dense data on up to three cyclic factors of order 2^k·m, k <= 3
-    and m in {1, 3, 5, 7, 9, 15}, so that the odd part c_i of an even order
-    reaches 15 (`_random_form` reaches 3); b is drawn freely, as there."""
-    odd = st.sampled_from((1, 3, 5, 7, 9, 15))
-    order = st.tuples(st.integers(0, 3), odd).map(lambda km: 2 ** km[0] * km[1])
-    orders = draw(st.lists(order.filter(lambda d: d > 1), min_size=1, max_size=3))
-    k = len(orders)
-    n = math.lcm(*orders)
-    b = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            g = math.gcd(orders[i], orders[j])
-            b[i][j] = b[j][i] = draw(st.integers(0, g - 1)) * (n // g)
-    q = []
-    for i, d in enumerate(orders):
-        v = (b[i][i] + draw(st.integers(0, 1)) * n) % (2 * n)
-        if d * d * v % (2 * n):  # odd order: q(g)·d^2 must lie in 2Z
-            v = (v + n) % (2 * n)
-        q.append(v)
-    return Dense(tuple(orders), tuple(q), tuple(map(tuple, b)))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_forms_with_large_odd_parts())
+@given(dense_with_large_odd_parts())
 def test_delta_invariant_agrees_with_value_scan_on_large_odd_parts(form):
     # the 2-part is generated by c_i·g_i, with c_i up to 15
     _delta_or_none(form, _radical_is_trivial_by_smith_form(form))
-
-
-def _assert_split_in_place(form, p):
-    """jordan_blocks reads the p-part in place on the generators; the oracle
-    route builds it as data of its own first.  Both give the same blocks in
-    the same order, or both raise DegenerateForm; returns whether the p-part
-    split."""
-    try:
-        expected = jordan_blocks(*prime_part(form, p), p)
-    except DegenerateForm:
-        with pytest.raises(DegenerateForm):
-            jordan_blocks(*form, p)
-        return False
-    assert jordan_blocks(*form, p) == expected, (form, p)
-    return True
-
-
-def _primes(data):
-    """The primes of the group order of dense data."""
-    return sorted({p for d in data.orders for p in sympy.primefactors(d)})
-
-
-def test_jordan_blocks_read_each_prime_part_in_place():
-    rng = random.Random(2027)
-    outcomes = []
-    for _ in range(1500):
-        form = _random_form(rng)
-        primes = _primes(form)
-        outcomes += [(len(primes) > 1, _assert_split_in_place(form, p)) for p in primes]
-    # split and degenerate p-parts, of forms with one prime and with several
-    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_forms_with_large_odd_parts())
-def test_jordan_blocks_read_each_prime_part_in_place_on_large_odd_parts(form):
-    for p in _primes(form):
-        _assert_split_in_place(form, p)
 
 
 def test_form_data_are_integers_at_the_level():
@@ -451,9 +369,9 @@ def test_form_data_are_integers_at_the_level():
 
 def test_form_rejects_rational_entries():
     with pytest.raises(hklat.errors.InvalidParameter):
-        FiniteQuadraticForm((2,), (F(3, 2),), ((F(1, 2),),))
+        Dense((2,), (F(3, 2),), ((F(1, 2),),)).form()
     with pytest.raises(hklat.errors.InvalidParameter):
-        FiniteQuadraticForm((3,), (4,), ((2,),))  # b(g,g) != q(g) mod Z
+        Dense((3,), (4,), ((2,),)).form()  # b(g,g) != q(g) mod Z
 
 
 @pytest.mark.parametrize(
@@ -469,12 +387,12 @@ def test_form_rejects_rational_entries():
 )
 def test_form_rejects_invalid_generator_data(orders, q, b, message):
     with pytest.raises(hklat.errors.InvalidParameter) as exc:
-        FiniteQuadraticForm(orders, q, b)
+        Dense(orders, q, b).form()
     assert str(exc.value) == message
 
 
 def test_cyclic_form_takes_an_integer_numerator_matching_the_order():
-    assert cyclic_form(2, 3) == FiniteQuadraticForm((2,), (3,), ((1,),))
+    assert cyclic_form(2, 3) == FiniteQuadraticForm({2: ((2, 3),)})
     assert cyclic_form(6, -1) == cyclic_form(6, 11)
     for numerator in (F(3, 2), F(3), 3.0):
         with pytest.raises(hklat.errors.InvalidParameter):
@@ -549,10 +467,10 @@ def _blocks(p, max_order):
     m = p
     while m <= max_order:
         if p == 2:
-            out += [FiniteQuadraticForm((m,), (a,), ((a % m,),)) for a in range(1, 2 * m, 2)]
+            out += [Dense((m,), (a,), ((a % m,),)).form() for a in range(1, 2 * m, 2)]
             if m * m <= max_order:
                 out += [
-                    FiniteQuadraticForm((m, m), (x, y), ((x % m, 1), (1, y % m)))
+                    Dense((m, m), (x, y), ((x % m, 1), (1, y % m))).form()
                     for x in range(0, 2 * m, 2)
                     for y in range(0, 2 * m, 2)
                 ]
@@ -614,16 +532,6 @@ def test_normal_key_is_invariant_under_change_of_group_basis(p, max_order):
             assert normal_key(_rebased(form, rng)) == key, form
 
 
-def test_jordan_blocks_of_standard_forms():
-    # u(4) + <3/2> at level 4, on its three generators
-    data = ((4, 4, 2), (0, 0, 6), ((0, 1, 0), (1, 0, 0), (0, 0, 2)))
-    assert jordan_blocks(*data, 2) == [(4, "u"), (2, 3)]
-    assert FiniteQuadraticForm(*data).split == {2: ((4, "u"), (2, 3))}
-    assert v_block().split == {2: ((2, "v"),)}
-    assert discriminant_form(realize("A2")).split == {3: ((3, 4),)}
-    assert sorted(discriminant_form(realize("U(3)")).split[3]) == [(3, 2), (3, 4)]
-
-
 def test_forms_isomorphic_on_large_groups(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("isomorphism must not enumerate")
@@ -648,15 +556,15 @@ def test_forms_isomorphic_on_large_groups(monkeypatch):
 def test_forms_isomorphic_rejects_degenerate():
     # degenerate data build no form, so no key is compared
     with pytest.raises(DegenerateForm):
-        forms_isomorphic(cyclic_form(2, 1), FiniteQuadraticForm((2,), (2,), ((0,),)))
+        forms_isomorphic(cyclic_form(2, 1), Dense((2,), (2,), ((0,),)).form())
 
 
 def test_internal_builders_yield_valid_forms():
-    """dsum and neg build blocks without the checks of __init__; the
-    generators of their blocks pass those checks, and __init__ splits them
-    into the same blocks, up to their order."""
+    """dsum and neg build blocks with no check; the generators of their
+    blocks pass `Dense.check`, and `Dense.form` splits them into the same
+    blocks, up to their order."""
     rng = random.Random(7)
-    forms = [f for f in (_form_or_none(_random_form(rng)) for _ in range(1000)) if f is not None]
+    forms = [f for f in (_form_or_none(random_dense(rng)) for _ in range(1000)) if f is not None]
     assert len(forms) > 300
     for f, g in zip(forms, forms[1:]):
         for form in (f.dsum(g), f.neg()):
@@ -668,7 +576,7 @@ def test_internal_builders_yield_valid_forms():
 @st.composite
 def _nondegenerate_pairs(draw):
     """Two nondegenerate dense data, each drawn as `_forms_with_large_odd_parts`."""
-    data = _forms_with_large_odd_parts().filter(lambda d: _form_or_none(d) is not None)
+    data = dense_with_large_odd_parts().filter(lambda d: _form_or_none(d) is not None)
     return draw(data), draw(data)
 
 
@@ -725,7 +633,7 @@ def _change_basis(form, m):
     form = dense(form)
     q = tuple(value(form, row) for row in m)
     b = tuple(tuple(pairing(form, x, y) for y in m) for x in m)
-    return FiniteQuadraticForm(form.orders, q, b)
+    return Dense(form.orders, q, b).form()
 
 
 def test_disc_class_from_jordan_blocks_matches_det_oracle():
@@ -790,16 +698,16 @@ def test_even_lattice_exists_milgram_gate():
 
 def test_existence_splits_each_prime_part_once(monkeypatch):
     # <-6>: full length at 2 and at 3, so E2, E3:p=3 and E4 all read blocks;
-    # the constructor splits each p-part once, and the test splits nothing
+    # the generator data are split once per p-part, and the test splits nothing
     calls = []
-    split = hklat.fqf.jordan_blocks
+    split = hklat.lattices.jordan_blocks
 
     def counted(*args):
         calls.append(args[-1])
         return split(*args)
 
-    monkeypatch.setattr(hklat.fqf, "jordan_blocks", counted)
-    form = FiniteQuadraticForm((6,), (11,), ((5,),))  # <11/6> = <1/2> + <4/3>
+    monkeypatch.setattr(hklat.lattices, "jordan_blocks", counted)
+    form = Dense((6,), (11,), ((5,),)).form()  # <11/6> = <1/2> + <4/3>
     assert calls == [2, 3]
     assert even_lattice_exists_report(0, 1, form) == (True, None)
     assert calls == [2, 3]

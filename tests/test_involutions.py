@@ -2,7 +2,8 @@ import pytest
 
 from fqf_oracle import even_lattice_exists, two_elementary_form, value_counts
 from golden_data import figure_marker_set
-from hklat.fqf import delta_invariant, gauss_signature, trivial_form
+from fqf_oracle import trivial_form
+from hklat.fqf import delta_invariant, gauss_signature
 from hklat.involutions import (
     AMBIENT_SIGNATURE,
     CASE_I,

@@ -11,15 +11,20 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_decomp
 
 import snf_oracle
-from fqf_oracle import forms_isomorphic
-from hklat.classify import invariants_of
-from hklat.exact import is_prime
-from hklat.fqf import (
-    FiniteQuadraticForm,
+from fqf_oracle import (
+    Dense,
     cyclic_form,
-    normal_key,
+    dense_with_large_odd_parts,
+    forms_isomorphic,
+    prime_part,
+    random_dense,
     trivial_form,
+    v_block,
 )
+from hklat.classify import invariants_of
+from hklat.errors import DegenerateForm
+from hklat.exact import is_prime
+from hklat.fqf import FiniteQuadraticForm, normal_key
 from hklat import AMBIENT
 from hklat.lattices import (
     InvalidParameter,
@@ -30,10 +35,12 @@ from hklat.lattices import (
     atom_data,
     discriminant_data,
     discriminant_form,
+    jordan_blocks,
     lattice_from_json,
     parse_expr,
     realize,
     render_expr,
+    smith_normal_form,
     _atom_base_gram,
     _root_gram,
 )
@@ -226,11 +233,13 @@ def test_discriminant_data_minus_two():
     assert data.q_values == (3,)  # 3/2 at level 2
 
 
-def _dual_generators(data):
-    """The dual vectors x_i = v_i / d_i, from the integer columns v_i."""
+def _dual_generators(lat):
+    """The dual vectors x_i = v_i / d_i for the columns v_i of the right
+    transform of the Smith form of the Gram matrix, d_i > 1: the generators
+    on which `discriminant_data` reads its values."""
+    factors, v = smith_normal_form(lat.gram, lat.det())
     return [
-        tuple(Fraction(x, d) for x in v)
-        for v, d in zip(data.generators, data.invariant_factors)
+        tuple(Fraction(row[i], d) for row in v) for i, d in enumerate(factors) if d > 1
     ]
 
 
@@ -238,7 +247,7 @@ def test_discriminant_generators_are_dual_vectors():
     rng = random.Random(3)
     for name in ("A2", "U(3)", "D4", "E6", "<6>", "K7"):
         lat = realize(name)
-        gens = _dual_generators(discriminant_data(lat))
+        gens = _dual_generators(lat)
         n = lat.rank
         for g in gens:
             # membership in the dual lattice: integer pairing with every basis vector
@@ -368,7 +377,7 @@ def test_integer_form_matches_dual_generators():
         data = discriminant_data(lat)
         gram, n = lat.gram, lat.rank
         level = math.lcm(*data.invariant_factors)
-        gens = _dual_generators(data)
+        gens = _dual_generators(lat)
         q, b = [], []
         for i, x in enumerate(gens):
             row = []
@@ -379,7 +388,7 @@ def test_integer_form_matches_dual_generators():
                     q.append(int(pair % 2 * level))
             b.append(tuple(row))
         assert data.q_values == tuple(q), name
-        built = FiniteQuadraticForm(data.invariant_factors, tuple(q), tuple(b))
+        built = Dense(data.invariant_factors, tuple(q), tuple(b)).form()
         assert data.form == built, name
 
 
@@ -548,7 +557,7 @@ def _smith_oracle(gram):
         tuple(pair(i, j) * level // (factors[i] * factors[j]) % level for j in range(k))
         for i in range(k)
     )
-    return factors, FiniteQuadraticForm(factors, q, b)
+    return factors, Dense(factors, q, b).form()
 
 
 def _elementary_at(inv, q):
@@ -618,23 +627,23 @@ def test_discriminant_form_of_one_block_is_its_form():
 
 def test_a_long_sum_splits_nothing(monkeypatch):
     # a form is its Jordan splitting: the sum of the blocks' forms puts their
-    # blocks together, and only the constructor, on generator data, splits
+    # blocks together, and only `_smith_data`, on generator data, splits
     import ast
     from pathlib import Path
 
-    import hklat.fqf
+    import hklat.lattices
 
     atom_data("A2", 1)
     realize.cache_clear()  # the sum below is made afresh
     calls = []
-    split = hklat.fqf.jordan_blocks
-    monkeypatch.setattr(hklat.fqf, "jordan_blocks", lambda *args: calls.append(args) or split(*args))
+    split = hklat.lattices.jordan_blocks
+    monkeypatch.setattr(hklat.lattices, "jordan_blocks", lambda *args: calls.append(args) or split(*args))
     form = discriminant_form(realize("A2^300"))
     assert calls == []
     assert form.split == {3: ((3, 4),) * 300}
     assert (form.order, form.lengths_per_prime()) == (3**300, {3: 300})
     callers = set()
-    for path in Path(hklat.fqf.__file__).parent.glob("*.py"):
+    for path in Path(hklat.lattices.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
@@ -642,7 +651,55 @@ def test_a_long_sum_splits_nothing(monkeypatch):
                     scope = {n for n in ast.walk(child) if isinstance(n, ast.Call)}
                     if any(getattr(c.func, "id", None) == "jordan_blocks" for c in scope):
                         callers.add((path.name, child.name))
-    assert callers == {("fqf.py", "__init__")}
+    assert callers == {("lattices.py", "_smith_data")}
+
+
+def _assert_split_in_place(form, p):
+    """jordan_blocks reads the p-part in place on the generators; the oracle
+    route builds it as data of its own first.  Both give the same blocks in
+    the same order, or both raise DegenerateForm; returns whether the p-part
+    split."""
+    try:
+        expected = jordan_blocks(*prime_part(form, p), p)
+    except DegenerateForm:
+        with pytest.raises(DegenerateForm):
+            jordan_blocks(*form, p)
+        return False
+    assert jordan_blocks(*form, p) == expected, (form, p)
+    return True
+
+
+def _primes(data):
+    """The primes of the group order of dense data."""
+    return sorted({p for d in data.orders for p in sympy.primefactors(d)})
+
+
+def test_jordan_blocks_read_each_prime_part_in_place():
+    rng = random.Random(2027)
+    outcomes = []
+    for _ in range(1500):
+        form = random_dense(rng)
+        primes = _primes(form)
+        outcomes += [(len(primes) > 1, _assert_split_in_place(form, p)) for p in primes]
+    # split and degenerate p-parts, of forms with one prime and with several
+    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dense_with_large_odd_parts())
+def test_jordan_blocks_read_each_prime_part_in_place_on_large_odd_parts(form):
+    for p in _primes(form):
+        _assert_split_in_place(form, p)
+
+
+def test_jordan_blocks_of_standard_forms():
+    # u(4) + <3/2> at level 4, on its three generators
+    data = ((4, 4, 2), (0, 0, 6), ((0, 1, 0), (1, 0, 0), (0, 0, 2)))
+    assert jordan_blocks(*data, 2) == [(4, "u"), (2, 3)]
+    assert Dense(*data).form().split == {2: ((4, "u"), (2, 3))}
+    assert v_block().split == {2: ((2, "v"),)}
+    assert discriminant_form(realize("A2")).split == {3: ((3, 4),)}
+    assert sorted(discriminant_form(realize("U(3)")).split[3]) == [(3, 2), (3, 4)]
 
 
 @st.composite
@@ -687,7 +744,7 @@ def test_smith_route_form_equals_the_full_scan_elimination_form(monkeypatch):
     # a lattice takes its Smith form when it is built, so build them again
     monkeypatch.setattr("hklat.lattices.smith_normal_form", full_scan)
     for expr, gram, data in zip(exprs, grams, datas):
-        assert discriminant_data(Lattice(gram))[1:] == data[1:], render_expr(expr)
+        assert discriminant_data(Lattice(gram)) == data, render_expr(expr)
 
 
 def count_smith_forms(monkeypatch):

@@ -164,6 +164,28 @@ def test_natural_verdict_reasons_of_the_non_natural_rows():
     }
 
 
+PARITY_BREAKERS = (
+    (5, 5, 0), (5, 5, 2), (5, 4, 1), (5, 4, 3), (5, 3, 0), (5, 3, 2), (5, 2, 1), (5, 1, 0),
+    (13, 1, 0),
+)
+
+
+def test_nine_candidates_break_the_parity_of_an_order_p_isometry():
+    # An isometry of order p of S with no fixed vector makes S a lattice over
+    # Z[zeta_p] of rank m, so v_p(det S) = (p - 2)m = m mod 2, that is
+    # a = m mod 2 for a p-elementary S (ROADMAP item 19).  Nine of the 54
+    # candidates break it: the golden row (13, 1, 0), flagged
+    # no-known-realization, and eight order-5 rows that N2 drops.
+    candidates = dict(_candidate_rows())
+    assert len(candidates) == 54
+    odd = [key for key in candidates if (key[1] - key[2]) % 2]
+    assert sorted(odd) == sorted(PARITY_BREAKERS)
+    table = {(r.p, r.m, r.a) for p in SUPPORTED_PRIMES for r in enumerate_triples(p)}
+    assert [key for key in odd if key in table] == [(13, 1, 0)]
+    assert (13, 1, 0) in NO_REALIZATION_TRIPLES
+    assert all(natural_verdict(*key, candidates[key]) == (False, "N2") for key in odd)
+
+
 def test_h_star_chi_gap_identity():
     # h* - chi = 2(a - m)(a - 25 + mp - m) >= 0 on every emitted row
     for p in (3, 5, 7, 11, 13, 17, 19):
